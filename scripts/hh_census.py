@@ -4,10 +4,12 @@
 Tabulates dim HH^{p,q}(A, A) over a (p, q) window twice, once from the
 relative bar complex and once from the 2-periodic resolution, and
 reports any disagreement (there should never be one). Also prints the
-Kadeishvili diagonal up to a chosen bound.
+Kadeishvili diagonal up to a chosen bound. Exits 1 when the engines
+disagree anywhere in the window, 0 otherwise.
 """
 
 import argparse
+import sys
 
 from formalitykit.graded import truncated_poly
 from formalitykit.hochschild import (
@@ -50,7 +52,8 @@ def main():
     for q in sorted(table):
         print(f"  q={q}: {table[q]}")
     print(f"engine disagreements: {disagreements}")
+    return 1 if disagreements else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional
 
 from .errors import InputValidationError
@@ -145,6 +146,12 @@ class PrimeField:
 RATIONALS = Rationals()
 
 
+@lru_cache(maxsize=None)
+def _prime_field(p: int) -> PrimeField:
+    """The one PrimeField per modulus, so that is_prime runs once per p."""
+    return PrimeField(p)
+
+
 @dataclass(frozen=True)
 class FieldSpec:
     """Serializable choice of ground field: the rationals or F_p."""
@@ -165,7 +172,7 @@ class FieldSpec:
     def field(self):
         if self.kind == "rationals":
             return RATIONALS
-        return PrimeField(self.p)
+        return _prime_field(self.p)
 
     def tag(self) -> str:
         return "rationals" if self.kind == "rationals" else f"fp:{self.p}"

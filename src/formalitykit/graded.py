@@ -237,13 +237,19 @@ def validate(A: GradedAlgebra) -> ValidationReport:
         if not A.combo_eq(A.combo_mul(e, A.unit), e):
             violations.append(f"unit law fails on the right of {b}")
 
+    # (xy)z and x(yz) both vanish unless (x,y) or (y,z) is a key of A.mult,
+    # so only those triples are tried, in the same (x, y, z) label order
     one = A.field_spec.field().one
+    right_of = {y: [z for z in labels if (y, z) in A.mult] for y in labels}
     for x in labels:
         cx = {x: one}
         for y in labels:
+            zs = labels if (x, y) in A.mult else right_of[y]
+            if not zs:
+                continue
             cy = {y: one}
             xy = A.combo_mul(cx, cy)
-            for z in labels:
+            for z in zs:
                 cz = {z: one}
                 left = A.combo_mul(xy, cz)
                 right = A.combo_mul(cx, A.combo_mul(cy, cz))

@@ -35,7 +35,7 @@ from .graded import (
     validate,
 )
 from .linalg import (
-    _reduce_against,
+    in_span,
     is_zero_rows,
     kernel_rows,
     matmul,
@@ -377,27 +377,18 @@ def hh_bar(
     if p >= 1 and n_prev:
         d_prev, _, _ = _delta_matrix(tb, p - 1, g_prev, n_prev, g_here, mode)
 
-    if d_here:
-        ker = kernel_rows(d_here, f, n_here)
-    else:
-        ker = [[f.one if i == j else f.zero for j in range(n_here)] for i in range(n_here)]
-    if d_prev:
-        im_basis = row_space_basis([list(col) for col in zip(*d_prev)], f)
-    else:
-        im_basis = []
-    dim = len(ker) - len(im_basis)
+    dim = n_here - rank_rows(d_here, f) - rank_rows(d_prev, f)
 
     cocycles = None
     if want_cocycles:
-        pivots, red = rref_rows(im_basis, f) if im_basis else ([], [])
+        ker = kernel_rows(d_here, f, n_here)
+        # the image of d_prev is the row space of its transpose
+        span = row_space_basis([list(col) for col in zip(*d_prev)], f)
         reps = []
-        rows_acc = [list(r) for r in red]
-        piv_acc = list(pivots)
         for v in ker:
-            rem = _reduce_against(v, piv_acc, rows_acc, f)
-            if any(not f.is_zero(x) for x in rem):
+            if not in_span(v, span, f):
                 reps.append(list(v))
-                piv_acc, rows_acc = rref_rows(rows_acc + [rem], f)
+                span = rref_rows(span + [v], f)[1]
         flat = []
         for w, pairs in g_here.items():
             for c0, m in pairs:

@@ -5,6 +5,7 @@ import pytest
 from formalitykit.configurations import ConfigGraph
 from formalitykit.errors import InputValidationError, ZeroGradedObjectError
 from formalitykit.fields import FieldSpec
+from formalitykit import graded
 from formalitykit.graded import (
     GradedAlgebra,
     GradedVectorSpace,
@@ -222,3 +223,76 @@ def test_json_rejects_missing_mult():
 def test_prime_field_algebra_validates():
     A = truncated_poly(2, 2, FieldSpec(kind="fp", p=7))
     assert validate(A).ok
+
+
+# -- validate tries only the triples that can fail ------------------------------
+
+
+def brute_force_associativity(A):
+    """Every (x, y, z) basis triple, in label order, as validate once did."""
+    one = A.field_spec.field().one
+    out = []
+    for x in A.labels():
+        for y in A.labels():
+            for z in A.labels():
+                xy_z = A.combo_mul(A.combo_mul({x: one}, {y: one}), {z: one})
+                x_yz = A.combo_mul({x: one}, A.combo_mul({y: one}, {z: one}))
+                if not A.combo_eq(xy_z, x_yz):
+                    out.append(f"associativity fails on ({x},{y},{z})")
+    return out
+
+
+def associativity_violations(A):
+    return [v for v in validate(A).violations if v.startswith("associativity")]
+
+
+def a2_zigzag_221(monkeypatch):
+    """The A2 (n, k, h) = (2, 2, 1) zigzag table, not associative since
+    (a21 a12) t1 = t1^2 while a21 (a12 t1) = 0;
+    build_configuration_algebra refuses it, so it is caught on its way to
+    validate."""
+    seen = []
+    real = graded.validate
+    monkeypatch.setattr(graded, "validate", lambda A: seen.append(A) or real(A))
+    with pytest.raises(InputValidationError, match="associativity"):
+        build_configuration_algebra(a2_graph(), 2, 2, 1, "zigzag")
+    return seen[0]
+
+
+@pytest.mark.parametrize("name", ["truncated_poly", "a2_zigzag_121", "triangle_orthogonal_fp",
+                                  "cycle4_zigzag_121"])
+def test_validate_associativity_matches_brute_force_on_valid_algebras(name):
+    fp = FieldSpec(kind="fp", p=32003)
+    tri = ConfigGraph.make(["1", "2", "3"], [("1", "2"), ("2", "3"), ("3", "1")])
+    cyc = ConfigGraph.make(["1", "2", "3", "4"], [("1", "2"), ("2", "3"), ("3", "4"), ("4", "1")])
+    A = {
+        "truncated_poly": lambda: truncated_poly(3, 2),
+        "a2_zigzag_121": lambda: build_configuration_algebra(a2_graph(), 1, 2, 1, "zigzag"),
+        "triangle_orthogonal_fp": lambda: build_configuration_algebra(tri, 2, 2, 1, "orthogonal", fp),
+        "cycle4_zigzag_121": lambda: build_configuration_algebra(cyc, 1, 2, 1, "zigzag"),
+    }[name]()
+    assert validate(A).ok
+    assert associativity_violations(A) == brute_force_associativity(A) == []
+
+
+def test_validate_associativity_matches_brute_force_on_a2_zigzag_221(monkeypatch):
+    A = a2_zigzag_221(monkeypatch)
+    want = brute_force_associativity(A)
+    assert want and associativity_violations(A) == want
+
+
+def test_validate_associativity_matches_brute_force_on_broken_tables():
+    basis = (("1", 0), ("x", 1), ("y", 1), ("u", 2), ("z", 3))
+    unit_rows = {("1", lab): {lab: ONE} for lab, _ in basis}
+    unit_rows.update({(lab, "1"): {lab: ONE} for lab, _ in basis})
+    for products in (
+        # (xx)x = ux = 0 but x(xx) = xu = z
+        {("x", "x"): {"u": ONE}, ("x", "u"): {"z": ONE}},
+        # a unit that doubles x: (11)x = 2x but 1(1x) = 4x
+        {("1", "x"): {"x": 2 * ONE}},
+        # xy is not in the table, yet x(yx) = xu = z: only (y, x) is a key
+        {("y", "x"): {"u": ONE}, ("x", "u"): {"z": ONE}},
+    ):
+        A = GradedAlgebra(QQ, basis, {**unit_rows, **products}, {"1": ONE}, ("1",))
+        want = brute_force_associativity(A)
+        assert want and associativity_violations(A) == want

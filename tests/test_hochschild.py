@@ -315,6 +315,24 @@ def test_standard_periodic_specs_validate():
         validate_periodic_spec(truncated_poly(n, k), periodic_spec_truncated_poly(n, k, 6))
 
 
+def test_truncated_poly_6_1_slice_over_q():
+    """The (4, -4) slice of k[t]/t^7, deg t = 1: d_4 is 252 x 206 at 2.9 %
+    non-zero, the matrix on which dense Fraction elimination took seconds."""
+    A = truncated_poly(6, 1)
+    res = hh_bar(A, None, 4, -4)
+    assert (res.dim, res.slice_dims) == (0, (107, 206, 252))
+    assert hh_resolution(A, periodic_spec_truncated_poly(6, 1, 6), None, 4, -4, check=False) == 0
+
+
+@pytest.mark.parametrize("q, dim", [(-9, 1), (-8, 0)])
+def test_truncated_poly_6_1_slices_over_f32003_match_resolution(q, dim):
+    # the resolution is validated over F_32003 too (check=True), although
+    # its multipliers carry Fraction coefficients
+    A = truncated_poly(6, 1, FieldSpec(kind="fp", p=32003))
+    assert hh_bar(A, None, 4, q).dim == dim
+    assert hh_resolution(A, periodic_spec_truncated_poly(6, 1, 6), None, 4, q) == dim
+
+
 # -- scans ------------------------------------------------------------------------
 
 

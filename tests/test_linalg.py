@@ -177,3 +177,86 @@ def test_subspace_sum_spans_both():
 def test_exact_matrix_shape_validation():
     with pytest.raises(InputValidationError):
         ExactMatrix(QQ, 2, 2, ((Fraction(1),),))
+
+
+# -- the sparse kernel against a dense reference -------------------------------
+
+
+def dense_rref(rows, field):
+    """Column-by-column dense Gauss-Jordan: the canonical RREF the sparse
+    kernel must reproduce entry for entry."""
+    m = [list(r) for r in rows]
+    ncols = len(m[0]) if m else 0
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(m)) if not field.is_zero(m[i][c])), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        inv = field.inv(m[r][c])
+        m[r] = [field.mul(inv, x) for x in m[r]]
+        for i in range(len(m)):
+            if i != r and not field.is_zero(m[i][c]):
+                fac = m[i][c]
+                m[i] = [field.sub(x, field.mul(fac, y)) for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+    return pivots, m[: len(pivots)]
+
+
+FIELDS = {"Q": RATIONALS, "F5": PrimeField(5), "F7": PrimeField(7)}
+
+
+@st.composite
+def kernel_case(draw):
+    """A field and a matrix over it with 0-6 rows and 0-6 columns, salted
+    with zero rows and duplicate rows, in a shuffled order."""
+    field = FIELDS[draw(st.sampled_from(sorted(FIELDS)))]
+    ncols = draw(st.integers(0, 6))
+    if field is RATIONALS:
+        entry = st.builds(Fraction, small_entries, st.sampled_from([1, 1, 1, 2, 3]))
+    else:
+        entry = small_entries.map(field.from_int)
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), max_size=6))
+    rows += [[field.zero] * ncols] * draw(st.integers(0, 2))
+    if rows:
+        rows += [list(rows[i]) for i in draw(st.lists(st.integers(0, len(rows) - 1), max_size=3))]
+    return field, draw(st.permutations(rows)) if rows else rows
+
+
+@given(kernel_case())
+def test_rref_rows_equals_dense_reference(case):
+    field, rows = case
+    pivots, red = rref_rows(rows, field)
+    assert (pivots, red) == dense_rref(rows, field)
+    scalar = Fraction if field is RATIONALS else int
+    assert all(type(x) is scalar for row in red for x in row)
+
+
+@given(kernel_case())
+def test_rank_rows_counts_rref_pivots(case):
+    field, rows = case
+    assert rank_rows(rows, field) == len(rref_rows(rows, field)[0])
+
+
+@given(kernel_case())
+def test_kernel_rows_reads_off_the_reference_rref(case):
+    field, rows = case
+    ncols = len(rows[0]) if rows else 3
+    pivots, red = dense_rref(rows, field)
+    want = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [field.zero] * ncols
+        v[fc] = field.one
+        for r, pc in enumerate(pivots):
+            v[pc] = field.neg(red[r][fc])
+        want.append(v)
+    assert kernel_rows(rows, field, ncols) == want
+
+
+def test_prime_field_kernel_maps_fraction_entries_into_the_field():
+    fp = PrimeField(7)
+    # 1/2 is 4 in F_7, so the first row is 4 times the second
+    rows = [[Fraction(1, 2), Fraction(1)], [fp.from_int(1), fp.from_int(2)]]
+    assert rank_rows(rows, fp) == 1
+    assert rref_rows(rows, fp) == ([0], [[1, 2]])
