@@ -82,6 +82,5 @@ from .formality import (
     certify_config_spherical,
     certify_single,
     cy_normalize,
-    mirrored_degree_inequality,
     verify_certificate,
 )

@@ -32,7 +32,10 @@ class ConfigGraph:
     edges: Tuple[EdgeData, ...]
 
     def __post_init__(self):
-        seen = set(self.vertices)
+        try:
+            seen = set(self.vertices)
+        except TypeError:
+            raise InputValidationError("vertices must be scalars") from None
         if len(seen) != len(self.vertices):
             raise InputValidationError("duplicate vertices")
         pairs = set()
@@ -53,6 +56,8 @@ class ConfigGraph:
             if isinstance(e, EdgeData):
                 out_edges.append(e)
             elif isinstance(e, Mapping):
+                if "u" not in e or "v" not in e:
+                    raise InputValidationError(f"edge {e!r} needs 'u' and 'v'")
                 out_edges.append(
                     EdgeData(
                         e["u"],
@@ -63,7 +68,12 @@ class ConfigGraph:
                     )
                 )
             else:
-                u, v = e
+                try:
+                    u, v = e
+                except (TypeError, ValueError):
+                    raise InputValidationError(
+                        f"edge {e!r} is neither a (u, v) pair nor an object with 'u' and 'v'"
+                    ) from None
                 out_edges.append(EdgeData(u, v))
         return cls(tuple(vertices), tuple(out_edges))
 
@@ -109,6 +119,8 @@ class ConfigGraph:
     def from_json_dict(cls, data: dict) -> "ConfigGraph":
         if not isinstance(data, dict) or "vertices" not in data or "edges" not in data:
             raise InputValidationError("graph JSON needs 'vertices' and 'edges'")
+        if not isinstance(data["vertices"], list) or not isinstance(data["edges"], list):
+            raise InputValidationError("graph JSON 'vertices' and 'edges' must be lists")
         return cls.make(data["vertices"], data["edges"])
 
 
@@ -161,11 +173,16 @@ class PoincarePolynomial:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "PoincarePolynomial":
-        if not isinstance(data, dict) or "components" not in data:
-            raise InputValidationError("poincare JSON needs 'components'")
+        if not isinstance(data, dict) or not isinstance(data.get("components"), list):
+            raise InputValidationError("poincare JSON needs a 'components' list")
         dims: Dict[int, int] = {}
         for c in data["components"]:
-            dims[int(c["degree"])] = dims.get(int(c["degree"]), 0) + int(c["dim"])
+            if not isinstance(c, Mapping) or "degree" not in c or "dim" not in c:
+                raise InputValidationError(f"poincare component {c!r} needs 'degree' and 'dim'")
+            d, n = c["degree"], c["dim"]
+            if type(d) is not int or type(n) is not int:
+                raise InputValidationError(f"poincare component {c!r} must hold integers")
+            dims[d] = dims.get(d, 0) + n
         return cls.make(dims)
 
 

@@ -365,13 +365,6 @@ def cy_normalize(n: int, k: int) -> Dict[str, object]:
     return {"h": h, "gcd_ok": math.gcd(k, h) > 1}
 
 
-def mirrored_degree_inequality(mindeg_a: int, q: int, tor_maxdeg_bound: int) -> bool:
-    """Experimental: the mirrored comparison for non-positively graded
-    algebras, mindeg(A) + q - 2 > maxdeg Tor_q. Provided for symmetry;
-    not used by the shipped certificate families."""
-    return mindeg_a + q - 2 > tor_maxdeg_bound
-
-
 # -- independent re-checker ---------------------------------------------------
 
 

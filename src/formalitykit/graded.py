@@ -8,7 +8,7 @@ immutable after construction and all operations are pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .configurations import ConfigGraph
@@ -107,6 +107,11 @@ class GradedAlgebra:
     mult maps (left label, right label) to a combo dict; missing pairs
     multiply to zero. idempotents, when present, must be mutually
     orthogonal basis labels that sum to the unit and span degree zero.
+
+    mult (each combo too) and unit are copied on construction, so later
+    changes to the caller's dicts do not reach the algebra; that makes it
+    safe to keep derived data (the validation report, prepared HH tables)
+    in the private per-instance memo.
     """
 
     field_spec: FieldSpec
@@ -114,6 +119,13 @@ class GradedAlgebra:
     mult: Mapping[Tuple[str, str], Combo]
     unit: Combo
     idempotents: Optional[Tuple[str, ...]] = None
+    _memo: Dict[object, object] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self):
+        object.__setattr__(self, "mult", {key: dict(c) for key, c in self.mult.items()})
+        object.__setattr__(self, "unit", dict(self.unit))
 
     # -- basic accessors ------------------------------------------------
 
@@ -202,8 +214,17 @@ def validate(A: GradedAlgebra) -> ValidationReport:
     """Check grading, associativity, unit laws and idempotent structure.
 
     Failures are collected into the report rather than raised, one entry
-    per violated pair or triple.
+    per violated pair or triple. The report is computed once per algebra
+    and kept in its memo; the algebra cannot change after construction.
     """
+    report = A._memo.get("validation")
+    if report is None:
+        report = _validation_report(A)
+        A._memo["validation"] = report
+    return report
+
+
+def _validation_report(A: GradedAlgebra) -> ValidationReport:
     violations: List[str] = []
     labels = A.labels()
     if len(set(labels)) != len(labels):
@@ -237,27 +258,10 @@ def validate(A: GradedAlgebra) -> ValidationReport:
         if not A.combo_eq(A.combo_mul(e, A.unit), e):
             violations.append(f"unit law fails on the right of {b}")
 
-    # (xy)z and x(yz) both vanish unless (x,y) or (y,z) is a key of A.mult,
-    # so only those triples are tried, in the same (x, y, z) label order
-    one = A.field_spec.field().one
-    right_of = {y: [z for z in labels if (y, z) in A.mult] for y in labels}
-    for x in labels:
-        cx = {x: one}
-        for y in labels:
-            zs = labels if (x, y) in A.mult else right_of[y]
-            if not zs:
-                continue
-            cy = {y: one}
-            xy = A.combo_mul(cx, cy)
-            for z in zs:
-                cz = {z: one}
-                left = A.combo_mul(xy, cz)
-                right = A.combo_mul(cx, A.combo_mul(cy, cz))
-                if not A.combo_eq(left, right):
-                    violations.append(f"associativity fails on ({x},{y},{z})")
+    violations.extend(_associativity_violations(A, labels))
 
     if A.idempotents is not None:
-        f = A.field_spec.field()
+        one = A.field_spec.field().one
         idem = list(A.idempotents)
         for e in idem:
             if e not in degs:
@@ -286,6 +290,37 @@ def validate(A: GradedAlgebra) -> ValidationReport:
             violations.append("idempotents do not span degree zero")
 
     return ValidationReport(not violations, tuple(violations))
+
+
+def _associativity_violations(A: GradedAlgebra, labels: List[str]) -> List[str]:
+    """One violation per basis triple (x, y, z), in label order, with
+    (xy)z != x(yz), both sides read term by term off the table.
+
+    (xy)z and x(yz) both vanish unless (x,y) or (y,z) is a key of A.mult,
+    so only those triples are tried."""
+    f = A.field_spec.field()
+    mult = A.mult
+    # (z, y·z) for every z, and for the z with (y,z) a key of the table
+    row_of = {y: [(z, mult.get((y, z))) for z in labels] for y in labels}
+    keyed_row_of = {y: [(z, yz) for z, yz in row if yz is not None] for y, row in row_of.items()}
+    out: List[str] = []
+    for x in labels:
+        for y in labels:
+            xy = mult.get((x, y))
+            for z, yz in keyed_row_of[y] if xy is None else row_of[y]:
+                # (xy)z - x(yz), label by label
+                diff: Combo = {}
+                if xy:
+                    for w, c in xy.items():
+                        for lab, v in mult.get((w, z), {}).items():
+                            diff[lab] = f.add(diff.get(lab, f.zero), f.mul(c, v))
+                if yz:
+                    for w, c in yz.items():
+                        for lab, v in mult.get((x, w), {}).items():
+                            diff[lab] = f.sub(diff.get(lab, f.zero), f.mul(c, v))
+                if not all(f.is_zero(v) for v in diff.values()):
+                    out.append(f"associativity fails on ({x},{y},{z})")
+    return out
 
 
 def detect_idempotents(A: GradedAlgebra) -> Optional[Tuple[str, ...]]:
@@ -620,7 +655,10 @@ def algebra_from_json_dict(data: dict) -> GradedAlgebra:
             raise InputValidationError(f"mult entry uses unknown labels ({x},{y})")
         mult[(x, y)] = combo
     if "unit" in data:
-        unit = {str(tm["label"]): f.parse(str(tm["coeff"])) for tm in data["unit"]}
+        try:
+            unit = {str(tm["label"]): f.parse(str(tm["coeff"])) for tm in data["unit"]}
+        except (KeyError, TypeError) as exc:
+            raise InputValidationError(f"bad unit entry: {exc}") from None
     else:
         idem = data.get("idempotents")
         if not idem:

@@ -348,6 +348,23 @@ def _prepare(A: GradedAlgebra, M: Optional[GradedBimodule], mode: str):
     return A, M
 
 
+def _tables(A: GradedAlgebra, M: Optional[GradedBimodule], mode: str) -> _Tables:
+    """Prepared integer tables of (A, M) in the given mode.
+
+    For the diagonal bimodule (M None) they are built once per algebra and
+    mode and kept in the algebra's memo; the algebra cannot change after
+    construction. Nothing is stored when preparation raises, so an invalid
+    algebra is rejected on every call."""
+    key = ("hh_tables", mode)
+    tb = A._memo.get(key) if M is None else None
+    if tb is None:
+        A1, M1 = _prepare(A, M, mode)
+        tb = _build_tables(A1, M1, need_blocks=(mode == "relative_normalized"))
+        if M is None:
+            A._memo[key] = tb
+    return tb
+
+
 def hh_bar(
     A: GradedAlgebra,
     M: Optional[GradedBimodule] = None,
@@ -362,8 +379,7 @@ def hh_bar(
     the relative one is the fast default."""
     if p < 0:
         raise InputValidationError("p must be >= 0")
-    A, M = _prepare(A, M, mode)
-    tb = _build_tables(A, M, need_blocks=(mode == "relative_normalized"))
+    tb = _tables(A, M, mode)
     g_prev, n_prev = (_cochain_basis(tb, p - 1, q, mode, max_words) if p >= 1 else ({}, 0))
     g_here, n_here = _cochain_basis(tb, p, q, mode, max_words)
     g_next, n_next = _cochain_basis(tb, p + 1, q, mode, max_words)
@@ -418,8 +434,7 @@ def cochain_dim(
     mode: str = "relative_normalized",
     max_words: int = DEFAULT_MAX_WORDS,
 ) -> int:
-    A, M = _prepare(A, M, mode)
-    tb = _build_tables(A, M, need_blocks=(mode == "relative_normalized"))
+    tb = _tables(A, M, mode)
     _, n = _cochain_basis(tb, p, q, mode, max_words)
     return n
 
@@ -431,8 +446,7 @@ def nonempty_internal_degrees(
     mode: str = "relative_normalized",
 ) -> List[int]:
     """Internal degrees q with a nonzero (p, q) cochain slice."""
-    A, M = _prepare(A, M, mode)
-    tb = _build_tables(A, M, need_blocks=(mode == "relative_normalized"))
+    tb = _tables(A, M, mode)
     slots = _module_slots(tb, mode)
     if p == 0:
         out = set()
@@ -484,8 +498,7 @@ def bar_chain_slice(A: GradedAlgebra, p: int, q: int, max_words: int = DEFAULT_M
     are exactly a basis of the degree q part of the p-fold tensor power
     of the positive part over the base.
     """
-    A, M = _prepare(A, None, "relative_normalized")
-    tb = _build_tables(A, M, need_blocks=True)
+    tb = _tables(A, None, "relative_normalized")
     f = tb.field
     words_p = _enumerate_words(tb, p, {q}, "relative_normalized", max_words)
     words_prev = (
@@ -553,6 +566,27 @@ def periodic_spec_truncated_poly(n: int, k: int, length: int) -> PeriodicResolut
     return PeriodicResolutionSpec(tuple(shifts), multipliers)
 
 
+def _spec_in_field(A: GradedAlgebra, spec: PeriodicResolutionSpec) -> PeriodicResolutionSpec:
+    """spec with every multiplier coefficient a scalar of A's field.
+
+    The standard specs carry Fraction coefficients whatever the field; over
+    F_p a/b becomes a * b^-1 mod p, so the matrices built from the spec
+    hold ints."""
+    f = A.field_spec.field()
+    if not f.characteristic:
+        return spec
+
+    def scalar(c):
+        c = Fraction(c)
+        den = f.from_int(c.denominator)
+        if f.is_zero(den):
+            raise InputValidationError(f"multiplier coefficient {c} has no value in F_{f.p}")
+        return f.div(f.from_int(c.numerator), den)
+
+    multipliers = tuple(tuple((x, y, scalar(c)) for x, y, c in mu) for mu in spec.multipliers)
+    return PeriodicResolutionSpec(spec.shifts, multipliers)
+
+
 def _env_mul(A: GradedAlgebra, m1, m2):
     """Product in the enveloping algebra: (x, y)(x', y') = (x x', y' y)."""
     f = A.field_spec.field()
@@ -599,6 +633,7 @@ def validate_periodic_spec(
     NonExactResolutionError naming the degree and position.
     """
     _require_valid(A)
+    spec = _spec_in_field(A, spec)
     f = A.field_spec.field()
     degs = A.degree_map()
     for j, mu in enumerate(spec.multipliers, start=1):
@@ -692,6 +727,7 @@ def hh_resolution(
     if p < 0:
         raise InputValidationError("p must be >= 0")
     _require_valid(A)
+    spec = _spec_in_field(A, spec)
     if M is None:
         M = diagonal_bimodule(A)
     if p + 1 > spec.length():

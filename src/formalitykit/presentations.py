@@ -240,10 +240,6 @@ class HomogeneousIdeal:
         return True
 
 
-def zero_ideal(pres: TensorPresentation) -> HomogeneousIdeal:
-    return HomogeneousIdeal(pres, ())
-
-
 def augmentation_ideal(pres: TensorPresentation, up_to: Optional[int] = None) -> HomogeneousIdeal:
     """J = T(V)+: the full word space in every positive degree."""
     ctx = _context(pres)

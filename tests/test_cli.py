@@ -104,6 +104,35 @@ def test_missing_mult_exits_2(tmp_path):
     assert code == 2
 
 
+def run_reports_input_error(argv, capsys):
+    code, text = run(argv)
+    assert code == 2 and text == ""
+    assert capsys.readouterr().err.startswith("input error:")
+
+
+@pytest.mark.parametrize("entry", [{"coeff": "1"}, {"label": "1"}, "1"])
+def test_unit_entry_without_label_or_coeff_exits_2(tmp_path, capsys, entry):
+    data = algebra_to_json_dict(truncated_poly(2, 2))
+    data["unit"] = [entry]
+    path = write_json(tmp_path, "bad_unit.json", data)
+    run_reports_input_error(["hh", "--algebra", path, "--p", "1", "--q", "0"], capsys)
+
+
+@pytest.mark.parametrize("edges", [[5], [[1, 2, 3]], [{"u": 1}]])
+def test_malformed_graph_edge_exits_2(tmp_path, capsys, edges):
+    path = write_json(tmp_path, "bad_graph.json", {"vertices": [1, 2], "edges": edges})
+    run_reports_input_error(["signs", "--graph", path], capsys)
+
+
+@pytest.mark.parametrize(
+    "component",
+    [{"dim": 1}, {"degree": 3}, {"degree": 3, "dim": "x"}, {"degree": 1.5, "dim": 1}, 7],
+)
+def test_malformed_poincare_component_exits_2(tmp_path, capsys, component):
+    path = write_json(tmp_path, "bad_p.json", {"components": [component]})
+    run_reports_input_error(["kunneth", "--poincare", path, "--n", "2", "--same"], capsys)
+
+
 def test_word_cap_exits_3(tmp_path):
     g = {"vertices": [1, 2], "edges": [{"u": 1, "v": 2}]}
     gpath = write_json(tmp_path, "g.json", g)

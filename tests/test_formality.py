@@ -13,7 +13,6 @@ from formalitykit.formality import (
     certify_config_spherical,
     certify_single,
     cy_normalize,
-    mirrored_degree_inequality,
     verify_certificate,
 )
 from formalitykit.graded import build_configuration_algebra, truncated_poly
@@ -213,12 +212,6 @@ def test_cy_normalize_sufficiency_pattern():
 def test_cy_normalize_odd_total_degree_errors():
     with pytest.raises(InputValidationError):
         cy_normalize(3, 3)
-
-
-def test_mirrored_mode_smoke():
-    # experimental mirrored comparison for non-positively graded data
-    assert mirrored_degree_inequality(-4, 3, -6)
-    assert not mirrored_degree_inequality(-4, 3, -3)
 
 
 # -- re-checker hardening ----------------------------------------------------------

@@ -1,7 +1,10 @@
+import io
+import json
 from fractions import Fraction
 
 import pytest
 
+from formalitykit.cli import dispatch
 from formalitykit.configurations import ConfigGraph
 from formalitykit.errors import InputValidationError, ZeroGradedObjectError
 from formalitykit.fields import FieldSpec
@@ -296,3 +299,83 @@ def test_validate_associativity_matches_brute_force_on_broken_tables():
         A = GradedAlgebra(QQ, basis, {**unit_rows, **products}, {"1": ONE}, ("1",))
         want = brute_force_associativity(A)
         assert want and associativity_violations(A) == want
+
+
+FP_BASIS = (("1", 0), ("x", 1), ("u", 2), ("z", 3))
+
+
+def fp_table(p, products):
+    """GradedAlgebra over F_p on FP_BASIS: unit rows plus products, whose
+    coefficients are parsed as the JSON reader parses them."""
+    f = FieldSpec(kind="fp", p=p).field()
+    mult = {("1", lab): {lab: f.one} for lab, _ in FP_BASIS}
+    mult.update({(lab, "1"): {lab: f.one} for lab, _ in FP_BASIS})
+    for key, combo in products.items():
+        mult[key] = {lab: f.parse(c) for lab, c in combo.items()}
+    return GradedAlgebra(FieldSpec(kind="fp", p=p), FP_BASIS, mult, {"1": f.one}, ("1",))
+
+
+@pytest.mark.parametrize("products, fails", [
+    # x u = 0 z, so x(xx) = 0 = (xx)x
+    ({("x", "x"): {"u": "1"}, ("x", "u"): {"z": "0"}}, False),
+    # (xx)x = ux = z but x(xx) = xu = 0 z
+    ({("x", "x"): {"u": "1"}, ("x", "u"): {"z": "0"}, ("u", "x"): {"z": "1"}}, True),
+])
+def test_validate_associativity_matches_brute_force_with_explicit_zero_over_f32003(
+        products, fails):
+    A = fp_table(32003, products)
+    want = brute_force_associativity(A)
+    assert bool(want) == fails
+    assert associativity_violations(A) == want
+
+
+@pytest.mark.parametrize("products, fails", [
+    # (xx)x = 3 ux = 15 z = z but x(xx) = 3 xu = 3 z
+    ({("x", "x"): {"u": "3"}, ("x", "u"): {"z": "1"}, ("u", "x"): {"z": "5"}}, True),
+    # xu = 8 z = z = ux once reduced mod 7
+    ({("x", "x"): {"u": "3"}, ("x", "u"): {"z": "8"}, ("u", "x"): {"z": "1"}}, False),
+])
+def test_validate_associativity_matches_brute_force_over_f7(products, fails):
+    A = fp_table(7, products)
+    want = brute_force_associativity(A)
+    assert bool(want) == fails
+    assert associativity_violations(A) == want
+
+
+# -- validation once per algebra -----------------------------------------------
+
+
+def count_validation_runs(monkeypatch):
+    runs = []
+    real = graded._validation_report
+    monkeypatch.setattr(graded, "_validation_report", lambda A: runs.append(A) or real(A))
+    return runs
+
+
+def test_scan_dispatch_runs_the_validation_body_once(tmp_path, monkeypatch):
+    A = build_configuration_algebra(a2_graph(), 1, 2, 1, "orthogonal", FieldSpec(kind="fp", p=32003))
+    path = tmp_path / "a2.json"
+    path.write_text(json.dumps(algebra_to_json_dict(A)))
+    runs = count_validation_runs(monkeypatch)
+    out = io.StringIO()
+    assert dispatch(["scan", "--algebra", str(path), "--qmax", "6"], stdout=out) == 0
+    assert len(json.loads(out.getvalue())["result"]["table"]) == 4
+    assert len(runs) == 1
+
+
+def test_caller_dicts_do_not_reach_a_built_algebra():
+    basis = (("1", 0), ("t", 2), ("t^2", 4))
+    mult = {("1", "1"): {"1": ONE}, ("1", "t"): {"t": ONE}, ("t", "1"): {"t": ONE},
+            ("1", "t^2"): {"t^2": ONE}, ("t^2", "1"): {"t^2": ONE}, ("t", "t"): {"t^2": ONE}}
+    unit = {"1": ONE}
+    A = GradedAlgebra(QQ, basis, mult, unit, ("1",))
+    before = {key: dict(c) for key, c in A.mult.items()}
+    report = validate(A)
+    assert report.ok
+    mult[("t", "t^2")] = {"t": ONE}  # a product added, of the wrong degree
+    del mult[("t", "t")]  # a product removed
+    mult[("1", "t")]["t"] = 2 * ONE  # a combo changed in place
+    unit["1"] = 3 * ONE
+    assert A.mult == before and A.unit == {"1": ONE}
+    assert validate(A) is report and validate(A).ok
+    assert not validate(GradedAlgebra(QQ, basis, mult, unit, ("1",))).ok

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from formalitykit import hochschild
 from formalitykit.configurations import ConfigGraph
 from formalitykit.errors import (
     InputValidationError,
@@ -333,6 +334,28 @@ def test_truncated_poly_6_1_slices_over_f32003_match_resolution(q, dim):
     assert hh_resolution(A, periodic_spec_truncated_poly(6, 1, 6), None, 4, q) == dim
 
 
+def test_resolution_over_f7_assembles_int_matrices(monkeypatch):
+    # periodic_spec_truncated_poly writes Fraction coefficients whatever the
+    # field; they are mapped into F_7 once, at the entry of
+    # validate_periodic_spec and hh_resolution, so no matrix holds Fractions
+    A = truncated_poly(2, 1, FieldSpec(kind="fp", p=7))
+    spec = periodic_spec_truncated_poly(2, 1, 6)
+    slices = [(2, -3), (3, -4), (1, 0)]
+    assembled = []
+    real_rank_rows = hochschild.rank_rows
+
+    def recording_rank_rows(rows, field):
+        assembled.append(rows)
+        return real_rank_rows(rows, field)
+
+    monkeypatch.setattr(hochschild, "rank_rows", recording_rank_rows)
+    dims = [hh_resolution(A, spec, None, p, q, check=True) for p, q in slices]
+    monkeypatch.undo()
+    assert assembled
+    assert all(type(x) is int for rows in assembled for row in rows for x in row)
+    assert dims == [hh_bar(A, None, p, q).dim for p, q in slices] == [1, 0, 1]
+
+
 # -- scans ------------------------------------------------------------------------
 
 
@@ -479,11 +502,33 @@ def test_invalid_algebra_rejected():
     basis = (("1", 0), ("t", 1))
     mult = {("1", "1"): {"1": ONE}, ("t", "t"): {"1": ONE}}  # grading violation
     A = GradedAlgebra(FieldSpec(), basis, mult, {"1": ONE}, ("1",))
-    with pytest.raises(InputValidationError):
-        hh_bar(A, None, 0, 0)
+    for _ in range(2):  # nothing is stored for an algebra that fails
+        with pytest.raises(InputValidationError):
+            hh_bar(A, None, 0, 0)
 
 
 def test_cochain_dim_counts_slice():
     A = truncated_poly(3, 2)
     # words (t,t,t,t) in degree 8 against targets in degree 6
     assert cochain_dim(A, None, 4, -2) == 1
+
+
+def test_scan_builds_tables_once_and_calls_hh_bar_per_q(monkeypatch):
+    A = build_configuration_algebra(
+        ConfigGraph.make([1, 2], [(1, 2)]), 1, 2, 1, "orthogonal", FieldSpec(kind="fp", p=32003)
+    )
+    builds, slices = [], []
+    real_build, real_hh_bar = hochschild._build_tables, hochschild.hh_bar
+    monkeypatch.setattr(
+        hochschild, "_build_tables", lambda *a, **kw: builds.append(a) or real_build(*a, **kw)
+    )
+    monkeypatch.setattr(
+        hochschild, "hh_bar", lambda *a, **kw: slices.append(a) or real_hh_bar(*a, **kw)
+    )
+    assert kadeishvili_scan(A, 6) == {3: 0, 4: 2, 5: 0, 6: 2}
+    assert (len(builds), len(slices)) == (1, 4)
+    # an explicit bimodule is prepared afresh and the diagonal tables stay stored
+    shifted = shift_bimodule(diagonal_bimodule(A), 2)
+    assert hh_bar(A, shifted, 4, -4).dim == 2
+    assert kadeishvili_scan(A, 6) == {3: 0, 4: 2, 5: 0, 6: 2}
+    assert (len(builds), len(slices)) == (2, 8)
