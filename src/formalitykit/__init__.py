@@ -12,7 +12,7 @@ from .errors import (
     ZeroGradedObjectError,
 )
 from .fields import FieldSpec, PrimeField, Rationals, RATIONALS, RATIONALS_SPEC
-from .linalg import ExactMatrix, kernel_basis, quotient_dim, rank, subspace_meet
+from .linalg import quotient_dim, subspace_meet
 from .configurations import (
     ConfigGraph,
     EdgeData,
@@ -70,7 +70,6 @@ from .presentations import (
     presentation_from_json_dict,
     presentation_to_json_dict,
     single_generator_presentation,
-    tor_mindeg_affine,
     tor_mindeg_branches,
     tor_term,
     word_basis,

@@ -13,10 +13,8 @@ from __future__ import annotations
 import argparse
 import io
 import json
-import os
 import sys
-from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 from . import __version__
 from .configurations import (
@@ -43,30 +41,6 @@ from .presentations import presentation_from_json_dict, tor_term
 MODE_NAMES = {"relative": "relative_normalized", "absolute": "absolute"}
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    field_spec: FieldSpec
-    max_words: int
-    max_truncation: int
-    output_format: str
-    threads: int
-
-    def __post_init__(self):
-        if self.max_words <= 0 or self.max_truncation <= 0 or self.threads <= 0:
-            raise InputValidationError("resource caps must be positive")
-
-
-def _threads_from_env() -> int:
-    raw = os.environ.get("FORMALITYKIT_THREADS", "1")
-    try:
-        val = int(raw)
-    except ValueError:
-        raise InputValidationError(f"FORMALITYKIT_THREADS must be an integer, got {raw!r}")
-    if val < 1:
-        raise InputValidationError("FORMALITYKIT_THREADS must be >= 1")
-    return val
-
-
 def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -86,12 +60,25 @@ def _parse_int_list(text: str) -> List[int]:
         chunk = chunk.strip()
         if not chunk:
             continue
-        if ".." in chunk:
-            lo, hi = chunk.split("..", 1)
-            out.extend(range(int(lo), int(hi) + 1))
-        else:
-            out.append(int(chunk))
+        try:
+            if ".." in chunk:
+                lo, hi = chunk.split("..", 1)
+                out.extend(range(int(lo), int(hi) + 1))
+            else:
+                out.append(int(chunk))
+        except ValueError:
+            raise InputValidationError(f"bad integer list {text!r} (use 1..4 or 2,3)") from None
     return out
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"resource caps must be positive, got {value}")
+    return value
 
 
 def _report(command: str, echo: dict, result: dict) -> dict:
@@ -103,13 +90,9 @@ def _report(command: str, echo: dict, result: dict) -> dict:
     }
 
 
-def _emit(report: dict, cfg: RunConfig, rows_key: Optional[str] = None) -> str:
-    if cfg.output_format == "json":
-        return json.dumps(report, sort_keys=True, indent=2) + "\n"
-    if cfg.output_format == "csv":
-        if rows_key is None:
-            raise InputValidationError("csv output is only available for table commands")
-        rows = report["result"][rows_key]
+def _emit(report: dict, output_format: str) -> str:
+    if output_format == "csv":
+        rows = report["result"]["rows"]
         buf = io.StringIO()
         if rows:
             header = list(rows[0].keys())
@@ -117,9 +100,9 @@ def _emit(report: dict, cfg: RunConfig, rows_key: Optional[str] = None) -> str:
             for row in rows:
                 buf.write(",".join(_csv_cell(row.get(h)) for h in header) + "\n")
         return buf.getvalue()
-    if cfg.output_format == "human":
+    if output_format == "human":
         return _human(report)
-    raise InputValidationError(f"unknown output format {cfg.output_format!r}")
+    return json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
 def _csv_cell(value) -> str:
@@ -154,16 +137,13 @@ def _build_parser() -> argparse.ArgumentParser:
         description="exact computations with graded algebras: Hochschild "
         "cohomology, Tor terms, and formality certificates",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--field", default="rationals", help="rationals or fp:P")
-    common.add_argument("--max-words", type=int, default=DEFAULT_MAX_WORDS)
-    common.add_argument("--max-truncation", type=int, default=512)
-    common.add_argument("--format", default="json", choices=("json", "csv", "human"))
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_parser(group, name, **kw):
-        kw.setdefault("parents", [common])
-        return group.add_parser(name, **kw)
+    def add_parser(group, name, formats=("json", "human"), **kw):
+        """A leaf command; it takes --format and only the options it reads."""
+        leaf = group.add_parser(name, **kw)
+        leaf.add_argument("--format", default="json", choices=formats)
+        return leaf
 
     p = add_parser(sub, "hh", help="one Hochschild cohomology dimension")
     p.add_argument("--algebra", required=True)
@@ -171,17 +151,22 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--mode", default="relative", choices=tuple(MODE_NAMES))
     p.add_argument("--cocycles", action="store_true")
+    p.add_argument("--max-words", type=_positive_int, default=DEFAULT_MAX_WORDS,
+                   help="cochain slice cap")
 
     p = add_parser(sub, "scan", help="Kadeishvili diagonal scan up to qmax")
     p.add_argument("--algebra", required=True)
     p.add_argument("--qmax", type=int, required=True)
     p.add_argument("--mode", default="relative", choices=tuple(MODE_NAMES))
+    p.add_argument("--max-words", type=_positive_int, default=DEFAULT_MAX_WORDS,
+                   help="cochain slice cap")
 
     p = add_parser(sub, "tor", help="graded dimensions of one Tor term")
     p.add_argument("--pres", required=True)
     p.add_argument("--q", type=int, required=True)
+    p.add_argument("--max-truncation", type=_positive_int, default=512)
 
-    p = add_parser(sub, "certify", help="emit a formality certificate")
+    p = sub.add_parser("certify", help="emit a formality certificate")
     csub = p.add_subparsers(dest="family", required=True)
     c = add_parser(csub, "single")
     c.add_argument("--n", type=int, required=True)
@@ -211,6 +196,7 @@ def _build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--same", action="store_true")
     group.add_argument("--different", action="store_true")
+    p.add_argument("--field", default="rationals", help="rationals or fp:P")
 
     p = add_parser(sub, "build-config", help="build a configuration algebra as JSON")
     p.add_argument("--graph", required=True)
@@ -218,26 +204,28 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--h", type=int, required=True)
     p.add_argument("--preset", default="orthogonal", choices=("orthogonal", "zigzag"))
+    p.add_argument("--field", default="rationals", help="rationals or fp:P")
 
-    p = add_parser(sub, "sweep", help="batch certificates over a parameter grid")
+    p = sub.add_parser("sweep", help="batch certificates over a parameter grid")
     ssub = p.add_subparsers(dest="grid", required=True)
-    s = add_parser(ssub, "pn")
+    table = ("json", "csv", "human")
+    s = add_parser(ssub, "pn", table)
     s.add_argument("--n", required=True, help="list like 1..4 or 2,3")
     s.add_argument("--k", required=True)
     s.add_argument("--h", type=int, default=None, help="fixed arrow degree; default nk/2")
-    s = add_parser(ssub, "spherical")
+    s = add_parser(ssub, "spherical", table)
     s.add_argument("--k", required=True)
 
     return parser
 
 
-def _cmd_hh(args, cfg: RunConfig):
+def _cmd_hh(args):
     data = _load_json(args.algebra)
     A = algebra_from_json_dict(data)
     mode = MODE_NAMES[args.mode]
     res = hh_bar(
         A, None, args.p, args.q, mode=mode, want_cocycles=args.cocycles,
-        max_words=cfg.max_words,
+        max_words=args.max_words,
     )
     result = {
         "p": res.p,
@@ -251,29 +239,31 @@ def _cmd_hh(args, cfg: RunConfig):
             [{"word": list(w), "value": m, "coeff": c} for (w, m, c) in rep]
             for rep in (res.cocycles or ())
         ]
-    echo = {"algebra": data, "p": args.p, "q": args.q, "mode": args.mode}
-    return _report("hh", echo, result), None
+    echo = {"algebra": data, "p": args.p, "q": args.q, "mode": args.mode,
+            "field": A.field_spec.tag()}
+    return _report("hh", echo, result)
 
 
-def _cmd_scan(args, cfg: RunConfig):
+def _cmd_scan(args):
     data = _load_json(args.algebra)
     A = algebra_from_json_dict(data)
-    table = kadeishvili_scan(A, args.qmax, mode=MODE_NAMES[args.mode], max_words=cfg.max_words)
+    table = kadeishvili_scan(A, args.qmax, mode=MODE_NAMES[args.mode], max_words=args.max_words)
     result = {
         "qmax": args.qmax,
         "table": [{"q": q, "dim": table[q]} for q in sorted(table)],
         "all_zero": all(v == 0 for v in table.values()),
     }
-    echo = {"algebra": data, "qmax": args.qmax, "mode": args.mode}
-    return _report("scan", echo, result), None
+    echo = {"algebra": data, "qmax": args.qmax, "mode": args.mode,
+            "field": A.field_spec.tag()}
+    return _report("scan", echo, result)
 
 
-def _cmd_tor(args, cfg: RunConfig):
+def _cmd_tor(args):
     data = _load_json(args.pres)
     pres = presentation_from_json_dict(data)
-    if pres.truncation > cfg.max_truncation:
+    if pres.truncation > args.max_truncation:
         raise ResourceCapError(
-            f"presentation truncation {pres.truncation} exceeds the cap {cfg.max_truncation}"
+            f"presentation truncation {pres.truncation} exceeds the cap {args.max_truncation}"
         )
     space = tor_term(pres, args.q)
     result = {
@@ -281,10 +271,11 @@ def _cmd_tor(args, cfg: RunConfig):
         "dims": [{"degree": d, "dim": n} for d, n in sorted(space.dims().items())],
         "total_dim": space.total_dim(),
     }
-    return _report("tor", {"pres": data, "q": args.q}, result), None
+    echo = {"pres": data, "q": args.q, "field": pres.field_spec.tag()}
+    return _report("tor", echo, result)
 
 
-def _cmd_certify(args, cfg: RunConfig):
+def _cmd_certify(args):
     if args.family == "single":
         cert = certify_single(args.n, args.k)
         echo = {"family": "single", "n": args.n, "k": args.k}
@@ -294,19 +285,19 @@ def _cmd_certify(args, cfg: RunConfig):
     else:
         cert = certify_config_spherical(args.k, args.hmin, args.hmax)
         echo = {"family": "spherical", "k": args.k, "hmin": args.hmin, "hmax": args.hmax}
-    return _report("certify", echo, cert.to_json_dict()), None
+    return _report("certify", echo, cert.to_json_dict())
 
 
-def _cmd_recheck(args, cfg: RunConfig):
+def _cmd_recheck(args):
     data = _load_json(args.cert)
     if isinstance(data, dict) and "result" in data and "format" not in data:
         data = data["result"]  # accept a whole certify report
     cert = FormalityCertificate.from_json_dict(data)
     report = verify_certificate(cert)
-    return _report("recheck", {"cert": data}, report.to_json_dict()), None
+    return _report("recheck", {"cert": data}, report.to_json_dict())
 
 
-def _cmd_normalize(args, cfg: RunConfig):
+def _cmd_normalize(args):
     gdata = _load_json(args.graph)
     graph = ConfigGraph.from_json_dict(gdata)
     res = normalize_shifts(graph, args.nk)
@@ -317,10 +308,10 @@ def _cmd_normalize(args, cfg: RunConfig):
         result["witness_cycle"] = [str(v) for v in res.witness_cycle]
     if res.uses_cycle_extension:
         result["extension"] = "cycle holonomy conditions extend the tree case"
-    return _report("normalize", {"graph": gdata, "nk": args.nk}, result), None
+    return _report("normalize", {"graph": gdata, "nk": args.nk}, result)
 
 
-def _cmd_signs(args, cfg: RunConfig):
+def _cmd_signs(args):
     gdata = _load_json(args.graph)
     graph = ConfigGraph.from_json_dict(gdata)
     res = sign_assignment(graph)
@@ -331,31 +322,35 @@ def _cmd_signs(args, cfg: RunConfig):
         result["witness_cycle"] = [str(v) for v in res.witness_cycle]
     if res.uses_cycle_extension:
         result["extension"] = "cycle parity conditions extend the tree case"
-    return _report("signs", {"graph": gdata}, result), None
+    return _report("signs", {"graph": gdata}, result)
 
 
-def _cmd_kunneth(args, cfg: RunConfig):
+def _cmd_kunneth(args):
+    field_spec = FieldSpec.parse(args.field)
     pdata = _load_json(args.poincare)
     poly = PoincarePolynomial.from_json_dict(pdata)
-    out = kunneth_hom(poly, args.n, same_linearization=args.same, field_spec=cfg.field_spec)
+    out = kunneth_hom(poly, args.n, same_linearization=args.same, field_spec=field_spec)
     result = {
         "n": args.n,
         "same_linearization": bool(args.same),
         "power": out.to_json_dict(),
     }
-    echo = {"poincare": pdata, "n": args.n, "same": bool(args.same)}
-    return _report("kunneth", echo, result), None
+    echo = {"poincare": pdata, "n": args.n, "same": bool(args.same),
+            "field": field_spec.tag()}
+    return _report("kunneth", echo, result)
 
 
-def _cmd_build_config(args, cfg: RunConfig):
+def _cmd_build_config(args):
+    field_spec = FieldSpec.parse(args.field)
     gdata = _load_json(args.graph)
     graph = ConfigGraph.from_json_dict(gdata)
-    A = build_configuration_algebra(graph, args.n, args.k, args.h, args.preset, cfg.field_spec)
-    echo = {"graph": gdata, "n": args.n, "k": args.k, "h": args.h, "preset": args.preset}
-    return _report("build-config", echo, {"algebra": algebra_to_json_dict(A)}), None
+    A = build_configuration_algebra(graph, args.n, args.k, args.h, args.preset, field_spec)
+    echo = {"graph": gdata, "n": args.n, "k": args.k, "h": args.h, "preset": args.preset,
+            "field": field_spec.tag()}
+    return _report("build-config", echo, {"algebra": algebra_to_json_dict(A)})
 
 
-def _cmd_sweep(args, cfg: RunConfig):
+def _cmd_sweep(args):
     rows = []
     if args.grid == "pn":
         for n in sorted(_parse_int_list(args.n)):
@@ -395,7 +390,7 @@ def _cmd_sweep(args, cfg: RunConfig):
                 }
             )
         echo = {"grid": "spherical", "k": args.k}
-    return _report("sweep", echo, {"rows": rows}), "rows"
+    return _report("sweep", echo, {"rows": rows})
 
 
 _HANDLERS = {
@@ -415,24 +410,13 @@ _HANDLERS = {
 def dispatch(argv: List[str], stdout=None) -> int:
     """Parse argv, run the command, print the report; returns the exit code."""
     stdout = stdout if stdout is not None else sys.stdout
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        cfg = RunConfig(
-            field_spec=FieldSpec.parse(args.field),
-            max_words=args.max_words,
-            max_truncation=args.max_truncation,
-            output_format=args.format,
-            threads=_threads_from_env(),
-        )
-        handler = _HANDLERS[args.command]
-        report, rows_key = handler(args, cfg)
-        report["input"]["field"] = cfg.field_spec.tag()
-        report["input"]["threads"] = cfg.threads
-        stdout.write(_emit(report, cfg, rows_key))
+        report = _HANDLERS[args.command](args)
+        stdout.write(_emit(report, args.format))
         return 0
     except ResourceCapError as exc:
         sys.stderr.write(f"resource cap: {exc}\n")

@@ -40,8 +40,14 @@ class ConfigGraph:
             raise InputValidationError("duplicate vertices")
         pairs = set()
         for e in self.edges:
-            if e.u not in seen or e.v not in seen:
+            try:
+                known = e.u in seen and e.v in seen
+            except TypeError:
+                raise InputValidationError(f"edge ({e.u},{e.v}) has a non-scalar end") from None
+            if not known:
                 raise InputValidationError(f"edge ({e.u},{e.v}) uses unknown vertex")
+            if any(x is not None and type(x) is not int for x in (e.a_uv, e.a_vu, e.d)):
+                raise InputValidationError(f"edge ({e.u},{e.v}) degrees must be integers")
             if e.u == e.v:
                 raise InputValidationError(f"self loop at {e.u}")
             key = frozenset((e.u, e.v))

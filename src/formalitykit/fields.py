@@ -28,6 +28,16 @@ def is_prime(n: int) -> bool:
     return True
 
 
+MAX_MODULUS = 2 ** 31
+
+
+def _check_modulus(p) -> None:
+    """Reject anything but a prime p < MAX_MODULUS. The bound comes first,
+    so is_prime's trial division takes at most about 23k steps."""
+    if type(p) is not int or not 2 <= p < MAX_MODULUS or not is_prime(p):
+        raise InputValidationError(f"fp modulus must be a prime below 2^31, got {p!r}")
+
+
 class Rationals:
     """Field operations on fractions.Fraction values."""
 
@@ -86,8 +96,7 @@ class PrimeField:
     name = "fp"
 
     def __init__(self, p: int):
-        if not is_prime(p):
-            raise InputValidationError(f"{p} is not prime")
+        _check_modulus(p)
         self.p = p
         self.characteristic = p
         self.zero = 0
@@ -121,13 +130,10 @@ class PrimeField:
         return a % self.p == 0
 
     def parse(self, s: str):
-        s = s.strip()
-        if "/" in s:
-            num, den = s.split("/", 1)
-            return self.div(int(num), int(den))
+        num, slash, den = s.strip().partition("/")
         try:
-            return int(s) % self.p
-        except ValueError:
+            return self.div(int(num), int(den)) if slash else int(num) % self.p
+        except (ValueError, ZeroDivisionError):
             raise InputValidationError(f"bad F_{self.p} scalar {s!r}") from None
 
     def to_str(self, a) -> str:
@@ -164,8 +170,7 @@ class FieldSpec:
             if self.p is not None:
                 raise InputValidationError("rationals take no modulus")
         elif self.kind == "fp":
-            if self.p is None or not is_prime(self.p):
-                raise InputValidationError(f"fp modulus must be prime, got {self.p}")
+            _check_modulus(self.p)
         else:
             raise InputValidationError(f"unknown field kind {self.kind!r}")
 
@@ -179,14 +184,17 @@ class FieldSpec:
 
     @classmethod
     def parse(cls, tag: str) -> "FieldSpec":
+        if not isinstance(tag, str):
+            raise InputValidationError(f"field tag must be a string, got {tag!r}")
         tag = tag.strip().lower()
         if tag in ("rationals", "q", "qq"):
             return cls()
         if tag.startswith("fp:"):
             try:
-                return cls(kind="fp", p=int(tag[3:]))
+                p = int(tag[3:])
             except ValueError:
                 raise InputValidationError(f"bad field tag {tag!r}") from None
+            return cls(kind="fp", p=p)
         raise InputValidationError(f"bad field tag {tag!r} (use rationals or fp:P)")
 
 

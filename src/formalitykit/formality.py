@@ -52,15 +52,30 @@ class FormalityCertificate:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "FormalityCertificate":
+        """Load a certificate document, checking its shape only: whether
+        its content replays is for verify_certificate to say."""
         if not isinstance(data, dict) or data.get("format") != CERT_FORMAT:
             raise InputValidationError("not a certificate document")
-        return cls(
-            data["subject"],
-            data["verdict"],
-            tuple(data["hypotheses"]),
-            tuple(data["evidence"]),
-            tuple(data.get("notes", ())),
-        )
+        subject, verdict = data.get("subject"), data.get("verdict")
+        hypotheses, evidence = data.get("hypotheses"), data.get("evidence")
+        notes = data.get("notes", [])
+        if not (
+            isinstance(subject, dict)
+            and isinstance(verdict, str)
+            and isinstance(hypotheses, list)
+            and all(isinstance(h, dict) and isinstance(h.get("name"), str) and "ok" in h
+                    for h in hypotheses)
+            and isinstance(evidence, list)
+            and all(isinstance(e, dict) and isinstance(e.get("covers", {}), dict)
+                    for e in evidence)
+            and isinstance(notes, list)
+        ):
+            raise InputValidationError(
+                "a certificate needs a subject object, a verdict string, a list of "
+                "hypotheses with a name and ok, a list of evidence objects whose "
+                "covers are objects, and a list of notes"
+            )
+        return cls(subject, verdict, tuple(hypotheses), tuple(evidence), tuple(notes))
 
 
 def _affine(slope: int, intercept: int) -> dict:
@@ -384,9 +399,18 @@ class RecheckReport:
         }
 
 
+_SUBJECT_PARAMS = {
+    "single": ("n", "k"),
+    "pn_config": ("n", "k", "h"),
+    "spherical_config": ("k", "h_min", "h_max", "worst_case_h"),
+}
+
+
 def _expected_affines(subject: dict):
     """Recompute the certified affine data from the subject parameters."""
     family = subject["family"]
+    if any(type(subject.get(key)) is not int for key in _SUBJECT_PARAMS.get(family, ())):
+        raise InputValidationError(f"{family} subject needs integer {_SUBJECT_PARAMS[family]}")
     if family == "single":
         n, k = subject["n"], subject["k"]
         slope = n * k + k - 2
@@ -522,7 +546,10 @@ def verify_certificate(cert) -> RecheckReport:
         results.append((idx, bool(ok), msg))
 
     items_ok = all(ok for _, ok, _ in results)
-    coverage = _coverage_complete(evidence)
+    try:
+        coverage = _coverage_complete(evidence)
+    except (TypeError, ValueError):
+        coverage = False  # a covers entry that is not an integer; its item fails above
     expected_verdict = (
         INAPPLICABLE
         if not hyp_all

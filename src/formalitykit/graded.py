@@ -132,12 +132,6 @@ class GradedAlgebra:
     def labels(self) -> List[str]:
         return [lab for lab, _ in self.basis]
 
-    def degree_of(self, label: str) -> int:
-        for lab, d in self.basis:
-            if lab == label:
-                return d
-        raise InputValidationError(f"unknown basis label {label!r}")
-
     def degree_map(self) -> Dict[str, int]:
         return {lab: d for lab, d in self.basis}
 
@@ -157,12 +151,6 @@ class GradedAlgebra:
                 by_deg.setdefault(d, []).append(lab)
         return GradedVectorSpace.from_labels(by_deg)
 
-    def space(self) -> GradedVectorSpace:
-        by_deg: Dict[int, List[str]] = {}
-        for lab, d in self.basis:
-            by_deg.setdefault(d, []).append(lab)
-        return GradedVectorSpace.from_labels(by_deg)
-
     # -- arithmetic on combos -------------------------------------------
 
     def product_labels(self, x: str, y: str) -> Combo:
@@ -178,12 +166,6 @@ class GradedAlgebra:
             else:
                 out[lab] = s
         return out
-
-    def combo_scale(self, c: Combo, s) -> Combo:
-        f = self.field_spec.field()
-        if f.is_zero(s):
-            return {}
-        return {lab: f.mul(s, v) for lab, v in c.items()}
 
     def combo_mul(self, c1: Combo, c2: Combo) -> Combo:
         f = self.field_spec.field()
@@ -637,6 +619,9 @@ def algebra_from_json_dict(data: dict) -> GradedAlgebra:
     for key in ("field", "basis", "mult"):
         if key not in data:
             raise InputValidationError(f"algebra JSON missing key {key!r}")
+    for key in ("basis", "mult", "unit", "idempotents"):
+        if key in data and not isinstance(data[key], list):
+            raise InputValidationError(f"algebra JSON {key!r} must be a list")
     field_spec = FieldSpec.parse(data["field"])
     f = field_spec.field()
     try:

@@ -39,49 +39,16 @@ therefore do not depend on the pivot order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import compress, repeat
 from operator import is_not, itemgetter
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional
 
 from .errors import InputValidationError
-from .fields import RATIONALS, FieldSpec
+from .fields import RATIONALS
 
 SparseRow = Dict[int, object]
-
-
-@dataclass(frozen=True)
-class ExactMatrix:
-    """A rows x cols matrix of exact scalars in a chosen field."""
-
-    field_spec: FieldSpec
-    rows: int
-    cols: int
-    entries: Tuple[Tuple[object, ...], ...]
-
-    def __post_init__(self):
-        if len(self.entries) != self.rows:
-            raise InputValidationError("row count mismatch")
-        for row in self.entries:
-            if len(row) != self.cols:
-                raise InputValidationError("column count mismatch")
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence], field_spec: FieldSpec = None) -> "ExactMatrix":
-        field_spec = field_spec or FieldSpec()
-        rows = tuple(tuple(r) for r in rows)
-        ncols = len(rows[0]) if rows else 0
-        return cls(field_spec, len(rows), ncols, rows)
-
-    @classmethod
-    def from_int_rows(cls, rows: Sequence[Sequence[int]], field_spec: FieldSpec = None) -> "ExactMatrix":
-        field_spec = field_spec or FieldSpec()
-        f = field_spec.field()
-        conv = tuple(tuple(f.from_int(x) for x in r) for r in rows)
-        ncols = len(conv[0]) if conv else 0
-        return cls(field_spec, len(conv), ncols, conv)
 
 
 # -- the kernel ----------------------------------------------------------------
@@ -233,11 +200,6 @@ def rank_rows(rows, field) -> int:
     return len(_eliminate(rows, field, False))
 
 
-def rank(M: ExactMatrix) -> int:
-    """Rank of M over its field; always <= min(rows, cols)."""
-    return rank_rows(M.entries, M.field_spec.field())
-
-
 def kernel_rows(rows, field, ncols: int):
     """Basis of the right kernel {v : M v = 0} as a list of vectors: one per
     free column fc, with 1 at fc, minus the RREF's fc entries at the pivot
@@ -252,11 +214,6 @@ def kernel_rows(rows, field, ncols: int):
             if fc != c:
                 out[fc][c] = (-x) % p if p else -x
     return [_dense(out[fc], ncols, field) for fc in free]
-
-
-def kernel_basis(M: ExactMatrix):
-    """Basis of ker(M); size equals cols - rank(M) and M v = 0 for each v."""
-    return kernel_rows(M.entries, M.field_spec.field(), M.cols)
 
 
 def matvec(rows, v, field):
@@ -302,11 +259,6 @@ def row_space_basis(vectors, field):
 
 def in_span(v, vectors, field) -> bool:
     return not _reduce(v, _eliminate(vectors, field, True), field)
-
-
-def subspace_sum(U, W, field):
-    """Basis of span(U) + span(W)."""
-    return row_space_basis(list(U) + list(W), field)
 
 
 def _check_ambient(U, W) -> int:

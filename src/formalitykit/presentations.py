@@ -95,10 +95,8 @@ class TensorPresentation:
         return {g.label: g for g in self.generators}
 
     def max_generator_degree(self) -> int:
-        return max(g.deg for g in self.generators)
-
-    def min_generator_degree(self) -> int:
-        return min(g.deg for g in self.generators)
+        # with no generators every positive degree is zero; any width certifies
+        return max((g.deg for g in self.generators), default=1)
 
     def word_degree(self, word: Word) -> int:
         gen = self.generator_map()
@@ -209,9 +207,6 @@ class HomogeneousIdeal:
     def block_dict(self) -> Dict[BlockKey, Tuple[Tuple[object, ...], ...]]:
         return dict(self.blocks)
 
-    def block_basis(self, d: int, src: int, tgt: int):
-        return dict(self.blocks).get((d, src, tgt), ())
-
     def dim_in_degree(self, d: int) -> int:
         return sum(len(vecs) for (deg, _, _), vecs in self.blocks if deg == d)
 
@@ -226,18 +221,6 @@ class HomogeneousIdeal:
 
     def degree_support(self) -> List[int]:
         return sorted({d for (d, _, _), _ in self.blocks})
-
-    def contains(self, other: "HomogeneousIdeal") -> bool:
-        f = self.pres.field_spec.field()
-        mine = self.block_dict()
-        for key, vecs in other.blocks:
-            basis = [list(v) for v in mine.get(key, ())]
-            for v in vecs:
-                if not basis:
-                    return False
-                if not in_span(list(v), basis, f):
-                    return False
-        return True
 
 
 def augmentation_ideal(pres: TensorPresentation, up_to: Optional[int] = None) -> HomogeneousIdeal:
@@ -577,20 +560,16 @@ def _check_mindeg_inputs(mu: int, nu: int):
 
 def tor_mindeg_branches(mu: int, nu: int, parity: str) -> Tuple[AffineInP, ...]:
     """Affine-in-p branches of the Tor mindeg lower bound; the bound is
-    the pointwise max. Even: max(p mu, 2 nu + (p-1) mu). Odd: p mu + nu."""
+    the pointwise max. Even: p mu. Odd: p mu + nu.
+
+    The even bound is max(p mu, 2 nu + (p-1) mu), but mu >= 2 nu gives
+    2 nu + (p-1) mu <= mu + (p-1) mu = p mu, so only p mu is returned."""
     _check_mindeg_inputs(mu, nu)
     if parity == "even":
-        return (AffineInP(mu, 0), AffineInP(mu, 2 * nu - mu))
+        return (AffineInP(mu, 0),)
     if parity == "odd":
         return (AffineInP(mu, nu),)
     raise InputValidationError(f"parity must be 'even' or 'odd', got {parity!r}")
-
-
-def tor_mindeg_affine(mu: int, nu: int, parity: str) -> AffineInP:
-    """Dominant affine branch (exact under the mu >= 2 nu precondition)."""
-    branches = tor_mindeg_branches(mu, nu, parity)
-    # with mu >= 2 nu the first even branch dominates for all p >= 1
-    return branches[0]
 
 
 def mindeg_bound(mu: int, nu: int, q: int) -> int:
@@ -712,8 +691,7 @@ def presentation_from_json_dict(data: dict) -> TensorPresentation:
             tuple((tuple(str(x) for x in term["word"]), f.parse(str(term["coeff"]))) for term in rel)
             for rel in data["relations"]
         )
-        return TensorPresentation(
-            int(data["vertices"]), gens, rels, int(data["truncation"]), field_spec
-        )
-    except (KeyError, TypeError) as exc:
+        vertices, truncation = int(data["vertices"]), int(data["truncation"])
+    except (KeyError, TypeError, ValueError) as exc:
         raise InputValidationError(f"bad presentation JSON: {exc}") from None
+    return TensorPresentation(vertices, gens, rels, truncation, field_spec)

@@ -1,18 +1,20 @@
+import argparse
+import copy
 import io
 import json
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
-from formalitykit.cli import dispatch
+from formalitykit.cli import _build_parser, dispatch
+from formalitykit.fields import FieldSpec
+from formalitykit.formality import certify_config_pn, certify_config_spherical, certify_single
 from formalitykit.graded import algebra_from_json_dict, algebra_to_json_dict, truncated_poly
+from formalitykit.presentations import presentation_to_json_dict, single_generator_presentation
 
 
-def run(argv, env_threads=None, monkeypatch=None):
-    if monkeypatch is not None:
-        if env_threads is None:
-            monkeypatch.delenv("FORMALITYKIT_THREADS", raising=False)
-        else:
-            monkeypatch.setenv("FORMALITYKIT_THREADS", env_threads)
+def run(argv):
     out = io.StringIO()
     code = dispatch(argv, stdout=out)
     return code, out.getvalue()
@@ -260,16 +262,6 @@ def test_human_format_renders_chain():
     assert "maxdeg(A)+q-2 < mindeg Tor_q(R,R)" in text
 
 
-def test_threads_env_validation(monkeypatch):
-    code, text = run(["certify", "single", "--n", "1", "--k", "1"],
-                     env_threads="2", monkeypatch=monkeypatch)
-    assert code == 0
-    assert json.loads(text)["input"]["threads"] == 2
-    code, _ = run(["certify", "single", "--n", "1", "--k", "1"],
-                  env_threads="0", monkeypatch=monkeypatch)
-    assert code == 2
-
-
 def test_field_option_flows_through(tmp_path):
     code, text = run(["kunneth", "--poincare",
                       write_json(tmp_path, "p.json", {"components": [{"degree": 2, "dim": 1}]}),
@@ -281,3 +273,227 @@ def test_field_option_flows_through(tmp_path):
                    write_json(tmp_path, "p2.json", {"components": [{"degree": 2, "dim": 1}]}),
                    "--n", "7", "--same", "--field", "fp:7"])
     assert code == 2
+
+
+# -- the option surface --------------------------------------------------------
+
+# every command path with the options it takes; --format is on every leaf,
+# and --field, --max-words and --max-truncation only where they are read
+OPTIONS = {
+    ("hh",): {"--algebra", "--p", "--q", "--mode", "--cocycles", "--max-words", "--format"},
+    ("scan",): {"--algebra", "--qmax", "--mode", "--max-words", "--format"},
+    ("tor",): {"--pres", "--q", "--max-truncation", "--format"},
+    ("certify",): set(),
+    ("certify", "single"): {"--n", "--k", "--format"},
+    ("certify", "pn-config"): {"--n", "--k", "--h", "--format"},
+    ("certify", "spherical"): {"--k", "--hmin", "--hmax", "--format"},
+    ("recheck",): {"--cert", "--format"},
+    ("normalize",): {"--graph", "--nk", "--format"},
+    ("signs",): {"--graph", "--format"},
+    ("kunneth",): {"--poincare", "--n", "--same", "--different", "--field", "--format"},
+    ("build-config",): {"--graph", "--n", "--k", "--h", "--preset", "--field", "--format"},
+    ("sweep",): set(),
+    ("sweep", "pn"): {"--n", "--k", "--h", "--format"},
+    ("sweep", "spherical"): {"--k", "--format"},
+}
+RUN_OPTIONS = {"--field", "--max-words", "--max-truncation", "--format"}
+
+
+def command_options(parser, path=()):
+    """{command path: option strings} for every sub-parser below parser."""
+    out = {}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, child in action.choices.items():
+                out[path + (name,)] = {
+                    opt for a in child._actions for opt in a.option_strings
+                } - {"-h", "--help"}
+                out.update(command_options(child, path + (name,)))
+    return out
+
+
+def test_each_command_takes_only_the_options_it_reads():
+    found = command_options(_build_parser())
+    assert found == OPTIONS
+    assert sum(len(opts & RUN_OPTIONS) for opts in found.values()) == 18
+
+
+def test_only_sweep_offers_csv():
+    for argv in (["certify", "single", "--n", "2", "--k", "2", "--format", "csv"],
+                 ["signs", "--graph", "g.json", "--format", "csv"]):
+        assert run(argv) == (2, "")
+    code, _ = run(["sweep", "pn", "--n", "2", "--k", "2", "--format", "csv"])
+    assert code == 0
+
+
+def test_group_parsers_take_no_options():
+    # the sub-parser's default used to overwrite the group-level value
+    assert run(["certify", "--format", "human", "single", "--n", "2", "--k", "2"]) == (2, "")
+    assert run(["sweep", "--format", "csv", "spherical", "--k", "4"]) == (2, "")
+    code, text = run(["certify", "single", "--n", "2", "--k", "2", "--format", "human"])
+    assert code == 0 and text.startswith("formalitykit ")
+
+
+def test_options_a_command_does_not_read_exit_2(algebra_file, tmp_path):
+    hh = ["hh", "--algebra", algebra_file, "--p", "1", "--q", "0"]
+    assert run(hh + ["--field", "fp:7"]) == (2, "")
+    assert run(hh + ["--max-truncation", "10"]) == (2, "")
+    assert run(["certify", "single", "--n", "2", "--k", "2", "--max-words", "5"]) == (2, "")
+    assert run(["scan", "--algebra", algebra_file, "--qmax", "3", "--field", "fp:7"]) == (2, "")
+
+
+@pytest.mark.parametrize("cap", ["0", "-1", "x"])
+def test_non_positive_caps_exit_2(algebra_file, tmp_path, cap):
+    assert run(["hh", "--algebra", algebra_file, "--p", "1", "--q", "0",
+                "--max-words", cap]) == (2, "")
+    assert run(["scan", "--algebra", algebra_file, "--qmax", "3", "--max-words", cap]) == (2, "")
+    pres = write_json(tmp_path, "pres.json", {
+        "vertices": 1, "generators": [{"label": "t", "src": 1, "tgt": 1, "deg": 2}],
+        "relations": [[{"word": ["t", "t"], "coeff": "1"}]], "truncation": 8})
+    assert run(["tor", "--pres", pres, "--q", "2", "--max-truncation", cap]) == (2, "")
+
+
+def test_echo_names_the_field_each_command_used(tmp_path):
+    f32003 = FieldSpec.parse("fp:32003")
+    alg = write_json(tmp_path, "a.json", algebra_to_json_dict(truncated_poly(2, 2, f32003)))
+    pres = write_json(tmp_path, "p.json", presentation_to_json_dict(
+        single_generator_presentation(2, 2, 8, FieldSpec.parse("fp:7"))))
+    graph = write_json(tmp_path, "g.json", {
+        "vertices": [1, 2], "edges": [{"u": 1, "v": 2, "a_uv": 3, "a_vu": 1, "d": 1}]})
+    poincare = write_json(tmp_path, "pc.json", {"components": [{"degree": 2, "dim": 1}]})
+    cert = write_json(tmp_path, "c.json", json.loads(run(
+        ["certify", "single", "--n", "2", "--k", "2"])[1])["result"])
+    echoed = {
+        ("hh", "--algebra", alg, "--p", "1", "--q", "0"): "fp:32003",
+        ("scan", "--algebra", alg, "--qmax", "3"): "fp:32003",
+        ("tor", "--pres", pres, "--q", "2"): "fp:7",
+        ("kunneth", "--poincare", poincare, "--n", "2", "--same", "--field", "fp:5"): "fp:5",
+        ("build-config", "--graph", graph, "--n", "1", "--k", "1", "--h", "1",
+         "--field", "Q"): "rationals",
+        ("certify", "single", "--n", "2", "--k", "2"): None,
+        ("recheck", "--cert", cert): None,
+        ("normalize", "--graph", graph, "--nk", "4"): None,
+        ("signs", "--graph", graph): None,
+        ("sweep", "pn", "--n", "2", "--k", "2"): None,
+        ("sweep", "spherical", "--k", "4"): None,
+    }
+    for argv, field in echoed.items():
+        code, text = run(list(argv))
+        assert code == 0, argv
+        echo = json.loads(text)["input"]
+        assert "threads" not in echo
+        assert echo.get("field") == field, argv
+
+
+@pytest.mark.parametrize("coeff", ["1/7", "x/2", "3/", "1/0"])
+def test_bad_prime_field_scalar_exits_2(tmp_path, capsys, coeff):
+    data = algebra_to_json_dict(truncated_poly(2, 2, FieldSpec.parse("fp:7")))
+    data["unit"] = [{"label": "1", "coeff": coeff}]
+    path = write_json(tmp_path, "bad_coeff.json", data)
+    run_reports_input_error(["hh", "--algebra", path, "--p", "1", "--q", "0"], capsys)
+
+
+@pytest.mark.parametrize("argv", [["sweep", "pn", "--n", "abc", "--k", "2"],
+                                  ["sweep", "spherical", "--k", "1..x"],
+                                  ["sweep", "pn", "--n", "1..2..3", "--k", "2"]])
+def test_bad_integer_list_exits_2(capsys, argv):
+    run_reports_input_error(argv, capsys)
+
+
+def test_huge_modulus_exits_2_at_once(tmp_path, capsys):
+    path = write_json(tmp_path, "p.json", {"components": [{"degree": 2, "dim": 1}]})
+    run_reports_input_error(["kunneth", "--poincare", path, "--n", "2", "--same",
+                             "--field", "fp:2305843009213693951"], capsys)
+
+
+# -- the exit-code contract under mutated input --------------------------------
+
+
+# the valid documents that the fuzz test mutates, by kind
+FUZZ_DOCUMENTS = {
+    "algebra": [algebra_to_json_dict(truncated_poly(2, 1)),
+                algebra_to_json_dict(truncated_poly(1, 2, FieldSpec.parse("fp:7")))],
+    "pres": [{"field": "rationals", "vertices": 1,
+              "generators": [{"label": "t", "src": 1, "tgt": 1, "deg": 2}],
+              "relations": [[{"word": ["t", "t", "t"], "coeff": "1"}]], "truncation": 8}],
+    "graph": [{"vertices": [1, 2, 3],
+               "edges": [{"u": 1, "v": 2, "a_uv": 1, "a_vu": 3, "d": 1},
+                         {"u": 2, "v": 3, "a_uv": 2, "a_vu": 2, "d": 2}]}],
+    "poincare": [{"components": [{"degree": 1, "dim": 2}, {"degree": 3, "dim": 1}]}],
+    "cert": [certify_single(2, 2).to_json_dict(), certify_config_pn(2, 2, 2).to_json_dict(),
+             certify_config_spherical(5, 2, 5).to_json_dict()],
+}
+
+
+# (document kind, argv with None where the input file goes) for each command
+FUZZ_COMMANDS = (
+    [("algebra", ["hh", "--algebra", None, "--p", str(p), "--q", str(q)])
+     for p in range(4) for q in (-2, 0)]
+    + [("algebra", ["scan", "--algebra", None, "--qmax", "3"]),
+       ("pres", ["tor", "--pres", None, "--q", "1"]),
+       ("pres", ["tor", "--pres", None, "--q", "2"]),
+       ("cert", ["recheck", "--cert", None]),
+       ("graph", ["normalize", "--graph", None, "--nk", "4"]),
+       ("graph", ["signs", "--graph", None]),
+       ("poincare", ["kunneth", "--poincare", None, "--n", "2", "--same"]),
+       ("poincare", ["kunneth", "--poincare", None, "--n", "3", "--different",
+                     "--field", "fp:5"]),
+       ("graph", ["build-config", "--graph", None, "--n", "1", "--k", "2", "--h", "1",
+                  "--preset", "zigzag"])]
+)
+
+LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 6),
+    st.sampled_from([1.5, "", "x", "1/0", "2/3", "t", "e1", "fp:7", "fp:9", "rationals",
+                     "even", "DegreeBound", "CertifiedFormal"]),
+    st.builds(list), st.builds(dict),
+)
+
+
+def json_paths(node, path=()):
+    """Every path into a JSON document, the root included, in a fixed order."""
+    yield path
+    items = sorted(node.items()) if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield from json_paths(child, path + (key,))
+
+
+@st.composite
+def mutated(draw, doc):
+    """doc with one to three nodes replaced by a leaf, deleted or duplicated."""
+    doc = copy.deepcopy(doc)
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(json_paths(doc))))
+        if not path:
+            doc = draw(LEAVES)
+            continue
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        key = path[-1]
+        action = draw(st.sampled_from(["replace", "delete", "duplicate"]))
+        if action == "replace":
+            parent[key] = draw(LEAVES)
+        elif action == "delete":
+            del parent[key]
+        elif isinstance(parent, list):
+            parent.insert(key, copy.deepcopy(parent[key]))
+    return doc
+
+
+@st.composite
+def fuzz_case(draw):
+    kind, argv = draw(st.sampled_from(FUZZ_COMMANDS))
+    doc = draw(st.sampled_from(FUZZ_DOCUMENTS[kind]))
+    return argv, draw(mutated(doc))
+
+
+@settings(max_examples=400)
+@given(case=fuzz_case())
+def test_mutated_input_keeps_the_exit_code_contract(tmp_path_factory, case):
+    argv, doc = case
+    path = tmp_path_factory.mktemp("fuzz") / "input.json"
+    path.write_text(json.dumps(doc))
+    code, _ = run([str(path) if a is None else a for a in argv])
+    assert code in (0, 2, 3)

@@ -334,3 +334,10 @@ def test_graph_validation():
         ConfigGraph.make([1, 2], [(1, 2), (2, 1)])
     with pytest.raises(InputValidationError):
         ConfigGraph.make([1, 1], [])
+
+
+@pytest.mark.parametrize("edge", [{"u": [1], "v": 2}, {"u": 1, "v": 2, "d": "x"},
+                                  {"u": 1, "v": 2, "a_uv": 1.5, "a_vu": 2}])
+def test_graph_edge_needs_scalar_ends_and_integer_degrees(edge):
+    with pytest.raises(InputValidationError):
+        ConfigGraph.from_json_dict({"vertices": [1, 2], "edges": [edge]})

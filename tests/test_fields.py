@@ -35,3 +35,20 @@ def test_composite_modulus_still_rejected():
         FieldSpec(kind="fp", p=9)
     with pytest.raises(InputValidationError):
         PrimeField(9)
+
+
+def test_modulus_is_bounded_before_the_primality_test():
+    # 2^61 - 1 is prime, but trial division up to its square root would
+    # take minutes; the bound refuses it first
+    for make in (lambda: FieldSpec.parse("fp:2305843009213693951"),
+                 lambda: FieldSpec(kind="fp", p=2 ** 61 - 1),
+                 lambda: PrimeField(2 ** 61 - 1)):
+        with pytest.raises(InputValidationError, match="below 2"):
+            make()
+    assert FieldSpec.parse("fp:2147483647").field().p == 2 ** 31 - 1
+
+
+@pytest.mark.parametrize("text", ["1/7", "x/2", "3/", "7/14", ""])
+def test_bad_prime_field_scalar_is_an_input_error(text):
+    with pytest.raises(InputValidationError):
+        PrimeField(7).parse(text)

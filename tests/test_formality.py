@@ -248,3 +248,25 @@ def test_certificate_json_round_trip():
     back = FormalityCertificate.from_json_dict(data)
     assert back.verdict == cert.verdict
     assert verify_certificate(back).ok
+
+
+@pytest.mark.parametrize("change", [
+    {"subject": None}, {"verdict": 3}, {"hypotheses": 1}, {"hypotheses": [{"ok": True}]},
+    {"hypotheses": ["x"]}, {"evidence": [5]}, {"evidence": [{"covers": []}]}, {"notes": True},
+])
+def test_certificate_loader_rejects_a_malformed_shape(change):
+    data = certify_single(2, 2).to_json_dict()
+    data.update(change)
+    with pytest.raises(InputValidationError):
+        FormalityCertificate.from_json_dict(data)
+
+
+def test_recheck_reports_malformed_content_without_raising():
+    cert = certify_config_spherical(5, 2, 5).to_json_dict()
+    cert["subject"]["h_min"] = "2"
+    report = verify_certificate(FormalityCertificate.from_json_dict(cert))
+    assert not report.ok and report.messages == ("malformed certificate document",)
+    cert = certify_config_pn(2, 2, 2).to_json_dict()
+    cert["evidence"][0]["covers"]["p_min"] = "x"
+    report = verify_certificate(FormalityCertificate.from_json_dict(cert))
+    assert not report.ok and not report.item_results[0][1]

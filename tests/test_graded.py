@@ -379,3 +379,12 @@ def test_caller_dicts_do_not_reach_a_built_algebra():
     assert A.mult == before and A.unit == {"1": ONE}
     assert validate(A) is report and validate(A).ok
     assert not validate(GradedAlgebra(QQ, basis, mult, unit, ("1",))).ok
+
+
+@pytest.mark.parametrize("key, value", [("mult", False), ("idempotents", 5), ("basis", "b"),
+                                        ("unit", {"1": "1"}), ("field", 7)])
+def test_algebra_json_with_a_non_list_part_is_an_input_error(key, value):
+    data = algebra_to_json_dict(truncated_poly(2, 1))
+    data[key] = value
+    with pytest.raises(InputValidationError):
+        algebra_from_json_dict(data)

@@ -5,53 +5,47 @@ from hypothesis import given, assume
 import hypothesis.strategies as st
 
 from formalitykit.errors import InputValidationError
-from formalitykit.fields import FieldSpec, PrimeField, RATIONALS
+from formalitykit.fields import PrimeField, RATIONALS
 from formalitykit.linalg import (
-    ExactMatrix,
-    kernel_basis,
     kernel_rows,
     matvec,
     quotient_dim,
-    rank,
     rank_rows,
     row_space_basis,
     rref_rows,
     subspace_meet,
-    subspace_sum,
 )
-
-QQ = FieldSpec()
 
 
 def M(rows):
-    return ExactMatrix.from_int_rows(rows, QQ)
+    return [[Fraction(x) for x in row] for row in rows]
 
 
 def test_rank_identity():
-    assert rank(M([[1, 0], [0, 1]])) == 2
+    assert rank_rows(M([[1, 0], [0, 1]]), RATIONALS) == 2
 
 
 def test_rank_zero_matrix():
-    assert rank(M([[0, 0, 0, 0]] * 3)) == 0
+    assert rank_rows(M([[0, 0, 0, 0]] * 3), RATIONALS) == 0
 
 
 def test_rank_dependent_rows():
     # second row is twice the first
-    assert rank(M([[1, 2], [2, 4]])) == 1
+    assert rank_rows(M([[1, 2], [2, 4]]), RATIONALS) == 1
 
 
 def test_kernel_identity_empty():
-    assert kernel_basis(M([[1, 0], [0, 1]])) == []
+    assert kernel_rows(M([[1, 0], [0, 1]]), RATIONALS, 2) == []
 
 
 def test_kernel_zero_matrix():
-    basis = kernel_basis(M([[0, 0], [0, 0]]))
+    basis = kernel_rows(M([[0, 0], [0, 0]]), RATIONALS, 2)
     assert len(basis) == 2
 
 
 def test_kernel_single_equation():
     # x + y = 0
-    basis = kernel_basis(M([[1, 1]]))
+    basis = kernel_rows(M([[1, 1]]), RATIONALS, 2)
     assert len(basis) == 1
     v = basis[0]
     assert v[0] + v[1] == 0 and v != [0, 0]
@@ -166,17 +160,6 @@ def test_prime_field_rank_can_drop():
     rows = [[fp.from_int(5)]]
     assert rank_rows(rows, fp) == 0
     assert rank_rows([[Fraction(5)]], RATIONALS) == 1
-
-
-def test_subspace_sum_spans_both():
-    U = [e(0)]
-    W = [e(1)]
-    assert len(subspace_sum(U, W, RATIONALS)) == 2
-
-
-def test_exact_matrix_shape_validation():
-    with pytest.raises(InputValidationError):
-        ExactMatrix(QQ, 2, 2, ((Fraction(1),),))
 
 
 # -- the sparse kernel against a dense reference -------------------------------

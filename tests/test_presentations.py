@@ -25,7 +25,6 @@ from formalitykit.presentations import (
     presentation_from_json_dict,
     presentation_to_json_dict,
     single_generator_presentation,
-    tor_mindeg_affine,
     tor_mindeg_branches,
     tor_term,
     word_basis,
@@ -339,9 +338,14 @@ def test_mindeg_bound_values():
 
 def test_mindeg_affine_branches():
     branches = tor_mindeg_branches(4, 2, "even")
-    assert [(b.slope, b.intercept) for b in branches] == [(4, 0), (4, 0)]
-    aff = tor_mindeg_affine(6, 2, "odd")
-    assert (aff.slope, aff.intercept) == (6, 2)
+    assert [(b.slope, b.intercept) for b in branches] == [(4, 0)]
+    branches = tor_mindeg_branches(6, 2, "odd")
+    assert [(b.slope, b.intercept) for b in branches] == [(6, 2)]
+    # the dropped even branch 2 nu + (p-1) mu never exceeds the bound
+    for nu in range(1, 6):
+        for mu in range(2 * nu, 13):
+            for p in range(11):
+                assert 2 * nu + (p - 1) * mu <= mindeg_bound(mu, nu, 2 * p)
 
 
 def test_mindeg_bound_precondition():
@@ -374,3 +378,20 @@ def test_presentation_json_round_trip():
 def test_presentation_json_missing_key():
     with pytest.raises(InputValidationError):
         presentation_from_json_dict({"vertices": 1})
+
+
+@pytest.mark.parametrize("bad", [{"vertices": "x"}, {"truncation": [8]},
+                                 {"generators": [{"label": "t", "src": 1, "tgt": "1/0",
+                                                  "deg": 2}]}])
+def test_presentation_json_bad_integer(bad):
+    data = presentation_to_json_dict(single_generator_presentation(2, 2, 8))
+    data.update(bad)
+    with pytest.raises(InputValidationError):
+        presentation_from_json_dict(data)
+
+
+def test_presentation_without_generators_is_the_base():
+    pres = TensorPresentation(2, (), (), 8)
+    assert certified_maxdeg(pres) == 0
+    assert tor_term(pres, 0).dims() == {0: 2}
+    assert [tor_term(pres, q).is_zero() for q in (1, 2, 3)] == [True, True, True]
