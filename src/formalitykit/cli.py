@@ -51,23 +51,35 @@ def _load_json(path: str):
         raise InputValidationError(f"{path}: malformed JSON: {exc}")
 
 
-def _parse_int_list(text: str) -> List[int]:
+# integers one sweep option may list, and points one sweep grid may hold
+MAX_SWEEP_POINTS = 10_000
+
+
+def _parse_int_list(text: str, option: str) -> List[int]:
+    """Integers of a list like 1..4,7; refuses (exit 3) more than
+    MAX_SWEEP_POINTS of them before building any range."""
     text = text.strip()
     if not text:
         return []
     out: List[int] = []
+    total = 0
     for chunk in text.split(","):
         chunk = chunk.strip()
         if not chunk:
             continue
         try:
             if ".." in chunk:
-                lo, hi = chunk.split("..", 1)
-                out.extend(range(int(lo), int(hi) + 1))
+                lo, hi = (int(x) for x in chunk.split("..", 1))
             else:
-                out.append(int(chunk))
+                lo = hi = int(chunk)
         except ValueError:
             raise InputValidationError(f"bad integer list {text!r} (use 1..4 or 2,3)") from None
+        total += max(0, hi - lo + 1)
+        if total > MAX_SWEEP_POINTS:
+            raise ResourceCapError(
+                f"{option} lists {total} integers, over the cap of {MAX_SWEEP_POINTS}"
+            )
+        out.extend(range(lo, hi + 1))
     return out
 
 
@@ -353,8 +365,14 @@ def _cmd_build_config(args):
 def _cmd_sweep(args):
     rows = []
     if args.grid == "pn":
-        for n in sorted(_parse_int_list(args.n)):
-            for k in sorted(_parse_int_list(args.k)):
+        ns, ks = sorted(_parse_int_list(args.n, "--n")), sorted(_parse_int_list(args.k, "--k"))
+        if len(ns) * len(ks) > MAX_SWEEP_POINTS:
+            raise ResourceCapError(
+                f"--n x --k is a grid of {len(ns) * len(ks)} points, "
+                f"over the cap of {MAX_SWEEP_POINTS}"
+            )
+        for n in ns:
+            for k in ks:
                 row = {"n": n, "k": k}
                 if args.h is not None:
                     h = args.h
@@ -378,7 +396,7 @@ def _cmd_sweep(args):
                 rows.append(row)
         echo = {"grid": "pn", "n": args.n, "k": args.k, "h": args.h}
     else:
-        for k in sorted(_parse_int_list(args.k)):
+        for k in sorted(_parse_int_list(args.k, "--k")):
             cert = certify_config_spherical(k, k // 2, k)
             rows.append(
                 {

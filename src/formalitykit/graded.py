@@ -625,9 +625,12 @@ def algebra_from_json_dict(data: dict) -> GradedAlgebra:
     field_spec = FieldSpec.parse(data["field"])
     f = field_spec.field()
     try:
-        basis = tuple((str(b["label"]), int(b["degree"])) for b in data["basis"])
-    except (KeyError, TypeError, ValueError) as exc:
+        basis = tuple((str(b["label"]), b["degree"]) for b in data["basis"])
+    except (KeyError, TypeError) as exc:
         raise InputValidationError(f"bad basis entry: {exc}") from None
+    for lab, d in basis:
+        if type(d) is not int:
+            raise InputValidationError(f"basis entry {lab!r} needs an integer degree, got {d!r}")
     labels = {lab for lab, _ in basis}
     mult: Dict[Tuple[str, str], Combo] = {}
     for entry in data["mult"]:

@@ -4,10 +4,13 @@ Every rank, echelon form, kernel, span test, meet and quotient here comes
 from one sparse Gauss-Jordan kernel, `_eliminate`, with exact scalars.
 Inside the kernel a row is a dict from column to a non-zero scalar, and a
 column -> rows index says which rows hold each column. Across the public
-interface vectors are dense lists of field scalars and subspaces are lists
-of spanning vectors. Over the rationals, integral entries are carried as
-Python ints inside the kernel (most matrices here have entries 0, +-1 and
-+-2) and handed back as Fractions; over F_p scalars are ints in [0, p).
+interface a vector is a dense list of field scalars or a sparse dict row,
+and a subspace is a list of spanning vectors. Over the rationals, integral
+entries are carried as Python ints inside the kernel (most matrices here
+have entries 0, +-1 and +-2); dense output hands them back as Fractions,
+while `row_space_basis` and `subspace_meet` return dict rows, holding the
+kernel's own scalars, when they are given dict rows. Over F_p scalars are
+ints in [0, p).
 
 The kernel has two pivoting modes:
 
@@ -55,12 +58,18 @@ SparseRow = Dict[int, object]
 
 
 def _sparse(v, field) -> SparseRow:
-    """Dense vector -> sparse row. Entries that are the field's own zero
-    object (the fill of freshly built dense matrices) are skipped by an
-    identity test, which over Q is much cheaper than testing a Fraction.
-    Over F_p a Fraction entry (the periodic resolution specs carry Fraction
-    coefficients whatever the field) is mapped to num * den^-1 mod p."""
+    """Dense vector or dict row -> a fresh sparse row of kernel scalars. In
+    a dense vector, entries that are the field's own zero object (the fill
+    of freshly built dense matrices) are skipped by an identity test, which
+    over Q is much cheaper than testing a Fraction. Over Q an integral entry
+    becomes an int; over F_p a Fraction entry (the periodic resolution specs
+    carry Fraction coefficients whatever the field) is mapped to
+    num * den^-1 mod p."""
     p = field.characteristic
+    if isinstance(v, dict):
+        if p:
+            return {c: y for c, x in v.items() if (y := _mod(x, p))}
+        return {c: (x.numerator if x.denominator == 1 else x) for c, x in v.items() if x}
     cols = compress(range(len(v)), map(is_not, v, repeat(field.zero)))
     if p:
         return {c: y for c in cols if (y := _mod(v[c], p))}
@@ -113,15 +122,15 @@ def _axpy(row: SparseRow, fac, prow: SparseRow, p: int, index=None, j: int = -1)
                 index[c].discard(j)
 
 
-def _eliminate(dense_rows, field, reduced: bool, pivot_log: Optional[list] = None):
-    """Sparse Gauss-Jordan elimination of dense rows over field. Returns
+def _eliminate(vectors, field, reduced: bool, pivot_log: Optional[list] = None):
+    """Sparse Gauss-Jordan elimination of dense or dict rows over field. Returns
     [(pivot column, sparse row)] in pivot order; the number of pairs is the
     rank. In reduced mode the rows, sorted by pivot column, are the RREF
     (see the module docstring); in rank mode they are only echelon in pivot
     order. pivot_log, when given, collects every pivot value before the row
     is scaled."""
     p = field.characteristic
-    rows = [_sparse(r, field) for r in dense_rows]
+    rows = [_sparse(r, field) for r in vectors]
     index: Dict[int, set] = {}
     for i, row in enumerate(rows):
         for c in row:
@@ -170,7 +179,7 @@ def _eliminate(dense_rows, field, reduced: bool, pivot_log: Optional[list] = Non
 
 
 def _reduce(v, basis, field) -> SparseRow:
-    """Sparse remainder of the dense vector v against the reduced-mode
+    """Sparse remainder of the vector v against the reduced-mode
     output of `_eliminate`."""
     p = field.characteristic
     row = _sparse(v, field)
@@ -250,10 +259,17 @@ def is_zero_rows(rows, field) -> bool:
     return all(field.is_zero(x) for row in rows for x in row)
 
 
+def _is_sparse(vectors) -> bool:
+    return bool(vectors) and isinstance(vectors[0], dict)
+
+
 def row_space_basis(vectors, field):
-    """Canonical (RREF) basis of the span of the given vectors."""
+    """Canonical (RREF) basis of the span of the given vectors, as dict rows
+    sorted by pivot column when the vectors are dict rows."""
     if not vectors:
         return []
+    if _is_sparse(vectors):
+        return [r for _, r in sorted(_eliminate(vectors, field, True), key=itemgetter(0))]
     return rref_rows(vectors, field)[1]
 
 
@@ -271,17 +287,24 @@ def _check_ambient(U, W) -> int:
 def subspace_meet(U, W, field=RATIONALS):
     """Basis of span(U) ∩ span(W) via the Zassenhaus block trick.
 
-    U and W are spanning sets of vectors of equal ambient dimension. The
+    U and W are spanning sets of vectors of equal ambient dimension n. The
     reduced form of the rows (u | u) and (w | 0) has the meet as the right
     halves of its rows whose left half is zero, that is, of the rows with a
-    pivot at or beyond n; those right halves are already the meet's RREF.
+    pivot in the right copy; those right halves are already the meet's
+    RREF. The right copy starts at 1 + the largest column present: any
+    offset past every column of U and W works, so dict rows need no
+    ambient dimension. Dict rows give dict rows.
     """
-    n = _check_ambient(U, W)
+    n = None if _is_sparse(U) or _is_sparse(W) else _check_ambient(U, W)
     if not U or not W:
         return []
-    block = [list(u) + list(u) for u in U] + [list(w) + [field.zero] * n for w in W]
+    if n is not None:
+        U, W = [_sparse(u, field) for u in U], [_sparse(w, field) for w in W]
+    off = 1 + max((c for v in (*U, *W) for c in v), default=-1)
+    block = [{**u, **{c + off: x for c, x in u.items()}} for u in U] + list(W)
     basis = sorted(_eliminate(block, field, True), key=itemgetter(0))
-    return [_dense({c - n: x for c, x in row.items()}, n, field) for c, row in basis if c >= n]
+    meet = [{c - off: x for c, x in row.items()} for c, row in basis if c >= off]
+    return meet if n is None else [_dense(r, n, field) for r in meet]
 
 
 def quotient_dim(U, W, field=RATIONALS) -> int:

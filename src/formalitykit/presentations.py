@@ -18,7 +18,7 @@ from .configurations import ConfigGraph
 from .errors import InputValidationError, TruncationError
 from .fields import FieldSpec, RATIONALS_SPEC
 from .graded import GradedVectorSpace
-from .linalg import in_span, row_space_basis, subspace_meet
+from .linalg import SparseRow, row_space_basis, subspace_meet
 
 Word = Tuple[str, ...]
 
@@ -99,11 +99,11 @@ class TensorPresentation:
         return max((g.deg for g in self.generators), default=1)
 
     def word_degree(self, word: Word) -> int:
-        gen = self.generator_map()
+        gen = _context(self).gen
         return sum(gen[lab].deg for lab in word)
 
     def word_block(self, word: Word) -> Tuple[int, int]:
-        gen = self.generator_map()
+        gen = _context(self).gen
         return (gen[word[-1]].src, gen[word[0]].tgt)
 
 
@@ -180,31 +180,30 @@ def word_basis(pres: TensorPresentation, d: int):
 
 
 BlockKey = Tuple[int, int, int]  # (degree, src, tgt)
+Blocks = Dict[BlockKey, List[SparseRow]]
 
 
 @dataclass(frozen=True)
 class HomogeneousIdeal:
     """Degreewise, blockwise exact subspaces of the truncated word spaces.
 
-    Vectors are stored in reduced row echelon form over each block's word
-    basis. Instances are immutable; all operations return new ideals.
+    Each block holds its subspace as sparse rows over the block's word
+    basis, dicts from word index to non-zero scalar, in canonical reduced
+    row echelon form sorted by pivot column; blocks are sorted by key.
+    Instances are immutable: no operation mutates a row, and all return
+    new ideals.
     """
 
     pres: TensorPresentation
-    blocks: Tuple[Tuple[BlockKey, Tuple[Tuple[object, ...], ...]], ...]
+    blocks: Tuple[Tuple[BlockKey, Tuple[SparseRow, ...]], ...]
 
     @classmethod
-    def from_block_dict(cls, pres, block_dict: Mapping[BlockKey, Sequence[Sequence]]):
+    def from_block_dict(cls, pres, block_dict: Mapping[BlockKey, Sequence[SparseRow]]):
+        """The blockwise span of the given dict rows."""
         f = pres.field_spec.field()
-        items = []
-        for key in sorted(block_dict):
-            vecs = [list(v) for v in block_dict[key]]
-            basis = row_space_basis(vecs, f) if vecs else []
-            if basis:
-                items.append((key, tuple(tuple(r) for r in basis)))
-        return cls(pres, tuple(items))
+        return _ideal(pres, {key: row_space_basis(list(rows), f) for key, rows in block_dict.items()})
 
-    def block_dict(self) -> Dict[BlockKey, Tuple[Tuple[object, ...], ...]]:
+    def block_dict(self) -> Dict[BlockKey, Tuple[SparseRow, ...]]:
         return dict(self.blocks)
 
     def dim_in_degree(self, d: int) -> int:
@@ -223,50 +222,136 @@ class HomogeneousIdeal:
         return sorted({d for (d, _, _), _ in self.blocks})
 
 
+def _ideal(pres: TensorPresentation, reduced: Mapping[BlockKey, Sequence[SparseRow]]):
+    """Ideal from blocks already in canonical RREF; empty blocks are dropped."""
+    return HomogeneousIdeal(
+        pres, tuple((key, tuple(rows)) for key, rows in sorted(reduced.items()) if rows)
+    )
+
+
+def _shift(ctx: _WordContext, key: BlockKey, rows, g: Generator, left: bool):
+    """The rows of block key times the generator g, as g w (left) or w g
+    (right): (target key, rows), or None when g does not compose. Word
+    index maps to word index, so the scalars stay as they are."""
+    d, src, tgt = key
+    if left:
+        if g.src != tgt:
+            return None
+        new = (d + g.deg, src, g.tgt)
+    else:
+        if g.tgt != src:
+            return None
+        new = (d + g.deg, g.src, tgt)
+    idx = ctx.block_index(*new)
+    lab = (g.label,)
+    words = ctx.block(d, src, tgt)
+    pos = [idx[lab + w] for w in words] if left else [idx[w + lab] for w in words]
+    return new, [{pos[c]: x for c, x in row.items()} for row in rows]
+
+
+def _closure(pres: TensorPresentation, seeds: Blocks, cap: int, sides) -> Blocks:
+    """Span of the seed rows closed under multiplication by generators on
+    the given sides (True for left), as reduced blocks up to degree cap.
+
+    Built one degree at a time, block_d = seeds_d + sum_g shifts of the
+    blocks of degree d - |g|: a word u s w peels one generator at a time."""
+    ctx = _context(pres)
+    f = pres.field_spec.field()
+    blocks: Blocks = {}
+    by_degree: Dict[int, List[BlockKey]] = {}
+    for d in range(1, cap + 1):
+        fresh = {key: list(rows) for key, rows in seeds.items() if key[0] == d}
+        for g in pres.generators:
+            for key in by_degree.get(d - g.deg, ()):
+                for left in sides:
+                    shifted = _shift(ctx, key, blocks[key], g, left)
+                    if shifted:
+                        fresh.setdefault(shifted[0], []).extend(shifted[1])
+        for key, rows in fresh.items():
+            basis = row_space_basis(rows, f)
+            if basis:
+                blocks[key] = basis
+                by_degree.setdefault(d, []).append(key)
+    return blocks
+
+
+def _products(pres: TensorPresentation, blocks_a, blocks_b, cap: int) -> Blocks:
+    """Pairwise products x y of the rows of two sequences of (key, rows),
+    by target block, up to degree cap. A word splits at a given degree in
+    one way only (generators have positive degree), so each pair of words
+    gives its own word and no two terms of one product share a column."""
+    ctx = _context(pres)
+    f = pres.field_spec.field()
+    out: Blocks = {}
+    for (da, sa, ta), rows_a in blocks_a:
+        for (db, sb, tb), rows_b in blocks_b:
+            # x in block (sa -> ta), y in block (sb -> tb); x y needs sa == tb
+            if da + db > cap or sa != tb:
+                continue
+            key = (da + db, sb, ta)
+            words_a = ctx.block(da, sa, ta)
+            words_b = ctx.block(db, sb, tb)
+            idx = ctx.block_index(*key)
+            dest = out.setdefault(key, [])
+            for ra in rows_a:
+                terms = [(words_a[i], x) for i, x in ra.items()]
+                for rb in rows_b:
+                    dest.append({idx[wa + words_b[j]]: f.mul(x, y)
+                                 for wa, x in terms for j, y in rb.items()})
+    return out
+
+
+def _pivot_map(rows) -> Dict[int, SparseRow]:
+    """Pivot column -> row, for rows in RREF (the pivot is the least column)."""
+    return {min(row): row for row in rows}
+
+
+def _in_rref_span(v: SparseRow, pivots: Dict[int, SparseRow], f) -> bool:
+    """Whether v lies in the span of RREF rows given by their pivot map: the
+    only candidate is the combination that v's own entries at the pivot
+    columns prescribe, so v is in the span iff it equals that combination."""
+    acc: SparseRow = {}
+    for c, x in v.items():
+        prow = pivots.get(c)
+        if prow is not None:
+            for col, y in prow.items():
+                acc[col] = f.add(acc.get(col, f.zero), f.mul(x, y))
+    return {c: x for c, x in acc.items() if not f.is_zero(x)} == v
+
+
 def augmentation_ideal(pres: TensorPresentation, up_to: Optional[int] = None) -> HomogeneousIdeal:
     """J = T(V)+: the full word space in every positive degree."""
     ctx = _context(pres)
     cap = pres.truncation if up_to is None else min(up_to, pres.truncation)
-    f = pres.field_spec.field()
-    blocks: Dict[BlockKey, List[List[object]]] = {}
+    blocks: Blocks = {}
     for d in range(1, cap + 1):
         for (src, tgt) in ctx.blocks_in_degree(d):
-            nwords = len(ctx.block(d, src, tgt))
-            ident = []
-            for i in range(nwords):
-                row = [f.zero] * nwords
-                row[i] = f.one
-                ident.append(row)
-            blocks[(d, src, tgt)] = ident
-    return HomogeneousIdeal.from_block_dict(pres, blocks)
+            blocks[(d, src, tgt)] = [{i: 1} for i in range(len(ctx.block(d, src, tgt)))]
+    return _ideal(pres, blocks)
 
 
 def generator_span(pres: TensorPresentation) -> HomogeneousIdeal:
     """The span V of the length one words (not an ideal, same container)."""
     ctx = _context(pres)
-    f = pres.field_spec.field()
-    blocks: Dict[BlockKey, List[List[object]]] = {}
+    blocks: Blocks = {}
     for g in pres.generators:
         key = (g.deg, g.src, g.tgt)
-        idx = ctx.block_index(g.deg, g.src, g.tgt)
-        row = [f.zero] * len(idx)
-        row[idx[(g.label,)]] = f.one
-        blocks.setdefault(key, []).append(row)
+        blocks.setdefault(key, []).append({ctx.block_index(*key)[(g.label,)]: 1})
     return HomogeneousIdeal.from_block_dict(pres, blocks)
 
 
-def _relation_vectors(pres: TensorPresentation, ctx: _WordContext):
+def _relation_vectors(pres: TensorPresentation, ctx: _WordContext) -> Blocks:
     f = pres.field_spec.field()
-    out: Dict[BlockKey, List[List[object]]] = {}
+    gen = ctx.gen
+    out: Blocks = {}
     for rel in pres.relations:
         word0 = rel[0][0]
-        d = pres.word_degree(word0)
-        src, tgt = pres.word_block(word0)
-        idx = ctx.block_index(d, src, tgt)
-        row = [f.zero] * len(idx)
+        key = (sum(gen[lab].deg for lab in word0), gen[word0[-1]].src, gen[word0[0]].tgt)
+        idx = ctx.block_index(*key)
+        row: SparseRow = {}
         for word, coeff in rel:
-            row[idx[word]] = f.add(row[idx[word]], coeff)
-        out.setdefault((d, src, tgt), []).append(row)
+            row[idx[word]] = f.add(row.get(idx[word], f.zero), coeff)
+        out.setdefault(key, []).append({c: x for c, x in row.items() if not f.is_zero(x)})
     return out
 
 
@@ -276,146 +361,58 @@ def ideal_from_relations(pres: TensorPresentation, up_to: Optional[int] = None) 
     Uses the one step closure I_d = rel_d + sum_g (g I_(d-|g|) + I_(d-|g|) g),
     which peels one generator at a time off any word u r w.
     """
-    ctx = _context(pres)
     cap = pres.truncation if up_to is None else min(up_to, pres.truncation)
-    f = pres.field_spec.field()
-    rel_vecs = _relation_vectors(pres, ctx)
-    blocks: Dict[BlockKey, List[List[object]]] = {}
+    seeds = _relation_vectors(pres, _context(pres))
+    return _ideal(pres, _closure(pres, seeds, cap, (True, False)))
 
-    def reduced(key, rows):
-        basis = row_space_basis(rows, f) if rows else []
-        if basis:
-            blocks[key] = basis
 
-    for d in range(1, cap + 1):
-        fresh: Dict[BlockKey, List[List[object]]] = {}
-        for key, rows in rel_vecs.items():
-            if key[0] == d:
-                fresh.setdefault(key, []).extend(rows)
-        for g in pres.generators:
-            d0 = d - g.deg
-            if d0 < 1:
-                continue
-            for (dd, src, tgt), rows in list(blocks.items()):
-                if dd != d0:
-                    continue
-                words0 = ctx.block(d0, src, tgt)
-                # left multiply by g: needs src(g) matching the block target
-                if g.src == tgt:
-                    key = (d, src, g.tgt)
-                    idx = ctx.block_index(d, src, g.tgt)
-                    for row in rows:
-                        new = [f.zero] * len(idx)
-                        for i, c in enumerate(row):
-                            if not f.is_zero(c):
-                                new[idx[(g.label,) + words0[i]]] = c
-                        fresh.setdefault(key, []).append(new)
-                # right multiply by g: needs tgt(g) matching the block source
-                if g.tgt == src:
-                    key = (d, g.src, tgt)
-                    idx = ctx.block_index(d, g.src, tgt)
-                    for row in rows:
-                        new = [f.zero] * len(idx)
-                        for i, c in enumerate(row):
-                            if not f.is_zero(c):
-                                new[idx[words0[i] + (g.label,)]] = c
-                        fresh.setdefault(key, []).append(new)
-        for key, rows in fresh.items():
-            reduced(key, rows + [list(v) for v in blocks.get(key, [])])
-    return HomogeneousIdeal.from_block_dict(pres, blocks)
+def _check_same_pres(I1: HomogeneousIdeal, I2: HomogeneousIdeal) -> None:
+    if I1.pres is not I2.pres and I1.pres != I2.pres:
+        raise InputValidationError("ideal operands come from different presentations")
 
 
 def ideal_sum(I1: HomogeneousIdeal, I2: HomogeneousIdeal) -> HomogeneousIdeal:
-    if I1.pres is not I2.pres and I1.pres != I2.pres:
-        raise InputValidationError("ideal operands come from different presentations")
-    merged: Dict[BlockKey, List[List[object]]] = {}
-    for key, vecs in list(I1.blocks) + list(I2.blocks):
-        merged.setdefault(key, []).extend([list(v) for v in vecs])
+    _check_same_pres(I1, I2)
+    merged: Blocks = {}
+    for key, vecs in I1.blocks + I2.blocks:
+        merged.setdefault(key, []).extend(vecs)
     return HomogeneousIdeal.from_block_dict(I1.pres, merged)
 
 
 def ideal_meet(I1: HomogeneousIdeal, I2: HomogeneousIdeal) -> HomogeneousIdeal:
-    if I1.pres is not I2.pres and I1.pres != I2.pres:
-        raise InputValidationError("ideal operands come from different presentations")
+    _check_same_pres(I1, I2)
     f = I1.pres.field_spec.field()
     d1 = I1.block_dict()
     d2 = I2.block_dict()
-    out: Dict[BlockKey, List[List[object]]] = {}
-    for key in set(d1) & set(d2):
-        meet = subspace_meet([list(v) for v in d1[key]], [list(v) for v in d2[key]], f)
-        if meet:
-            out[key] = meet
-    return HomogeneousIdeal.from_block_dict(I1.pres, out)
+    return _ideal(I1.pres, {key: subspace_meet(d1[key], d2[key], f) for key in set(d1) & set(d2)})
 
 
 def ideal_product(
     I1: HomogeneousIdeal, I2: HomogeneousIdeal, up_to: Optional[int] = None
 ) -> HomogeneousIdeal:
     """Degreewise span of pairwise products, truncated at up_to."""
-    if I1.pres is not I2.pres and I1.pres != I2.pres:
-        raise InputValidationError("ideal operands come from different presentations")
+    _check_same_pres(I1, I2)
     pres = I1.pres
-    ctx = _context(pres)
     cap = pres.truncation if up_to is None else min(up_to, pres.truncation)
-    f = pres.field_spec.field()
-    out: Dict[BlockKey, List[List[object]]] = {}
-    for (da, sa, ta), vecs_a in I1.blocks:
-        for (db, sb, tb), vecs_b in I2.blocks:
-            d = da + db
-            if d > cap:
-                continue
-            # x in block (sa -> ta), y in block (sb -> tb); x y needs sa == tb
-            if sa != tb:
-                continue
-            key = (d, sb, ta)
-            words_a = ctx.block(da, sa, ta)
-            words_b = ctx.block(db, sb, tb)
-            idx = ctx.block_index(d, sb, ta)
-            rows = out.setdefault(key, [])
-            for va in vecs_a:
-                for vb in vecs_b:
-                    new = [f.zero] * len(idx)
-                    for i, ca in enumerate(va):
-                        if f.is_zero(ca):
-                            continue
-                        wa = words_a[i]
-                        for j, cb in enumerate(vb):
-                            if f.is_zero(cb):
-                                continue
-                            pos = idx[wa + words_b[j]]
-                            new[pos] = f.add(new[pos], f.mul(ca, cb))
-                    rows.append(new)
-    return HomogeneousIdeal.from_block_dict(pres, out)
+    return HomogeneousIdeal.from_block_dict(pres, _products(pres, I1.blocks, I2.blocks, cap))
 
 
 def is_closed_under_generators(pres: TensorPresentation, I: HomogeneousIdeal) -> bool:
     """Two sided closure check within the truncation."""
     ctx = _context(pres)
     f = pres.field_spec.field()
-    blocks = I.block_dict()
-    for (d, src, tgt), vecs in I.blocks:
-        words0 = ctx.block(d, src, tgt)
+    pivots = {key: _pivot_map(rows) for key, rows in I.blocks}
+    for key, rows in I.blocks:
         for g in pres.generators:
-            nd = d + g.deg
-            if nd > pres.truncation:
+            if key[0] + g.deg > pres.truncation:
                 continue
-            for side in ("left", "right"):
-                if side == "left" and g.src != tgt:
+            for left in (True, False):
+                shifted = _shift(ctx, key, rows, g, left)
+                if shifted is None:
                     continue
-                if side == "right" and g.tgt != src:
-                    continue
-                key = (nd, src, g.tgt) if side == "left" else (nd, g.src, tgt)
-                idx = ctx.block_index(*key)
-                target = [list(v) for v in blocks.get(key, ())]
-                for row in vecs:
-                    new = [f.zero] * len(idx)
-                    for i, c in enumerate(row):
-                        if not f.is_zero(c):
-                            w = (g.label,) + words0[i] if side == "left" else words0[i] + (g.label,)
-                            new[idx[w]] = c
-                    if any(not f.is_zero(x) for x in new):
-                        if not target or not in_span(new, target, f):
-                            return False
+                target = pivots.get(shifted[0], {})
+                if not all(_in_rref_span(v, target, f) for v in shifted[1]):
+                    return False
     return True
 
 
@@ -455,25 +452,50 @@ def certified_maxdeg(pres: TensorPresentation, I: Optional[HomogeneousIdeal] = N
 
 
 def _quotient_dims(pres, num: HomogeneousIdeal, den: HomogeneousIdeal, d_cap: int) -> Dict[int, int]:
+    """dim(num/den) by degree up to d_cap. Both sides are in RREF: each
+    denominator row is checked against the numerator through its pivot map,
+    and then a block's quotient has dimension len(num) - len(den)."""
     f = pres.field_spec.field()
     nblocks = num.block_dict()
     dblocks = den.block_dict()
-    out: Dict[int, int] = {}
-    for key, vecs in nblocks.items():
-        d = key[0]
-        if d > d_cap:
-            continue
-        dvecs = [list(v) for v in dblocks.get(key, ())]
-        for v in dvecs:
-            if not in_span(v, [list(x) for x in vecs], f):
+    for key, vecs in den.blocks:
+        if key[0] <= d_cap:
+            pivots = _pivot_map(nblocks.get(key, ()))
+            if not all(_in_rref_span(v, pivots, f) for v in vecs):
                 raise InputValidationError("denominator is not inside the numerator")
-        diff = len(vecs) - len(row_space_basis(dvecs, f) if dvecs else [])
-        if diff:
-            out[d] = out.get(d, 0) + diff
-    for key, vecs in dblocks.items():
-        if key[0] <= d_cap and key not in nblocks and vecs:
-            raise InputValidationError("denominator is not inside the numerator")
+    out: Dict[int, int] = {}
+    for key, vecs in num.blocks:
+        diff = len(vecs) - len(dblocks.get(key, ()))
+        if key[0] <= d_cap and diff:
+            out[key[0]] = out.get(key[0], 0) + diff
     return out
+
+
+def _times_generators(X: HomogeneousIdeal, cap: int, left: bool) -> HomogeneousIdeal:
+    """V X (left) or X V (right), truncated at cap.
+
+    For a left ideal X, J X = V X: a word of positive length is g w with w
+    a word or an idempotent, so (g w) x = g (w x) with w x in X. Mirrored,
+    X J = X V for a right ideal X."""
+    ctx = _context(X.pres)
+    out: Blocks = {}
+    for key, rows in X.blocks:
+        for g in X.pres.generators:
+            if key[0] + g.deg <= cap:
+                shifted = _shift(ctx, key, rows, g, left)
+                if shifted:
+                    out.setdefault(shifted[0], []).extend(shifted[1])
+    return HomogeneousIdeal.from_block_dict(X.pres, out)
+
+
+def _next_power(P: HomogeneousIdeal, relations: Blocks, cap: int) -> HomogeneousIdeal:
+    """I^(p+1) = P I from P = I^p, truncated at cap, as the closure of P R
+    (R the relation vectors) under right multiplication by generators.
+
+    I = T R T, and P T = P because P is a right ideal, so P I = P R T."""
+    pres = P.pres
+    seeds = _products(pres, P.blocks, relations.items(), cap)
+    return _ideal(pres, _closure(pres, seeds, cap, (False,)))
 
 
 def tor_term(pres: TensorPresentation, q: int) -> GradedVectorSpace:
@@ -484,6 +506,9 @@ def tor_term(pres: TensorPresentation, q: int) -> GradedVectorSpace:
     and q >= 2 the Butler-King quotients
         Tor_(2p)   = (I^p meet J I^(p-1) J) / (J I^p + I^p J)
         Tor_(2p+1) = (J I^p meet I^p J) / (I^(p+1) + J I^p J).
+    Every product with J is a product with the generator span V: I^p and
+    J I^(p-1) are two sided ideals, so J I^p = V I^p, I^p J = I^p V,
+    J J = V J and J I^(p-1) J = (V I^(p-1)) V (see _times_generators).
     Refuses when contributions could exceed the truncation.
     """
     if q < 0:
@@ -512,27 +537,30 @@ def tor_term(pres: TensorPresentation, q: int) -> GradedVectorSpace:
             f"Tor_{q} may receive contributions up to degree {d_need}; "
             f"increase truncation (currently {pres.truncation})"
         )
-    J = augmentation_ideal(pres, up_to=d_need)
+
+    def v_times(X):
+        return _times_generators(X, d_need, left=True)
+
+    def times_v(X):
+        return _times_generators(X, d_need, left=False)
+
     p = q // 2
+    relations = _relation_vectors(pres, _context(pres))
     powers = {1: I}
     top = p + 1 if q % 2 == 1 else p
     for j in range(2, top + 1):
-        powers[j] = ideal_product(powers[j - 1], I, up_to=d_need)
+        powers[j] = _next_power(powers[j - 1], relations, d_need)
     if q % 2 == 0:
         if p == 1:
-            mid = ideal_product(J, J, up_to=d_need)
+            mid = v_times(augmentation_ideal(pres, up_to=d_need))
         else:
-            mid = ideal_product(ideal_product(J, powers[p - 1], up_to=d_need), J, up_to=d_need)
+            mid = times_v(v_times(powers[p - 1]))
         num = ideal_meet(powers[p], mid)
-        den = ideal_sum(
-            ideal_product(J, powers[p], up_to=d_need),
-            ideal_product(powers[p], J, up_to=d_need),
-        )
+        den = ideal_sum(v_times(powers[p]), times_v(powers[p]))
     else:
-        ji = ideal_product(J, powers[p], up_to=d_need)
-        ij = ideal_product(powers[p], J, up_to=d_need)
-        num = ideal_meet(ji, ij)
-        den = ideal_sum(powers[p + 1], ideal_product(ji, J, up_to=d_need))
+        ji = v_times(powers[p])
+        num = ideal_meet(ji, times_v(powers[p]))
+        den = ideal_sum(powers[p + 1], times_v(ji))
     dims = _quotient_dims(pres, num, den, d_need)
     return GradedVectorSpace.from_dims(dims, prefix=f"tor{q}")
 
@@ -682,16 +710,22 @@ def presentation_from_json_dict(data: dict) -> TensorPresentation:
             raise InputValidationError(f"presentation JSON missing key {key!r}")
     field_spec = FieldSpec.parse(data.get("field", "rationals"))
     f = field_spec.field()
+    def integer(obj, key):
+        value = obj[key]
+        if type(value) is not int:
+            raise InputValidationError(f"{key!r} must be an integer, got {value!r}")
+        return value
+
     try:
         gens = tuple(
-            Generator(str(g["label"]), int(g["src"]), int(g["tgt"]), int(g["deg"]))
+            Generator(str(g["label"]), integer(g, "src"), integer(g, "tgt"), integer(g, "deg"))
             for g in data["generators"]
         )
         rels = tuple(
             tuple((tuple(str(x) for x in term["word"]), f.parse(str(term["coeff"]))) for term in rel)
             for rel in data["relations"]
         )
-        vertices, truncation = int(data["vertices"]), int(data["truncation"])
+        vertices, truncation = integer(data, "vertices"), integer(data, "truncation")
     except (KeyError, TypeError, ValueError) as exc:
         raise InputValidationError(f"bad presentation JSON: {exc}") from None
     return TensorPresentation(vertices, gens, rels, truncation, field_spec)

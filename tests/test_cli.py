@@ -400,6 +400,36 @@ def test_bad_integer_list_exits_2(capsys, argv):
     run_reports_input_error(argv, capsys)
 
 
+# each value equals the true degree once truncated or parsed by int()
+@pytest.mark.parametrize("k,i,degree", [(2, 1, 2.5), (2, 2, "4"), (1, 1, True)])
+def test_algebra_with_a_non_integer_degree_exits_2(tmp_path, capsys, k, i, degree):
+    data = algebra_to_json_dict(truncated_poly(2, k))
+    data["basis"][i]["degree"] = degree
+    path = write_json(tmp_path, "bad_degree.json", data)
+    run_reports_input_error(["hh", "--algebra", path, "--p", "1", "--q", "0"], capsys)
+
+
+@pytest.mark.parametrize("key,value", [("deg", 2.5), ("src", "1"), ("tgt", True),
+                                       ("vertices", 1.0), ("truncation", "8")])
+def test_presentation_with_a_non_integer_exits_2(tmp_path, capsys, key, value):
+    # int() would have read each of these as the value it replaces
+    data = presentation_to_json_dict(single_generator_presentation(2, 2, 8))
+    (data["generators"][0] if key in ("deg", "src", "tgt") else data)[key] = value
+    path = write_json(tmp_path, "bad_int.json", data)
+    run_reports_input_error(["tor", "--pres", path, "--q", "1"], capsys)
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["sweep", "pn", "--n", "1..1000000000000", "--k", "2"], "--n lists 1000000000000 integers"),
+    (["sweep", "spherical", "--k", "2,1..10000"], "--k lists 10001 integers"),
+    (["sweep", "pn", "--n", "1..200", "--k", "1..200"], "grid of 40000 points"),
+])
+def test_sweep_grid_over_the_cap_exits_3_before_building_it(capsys, argv, message):
+    # a list of 10^12 integers could not be built: exit 3 shows it never was
+    assert run(argv) == (3, "")
+    assert message in capsys.readouterr().err
+
+
 def test_huge_modulus_exits_2_at_once(tmp_path, capsys):
     path = write_json(tmp_path, "p.json", {"components": [{"degree": 2, "dim": 1}]})
     run_reports_input_error(["kunneth", "--poincare", path, "--n", "2", "--same",
@@ -444,8 +474,8 @@ FUZZ_COMMANDS = (
 
 LEAVES = st.one_of(
     st.none(), st.booleans(), st.integers(-3, 6),
-    st.sampled_from([1.5, "", "x", "1/0", "2/3", "t", "e1", "fp:7", "fp:9", "rationals",
-                     "even", "DegreeBound", "CertifiedFormal"]),
+    st.sampled_from([1.5, 2.5, "", "x", "4", "-1", "1/0", "2/3", "t", "e1", "fp:7", "fp:9",
+                     "rationals", "even", "DegreeBound", "CertifiedFormal"]),
     st.builds(list), st.builds(dict),
 )
 

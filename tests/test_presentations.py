@@ -4,12 +4,16 @@ import pytest
 
 from formalitykit.configurations import ConfigGraph
 from formalitykit.errors import InputValidationError, TruncationError
-from formalitykit.fields import RATIONALS
+from formalitykit.fields import RATIONALS, FieldSpec
 from formalitykit.graded import mindeg
 from formalitykit.hochschild import bar_chain_slice
 from formalitykit.graded import build_configuration_algebra, truncated_poly
 from formalitykit.linalg import rank_rows
 from formalitykit.presentations import (
+    _context,
+    _next_power,
+    _relation_vectors,
+    _times_generators,
     Generator,
     TensorPresentation,
     algebra_dims,
@@ -207,6 +211,45 @@ def test_mindeg_calculus_on_random_monomial_ideals(rng):
             assert mindeg(met.dims_by_degree()) >= max(m1, m2)
 
 
+def _product_identity_cases(rng, spec):
+    """Random monomial presentations (coefficients 1) and configuration
+    presentations, over the field spec."""
+    one = spec.field().one
+    for _ in range(6):
+        pres, _ = _random_monomial_presentation(rng)
+        rels = tuple(tuple((w, one) for w, _ in rel) for rel in pres.relations)
+        yield TensorPresentation(pres.num_vertices, pres.generators, rels, pres.truncation, spec)
+    a2 = ConfigGraph.make([1, 2], [(1, 2)])
+    triangle = ConfigGraph.make([1, 2, 3], [(1, 2), (2, 3), (3, 1)])
+    yield configuration_presentation(a2, 2, 2, 2, "orthogonal", 10, spec)
+    yield configuration_presentation(a2, 2, 2, 2, "zigzag", 10, spec)
+    yield configuration_presentation(triangle, 1, 2, 1, "orthogonal", 6, spec)
+    yield configuration_presentation(triangle, 1, 2, 1, "zigzag", 6, spec)
+
+
+@pytest.mark.parametrize("field", ["rationals", "fp:7"])
+def test_generator_products_equal_the_pairwise_products(rng, field):
+    """V X = J X and X V = X J for the two sided ideals X = I, I^2, and the
+    right closure of I^p R is I^p I, block for block."""
+    spec = FieldSpec.parse(field)
+    nontrivial = 0
+    for pres in _product_identity_cases(rng, spec):
+        cap = pres.truncation
+        J = augmentation_ideal(pres)
+        I = ideal_from_relations(pres)
+        R = _relation_vectors(pres, _context(pres))
+        power = I
+        for p in (1, 2):
+            ji = ideal_product(J, power)
+            assert _times_generators(power, cap, left=True).blocks == ji.blocks
+            assert _times_generators(power, cap, left=False).blocks == ideal_product(power, J).blocks
+            following = ideal_product(power, I)
+            assert _next_power(power, R, cap).blocks == following.blocks
+            nontrivial += not ji.is_zero() and not following.is_zero()
+            power = following
+    assert nontrivial >= 8
+
+
 # -- Tor terms ----------------------------------------------------------------
 
 
@@ -242,16 +285,17 @@ def test_tor_orthogonal_a2_mindeg_bound():
     assert mindeg(t2) == 4
 
 
+def chain_h(A, p, q):
+    """Homology of the reduced tensor word complex at (p, q)."""
+    words_p, _, d_p = bar_chain_slice(A, p, q)
+    _, _, d_p1 = bar_chain_slice(A, p + 1, q)
+    rank_dp = rank_rows(d_p, RATIONALS) if d_p else 0
+    rank_dp1 = rank_rows(d_p1, RATIONALS) if d_p1 else 0
+    return (len(words_p) - rank_dp) - rank_dp1
+
+
 def test_tor_agrees_with_reduced_chain_homology():
     """Independent route: homology of the reduced tensor word complex."""
-
-    def chain_h(A, p, q):
-        words_p, _, d_p = bar_chain_slice(A, p, q)
-        _, _, d_p1 = bar_chain_slice(A, p + 1, q)
-        rank_dp = rank_rows(d_p, RATIONALS) if d_p else 0
-        rank_dp1 = rank_rows(d_p1, RATIONALS) if d_p1 else 0
-        return (len(words_p) - rank_dp) - rank_dp1
-
     A = truncated_poly(2, 2)
     pres = single_generator_presentation(2, 2, truncation=26)
     for q in (2, 3, 4):
@@ -269,13 +313,6 @@ def test_tor_agrees_with_reduced_chain_homology():
 
 
 def test_tor_zigzag_a2_matches_chain_homology():
-    def chain_h(A, p, q):
-        words_p, _, d_p = bar_chain_slice(A, p, q)
-        _, _, d_p1 = bar_chain_slice(A, p + 1, q)
-        rank_dp = rank_rows(d_p, RATIONALS) if d_p else 0
-        rank_dp1 = rank_rows(d_p1, RATIONALS) if d_p1 else 0
-        return (len(words_p) - rank_dp) - rank_dp1
-
     g = ConfigGraph.make([1, 2], [(1, 2)])
     A = build_configuration_algebra(g, 2, 2, 2, "zigzag")
     pres = a2_pres(preset="zigzag", truncation=12)
@@ -283,6 +320,27 @@ def test_tor_zigzag_a2_matches_chain_homology():
         dims = tor_term(pres, q).dims()
         for d in range(1, 13):
             assert chain_h(A, q, d) == dims.get(d, 0)
+
+
+@pytest.mark.parametrize("graph,nkh,q,expected", [
+    ("A2", (2, 2, 2), 4, {8: 16, 10: 14, 12: 2}),
+    ("A2", (2, 2, 2), 5, {10: 26, 12: 30, 14: 8}),
+    ("A2", (2, 2, 2), 6, {12: 42, 14: 60, 16: 24, 18: 2}),
+    ("triangle", (1, 2, 1), 3, {3: 24, 4: 36, 5: 18, 6: 3}),
+    ("triangle", (1, 2, 1), 4, {4: 48, 5: 96, 6: 72, 7: 24, 8: 3}),
+])
+def test_higher_tor_of_orthogonal_configurations_matches_chain_homology(graph, nkh, q, expected):
+    vertices, edges = {"A2": ([1, 2], [(1, 2)]),
+                       "triangle": ([1, 2, 3], [(1, 2), (2, 3), (3, 1)])}[graph]
+    g = ConfigGraph.make(vertices, edges)
+    n, k, h = nkh
+    A = build_configuration_algebra(g, n, k, h, "orthogonal")
+    top = max(n * k, h)  # the algebra's maxdeg
+    pres = configuration_presentation(g, n, k, h, "orthogonal", q * top + max(k, h))
+    dims = tor_term(pres, q).dims()
+    assert dims == expected
+    for d in range(1, q * top + 1):
+        assert chain_h(A, q, d) == dims.get(d, 0)
 
 
 def test_tor_truncation_independence():
