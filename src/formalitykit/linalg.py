@@ -1,16 +1,16 @@
 """Exact sparse linear algebra over the rationals and prime fields.
 
-Every rank, echelon form, kernel, span test, meet and quotient here comes
-from one sparse Gauss-Jordan kernel, `_eliminate`, with exact scalars.
-Inside the kernel a row is a dict from column to a non-zero scalar, and a
-column -> rows index says which rows hold each column. Across the public
-interface a vector is a dense list of field scalars or a sparse dict row,
-and a subspace is a list of spanning vectors. Over the rationals, integral
-entries are carried as Python ints inside the kernel (most matrices here
-have entries 0, +-1 and +-2); dense output hands them back as Fractions,
-while `row_space_basis` and `subspace_meet` return dict rows, holding the
-kernel's own scalars, when they are given dict rows. Over F_p scalars are
-ints in [0, p).
+Every rank, echelon form, kernel, span test, meet, quotient and product
+here comes from one sparse Gauss-Jordan kernel, `_eliminate`, with exact
+scalars, or from the sparse product `mul_rows`. There is one matrix format,
+in and out: a row is a dict from column to a non-zero scalar, a matrix is a
+list of such rows, and a subspace is a list of spanning rows. A dict row
+has no ambient dimension; where one is needed (the kernel of a matrix) it
+is passed in. Rows on input may hold Fractions or ints, over F_p too (a
+Fraction a/b becomes a * b^-1 mod p), and explicit zeros, which are
+dropped. Rows on output hold the kernel's own scalars: over the rationals
+ints and Fractions (an integral input entry is carried as an int, and most
+matrices here have entries 0, +-1 and +-2); over F_p ints in [1, p).
 
 The kernel has two pivoting modes:
 
@@ -44,8 +44,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from itertools import compress, repeat
-from operator import is_not, itemgetter
+from operator import itemgetter
 from typing import Dict, Optional
 
 from .errors import InputValidationError
@@ -57,41 +56,21 @@ SparseRow = Dict[int, object]
 # -- the kernel ----------------------------------------------------------------
 
 
-def _sparse(v, field) -> SparseRow:
-    """Dense vector or dict row -> a fresh sparse row of kernel scalars. In
-    a dense vector, entries that are the field's own zero object (the fill
-    of freshly built dense matrices) are skipped by an identity test, which
-    over Q is much cheaper than testing a Fraction. Over Q an integral entry
-    becomes an int; over F_p a Fraction entry (the periodic resolution specs
-    carry Fraction coefficients whatever the field) is mapped to
-    num * den^-1 mod p."""
+def _sparse(row: SparseRow, field) -> SparseRow:
+    """A fresh copy of a dict row in kernel scalars, zeros dropped. Over Q
+    an integral entry becomes an int; over F_p a Fraction entry (the
+    periodic resolution specs carry Fraction coefficients whatever the
+    field) is mapped to num * den^-1 mod p."""
     p = field.characteristic
-    if isinstance(v, dict):
-        if p:
-            return {c: y for c, x in v.items() if (y := _mod(x, p))}
-        return {c: (x.numerator if x.denominator == 1 else x) for c, x in v.items() if x}
-    cols = compress(range(len(v)), map(is_not, v, repeat(field.zero)))
     if p:
-        return {c: y for c in cols if (y := _mod(v[c], p))}
-    return {c: (x.numerator if x.denominator == 1 else x) for c in cols if (x := v[c])}
+        return {c: y for c, x in row.items() if (y := _mod(x, p))}
+    return {c: (x.numerator if x.denominator == 1 else x) for c, x in row.items() if x}
 
 
 def _mod(x, p: int) -> int:
     if type(x) is int:
         return x % p
     return x.numerator * pow(x.denominator, -1, p) % p
-
-
-def _dense(row: SparseRow, ncols: int, field) -> list:
-    """Sparse row -> dense list of field scalars."""
-    out = [field.zero] * ncols
-    if field.characteristic:
-        for c, x in row.items():
-            out[c] = x
-    else:
-        for c, x in row.items():
-            out[c] = Fraction(x)
-    return out
 
 
 def _inverse(x, p: int):
@@ -122,15 +101,15 @@ def _axpy(row: SparseRow, fac, prow: SparseRow, p: int, index=None, j: int = -1)
                 index[c].discard(j)
 
 
-def _eliminate(vectors, field, reduced: bool, pivot_log: Optional[list] = None):
-    """Sparse Gauss-Jordan elimination of dense or dict rows over field. Returns
-    [(pivot column, sparse row)] in pivot order; the number of pairs is the
-    rank. In reduced mode the rows, sorted by pivot column, are the RREF
-    (see the module docstring); in rank mode they are only echelon in pivot
+def _eliminate(rows, field, reduced: bool, pivot_log: Optional[list] = None):
+    """Sparse Gauss-Jordan elimination of dict rows over field. Returns
+    [(pivot column, row)] in pivot order; the number of pairs is the rank.
+    In reduced mode the rows, sorted by pivot column, are the RREF (see
+    the module docstring); in rank mode they are only echelon in pivot
     order. pivot_log, when given, collects every pivot value before the row
     is scaled."""
     p = field.characteristic
-    rows = [_sparse(r, field) for r in vectors]
+    rows = [_sparse(r, field) for r in rows]
     index: Dict[int, set] = {}
     for i, row in enumerate(rows):
         for c in row:
@@ -178,9 +157,9 @@ def _eliminate(vectors, field, reduced: bool, pivot_log: Optional[list] = None):
     return out
 
 
-def _reduce(v, basis, field) -> SparseRow:
-    """Sparse remainder of the vector v against the reduced-mode
-    output of `_eliminate`."""
+def _reduce(v: SparseRow, basis, field) -> SparseRow:
+    """Remainder of the row v against the reduced-mode output of
+    `_eliminate`."""
     p = field.characteristic
     row = _sparse(v, field)
     for c, prow in basis:
@@ -199,9 +178,8 @@ def rref_rows(rows, field, pivot_log: Optional[list] = None):
     pivot_log, when given, collects every pivot value before its row is
     scaled to 1; this supports the F_p versus rationals consistency check.
     """
-    ncols = len(rows[0]) if rows else 0
     basis = sorted(_eliminate(rows, field, True, pivot_log), key=itemgetter(0))
-    return [c for c, _ in basis], [_dense(r, ncols, field) for _, r in basis]
+    return [c for c, _ in basis], [r for _, r in basis]
 
 
 def rank_rows(rows, field) -> int:
@@ -210,9 +188,9 @@ def rank_rows(rows, field) -> int:
 
 
 def kernel_rows(rows, field, ncols: int):
-    """Basis of the right kernel {v : M v = 0} as a list of vectors: one per
-    free column fc, with 1 at fc, minus the RREF's fc entries at the pivot
-    columns, and zero elsewhere."""
+    """Basis of the right kernel {v : M v = 0} of a matrix with ncols
+    columns: one row per free column fc, with 1 at fc and minus the RREF's
+    fc entries at the pivot columns."""
     p = field.characteristic
     basis = _eliminate(rows, field, True)
     pivots = {c for c, _ in basis}
@@ -222,94 +200,51 @@ def kernel_rows(rows, field, ncols: int):
         for fc, x in row.items():
             if fc != c:
                 out[fc][c] = (-x) % p if p else -x
-    return [_dense(out[fc], ncols, field) for fc in free]
+    return [out[fc] for fc in free]
 
 
-def matvec(rows, v, field):
+def mul_rows(a, b, field):
+    """The product a b of two matrices: row i is the sum over k of
+    a[i][k] * b[k]. a's columns index b's rows."""
     out = []
-    for row in rows:
-        acc = field.zero
-        for a, b in zip(row, v):
-            if not field.is_zero(a) and not field.is_zero(b):
-                acc = field.add(acc, field.mul(a, b))
-        out.append(acc)
+    for row in a:
+        acc: SparseRow = {}
+        for k, x in row.items():
+            for c, y in b[k].items():
+                acc[c] = acc.get(c, 0) + x * y
+        out.append(_sparse(acc, field))
     return out
 
 
-def matmul(a_rows, b_rows, field):
-    if not a_rows:
-        return []
-    ncols = len(b_rows[0]) if b_rows else 0
-    bt = list(zip(*b_rows)) if b_rows else []
-    out = []
-    for row in a_rows:
-        new = []
-        for c in range(ncols):
-            acc = field.zero
-            col = bt[c]
-            for x, y in zip(row, col):
-                if not field.is_zero(x) and not field.is_zero(y):
-                    acc = field.add(acc, field.mul(x, y))
-            new.append(acc)
-        out.append(new)
-    return out
+def row_space_basis(rows, field):
+    """Canonical (RREF) basis of the span of the rows, sorted by pivot
+    column."""
+    return rref_rows(rows, field)[1]
 
 
-def is_zero_rows(rows, field) -> bool:
-    return all(field.is_zero(x) for row in rows for x in row)
-
-
-def _is_sparse(vectors) -> bool:
-    return bool(vectors) and isinstance(vectors[0], dict)
-
-
-def row_space_basis(vectors, field):
-    """Canonical (RREF) basis of the span of the given vectors, as dict rows
-    sorted by pivot column when the vectors are dict rows."""
-    if not vectors:
-        return []
-    if _is_sparse(vectors):
-        return [r for _, r in sorted(_eliminate(vectors, field, True), key=itemgetter(0))]
-    return rref_rows(vectors, field)[1]
-
-
-def in_span(v, vectors, field) -> bool:
-    return not _reduce(v, _eliminate(vectors, field, True), field)
-
-
-def _check_ambient(U, W) -> int:
-    dims = {len(v) for v in list(U) + list(W)}
-    if len(dims) > 1:
-        raise InputValidationError(f"ambient dimension mismatch: {sorted(dims)}")
-    return dims.pop() if dims else 0
+def in_span(v, rows, field) -> bool:
+    return not _reduce(v, _eliminate(rows, field, True), field)
 
 
 def subspace_meet(U, W, field=RATIONALS):
     """Basis of span(U) ∩ span(W) via the Zassenhaus block trick.
 
-    U and W are spanning sets of vectors of equal ambient dimension n. The
-    reduced form of the rows (u | u) and (w | 0) has the meet as the right
-    halves of its rows whose left half is zero, that is, of the rows with a
-    pivot in the right copy; those right halves are already the meet's
-    RREF. The right copy starts at 1 + the largest column present: any
-    offset past every column of U and W works, so dict rows need no
-    ambient dimension. Dict rows give dict rows.
+    The reduced form of the rows (u | u) and (w | 0) has the meet as the
+    right halves of its rows whose left half is zero, that is, of the rows
+    with a pivot in the right copy; those right halves are already the
+    meet's RREF. The right copy starts at 1 + the largest column present:
+    any offset past every column of U and W works.
     """
-    n = None if _is_sparse(U) or _is_sparse(W) else _check_ambient(U, W)
     if not U or not W:
         return []
-    if n is not None:
-        U, W = [_sparse(u, field) for u in U], [_sparse(w, field) for w in W]
     off = 1 + max((c for v in (*U, *W) for c in v), default=-1)
     block = [{**u, **{c + off: x for c, x in u.items()}} for u in U] + list(W)
     basis = sorted(_eliminate(block, field, True), key=itemgetter(0))
-    meet = [{c - off: x for c, x in row.items()} for c, row in basis if c >= off]
-    return meet if n is None else [_dense(r, n, field) for r in meet]
+    return [{c - off: x for c, x in row.items()} for c, row in basis if c >= off]
 
 
 def quotient_dim(U, W, field=RATIONALS) -> int:
     """dim(span(U)/span(W)); requires span(W) ⊆ span(U)."""
-    _check_ambient(U, W)
     basis = _eliminate(U, field, True)
     if any(_reduce(w, basis, field) for w in W):
         raise InputValidationError("W is not contained in U")

@@ -98,14 +98,6 @@ class TensorPresentation:
         # with no generators every positive degree is zero; any width certifies
         return max((g.deg for g in self.generators), default=1)
 
-    def word_degree(self, word: Word) -> int:
-        gen = _context(self).gen
-        return sum(gen[lab].deg for lab in word)
-
-    def word_block(self, word: Word) -> Tuple[int, int]:
-        gen = _context(self).gen
-        return (gen[word[-1]].src, gen[word[0]].tgt)
-
 
 class _WordContext:
     """Cached composable word bases per degree and block."""

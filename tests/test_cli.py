@@ -135,14 +135,21 @@ def test_malformed_poincare_component_exits_2(tmp_path, capsys, component):
     run_reports_input_error(["kunneth", "--poincare", path, "--n", "2", "--same"], capsys)
 
 
-def test_word_cap_exits_3(tmp_path):
+def test_word_cap_exits_3(tmp_path, capsys):
     g = {"vertices": [1, 2], "edges": [{"u": 1, "v": 2}]}
     gpath = write_json(tmp_path, "g.json", g)
     code, text = run(["build-config", "--graph", gpath, "--n", "2", "--k", "2", "--h", "2"])
     assert code == 0
     apath = write_json(tmp_path, "a2.json", json.loads(text)["result"]["algebra"])
-    code, _ = run(["hh", "--algebra", apath, "--p", "3", "--q", "-2", "--max-words", "1"])
-    assert code == 3
+    capsys.readouterr()
+    code, text = run(["hh", "--algebra", apath, "--p", "3", "--q", "-2", "--max-words", "1"])
+    assert code == 3 and text == ""
+    # the refusal names the stage that hit the cap: the word length (C^2 is
+    # enumerated first), the internal degree, the mode and the cap
+    assert capsys.readouterr().err == (
+        "resource cap: word cap 1 exceeded by the length p = 2 words of the internal "
+        "degree q = -2 cochains (relative_normalized mode); raise max_words\n"
+    )
 
 
 def test_truncation_cap_exits_3(tmp_path):

@@ -17,6 +17,7 @@ from formalitykit.configurations import (
 from formalitykit.errors import InputValidationError
 from formalitykit.fields import FieldSpec, RATIONALS
 from formalitykit.linalg import rank_rows
+from test_linalg import sparse
 
 
 # -- brute force oracle for graded powers -----------------------------------
@@ -87,7 +88,7 @@ def brute_force_power(degrees, n, kind):
     for d in sorted(set(degree_of.values())):
         cols = [i for i in range(size) if degree_of[i] == d]
         block = [[proj[r][c] for c in cols] for r in range(size)]
-        rk = rank_rows(block, RATIONALS) if cols else 0
+        rk = rank_rows(sparse(block), RATIONALS)
         if rk:
             dims[d] = rk
     return dims

@@ -8,7 +8,7 @@ from formalitykit.errors import InputValidationError
 from formalitykit.fields import PrimeField, RATIONALS
 from formalitykit.linalg import (
     kernel_rows,
-    matvec,
+    mul_rows,
     quotient_dim,
     rank_rows,
     row_space_basis,
@@ -16,9 +16,22 @@ from formalitykit.linalg import (
     subspace_meet,
 )
 
+# linalg takes and returns dict rows (column -> non-zero scalar); the tests
+# state their matrices densely and convert at the boundary
+
+
+def sparse(rows):
+    """Dense matrix -> dict rows."""
+    return [{c: x for c, x in enumerate(row) if x} for row in rows]
+
+
+def dense(row, ncols, field=RATIONALS):
+    """Dict row -> dense list of ncols scalars."""
+    return [row.get(c, field.zero) for c in range(ncols)]
+
 
 def M(rows):
-    return [[Fraction(x) for x in row] for row in rows]
+    return sparse([[Fraction(x) for x in row] for row in rows])
 
 
 def test_rank_identity():
@@ -47,35 +60,29 @@ def test_kernel_single_equation():
     # x + y = 0
     basis = kernel_rows(M([[1, 1]]), RATIONALS, 2)
     assert len(basis) == 1
-    v = basis[0]
+    v = dense(basis[0], 2)
     assert v[0] + v[1] == 0 and v != [0, 0]
 
 
-def e(i, n=3):
-    v = [Fraction(0)] * n
-    v[i] = Fraction(1)
-    return v
+def e(i):
+    return {i: Fraction(1)}
 
 
 def test_meet_idempotent():
     out = subspace_meet([e(0)], [e(0)], RATIONALS)
-    assert len(out) == 1 and out[0][0] != 0
+    assert len(out) == 1 and dense(out[0], 3)[0] != 0
 
 
 def test_meet_transverse_lines():
-    assert subspace_meet([e(0, 2)], [e(1, 2)], RATIONALS) == []
+    assert subspace_meet([e(0)], [e(1)], RATIONALS) == []
 
 
 def test_meet_planes_in_three_space():
     # dims 2 + 2 - 3 = 1, spanned by the shared axis
     out = subspace_meet([e(0), e(1)], [e(1), e(2)], RATIONALS)
     assert len(out) == 1
-    assert out[0][0] == 0 and out[0][2] == 0 and out[0][1] != 0
-
-
-def test_meet_ambient_mismatch():
-    with pytest.raises(InputValidationError):
-        subspace_meet([[1, 0]], [[1, 0, 0]], RATIONALS)
+    v = dense(out[0], 3)
+    assert v[0] == 0 and v[2] == 0 and v[1] != 0
 
 
 def test_quotient_dim_equal_spaces():
@@ -87,7 +94,7 @@ def test_quotient_dim_full_by_zero():
 
 
 def test_quotient_dim_plane_by_line():
-    diag = [Fraction(1), Fraction(1), Fraction(0)]
+    diag = {0: Fraction(1), 1: Fraction(1)}
     assert quotient_dim([e(0), e(1)], [diag], RATIONALS) == 1
 
 
@@ -111,11 +118,12 @@ def int_matrix(draw, max_dim=5):
 @given(int_matrix())
 def test_rank_nullity(rows):
     ncols = len(rows[0])
-    rk = rank_rows(rows, RATIONALS)
-    ker = kernel_rows(rows, RATIONALS, ncols)
+    rk = rank_rows(sparse(rows), RATIONALS)
+    ker = kernel_rows(sparse(rows), RATIONALS, ncols)
     assert rk + len(ker) == ncols
     for v in ker:
-        assert all(x == 0 for x in matvec(rows, v, RATIONALS))
+        v = dense(v, ncols)
+        assert all(sum(x * y for x, y in zip(row, v)) == 0 for row in rows)
 
 
 @st.composite
@@ -123,7 +131,9 @@ def two_subspaces(draw):
     n = draw(st.integers(1, 5))
     nu = draw(st.integers(0, 3))
     nw = draw(st.integers(0, 3))
-    mk = lambda rows: [[Fraction(draw(small_entries)) for _ in range(n)] for _ in range(rows)]
+    mk = lambda rows: sparse(
+        [[Fraction(draw(small_entries)) for _ in range(n)] for _ in range(rows)]
+    )
     return mk(nu), mk(nw), n
 
 
@@ -146,20 +156,22 @@ def test_prime_field_rank_agrees_on_clean_pivots(rows, p):
     """Rationals and F_p agree whenever no pivot that elimination divides
     by carries a factor of p."""
     log = []
-    pivots, _ = rref_rows(rows, RATIONALS, pivot_log=log)
+    pivots, _ = rref_rows(sparse(rows), RATIONALS, pivot_log=log)
     for pv in log:
+        pv = Fraction(pv)
         assume(pv.numerator % p != 0 and pv.denominator % p != 0)
     fp = PrimeField(p)
     rows_p = [[fp.from_int(x.numerator) for x in row] for row in rows]
     assume(all(x.denominator == 1 for row in rows for x in row))
-    assert rank_rows(rows_p, fp) == len(pivots)
+    assert rank_rows(sparse(rows_p), fp) == len(pivots)
 
 
 def test_prime_field_rank_can_drop():
     fp = PrimeField(5)
-    rows = [[fp.from_int(5)]]
+    # 5 is an explicit zero of F_5, which the kernel drops
+    rows = [{0: fp.from_int(5)}]
     assert rank_rows(rows, fp) == 0
-    assert rank_rows([[Fraction(5)]], RATIONALS) == 1
+    assert rank_rows([{0: Fraction(5)}], RATIONALS) == 1
 
 
 # -- the sparse kernel against a dense reference -------------------------------
@@ -210,16 +222,21 @@ def kernel_case(draw):
 @given(kernel_case())
 def test_rref_rows_equals_dense_reference(case):
     field, rows = case
-    pivots, red = rref_rows(rows, field)
-    assert (pivots, red) == dense_rref(rows, field)
-    scalar = Fraction if field is RATIONALS else int
-    assert all(type(x) is scalar for row in red for x in row)
+    ncols = len(rows[0]) if rows else 0
+    pivots, red = rref_rows(sparse(rows), field)
+    assert (pivots, [dense(r, ncols, field) for r in red]) == dense_rref(rows, field)
+    # the rows hold non-zero kernel scalars only: ints or Fractions over Q,
+    # ints in [1, p) over F_p
+    scalars = (int, Fraction) if field is RATIONALS else (int,)
+    for x in (x for row in red for x in row.values()):
+        assert type(x) in scalars and x != 0
+        assert field is RATIONALS or 0 < x < field.p
 
 
 @given(kernel_case())
 def test_rank_rows_counts_rref_pivots(case):
     field, rows = case
-    assert rank_rows(rows, field) == len(rref_rows(rows, field)[0])
+    assert rank_rows(sparse(rows), field) == len(rref_rows(sparse(rows), field)[0])
 
 
 @given(kernel_case())
@@ -234,12 +251,66 @@ def test_kernel_rows_reads_off_the_reference_rref(case):
         for r, pc in enumerate(pivots):
             v[pc] = field.neg(red[r][fc])
         want.append(v)
-    assert kernel_rows(rows, field, ncols) == want
+    assert [dense(v, ncols, field) for v in kernel_rows(sparse(rows), field, ncols)] == want
 
 
 def test_prime_field_kernel_maps_fraction_entries_into_the_field():
     fp = PrimeField(7)
     # 1/2 is 4 in F_7, so the first row is 4 times the second
-    rows = [[Fraction(1, 2), Fraction(1)], [fp.from_int(1), fp.from_int(2)]]
+    rows = [{0: Fraction(1, 2), 1: Fraction(1)}, {0: fp.from_int(1), 1: fp.from_int(2)}]
     assert rank_rows(rows, fp) == 1
-    assert rref_rows(rows, fp) == ([0], [[1, 2]])
+    assert rref_rows(rows, fp) == ([0], [{0: 1, 1: 2}])
+
+
+# -- the sparse product against a dense reference ------------------------------
+
+
+def dense_mul(a, b, ncols, field):
+    """Triple-loop product of dense matrices a (m x k) and b (k x ncols)."""
+    out = []
+    for row in a:
+        new = []
+        for c in range(ncols):
+            acc = field.zero
+            for k, x in enumerate(row):
+                acc = field.add(acc, field.mul(x, b[k][c]))
+            new.append(acc)
+        out.append(new)
+    return out
+
+
+@st.composite
+def product_case(draw):
+    """A field and dense m x k and k x n matrices over it, 0-5 each way,
+    mostly zeros, so that empty rows, zero columns and cancelling sums
+    all turn up."""
+    field = FIELDS[draw(st.sampled_from(sorted(FIELDS)))]
+    m, k, n = (draw(st.integers(0, 5)) for _ in range(3))
+    if field is RATIONALS:
+        nonzero = st.builds(Fraction, small_entries, st.sampled_from([1, 1, 2, 3]))
+    else:
+        nonzero = small_entries.map(field.from_int)
+    entry = st.one_of(st.just(field.zero), st.just(field.zero), nonzero)
+
+    def mat(nrows, ncols):
+        row = st.lists(entry, min_size=ncols, max_size=ncols)
+        return draw(st.lists(row, min_size=nrows, max_size=nrows))
+
+    return field, mat(m, k), mat(k, n), n
+
+
+@given(product_case())
+def test_mul_rows_equals_dense_triple_loop(case):
+    field, a, b, n = case
+    out = mul_rows(sparse(a), sparse(b), field)
+    assert [dense(r, n, field) for r in out] == dense_mul(a, b, n, field)
+    assert all(not field.is_zero(x) for row in out for x in row.values())
+
+
+@pytest.mark.parametrize("field", [RATIONALS, PrimeField(5), PrimeField(7)])
+def test_mul_rows_drops_products_that_cancel(field):
+    one = field.one
+    a = [{0: one, 1: one}, {}]
+    b = [{0: one, 2: one}, {0: field.neg(one), 1: one}]
+    assert mul_rows(a, b, field) == [{1: 1, 2: 1}, {}]
+    assert mul_rows(a, [{0: one}, {0: field.neg(one)}], field) == [{}, {}]
