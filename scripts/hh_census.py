@@ -37,11 +37,11 @@ def main():
     print("p q dim(bar) dim(resolution)")
     disagreements = 0
     for p in range(0, args.pmax + 1):
-        qs = set(nonempty_internal_degrees(A, None, p))
+        qs = set(nonempty_internal_degrees(A, p))
         qs |= {q for q in range(spec.shifts[p], spec.shifts[p] + args.n * args.k + 1)}
         for q in sorted(qs):
-            bar = hh_bar(A, None, p, q).dim
-            res = hh_resolution(A, spec, None, p, q, check=False)
+            bar = hh_bar(A, p, q).dim
+            res = hh_resolution(A, spec, p, q, check=False)
             if bar or res:
                 marker = "" if bar == res else "  <- DISAGREE"
                 disagreements += bar != res

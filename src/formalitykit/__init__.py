@@ -25,20 +25,16 @@ from .configurations import (
 )
 from .graded import (
     GradedAlgebra,
-    GradedBimodule,
     GradedVectorSpace,
     algebra_from_json_dict,
     algebra_to_json_dict,
     block_structure,
     build_configuration_algebra,
     detect_idempotents,
-    diagonal_bimodule,
     maxdeg,
     mindeg,
-    shift_bimodule,
     truncated_poly,
     validate,
-    validate_bimodule,
 )
 from .hochschild import (
     DEFAULT_MAX_WORDS,
@@ -70,7 +66,6 @@ from .presentations import (
     presentation_from_json_dict,
     presentation_to_json_dict,
     single_generator_presentation,
-    tor_mindeg_branches,
     tor_term,
     word_basis,
 )

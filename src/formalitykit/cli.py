@@ -236,7 +236,7 @@ def _cmd_hh(args):
     A = algebra_from_json_dict(data)
     mode = MODE_NAMES[args.mode]
     res = hh_bar(
-        A, None, args.p, args.q, mode=mode, want_cocycles=args.cocycles,
+        A, args.p, args.q, mode=mode, want_cocycles=args.cocycles,
         max_words=args.max_words,
     )
     result = {

@@ -222,6 +222,36 @@ def _tree_path(parents: Dict[object, Tuple[object, EdgeData]], x, y) -> List[obj
     return up + list(reversed(down))
 
 
+def _propagate(graph: ConfigGraph, root_value, step):
+    """Spread one value per vertex over a BFS spanning forest, rooting each
+    component at its first vertex in graph order with root_value.
+
+    step(x, e, value at x) is the value edge e forces on x's neighbour.
+    Returns (values, None) when every edge agrees, else (None, cycle):
+    the first disagreeing edge closes a cycle through the forest, listed
+    with its first vertex repeated at the end."""
+    adj = graph.adjacency()
+    values: Dict[object, object] = {}
+    parents: Dict[object, Tuple[object, EdgeData]] = {}
+    for root in graph.vertices:
+        if root in values:
+            continue
+        values[root] = root_value
+        queue = [root]
+        while queue:
+            x = queue.pop(0)
+            for y, e in adj[x]:
+                want = step(x, e, values[x])
+                if y not in values:
+                    values[y] = want
+                    parents[y] = (x, e)
+                    queue.append(y)
+                elif values[y] != want:
+                    cycle = _tree_path(parents, y, x)
+                    return None, cycle + [cycle[0]]
+    return values, None
+
+
 def normalize_shifts(graph: ConfigGraph, nk: int) -> ShiftNormalization:
     """Choose per vertex shifts making every edge degree equal to nk/2.
 
@@ -242,34 +272,12 @@ def normalize_shifts(graph: ConfigGraph, nk: int) -> ShiftNormalization:
                 f"edge ({e.u},{e.v}) violates duality: {e.a_uv} + {e.a_vu} != {nk}"
             )
 
-    adj = graph.adjacency()
-    shifts: Dict[object, int] = {}
-    parents: Dict[object, Tuple[object, EdgeData]] = {}
-    for root in graph.vertices:
-        if root in shifts:
-            continue
-        shifts[root] = 0
-        queue = [root]
-        while queue:
-            x = queue.pop(0)
-            for y, e in adj[x]:
-                a_xy = e.a_uv if e.u == x else e.a_vu
-                want = shifts[x] + a_xy - h
-                if y not in shifts:
-                    shifts[y] = want
-                    parents[y] = (x, e)
-                    queue.append(y)
-                elif shifts[y] != want:
-                    cycle = _tree_path(parents, y, x)
-                    return ShiftNormalization(
-                        False,
-                        h,
-                        witness_cycle=cycle + [cycle[0]],
-                        uses_cycle_extension=True,
-                    )
-    return ShiftNormalization(
-        True, h, shifts=shifts, uses_cycle_extension=graph.has_cycles()
+    shifts, cycle = _propagate(
+        graph, 0, lambda x, e, s: s + (e.a_uv if e.u == x else e.a_vu) - h
     )
+    if cycle is not None:
+        return ShiftNormalization(False, h, witness_cycle=cycle, uses_cycle_extension=True)
+    return ShiftNormalization(True, h, shifts=shifts, uses_cycle_extension=graph.has_cycles())
 
 
 def normalized_edge_degrees(graph: ConfigGraph, shifts: Mapping[object, int]) -> Dict[Tuple[object, object], int]:
@@ -300,29 +308,9 @@ def sign_assignment(graph: ConfigGraph) -> SignAssignment:
     for e in graph.edges:
         if e.d is None:
             raise InputValidationError(f"edge ({e.u},{e.v}) is missing the degree label d")
-    adj = graph.adjacency()
-    signs: Dict[object, int] = {}
-    parents: Dict[object, Tuple[object, EdgeData]] = {}
-    for root in graph.vertices:
-        if root in signs:
-            continue
-        signs[root] = 1
-        queue = [root]
-        while queue:
-            x = queue.pop(0)
-            for y, e in adj[x]:
-                want = signs[x] * (-1) ** (e.d % 2)
-                if y not in signs:
-                    signs[y] = want
-                    parents[y] = (x, e)
-                    queue.append(y)
-                elif signs[y] != want:
-                    cycle = _tree_path(parents, y, x)
-                    return SignAssignment(
-                        False,
-                        witness_cycle=cycle + [cycle[0]],
-                        uses_cycle_extension=True,
-                    )
+    signs, cycle = _propagate(graph, 1, lambda x, e, s: s * (-1) ** (e.d % 2))
+    if cycle is not None:
+        return SignAssignment(False, witness_cycle=cycle, uses_cycle_extension=True)
     return SignAssignment(True, signs=signs, uses_cycle_extension=graph.has_cycles())
 
 

@@ -38,6 +38,12 @@ def _check_modulus(p) -> None:
         raise InputValidationError(f"fp modulus must be a prime below 2^31, got {p!r}")
 
 
+def _check_scalar(x) -> None:
+    # bool is an int subclass, but True is no scalar anyone means to write
+    if type(x) is not int and not isinstance(x, Fraction):
+        raise InputValidationError(f"a scalar must be an int or a Fraction, got {x!r}")
+
+
 class Rationals:
     """Field operations on fractions.Fraction values."""
 
@@ -49,6 +55,12 @@ class Rationals:
     @staticmethod
     def from_int(n: int) -> Fraction:
         return Fraction(n)
+
+    @staticmethod
+    def scalar(x) -> Fraction:
+        """x as a field element; refuses anything but an int or a Fraction."""
+        _check_scalar(x)
+        return Fraction(x)
 
     @staticmethod
     def add(a, b):
@@ -104,6 +116,17 @@ class PrimeField:
 
     def from_int(self, n: int) -> int:
         return n % self.p
+
+    def scalar(self, x) -> int:
+        """x as a field element: an int mod p, a Fraction a/b as a * b^-1
+        mod p. Refuses anything but an int or a Fraction, and a Fraction
+        whose denominator p divides."""
+        _check_scalar(x)
+        if type(x) is int:
+            return x % self.p
+        if x.denominator % self.p == 0:
+            raise InputValidationError(f"scalar {x} has no value in F_{self.p}")
+        return self.div(x.numerator, x.denominator)
 
     def add(self, a, b):
         return (a + b) % self.p

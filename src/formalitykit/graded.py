@@ -66,8 +66,6 @@ def _degree_support(x) -> List[int]:
         return x.degrees()
     if isinstance(x, GradedAlgebra):
         return sorted({d for _, d in x.basis})
-    if isinstance(x, GradedBimodule):
-        return sorted({d for _, d in x.space})
     if isinstance(x, Mapping):
         return sorted(d for d, n in x.items() if n)
     if hasattr(x, "degree_support"):
@@ -111,7 +109,10 @@ class GradedAlgebra:
     mult (each combo too) and unit are copied on construction, so later
     changes to the caller's dicts do not reach the algebra; that makes it
     safe to keep derived data (the validation report, prepared HH tables)
-    in the private per-instance memo.
+    in the private per-instance memo. Every coefficient is mapped into the
+    field on the way in (see the fields' scalar): over F_p a Fraction a/b
+    becomes a * b^-1 mod p, and a value that is not an int or a Fraction
+    is refused.
     """
 
     field_spec: FieldSpec
@@ -124,8 +125,10 @@ class GradedAlgebra:
     )
 
     def __post_init__(self):
-        object.__setattr__(self, "mult", {key: dict(c) for key, c in self.mult.items()})
-        object.__setattr__(self, "unit", dict(self.unit))
+        scalar = self.field_spec.field().scalar
+        mult = {key: {lab: scalar(v) for lab, v in c.items()} for key, c in self.mult.items()}
+        object.__setattr__(self, "mult", mult)
+        object.__setattr__(self, "unit", {lab: scalar(v) for lab, v in self.unit.items()})
 
     # -- basic accessors ------------------------------------------------
 
@@ -471,118 +474,6 @@ def build_configuration_algebra(
             "configuration algebra failed validation: " + "; ".join(report.violations[:8])
         )
     return A
-
-
-# -- bimodules ----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GradedBimodule:
-    """Graded bimodule over a GradedAlgebra, by labeled action tables."""
-
-    algebra: GradedAlgebra
-    space: Tuple[Tuple[str, int], ...]
-    left: Mapping[Tuple[str, str], Combo]  # (algebra label, module label) -> combo
-    right: Mapping[Tuple[str, str], Combo]  # (module label, algebra label) -> combo
-
-    def labels(self) -> List[str]:
-        return [lab for lab, _ in self.space]
-
-    def degree_map(self) -> Dict[str, int]:
-        return {lab: d for lab, d in self.space}
-
-    def left_act(self, alabel: str, mlabel: str) -> Combo:
-        return dict(self.left.get((alabel, mlabel), {}))
-
-    def right_act(self, mlabel: str, alabel: str) -> Combo:
-        return dict(self.right.get((mlabel, alabel), {}))
-
-    def combo_left(self, acombo: Combo, mcombo: Combo) -> Combo:
-        f = self.algebra.field_spec.field()
-        out: Combo = {}
-        for x, vx in acombo.items():
-            for mm, vm in mcombo.items():
-                c = f.mul(vx, vm)
-                if f.is_zero(c):
-                    continue
-                for lab, v in self.left_act(x, mm).items():
-                    s = f.add(out.get(lab, f.zero), f.mul(c, v))
-                    if f.is_zero(s):
-                        out.pop(lab, None)
-                    else:
-                        out[lab] = s
-        return out
-
-    def combo_right(self, mcombo: Combo, acombo: Combo) -> Combo:
-        f = self.algebra.field_spec.field()
-        out: Combo = {}
-        for mm, vm in mcombo.items():
-            for x, vx in acombo.items():
-                c = f.mul(vm, vx)
-                if f.is_zero(c):
-                    continue
-                for lab, v in self.right_act(mm, x).items():
-                    s = f.add(out.get(lab, f.zero), f.mul(c, v))
-                    if f.is_zero(s):
-                        out.pop(lab, None)
-                    else:
-                        out[lab] = s
-        return out
-
-
-def diagonal_bimodule(A: GradedAlgebra) -> GradedBimodule:
-    """A as a bimodule over itself."""
-    return GradedBimodule(A, tuple(A.basis), A.mult, A.mult)
-
-
-def shift_bimodule(M: GradedBimodule, i: int) -> GradedBimodule:
-    """Degree shift M<i> with M<i>^q = M^(q+i); maxdeg drops by i."""
-    shifted = tuple((lab, d - i) for lab, d in M.space)
-    return GradedBimodule(M.algebra, shifted, M.left, M.right)
-
-
-def validate_bimodule(M: GradedBimodule) -> ValidationReport:
-    """Check degree zero homogeneity, unitality, associativity, and the
-    bimodule compatibility (a m) b = a (m b) on all basis triples."""
-    A = M.algebra
-    f = A.field_spec.field()
-    one = f.one
-    violations: List[str] = []
-    adeg = A.degree_map()
-    mdeg = M.degree_map()
-    for (x, mm), combo in M.left.items():
-        want = adeg[x] + mdeg[mm]
-        for lab, coeff in combo.items():
-            if mdeg[lab] != want and not f.is_zero(coeff):
-                violations.append(f"left action not degree 0 on ({x},{mm})")
-    for (mm, x), combo in M.right.items():
-        want = mdeg[mm] + adeg[x]
-        for lab, coeff in combo.items():
-            if mdeg[lab] != want and not f.is_zero(coeff):
-                violations.append(f"right action not degree 0 on ({mm},{x})")
-    for mm in M.labels():
-        cm = {mm: one}
-        if not A.combo_eq(M.combo_left(A.unit, cm), cm):
-            violations.append(f"unit does not act as identity on the left of {mm}")
-        if not A.combo_eq(M.combo_right(cm, A.unit), cm):
-            violations.append(f"unit does not act as identity on the right of {mm}")
-    for x in A.labels():
-        cx = {x: one}
-        for y in A.labels():
-            cy = {y: one}
-            xy = A.combo_mul(cx, cy)
-            for mm in M.labels():
-                cm = {mm: one}
-                if not A.combo_eq(M.combo_left(xy, cm), M.combo_left(cx, M.combo_left(cy, cm))):
-                    violations.append(f"left associativity fails on ({x},{y},{mm})")
-                if not A.combo_eq(M.combo_right(cm, xy), M.combo_right(M.combo_right(cm, cx), cy)):
-                    violations.append(f"right associativity fails on ({mm},{x},{y})")
-                if not A.combo_eq(
-                    M.combo_right(M.combo_left(cx, cm), cy),
-                    M.combo_left(cx, M.combo_right(cm, cy)),
-                ):
-                    violations.append(f"bimodule axiom fails on ({x},{mm},{y})")
-    return ValidationReport(not violations, tuple(violations))
 
 
 # -- JSON ----------------------------------------------------------------

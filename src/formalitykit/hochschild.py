@@ -1,12 +1,18 @@
 """Bigraded Hochschild cohomology of graded algebras.
 
-Two independent engines are provided. The default computes HH^{p,q}(A,M)
+Two independent engines are provided. The default computes HH^{p,q}(A,A)
 from the base-relative normalized bar complex: cochains are block pure
 maps on tensor words in the positive part of A, and only words whose
-internal degree can hit a nonzero component of M are ever materialized.
+internal degree can hit a nonzero component of A are ever materialized.
 The absolute bar complex over the ground field is retained as a slow
 reference engine, and explicitly supplied periodic resolutions give a
 third route for cross validation.
+
+The two bar engines share one code path; the mode lives in the prepared
+table. A relative table takes the blocks of A from its idempotents and
+uses the positive basis labels as letters. An absolute table puts every
+label in the one block (0, 0) and uses every label as a letter, so every
+composability and block test passes trivially.
 
 Every differential is assembled straight into sparse dict rows (column to
 non-zero scalar), the one matrix format of `linalg`, so memory follows the
@@ -34,10 +40,8 @@ from .errors import (
 )
 from .graded import (
     GradedAlgebra,
-    GradedBimodule,
     block_structure,
     detect_idempotents,
-    diagonal_bimodule,
     validate,
 )
 from .linalg import (
@@ -56,23 +60,20 @@ MODES = ("relative_normalized", "absolute")
 
 @dataclass(frozen=True, eq=False)
 class _Tables:
-    """Integer indexed view of an algebra and a bimodule over it."""
+    """Integer indexed view of an algebra in one bar complex mode.
+
+    Basis label i lies in block (src[i], tgt[i]); letters are the labels
+    tensor words are made of. A coefficient index is a basis index, and
+    both actions on the coefficients are mult."""
 
     field: object
-    n_alg: int
-    alg_degs: Tuple[int, ...]
-    alg_src: Tuple[int, ...]
-    alg_tgt: Tuple[int, ...]
+    n: int
+    degs: Tuple[int, ...]
+    src: Tuple[int, ...]
+    tgt: Tuple[int, ...]
     mult: Dict[Tuple[int, int], Dict[int, object]]
-    n_mod: int
-    mod_degs: Tuple[int, ...]
-    mod_src: Tuple[int, ...]
-    mod_tgt: Tuple[int, ...]
-    left: Dict[Tuple[int, int], Dict[int, object]]
-    right: Dict[Tuple[int, int], Dict[int, object]]
-    alg_labels: Tuple[str, ...]
-    mod_labels: Tuple[str, ...]
-    positive: Tuple[int, ...]
+    labels: Tuple[str, ...]
+    letters: Tuple[int, ...]
 
 
 def _require_valid(A: GradedAlgebra):
@@ -83,96 +84,56 @@ def _require_valid(A: GradedAlgebra):
         )
 
 
-def _module_blocks(A: GradedAlgebra, M: GradedBimodule):
-    """(src, tgt) of each module basis label via the idempotent actions."""
-    f = A.field_spec.field()
-    one = f.one
-    src = {}
-    tgt = {}
-    for lab, _ in M.space:
-        cm = {lab: one}
-        s = t = None
-        for i, e in enumerate(A.idempotents):
-            if A.combo_eq(M.combo_left({e: one}, cm), cm):
-                t = i
-            if A.combo_eq(M.combo_right(cm, {e: one}), cm):
-                s = i
-        if s is None or t is None:
-            raise InputValidationError(f"module label {lab} is not block pure")
-        src[lab] = s
-        tgt[lab] = t
-    return src, tgt
+def _prepare(A: GradedAlgebra, mode: str) -> GradedAlgebra:
+    """A validated; in relative mode with its idempotents detected when
+    none were given, and checked to be non-negatively graded."""
+    if mode not in MODES:
+        raise InputValidationError(f"unknown mode {mode!r}")
+    _require_valid(A)
+    if mode == "relative_normalized":
+        if A.idempotents is None:
+            detected = detect_idempotents(A)
+            if detected is None:
+                raise InputValidationError(
+                    "relative mode needs an idempotent decomposition of degree zero"
+                )
+            A = GradedAlgebra(A.field_spec, A.basis, A.mult, A.unit, detected)
+        if not A.is_nonneg_graded():
+            raise InputValidationError("relative mode needs a non-negatively graded algebra")
+    return A
 
 
-def _build_tables(A: GradedAlgebra, M: GradedBimodule, need_blocks: bool) -> _Tables:
-    f = A.field_spec.field()
-    alg_labels = tuple(A.labels())
-    aidx = {lab: i for i, lab in enumerate(alg_labels)}
-    alg_degs = tuple(d for _, d in A.basis)
-    mod_labels = tuple(M.labels())
-    midx = {lab: i for i, lab in enumerate(mod_labels)}
-    mod_degs = tuple(d for _, d in M.space)
-
-    if need_blocks:
+def _build_tables(A: GradedAlgebra, mode: str) -> _Tables:
+    A = _prepare(A, mode)
+    labels = tuple(A.labels())
+    idx = {lab: i for i, lab in enumerate(labels)}
+    degs = tuple(d for _, d in A.basis)
+    if mode == "relative_normalized":
         blocks = block_structure(A)
-        alg_src = tuple(blocks[lab][0] for lab in alg_labels)
-        alg_tgt = tuple(blocks[lab][1] for lab in alg_labels)
-        msrc, mtgt = _module_blocks(A, M)
-        mod_src = tuple(msrc[lab] for lab in mod_labels)
-        mod_tgt = tuple(mtgt[lab] for lab in mod_labels)
+        src = tuple(blocks[lab][0] for lab in labels)
+        tgt = tuple(blocks[lab][1] for lab in labels)
+        letters = tuple(i for i, d in enumerate(degs) if d > 0)
     else:
-        alg_src = tuple(0 for _ in alg_labels)
-        alg_tgt = tuple(0 for _ in alg_labels)
-        mod_src = tuple(0 for _ in mod_labels)
-        mod_tgt = tuple(0 for _ in mod_labels)
-
+        src = tgt = (0,) * len(labels)
+        letters = tuple(range(len(labels)))
     mult = {}
     for (x, y), combo in A.mult.items():
-        mult[(aidx[x], aidx[y])] = {aidx[lab]: v for lab, v in combo.items()}
-    left = {}
-    for (x, mm), combo in M.left.items():
-        left[(aidx[x], midx[mm])] = {midx[lab]: v for lab, v in combo.items()}
-    right = {}
-    for (mm, x), combo in M.right.items():
-        right[(midx[mm], aidx[x])] = {midx[lab]: v for lab, v in combo.items()}
-
-    positive = tuple(i for i, d in enumerate(alg_degs) if d > 0)
-    return _Tables(
-        f,
-        len(alg_labels),
-        alg_degs,
-        alg_src,
-        alg_tgt,
-        mult,
-        len(mod_labels),
-        mod_degs,
-        mod_src,
-        mod_tgt,
-        left,
-        right,
-        alg_labels,
-        mod_labels,
-        positive,
-    )
+        mult[(idx[x], idx[y])] = {idx[lab]: v for lab, v in combo.items()}
+    return _Tables(A.field_spec.field(), len(labels), degs, src, tgt, mult, labels, letters)
 
 
-def _letters(tb: _Tables, mode: str) -> Tuple[int, ...]:
-    return tb.positive if mode == "relative_normalized" else tuple(range(tb.n_alg))
-
-
-def _enumerate_words(tb: _Tables, p: int, targets, mode: str, max_words: int, stage: str):
+def _enumerate_words(tb: _Tables, p: int, targets, max_words: int, stage: str):
     """Composable letter tuples of length p with total degree in targets.
 
     Depth first and deterministic; partial words are pruned as soon as no
     target degree stays reachable. Raises when the cap is exceeded, naming
-    the stage (which slice of which complex) and the cap."""
+    the stage (which slice of which complex, in which mode) and the cap."""
     if p == 0:
         return [()]
-    letters = _letters(tb, mode)
+    letters = tb.letters
     if not letters or not targets:
         return []
-    relative = mode == "relative_normalized"
-    degs = tb.alg_degs
+    degs = tb.degs
     min_d = min(degs[i] for i in letters)
     max_d = max(degs[i] for i in letters)
     tmin, tmax = min(targets), max(targets)
@@ -181,8 +142,8 @@ def _enumerate_words(tb: _Tables, p: int, targets, mode: str, max_words: int, st
     def extend(word, total):
         if len(out) > max_words:
             raise ResourceCapError(
-                f"word cap {max_words} exceeded by the length p = {p} words of {stage} "
-                f"({mode} mode); raise max_words"
+                f"word cap {max_words} exceeded by the length p = {p} words of {stage}; "
+                "raise max_words"
             )
         rem = p - len(word)
         if rem == 0:
@@ -191,88 +152,67 @@ def _enumerate_words(tb: _Tables, p: int, targets, mode: str, max_words: int, st
             return
         if total + rem * min_d > tmax or total + rem * max_d < tmin:
             return
-        last = word[-1]
+        src_last = tb.src[word[-1]]
         for i in letters:
-            if relative and tb.alg_src[last] != tb.alg_tgt[i]:
-                continue
-            extend(word + (i,), total + degs[i])
+            if src_last == tb.tgt[i]:
+                extend(word + (i,), total + degs[i])
 
     for i in letters:
         extend((i,), degs[i])
     return out
 
 
-def _word_degree_states(tb: _Tables, p: int, mode: str) -> Dict[Tuple[int, int, int], int]:
+def _word_degree_states(tb: _Tables, p: int) -> Dict[Tuple[int, int, int], int]:
     """Count length p words per (degree, src of word, tgt of word) by
     transfer-style dynamic programming; used only to locate feasible
     internal degrees cheaply."""
-    letters = _letters(tb, mode)
-    relative = mode == "relative_normalized"
     states: Dict[Tuple[int, int, int], int] = {}
-    for i in letters:
-        key = (tb.alg_degs[i], tb.alg_src[i], tb.alg_tgt[i])
+    for i in tb.letters:
+        key = (tb.degs[i], tb.src[i], tb.tgt[i])
         states[key] = states.get(key, 0) + 1
     for _ in range(p - 1):
         nxt: Dict[Tuple[int, int, int], int] = {}
         for (d, src_last, tgt_first), cnt in states.items():
-            for i in letters:
-                if relative and src_last != tb.alg_tgt[i]:
-                    continue
-                key = (d + tb.alg_degs[i], tb.alg_src[i], tgt_first)
-                nxt[key] = nxt.get(key, 0) + cnt
+            for i in tb.letters:
+                if src_last == tb.tgt[i]:
+                    key = (d + tb.degs[i], tb.src[i], tgt_first)
+                    nxt[key] = nxt.get(key, 0) + cnt
         states = nxt
     return states
 
 
-def _module_slots(tb: _Tables, mode: str):
+def _module_slots(tb: _Tables):
+    """Coefficient indices grouped by (degree, src, tgt)."""
     slots: Dict[Tuple[int, int, int], List[int]] = {}
-    for i in range(tb.n_mod):
-        if mode == "relative_normalized":
-            key = (tb.mod_degs[i], tb.mod_src[i], tb.mod_tgt[i])
-        else:
-            key = (tb.mod_degs[i], 0, 0)
-        slots.setdefault(key, []).append(i)
+    for i in range(tb.n):
+        slots.setdefault((tb.degs[i], tb.src[i], tb.tgt[i]), []).append(i)
     return slots
-
-
-def _word_block(tb: _Tables, word) -> Tuple[int, int]:
-    return (tb.alg_src[word[-1]], tb.alg_tgt[word[0]])
 
 
 def _cochain_basis(tb: _Tables, p: int, q: int, mode: str, max_words: int):
     """Basis of degree q cochains on length p words, grouped by word key.
 
     Word keys are letter tuples; for p = 0 the keys are the diagonal
-    vertex markers ('v', i) in relative mode and () in absolute mode.
-    Returns (groups, total size) with groups values [(column, module idx)].
+    vertex markers ('v', i). Returns (groups, total size) with groups
+    values [(column, coefficient idx)]. mode only names the stage of a
+    word-cap refusal; the table carries the mode.
     """
-    slots = _module_slots(tb, mode)
     groups: Dict[object, List[Tuple[int, int]]] = {}
     col = 0
     if p == 0:
-        if mode == "relative_normalized":
-            for i in range(tb.n_mod):
-                if tb.mod_degs[i] == q and tb.mod_src[i] == tb.mod_tgt[i]:
-                    groups.setdefault(("v", tb.mod_src[i]), []).append((col, i))
-                    col += 1
-        else:
-            for i in range(tb.n_mod):
-                if tb.mod_degs[i] == q:
-                    groups.setdefault((), []).append((col, i))
-                    col += 1
+        for i in range(tb.n):
+            if tb.degs[i] == q and tb.src[i] == tb.tgt[i]:
+                groups.setdefault(("v", tb.src[i]), []).append((col, i))
+                col += 1
         return groups, col
-    targets = {d - q for d in set(tb.mod_degs)}
+    slots = _module_slots(tb)
+    targets = {d - q for d in set(tb.degs)}
     words = _enumerate_words(
-        tb, p, targets, mode, max_words, f"the internal degree q = {q} cochains"
+        tb, p, targets, max_words, f"the internal degree q = {q} cochains ({mode} mode)"
     )
     for w in words:
-        total = sum(tb.alg_degs[i] for i in w)
-        if mode == "relative_normalized":
-            src, tgt = _word_block(tb, w)
-            ms = slots.get((total + q, src, tgt), [])
-        else:
-            ms = slots.get((total + q, 0, 0), [])
-        for m in ms:
+        total = sum(tb.degs[i] for i in w)
+        for m in slots.get((total + q, tb.src[w[-1]], tb.tgt[w[0]]), ()):
             groups.setdefault(w, []).append((col, m))
             col += 1
     return groups, col
@@ -291,7 +231,7 @@ def _accumulate(row: Dict[int, object], c: int, v, f) -> None:
         row[c] = x
 
 
-def _delta_rows(tb: _Tables, p: int, groups_p, groups_p1, mode: str):
+def _delta_rows(tb: _Tables, p: int, groups_p, groups_p1):
     """Matrix of the Hochschild cochain differential C^p -> C^(p+1) as dict
     rows, one per column of groups_p1 in column order, indexed by the
     columns of groups_p."""
@@ -302,15 +242,14 @@ def _delta_rows(tb: _Tables, p: int, groups_p, groups_p1, mode: str):
         for _, m in pairs:
             row_of[(w, m)] = row = {}
             rows.append(row)
-    relative = mode == "relative_normalized"
     sign_last = f.one if (p + 1) % 2 == 0 else f.neg(f.one)
     for w1 in groups_p1:
         first = w1[0]
         last = w1[-1]
         # left action term: a_1 . f(a_2 ... a_(p+1))
-        tail = w1[1:] if p >= 1 else (("v", tb.alg_src[first]) if relative else ())
+        tail = w1[1:] if p >= 1 else ("v", tb.src[first])
         for c0, m0 in groups_p.get(tail, ()):
-            for m1, v in tb.left.get((first, m0), {}).items():
+            for m1, v in tb.mult.get((first, m0), {}).items():
                 row = row_of.get((w1, m1))
                 if row is not None:
                     _accumulate(row, c0, v, f)
@@ -328,9 +267,9 @@ def _delta_rows(tb: _Tables, p: int, groups_p, groups_p1, mode: str):
                     if row is not None:
                         _accumulate(row, c0, coeff, f)
         # right action term: (-1)^(p+1) f(a_1 ... a_p) . a_(p+1)
-        head = w1[:-1] if p >= 1 else (("v", tb.alg_tgt[last]) if relative else ())
+        head = w1[:-1] if p >= 1 else ("v", tb.tgt[last])
         for c0, m0 in groups_p.get(head, ()):
-            for m1, v in tb.right.get((m0, last), {}).items():
+            for m1, v in tb.mult.get((m0, last), {}).items():
                 row = row_of.get((w1, m1))
                 if row is not None:
                     _accumulate(row, c0, f.mul(sign_last, v), f)
@@ -347,58 +286,32 @@ class HHResult:
     cocycles: Optional[tuple] = None
 
 
-def _prepare(A: GradedAlgebra, M: Optional[GradedBimodule], mode: str):
-    if mode not in MODES:
-        raise InputValidationError(f"unknown mode {mode!r}")
-    _require_valid(A)
-    if M is None:
-        M = diagonal_bimodule(A)
-    if mode == "relative_normalized":
-        if A.idempotents is None:
-            detected = detect_idempotents(A)
-            if detected is None:
-                raise InputValidationError(
-                    "relative mode needs an idempotent decomposition of degree zero"
-                )
-            A = GradedAlgebra(A.field_spec, A.basis, A.mult, A.unit, detected)
-            M = GradedBimodule(A, M.space, M.left, M.right)
-        if not A.is_nonneg_graded():
-            raise InputValidationError("relative mode needs a non-negatively graded algebra")
-    return A, M
-
-
-def _tables(A: GradedAlgebra, M: Optional[GradedBimodule], mode: str) -> _Tables:
-    """Prepared integer tables of (A, M) in the given mode.
-
-    For the diagonal bimodule (M None) they are built once per algebra and
-    mode and kept in the algebra's memo; the algebra cannot change after
-    construction. Nothing is stored when preparation raises, so an invalid
-    algebra is rejected on every call."""
+def _tables(A: GradedAlgebra, mode: str) -> _Tables:
+    """Prepared integer tables of A in the given mode, built once per
+    algebra and mode and kept in the algebra's memo; the algebra cannot
+    change after construction. Nothing is stored when preparation raises,
+    so an invalid algebra is rejected on every call."""
     key = ("hh_tables", mode)
-    tb = A._memo.get(key) if M is None else None
+    tb = A._memo.get(key)
     if tb is None:
-        A1, M1 = _prepare(A, M, mode)
-        tb = _build_tables(A1, M1, need_blocks=(mode == "relative_normalized"))
-        if M is None:
-            A._memo[key] = tb
+        tb = A._memo[key] = _build_tables(A, mode)
     return tb
 
 
 def hh_bar(
     A: GradedAlgebra,
-    M: Optional[GradedBimodule] = None,
-    p: int = 0,
-    q: int = 0,
+    p: int,
+    q: int,
+    *,
     mode: str = "relative_normalized",
     want_cocycles: bool = False,
     max_words: int = DEFAULT_MAX_WORDS,
 ) -> HHResult:
-    """dim HH^{p,q}(A, M) from the bar complex, with representatives on
-    request. M defaults to the diagonal bimodule. The two modes agree;
-    the relative one is the fast default."""
+    """dim HH^{p,q}(A, A) from the bar complex, with representatives on
+    request. The two modes agree; the relative one is the fast default."""
     if p < 0:
         raise InputValidationError("p must be >= 0")
-    tb = _tables(A, M, mode)
+    tb = _tables(A, mode)
     g_prev, n_prev = (_cochain_basis(tb, p - 1, q, mode, max_words) if p >= 1 else ({}, 0))
     g_here, n_here = _cochain_basis(tb, p, q, mode, max_words)
     g_next, n_next = _cochain_basis(tb, p + 1, q, mode, max_words)
@@ -407,8 +320,8 @@ def hh_bar(
         return HHResult(p, q, 0, mode, (n_prev, 0, n_next))
 
     f = tb.field
-    d_here = _delta_rows(tb, p, g_here, g_next, mode)
-    d_prev = _delta_rows(tb, p - 1, g_prev, g_here, mode) if p >= 1 and n_prev else []
+    d_here = _delta_rows(tb, p, g_here, g_next)
+    d_prev = _delta_rows(tb, p - 1, g_prev, g_here) if p >= 1 and n_prev else []
 
     dim = n_here - rank_rows(d_here, f) - rank_rows(d_prev, f)
 
@@ -432,11 +345,8 @@ def hh_bar(
             terms = []
             for c0 in sorted(rep):
                 w, m = where[c0]
-                if isinstance(w, tuple) and w and isinstance(w[0], int):
-                    word_labels = tuple(tb.alg_labels[i] for i in w)
-                else:
-                    word_labels = ()
-                terms.append((word_labels, tb.mod_labels[m], f.to_str(rep[c0])))
+                word_labels = tuple(tb.labels[i] for i in w) if p else ()
+                terms.append((word_labels, tb.labels[m], f.to_str(rep[c0])))
             out.append(tuple(terms))
         cocycles = tuple(out)
 
@@ -445,44 +355,29 @@ def hh_bar(
 
 def cochain_dim(
     A: GradedAlgebra,
-    M: Optional[GradedBimodule],
     p: int,
     q: int,
+    *,
     mode: str = "relative_normalized",
     max_words: int = DEFAULT_MAX_WORDS,
 ) -> int:
-    tb = _tables(A, M, mode)
-    _, n = _cochain_basis(tb, p, q, mode, max_words)
+    _, n = _cochain_basis(_tables(A, mode), p, q, mode, max_words)
     return n
 
 
 def nonempty_internal_degrees(
-    A: GradedAlgebra,
-    M: Optional[GradedBimodule] = None,
-    p: int = 0,
-    mode: str = "relative_normalized",
+    A: GradedAlgebra, p: int, *, mode: str = "relative_normalized"
 ) -> List[int]:
     """Internal degrees q with a nonzero (p, q) cochain slice."""
-    tb = _tables(A, M, mode)
-    slots = _module_slots(tb, mode)
+    tb = _tables(A, mode)
+    slots = _module_slots(tb)
     if p == 0:
-        out = set()
-        for (d, s, t), ms in slots.items():
-            if mode != "relative_normalized" or s == t:
-                if ms:
-                    out.add(d)
-        return sorted(out)
-    states = _word_degree_states(tb, p, mode)
+        return sorted({d for (d, s, t) in slots if s == t})
     out = set()
-    for (wd, src, tgt), cnt in states.items():
-        if not cnt:
-            continue
-        for (md, ms, mt), mlist in slots.items():
-            if not mlist:
-                continue
-            if mode == "relative_normalized" and (ms, mt) != (src, tgt):
-                continue
-            out.add(md - wd)
+    for (wd, src, tgt) in _word_degree_states(tb, p):
+        for (md, ms, mt) in slots:
+            if (ms, mt) == (src, tgt):
+                out.add(md - wd)
     return sorted(out)
 
 
@@ -499,7 +394,7 @@ def kadeishvili_scan(
     """
     out: Dict[int, int] = {}
     for q in range(3, q_max + 1):
-        out[q] = hh_bar(A, None, q, 2 - q, mode=mode, max_words=max_words).dim
+        out[q] = hh_bar(A, q, 2 - q, mode=mode, max_words=max_words).dim
     return out
 
 
@@ -516,13 +411,12 @@ def bar_chain_slice(A: GradedAlgebra, p: int, q: int, max_words: int = DEFAULT_M
     length p are exactly a basis of the degree q part of the p-fold tensor
     power of the positive part over the base.
     """
-    mode = "relative_normalized"
-    tb = _tables(A, None, mode)
+    tb = _tables(A, "relative_normalized")
     f = tb.field
-    stage = f"the internal degree q = {q} chains"
-    words_p = _enumerate_words(tb, p, {q}, mode, max_words, stage)
+    stage = f"the internal degree q = {q} chains (relative_normalized mode)"
+    words_p = _enumerate_words(tb, p, {q}, max_words, stage)
     # the degree q > 0 part of the base (p - 1 = 0) is zero
-    words_prev = _enumerate_words(tb, p - 1, {q}, mode, max_words, stage) if p >= 2 else []
+    words_prev = _enumerate_words(tb, p - 1, {q}, max_words, stage) if p >= 2 else []
     idx_prev = {w: i for i, w in enumerate(words_prev)}
     rows: List[Dict[int, object]] = [{} for _ in words_prev]
     for c, w in enumerate(words_p):
@@ -536,8 +430,8 @@ def bar_chain_slice(A: GradedAlgebra, p: int, q: int, max_words: int = DEFAULT_M
                 r = idx_prev.get(contracted)
                 if r is not None:
                     _accumulate(rows[r], c, f.mul(sgn, cz), f)
-    labels_p = [tuple(tb.alg_labels[i] for i in w) for w in words_p]
-    labels_prev = [tuple(tb.alg_labels[i] for i in w) for w in words_prev]
+    labels_p = [tuple(tb.labels[i] for i in w) for w in words_p]
+    labels_prev = [tuple(tb.labels[i] for i in w) for w in words_prev]
     return labels_p, labels_prev, rows
 
 
@@ -589,17 +483,7 @@ def _spec_in_field(A: GradedAlgebra, spec: PeriodicResolutionSpec) -> PeriodicRe
     The standard specs carry Fraction coefficients whatever the field; over
     F_p a/b becomes a * b^-1 mod p, so the matrices built from the spec
     hold ints."""
-    f = A.field_spec.field()
-    if not f.characteristic:
-        return spec
-
-    def scalar(c):
-        c = Fraction(c)
-        den = f.from_int(c.denominator)
-        if f.is_zero(den):
-            raise InputValidationError(f"multiplier coefficient {c} has no value in F_{f.p}")
-        return f.div(f.from_int(c.numerator), den)
-
+    scalar = A.field_spec.field().scalar
     multipliers = tuple(tuple((x, y, scalar(c)) for x, y, c in mu) for mu in spec.multipliers)
     return PeriodicResolutionSpec(spec.shifts, multipliers)
 
@@ -726,24 +610,22 @@ def validate_periodic_spec(
 def hh_resolution(
     A: GradedAlgebra,
     spec: PeriodicResolutionSpec,
-    M: Optional[GradedBimodule] = None,
-    p: int = 0,
-    q: int = 0,
+    p: int,
+    q: int,
+    *,
     check: bool = True,
     degree_bound: Optional[int] = None,
 ) -> int:
-    """dim HH^{p,q}(A, M) from a supplied free resolution.
+    """dim HH^{p,q}(A, A) from a supplied free resolution.
 
     Degree zero homs out of the shifted free term j form the degree
-    q - s_j part of M, and the induced differential is the multiplier
-    action m -> sum x m y. Needs p + 1 <= resolution length.
+    q - s_j part of A, and the induced differential is the multiplier
+    action a -> sum x a y. Needs p + 1 <= resolution length.
     """
     if p < 0:
         raise InputValidationError("p must be >= 0")
     _require_valid(A)
     spec = _spec_in_field(A, spec)
-    if M is None:
-        M = diagonal_bimodule(A)
     if p + 1 > spec.length():
         raise InputValidationError(
             f"resolution of length {spec.length()} is too short for p = {p}"
@@ -751,12 +633,10 @@ def hh_resolution(
     if check:
         validate_periodic_spec(A, spec, degree_bound)
     f = A.field_spec.field()
-    mdeg = M.degree_map()
-    mlabels = M.labels()
 
     def cochain_labels(j):
         want = q - spec.shifts[j]
-        return [lab for lab in mlabels if mdeg[lab] == want]
+        return [lab for lab, d in A.basis if d == want]
 
     def delta(j):
         dom = cochain_labels(j)
@@ -764,16 +644,10 @@ def hh_resolution(
         cidx = {lab: i for i, lab in enumerate(cod)}
         mu = spec.multipliers[j]
         rows: List[Dict[int, object]] = [{} for _ in cod]
-        for c, mm in enumerate(dom):
+        for c, a in enumerate(dom):
             acc: Dict[str, object] = {}
             for (x, y, coeff) in mu:
-                part = M.combo_right(M.combo_left({x: coeff}, {mm: f.one}), {y: f.one})
-                for lab, v in part.items():
-                    s = f.add(acc.get(lab, f.zero), v)
-                    if f.is_zero(s):
-                        acc.pop(lab, None)
-                    else:
-                        acc[lab] = s
+                acc = A.combo_add(acc, A.combo_mul(A.combo_mul({x: coeff}, {a: f.one}), {y: f.one}))
             for lab, v in acc.items():
                 rr = cidx.get(lab)
                 if rr is not None:

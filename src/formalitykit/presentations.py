@@ -560,17 +560,6 @@ def tor_term(pres: TensorPresentation, q: int) -> GradedVectorSpace:
 # -- symbolic mindeg calculus ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class AffineInP:
-    """Exact affine expression slope * p + intercept."""
-
-    slope: int
-    intercept: int
-
-    def at(self, p: int) -> int:
-        return self.slope * p + self.intercept
-
-
 def _check_mindeg_inputs(mu: int, nu: int):
     if not (mu >= 2 * nu >= 2):
         raise InputValidationError(
@@ -578,27 +567,17 @@ def _check_mindeg_inputs(mu: int, nu: int):
         )
 
 
-def tor_mindeg_branches(mu: int, nu: int, parity: str) -> Tuple[AffineInP, ...]:
-    """Affine-in-p branches of the Tor mindeg lower bound; the bound is
-    the pointwise max. Even: p mu. Odd: p mu + nu.
+def mindeg_bound(mu: int, nu: int, q: int) -> int:
+    """Lower bound for mindeg Tor_q from mindeg(I) = mu, mindeg(J) = nu,
+    with p = q // 2: p mu for even q, p mu + nu for odd q.
 
     The even bound is max(p mu, 2 nu + (p-1) mu), but mu >= 2 nu gives
-    2 nu + (p-1) mu <= mu + (p-1) mu = p mu, so only p mu is returned."""
-    _check_mindeg_inputs(mu, nu)
-    if parity == "even":
-        return (AffineInP(mu, 0),)
-    if parity == "odd":
-        return (AffineInP(mu, nu),)
-    raise InputValidationError(f"parity must be 'even' or 'odd', got {parity!r}")
-
-
-def mindeg_bound(mu: int, nu: int, q: int) -> int:
-    """Lower bound for mindeg Tor_q from mindeg(I) = mu, mindeg(J) = nu."""
+    2 nu + (p-1) mu <= mu + (p-1) mu = p mu, so it is p mu."""
     if q < 0:
         raise InputValidationError("q must be >= 0")
+    _check_mindeg_inputs(mu, nu)
     p = q // 2
-    branches = tor_mindeg_branches(mu, nu, "even" if q % 2 == 0 else "odd")
-    return max(b.at(p) for b in branches)
+    return p * mu if q % 2 == 0 else p * mu + nu
 
 
 # -- convenience constructors ----------------------------------------------

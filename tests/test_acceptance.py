@@ -29,10 +29,9 @@ from formalitykit.formality import (
 )
 from formalitykit.graded import build_configuration_algebra, truncated_poly
 from formalitykit.hochschild import (
-    _build_tables,
     _cochain_basis,
     _delta_rows,
-    _prepare,
+    _tables,
     hh_bar,
     hh_resolution,
     kadeishvili_scan,
@@ -81,12 +80,12 @@ def test_criterion_2_hh_engine_agreement():
         A = truncated_poly(n, k)
         spec = periodic_spec_truncated_poly(n, k, 7)
         for p in range(0, 5):
-            qs = set(nonempty_internal_degrees(A, None, p))
+            qs = set(nonempty_internal_degrees(A, p))
             qs |= {q for q in range(-7 * (n + 1) * k, n * k + 1)
                    if 0 <= q - spec.shifts[p] <= n * k}
             for q in sorted(qs):
-                bar = hh_bar(A, None, p, q).dim
-                res = hh_resolution(A, spec, None, p, q, check=False)
+                bar = hh_bar(A, p, q).dim
+                res = hh_resolution(A, spec, p, q, check=False)
                 if bar != res:
                     failures.append(f"({n},{k}) p={p} q={q}: bar {bar} vs resolution {res}")
     _report(2, "bar complex and periodic resolution engines agree", failures,
@@ -159,7 +158,7 @@ def test_criterion_5_configuration_certificates():
     # k = 5 with h_min = 2 cannot certify: the Serre-dual triangle with
     # degree 2 and 3 arrows meets the family's degree data and has a
     # nonzero q = 3 obstruction group, so the gate requires Inconclusive.
-    witness = hh_bar(serre_dual_triangle(SIGNS_AGREE), None, 3, -1).dim
+    witness = hh_bar(serre_dual_triangle(SIGNS_AGREE), 3, -1).dim
     if witness != 1:
         failures.append(f"Serre-dual k=5 triangle: HH^(3,-1) = {witness}, expected 1")
     cert = certify_config_spherical(5, 2, 5)
@@ -274,16 +273,15 @@ def test_criterion_9_structural_property_suites():
         build_configuration_algebra(ConfigGraph.make([1, 2], [(1, 2)]), 1, 2, 1, "zigzag"),
     ]
     for A in fixtures:
-        A1, M = _prepare(A, None, "relative_normalized")
-        tb = _build_tables(A1, M, need_blocks=True)
+        tb = _tables(A, "relative_normalized")
         for q in range(-4, 2):
             for p in range(0, 5):
                 g0, n0 = _cochain_basis(tb, p, q, "relative_normalized", 10**6)
                 g1, n1 = _cochain_basis(tb, p + 1, q, "relative_normalized", 10**6)
                 g2, n2 = _cochain_basis(tb, p + 2, q, "relative_normalized", 10**6)
                 if n0 and n2:
-                    d0 = _delta_rows(tb, p, g0, g1, "relative_normalized")
-                    d1 = _delta_rows(tb, p + 1, g1, g2, "relative_normalized")
+                    d0 = _delta_rows(tb, p, g0, g1)
+                    d1 = _delta_rows(tb, p + 1, g1, g2)
                     if any(mul_rows(d1, d0, RATIONALS)):
                         failures.append(f"d^2 != 0 at p={p} q={q}")
 
@@ -319,11 +317,10 @@ def test_criterion_9_structural_property_suites():
     # relative and absolute bar agree on small fixtures
     for A in (truncated_poly(1, 2), truncated_poly(1, 3), truncated_poly(3, 1)):
         for p in range(0, 4):
-            qs = set(nonempty_internal_degrees(A, None, p, "relative_normalized"))
-            qs |= set(nonempty_internal_degrees(A, None, p, "absolute"))
+            qs = set(nonempty_internal_degrees(A, p, mode="relative_normalized"))
+            qs |= set(nonempty_internal_degrees(A, p, mode="absolute"))
             for q in qs:
-                if (hh_bar(A, None, p, q).dim
-                        != hh_bar(A, None, p, q, mode="absolute").dim):
+                if hh_bar(A, p, q).dim != hh_bar(A, p, q, mode="absolute").dim:
                     failures.append(f"mode disagreement at p={p} q={q}")
 
     _report(9, "structural property suites", failures,

@@ -41,13 +41,13 @@ TRUNCATED_POLY = {
 @pytest.mark.parametrize("npq", sorted(TRUNCATED_POLY))
 def test_truncated_poly_cocycles_are_pinned(npq):
     n, p, q = npq
-    res = hh_bar(truncated_poly(n, 1), None, p, q, want_cocycles=True)
+    res = hh_bar(truncated_poly(n, 1), p, q, want_cocycles=True)
     assert res.dim == len(res.cocycles) == 1
     assert digest(res.cocycles) == TRUNCATED_POLY[npq]
 
 
 def test_a2_zigzag_cocycle_over_f7_is_pinned():
-    res = hh_bar(a2_121("zigzag"), None, 2, -2, want_cocycles=True)
+    res = hh_bar(a2_121("zigzag"), 2, -2, want_cocycles=True)
     assert res.slice_dims == (2, 8, 8)
     assert res.cocycles == (
         (
@@ -76,6 +76,6 @@ A2_F7 = {
 @pytest.mark.parametrize("slice_", sorted(A2_F7))
 def test_a2_cocycles_over_f7_are_pinned(slice_):
     preset, p, q = slice_
-    res = hh_bar(a2_121(preset), None, p, q, want_cocycles=True)
+    res = hh_bar(a2_121(preset), p, q, want_cocycles=True)
     assert (res.dim, res.slice_dims, digest(res.cocycles)) == A2_F7[slice_]
     assert len(res.cocycles) == res.dim

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from formalitykit.errors import InputValidationError
@@ -52,3 +54,23 @@ def test_modulus_is_bounded_before_the_primality_test():
 def test_bad_prime_field_scalar_is_an_input_error(text):
     with pytest.raises(InputValidationError):
         PrimeField(7).parse(text)
+
+
+def test_scalar_maps_ints_and_fractions_into_the_field():
+    assert PrimeField(7).scalar(Fraction(9, 2)) == 1
+    assert PrimeField(7).scalar(-1) == 6
+    assert PrimeField(7).scalar(Fraction(14, 3)) == 0
+    assert RATIONALS.scalar(3) == Fraction(3) and type(RATIONALS.scalar(3)) is Fraction
+    assert RATIONALS.scalar(Fraction(9, 2)) == Fraction(9, 2)
+
+
+@pytest.mark.parametrize("value", [Fraction(1, 7), Fraction(3, 14), 0.5, True, "1", None])
+def test_scalar_refuses_what_has_no_value_in_f7(value):
+    with pytest.raises(InputValidationError):
+        PrimeField(7).scalar(value)
+
+
+@pytest.mark.parametrize("value", [0.5, False, "1/2", None])
+def test_scalar_refuses_non_rational_values_over_q(value):
+    with pytest.raises(InputValidationError):
+        RATIONALS.scalar(value)

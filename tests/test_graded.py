@@ -17,13 +17,10 @@ from formalitykit.graded import (
     block_structure,
     build_configuration_algebra,
     detect_idempotents,
-    diagonal_bimodule,
     maxdeg,
     mindeg,
-    shift_bimodule,
     truncated_poly,
     validate,
-    validate_bimodule,
 )
 
 QQ = FieldSpec()
@@ -183,20 +180,6 @@ def test_extreme_degrees_of_zero_object_error():
         maxdeg(zero)
     with pytest.raises(ZeroGradedObjectError):
         mindeg(zero)
-
-
-def test_shift_moves_maxdeg():
-    A = truncated_poly(2, 2)
-    M = diagonal_bimodule(A)
-    for i in (-3, -1, 0, 1, 4):
-        assert maxdeg(shift_bimodule(M, i)) == maxdeg(M) - i
-    assert validate_bimodule(shift_bimodule(M, 2)).ok
-
-
-def test_diagonal_bimodule_axioms():
-    g = ConfigGraph.make(["1", "2"], [("1", "2")])
-    A = build_configuration_algebra(g, 1, 2, 1, "zigzag")
-    assert validate_bimodule(diagonal_bimodule(A)).ok
 
 
 def test_json_round_trip():
@@ -388,3 +371,10 @@ def test_algebra_json_with_a_non_list_part_is_an_input_error(key, value):
     data[key] = value
     with pytest.raises(InputValidationError):
         algebra_from_json_dict(data)
+
+
+@pytest.mark.parametrize("coeff", [Fraction(1, 7), 0.5])
+def test_coefficient_without_a_value_in_f7_is_refused(coeff):
+    mult = {("1", "1"): {"1": 1}, ("1", "t"): {"t": coeff}, ("t", "1"): {"t": 1}}
+    with pytest.raises(InputValidationError):
+        GradedAlgebra(FieldSpec(kind="fp", p=7), (("1", 0), ("t", 2)), mult, {"1": 1}, ("1",))

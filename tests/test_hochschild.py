@@ -13,17 +13,14 @@ from formalitykit.fields import FieldSpec, RATIONALS, RATIONALS_SPEC
 from formalitykit.graded import (
     GradedAlgebra,
     build_configuration_algebra,
-    diagonal_bimodule,
-    shift_bimodule,
     truncated_poly,
     validate,
 )
 from formalitykit.hochschild import (
     PeriodicResolutionSpec,
-    _build_tables,
     _cochain_basis,
     _delta_rows,
-    _prepare,
+    _tables,
     bar_chain_slice,
     cochain_dim,
     hh_bar,
@@ -58,11 +55,11 @@ FIXTURES = [
 
 
 def test_hh00_of_spherelike_is_one():
-    assert hh_bar(truncated_poly(1, 2), None, 0, 0).dim == 1
+    assert hh_bar(truncated_poly(1, 2), 0, 0).dim == 1
 
 
 def test_hh10_euler_derivation():
-    res = hh_bar(truncated_poly(1, 2), None, 1, 0, want_cocycles=True)
+    res = hh_bar(truncated_poly(1, 2), 1, 0, want_cocycles=True)
     assert res.dim == 1
     # the representative is the degree zero derivation t -> t (up to scale)
     assert len(res.cocycles) == 1
@@ -71,7 +68,7 @@ def test_hh10_euler_derivation():
 
 
 def test_hh_3_minus1_vanishes_for_even_degrees():
-    assert hh_bar(truncated_poly(2, 2), None, 3, -1).dim == 0
+    assert hh_bar(truncated_poly(2, 2), 3, -1).dim == 0
 
 
 # -- derivation oracle for HH^1 ----------------------------------------------
@@ -135,7 +132,7 @@ def test_hh1_matches_derivation_oracle(nk):
     n, k = nk
     A = truncated_poly(n, k)
     for q in range(-n * k, n * k + 1):
-        assert hh_bar(A, None, 1, q).dim == _derivations_minus_inner(A, q), (n, k, q)
+        assert hh_bar(A, 1, q).dim == _derivations_minus_inner(A, q), (n, k, q)
 
 
 # -- center oracle for HH^0 ---------------------------------------------------
@@ -167,25 +164,31 @@ def _center_dim(A: GradedAlgebra, q: int) -> int:
 def test_hh0_is_graded_center(A):
     degrees = sorted({d for _, d in A.basis})
     for q in degrees:
-        assert hh_bar(A, None, 0, q).dim == _center_dim(A, q)
+        assert hh_bar(A, 0, q).dim == _center_dim(A, q)
 
 
 # -- structural properties -----------------------------------------------------
 
 
-@pytest.mark.parametrize("A", FIXTURES)
-def test_cochain_delta_squares_to_zero(A):
-    A1, M = _prepare(A, None, "relative_normalized")
-    tb = _build_tables(A1, M, need_blocks=True)
+# relative mode up to p = 4, absolute mode (far larger slices) up to p = 2
+DELTA_CASES = [pytest.param(A, "relative_normalized", 4, id=f"A{i}")
+               for i, A in enumerate(FIXTURES)]
+DELTA_CASES += [pytest.param(A, "absolute", 2, id=f"A{i}-absolute")
+                for i, A in enumerate(FIXTURES)]
+
+
+@pytest.mark.parametrize("A, mode, p_max", DELTA_CASES)
+def test_cochain_delta_squares_to_zero(A, mode, p_max):
+    tb = _tables(A, mode)
     for q in range(-5, 3):
-        for p in range(0, 5):
-            g0, n0 = _cochain_basis(tb, p, q, "relative_normalized", 10**6)
-            g1, n1 = _cochain_basis(tb, p + 1, q, "relative_normalized", 10**6)
-            g2, n2 = _cochain_basis(tb, p + 2, q, "relative_normalized", 10**6)
+        for p in range(0, p_max + 1):
+            g0, n0 = _cochain_basis(tb, p, q, mode, 10**6)
+            g1, n1 = _cochain_basis(tb, p + 1, q, mode, 10**6)
+            g2, n2 = _cochain_basis(tb, p + 2, q, mode, 10**6)
             if n0 == 0 or n2 == 0:
                 continue
-            d0 = _delta_rows(tb, p, g0, g1, "relative_normalized")
-            d1 = _delta_rows(tb, p + 1, g1, g2, "relative_normalized")
+            d0 = _delta_rows(tb, p, g0, g1)
+            d1 = _delta_rows(tb, p + 1, g1, g2)
             assert not any(mul_rows(d1, d0, RATIONALS)), (p, q)
 
 
@@ -232,22 +235,12 @@ def _dp_word_count(A: GradedAlgebra, p: int, q: int) -> int:
 )
 def test_relative_and_absolute_bar_agree(A):
     for p in range(0, 4):
-        qs = set(nonempty_internal_degrees(A, None, p, "relative_normalized"))
-        qs |= set(nonempty_internal_degrees(A, None, p, "absolute"))
+        qs = set(nonempty_internal_degrees(A, p, mode="relative_normalized"))
+        qs |= set(nonempty_internal_degrees(A, p, mode="absolute"))
         for q in sorted(qs):
-            rel = hh_bar(A, None, p, q, mode="relative_normalized").dim
-            ab = hh_bar(A, None, p, q, mode="absolute").dim
+            rel = hh_bar(A, p, q, mode="relative_normalized").dim
+            ab = hh_bar(A, p, q, mode="absolute").dim
             assert rel == ab, (p, q, rel, ab)
-
-
-def test_shifted_coefficients_shift_internal_degree():
-    A = truncated_poly(2, 2)
-    M = diagonal_bimodule(A)
-    for i in (-2, 1, 3):
-        Mi = shift_bimodule(M, i)
-        for p in (0, 1, 2):
-            for q in range(-8, 9):
-                assert hh_bar(A, Mi, p, q).dim == hh_bar(A, M, p, q + i).dim
 
 
 # -- resolution engine -----------------------------------------------------------
@@ -259,11 +252,11 @@ def test_resolution_agreement_small():
         spec = periodic_spec_truncated_poly(n, k, 6)
         validate_periodic_spec(A, spec)
         for p in range(0, 5):
-            for q in set(nonempty_internal_degrees(A, None, p)) | set(
+            for q in set(nonempty_internal_degrees(A, p)) | set(
                 range(-(p + 1) * (n + 1) * k, 1)
             ):
-                assert hh_bar(A, None, p, q).dim == hh_resolution(
-                    A, spec, None, p, q, check=False
+                assert hh_bar(A, p, q).dim == hh_resolution(
+                    A, spec, p, q, check=False
                 ), (n, k, p, q)
 
 
@@ -273,14 +266,14 @@ def test_resolution_hom_target_degrees():
     A = truncated_poly(1, 2)
     spec = periodic_spec_truncated_poly(1, 2, 5)
     assert spec.shifts[2] == -4
-    assert hh_resolution(A, spec, None, 2, 0, check=False) == 0
+    assert hh_resolution(A, spec, 2, 0, check=False) == 0
 
 
 def test_resolution_too_short_errors():
     A = truncated_poly(1, 2)
     spec = periodic_spec_truncated_poly(1, 2, 3)
     with pytest.raises(InputValidationError):
-        hh_resolution(A, spec, None, 3, 0, check=False)
+        hh_resolution(A, spec, 3, 0, check=False)
 
 
 def test_resolution_nonzero_composite_rejected():
@@ -319,9 +312,9 @@ def test_truncated_poly_6_1_slice_over_q():
     """The (4, -4) slice of k[t]/t^7, deg t = 1: d_4 is 252 x 206 at 2.9 %
     non-zero, the matrix on which dense Fraction elimination took seconds."""
     A = truncated_poly(6, 1)
-    res = hh_bar(A, None, 4, -4)
+    res = hh_bar(A, 4, -4)
     assert (res.dim, res.slice_dims) == (0, (107, 206, 252))
-    assert hh_resolution(A, periodic_spec_truncated_poly(6, 1, 6), None, 4, -4, check=False) == 0
+    assert hh_resolution(A, periodic_spec_truncated_poly(6, 1, 6), 4, -4, check=False) == 0
 
 
 @pytest.mark.parametrize("q, dim", [(-9, 1), (-8, 0)])
@@ -329,8 +322,8 @@ def test_truncated_poly_6_1_slices_over_f32003_match_resolution(q, dim):
     # the resolution is validated over F_32003 too (check=True), although
     # its multipliers carry Fraction coefficients
     A = truncated_poly(6, 1, FieldSpec(kind="fp", p=32003))
-    assert hh_bar(A, None, 4, q).dim == dim
-    assert hh_resolution(A, periodic_spec_truncated_poly(6, 1, 6), None, 4, q) == dim
+    assert hh_bar(A, 4, q).dim == dim
+    assert hh_resolution(A, periodic_spec_truncated_poly(6, 1, 6), 4, q) == dim
 
 
 def test_resolution_over_f7_assembles_int_matrices(monkeypatch):
@@ -348,11 +341,11 @@ def test_resolution_over_f7_assembles_int_matrices(monkeypatch):
         return real_rank_rows(rows, field)
 
     monkeypatch.setattr(hochschild, "rank_rows", recording_rank_rows)
-    dims = [hh_resolution(A, spec, None, p, q, check=True) for p, q in slices]
+    dims = [hh_resolution(A, spec, p, q, check=True) for p, q in slices]
     monkeypatch.undo()
     assert assembled
     assert all(type(x) is int for rows in assembled for row in rows for x in row.values())
-    assert dims == [hh_bar(A, None, p, q).dim for p, q in slices] == [1, 0, 1]
+    assert dims == [hh_bar(A, p, q).dim for p, q in slices] == [1, 0, 1]
 
 
 # -- scans ------------------------------------------------------------------------
@@ -367,7 +360,7 @@ def test_scan_via_resolution_oracle():
     spec = periodic_spec_truncated_poly(1, 4, 6)
     scan = kadeishvili_scan(A, 4)
     for q in (3, 4):
-        assert scan[q] == hh_resolution(A, spec, None, q, 2 - q, check=False) == 0
+        assert scan[q] == hh_resolution(A, spec, q, 2 - q, check=False) == 0
 
 
 def test_scan_square_zero_toy_table():
@@ -376,7 +369,7 @@ def test_scan_square_zero_toy_table():
     table = kadeishvili_scan(A, 5)
     assert table == {3: 0, 4: 0, 5: 0}
     for q in (3, 4, 5):
-        assert hh_bar(A, None, q, 2 - q, mode="absolute").dim == table[q]
+        assert hh_bar(A, q, 2 - q, mode="absolute").dim == table[q]
 
 
 FP32003 = FieldSpec(kind="fp", p=32003)
@@ -391,10 +384,10 @@ FP32003 = FieldSpec(kind="fp", p=32003)
 def test_large_slice_over_fp_agrees_with_the_resolution():
     # d_5 is 26873 x 4211 with about 0.08 % of its entries non-zero
     A = truncated_poly(6, 1, FP32003)
-    res = hh_bar(A, None, 5, -17)
+    res = hh_bar(A, 5, -17)
     assert (res.slice_dims, res.dim) == ((309, 4211, 26873), 0)
     spec = periodic_spec_truncated_poly(6, 1, 6)
-    assert hh_resolution(A, spec, None, 5, -17, check=False) == 0
+    assert hh_resolution(A, spec, 5, -17, check=False) == 0
 
 
 def test_absolute_engine_cross_checks_the_a2_orthogonal_scan():
@@ -475,7 +468,7 @@ def test_serre_dual_triangle_k5_witness(field_spec):
     assert validate(B).ok
     assert kadeishvili_scan(B, 4) == {3: 0, 4: 0}
     C = serre_dual_triangle(((1, -1), (1, -1), (1, 1)), field_spec)
-    assert hh_bar(C, None, 3, -1).dim == 1
+    assert hh_bar(C, 3, -1).dim == 1
 
 
 def test_serre_dual_triangle_k5_witness_absolute_engine():
@@ -483,8 +476,8 @@ def test_serre_dual_triangle_k5_witness_absolute_engine():
     # times slower, so the second engine is checked over F_32003 only
     A = serre_dual_triangle(SIGNS_AGREE, FP32003)
     B = serre_dual_triangle(SIGNS_DIFFER_ON_ONE_EDGE, FP32003)
-    assert hh_bar(A, None, 3, -1, mode="absolute").dim == 1
-    assert hh_bar(B, None, 3, -1, mode="absolute").dim == 0
+    assert hh_bar(A, 3, -1, mode="absolute").dim == 1
+    assert hh_bar(B, 3, -1, mode="absolute").dim == 0
 
 
 def test_scan_triangle_spherelike_boundary_case():
@@ -512,14 +505,14 @@ def test_field_independence_over_clean_primes():
         A_q = truncated_poly(2, 2)
         A_p = truncated_poly(2, 2, fp)
         for pp in range(0, 4):
-            for q in nonempty_internal_degrees(A_q, None, pp):
-                assert hh_bar(A_q, None, pp, q).dim == hh_bar(A_p, None, pp, q).dim
+            for q in nonempty_internal_degrees(A_q, pp):
+                assert hh_bar(A_q, pp, q).dim == hh_bar(A_p, pp, q).dim
 
 
 def test_word_cap_raises_cleanly():
     A = a2_algebra()
     with pytest.raises(ResourceCapError):
-        hh_bar(A, None, 3, -2, max_words=1)
+        hh_bar(A, 3, -2, max_words=1)
 
 
 def test_invalid_algebra_rejected():
@@ -528,13 +521,41 @@ def test_invalid_algebra_rejected():
     A = GradedAlgebra(FieldSpec(), basis, mult, {"1": ONE}, ("1",))
     for _ in range(2):  # nothing is stored for an algebra that fails
         with pytest.raises(InputValidationError):
-            hh_bar(A, None, 0, 0)
+            hh_bar(A, 0, 0)
 
 
 def test_cochain_dim_counts_slice():
     A = truncated_poly(3, 2)
     # words (t,t,t,t) in degree 8 against targets in degree 6
-    assert cochain_dim(A, None, 4, -2) == 1
+    assert cochain_dim(A, 4, -2) == 1
+
+
+def test_old_positional_bimodule_call_shape_is_a_type_error():
+    A = truncated_poly(1, 2)
+    spec = periodic_spec_truncated_poly(1, 2, 4)
+    for stale in (
+        lambda: hh_bar(A, None, 0, 0),
+        lambda: hh_resolution(A, spec, None, 0, 0),
+        lambda: cochain_dim(A, None, 0, 0),
+        lambda: nonempty_internal_degrees(A, None, 0),
+    ):
+        with pytest.raises(TypeError):
+            stale()
+
+
+def test_fraction_coefficients_over_fp_match_their_integer_twin():
+    # k[t]/t^2 over F_7 with deg t = 2, once with 1 t = 9/2 t (9/2 = 1 in F_7)
+    F7 = FieldSpec(kind="fp", p=7)
+    basis = (("1", 0), ("t", 2))
+    half = {("1", "1"): {"1": 1}, ("1", "t"): {"t": Fraction(9, 2)}, ("t", "1"): {"t": 1}}
+    A = GradedAlgebra(F7, basis, half, {"1": 1}, ("1",))
+    twin = truncated_poly(1, 2, F7)
+    assert validate(A).ok and A.mult[("1", "t")] == {"t": 1}
+    for p in range(4):
+        for q in range(-2 * p - 2, 3):
+            for mode in hochschild.MODES:
+                assert (hh_bar(A, p, q, mode=mode).dim
+                        == hh_bar(twin, p, q, mode=mode).dim), (p, q, mode)
 
 
 def test_scan_builds_tables_once_and_calls_hh_bar_per_q(monkeypatch):
@@ -551,8 +572,6 @@ def test_scan_builds_tables_once_and_calls_hh_bar_per_q(monkeypatch):
     )
     assert kadeishvili_scan(A, 6) == {3: 0, 4: 2, 5: 0, 6: 2}
     assert (len(builds), len(slices)) == (1, 4)
-    # an explicit bimodule is prepared afresh and the diagonal tables stay stored
-    shifted = shift_bimodule(diagonal_bimodule(A), 2)
-    assert hh_bar(A, shifted, 4, -4).dim == 2
+    # a second scan reuses the tables kept in the algebra's memo
     assert kadeishvili_scan(A, 6) == {3: 0, 4: 2, 5: 0, 6: 2}
-    assert (len(builds), len(slices)) == (2, 8)
+    assert (len(builds), len(slices)) == (1, 8)

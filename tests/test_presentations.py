@@ -29,7 +29,6 @@ from formalitykit.presentations import (
     presentation_from_json_dict,
     presentation_to_json_dict,
     single_generator_presentation,
-    tor_mindeg_branches,
     tor_term,
     word_basis,
 )
@@ -395,10 +394,6 @@ def test_mindeg_bound_values():
 
 
 def test_mindeg_affine_branches():
-    branches = tor_mindeg_branches(4, 2, "even")
-    assert [(b.slope, b.intercept) for b in branches] == [(4, 0)]
-    branches = tor_mindeg_branches(6, 2, "odd")
-    assert [(b.slope, b.intercept) for b in branches] == [(6, 2)]
     # the dropped even branch 2 nu + (p-1) mu never exceeds the bound
     for nu in range(1, 6):
         for mu in range(2 * nu, 13):
