@@ -32,7 +32,7 @@ def main():
 
     A = truncated_poly(args.n, args.k)
     spec = periodic_spec_truncated_poly(args.n, args.k, args.pmax + 2)
-    validate_periodic_spec(A, spec)
+    validate_periodic_spec(A, spec)  # fills the memo every hh_resolution below reads
     print(f"algebra: one generator of degree {args.k}, power {args.n + 1} vanishing")
     print("p q dim(bar) dim(resolution)")
     disagreements = 0
@@ -41,7 +41,7 @@ def main():
         qs |= {q for q in range(spec.shifts[p], spec.shifts[p] + args.n * args.k + 1)}
         for q in sorted(qs):
             bar = hh_bar(A, p, q).dim
-            res = hh_resolution(A, spec, p, q, check=False)
+            res = hh_resolution(A, spec, p, q)
             if bar or res:
                 marker = "" if bar == res else "  <- DISAGREE"
                 disagreements += bar != res

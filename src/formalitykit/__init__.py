@@ -25,7 +25,6 @@ from .configurations import (
 )
 from .graded import (
     GradedAlgebra,
-    GradedVectorSpace,
     algebra_from_json_dict,
     algebra_to_json_dict,
     block_structure,

@@ -138,23 +138,19 @@ class PoincarePolynomial:
 
     @classmethod
     def make(cls, dims: Mapping[int, int]) -> "PoincarePolynomial":
-        items = []
-        for d in sorted(dims):
-            n = int(dims[d])
+        """The table of dims, zero dimensions dropped; every degree and
+        dimension must be an int, and no dimension negative."""
+        for d, n in dims.items():
+            if type(d) is not int or type(n) is not int:
+                raise InputValidationError(f"degree {d!r} and dimension {n!r} must be integers")
             if n < 0:
                 raise InputValidationError("negative dimension")
-            if n:
-                items.append((int(d), n))
-        return cls(tuple(items))
+        return cls(tuple((d, dims[d]) for d in sorted(dims) if dims[d]))
 
     @classmethod
     def line(cls, m: int) -> "PoincarePolynomial":
         """The Poincare polynomial of k[-m]: one dimension in degree m."""
         return cls.make({m: 1})
-
-    @classmethod
-    def zero(cls) -> "PoincarePolynomial":
-        return cls(())
 
     def dims(self) -> Dict[int, int]:
         return dict(self.coeffs)

@@ -18,52 +18,7 @@ from .fields import FieldSpec, RATIONALS_SPEC
 Combo = Dict[str, object]  # label -> scalar, absent means zero
 
 
-@dataclass(frozen=True)
-class GradedVectorSpace:
-    """Finite support degree -> labeled basis table."""
-
-    components: Tuple[Tuple[int, Tuple[str, ...]], ...]
-
-    @classmethod
-    def from_labels(cls, by_degree: Mapping[int, Sequence[str]]) -> "GradedVectorSpace":
-        comps = []
-        for d in sorted(by_degree):
-            labels = tuple(by_degree[d])
-            if not labels:
-                continue
-            if len(set(labels)) != len(labels):
-                raise InputValidationError(f"duplicate labels in degree {d}")
-            comps.append((d, labels))
-        return cls(tuple(comps))
-
-    @classmethod
-    def from_dims(cls, dims: Mapping[int, int], prefix: str = "b") -> "GradedVectorSpace":
-        return cls.from_labels(
-            {d: [f"{prefix}[{d}].{i}" for i in range(n)] for d, n in dims.items() if n}
-        )
-
-    def dims(self) -> Dict[int, int]:
-        return {d: len(labels) for d, labels in self.components}
-
-    def dim(self, degree: int) -> int:
-        for d, labels in self.components:
-            if d == degree:
-                return len(labels)
-        return 0
-
-    def degrees(self) -> List[int]:
-        return [d for d, _ in self.components]
-
-    def total_dim(self) -> int:
-        return sum(len(labels) for _, labels in self.components)
-
-    def is_zero(self) -> bool:
-        return not self.components
-
-
 def _degree_support(x) -> List[int]:
-    if isinstance(x, GradedVectorSpace):
-        return x.degrees()
     if isinstance(x, GradedAlgebra):
         return sorted({d for _, d in x.basis})
     if isinstance(x, Mapping):
@@ -109,10 +64,10 @@ class GradedAlgebra:
     mult (each combo too) and unit are copied on construction, so later
     changes to the caller's dicts do not reach the algebra; that makes it
     safe to keep derived data (the validation report, prepared HH tables)
-    in the private per-instance memo. Every coefficient is mapped into the
-    field on the way in (see the fields' scalar): over F_p a Fraction a/b
-    becomes a * b^-1 mod p, and a value that is not an int or a Fraction
-    is refused.
+    in the private per-instance memo. Every basis degree must be an int,
+    and every coefficient is mapped into the field on the way in (see the
+    fields' scalar): over F_p a Fraction a/b becomes a * b^-1 mod p, and a
+    value that is not an int or a Fraction is refused.
     """
 
     field_spec: FieldSpec
@@ -125,6 +80,9 @@ class GradedAlgebra:
     )
 
     def __post_init__(self):
+        for lab, d in self.basis:
+            if type(d) is not int:
+                raise InputValidationError(f"basis entry {lab!r} needs an integer degree, got {d!r}")
         scalar = self.field_spec.field().scalar
         mult = {key: {lab: scalar(v) for lab, v in c.items()} for key, c in self.mult.items()}
         object.__setattr__(self, "mult", mult)
@@ -146,13 +104,6 @@ class GradedAlgebra:
         for _, d in self.basis:
             out[d] = out.get(d, 0) + 1
         return out
-
-    def positive_part(self) -> GradedVectorSpace:
-        by_deg: Dict[int, List[str]] = {}
-        for lab, d in self.basis:
-            if d > 0:
-                by_deg.setdefault(d, []).append(lab)
-        return GradedVectorSpace.from_labels(by_deg)
 
     # -- arithmetic on combos -------------------------------------------
 
@@ -246,33 +197,7 @@ def _validation_report(A: GradedAlgebra) -> ValidationReport:
     violations.extend(_associativity_violations(A, labels))
 
     if A.idempotents is not None:
-        one = A.field_spec.field().one
-        idem = list(A.idempotents)
-        for e in idem:
-            if e not in degs:
-                violations.append(f"idempotent {e} is not a basis label")
-                continue
-            if degs[e] != 0:
-                violations.append(f"idempotent {e} has degree {degs[e]}")
-        known = [e for e in idem if e in degs]
-        for e in known:
-            ce = {e: one}
-            if not A.combo_eq(A.combo_mul(ce, ce), ce):
-                violations.append(f"{e} is not idempotent")
-        for e1 in known:
-            for e2 in known:
-                if e1 != e2:
-                    prod = A.combo_mul({e1: one}, {e2: one})
-                    if prod:
-                        violations.append(f"idempotents {e1},{e2} not orthogonal")
-        total: Combo = {}
-        for e in known:
-            total = A.combo_add(total, {e: one})
-        if not A.combo_eq(total, A.unit):
-            violations.append("idempotents do not sum to the unit")
-        deg0 = {lab for lab, d in A.basis if d == 0}
-        if set(known) != deg0:
-            violations.append("idempotents do not span degree zero")
+        violations.extend(_idempotent_violations(A, A.idempotents))
 
     return ValidationReport(not violations, tuple(violations))
 
@@ -308,16 +233,45 @@ def _associativity_violations(A: GradedAlgebra, labels: List[str]) -> List[str]:
     return out
 
 
+def _idempotent_violations(A: GradedAlgebra, idempotents: Sequence[str]) -> List[str]:
+    """Why the given labels are not mutually orthogonal idempotents of
+    degree zero that sum to the unit and span degree zero; empty if they are."""
+    violations: List[str] = []
+    one = A.field_spec.field().one
+    degs = A.degree_map()
+    for e in idempotents:
+        if e not in degs:
+            violations.append(f"idempotent {e} is not a basis label")
+            continue
+        if degs[e] != 0:
+            violations.append(f"idempotent {e} has degree {degs[e]}")
+    known = [e for e in idempotents if e in degs]
+    for e in known:
+        ce = {e: one}
+        if not A.combo_eq(A.combo_mul(ce, ce), ce):
+            violations.append(f"{e} is not idempotent")
+    for e1 in known:
+        for e2 in known:
+            if e1 != e2:
+                prod = A.combo_mul({e1: one}, {e2: one})
+                if prod:
+                    violations.append(f"idempotents {e1},{e2} not orthogonal")
+    total: Combo = {}
+    for e in known:
+        total = A.combo_add(total, {e: one})
+    if not A.combo_eq(total, A.unit):
+        violations.append("idempotents do not sum to the unit")
+    deg0 = {lab for lab, d in A.basis if d == 0}
+    if set(known) != deg0:
+        violations.append("idempotents do not span degree zero")
+    return violations
+
+
 def detect_idempotents(A: GradedAlgebra) -> Optional[Tuple[str, ...]]:
     """Return the degree zero labels if they form an orthogonal idempotent
     decomposition of the unit, else None."""
     candidate = tuple(lab for lab, d in A.basis if d == 0)
-    if not candidate:
-        return None
-    probe = GradedAlgebra(A.field_spec, A.basis, A.mult, A.unit, candidate)
-    report = validate(probe)
-    bad = [v for v in report.violations if "idempotent" in v or "orthogonal" in v]
-    if bad:
+    if not candidate or _idempotent_violations(A, candidate):
         return None
     return candidate
 
@@ -519,9 +473,6 @@ def algebra_from_json_dict(data: dict) -> GradedAlgebra:
         basis = tuple((str(b["label"]), b["degree"]) for b in data["basis"])
     except (KeyError, TypeError) as exc:
         raise InputValidationError(f"bad basis entry: {exc}") from None
-    for lab, d in basis:
-        if type(d) is not int:
-            raise InputValidationError(f"basis entry {lab!r} needs an integer degree, got {d!r}")
     labels = {lab for lab, _ in basis}
     mult: Dict[Tuple[str, str], Combo] = {}
     for entry in data["mult"]:

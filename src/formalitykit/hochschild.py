@@ -401,7 +401,7 @@ def kadeishvili_scan(
 # -- reduced bar chain slices (the Tor side of the same words) ---------------
 
 
-def bar_chain_slice(A: GradedAlgebra, p: int, q: int, max_words: int = DEFAULT_MAX_WORDS):
+def bar_chain_slice(A: GradedAlgebra, p: int, q: int):
     """Degree q slice of the reduced chain complex of tensor words.
 
     Returns (words_p, words_(p-1), matrix): the alternating sum of the
@@ -414,9 +414,9 @@ def bar_chain_slice(A: GradedAlgebra, p: int, q: int, max_words: int = DEFAULT_M
     tb = _tables(A, "relative_normalized")
     f = tb.field
     stage = f"the internal degree q = {q} chains (relative_normalized mode)"
-    words_p = _enumerate_words(tb, p, {q}, max_words, stage)
+    words_p = _enumerate_words(tb, p, {q}, DEFAULT_MAX_WORDS, stage)
     # the degree q > 0 part of the base (p - 1 = 0) is zero
-    words_prev = _enumerate_words(tb, p - 1, {q}, max_words, stage) if p >= 2 else []
+    words_prev = _enumerate_words(tb, p - 1, {q}, DEFAULT_MAX_WORDS, stage) if p >= 2 else []
     idx_prev = {w: i for i, w in enumerate(words_prev)}
     rows: List[Dict[int, object]] = [{} for _ in words_prev]
     for c, w in enumerate(words_p):
@@ -477,17 +477,6 @@ def periodic_spec_truncated_poly(n: int, k: int, length: int) -> PeriodicResolut
     return PeriodicResolutionSpec(tuple(shifts), multipliers)
 
 
-def _spec_in_field(A: GradedAlgebra, spec: PeriodicResolutionSpec) -> PeriodicResolutionSpec:
-    """spec with every multiplier coefficient a scalar of A's field.
-
-    The standard specs carry Fraction coefficients whatever the field; over
-    F_p a/b becomes a * b^-1 mod p, so the matrices built from the spec
-    hold ints."""
-    scalar = A.field_spec.field().scalar
-    multipliers = tuple(tuple((x, y, scalar(c)) for x, y, c in mu) for mu in spec.multipliers)
-    return PeriodicResolutionSpec(spec.shifts, multipliers)
-
-
 def _env_mul(A: GradedAlgebra, m1, m2):
     """Product in the enveloping algebra: (x, y)(x', y') = (x x', y' y)."""
     f = A.field_spec.field()
@@ -523,19 +512,37 @@ def _multiplier_degree(A: GradedAlgebra, mu) -> int:
     return found.pop()
 
 
-def validate_periodic_spec(
-    A: GradedAlgebra, spec: PeriodicResolutionSpec, degree_bound: Optional[int] = None
-):
-    """Check homogeneity, zero composites, and degreewise exactness.
+def validate_periodic_spec(A: GradedAlgebra, spec: PeriodicResolutionSpec) -> PeriodicResolutionSpec:
+    """Check homogeneity, zero composites, and degreewise exactness, and
+    return spec with every multiplier coefficient a scalar of A's field.
 
     Exactness is verified at the augmentation, at term 0, and at every
     interior term (the last supplied term has no successor to check
-    against), for each internal degree up to the bound. Failures raise
-    NonExactResolutionError naming the degree and position.
+    against), for each internal degree d from 0 to 2 maxdeg(A) + max(-s_j).
+    Failures raise NonExactResolutionError naming the degree and position.
+
+    The check runs once per algebra and spec: the field-mapped spec is kept
+    in the algebra's memo, keyed by the spec object (specs compare by
+    identity; neither the algebra nor the spec can change). Nothing is
+    stored when a check raises, so an invalid spec is refused on every
+    call. The standard specs carry Fraction coefficients whatever the
+    field; over F_p a/b becomes a * b^-1 mod p, so the matrices built from
+    the returned spec hold ints.
     """
+    key = ("periodic_spec", spec)
+    checked = A._memo.get(key)
+    if checked is None:
+        checked = A._memo[key] = _check_periodic_spec(A, spec)
+    return checked
+
+
+def _check_periodic_spec(A: GradedAlgebra, spec: PeriodicResolutionSpec) -> PeriodicResolutionSpec:
     _require_valid(A)
-    spec = _spec_in_field(A, spec)
     f = A.field_spec.field()
+    spec = PeriodicResolutionSpec(
+        spec.shifts,
+        tuple(tuple((x, y, f.scalar(c)) for x, y, c in mu) for mu in spec.multipliers),
+    )
     degs = A.degree_map()
     for j, mu in enumerate(spec.multipliers, start=1):
         want = spec.shifts[j - 1] - spec.shifts[j]
@@ -549,9 +556,7 @@ def validate_periodic_spec(
             raise InputValidationError(f"composite of multipliers {j + 1} and {j} is nonzero")
 
     labels = A.labels()
-    amax = max(d for _, d in A.basis)
-    if degree_bound is None:
-        degree_bound = 2 * amax + max(-s for s in spec.shifts)
+    degree_bound = 2 * max(d for _, d in A.basis) + max(-s for s in spec.shifts)
     pairs = [(x, y) for x in labels for y in labels]
     pair_deg = {(x, y): degs[x] + degs[y] for (x, y) in pairs}
 
@@ -605,33 +610,24 @@ def validate_periodic_spec(
                     degree=d,
                     position=j,
                 )
+    return spec
 
 
-def hh_resolution(
-    A: GradedAlgebra,
-    spec: PeriodicResolutionSpec,
-    p: int,
-    q: int,
-    *,
-    check: bool = True,
-    degree_bound: Optional[int] = None,
-) -> int:
+def hh_resolution(A: GradedAlgebra, spec: PeriodicResolutionSpec, p: int, q: int) -> int:
     """dim HH^{p,q}(A, A) from a supplied free resolution.
 
     Degree zero homs out of the shifted free term j form the degree
     q - s_j part of A, and the induced differential is the multiplier
-    action a -> sum x a y. Needs p + 1 <= resolution length.
+    action a -> sum x a y. Needs p + 1 <= resolution length. The spec is
+    validated once per algebra (see validate_periodic_spec).
     """
     if p < 0:
         raise InputValidationError("p must be >= 0")
-    _require_valid(A)
-    spec = _spec_in_field(A, spec)
     if p + 1 > spec.length():
         raise InputValidationError(
             f"resolution of length {spec.length()} is too short for p = {p}"
         )
-    if check:
-        validate_periodic_spec(A, spec, degree_bound)
+    spec = validate_periodic_spec(A, spec)
     f = A.field_spec.field()
 
     def cochain_labels(j):

@@ -48,7 +48,6 @@ from operator import itemgetter
 from typing import Dict, Optional
 
 from .errors import InputValidationError
-from .fields import RATIONALS
 
 SparseRow = Dict[int, object]
 
@@ -58,9 +57,11 @@ SparseRow = Dict[int, object]
 
 def _sparse(row: SparseRow, field) -> SparseRow:
     """A fresh copy of a dict row in kernel scalars, zeros dropped. Over Q
-    an integral entry becomes an int; over F_p a Fraction entry (the
-    periodic resolution specs carry Fraction coefficients whatever the
-    field) is mapped to num * den^-1 mod p."""
+    an integral entry becomes an int; over F_p an int is reduced mod p and
+    a Fraction entry of a caller's row is mapped to num * den^-1 mod p.
+    The matrices of this package already hold field scalars: algebras,
+    presentations and resolution specs map their coefficients into the
+    field when they are built or checked."""
     p = field.characteristic
     if p:
         return {c: y for c, x in row.items() if (y := _mod(x, p))}
@@ -226,7 +227,7 @@ def in_span(v, rows, field) -> bool:
     return not _reduce(v, _eliminate(rows, field, True), field)
 
 
-def subspace_meet(U, W, field=RATIONALS):
+def subspace_meet(U, W, field):
     """Basis of span(U) ∩ span(W) via the Zassenhaus block trick.
 
     The reduced form of the rows (u | u) and (w | 0) has the meet as the
@@ -243,7 +244,7 @@ def subspace_meet(U, W, field=RATIONALS):
     return [{c - off: x for c, x in row.items()} for c, row in basis if c >= off]
 
 
-def quotient_dim(U, W, field=RATIONALS) -> int:
+def quotient_dim(U, W, field) -> int:
     """dim(span(U)/span(W)); requires span(W) ⊆ span(U)."""
     basis = _eliminate(U, field, True)
     if any(_reduce(w, basis, field) for w in W):

@@ -14,10 +14,9 @@ import functools
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .configurations import ConfigGraph
+from .configurations import ConfigGraph, PoincarePolynomial
 from .errors import InputValidationError, TruncationError
 from .fields import FieldSpec, RATIONALS_SPEC
-from .graded import GradedVectorSpace
 from .linalg import SparseRow, row_space_basis, subspace_meet
 
 Word = Tuple[str, ...]
@@ -39,6 +38,9 @@ class TensorPresentation:
     stands for x after y, so src(x) must equal tgt(y). Relations are
     linear combinations of composable words, homogeneous in degree and
     block pure, with degree at least twice the minimal generator degree.
+    Vertex indices, degrees and the truncation must be ints, and every
+    relation coefficient is mapped into the field on the way in (see the
+    fields' scalar), as GradedAlgebra does.
     """
 
     num_vertices: int
@@ -48,6 +50,15 @@ class TensorPresentation:
     field_spec: FieldSpec = RATIONALS_SPEC
 
     def __post_init__(self):
+        ints = [("vertices", self.num_vertices), ("truncation", self.truncation)]
+        for g in self.generators:
+            ints += [(f"generator {g.label} {key}", getattr(g, key)) for key in ("src", "tgt", "deg")]
+        for name, value in ints:
+            if type(value) is not int:
+                raise InputValidationError(f"{name} must be an integer, got {value!r}")
+        scalar = self.field_spec.field().scalar
+        relations = tuple(tuple((word, scalar(c)) for word, c in rel) for rel in self.relations)
+        object.__setattr__(self, "relations", relations)
         if self.num_vertices < 1:
             raise InputValidationError("need at least one vertex")
         labels = [g.label for g in self.generators]
@@ -210,9 +221,6 @@ class HomogeneousIdeal:
     def is_zero(self) -> bool:
         return not self.blocks
 
-    def degree_support(self) -> List[int]:
-        return sorted({d for (d, _, _), _ in self.blocks})
-
 
 def _ideal(pres: TensorPresentation, reduced: Mapping[BlockKey, Sequence[SparseRow]]):
     """Ideal from blocks already in canonical RREF; empty blocks are dropped."""
@@ -347,15 +355,15 @@ def _relation_vectors(pres: TensorPresentation, ctx: _WordContext) -> Blocks:
     return out
 
 
-def ideal_from_relations(pres: TensorPresentation, up_to: Optional[int] = None) -> HomogeneousIdeal:
-    """Two sided ideal generated by the relations, degree by degree.
+def ideal_from_relations(pres: TensorPresentation) -> HomogeneousIdeal:
+    """Two sided ideal generated by the relations, degree by degree up to
+    the truncation.
 
     Uses the one step closure I_d = rel_d + sum_g (g I_(d-|g|) + I_(d-|g|) g),
     which peels one generator at a time off any word u r w.
     """
-    cap = pres.truncation if up_to is None else min(up_to, pres.truncation)
     seeds = _relation_vectors(pres, _context(pres))
-    return _ideal(pres, _closure(pres, seeds, cap, (True, False)))
+    return _ideal(pres, _closure(pres, seeds, pres.truncation, (True, False)))
 
 
 def _check_same_pres(I1: HomogeneousIdeal, I2: HomogeneousIdeal) -> None:
@@ -490,7 +498,7 @@ def _next_power(P: HomogeneousIdeal, relations: Blocks, cap: int) -> Homogeneous
     return _ideal(pres, _closure(pres, seeds, cap, (False,)))
 
 
-def tor_term(pres: TensorPresentation, q: int) -> GradedVectorSpace:
+def tor_term(pres: TensorPresentation, q: int) -> PoincarePolynomial:
     """Graded dimensions of Tor_q over the presented algebra, with the
     internal grading induced by the tensor algebra.
 
@@ -506,9 +514,7 @@ def tor_term(pres: TensorPresentation, q: int) -> GradedVectorSpace:
     if q < 0:
         raise InputValidationError("q must be >= 0")
     if q == 0:
-        return GradedVectorSpace.from_labels(
-            {0: [f"tor0.e{i}" for i in range(1, pres.num_vertices + 1)]}
-        )
+        return PoincarePolynomial.make({0: pres.num_vertices})
     I = ideal_from_relations(pres)
     if q == 1:
         V = generator_span(pres)
@@ -520,7 +526,7 @@ def tor_term(pres: TensorPresentation, q: int) -> GradedVectorSpace:
             rem = n - mdims.get(d, 0)
             if rem:
                 dims[d] = rem
-        return GradedVectorSpace.from_dims(dims, prefix="tor1")
+        return PoincarePolynomial.make(dims)
 
     a_max = certified_maxdeg(pres, I)
     d_need = q * a_max
@@ -553,8 +559,7 @@ def tor_term(pres: TensorPresentation, q: int) -> GradedVectorSpace:
         ji = v_times(powers[p])
         num = ideal_meet(ji, times_v(powers[p]))
         den = ideal_sum(powers[p + 1], times_v(ji))
-    dims = _quotient_dims(pres, num, den, d_need)
-    return GradedVectorSpace.from_dims(dims, prefix=f"tor{q}")
+    return PoincarePolynomial.make(_quotient_dims(pres, num, den, d_need))
 
 
 # -- symbolic mindeg calculus ----------------------------------------------
@@ -681,22 +686,14 @@ def presentation_from_json_dict(data: dict) -> TensorPresentation:
             raise InputValidationError(f"presentation JSON missing key {key!r}")
     field_spec = FieldSpec.parse(data.get("field", "rationals"))
     f = field_spec.field()
-    def integer(obj, key):
-        value = obj[key]
-        if type(value) is not int:
-            raise InputValidationError(f"{key!r} must be an integer, got {value!r}")
-        return value
-
     try:
         gens = tuple(
-            Generator(str(g["label"]), integer(g, "src"), integer(g, "tgt"), integer(g, "deg"))
-            for g in data["generators"]
+            Generator(str(g["label"]), g["src"], g["tgt"], g["deg"]) for g in data["generators"]
         )
         rels = tuple(
             tuple((tuple(str(x) for x in term["word"]), f.parse(str(term["coeff"]))) for term in rel)
             for rel in data["relations"]
         )
-        vertices, truncation = integer(data, "vertices"), integer(data, "truncation")
     except (KeyError, TypeError, ValueError) as exc:
         raise InputValidationError(f"bad presentation JSON: {exc}") from None
-    return TensorPresentation(vertices, gens, rels, truncation, field_spec)
+    return TensorPresentation(data["vertices"], gens, rels, data["truncation"], field_spec)

@@ -85,7 +85,7 @@ def test_criterion_2_hh_engine_agreement():
                    if 0 <= q - spec.shifts[p] <= n * k}
             for q in sorted(qs):
                 bar = hh_bar(A, p, q).dim
-                res = hh_resolution(A, spec, p, q, check=False)
+                res = hh_resolution(A, spec, p, q)
                 if bar != res:
                     failures.append(f"({n},{k}) p={p} q={q}: bar {bar} vs resolution {res}")
     _report(2, "bar complex and periodic resolution engines agree", failures,

@@ -148,6 +148,12 @@ def test_kunneth_first_power_is_identity():
     assert kunneth_hom(P, 1, False).dims() == P.dims()
 
 
+@pytest.mark.parametrize("dims", [{2: 2.5}, {2.5: 1}, {2: True}, {True: 1}, {"2": 1}, {2: -1}])
+def test_poincare_table_needs_integer_degrees_and_dimensions(dims):
+    with pytest.raises(InputValidationError):
+        PoincarePolynomial.make(dims)
+
+
 def test_characteristic_guard():
     P = PoincarePolynomial.line(2)
     with pytest.raises(InputValidationError):

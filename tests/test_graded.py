@@ -5,13 +5,12 @@ from fractions import Fraction
 import pytest
 
 from formalitykit.cli import dispatch
-from formalitykit.configurations import ConfigGraph
+from formalitykit.configurations import ConfigGraph, PoincarePolynomial
 from formalitykit.errors import InputValidationError, ZeroGradedObjectError
 from formalitykit.fields import FieldSpec
-from formalitykit import graded
+from formalitykit import graded, hochschild
 from formalitykit.graded import (
     GradedAlgebra,
-    GradedVectorSpace,
     algebra_from_json_dict,
     algebra_to_json_dict,
     block_structure,
@@ -165,17 +164,17 @@ def test_explicit_table_preset_accepted_with_fractions():
 def test_maxdeg_mindeg_basic():
     A = truncated_poly(2, 3)
     assert maxdeg(A) == 6 and mindeg(A) == 0
-    point = GradedVectorSpace.from_labels({0: ["u"]})
+    point = PoincarePolynomial.make({0: 1})
     assert maxdeg(point) == 0 and mindeg(point) == 0
 
 
 def test_augmentation_ideal_mindeg_of_configuration():
     A = build_configuration_algebra(a2_graph(), 2, 2, 2, "orthogonal")
-    assert mindeg(A.positive_part()) == 2
+    assert mindeg({d: n for d, n in A.poincare().items() if d > 0}) == 2
 
 
 def test_extreme_degrees_of_zero_object_error():
-    zero = GradedVectorSpace.from_labels({})
+    zero = PoincarePolynomial.make({})
     with pytest.raises(ZeroGradedObjectError):
         maxdeg(zero)
     with pytest.raises(ZeroGradedObjectError):
@@ -344,6 +343,35 @@ def test_scan_dispatch_runs_the_validation_body_once(tmp_path, monkeypatch):
     assert dispatch(["scan", "--algebra", str(path), "--qmax", "6"], stdout=out) == 0
     assert len(json.loads(out.getvalue())["result"]["table"]) == 4
     assert len(runs) == 1
+
+
+def test_json_algebra_without_idempotents_validates_once_through_hh_bar(monkeypatch):
+    data = algebra_to_json_dict(build_configuration_algebra(a2_graph(), 2, 2, 2, "zigzag"))
+    del data["idempotents"]
+    runs = count_validation_runs(monkeypatch)
+    A = algebra_from_json_dict(data)
+    assert A.idempotents is None
+    assert hochschild.hh_bar(A, 3, -1).dim == hochschild.hh_bar(A, 3, -1, mode="absolute").dim
+    assert len(runs) == 1
+
+
+@pytest.mark.parametrize("mult, idempotents", [
+    ({("e", "e"): {"e": 1}, ("e", "f"): {"f": 1}, ("f", "e"): {"f": 1},
+      ("f", "f"): {"f": 1}}, None),  # f is an idempotent but not orthogonal to e
+    ({("e", "e"): {"e": 1}, ("e", "f"): {"f": 1}, ("f", "e"): {"f": 1}}, None),  # f f = 0
+    ({("e", "e"): {"e": 1}, ("f", "f"): {"f": 1}}, ("e", "f")),
+])
+def test_detect_idempotents_of_degree_zero_tables(mult, idempotents):
+    unit = {"e": 1} if idempotents is None else {"e": 1, "f": 1}
+    A = GradedAlgebra(QQ, (("e", 0), ("f", 0)), mult, unit)
+    assert detect_idempotents(A) == idempotents
+
+
+@pytest.mark.parametrize("degree", [2.5, True, "2", None])
+def test_basis_degree_that_is_not_an_int_is_refused(degree):
+    mult = {("1", "1"): {"1": 1}, ("1", "t"): {"t": 1}, ("t", "1"): {"t": 1}}
+    with pytest.raises(InputValidationError):
+        GradedAlgebra(QQ, (("1", 0), ("t", degree)), mult, {"1": 1}, ("1",))
 
 
 def test_caller_dicts_do_not_reach_a_built_algebra():

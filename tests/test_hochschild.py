@@ -255,9 +255,7 @@ def test_resolution_agreement_small():
             for q in set(nonempty_internal_degrees(A, p)) | set(
                 range(-(p + 1) * (n + 1) * k, 1)
             ):
-                assert hh_bar(A, p, q).dim == hh_resolution(
-                    A, spec, p, q, check=False
-                ), (n, k, p, q)
+                assert hh_bar(A, p, q).dim == hh_resolution(A, spec, p, q), (n, k, p, q)
 
 
 def test_resolution_hom_target_degrees():
@@ -266,14 +264,14 @@ def test_resolution_hom_target_degrees():
     A = truncated_poly(1, 2)
     spec = periodic_spec_truncated_poly(1, 2, 5)
     assert spec.shifts[2] == -4
-    assert hh_resolution(A, spec, 2, 0, check=False) == 0
+    assert hh_resolution(A, spec, 2, 0) == 0
 
 
 def test_resolution_too_short_errors():
     A = truncated_poly(1, 2)
     spec = periodic_spec_truncated_poly(1, 2, 3)
     with pytest.raises(InputValidationError):
-        hh_resolution(A, spec, 3, 0, check=False)
+        hh_resolution(A, spec, 3, 0)
 
 
 def test_resolution_nonzero_composite_rejected():
@@ -303,6 +301,55 @@ def test_resolution_non_exact_detected_with_degree():
     assert exc.value.position == 0
 
 
+def count_spec_checks(monkeypatch):
+    runs = []
+    real = hochschild._check_periodic_spec
+    monkeypatch.setattr(hochschild, "_check_periodic_spec",
+                        lambda A, spec: runs.append(spec) or real(A, spec))
+    return runs
+
+
+def test_resolution_slices_check_their_spec_once(monkeypatch):
+    A = truncated_poly(2, 1)
+    spec = periodic_spec_truncated_poly(2, 1, 6)
+    runs = count_spec_checks(monkeypatch)
+    slices = [(p, q) for p in range(0, 5) for q in range(-12, 0)]
+    assert len(slices) >= 50
+    dims = [hh_resolution(A, spec, p, q) for p, q in slices]
+    assert runs == [spec]
+    assert dims == [hh_bar(A, p, q).dim for p, q in slices]
+    # the memo is per algebra: an equal algebra checks the spec again
+    hh_resolution(truncated_poly(2, 1), spec, 1, 0)
+    assert runs == [spec, spec]
+
+
+def test_non_exact_spec_is_refused_on_every_call(monkeypatch):
+    # the spec of test_resolution_non_exact_detected_with_degree
+    A = truncated_poly(1, 2)
+    v = (("t", "1", ONE), ("1", "t", ONE))
+    bad = PeriodicResolutionSpec((0, -2), (v,))
+    runs = count_spec_checks(monkeypatch)
+    for _ in range(3):
+        with pytest.raises(NonExactResolutionError):
+            hh_resolution(A, bad, 0, 0)
+        with pytest.raises(NonExactResolutionError):
+            validate_periodic_spec(A, bad)
+    assert len(runs) == 6
+
+
+@pytest.mark.parametrize("call", [
+    lambda A, spec: hh_resolution(A, spec, 1, 0, **{"check": False}),
+    lambda A, spec: hh_resolution(A, spec, 1, 0, **{"degree_bound": 4}),
+    lambda A, spec: validate_periodic_spec(A, spec, 4),
+    lambda A, spec: bar_chain_slice(A, 2, 4, 10),
+], ids=["hh_resolution-check", "hh_resolution-degree_bound", "validate-degree_bound",
+        "bar_chain_slice-max_words"])
+def test_deleted_parameters_are_type_errors(call):
+    A = truncated_poly(1, 2)
+    with pytest.raises(TypeError):
+        call(A, periodic_spec_truncated_poly(1, 2, 4))
+
+
 def test_standard_periodic_specs_validate():
     for (n, k) in [(1, 2), (2, 2), (1, 3), (2, 3)]:
         validate_periodic_spec(truncated_poly(n, k), periodic_spec_truncated_poly(n, k, 6))
@@ -314,13 +361,13 @@ def test_truncated_poly_6_1_slice_over_q():
     A = truncated_poly(6, 1)
     res = hh_bar(A, 4, -4)
     assert (res.dim, res.slice_dims) == (0, (107, 206, 252))
-    assert hh_resolution(A, periodic_spec_truncated_poly(6, 1, 6), 4, -4, check=False) == 0
+    assert hh_resolution(A, periodic_spec_truncated_poly(6, 1, 6), 4, -4) == 0
 
 
 @pytest.mark.parametrize("q, dim", [(-9, 1), (-8, 0)])
 def test_truncated_poly_6_1_slices_over_f32003_match_resolution(q, dim):
-    # the resolution is validated over F_32003 too (check=True), although
-    # its multipliers carry Fraction coefficients
+    # the resolution is validated over F_32003 too, although its
+    # multipliers carry Fraction coefficients
     A = truncated_poly(6, 1, FieldSpec(kind="fp", p=32003))
     assert hh_bar(A, 4, q).dim == dim
     assert hh_resolution(A, periodic_spec_truncated_poly(6, 1, 6), 4, q) == dim
@@ -328,8 +375,8 @@ def test_truncated_poly_6_1_slices_over_f32003_match_resolution(q, dim):
 
 def test_resolution_over_f7_assembles_int_matrices(monkeypatch):
     # periodic_spec_truncated_poly writes Fraction coefficients whatever the
-    # field; they are mapped into F_7 once, at the entry of
-    # validate_periodic_spec and hh_resolution, so no matrix holds Fractions
+    # field; validate_periodic_spec maps them into F_7 once and hh_resolution
+    # builds on the spec it returns, so no matrix holds Fractions
     A = truncated_poly(2, 1, FieldSpec(kind="fp", p=7))
     spec = periodic_spec_truncated_poly(2, 1, 6)
     slices = [(2, -3), (3, -4), (1, 0)]
@@ -341,7 +388,7 @@ def test_resolution_over_f7_assembles_int_matrices(monkeypatch):
         return real_rank_rows(rows, field)
 
     monkeypatch.setattr(hochschild, "rank_rows", recording_rank_rows)
-    dims = [hh_resolution(A, spec, p, q, check=True) for p, q in slices]
+    dims = [hh_resolution(A, spec, p, q) for p, q in slices]
     monkeypatch.undo()
     assert assembled
     assert all(type(x) is int for rows in assembled for row in rows for x in row.values())
@@ -360,7 +407,7 @@ def test_scan_via_resolution_oracle():
     spec = periodic_spec_truncated_poly(1, 4, 6)
     scan = kadeishvili_scan(A, 4)
     for q in (3, 4):
-        assert scan[q] == hh_resolution(A, spec, q, 2 - q, check=False) == 0
+        assert scan[q] == hh_resolution(A, spec, q, 2 - q) == 0
 
 
 def test_scan_square_zero_toy_table():
@@ -387,7 +434,7 @@ def test_large_slice_over_fp_agrees_with_the_resolution():
     res = hh_bar(A, 5, -17)
     assert (res.slice_dims, res.dim) == ((309, 4211, 26873), 0)
     spec = periodic_spec_truncated_poly(6, 1, 6)
-    assert hh_resolution(A, spec, 5, -17, check=False) == 0
+    assert hh_resolution(A, spec, 5, -17) == 0
 
 
 def test_absolute_engine_cross_checks_the_a2_orthogonal_scan():

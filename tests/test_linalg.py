@@ -103,6 +103,13 @@ def test_quotient_dim_rejects_non_subspace():
         quotient_dim([e(0)], [e(1)], RATIONALS)
 
 
+@pytest.mark.parametrize("op", [subspace_meet, quotient_dim])
+def test_meet_and_quotient_need_a_field(op):
+    # F_p rows must not be eliminated over Q by default
+    with pytest.raises(TypeError):
+        op([e(0)], [e(0)])
+
+
 small_entries = st.integers(min_value=-4, max_value=4)
 
 

@@ -90,7 +90,49 @@ def test_relation_validation():
         )
 
 
+@pytest.mark.parametrize("make", [
+    lambda: TensorPresentation(1, (Generator("t", 1, 1, 2.5),), (), 8),
+    lambda: TensorPresentation(1, (Generator("t", "1", 1, 2),), (), 8),
+    lambda: TensorPresentation(1, (Generator("t", 1, True, 2),), (), 8),
+    lambda: TensorPresentation(1.0, (Generator("t", 1, 1, 2),), (), 8),
+    lambda: TensorPresentation(1, (Generator("t", 1, 1, 2),), (), "8"),
+], ids=["deg", "src", "tgt", "vertices", "truncation"])
+def test_presentation_with_a_non_integer_is_refused(make):
+    with pytest.raises(InputValidationError):
+        make()
+
+
+F7 = FieldSpec(kind="fp", p=7)
+
+
+@pytest.mark.parametrize("coeff, field_spec", [
+    (0.5, FieldSpec()), ("1", FieldSpec()), (True, FieldSpec()), (Fraction(1, 7), F7),
+])
+def test_relation_coefficient_without_a_field_value_is_refused(coeff, field_spec):
+    rel = ((("t", "t", "t"), coeff),)
+    with pytest.raises(InputValidationError):
+        TensorPresentation(1, (Generator("t", 1, 1, 2),), (rel,), 12, field_spec)
+
+
+def test_fraction_relation_coefficient_over_f7_matches_its_integer_twin():
+    def pres(coeff):
+        rel = ((("t", "t", "t"), coeff),)
+        return TensorPresentation(1, (Generator("t", 1, 1, 2),), (rel,), 30, F7)
+
+    half = pres(Fraction(9, 2))  # 9/2 = 9 * 4 = 1 in F_7
+    assert half.relations == pres(1).relations
+    for q in range(0, 5):
+        assert tor_term(half, q).dims() == tor_term(pres(1), q).dims()
+
+
 # -- ideal arithmetic ---------------------------------------------------------
+
+
+def test_ideal_from_relations_closes_up_to_the_truncation():
+    pres = single_generator_presentation(1, 2, truncation=8)
+    assert ideal_from_relations(pres).dims_by_degree() == {4: 1, 6: 1, 8: 1}
+    with pytest.raises(TypeError):
+        ideal_from_relations(pres, 6)  # the degree cap is the truncation
 
 
 def test_augmentation_square_single_generator():
