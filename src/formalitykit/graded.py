@@ -64,7 +64,8 @@ class GradedAlgebra:
     mult (each combo too) and unit are copied on construction, so later
     changes to the caller's dicts do not reach the algebra; that makes it
     safe to keep derived data (the validation report, prepared HH tables)
-    in the private per-instance memo. Every basis degree must be an int,
+    in the private per-instance memo. Every label (of the basis, mult, unit
+    and idempotents) must be a str and every basis degree an int,
     and every coefficient is mapped into the field on the way in (see the
     fields' scalar): over F_p a Fraction a/b becomes a * b^-1 mod p, and a
     value that is not an int or a Fraction is refused.
@@ -80,6 +81,11 @@ class GradedAlgebra:
     )
 
     def __post_init__(self):
+        labels = [lab for lab, _ in self.basis] + [lab for key in self.mult for lab in key]
+        labels += [lab for c in self.mult.values() for lab in c]
+        for lab in labels + [*self.unit, *(self.idempotents or ())]:
+            if type(lab) is not str:
+                raise InputValidationError(f"labels must be strings, got {lab!r}")
         for lab, d in self.basis:
             if type(d) is not int:
                 raise InputValidationError(f"basis entry {lab!r} needs an integer degree, got {d!r}")
@@ -470,31 +476,28 @@ def algebra_from_json_dict(data: dict) -> GradedAlgebra:
     field_spec = FieldSpec.parse(data["field"])
     f = field_spec.field()
     try:
-        basis = tuple((str(b["label"]), b["degree"]) for b in data["basis"])
+        basis = tuple((b["label"], b["degree"]) for b in data["basis"])
     except (KeyError, TypeError) as exc:
         raise InputValidationError(f"bad basis entry: {exc}") from None
-    labels = {lab for lab, _ in basis}
+    # labels are checked by the constructor and unknown labels by validate;
+    # a label that cannot key a dict is refused here, as a TypeError
     mult: Dict[Tuple[str, str], Combo] = {}
     for entry in data["mult"]:
         try:
-            x, y = str(entry["left"]), str(entry["right"])
-            combo = {str(tm["label"]): f.parse(str(tm["coeff"])) for tm in entry["result"]}
+            combo = {tm["label"]: f.parse(str(tm["coeff"])) for tm in entry["result"]}
+            mult[(entry["left"], entry["right"])] = combo
         except (KeyError, TypeError) as exc:
             raise InputValidationError(f"bad mult entry: {exc}") from None
-        if x not in labels or y not in labels:
-            raise InputValidationError(f"mult entry uses unknown labels ({x},{y})")
-        mult[(x, y)] = combo
-    if "unit" in data:
-        try:
-            unit = {str(tm["label"]): f.parse(str(tm["coeff"])) for tm in data["unit"]}
-        except (KeyError, TypeError) as exc:
-            raise InputValidationError(f"bad unit entry: {exc}") from None
-    else:
-        idem = data.get("idempotents")
-        if not idem:
+    try:
+        if "unit" in data:
+            unit = {tm["label"]: f.parse(str(tm["coeff"])) for tm in data["unit"]}
+        elif data.get("idempotents"):
+            unit = {lab: f.one for lab in data["idempotents"]}
+        else:
             raise InputValidationError("algebra JSON needs a unit or idempotents")
-        unit = {str(lab): f.one for lab in idem}
-    idempotents = tuple(str(x) for x in data["idempotents"]) if "idempotents" in data else None
+    except (KeyError, TypeError) as exc:
+        raise InputValidationError(f"bad unit entry: {exc}") from None
+    idempotents = tuple(data["idempotents"]) if "idempotents" in data else None
     A = GradedAlgebra(field_spec, basis, mult, unit, idempotents)
     report = validate(A)
     if not report.ok:

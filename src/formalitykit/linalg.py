@@ -158,15 +158,22 @@ def _eliminate(rows, field, reduced: bool, pivot_log: Optional[list] = None):
     return out
 
 
-def _reduce(v: SparseRow, basis, field) -> SparseRow:
-    """Remainder of the row v against the reduced-mode output of
-    `_eliminate`."""
+def _reduce(v: SparseRow, pivots: Dict[int, SparseRow], field) -> SparseRow:
+    """Remainder of the row v against reduced rows given by their pivot map
+    (pivot column -> row), such as the reduced-mode output of `_eliminate`:
+    each row is 1 at its pivot and 0 at every other pivot, so subtracting
+    one leaves v's other pivot entries as they are, and one subtraction per
+    pivot column of v suffices. A one-entry row at a pivot column whose row
+    is the unit vector there reduces to zero at once: ideal blocks are
+    mostly monomial, so most rows merged into them are such rows."""
+    if len(v) == 1:
+        prow = pivots.get(next(iter(v)))
+        if prow is not None and len(prow) == 1:
+            return {}
     p = field.characteristic
     row = _sparse(v, field)
-    for c, prow in basis:
-        x = row.get(c)
-        if x:
-            _axpy(row, x, prow, p)
+    for c in [c for c in row if c in pivots]:
+        _axpy(row, row[c], pivots[c], p)
     return row
 
 
@@ -223,8 +230,46 @@ def row_space_basis(rows, field):
     return rref_rows(rows, field)[1]
 
 
+def rref_extend(basis, rows, field):
+    """The canonical RREF of span(basis + rows), sorted by pivot column,
+    where basis is already a canonical RREF in this module's scalars (the
+    output of `row_space_basis` or of this function). Only the new rows are
+    eliminated:
+
+    1. each row is reduced against basis (`_reduce`); the remainders vanish
+       at every basis pivot;
+    2. the remainders are eliminated among themselves in reduced mode, so
+       their pivots are new columns and each is 0 at the others' pivots and,
+       being combinations of remainders, at every basis pivot;
+    3. each new pivot column k is cleared from the basis rows. A basis row
+       holding k has its pivot left of k, and the new row has nothing left
+       of k, so the basis row keeps its pivot, and clearing k changes no
+       other pivot column.
+
+    Then every row is 1 at its pivot and 0 at all other pivots, which is the
+    canonical RREF once sorted. Basis rows are never mutated; a basis row
+    that step 3 does not touch is returned as it is."""
+    if not rows:
+        return list(basis)
+    pivots = {min(row): row for row in basis}
+    rest = [r for r in (_reduce(v, pivots, field) for v in rows) if r]
+    if not rest:
+        return list(basis)
+    p = field.characteristic
+    new = dict(_eliminate(rest, field, True))
+    merged = list(new.items())
+    for c, row in pivots.items():
+        hits = [k for k in row if k in new]
+        if hits:
+            row = dict(row)
+            for k in hits:
+                _axpy(row, row[k], new[k], p)
+        merged.append((c, row))
+    return [row for _, row in sorted(merged, key=itemgetter(0))]
+
+
 def in_span(v, rows, field) -> bool:
-    return not _reduce(v, _eliminate(rows, field, True), field)
+    return not _reduce(v, dict(_eliminate(rows, field, True)), field)
 
 
 def subspace_meet(U, W, field):
@@ -246,7 +291,7 @@ def subspace_meet(U, W, field):
 
 def quotient_dim(U, W, field) -> int:
     """dim(span(U)/span(W)); requires span(W) ⊆ span(U)."""
-    basis = _eliminate(U, field, True)
+    basis = dict(_eliminate(U, field, True))
     if any(_reduce(w, basis, field) for w in W):
         raise InputValidationError("W is not contained in U")
     return len(basis) - len(_eliminate(W, field, False))

@@ -17,9 +17,11 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from .configurations import ConfigGraph, PoincarePolynomial
 from .errors import InputValidationError, TruncationError
 from .fields import FieldSpec, RATIONALS_SPEC
-from .linalg import SparseRow, row_space_basis, subspace_meet
+from .linalg import SparseRow, row_space_basis, rref_extend, subspace_meet
 
 Word = Tuple[str, ...]
+BlockKey = Tuple[int, int, int]  # (degree, src, tgt)
+Blocks = Dict[BlockKey, List[SparseRow]]
 
 
 @dataclass(frozen=True)
@@ -38,9 +40,10 @@ class TensorPresentation:
     stands for x after y, so src(x) must equal tgt(y). Relations are
     linear combinations of composable words, homogeneous in degree and
     block pure, with degree at least twice the minimal generator degree.
-    Vertex indices, degrees and the truncation must be ints, and every
-    relation coefficient is mapped into the field on the way in (see the
-    fields' scalar), as GradedAlgebra does.
+    Vertex indices, degrees and the truncation must be ints, generator
+    labels strings and relation words lists or tuples of labels (stored as
+    tuples), and every relation coefficient is mapped into the field on the
+    way in (see the fields' scalar), as GradedAlgebra does.
     """
 
     num_vertices: int
@@ -52,12 +55,15 @@ class TensorPresentation:
     def __post_init__(self):
         ints = [("vertices", self.num_vertices), ("truncation", self.truncation)]
         for g in self.generators:
+            if type(g.label) is not str:
+                raise InputValidationError(f"generator label must be a string, got {g.label!r}")
             ints += [(f"generator {g.label} {key}", getattr(g, key)) for key in ("src", "tgt", "deg")]
         for name, value in ints:
             if type(value) is not int:
                 raise InputValidationError(f"{name} must be an integer, got {value!r}")
         scalar = self.field_spec.field().scalar
-        relations = tuple(tuple((word, scalar(c)) for word, c in rel) for rel in self.relations)
+        relations = tuple(tuple((_label_word(word), scalar(c)) for word, c in rel)
+                          for rel in self.relations)
         object.__setattr__(self, "relations", relations)
         if self.num_vertices < 1:
             raise InputValidationError("need at least one vertex")
@@ -110,8 +116,22 @@ class TensorPresentation:
         return max((g.deg for g in self.generators), default=1)
 
 
+def _label_word(word) -> Word:
+    """A relation word as a tuple of labels; a string is refused rather
+    than read as its letters."""
+    if not isinstance(word, (list, tuple)) or any(type(lab) is not str for lab in word):
+        raise InputValidationError(f"a relation word must be a list of labels, got {word!r}")
+    return tuple(word)
+
+
 class _WordContext:
-    """Cached composable word bases per degree and block."""
+    """Cached composable word bases per degree and block, and the word
+    index maps of multiplication by a generator.
+
+    words(d) lists the words of degree d lexicographically, letters compared
+    by their position in pres.generators: the first letter runs over the
+    generators in order, and the rest over words(d - |first|), which are
+    listed the same way."""
 
     def __init__(self, pres: TensorPresentation):
         self.pres = pres
@@ -119,6 +139,7 @@ class _WordContext:
         self._by_degree: Dict[int, List[Word]] = {}
         self._block_words: Dict[Tuple[int, int, int], List[Word]] = {}
         self._block_index: Dict[Tuple[int, int, int], Dict[Word, int]] = {}
+        self._shifts: Dict[Tuple[BlockKey, str, bool], Optional[Tuple[BlockKey, List[int]]]] = {}
 
     def words(self, d: int) -> List[Word]:
         if d < 0:
@@ -164,6 +185,23 @@ class _WordContext:
     def word_dim(self, d: int) -> int:
         return len(self.words(d))
 
+    def shift_map(self, key: BlockKey, g: Generator, left: bool):
+        """(target key, the target index of each word of block key) for w
+        -> g w (left) or w g (right), or None when g does not compose."""
+        memo = (key, g.label, left)
+        if memo not in self._shifts:
+            d, src, tgt = key
+            if (g.src != tgt) if left else (g.tgt != src):
+                self._shifts[memo] = None
+            else:
+                new = (d + g.deg, src, g.tgt) if left else (d + g.deg, g.src, tgt)
+                idx = self.block_index(*new)
+                lab = (g.label,)
+                words = self.block(d, src, tgt)
+                pos = [idx[lab + w] for w in words] if left else [idx[w + lab] for w in words]
+                self._shifts[memo] = (new, pos)
+        return self._shifts[memo]
+
 
 @functools.lru_cache(maxsize=64)
 def _context(pres: TensorPresentation) -> _WordContext:
@@ -180,10 +218,6 @@ def word_basis(pres: TensorPresentation, d: int):
     if d == 0:
         return [f"e{i}" for i in range(1, pres.num_vertices + 1)]
     return list(_context(pres).words(d))
-
-
-BlockKey = Tuple[int, int, int]  # (degree, src, tgt)
-Blocks = Dict[BlockKey, List[SparseRow]]
 
 
 @dataclass(frozen=True)
@@ -232,21 +266,36 @@ def _ideal(pres: TensorPresentation, reduced: Mapping[BlockKey, Sequence[SparseR
 def _shift(ctx: _WordContext, key: BlockKey, rows, g: Generator, left: bool):
     """The rows of block key times the generator g, as g w (left) or w g
     (right): (target key, rows), or None when g does not compose. Word
-    index maps to word index, so the scalars stay as they are."""
-    d, src, tgt = key
-    if left:
-        if g.src != tgt:
-            return None
-        new = (d + g.deg, src, g.tgt)
-    else:
-        if g.tgt != src:
-            return None
-        new = (d + g.deg, g.src, tgt)
-    idx = ctx.block_index(*new)
-    lab = (g.label,)
-    words = ctx.block(d, src, tgt)
-    pos = [idx[lab + w] for w in words] if left else [idx[w + lab] for w in words]
+    index maps to word index, so the scalars stay as they are.
+
+    Shifts keep canonical RREF. Let the rows be a canonical RREF block.
+    (1) The words of a block share one degree, and generators have positive
+    degree, so no word of the block is a proper prefix of another. Two
+    words u < v therefore first differ at a position inside both, and g u,
+    g v first differ one position later, u g, v g at the same position,
+    with the same letters: w -> g w and w -> w g are order preserving
+    injections of the block's word indices (words are listed in
+    lexicographic order, see _WordContext). (2) So each shifted row keeps
+    its scalars, its leading entry 1 moves to the image of its pivot, and
+    it is 0 at the images of the other pivots: the shifted rows, in their
+    order, are a canonical RREF. (3) Shifts by distinct generators g, g' on
+    one side land on disjoint columns of the target block, words with
+    first (left) or last (right) letter g versus g', and on one side g
+    fixes the source block of a target block. So the union of one side's
+    shifts into a target block, sorted by pivot, is a canonical RREF: each
+    row is 1 at its pivot and 0 at every other pivot, its own generator's
+    by (2) and the others' by disjointness. Its span is the sum of the
+    shifted spans, and no elimination is needed."""
+    shift = ctx.shift_map(key, g, left)
+    if shift is None:
+        return None
+    new, pos = shift
     return new, [{pos[c]: x for c, x in row.items()} for row in rows]
+
+
+def _by_pivot(rows) -> List[SparseRow]:
+    """Rows with distinct pivots (least columns), sorted by pivot."""
+    return sorted(rows, key=min)
 
 
 def _closure(pres: TensorPresentation, seeds: Blocks, cap: int, sides) -> Blocks:
@@ -254,21 +303,26 @@ def _closure(pres: TensorPresentation, seeds: Blocks, cap: int, sides) -> Blocks
     the given sides (True for left), as reduced blocks up to degree cap.
 
     Built one degree at a time, block_d = seeds_d + sum_g shifts of the
-    blocks of degree d - |g|: a word u s w peels one generator at a time."""
+    blocks of degree d - |g|: a word u s w peels one generator at a time.
+    The shifts on the first side are a canonical RREF once sorted by pivot
+    (see _shift); only the seeds and the other side's shifts are merged
+    into it by elimination."""
     ctx = _context(pres)
     f = pres.field_spec.field()
     blocks: Blocks = {}
     by_degree: Dict[int, List[BlockKey]] = {}
     for d in range(1, cap + 1):
+        ready: Blocks = {}
         fresh = {key: list(rows) for key, rows in seeds.items() if key[0] == d}
         for g in pres.generators:
             for key in by_degree.get(d - g.deg, ()):
                 for left in sides:
                     shifted = _shift(ctx, key, blocks[key], g, left)
                     if shifted:
-                        fresh.setdefault(shifted[0], []).extend(shifted[1])
-        for key, rows in fresh.items():
-            basis = row_space_basis(rows, f)
+                        dest = ready if left == sides[0] else fresh
+                        dest.setdefault(shifted[0], []).extend(shifted[1])
+        for key in ready.keys() | fresh.keys():
+            basis = rref_extend(_by_pivot(ready.get(key, ())), fresh.get(key, ()), f)
             if basis:
                 blocks[key] = basis
                 by_degree.setdefault(d, []).append(key)
@@ -372,11 +426,13 @@ def _check_same_pres(I1: HomogeneousIdeal, I2: HomogeneousIdeal) -> None:
 
 
 def ideal_sum(I1: HomogeneousIdeal, I2: HomogeneousIdeal) -> HomogeneousIdeal:
+    """Blockwise sum; I2's rows are merged into I1's canonical blocks."""
     _check_same_pres(I1, I2)
-    merged: Blocks = {}
-    for key, vecs in I1.blocks + I2.blocks:
-        merged.setdefault(key, []).extend(vecs)
-    return HomogeneousIdeal.from_block_dict(I1.pres, merged)
+    f = I1.pres.field_spec.field()
+    merged = I1.block_dict()
+    for key, rows in I2.blocks:
+        merged[key] = rref_extend(merged[key], rows, f) if key in merged else rows
+    return _ideal(I1.pres, merged)
 
 
 def ideal_meet(I1: HomogeneousIdeal, I2: HomogeneousIdeal) -> HomogeneousIdeal:
@@ -476,7 +532,8 @@ def _times_generators(X: HomogeneousIdeal, cap: int, left: bool) -> HomogeneousI
 
     For a left ideal X, J X = V X: a word of positive length is g w with w
     a word or an idempotent, so (g w) x = g (w x) with w x in X. Mirrored,
-    X J = X V for a right ideal X."""
+    X J = X V for a right ideal X. The shifts of X's blocks are already
+    canonical once sorted by pivot (see _shift), so nothing is eliminated."""
     ctx = _context(X.pres)
     out: Blocks = {}
     for key, rows in X.blocks:
@@ -485,7 +542,7 @@ def _times_generators(X: HomogeneousIdeal, cap: int, left: bool) -> HomogeneousI
                 shifted = _shift(ctx, key, rows, g, left)
                 if shifted:
                     out.setdefault(shifted[0], []).extend(shifted[1])
-    return HomogeneousIdeal.from_block_dict(X.pres, out)
+    return _ideal(X.pres, {key: _by_pivot(rows) for key, rows in out.items()})
 
 
 def _next_power(P: HomogeneousIdeal, relations: Blocks, cap: int) -> HomogeneousIdeal:
@@ -688,10 +745,10 @@ def presentation_from_json_dict(data: dict) -> TensorPresentation:
     f = field_spec.field()
     try:
         gens = tuple(
-            Generator(str(g["label"]), g["src"], g["tgt"], g["deg"]) for g in data["generators"]
+            Generator(g["label"], g["src"], g["tgt"], g["deg"]) for g in data["generators"]
         )
         rels = tuple(
-            tuple((tuple(str(x) for x in term["word"]), f.parse(str(term["coeff"]))) for term in rel)
+            tuple((term["word"], f.parse(str(term["coeff"]))) for term in rel)
             for rel in data["relations"]
         )
     except (KeyError, TypeError, ValueError) as exc:

@@ -426,6 +426,45 @@ def test_presentation_with_a_non_integer_exits_2(tmp_path, capsys, key, value):
     run_reports_input_error(["tor", "--pres", path, "--q", "1"], capsys)
 
 
+# str() would have read each label as a string, and a string word as its letters
+@pytest.mark.parametrize("where,value", [("generator", None), ("generator", 5),
+                                         ("word", "ttt"), ("word", "t"), ("letter", 7)])
+def test_presentation_with_a_non_string_label_or_a_string_word_exits_2(tmp_path, capsys,
+                                                                      where, value):
+    data = presentation_to_json_dict(single_generator_presentation(2, 2, 8))
+    term = data["relations"][0][0]
+    if where == "generator":
+        data["generators"][0]["label"] = value
+        term["word"] = [value] * 3
+    elif where == "word":
+        term["word"] = value
+    else:
+        term["word"][1] = value
+    path = write_json(tmp_path, "bad_label.json", data)
+    run_reports_input_error(["tor", "--pres", path, "--q", "1"], capsys)
+
+
+def _relabel(data, old, new):
+    """An algebra's JSON data with the label old replaced by new wherever
+    it stands: basis, mult, unit and idempotents."""
+    if isinstance(data, list):
+        return [_relabel(x, old, new) for x in data]
+    if isinstance(data, dict):
+        return {k: new if k in ("label", "left", "right") and v == old else _relabel(v, old, new)
+                for k, v in data.items()}
+    return data
+
+
+@pytest.mark.parametrize("value", [None, 5, True])
+@pytest.mark.parametrize("label", ["1", "t"])
+def test_algebra_with_a_non_string_label_exits_2(tmp_path, capsys, label, value):
+    data = _relabel(algebra_to_json_dict(truncated_poly(2, 2)), label, value)
+    data["idempotents"] = [value if x == label else x for x in data["idempotents"]]
+    assert value in [b["label"] for b in data["basis"]]
+    path = write_json(tmp_path, "bad_label.json", data)
+    run_reports_input_error(["hh", "--algebra", path, "--p", "1", "--q", "0"], capsys)
+
+
 @pytest.mark.parametrize("argv,message", [
     (["sweep", "pn", "--n", "1..1000000000000", "--k", "2"], "--n lists 1000000000000 integers"),
     (["sweep", "spherical", "--k", "2,1..10000"], "--k lists 10001 integers"),
@@ -534,3 +573,38 @@ def test_mutated_input_keeps_the_exit_code_contract(tmp_path_factory, case):
     path.write_text(json.dumps(doc))
     code, _ = run([str(path) if a is None else a for a in argv])
     assert code in (0, 2, 3)
+
+
+NON_STRINGS = st.one_of(st.none(), st.booleans(), st.integers(-3, 6), st.just(1.5),
+                        st.builds(list), st.builds(dict))
+
+
+@st.composite
+def mislabelled_case(draw):
+    """An algebra or presentation command whose document has one label (of
+    the basis, mult, unit, idempotents or generators, or a letter of a
+    relation word) replaced by a non-string, or one relation word replaced
+    by a string."""
+    kind, argv = draw(st.sampled_from([c for c in FUZZ_COMMANDS if c[0] in ("algebra", "pres")]))
+    doc = copy.deepcopy(draw(st.sampled_from(FUZZ_DOCUMENTS[kind])))
+    paths = [p for p in json_paths(doc) if p and (
+        p[-1] in ("label", "left", "right", "word")
+        or (len(p) > 1 and p[-2] in ("idempotents", "word")))]
+    path = draw(st.sampled_from(paths))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if path[-1] == "word":
+        parent["word"] = draw(st.sampled_from(["".join(parent["word"]), parent["word"][0]]))
+    else:
+        parent[path[-1]] = draw(NON_STRINGS)
+    return argv, doc
+
+
+@settings(max_examples=150)
+@given(case=mislabelled_case())
+def test_non_string_labels_and_string_words_exit_2(tmp_path_factory, case):
+    argv, doc = case
+    path = tmp_path_factory.mktemp("fuzz") / "input.json"
+    path.write_text(json.dumps(doc))
+    assert run([str(path) if a is None else a for a in argv]) == (2, "")

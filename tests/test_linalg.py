@@ -12,6 +12,7 @@ from formalitykit.linalg import (
     quotient_dim,
     rank_rows,
     row_space_basis,
+    rref_extend,
     rref_rows,
     subspace_meet,
 )
@@ -267,6 +268,60 @@ def test_prime_field_kernel_maps_fraction_entries_into_the_field():
     rows = [{0: Fraction(1, 2), 1: Fraction(1)}, {0: fp.from_int(1), 1: fp.from_int(2)}]
     assert rank_rows(rows, fp) == 1
     assert rref_rows(rows, fp) == ([0], [{0: 1, 1: 2}])
+
+
+@st.composite
+def extend_case(draw):
+    """A field, a matrix over it (the basis rows) and new rows: random
+    rows, unit rows, zero rows, duplicates of new rows, and rows already in
+    the basis's span (multiples of basis rows and sums of two)."""
+    field = FIELDS[draw(st.sampled_from(sorted(FIELDS)))]
+    ncols = draw(st.integers(0, 6))
+    if field is RATIONALS:
+        entry = st.builds(Fraction, small_entries, st.sampled_from([1, 1, 1, 2, 3]))
+    else:
+        entry = small_entries.map(field.from_int)
+    row = st.lists(entry, min_size=ncols, max_size=ncols)
+    basis = draw(st.lists(row, max_size=4))
+    rows = draw(st.lists(row, max_size=4))
+    rows += [[field.one if c == u else field.zero for c in range(ncols)]
+             for u in draw(st.lists(st.integers(0, ncols - 1), max_size=2))] if ncols else []
+    rows += [[field.zero] * ncols] * draw(st.integers(0, 2))
+    if rows:
+        rows += [list(rows[i]) for i in draw(st.lists(st.integers(0, len(rows) - 1), max_size=2))]
+    for _ in range(draw(st.integers(0, 3)) if basis else 0):
+        i, j = (draw(st.integers(0, len(basis) - 1)) for _ in range(2))
+        x, y = draw(entry), draw(st.sampled_from([field.zero, field.one]))
+        rows.append([field.add(field.mul(x, a), field.mul(y, b))
+                     for a, b in zip(basis[i], basis[j])])
+    return field, basis, draw(st.permutations(rows)) if rows else rows, ncols
+
+
+@given(extend_case())
+def test_rref_extend_equals_dense_reference(case):
+    field, basis_rows, rows, ncols = case
+    basis = row_space_basis(sparse(basis_rows), field)
+    kept = [dict(r) for r in basis]
+    out = rref_extend(basis, sparse(rows), field)
+    want = dense_rref(basis_rows + rows, field)
+    assert ([min(r) for r in out], [dense(r, ncols, field) for r in out]) == want
+    assert basis == kept  # the basis rows are not mutated
+    scalars = (int, Fraction) if field is RATIONALS else (int,)
+    assert all(type(x) in scalars and x != 0 for row in out for x in row.values())
+
+
+@pytest.mark.parametrize("field", [RATIONALS, PrimeField(5), PrimeField(7)])
+def test_rref_extend_edge_cases(field):
+    one = field.one
+    basis = row_space_basis([{0: one, 2: one}, {1: one}], field)
+    assert rref_extend([], [], field) == []
+    assert rref_extend(basis, [], field) == basis
+    assert rref_extend([], [{3: field.add(one, one)}, {}], field) == [{3: 1}]
+    # rows in the span, the unit row of a unit pivot row among them, change nothing
+    assert rref_extend(basis, [{1: field.add(one, one)}, {0: one, 1: one, 2: one}], field) == basis
+    # a new pivot that is cleared from a basis row, and one left of every basis pivot
+    assert rref_extend(basis, [{2: one}], field) == [{0: 1}, {1: 1}, {2: 1}]
+    assert rref_extend([{1: 1}], [{0: one, 1: one}], field) == [{0: 1}, {1: 1}]
 
 
 # -- the sparse product against a dense reference ------------------------------

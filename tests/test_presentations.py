@@ -8,13 +8,17 @@ from formalitykit.fields import RATIONALS, FieldSpec
 from formalitykit.graded import mindeg
 from formalitykit.hochschild import bar_chain_slice
 from formalitykit.graded import build_configuration_algebra, truncated_poly
-from formalitykit.linalg import rank_rows
+from formalitykit import linalg, presentations
+from formalitykit.linalg import rank_rows, row_space_basis
 from formalitykit.presentations import (
+    _closure,
     _context,
     _next_power,
+    _products,
     _relation_vectors,
     _times_generators,
     Generator,
+    HomogeneousIdeal,
     TensorPresentation,
     algebra_dims,
     augmentation_ideal,
@@ -289,6 +293,179 @@ def test_generator_products_equal_the_pairwise_products(rng, field):
             nontrivial += not ji.is_zero() and not following.is_zero()
             power = following
     assert nontrivial >= 8
+
+
+# -- the shift lemma: ideal blocks that need no elimination --------------------
+#
+# The routes below are the eliminating ones the shift lemma replaces (see
+# presentations._shift): word index maps rebuilt from the words, and every
+# block re-eliminated with row_space_basis. The lemma says both give the
+# same canonical blocks, entry for entry.
+
+
+def _eliminating_shift(pres, key, rows, g, left):
+    ctx = _context(pres)
+    d, src, tgt = key
+    if (g.src != tgt) if left else (g.tgt != src):
+        return None
+    new = (d + g.deg, src, g.tgt) if left else (d + g.deg, g.src, tgt)
+    idx = ctx.block_index(*new)
+    words = ctx.block(*key)
+    pos = [idx[(g.label,) + w] if left else idx[w + (g.label,)] for w in words]
+    return new, [{pos[c]: x for c, x in row.items()} for row in rows]
+
+
+def _eliminating_closure(pres, seeds, cap, sides):
+    f = pres.field_spec.field()
+    blocks, by_degree = {}, {}
+    for d in range(1, cap + 1):
+        fresh = {key: list(rows) for key, rows in seeds.items() if key[0] == d}
+        for g in pres.generators:
+            for key in by_degree.get(d - g.deg, ()):
+                for left in sides:
+                    shifted = _eliminating_shift(pres, key, blocks[key], g, left)
+                    if shifted:
+                        fresh.setdefault(shifted[0], []).extend(shifted[1])
+        for key, rows in fresh.items():
+            basis = row_space_basis(rows, f)
+            if basis:
+                blocks[key] = basis
+                by_degree.setdefault(d, []).append(key)
+    return blocks
+
+
+def _eliminating_times_generators(X, cap, left):
+    out = {}
+    for key, rows in X.blocks:
+        for g in X.pres.generators:
+            shifted = key[0] + g.deg <= cap and _eliminating_shift(X.pres, key, rows, g, left)
+            if shifted:
+                out.setdefault(shifted[0], []).extend(shifted[1])
+    return HomogeneousIdeal.from_block_dict(X.pres, out)
+
+
+def _eliminating_sum(I1, I2):
+    merged = {}
+    for key, rows in I1.blocks + I2.blocks:
+        merged.setdefault(key, []).extend(rows)
+    return HomogeneousIdeal.from_block_dict(I1.pres, merged)
+
+
+def _generators_reversed(pres):
+    """The same presentation with its generators listed in reverse, so that
+    words are ordered differently and generators are out of label order."""
+    return TensorPresentation(pres.num_vertices, pres.generators[::-1], pres.relations,
+                              pres.truncation, pres.field_spec)
+
+
+A2 = ConfigGraph.make([1, 2], [(1, 2)])
+TRIANGLE = ConfigGraph.make([1, 2, 3], [(1, 2), (2, 3), (3, 1)])
+
+
+def _lemma_cases(field):
+    spec = FieldSpec.parse(field)
+    for graph, nkh in ((A2, (2, 2, 2)), (TRIANGLE, (1, 2, 1))):
+        for preset in ("orthogonal", "zigzag"):
+            pres = configuration_presentation(graph, *nkh, preset, 6, spec)
+            yield pres
+            yield _generators_reversed(pres)
+
+
+@pytest.mark.parametrize("field", ["rationals", "fp:32003"])
+def test_shifted_blocks_equal_their_re_elimination(field):
+    nontrivial = 0
+    for pres in _lemma_cases(field):
+        cap = pres.truncation
+        R = _relation_vectors(pres, _context(pres))
+        both = (True, False)
+        assert _closure(pres, R, cap, both) == _eliminating_closure(pres, R, cap, both)
+        I = ideal_from_relations(pres)
+        seeds = _products(pres, I.blocks, R.items(), cap)
+        for sides in ((False,), (True,)):
+            want = _eliminating_closure(pres, seeds, cap, sides)
+            assert _closure(pres, seeds, cap, sides) == want
+        I2 = _next_power(I, R, cap)
+        for X in (I, I2, augmentation_ideal(pres)):
+            vx, xv = (_times_generators(X, cap, left) for left in (True, False))
+            assert vx.blocks == _eliminating_times_generators(X, cap, True).blocks
+            assert xv.blocks == _eliminating_times_generators(X, cap, False).blocks
+            assert ideal_sum(vx, xv).blocks == _eliminating_sum(vx, xv).blocks
+            assert ideal_sum(I, vx).blocks == _eliminating_sum(I, vx).blocks
+            nontrivial += not vx.is_zero() and not xv.is_zero()
+    assert nontrivial >= 16
+
+
+def test_times_generators_eliminates_nothing(monkeypatch):
+    pres = a2_pres(truncation=10)
+    I = ideal_from_relations(pres)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("_times_generators eliminated")
+
+    for name in ("row_space_basis", "rref_extend", "subspace_meet"):
+        monkeypatch.setattr(presentations, name, refuse)
+    monkeypatch.setattr(linalg, "_eliminate", refuse)
+    for X in (I, augmentation_ideal(pres)):
+        assert not _times_generators(X, 10, left=True).is_zero()
+        assert not _times_generators(X, 10, left=False).is_zero()
+
+
+# (graph, n, k, h, preset, q): the tor-config-q benchmark pool, and the
+# truncation it uses, which covers q * maxdeg and a nilpotence window
+TOR_POOL = (
+    ("A2", 1, 2, 1, "orthogonal", 2), ("A2", 1, 2, 1, "orthogonal", 3),
+    ("A2", 1, 2, 1, "zigzag", 2), ("A2", 1, 2, 1, "zigzag", 3),
+    ("A2", 2, 2, 2, "orthogonal", 2), ("A2", 2, 2, 2, "orthogonal", 3),
+    ("A2", 2, 2, 2, "zigzag", 2), ("A2", 1, 2, 2, "orthogonal", 2),
+    ("A2", 1, 2, 2, "orthogonal", 3), ("A2", 2, 1, 1, "orthogonal", 2),
+    ("A2", 2, 1, 1, "zigzag", 2), ("A2", 1, 1, 1, "orthogonal", 2),
+    ("A2", 1, 1, 1, "orthogonal", 3),
+    ("triangle", 1, 2, 1, "orthogonal", 2), ("triangle", 1, 2, 1, "zigzag", 2),
+)
+
+
+def _pool_presentation(graph, n, k, h, preset, q, spec=FieldSpec()):
+    top = max(n * k, 2 * h if preset == "zigzag" else h)
+    graph = {"A2": A2, "triangle": TRIANGLE}[graph]
+    return configuration_presentation(graph, n, k, h, preset, q * top + max(k, h), spec)
+
+
+def _tor_cases():
+    """(id, presentation, q): the pool, over F_32003 with generators in both
+    orders, and presentations the Tor tests above use."""
+    for term in TOR_POOL:
+        yield "-".join(map(str, term)), _pool_presentation(*term), term[-1]
+    spec = FieldSpec.parse("fp:32003")
+    for term in (("A2", 2, 2, 2, "zigzag", 3), ("triangle", 1, 2, 1, "zigzag", 2)):
+        pres = _pool_presentation(*term, spec)
+        yield "-".join(map(str, term)) + "-fp", pres, term[-1]
+        yield "-".join(map(str, term)) + "-fp-reversed", _generators_reversed(pres), term[-1]
+    yield "a2_pres-3", a2_pres(truncation=12), 3
+    yield "single-2-2-4", single_generator_presentation(2, 2, truncation=26), 4
+
+
+TOR_CASES = list(_tor_cases())
+
+
+@pytest.mark.parametrize("pres,q", [case[1:] for case in TOR_CASES],
+                         ids=[case[0] for case in TOR_CASES])
+def test_every_ideal_tor_term_builds_equals_the_eliminating_route(monkeypatch, pres, q):
+    """Each closure, product with generators and sum inside tor_term returns
+    the blocks the eliminating route returns on the same input."""
+    routes = {"_closure": _eliminating_closure,
+              "_times_generators": _eliminating_times_generators,
+              "ideal_sum": _eliminating_sum}
+    calls = []
+    for name in routes:
+        def record(*args, real=getattr(presentations, name), name=name, **kwargs):
+            out = real(*args, **kwargs)
+            calls.append((name, args, kwargs, out))
+            return out
+        monkeypatch.setattr(presentations, name, record)
+    tor_term(pres, q)
+    assert {call[0] for call in calls} == set(routes)
+    for name, args, kwargs, out in calls:
+        assert out == routes[name](*args, **kwargs), name
 
 
 # -- Tor terms ----------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import os
 
@@ -29,3 +30,36 @@ def test_hh_census_exits_one_on_disagreement(monkeypatch, capsys):
                                      "--qmax", "3"])
     assert census.main() == 1
     assert "engine disagreements: 0" not in capsys.readouterr().out
+
+
+def test_certificate_tables_replay_every_certificate_and_exit_zero(monkeypatch, capsys):
+    tables = load_script("certificate_tables")
+    replayed = []
+    real = tables.verify_certificate
+
+    def spy(cert):
+        replayed.append(cert.subject["family"])
+        return real(cert)
+
+    monkeypatch.setattr(tables, "verify_certificate", spy)
+    monkeypatch.setattr("sys.argv", ["certificate_tables.py", "--nmax", "2", "--kmax", "3"])
+    assert tables.main() == 0
+    out = capsys.readouterr().out
+    assert out.rstrip().endswith("failed replays: 0")
+    # 6 single objects, (n, k) in {1, 2} x {2, 3} with nk even, k in {2, 3}
+    assert len(replayed) == 6 + 3 + 2 and len(set(replayed)) == 3
+
+
+def test_certificate_tables_exit_one_when_a_replay_fails(monkeypatch, capsys):
+    tables = load_script("certificate_tables")
+    real = tables.verify_certificate
+
+    def fail_spherical(cert):
+        report = real(cert)
+        spherical = cert.subject["family"] == "spherical_config"
+        return dataclasses.replace(report, ok=False) if spherical else report
+
+    monkeypatch.setattr(tables, "verify_certificate", fail_spherical)
+    monkeypatch.setattr("sys.argv", ["certificate_tables.py", "--nmax", "1", "--kmax", "2"])
+    assert tables.main() == 1
+    assert capsys.readouterr().out.rstrip().endswith("failed replays: 1")
