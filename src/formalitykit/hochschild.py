@@ -45,11 +45,10 @@ from .graded import (
     validate,
 )
 from .linalg import (
-    in_span,
     kernel_rows,
     mul_rows,
     rank_rows,
-    row_space_basis,
+    rref_extend,
     rref_rows,
 )
 
@@ -64,7 +63,13 @@ class _Tables:
 
     Basis label i lies in block (src[i], tgt[i]); letters are the labels
     tensor words are made of. A coefficient index is a basis index, and
-    both actions on the coefficients are mult."""
+    both actions on the coefficients are mult: mult[(i, j)] maps k to the
+    structure constant of e_k in e_i e_j. Over Q an integral constant is
+    stored as an int and only a non-integral one as a Fraction, so the
+    differentials of an algebra with integral constants are assembled in
+    int arithmetic, with the signs as the ints +-1; over F_p the constants
+    are ints mod p, and the field's mul and add reduce the signed products
+    mod p."""
 
     field: object
     n: int
@@ -118,7 +123,9 @@ def _build_tables(A: GradedAlgebra, mode: str) -> _Tables:
         letters = tuple(range(len(labels)))
     mult = {}
     for (x, y), combo in A.mult.items():
-        mult[(idx[x], idx[y])] = {idx[lab]: v for lab, v in combo.items()}
+        mult[(idx[x], idx[y])] = {
+            idx[lab]: (v.numerator if v.denominator == 1 else v) for lab, v in combo.items()
+        }
     return _Tables(A.field_spec.field(), len(labels), degs, src, tgt, mult, labels, letters)
 
 
@@ -242,7 +249,7 @@ def _delta_rows(tb: _Tables, p: int, groups_p, groups_p1):
         for _, m in pairs:
             row_of[(w, m)] = row = {}
             rows.append(row)
-    sign_last = f.one if (p + 1) % 2 == 0 else f.neg(f.one)
+    sign_last = 1 if (p + 1) % 2 == 0 else -1
     for w1 in groups_p1:
         first = w1[0]
         last = w1[-1]
@@ -258,7 +265,7 @@ def _delta_rows(tb: _Tables, p: int, groups_p, groups_p1):
             prod = tb.mult.get((w1[i - 1], w1[i]))
             if not prod:
                 continue
-            sgn = f.one if i % 2 == 0 else f.neg(f.one)
+            sgn = 1 if i % 2 == 0 else -1
             for z, cz in prod.items():
                 contracted = w1[: i - 1] + (z,) + w1[i + 1 :]
                 coeff = f.mul(sgn, cz)
@@ -323,34 +330,36 @@ def hh_bar(
     d_here = _delta_rows(tb, p, g_here, g_next)
     d_prev = _delta_rows(tb, p - 1, g_prev, g_here) if p >= 1 and n_prev else []
 
-    dim = n_here - rank_rows(d_here, f) - rank_rows(d_prev, f)
+    if not want_cocycles:
+        dim = n_here - rank_rows(d_here, f) - rank_rows(d_prev, f)
+        return HHResult(p, q, dim, mode, (n_prev, n_here, n_next))
 
-    cocycles = None
-    if want_cocycles:
-        ker = kernel_rows(d_here, f, n_here)
-        # the image of d_prev is the row space of its transpose
-        d_prev_t: List[Dict[int, object]] = [{} for _ in range(n_prev)]
-        for r, row in enumerate(d_prev):
-            for c, x in row.items():
-                d_prev_t[c][r] = x
-        span = row_space_basis(d_prev_t, f)
-        reps = []
-        for v in ker:
-            if not in_span(v, span, f):
-                reps.append(v)
-                span = rref_rows(span + [v], f)[1]
-        where = {c0: (w, m) for w, pairs in g_here.items() for c0, m in pairs}
-        out = []
-        for rep in reps:
-            terms = []
-            for c0 in sorted(rep):
-                w, m = where[c0]
-                word_labels = tuple(tb.labels[i] for i in w) if p else ()
-                terms.append((word_labels, tb.labels[m], f.to_str(rep[c0])))
-            out.append(tuple(terms))
-        cocycles = tuple(out)
-
-    return HHResult(p, q, dim, mode, (n_prev, n_here, n_next), cocycles)
+    # each differential is eliminated once: the kernel of d_here, the image
+    # of d_prev (the row space of its transpose), and each kernel vector is
+    # tested and merged against the growing span by one rref_extend, which
+    # eliminates only when the vector is new
+    ker = kernel_rows(d_here, f, n_here)
+    d_prev_t: List[Dict[int, object]] = [{} for _ in range(n_prev)]
+    for r, row in enumerate(d_prev):
+        for c, x in row.items():
+            d_prev_t[c][r] = x
+    span = rref_rows(d_prev_t, f)[1]
+    reps = []
+    for v in ker:
+        grown = rref_extend(span, [v], f)
+        if len(grown) > len(span):
+            reps.append(v)
+            span = grown
+    where = {c0: (w, m) for w, pairs in g_here.items() for c0, m in pairs}
+    out = []
+    for rep in reps:
+        terms = []
+        for c0 in sorted(rep):
+            w, m = where[c0]
+            word_labels = tuple(tb.labels[i] for i in w) if p else ()
+            terms.append((word_labels, tb.labels[m], f.to_str(rep[c0])))
+        out.append(tuple(terms))
+    return HHResult(p, q, len(reps), mode, (n_prev, n_here, n_next), tuple(out))
 
 
 def cochain_dim(
@@ -424,7 +433,7 @@ def bar_chain_slice(A: GradedAlgebra, p: int, q: int):
             prod = tb.mult.get((w[i - 1], w[i]))
             if not prod:
                 continue
-            sgn = f.one if i % 2 == 0 else f.neg(f.one)
+            sgn = 1 if i % 2 == 0 else -1
             for z, cz in prod.items():
                 contracted = w[: i - 1] + (z,) + w[i + 1 :]
                 r = idx_prev.get(contracted)

@@ -9,8 +9,18 @@ has no ambient dimension; where one is needed (the kernel of a matrix) it
 is passed in. Rows on input may hold Fractions or ints, over F_p too (a
 Fraction a/b becomes a * b^-1 mod p), and explicit zeros, which are
 dropped. Rows on output hold the kernel's own scalars: over the rationals
-ints and Fractions (an integral input entry is carried as an int, and most
+an int wherever an entry is integral and a Fraction elsewhere (most
 matrices here have entries 0, +-1 and +-2); over F_p ints in [1, p).
+
+Over Q the kernel is fraction-free (Bareiss, Math. Comp. 22 (1968)): each
+input row is taken to its primitive integer multiple (times the lcm of its
+denominators, divided by the gcd of its entries), and rows stay integer
+rows throughout. A pivot row is never scaled. Clearing column c of a row
+holding a there by a pivot row with pivot pv subtracts a pv times the pivot
+row when pv is +-1; otherwise the row becomes (pv/g) row - (a/g) pivot row,
+with g = gcd(pv, a), divided by its content. In reduced mode each output
+row is divided by its pivot once, at the very end. Over F_p the pivot row
+is scaled to pivot 1 as in textbook Gauss-Jordan.
 
 The kernel has two pivoting modes:
 
@@ -20,32 +30,40 @@ The kernel has two pivoting modes:
   unprocessed rows only, and nothing is back-substituted. This keeps
   fill-in low and only the count of pivots is used.
 - reduced mode (everything else): the pivot row is again the lightest
-  remaining row, but the pivot is its *leading* (smallest) column, the row
-  is scaled so that the pivot is 1, and the column is cleared from every
-  other row, processed or not.
+  remaining row, but the pivot is its *leading* (smallest) column, and the
+  column is cleared from every other row, processed or not.
 
-Why reduced mode returns the canonical RREF. Let row r with leading column
-c be the current pivot. (1) A processed row s has its own pivot c_s as its
-leading entry; s holds c, so c_s < c, and r has no entry left of c, so
-subtracting a multiple of r from s leaves s's leading entry at c_s. (2) r
-is zero in every earlier pivot column, since those were cleared from all
-rows, so the earlier pivots stay 1 and their columns stay cleared. (3) A
-pivot column is zero in every other row, so the leading column of a
-remaining row is never an earlier pivot column. Hence at the end each
-non-zero row has leading entry 1 at its pivot and every pivot column is
-zero elsewhere; sorted by pivot column, the rows are in reduced row echelon
-form. The RREF of a row space is unique, so the result equals the RREF of
-dense column-by-column Gauss-Jordan entry for entry, whatever order the
-rows were pivoted in. Ideal blocks, kernel bases and cocycle output
-therefore do not depend on the pivot order.
+Why reduced mode returns the canonical RREF. Compare each row with its
+counterpart in a Gauss-Jordan run that pivots in the same order but scales
+every pivot row to pivot 1 at once. Over Q each row differs from its
+counterpart only by a non-zero scalar factor: a row is changed only by a
+non-zero scalar and by adding a multiple of the pivot row, which is itself
+a multiple of its counterpart. So the zero pattern of every row, and with
+it reduced mode's choice of pivots, is the same in both runs, and it
+suffices to argue for the scaled run. Let row r
+with leading column c be the current pivot. (1) A processed row s has its
+own pivot c_s as its leading entry; s holds c, so c_s < c, and r has no
+entry left of c, so subtracting a multiple of r from s leaves s's leading
+entry at c_s. (2) r is zero in every earlier pivot column, since those were
+cleared from all rows, so the earlier pivots stay 1 and their columns stay
+cleared. (3) A pivot column is zero in every other row, so the leading
+column of a remaining row is never an earlier pivot column. Hence at the
+end each non-zero row has leading entry 1 at its pivot and every pivot
+column is zero elsewhere; sorted by pivot column, the rows are in reduced
+row echelon form, and over Q the final division by each pivot turns every
+row into its counterpart. The RREF of a row space is unique, so the result
+equals the RREF of dense column-by-column Gauss-Jordan entry for entry,
+whatever order the rows were pivoted in. Ideal blocks, kernel bases and
+cocycle output therefore do not depend on the pivot order.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from math import gcd, lcm
 from operator import itemgetter
-from typing import Dict, Optional
+from typing import Dict
 
 from .errors import InputValidationError
 
@@ -74,12 +92,25 @@ def _mod(x, p: int) -> int:
     return x.numerator * pow(x.denominator, -1, p) % p
 
 
-def _inverse(x, p: int):
-    if p:
-        return pow(x, -1, p)
-    if x == 1 or x == -1:
-        return x
-    return 1 / Fraction(x)
+def _primitive(row: SparseRow) -> SparseRow:
+    """A fresh primitive integer multiple of a rational dict row, zeros
+    dropped: the row times the lcm of its denominators, divided by the gcd
+    of the result. A row of ints costs one C-level gcd beyond the copy, and
+    nothing more when that gcd is 1; a one-entry row, most rows of a Tor
+    ideal, becomes the unit row there at once."""
+    if len(row) == 1:
+        [(c, x)] = row.items()
+        return {c: 1} if x else {}
+    row = {c: (x.numerator if x.denominator == 1 else x) for c, x in row.items() if x}
+    try:
+        g = gcd(*row.values())
+    except TypeError:  # a Fraction entry
+        den = lcm(*(x.denominator for x in row.values()))
+        row = {c: x.numerator * (den // x.denominator) for c, x in row.items()}
+        g = gcd(*row.values())
+    if g > 1:
+        row = {c: x // g for c, x in row.items()}
+    return row
 
 
 def _axpy(row: SparseRow, fac, prow: SparseRow, p: int, index=None, j: int = -1) -> None:
@@ -102,15 +133,39 @@ def _axpy(row: SparseRow, fac, prow: SparseRow, p: int, index=None, j: int = -1)
                 index[c].discard(j)
 
 
-def _eliminate(rows, field, reduced: bool, pivot_log: Optional[list] = None):
+def _cross_clear(row: SparseRow, a: int, pv: int, prow: SparseRow, index, j: int) -> None:
+    """Clear the entry a of the integer row j by the integer pivot row prow
+    whose pivot is pv, not +-1, in place and fraction-free: row becomes
+    (pv/g) row - (a/g) prow with g = gcd(pv, a), divided by its content.
+    The row changes by a non-zero scalar factor and a multiple of prow, as
+    in Gauss-Jordan."""
+    g = gcd(pv, a)
+    s = pv // g
+    for k, x in row.items():
+        row[k] = x * s
+    _axpy(row, a // g, prow, 0, index, j)
+    g = gcd(*row.values())
+    if g > 1:
+        for k, x in row.items():
+            row[k] = x // g
+
+
+def _over_pivot(row: SparseRow, pv: int) -> SparseRow:
+    """The integer row divided by its pivot value pv: an int where the
+    quotient is integral, a Fraction elsewhere."""
+    if pv == 1:
+        return row
+    return {k: (x // pv if x % pv == 0 else Fraction(x, pv)) for k, x in row.items()}
+
+
+def _eliminate(rows, field, reduced: bool):
     """Sparse Gauss-Jordan elimination of dict rows over field. Returns
     [(pivot column, row)] in pivot order; the number of pairs is the rank.
     In reduced mode the rows, sorted by pivot column, are the RREF (see
     the module docstring); in rank mode they are only echelon in pivot
-    order. pivot_log, when given, collects every pivot value before the row
-    is scaled."""
+    order, and over Q they are integer rows with their pivots unscaled."""
     p = field.characteristic
-    rows = [_sparse(r, field) for r in rows]
+    rows = [_sparse(r, field) for r in rows] if p else [_primitive(r) for r in rows]
     index: Dict[int, set] = {}
     for i, row in enumerate(rows):
         for c in row:
@@ -139,39 +194,49 @@ def _eliminate(rows, field, reduced: bool, pivot_log: Optional[list] = None):
             for k in prow:
                 index[k].discard(i)
         pv = prow[c]
-        if pivot_log is not None:
-            pivot_log.append(pv)
-        inv = _inverse(pv, p)
-        if reduced and pv != 1:
-            for k, x in prow.items():
-                prow[k] = x * inv % p if p else x * inv
-            inv = 1
+        if p:
+            inv = pow(pv, -1, p)
+            if reduced and pv != 1:
+                for k, x in prow.items():
+                    prow[k] = x * inv % p
+                inv = 1
         for j in [k for k in index[c] if k != i]:
             row = rows[j]
-            fac = row[c] * inv % p if p else row[c] * inv
-            _axpy(row, fac, prow, p, index, j)
+            if p:
+                _axpy(row, row[c] * inv % p, prow, p, index, j)
+            elif pv == 1 or pv == -1:
+                _axpy(row, row[c] * pv, prow, 0, index, j)
+            else:
+                _cross_clear(row, row[c], pv, prow, index, j)
             if not row:
                 pending.discard(j)
             elif j in pending:
                 heappush(heap, (len(row), j))
         out.append((c, prow))
+    if reduced and not p:
+        # a row's pivot value changes as later pivots scale it; divide once
+        return [(c, _over_pivot(row, row[c])) for c, row in out]
     return out
 
 
 def _reduce(v: SparseRow, pivots: Dict[int, SparseRow], field) -> SparseRow:
-    """Remainder of the row v against reduced rows given by their pivot map
-    (pivot column -> row), such as the reduced-mode output of `_eliminate`:
-    each row is 1 at its pivot and 0 at every other pivot, so subtracting
-    one leaves v's other pivot entries as they are, and one subtraction per
-    pivot column of v suffices. A one-entry row at a pivot column whose row
-    is the unit vector there reduces to zero at once: ideal blocks are
-    mostly monomial, so most rows merged into them are such rows."""
+    """A non-zero multiple of the remainder of the row v against reduced
+    rows given by their pivot map (pivot column -> row), such as the
+    reduced-mode output of `_eliminate`: each row is 1 at its pivot and 0
+    at every other pivot, so subtracting one leaves v's other pivot entries
+    as they are, and one subtraction per pivot column of v suffices. Over Q
+    the reduction starts from v's primitive integer multiple, so against
+    integral rows it does no Fraction arithmetic; callers only test the
+    remainder for zero or eliminate it further. A one-entry row at a pivot
+    column whose row is the unit vector there reduces to zero at once:
+    ideal blocks are mostly monomial, so most rows merged into them are
+    such rows."""
     if len(v) == 1:
         prow = pivots.get(next(iter(v)))
         if prow is not None and len(prow) == 1:
             return {}
     p = field.characteristic
-    row = _sparse(v, field)
+    row = _sparse(v, field) if p else _primitive(v)
     for c in [c for c in row if c in pivots]:
         _axpy(row, row[c], pivots[c], p)
     return row
@@ -180,13 +245,9 @@ def _reduce(v: SparseRow, pivots: Dict[int, SparseRow], field) -> SparseRow:
 # -- entry points --------------------------------------------------------------
 
 
-def rref_rows(rows, field, pivot_log: Optional[list] = None):
-    """Reduced row echelon form. Returns (pivot_columns, nonzero_rows).
-
-    pivot_log, when given, collects every pivot value before its row is
-    scaled to 1; this supports the F_p versus rationals consistency check.
-    """
-    basis = sorted(_eliminate(rows, field, True, pivot_log), key=itemgetter(0))
+def rref_rows(rows, field):
+    """Reduced row echelon form. Returns (pivot_columns, nonzero_rows)."""
+    basis = sorted(_eliminate(rows, field, True), key=itemgetter(0))
     return [c for c, _ in basis], [r for _, r in basis]
 
 
@@ -264,11 +325,17 @@ def rref_extend(basis, rows, field):
             row = dict(row)
             for k in hits:
                 _axpy(row, row[k], new[k], p)
+            if not p:  # a Fraction sum that came out integral becomes an int
+                row = _sparse(row, field)
         merged.append((c, row))
     return [row for _, row in sorted(merged, key=itemgetter(0))]
 
 
 def in_span(v, rows, field) -> bool:
+    """Whether v lies in the span of rows. No module of the package calls
+    it (the cocycle search merges with `rref_extend`); it stays because
+    `perfbench/spans.py` wraps it by name and raises RuntimeError when it
+    is missing."""
     return not _reduce(v, dict(_eliminate(rows, field, True)), field)
 
 

@@ -1,8 +1,10 @@
+import ast
+import os
 from fractions import Fraction
 
 import pytest
 
-from formalitykit import hochschild
+from formalitykit import hochschild, linalg
 from formalitykit.configurations import ConfigGraph
 from formalitykit.errors import (
     InputValidationError,
@@ -622,3 +624,47 @@ def test_scan_builds_tables_once_and_calls_hh_bar_per_q(monkeypatch):
     # a second scan reuses the tables kept in the algebra's memo
     assert kadeishvili_scan(A, 6) == {3: 0, 4: 2, 5: 0, 6: 2}
     assert (len(builds), len(slices)) == (1, 8)
+
+
+def benchmark_cocycle_slices():
+    """The (n, p, q) slices of truncated_poly(n, 1) that the hh-slices-q
+    benchmark workload runs with --cocycles, read from the literal
+    HH_COCYCLES in perfbench/workloads.py."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "perfbench", "workloads.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["HH_COCYCLES"]:
+            return sorted(ast.literal_eval(node.value))
+    raise AssertionError("perfbench/workloads.py defines no HH_COCYCLES")
+
+
+F7 = FieldSpec(kind="fp", p=7)
+COCYCLE_CASES = [pytest.param(truncated_poly(n, 1), p, q, id=f"tp{n}-p{p}-q{q}")
+                 for n, p, q in benchmark_cocycle_slices()]
+# slices of dimension 4, 12 and 14, so that the bound counts merges too
+COCYCLE_CASES += [
+    pytest.param(a2_algebra(), 3, -6, id="a2-222-p3-q-6"),
+    pytest.param(a2_algebra(), 4, -6, id="a2-222-p4-q-6"),
+    pytest.param(build_configuration_algebra(ConfigGraph.make([1, 2], [(1, 2)]), 1, 2, 1,
+                                             "orthogonal", F7), 4, -4, id="a2-121-F7-p4-q-4"),
+]
+
+
+@pytest.mark.parametrize("A, p, q", COCYCLE_CASES)
+def test_cocycles_eliminate_each_differential_once(monkeypatch, A, p, q):
+    """The cocycle path eliminates d_p once for its kernel and d_(p-1) once
+    for its image, then once more per representative found; it never asks
+    for a rank, and finds as many representatives as the rank path's dim."""
+    dim = hh_bar(A, p, q).dim
+    calls = []
+    real = linalg._eliminate
+    monkeypatch.setattr(linalg, "_eliminate", lambda *a: calls.append(a) or real(*a))
+
+    def refuse(*args):
+        raise AssertionError("the cocycle path asked for a rank")
+
+    monkeypatch.setattr(hochschild, "rank_rows", refuse)
+    res = hh_bar(A, p, q, want_cocycles=True)
+    assert res.dim == len(res.cocycles) == dim
+    assert len(calls) <= 2 + dim

@@ -1,12 +1,15 @@
 from fractions import Fraction
+from itertools import combinations
+from math import gcd
 
 import pytest
-from hypothesis import given, assume
+from hypothesis import example, given
 import hypothesis.strategies as st
 
 from formalitykit.errors import InputValidationError
 from formalitykit.fields import PrimeField, RATIONALS
 from formalitykit.linalg import (
+    in_span,
     kernel_rows,
     mul_rows,
     quotient_dim,
@@ -159,19 +162,45 @@ def test_modular_dimension_law(data):
         assert len(row_space_basis(W + [v], RATIONALS)) == dim_w
 
 
+def dense_det(m):
+    """Determinant of a square Fraction matrix by dense elimination."""
+    m = [list(r) for r in m]
+    det = Fraction(1)
+    for c in range(len(m)):
+        pr = next((i for i in range(c, len(m)) if m[i][c]), None)
+        if pr is None:
+            return Fraction(0)
+        if pr != c:
+            m[c], m[pr] = m[pr], m[c]
+            det = -det
+        det *= m[c][c]
+        for i in range(c + 1, len(m)):
+            fac = m[i][c] / m[c][c]
+            m[i] = [x - fac * y for x, y in zip(m[i], m[c])]
+    return det
+
+
+def minors(rows, k):
+    """Every k x k minor of a dense matrix; the one 0 x 0 minor is 1."""
+    return [dense_det([[rows[i][j] for j in cs] for i in rs])
+            for rs in combinations(range(len(rows)), k)
+            for cs in combinations(range(len(rows[0])), k)]
+
+
+@example([[Fraction(1), Fraction(2)], [Fraction(3), Fraction(1)]], 5)
+@example([[Fraction(2), Fraction(4)], [Fraction(1), Fraction(2)]], 7)
 @given(int_matrix(max_dim=4), st.sampled_from([5, 7]))
-def test_prime_field_rank_agrees_on_clean_pivots(rows, p):
-    """Rationals and F_p agree whenever no pivot that elimination divides
-    by carries a factor of p."""
-    log = []
-    pivots, _ = rref_rows(sparse(rows), RATIONALS, pivot_log=log)
-    for pv in log:
-        pv = Fraction(pv)
-        assume(pv.numerator % p != 0 and pv.denominator % p != 0)
+def test_prime_field_rank_drops_exactly_when_p_divides_the_minors_gcd(rows, p):
+    """For an integer matrix of rank r over Q, the rank over F_p is r
+    exactly when p does not divide d_r, the gcd of the r x r minors; the
+    rank over Q is the largest k with a non-zero k x k minor."""
+    r = max(k for k in range(min(len(rows), len(rows[0])) + 1) if any(minors(rows, k)))
+    assert rank_rows(sparse(rows), RATIONALS) == r
+    d_r = gcd(*(int(x) for x in minors(rows, r)))
     fp = PrimeField(p)
-    rows_p = [[fp.from_int(x.numerator) for x in row] for row in rows]
-    assume(all(x.denominator == 1 for row in rows for x in row))
-    assert rank_rows(sparse(rows_p), fp) == len(pivots)
+    rank_p = rank_rows(sparse([[fp.from_int(int(x)) for x in row] for row in rows]), fp)
+    assert rank_p <= r
+    assert (rank_p == r) == (d_r % p != 0)
 
 
 def test_prime_field_rank_can_drop():
@@ -322,6 +351,87 @@ def test_rref_extend_edge_cases(field):
     # a new pivot that is cleared from a basis row, and one left of every basis pivot
     assert rref_extend(basis, [{2: one}], field) == [{0: 1}, {1: 1}, {2: 1}]
     assert rref_extend([{1: 1}], [{0: one, 1: one}], field) == [{0: 1}, {1: 1}]
+
+
+# -- the fraction-free rational kernel against dense Fraction Gauss-Jordan -----
+
+
+def dense_kernel(rows, ncols):
+    """Basis of {v : M v = 0} read off the dense reference RREF: one vector
+    per free column, 1 there and minus the RREF's entries at the pivots."""
+    pivots, red = dense_rref(rows, RATIONALS)
+    out = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -red[r][fc]
+        out.append(v)
+    return out
+
+
+def dense_meet(U, W, ncols):
+    """RREF of span(U) ∩ span(W) from the left kernel of U stacked over -W:
+    a kernel vector (a, b) gives a U = b W, a vector of the meet."""
+    stacked = U + [[-x for x in w] for w in W]
+    if not stacked or not ncols:
+        return []
+    transpose = [[row[c] for row in stacked] for c in range(ncols)]
+    vecs = [[sum(a * u[c] for a, u in zip(coeffs, U)) for c in range(ncols)]
+            for coeffs in dense_kernel(transpose, len(stacked))]
+    return dense_rref(vecs, RATIONALS)[1] if vecs else []
+
+
+def assert_kernel_scalars(rows):
+    """Every entry is a non-zero int where it is integral, else a Fraction."""
+    for x in (x for row in rows for x in row.values()):
+        assert x != 0
+        assert type(x) is (int if Fraction(x).denominator == 1 else Fraction), x
+
+
+@st.composite
+def rational_case(draw):
+    """Two dense matrices over Q on the same 0-6 columns, U with 0-5 rows
+    and W with 0-4: integer entries in -7..14, about half zeros, and some
+    rows divided by a denominator 2..6, so that pivots other than +-1, rows
+    with a content and non-integral results all turn up."""
+    ncols = draw(st.integers(0, 6))
+    entry = st.one_of(st.just(0), st.integers(-7, 14))
+
+    def matrix(max_rows):
+        out = []
+        for _ in range(draw(st.integers(0, max_rows))):
+            den = draw(st.sampled_from([1, 1, 2, 3, 4, 5, 6]))
+            out.append([Fraction(draw(entry), den) for _ in range(ncols)])
+        return out
+
+    return matrix(5), matrix(4), ncols
+
+
+@example(([[Fraction(2), Fraction(3)], [Fraction(3), Fraction(5)]], [], 2))
+@example(([[Fraction(4, 3), Fraction(2), Fraction(0)]], [[Fraction(6), Fraction(9), Fraction(1)]], 3))
+@example(([[Fraction(x) for x in (1, 0, 0, 2, 0)]], [[Fraction(x) for x in (1, 0, 0, 0, 1)]], 5))
+@given(rational_case())
+def test_fraction_free_kernel_equals_dense_fraction_gauss_jordan(case):
+    U, W, ncols = case
+    rows = U + W
+    pivots, red = dense_rref(rows, RATIONALS)
+    got_pivots, got = rref_rows(sparse(rows), RATIONALS)
+    assert (got_pivots, [dense(r, ncols) for r in got]) == (pivots, red)
+    assert rank_rows(sparse(rows), RATIONALS) == len(pivots)
+    ker = kernel_rows(sparse(rows), RATIONALS, ncols)
+    assert [dense(v, ncols) for v in ker] == dense_kernel(rows, ncols)
+    basis = row_space_basis(sparse(U), RATIONALS)
+    grown = rref_extend(basis, sparse(W), RATIONALS)
+    assert ([min(r) for r in grown], [dense(r, ncols) for r in grown]) == (pivots, red)
+    meet = subspace_meet(sparse(U), sparse(W), RATIONALS)
+    assert [dense(r, ncols) for r in meet] == dense_meet(U, W, ncols)
+    dim_u = len(basis)
+    for w in W:
+        assert in_span(sparse([w])[0], sparse(U), RATIONALS) == (
+            len(dense_rref(U + [w], RATIONALS)[0]) == dim_u)
+    for out in (got, ker, basis, grown, meet):
+        assert_kernel_scalars(out)
 
 
 # -- the sparse product against a dense reference ------------------------------
