@@ -52,21 +52,15 @@ from .presentations import (
     Generator,
     HomogeneousIdeal,
     TensorPresentation,
-    algebra_dims,
-    augmentation_ideal,
-    certified_maxdeg,
     configuration_presentation,
-    generator_span,
     ideal_from_relations,
     ideal_meet,
-    ideal_product,
     ideal_sum,
     mindeg_bound,
     presentation_from_json_dict,
     presentation_to_json_dict,
     single_generator_presentation,
     tor_term,
-    word_basis,
 )
 from .formality import (
     FormalityCertificate,

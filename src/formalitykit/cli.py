@@ -47,7 +47,9 @@ def _load_json(path: str):
             return json.load(fh)
     except FileNotFoundError:
         raise InputValidationError(f"{path}: no such file")
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # besides syntax errors: an integer literal past Python's digit
+        # limit, and nesting past the recursion limit
         raise InputValidationError(f"{path}: malformed JSON: {exc}")
 
 

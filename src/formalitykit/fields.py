@@ -92,6 +92,9 @@ class Rationals:
 
     @staticmethod
     def parse(s: str):
+        # exponent notation is refused: Fraction builds 10^e for it
+        if "e" in s or "E" in s:
+            raise InputValidationError(f"bad rational scalar {s!r}: exponent notation")
         try:
             return Fraction(s.strip())
         except (ValueError, ZeroDivisionError) as exc:

@@ -20,11 +20,13 @@ number of non-zero entries and not rows times columns: the large
 differentials are far below 1 % non-zero (d_5 of HH^{5,-17}(k[t]/t^7)
 holds 0.08 % of its 113 M slots).
 
-Sign convention: the classical alternating sum, (-1)^i on the i-th
-multiplication and (-1)^(p+1) on the outer right action. The convention
-is validated rather than trusted: d compose d is asserted to vanish on
-every assembled slice in the test suite, and dimensions are convention
-independent.
+Sign convention: the ungraded alternating sum, (-1)^i on the i-th
+multiplication and (-1)^(p+1) on the outer right action; d compose d is
+asserted to vanish on every assembled slice in the test suite. Both bar
+engines use this sum, with no Koszul sign on the left action, until that
+sign lands, so where A has an element of odd degree the dimensions at odd
+q can differ from graded HH: HH^{0,1} of k[t]/t^3 with |t| = 1 comes out
+1, but the graded center is 0 in degree 1.
 """
 
 from __future__ import annotations
@@ -393,6 +395,7 @@ def nonempty_internal_degrees(
 def kadeishvili_scan(
     A: GradedAlgebra,
     q_max: int,
+    *,
     mode: str = "relative_normalized",
     max_words: int = DEFAULT_MAX_WORDS,
 ) -> Dict[int, int]:

@@ -108,13 +108,6 @@ class TensorPresentation:
                     f"relation of degree {deg} exceeds the truncation {self.truncation}"
                 )
 
-    def generator_map(self) -> Dict[str, Generator]:
-        return {g.label: g for g in self.generators}
-
-    def max_generator_degree(self) -> int:
-        # with no generators every positive degree is zero; any width certifies
-        return max((g.deg for g in self.generators), default=1)
-
 
 def _label_word(word) -> Word:
     """A relation word as a tuple of labels; a string is refused rather
@@ -135,7 +128,7 @@ class _WordContext:
 
     def __init__(self, pres: TensorPresentation):
         self.pres = pres
-        self.gen = pres.generator_map()
+        self.gen = {g.label: g for g in pres.generators}
         self._by_degree: Dict[int, List[Word]] = {}
         self._block_words: Dict[Tuple[int, int, int], List[Word]] = {}
         self._block_index: Dict[Tuple[int, int, int], Dict[Word, int]] = {}
@@ -173,17 +166,6 @@ class _WordContext:
     def block_index(self, d: int, src: int, tgt: int) -> Dict[Word, int]:
         self.block(d, src, tgt)
         return self._block_index[(d, src, tgt)]
-
-    def blocks_in_degree(self, d: int) -> List[Tuple[int, int]]:
-        out = []
-        for src in range(1, self.pres.num_vertices + 1):
-            for tgt in range(1, self.pres.num_vertices + 1):
-                if self.block(d, src, tgt):
-                    out.append((src, tgt))
-        return out
-
-    def word_dim(self, d: int) -> int:
-        return len(self.words(d))
 
     def shift_map(self, key: BlockKey, g: Generator, left: bool):
         """(target key, the target index of each word of block key) for w
@@ -242,9 +224,6 @@ class HomogeneousIdeal:
 
     def block_dict(self) -> Dict[BlockKey, Tuple[SparseRow, ...]]:
         return dict(self.blocks)
-
-    def dim_in_degree(self, d: int) -> int:
-        return sum(len(vecs) for (deg, _, _), vecs in self.blocks if deg == d)
 
     def dims_by_degree(self) -> Dict[int, int]:
         out: Dict[int, int] = {}
@@ -355,22 +334,10 @@ def _products(pres: TensorPresentation, blocks_a, blocks_b, cap: int) -> Blocks:
     return out
 
 
-def _pivot_map(rows) -> Dict[int, SparseRow]:
-    """Pivot column -> row, for rows in RREF (the pivot is the least column)."""
-    return {min(row): row for row in rows}
-
-
-def _in_rref_span(v: SparseRow, pivots: Dict[int, SparseRow], f) -> bool:
-    """Whether v lies in the span of RREF rows given by their pivot map: the
-    only candidate is the combination that v's own entries at the pivot
-    columns prescribe, so v is in the span iff it equals that combination."""
-    acc: SparseRow = {}
-    for c, x in v.items():
-        prow = pivots.get(c)
-        if prow is not None:
-            for col, y in prow.items():
-                acc[col] = f.add(acc.get(col, f.zero), f.mul(x, y))
-    return {c: x for c, x in acc.items() if not f.is_zero(x)} == v
+def _contains(basis, rows, f) -> bool:
+    """Whether the span of a canonical RREF block contains the rows: it
+    does iff extending the block by them adds no row."""
+    return len(rref_extend(basis, rows, f)) == len(basis)
 
 
 def augmentation_ideal(pres: TensorPresentation, up_to: Optional[int] = None) -> HomogeneousIdeal:
@@ -378,20 +345,12 @@ def augmentation_ideal(pres: TensorPresentation, up_to: Optional[int] = None) ->
     ctx = _context(pres)
     cap = pres.truncation if up_to is None else min(up_to, pres.truncation)
     blocks: Blocks = {}
+    vertices = range(1, pres.num_vertices + 1)
     for d in range(1, cap + 1):
-        for (src, tgt) in ctx.blocks_in_degree(d):
-            blocks[(d, src, tgt)] = [{i: 1} for i in range(len(ctx.block(d, src, tgt)))]
+        for src in vertices:
+            for tgt in vertices:
+                blocks[(d, src, tgt)] = [{i: 1} for i in range(len(ctx.block(d, src, tgt)))]
     return _ideal(pres, blocks)
-
-
-def generator_span(pres: TensorPresentation) -> HomogeneousIdeal:
-    """The span V of the length one words (not an ideal, same container)."""
-    ctx = _context(pres)
-    blocks: Blocks = {}
-    for g in pres.generators:
-        key = (g.deg, g.src, g.tgt)
-        blocks.setdefault(key, []).append({ctx.block_index(*key)[(g.label,)]: 1})
-    return HomogeneousIdeal.from_block_dict(pres, blocks)
 
 
 def _relation_vectors(pres: TensorPresentation, ctx: _WordContext) -> Blocks:
@@ -457,7 +416,7 @@ def is_closed_under_generators(pres: TensorPresentation, I: HomogeneousIdeal) ->
     """Two sided closure check within the truncation."""
     ctx = _context(pres)
     f = pres.field_spec.field()
-    pivots = {key: _pivot_map(rows) for key, rows in I.blocks}
+    blocks = I.block_dict()
     for key, rows in I.blocks:
         for g in pres.generators:
             if key[0] + g.deg > pres.truncation:
@@ -466,8 +425,7 @@ def is_closed_under_generators(pres: TensorPresentation, I: HomogeneousIdeal) ->
                 shifted = _shift(ctx, key, rows, g, left)
                 if shifted is None:
                     continue
-                target = pivots.get(shifted[0], {})
-                if not all(_in_rref_span(v, target, f) for v in shifted[1]):
+                if not _contains(blocks.get(shifted[0], ()), shifted[1], f):
                     return False
     return True
 
@@ -475,24 +433,23 @@ def is_closed_under_generators(pres: TensorPresentation, I: HomogeneousIdeal) ->
 # -- quotient algebra statistics -----------------------------------------
 
 
-def algebra_dims(pres: TensorPresentation, I: Optional[HomogeneousIdeal] = None) -> Dict[int, int]:
+def algebra_dims(pres: TensorPresentation, I: HomogeneousIdeal) -> Dict[int, int]:
     """Graded dimensions of T(V)/I up to the truncation (degree 0 gives m)."""
     ctx = _context(pres)
-    if I is None:
-        I = ideal_from_relations(pres)
+    in_ideal = I.dims_by_degree()
     dims = {0: pres.num_vertices}
     for d in range(1, pres.truncation + 1):
-        total = ctx.word_dim(d)
-        dims[d] = total - I.dim_in_degree(d)
+        dims[d] = len(ctx.words(d)) - in_ideal.get(d, 0)
     return dims
 
 
-def certified_maxdeg(pres: TensorPresentation, I: Optional[HomogeneousIdeal] = None) -> int:
+def certified_maxdeg(pres: TensorPresentation, I: HomogeneousIdeal) -> int:
     """Exact maxdeg of T(V)/I, certified by a zero window of width equal to
     the maximal generator degree (after such a window the quotient stays
     zero, since every longer word has a prefix inside the window)."""
     dims = algebra_dims(pres, I)
-    width = pres.max_generator_degree()
+    # with no generators every positive degree is zero; any width certifies
+    width = max((g.deg for g in pres.generators), default=1)
     D = pres.truncation
     for start in range(1, D - width + 2):
         if all(dims.get(start + j, 0) == 0 for j in range(width)):
@@ -509,16 +466,14 @@ def certified_maxdeg(pres: TensorPresentation, I: Optional[HomogeneousIdeal] = N
 
 def _quotient_dims(pres, num: HomogeneousIdeal, den: HomogeneousIdeal, d_cap: int) -> Dict[int, int]:
     """dim(num/den) by degree up to d_cap. Both sides are in RREF: each
-    denominator row is checked against the numerator through its pivot map,
-    and then a block's quotient has dimension len(num) - len(den)."""
+    denominator block is checked to lie inside the numerator's block, and
+    then a block's quotient has dimension len(num) - len(den)."""
     f = pres.field_spec.field()
     nblocks = num.block_dict()
     dblocks = den.block_dict()
     for key, vecs in den.blocks:
-        if key[0] <= d_cap:
-            pivots = _pivot_map(nblocks.get(key, ()))
-            if not all(_in_rref_span(v, pivots, f) for v in vecs):
-                raise InputValidationError("denominator is not inside the numerator")
+        if key[0] <= d_cap and not _contains(nblocks.get(key, ()), vecs, f):
+            raise InputValidationError("denominator is not inside the numerator")
     out: Dict[int, int] = {}
     for key, vecs in num.blocks:
         diff = len(vecs) - len(dblocks.get(key, ()))
@@ -559,63 +514,53 @@ def tor_term(pres: TensorPresentation, q: int) -> PoincarePolynomial:
     """Graded dimensions of Tor_q over the presented algebra, with the
     internal grading induced by the tensor algebra.
 
-    q = 0 gives the base, q = 1 the minimal generator space V/(V meet I),
-    and q >= 2 the Butler-King quotients
+    q = 0 gives the base, and q >= 1 the Butler-King quotients
         Tor_(2p)   = (I^p meet J I^(p-1) J) / (J I^p + I^p J)
-        Tor_(2p+1) = (J I^p meet I^p J) / (I^(p+1) + J I^p J).
-    Every product with J is a product with the generator span V: I^p and
-    J I^(p-1) are two sided ideals, so J I^p = V I^p, I^p J = I^p V,
-    J J = V J and J I^(p-1) J = (V I^(p-1)) V (see _times_generators).
-    Refuses when contributions could exceed the truncation.
+        Tor_(2p+1) = (J I^p meet I^p J) / (I^(p+1) + J I^p J),
+    with I^0 J = J I^0 = J, so that Tor_1 = J / (I + J J). For p >= 1 every
+    product with J is a product with the generator span V: I^p and
+    J I^(p-1) are two sided ideals, so J I^p = V I^p, I^p J = I^p V and
+    J I^(p-1) J = (J I^(p-1)) V (see _times_generators).
+
+    Tor_1 is a quotient of J / J J = V, so it lives in generator degrees;
+    Tor_q for q >= 2 lives in degrees up to q maxdeg(A). Refuses when that
+    degree exceeds the truncation.
     """
     if q < 0:
         raise InputValidationError("q must be >= 0")
     if q == 0:
         return PoincarePolynomial.make({0: pres.num_vertices})
     I = ideal_from_relations(pres)
-    if q == 1:
-        V = generator_span(pres)
-        meet = ideal_meet(V, I)
-        dims = {}
-        vdims = V.dims_by_degree()
-        mdims = meet.dims_by_degree()
-        for d, n in vdims.items():
-            rem = n - mdims.get(d, 0)
-            if rem:
-                dims[d] = rem
-        return PoincarePolynomial.make(dims)
-
-    a_max = certified_maxdeg(pres, I)
-    d_need = q * a_max
+    if q > 1:
+        d_need = q * certified_maxdeg(pres, I)
+    else:
+        d_need = max((g.deg for g in pres.generators), default=0)
     if d_need > pres.truncation:
         raise TruncationError(
             f"Tor_{q} may receive contributions up to degree {d_need}; "
             f"increase truncation (currently {pres.truncation})"
         )
 
-    def v_times(X):
-        return _times_generators(X, d_need, left=True)
-
-    def times_v(X):
-        return _times_generators(X, d_need, left=False)
-
     p = q // 2
     relations = _relation_vectors(pres, _context(pres))
     powers = {1: I}
-    top = p + 1 if q % 2 == 1 else p
-    for j in range(2, top + 1):
+    for j in range(2, p + q % 2 + 1):
         powers[j] = _next_power(powers[j - 1], relations, d_need)
+
+    def times_j(e, left):
+        """J I^e (left) or I^e J, truncated at d_need."""
+        if e == 0:
+            return augmentation_ideal(pres, up_to=d_need)
+        return _times_generators(powers[e], d_need, left)
+
     if q % 2 == 0:
-        if p == 1:
-            mid = v_times(augmentation_ideal(pres, up_to=d_need))
-        else:
-            mid = times_v(v_times(powers[p - 1]))
+        mid = _times_generators(times_j(p - 1, True), d_need, left=False)
         num = ideal_meet(powers[p], mid)
-        den = ideal_sum(v_times(powers[p]), times_v(powers[p]))
+        den = ideal_sum(times_j(p, True), times_j(p, False))
     else:
-        ji = v_times(powers[p])
-        num = ideal_meet(ji, times_v(powers[p]))
-        den = ideal_sum(powers[p + 1], times_v(ji))
+        ji = times_j(p, True)
+        num = ideal_meet(ji, times_j(p, False))
+        den = ideal_sum(powers[p + 1], _times_generators(ji, d_need, left=False))
     return PoincarePolynomial.make(_quotient_dims(pres, num, den, d_need))
 
 

@@ -518,6 +518,32 @@ FUZZ_COMMANDS = (
                   "--preset", "zigzag"])]
 )
 
+# one argv per command that reads a JSON file
+JSON_COMMANDS = {argv[0]: argv for _, argv in FUZZ_COMMANDS}
+
+
+@pytest.mark.parametrize("text", ["1" * 5000, "[" * 100000],
+                         ids=["int-past-the-digit-limit", "nesting-past-the-recursion-limit"])
+@pytest.mark.parametrize("command", sorted(JSON_COMMANDS))
+def test_unreadable_json_exits_2(tmp_path, capsys, command, text):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    run_reports_input_error([str(path) if a is None else a for a in JSON_COMMANDS[command]],
+                            capsys)
+
+
+@pytest.mark.parametrize("coeff", ["1e10000000", "2E-3", "1.5e2", 1e-07])
+def test_exponent_coefficients_exit_2(tmp_path, capsys, coeff):
+    algebra = algebra_to_json_dict(truncated_poly(2, 2))
+    algebra["mult"][0]["result"][0]["coeff"] = coeff
+    path = write_json(tmp_path, "algebra.json", algebra)
+    run_reports_input_error(["hh", "--algebra", path, "--p", "1", "--q", "0"], capsys)
+    pres = presentation_to_json_dict(single_generator_presentation(2, 2, 8))
+    pres["relations"][0][0]["coeff"] = coeff
+    path = write_json(tmp_path, "pres.json", pres)
+    run_reports_input_error(["tor", "--pres", path, "--q", "2"], capsys)
+
+
 LEAVES = st.one_of(
     st.none(), st.booleans(), st.integers(-3, 6),
     st.sampled_from([1.5, 2.5, "", "x", "4", "-1", "1/0", "2/3", "t", "e1", "fp:7", "fp:9",

@@ -587,6 +587,7 @@ def test_old_positional_bimodule_call_shape_is_a_type_error():
         lambda: hh_resolution(A, spec, None, 0, 0),
         lambda: cochain_dim(A, None, 0, 0),
         lambda: nonempty_internal_degrees(A, None, 0),
+        lambda: kadeishvili_scan(A, 3, "absolute"),
     ):
         with pytest.raises(TypeError):
             stale()

@@ -15,6 +15,7 @@ from formalitykit.presentations import (
     _context,
     _next_power,
     _products,
+    _quotient_dims,
     _relation_vectors,
     _times_generators,
     Generator,
@@ -175,6 +176,20 @@ def test_ideal_is_two_sided_closed():
     J = augmentation_ideal(pres)
     assert is_closed_under_generators(pres, J)
     assert is_closed_under_generators(pres, ideal_meet(I, ideal_product(J, J)))
+
+
+def test_bare_relation_span_is_not_closed_under_generators():
+    pres = a2_pres()
+    span = HomogeneousIdeal.from_block_dict(pres, _relation_vectors(pres, _context(pres)))
+    assert not is_closed_under_generators(pres, span)
+
+
+def test_quotient_dims_refuses_a_denominator_outside_the_numerator():
+    pres = a2_pres()
+    I, J = ideal_from_relations(pres), augmentation_ideal(pres)
+    assert _quotient_dims(pres, J, I, 6) == {2: 4, 4: 2}  # the positive part of A
+    with pytest.raises(InputValidationError):
+        _quotient_dims(pres, I, J, 6)
 
 
 def _random_monomial_presentation(rng):
@@ -481,6 +496,30 @@ def test_tor_one_is_generator_space():
     assert tor_term(pres, 1).dims() == {2: 4}
 
 
+@pytest.mark.parametrize("config", sorted({term[:-1] for term in TOR_POOL}),
+                         ids=lambda config: "-".join(map(str, config)))
+def test_tor_one_matches_chain_homology_on_the_pool(config):
+    """Tor_1 = J / (I + J J), the indecomposables, even where a relation
+    has a one-letter word: in the (1, 2, 1) zigzag presets a_ji a_ij = t_i
+    makes the loops decomposable."""
+    graph, n, k, h, preset = config
+    g = {"A2": A2, "triangle": TRIANGLE}[graph]
+    A = build_configuration_algebra(g, n, k, h, preset)
+    dims = tor_term(_pool_presentation(*config, 1), 1).dims()
+    assert dims == {d: dim for d in range(1, max(n * k, 2 * h) + 1)
+                    if (dim := chain_h(A, 1, d))}
+    if (n, k, h, preset) == (1, 2, 1, "zigzag"):
+        assert dims == {1: len(g.edges) * 2}
+
+
+def test_tor_one_refuses_a_generator_above_the_truncation():
+    # Tor_1 lives in generator degrees; s has degree 3 > 2
+    pres = TensorPresentation(1, (Generator("t", 1, 1, 1), Generator("s", 1, 1, 3)),
+                              (((("t", "t"), ONE),),), 2)
+    with pytest.raises(TruncationError):
+        tor_term(pres, 1)
+
+
 def test_tor_single_generator_gradings():
     for n in (1, 2):
         for k in (1, 2):
@@ -579,7 +618,9 @@ def test_tor_refuses_insufficient_truncation():
 
 def test_certified_maxdeg():
     pres = single_generator_presentation(2, 3, truncation=24)
-    assert certified_maxdeg(pres) == 6
+    assert certified_maxdeg(pres, ideal_from_relations(pres)) == 6
+    with pytest.raises(TypeError):
+        certified_maxdeg(pres)  # the ideal is passed, never recomputed
     # k<x, y>/(x^2) is infinite dimensional: no zero window can ever appear
     free_ish = TensorPresentation(
         1,
@@ -588,14 +629,14 @@ def test_certified_maxdeg():
         8,
     )
     with pytest.raises(TruncationError):
-        certified_maxdeg(free_ish)
+        certified_maxdeg(free_ish, ideal_from_relations(free_ish))
     with pytest.raises(TruncationError):
         tor_term(free_ish, 2)
 
 
 def test_algebra_dims_match_quotient():
     pres = a2_pres(n=2, k=2, h=2, truncation=10)
-    dims = algebra_dims(pres)
+    dims = algebra_dims(pres, ideal_from_relations(pres))
     A = build_configuration_algebra(ConfigGraph.make([1, 2], [(1, 2)]), 2, 2, 2, "orthogonal")
     assert {d: n for d, n in dims.items() if n} == A.poincare()
 
@@ -664,6 +705,6 @@ def test_presentation_json_bad_integer(bad):
 
 def test_presentation_without_generators_is_the_base():
     pres = TensorPresentation(2, (), (), 8)
-    assert certified_maxdeg(pres) == 0
+    assert certified_maxdeg(pres, ideal_from_relations(pres)) == 0
     assert tor_term(pres, 0).dims() == {0: 2}
     assert [tor_term(pres, q).is_zero() for q in (1, 2, 3)] == [True, True, True]
