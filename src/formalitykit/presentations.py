@@ -1,18 +1,30 @@
-"""Truncated tensor algebras over a split separable base and the
-Butler-King description of Tor in terms of ideal arithmetic.
+"""Truncated tensor algebras over a split separable base, and Tor over
+them by one of two routes.
 
 A presentation is a quiver-like datum: m base idempotents, degree
 labeled generators with source and target, homogeneous relations, and a
 truncation bound D. All ideal arithmetic is exact and degreewise, and
 the tool refuses (rather than silently truncates) whenever an answer
 could receive contributions above D.
+
+tor_term chooses its route from the relations. A presentation is
+monomial when every relation, after summing equal words, has exactly one
+non-zero term, a word of length >= 2 (a tip). Its Tor_q has one basis
+vector per Anick (q-1)-chain (Anick, Trans. AMS 296 (1986);
+Green-Happel-Zacharia, Illinois J. Math. 29 (1985)): the 0-chains are
+the generators, and an n-chain is an (n-1)-chain with tail s followed by
+a path t such that s t contains exactly one tip, which starts inside s
+and ends at the end of t. That route counts chains and does no linear
+algebra. Every other presentation takes the Butler-King description of
+Tor by ideal arithmetic (Butler-King, J. Algebra 212 (1999)), which the
+tests keep as the reference for the chain count.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 from .configurations import ConfigGraph, PoincarePolynomial
 from .errors import InputValidationError, TruncationError
@@ -443,22 +455,27 @@ def algebra_dims(pres: TensorPresentation, I: HomogeneousIdeal) -> Dict[int, int
     return dims
 
 
-def certified_maxdeg(pres: TensorPresentation, I: HomogeneousIdeal) -> int:
-    """Exact maxdeg of T(V)/I, certified by a zero window of width equal to
-    the maximal generator degree (after such a window the quotient stays
-    zero, since every longer word has a prefix inside the window)."""
-    dims = algebra_dims(pres, I)
+def _window_maxdeg(pres: TensorPresentation, dim: Callable[[int], int]) -> int:
+    """Exact maxdeg of T(V)/I from dim(d), its dimension in degree d,
+    certified by a zero window of width equal to the maximal generator
+    degree (after such a window the quotient stays zero, since every longer
+    word has a prefix inside the window). dim is asked for no degree past
+    the end of the first zero window."""
     # with no generators every positive degree is zero; any width certifies
     width = max((g.deg for g in pres.generators), default=1)
-    D = pres.truncation
-    for start in range(1, D - width + 2):
-        if all(dims.get(start + j, 0) == 0 for j in range(width)):
-            nonzero = [d for d in range(0, start) if dims.get(d, 0) > 0]
-            return max(nonzero)
+    for start in range(1, pres.truncation - width + 2):
+        if all(dim(start + j) == 0 for j in range(width)):
+            return max(d for d in range(start) if dim(d) > 0)
     raise TruncationError(
         "cannot certify finite dimensionality within the truncation; "
         "increase truncation (no nilpotence window found)"
     )
+
+
+def certified_maxdeg(pres: TensorPresentation, I: HomogeneousIdeal) -> int:
+    """Exact maxdeg of T(V)/I, by the window rule of _window_maxdeg."""
+    dims = algebra_dims(pres, I)
+    return _window_maxdeg(pres, lambda d: dims.get(d, 0))
 
 
 # -- Tor terms -------------------------------------------------------------
@@ -514,25 +531,39 @@ def tor_term(pres: TensorPresentation, q: int) -> PoincarePolynomial:
     """Graded dimensions of Tor_q over the presented algebra, with the
     internal grading induced by the tensor algebra.
 
-    q = 0 gives the base, and q >= 1 the Butler-King quotients
-        Tor_(2p)   = (I^p meet J I^(p-1) J) / (J I^p + I^p J)
-        Tor_(2p+1) = (J I^p meet I^p J) / (I^(p+1) + J I^p J),
-    with I^0 J = J I^0 = J, so that Tor_1 = J / (I + J J). For p >= 1 every
-    product with J is a product with the generator span V: I^p and
-    J I^(p-1) are two sided ideals, so J I^p = V I^p, I^p J = I^p V and
-    J I^(p-1) J = (J I^(p-1)) V (see _times_generators).
+    q = 0 gives the base. For q >= 1 the route depends on the relations.
+    A presentation is monomial when every relation, after summing equal
+    words, has exactly one non-zero term, and that word has length >= 2
+    (a tip). Its Tor_q has one basis vector per Anick (q-1)-chain, in the
+    chain's degree (Anick, Trans. AMS 296 (1986); Green-Happel-Zacharia,
+    Illinois J. Math. 29 (1985)). The 0-chains are the generators, and an
+    n-chain is an (n-1)-chain with tail s followed by a path t, its new
+    tail, such that s t contains exactly one tip, which starts inside s and
+    ends at the end of t (see _anick_tor). Every other presentation (a
+    relation with two words left, one that cancels to zero, or a one-letter
+    word) takes the Butler-King quotients of ideals (see _butler_king_tor).
 
     Tor_1 is a quotient of J / J J = V, so it lives in generator degrees;
-    Tor_q for q >= 2 lives in degrees up to q maxdeg(A). Refuses when that
-    degree exceeds the truncation.
+    Tor_q for q >= 2 lives in degrees up to q maxdeg(A). Both routes refuse
+    when that degree exceeds the truncation, and both certify maxdeg(A) by
+    the same zero window, so they refuse in the same cases.
     """
     if q < 0:
         raise InputValidationError("q must be >= 0")
     if q == 0:
         return PoincarePolynomial.make({0: pres.num_vertices})
-    I = ideal_from_relations(pres)
+    tips = _monomial_tips(pres)
+    if tips is None:
+        return _butler_king_tor(pres, q)
+    return _anick_tor(pres, tips, q)
+
+
+def _tor_degree_cap(pres: TensorPresentation, q: int, maxdeg: Callable[[], int]) -> int:
+    """The top degree of Tor_q (q >= 1): the largest generator degree for
+    q = 1, and q maxdeg(A) for q >= 2, with maxdeg() asked only then.
+    Refused past the truncation."""
     if q > 1:
-        d_need = q * certified_maxdeg(pres, I)
+        d_need = q * maxdeg()
     else:
         d_need = max((g.deg for g in pres.generators), default=0)
     if d_need > pres.truncation:
@@ -540,6 +571,19 @@ def tor_term(pres: TensorPresentation, q: int) -> PoincarePolynomial:
             f"Tor_{q} may receive contributions up to degree {d_need}; "
             f"increase truncation (currently {pres.truncation})"
         )
+    return d_need
+
+
+def _butler_king_tor(pres: TensorPresentation, q: int) -> PoincarePolynomial:
+    """Tor_q for q >= 1 from the Butler-King quotients
+        Tor_(2p)   = (I^p meet J I^(p-1) J) / (J I^p + I^p J)
+        Tor_(2p+1) = (J I^p meet I^p J) / (I^(p+1) + J I^p J),
+    with I^0 J = J I^0 = J, so that Tor_1 = J / (I + J J). For p >= 1 every
+    product with J is a product with the generator span V: I^p and
+    J I^(p-1) are two sided ideals, so J I^p = V I^p, I^p J = I^p V and
+    J I^(p-1) J = (J I^(p-1)) V (see _times_generators)."""
+    I = ideal_from_relations(pres)
+    d_need = _tor_degree_cap(pres, q, lambda: certified_maxdeg(pres, I))
 
     p = q // 2
     relations = _relation_vectors(pres, _context(pres))
@@ -562,6 +606,115 @@ def tor_term(pres: TensorPresentation, q: int) -> PoincarePolynomial:
         num = ideal_meet(ji, times_j(p, False))
         den = ideal_sum(powers[p + 1], _times_generators(ji, d_need, left=False))
     return PoincarePolynomial.make(_quotient_dims(pres, num, den, d_need))
+
+
+# -- Tor of monomial presentations: Anick chains ------------------------------
+
+
+def _monomial_tips(pres: TensorPresentation) -> Optional[FrozenSet[Word]]:
+    """The minimal tips of a monomial presentation, or None when it is not
+    monomial (see tor_term). Each relation's equal words are summed in the
+    field; a word that contains another tip is dropped, since it lies in
+    the ideal that tip generates."""
+    f = pres.field_spec.field()
+    words = set()
+    for rel in pres.relations:
+        summed: Dict[Word, object] = {}
+        for word, c in rel:
+            summed[word] = f.add(summed.get(word, f.zero), c)
+        left = [word for word, c in summed.items() if not f.is_zero(c)]
+        if len(left) != 1 or len(left[0]) < 2:
+            return None
+        words.add(left[0])
+    return frozenset(w for w in words if not any(u in words for u in _subwords(w) if u != w))
+
+
+def _subwords(word: Word):
+    """Each occurrence of a subword of length >= 2 in word (tips have length
+    >= 2)."""
+    return (word[i:j] for i in range(len(word)) for j in range(i + 2, len(word) + 1))
+
+
+class _NormalWords:
+    """The composable words that contain no tip, counted by degree: for a
+    monomial ideal they are a basis of T(V)/I. A word is normal iff the word
+    after its first letter is and no tip is a prefix of it. Whether a tip
+    is a prefix of g w depends on g and the first (longest tip - 1) letters
+    of w only, so degree d is built from lower degrees, on demand and once,
+    as counts per such prefix: the work is bounded by the prefixes, not by
+    the words, even where T(V)/I is infinite dimensional."""
+
+    def __init__(self, pres: TensorPresentation, tips: FrozenSet[Word]):
+        self.pres = pres
+        self.tips = tips
+        self.lengths = sorted({len(tip) for tip in tips})
+        self.keep = max([1] + [n - 1 for n in self.lengths])
+        self.gen = {g.label: g for g in pres.generators}
+        self.by_degree: Dict[int, Dict[Word, int]] = {}
+
+    def prefixes(self, d: int) -> Dict[Word, int]:
+        """The normal words of degree d, counted by their first keep letters."""
+        if d not in self.by_degree:
+            out: Dict[Word, int] = {}
+            for g in self.pres.generators:
+                if g.deg == d:
+                    out[(g.label,)] = 1
+                elif g.deg < d:
+                    for prefix, count in self.prefixes(d - g.deg).items():
+                        word = (g.label,) + prefix
+                        if self.gen[prefix[0]].tgt == g.src and not any(
+                                word[:n] in self.tips for n in self.lengths):
+                            key = word[:self.keep]
+                            out[key] = out.get(key, 0) + count
+            self.by_degree[d] = out
+        return self.by_degree[d]
+
+    def dim(self, d: int) -> int:
+        return self.pres.num_vertices if d == 0 else sum(self.prefixes(d).values())
+
+
+def _chain_extensions(tips: FrozenSet[Word], tail: Word,
+                      deg: Mapping[str, int]) -> List[Tuple[Word, int]]:
+    """(t, degree of t) for each non-empty path t that extends a chain with
+    this tail: tail t contains exactly one tip, which starts inside the tail
+    and ends at the end of t. So t is what a tip has left after a prefix
+    that is a suffix of the tail."""
+    out = []
+    for tip in tips:
+        for k in range(1, min(len(tail), len(tip) - 1) + 1):
+            if tail[-k:] == tip[:k] and sum(u in tips for u in _subwords(tail + tip[k:])) == 1:
+                out.append((tip[k:], sum(deg[lab] for lab in tip[k:])))
+    return out
+
+
+def _anick_tor(pres: TensorPresentation, tips: FrozenSet[Word], q: int) -> PoincarePolynomial:
+    """Tor_q for q >= 1 of a monomial presentation with these minimal tips,
+    as the number of Anick (q-1)-chains by degree (see tor_term). Whether a
+    chain extends, and by which t (see _chain_extensions), depends only on
+    its tail, so chains are counted per (tail, degree), never listed.
+
+    maxdeg(A) is certified on the normal words (see _NormalWords), read no
+    further than the first zero window, so the work does not grow with the
+    truncation. It is needed only for the refusal: the count is dim Tor_q,
+    a subquotient of the bar term (A+)^(tensor q), so no chain lies above
+    q maxdeg(A)."""
+    normal = _NormalWords(pres, tips)
+    _tor_degree_cap(pres, q, lambda: _window_maxdeg(pres, normal.dim))
+    deg = {g.label: g.deg for g in pres.generators}
+    chains: Dict[Tuple[Word, int], int] = {((g.label,), g.deg): 1 for g in pres.generators}
+    extensions: Dict[Word, List[Tuple[Word, int]]] = {}
+    for _ in range(q - 1):
+        longer: Dict[Tuple[Word, int], int] = {}
+        for (tail, d), count in chains.items():
+            if tail not in extensions:
+                extensions[tail] = _chain_extensions(tips, tail, deg)
+            for t, dt in extensions[tail]:
+                longer[(t, d + dt)] = longer.get((t, d + dt), 0) + count
+        chains = longer
+    dims: Dict[int, int] = {}
+    for (_, d), count in chains.items():
+        dims[d] = dims.get(d, 0) + count
+    return PoincarePolynomial.make(dims)
 
 
 # -- symbolic mindeg calculus ----------------------------------------------

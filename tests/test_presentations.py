@@ -1,7 +1,10 @@
+import itertools
+import json
 from fractions import Fraction
 
 import pytest
 
+from formalitykit.cli import dispatch
 from formalitykit.configurations import ConfigGraph
 from formalitykit.errors import InputValidationError, TruncationError
 from formalitykit.fields import RATIONALS, FieldSpec
@@ -375,6 +378,7 @@ def _generators_reversed(pres):
 
 A2 = ConfigGraph.make([1, 2], [(1, 2)])
 TRIANGLE = ConfigGraph.make([1, 2, 3], [(1, 2), (2, 3), (3, 1)])
+CYCLE4 = ConfigGraph.make([1, 2, 3, 4], [(1, 2), (2, 3), (3, 4), (4, 1)])
 
 
 def _lemma_cases(field):
@@ -465,8 +469,10 @@ TOR_CASES = list(_tor_cases())
 @pytest.mark.parametrize("pres,q", [case[1:] for case in TOR_CASES],
                          ids=[case[0] for case in TOR_CASES])
 def test_every_ideal_tor_term_builds_equals_the_eliminating_route(monkeypatch, pres, q):
-    """Each closure, product with generators and sum inside tor_term returns
-    the blocks the eliminating route returns on the same input."""
+    """Each closure, product with generators and sum inside the Butler-King
+    route returns the blocks the eliminating route returns on the same
+    input. The route is called directly, since tor_term sends monomial
+    presentations to the Anick route, which builds no ideal."""
     routes = {"_closure": _eliminating_closure,
               "_times_generators": _eliminating_times_generators,
               "ideal_sum": _eliminating_sum}
@@ -477,13 +483,28 @@ def test_every_ideal_tor_term_builds_equals_the_eliminating_route(monkeypatch, p
             calls.append((name, args, kwargs, out))
             return out
         monkeypatch.setattr(presentations, name, record)
-    tor_term(pres, q)
+    presentations._butler_king_tor(pres, q)
     assert {call[0] for call in calls} == set(routes)
     for name, args, kwargs, out in calls:
         assert out == routes[name](*args, **kwargs), name
 
 
 # -- Tor terms ----------------------------------------------------------------
+
+
+def _anick_route(pres, q):
+    tips = presentations._monomial_tips(pres)
+    assert tips is not None, "not a monomial presentation"
+    return presentations._anick_tor(pres, tips, q)
+
+
+# the two routes of tor_term for q >= 1, called directly
+TOR_ROUTES = {"anick": _anick_route, "butler-king": presentations._butler_king_tor}
+
+
+@pytest.fixture(params=sorted(TOR_ROUTES))
+def tor_route(request):
+    return TOR_ROUTES[request.param]
 
 
 def test_tor_zero_is_base():
@@ -520,12 +541,12 @@ def test_tor_one_refuses_a_generator_above_the_truncation():
         tor_term(pres, 1)
 
 
-def test_tor_single_generator_gradings():
+def test_tor_single_generator_gradings(tor_route):
     for n in (1, 2):
         for k in (1, 2):
             pres = single_generator_presentation(n, k, truncation=6 * n * k + k)
             for q in range(0, 7):
-                dims = tor_term(pres, q).dims()
+                dims = (tor_route if q else tor_term)(pres, q).dims()
                 p = q // 2
                 if q == 0:
                     assert dims == {0: 1}
@@ -551,12 +572,12 @@ def chain_h(A, p, q):
     return (len(words_p) - rank_dp) - rank_dp1
 
 
-def test_tor_agrees_with_reduced_chain_homology():
+def test_tor_agrees_with_reduced_chain_homology(tor_route):
     """Independent route: homology of the reduced tensor word complex."""
     A = truncated_poly(2, 2)
     pres = single_generator_presentation(2, 2, truncation=26)
     for q in (2, 3, 4):
-        dims = tor_term(pres, q).dims()
+        dims = tor_route(pres, q).dims()
         for d in range(1, 17):
             assert chain_h(A, q, d) == dims.get(d, 0)
 
@@ -564,7 +585,7 @@ def test_tor_agrees_with_reduced_chain_homology():
     A = build_configuration_algebra(g, 2, 2, 2, "orthogonal")
     pres = a2_pres(truncation=12)
     for q in (2, 3):
-        dims = tor_term(pres, q).dims()
+        dims = tor_route(pres, q).dims()
         for d in range(1, 13):
             assert chain_h(A, q, d) == dims.get(d, 0)
 
@@ -586,7 +607,8 @@ def test_tor_zigzag_a2_matches_chain_homology():
     ("triangle", (1, 2, 1), 3, {3: 24, 4: 36, 5: 18, 6: 3}),
     ("triangle", (1, 2, 1), 4, {4: 48, 5: 96, 6: 72, 7: 24, 8: 3}),
 ])
-def test_higher_tor_of_orthogonal_configurations_matches_chain_homology(graph, nkh, q, expected):
+def test_higher_tor_of_orthogonal_configurations_matches_chain_homology(tor_route, graph, nkh, q,
+                                                                       expected):
     vertices, edges = {"A2": ([1, 2], [(1, 2)]),
                        "triangle": ([1, 2, 3], [(1, 2), (2, 3), (3, 1)])}[graph]
     g = ConfigGraph.make(vertices, edges)
@@ -594,20 +616,20 @@ def test_higher_tor_of_orthogonal_configurations_matches_chain_homology(graph, n
     A = build_configuration_algebra(g, n, k, h, "orthogonal")
     top = max(n * k, h)  # the algebra's maxdeg
     pres = configuration_presentation(g, n, k, h, "orthogonal", q * top + max(k, h))
-    dims = tor_term(pres, q).dims()
+    dims = tor_route(pres, q).dims()
     assert dims == expected
     for d in range(1, q * top + 1):
         assert chain_h(A, q, d) == dims.get(d, 0)
 
 
-def test_tor_truncation_independence():
+def test_tor_truncation_independence(tor_route):
     base = 2 * 3 * 2 + 2  # enough for q = 2 with n = 2, k = 2
     for extra in (0, 2):
         pres = a2_pres(truncation=12 + extra)
-        assert tor_term(pres, 2).dims() == {4: 6, 6: 2}
+        assert tor_route(pres, 2).dims() == {4: 6, 6: 2}
     p1 = single_generator_presentation(2, 2, truncation=24)
     p2 = single_generator_presentation(2, 2, truncation=26)
-    assert tor_term(p1, 4).dims() == tor_term(p2, 4).dims()
+    assert tor_route(p1, 4).dims() == tor_route(p2, 4).dims()
 
 
 def test_tor_refuses_insufficient_truncation():
@@ -639,6 +661,240 @@ def test_algebra_dims_match_quotient():
     dims = algebra_dims(pres, ideal_from_relations(pres))
     A = build_configuration_algebra(ConfigGraph.make([1, 2], [(1, 2)]), 2, 2, 2, "orthogonal")
     assert {d: n for d, n in dims.items() if n} == A.poincare()
+
+
+# -- the Anick route against the Butler-King route -----------------------------
+
+
+def _outcome(route, pres, q):
+    """A route's Tor_q dims, or the text of its TruncationError."""
+    try:
+        return route(pres, q).dims()
+    except TruncationError as exc:
+        return f"refused: {exc}"
+
+
+def _with_spec(pres, spec):
+    rels = tuple(tuple((w, spec.field().scalar(int(c))) for w, c in rel) for rel in pres.relations)
+    return TensorPresentation(pres.num_vertices, pres.generators, rels, pres.truncation, spec)
+
+
+MONOMIAL_TOR_CASES = [case for case in TOR_CASES
+                      if presentations._monomial_tips(case[1]) is not None]
+
+
+def test_tor_cases_split_between_the_routes():
+    # the orthogonal pool entries and the two extra cases are monomial; every
+    # zigzag preset relates a_ji a_ij to a power of t_i
+    assert len(MONOMIAL_TOR_CASES) == 12
+    assert all("zigzag" not in case[0] for case in MONOMIAL_TOR_CASES)
+
+
+@pytest.mark.parametrize("pres,q", [case[1:] for case in MONOMIAL_TOR_CASES],
+                         ids=[case[0] for case in MONOMIAL_TOR_CASES])
+@pytest.mark.parametrize("field", ["rationals", "fp:32003"])
+@pytest.mark.parametrize("reverse", [False, True], ids=["given", "reversed"])
+def test_anick_route_equals_butler_king_on_the_tor_cases(pres, q, field, reverse):
+    pres = _with_spec(pres, FieldSpec.parse(field))
+    if reverse:
+        pres = _generators_reversed(pres)
+    for j in range(1, q + 1):
+        assert _anick_route(pres, j).dims() == presentations._butler_king_tor(pres, j).dims()
+
+
+def test_anick_route_equals_butler_king_on_random_monomial_presentations(rng):
+    """12 draws that take the Anick route; a draw with a one-letter word
+    (y of degree 2) takes the Butler-King route and is skipped. The draws
+    are infinite dimensional, so past Tor_1 they are refused, by the same
+    text on both routes. Each draw is also capped, with every word of
+    degree 4 or 5 as a further relation (many contain a drawn tip). Every
+    longer word has a prefix of degree 4 or 5 (generators have degree <= 2),
+    so maxdeg <= 3 and Tor_q fits in truncation 12 for q <= 4."""
+    compared = 0
+    while compared < 12:
+        pres, _ = _random_monomial_presentation(rng)
+        if presentations._monomial_tips(pres) is None:
+            continue
+        compared += 1
+        cap = tuple(((w, ONE),) for w in word_basis(pres, 4) + word_basis(pres, 5))
+        capped = TensorPresentation(pres.num_vertices, pres.generators, pres.relations + cap, 12)
+        for q in range(1, 5):
+            assert _outcome(_anick_route, pres, q) == _outcome(presentations._butler_king_tor,
+                                                               pres, q)
+            assert _anick_route(capped, q).dims() == presentations._butler_king_tor(capped, q).dims()
+
+
+@pytest.mark.parametrize("graph,nkh,q,truncation,expected", [
+    (A2, (2, 2, 2), 8, 34, {16: 110, 18: 218, 20: 146, 22: 36, 24: 2}),
+    (TRIANGLE, (1, 2, 1), 6, 14, {6: 192, 7: 576, 8: 720, 9: 480, 10: 180, 11: 36, 12: 3}),
+], ids=["A2-2-2-2-q8", "triangle-1-2-1-q6"])
+def test_anick_route_reaches_the_baseline_tor_terms(monkeypatch, graph, nkh, q, truncation,
+                                                    expected):
+    """The Baseline values, out of reach of the ideal engine in a test (17.9
+    and 15.5 s on a 2-core x86-64 host). The cost is counted: each tail's extensions are found once,
+    and a chain extends per (tail, degree) state, never one by one."""
+    pres = configuration_presentation(graph, *nkh, "orthogonal", truncation)
+    tails = []
+    real = presentations._chain_extensions
+
+    def record(tips, tail, deg):
+        tails.append(tail)
+        return real(tips, tail, deg)
+
+    monkeypatch.setattr(presentations, "_chain_extensions", record)
+    assert tor_term(pres, q).dims() == expected
+    # the tails are the generators and the proper suffixes of the tips
+    tips = presentations._monomial_tips(pres)
+    assert len(tails) == len(set(tails)) <= len(pres.generators) + sum(len(w) - 1 for w in tips)
+
+
+def test_anick_route_builds_no_ideal_and_calls_no_linalg(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the Anick route reached the ideal engine")
+
+    for name in ("ideal_from_relations", "ideal_meet", "ideal_product", "ideal_sum",
+                 "row_space_basis", "rref_extend", "subspace_meet", "_butler_king_tor"):
+        monkeypatch.setattr(presentations, name, refuse)
+    monkeypatch.setattr(linalg, "_eliminate", refuse)
+    assert tor_term(a2_pres(truncation=12), 3).dims() == {6: 10, 8: 6}
+
+
+@pytest.mark.parametrize("graph,nkh", [(A2, (2, 2, 2)), (A2, (1, 2, 1)),
+                                       (TRIANGLE, (1, 2, 1)), (CYCLE4, (1, 2, 1))],
+                         ids=["A2-2-2-2", "A2-1-2-1", "triangle-1-2-1", "cycle4-1-2-1"])
+def test_mindeg_bound_respected_up_to_tor_eight(graph, nkh):
+    n, k, h = nkh
+    pres = configuration_presentation(graph, n, k, h, "orthogonal", 8 * max(n * k, h) + max(k, h))
+    gen = {g.label: g.deg for g in pres.generators}
+    mu = min(sum(gen[lab] for lab in rel[0][0]) for rel in pres.relations)
+    nu = min(gen.values())
+    for q in range(1, 9):
+        assert mindeg(tor_term(pres, q)) >= mindeg_bound(mu, nu, q)
+
+
+def _one_generator(relations, truncation=12, deg=1):
+    rels = tuple(tuple((("t",) * power, c) for power, c in rel) for rel in relations)
+    return TensorPresentation(1, (Generator("t", 1, 1, deg),), rels, truncation)
+
+
+# (id, presentation, its minimal tips or None for the Butler-King route,
+# the tor command's exit codes for q = 1..4)
+PARITY_CASES = [
+    ("2w-w", _one_generator([((3, 2), (3, -1))]), {("t",) * 3}, [0, 0, 0, 0]),
+    ("w-w", _one_generator([((3, 1), (3, -1))]), None, [0, 2, 2, 2]),  # k[t]: no window
+    ("duplicated-tip", _one_generator([((3, 1),), ((3, 1),)]), {("t",) * 3}, [0, 0, 0, 0]),
+    ("tip-inside-a-tip", _one_generator([((4, 1),), ((3, 1),)]), {("t",) * 3}, [0, 0, 0, 0]),
+    ("no-relations", _one_generator([]), set(), [0, 2, 2, 2]),
+    ("truncation-60", _one_generator([((3, 1),)], truncation=60), {("t",) * 3}, [0, 0, 0, 0]),
+    ("one-letter-relation",
+     TensorPresentation(1, (Generator("x", 1, 1, 1), Generator("y", 1, 1, 2)),
+                        (((("y",), ONE),), ((("x", "x", "x"), ONE),)), 12), None, [0, 0, 0, 0]),
+    ("past-the-truncation", single_generator_presentation(2, 2, truncation=10), {("t",) * 3},
+     [0, 0, 2, 2]),  # Tor_3 needs degree 3 * 4 = 12
+    ("generator-above-the-truncation",
+     TensorPresentation(1, (Generator("t", 1, 1, 1), Generator("s", 1, 1, 3)),
+                        (((("t", "t"), ONE),),), 2), {("t", "t")}, [2, 2, 2, 2]),
+]
+
+
+@pytest.mark.parametrize("pres,tips", [case[1:3] for case in PARITY_CASES],
+                         ids=[case[0] for case in PARITY_CASES])
+def test_routes_select_and_refuse_alike(pres, tips):
+    """Each case picks its route, and the Anick route gives the Butler-King
+    result or refusal on the tips of its ideal. Where a relation cancels to
+    zero the ideal is 0, with no tips; a one-letter relation kills a
+    generator, which no chain count sees, so there only the selection is
+    checked."""
+    assert presentations._monomial_tips(pres) == (None if tips is None else frozenset(tips))
+    zero_ideal = tips is None and ideal_from_relations(pres).is_zero()
+    for q in range(1, 5):
+        want = _outcome(presentations._butler_king_tor, pres, q)
+        assert _outcome(tor_term, pres, q) == want
+        if tips is not None or zero_ideal:
+            def anick(p, j):
+                return presentations._anick_tor(p, frozenset(tips or ()), j)
+            assert _outcome(anick, pres, q) == want
+
+
+@pytest.mark.parametrize("pres,codes", [case[1::2] for case in PARITY_CASES],
+                         ids=[case[0] for case in PARITY_CASES])
+def test_tor_command_is_the_same_on_either_route(monkeypatch, tmp_path, capsys, pres, codes):
+    """The tor command's exit code, stdout and stderr, with a presentation
+    on its own route and forced onto the Butler-King route."""
+    path = tmp_path / "pres.json"
+    path.write_text(json.dumps(presentation_to_json_dict(pres)))
+
+    def run():
+        runs = []
+        for q in range(1, 5):
+            code = dispatch(["tor", "--pres", str(path), "--q", str(q)])
+            runs.append((code, *capsys.readouterr()))
+        return runs
+
+    own = run()
+    monkeypatch.setattr(presentations, "_monomial_tips", lambda pres: None)
+    assert run() == own
+    assert [code for code, _, _ in own] == codes
+
+
+def _minimal_truncation(make, q):
+    """The least truncation at which tor_term(make(truncation), q) runs:
+    below it the relations or Tor_q do not fit."""
+    for truncation in itertools.count():
+        try:
+            tor_term(make(truncation), q)
+            return truncation
+        except InputValidationError:
+            pass
+
+
+def _recorded_normal_words(monkeypatch):
+    """The _NormalWords the Anick route builds, from now on."""
+    built = []
+
+    class Recorded(presentations._NormalWords):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(presentations, "_NormalWords", Recorded)
+    return built
+
+
+def _prefixes_built(built):
+    return sum(len(prefixes) for nw in built for prefixes in nw.by_degree.values())
+
+
+@pytest.mark.parametrize("make,q", [
+    (lambda t: configuration_presentation(A2, 2, 2, 2, "orthogonal", t), 3),
+    (lambda t: configuration_presentation(TRIANGLE, 1, 2, 1, "orthogonal", t), 2),
+    (lambda t: single_generator_presentation(2, 2, t), 4),
+], ids=["A2-2-2-2-q3", "triangle-1-2-1-q2", "single-2-2-q4"])
+def test_anick_route_materializes_as_many_words_at_any_truncation(monkeypatch, make, q):
+    """The Anick route reads T(V)/I no further than the zero window that
+    certifies maxdeg, so a larger truncation adds no word (it builds the
+    normal words' prefixes, see _NormalWords)."""
+    minimal = _minimal_truncation(make, q)
+    built = _recorded_normal_words(monkeypatch)
+    counts, dims = [], []
+    for truncation in (minimal, minimal + 8):
+        built.clear()
+        dims.append(tor_term(make(truncation), q).dims())
+        counts.append(_prefixes_built(built))
+    assert dims[0] == dims[1] and counts[0] == counts[1] > 0
+
+
+def test_anick_route_refuses_an_infinite_algebra_by_prefixes_not_words(monkeypatch):
+    """k<x, y>/(x x) has a Fibonacci number of normal words in each degree,
+    about 10^106 in degree 512, the tor command's default truncation cap.
+    Counted by their first letter, the refusal builds two prefixes per
+    degree."""
+    pres = TensorPresentation(1, (Generator("x", 1, 1, 1), Generator("y", 1, 1, 1)),
+                              (((("x", "x"), ONE),),), 512)
+    built = _recorded_normal_words(monkeypatch)
+    with pytest.raises(TruncationError, match="no nilpotence window"):
+        tor_term(pres, 2)
+    assert _prefixes_built(built) == 2 * 512
 
 
 # -- symbolic mindeg bounds ---------------------------------------------------
