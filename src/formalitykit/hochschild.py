@@ -403,7 +403,11 @@ def kadeishvili_scan(
 
     An all zero table is the finite slice of the vanishing asked for by
     the Kadeishvili criterion; all-q statements come from certificates.
+    A q_max below 3 is refused: its table would be empty, and an empty
+    table would claim vanishing over nothing.
     """
+    if q_max < 3:
+        raise InputValidationError(f"q_max must be >= 3, got {q_max}")
     out: Dict[int, int] = {}
     for q in range(3, q_max + 1):
         out[q] = hh_bar(A, q, 2 - q, mode=mode, max_words=max_words).dim

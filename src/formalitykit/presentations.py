@@ -5,7 +5,10 @@ A presentation is a quiver-like datum: m base idempotents, degree
 labeled generators with source and target, homogeneous relations, and a
 truncation bound D. All ideal arithmetic is exact and degreewise, and
 the tool refuses (rather than silently truncates) whenever an answer
-could receive contributions above D.
+could receive contributions above D. D is only that bound: both Tor
+routes read T(V)/I one degree at a time, no further than the zero window
+that certifies maxdeg(A) and the top degree of Tor_q, so a larger D gives
+the same answer for the same work.
 
 tor_term chooses its route from the relations. A presentation is
 monomial when every relation, after summing equal words, has exactly one
@@ -289,35 +292,54 @@ def _by_pivot(rows) -> List[SparseRow]:
     return sorted(rows, key=min)
 
 
-def _closure(pres: TensorPresentation, seeds: Blocks, cap: int, sides) -> Blocks:
-    """Span of the seed rows closed under multiplication by generators on
-    the given sides (True for left), as reduced blocks up to degree cap.
+class _Closure:
+    """The span of seed rows closed under multiplication by generators on
+    the given sides (True for left), as reduced blocks, built one degree at
+    a time and only as far as a caller reads: upto(cap) gives the blocks up
+    to degree cap, and dim(d) the dimension of T(V) modulo the closure in
+    degree d, which for the relations' two sided closure is that of T(V)/I.
 
-    Built one degree at a time, block_d = seeds_d + sum_g shifts of the
-    blocks of degree d - |g|: a word u s w peels one generator at a time.
-    The shifts on the first side are a canonical RREF once sorted by pivot
-    (see _shift); only the seeds and the other side's shifts are merged
-    into it by elimination."""
-    ctx = _context(pres)
-    f = pres.field_spec.field()
-    blocks: Blocks = {}
-    by_degree: Dict[int, List[BlockKey]] = {}
-    for d in range(1, cap + 1):
-        ready: Blocks = {}
-        fresh = {key: list(rows) for key, rows in seeds.items() if key[0] == d}
-        for g in pres.generators:
-            for key in by_degree.get(d - g.deg, ()):
-                for left in sides:
-                    shifted = _shift(ctx, key, blocks[key], g, left)
-                    if shifted:
-                        dest = ready if left == sides[0] else fresh
-                        dest.setdefault(shifted[0], []).extend(shifted[1])
-        for key in ready.keys() | fresh.keys():
-            basis = rref_extend(_by_pivot(ready.get(key, ())), fresh.get(key, ()), f)
-            if basis:
-                blocks[key] = basis
-                by_degree.setdefault(d, []).append(key)
-    return blocks
+    Degree d is block_d = seeds_d + sum_g shifts of the blocks of degree
+    d - |g|: a word u s w peels one generator at a time. The shifts on the
+    first side are a canonical RREF once sorted by pivot (see _shift); only
+    the seeds and the other side's shifts are merged into it by
+    elimination."""
+
+    def __init__(self, pres: TensorPresentation, seeds: Blocks, sides):
+        self.pres = pres
+        self.seeds = seeds
+        self.sides = sides
+        self.blocks: Blocks = {}
+        self.by_degree: Dict[int, List[BlockKey]] = {}
+        self.reached = 0
+
+    def upto(self, cap: int) -> Blocks:
+        ctx = _context(self.pres)
+        f = self.pres.field_spec.field()
+        for d in range(self.reached + 1, cap + 1):
+            ready: Blocks = {}
+            fresh = {key: list(rows) for key, rows in self.seeds.items() if key[0] == d}
+            for g in self.pres.generators:
+                for key in self.by_degree.get(d - g.deg, ()):
+                    for left in self.sides:
+                        shifted = _shift(ctx, key, self.blocks[key], g, left)
+                        if shifted:
+                            dest = ready if left == self.sides[0] else fresh
+                            dest.setdefault(shifted[0], []).extend(shifted[1])
+            for key in ready.keys() | fresh.keys():
+                basis = rref_extend(_by_pivot(ready.get(key, ())), fresh.get(key, ()), f)
+                if basis:
+                    self.blocks[key] = basis
+                    self.by_degree.setdefault(d, []).append(key)
+            self.reached = d
+        return {key: rows for key, rows in self.blocks.items() if key[0] <= cap}
+
+    def dim(self, d: int) -> int:
+        if d == 0:
+            return self.pres.num_vertices
+        self.upto(d)
+        closed = sum(len(self.blocks[key]) for key in self.by_degree.get(d, ()))
+        return len(_context(self.pres).words(d)) - closed
 
 
 def _products(pres: TensorPresentation, blocks_a, blocks_b, cap: int) -> Blocks:
@@ -380,15 +402,17 @@ def _relation_vectors(pres: TensorPresentation, ctx: _WordContext) -> Blocks:
     return out
 
 
-def ideal_from_relations(pres: TensorPresentation) -> HomogeneousIdeal:
-    """Two sided ideal generated by the relations, degree by degree up to
-    the truncation.
+def _relation_closure(pres: TensorPresentation) -> _Closure:
+    """The two sided ideal I generated by the relations, as a _Closure:
+    I_d = rel_d + sum_g (g I_(d-|g|) + I_(d-|g|) g), which peels one
+    generator at a time off any word u r w."""
+    return _Closure(pres, _relation_vectors(pres, _context(pres)), (True, False))
 
-    Uses the one step closure I_d = rel_d + sum_g (g I_(d-|g|) + I_(d-|g|) g),
-    which peels one generator at a time off any word u r w.
-    """
-    seeds = _relation_vectors(pres, _context(pres))
-    return _ideal(pres, _closure(pres, seeds, pres.truncation, (True, False)))
+
+def ideal_from_relations(pres: TensorPresentation) -> HomogeneousIdeal:
+    """Two sided ideal generated by the relations, closed degree by degree
+    up to the truncation (see _relation_closure)."""
+    return _ideal(pres, _relation_closure(pres).upto(pres.truncation))
 
 
 def _check_same_pres(I1: HomogeneousIdeal, I2: HomogeneousIdeal) -> None:
@@ -442,19 +466,6 @@ def is_closed_under_generators(pres: TensorPresentation, I: HomogeneousIdeal) ->
     return True
 
 
-# -- quotient algebra statistics -----------------------------------------
-
-
-def algebra_dims(pres: TensorPresentation, I: HomogeneousIdeal) -> Dict[int, int]:
-    """Graded dimensions of T(V)/I up to the truncation (degree 0 gives m)."""
-    ctx = _context(pres)
-    in_ideal = I.dims_by_degree()
-    dims = {0: pres.num_vertices}
-    for d in range(1, pres.truncation + 1):
-        dims[d] = len(ctx.words(d)) - in_ideal.get(d, 0)
-    return dims
-
-
 def _window_maxdeg(pres: TensorPresentation, dim: Callable[[int], int]) -> int:
     """Exact maxdeg of T(V)/I from dim(d), its dimension in degree d,
     certified by a zero window of width equal to the maximal generator
@@ -470,12 +481,6 @@ def _window_maxdeg(pres: TensorPresentation, dim: Callable[[int], int]) -> int:
         "cannot certify finite dimensionality within the truncation; "
         "increase truncation (no nilpotence window found)"
     )
-
-
-def certified_maxdeg(pres: TensorPresentation, I: HomogeneousIdeal) -> int:
-    """Exact maxdeg of T(V)/I, by the window rule of _window_maxdeg."""
-    dims = algebra_dims(pres, I)
-    return _window_maxdeg(pres, lambda d: dims.get(d, 0))
 
 
 # -- Tor terms -------------------------------------------------------------
@@ -524,7 +529,7 @@ def _next_power(P: HomogeneousIdeal, relations: Blocks, cap: int) -> Homogeneous
     I = T R T, and P T = P because P is a right ideal, so P I = P R T."""
     pres = P.pres
     seeds = _products(pres, P.blocks, relations.items(), cap)
-    return _ideal(pres, _closure(pres, seeds, cap, (False,)))
+    return _ideal(pres, _Closure(pres, seeds, (False,)).upto(cap))
 
 
 def tor_term(pres: TensorPresentation, q: int) -> PoincarePolynomial:
@@ -581,15 +586,18 @@ def _butler_king_tor(pres: TensorPresentation, q: int) -> PoincarePolynomial:
     with I^0 J = J I^0 = J, so that Tor_1 = J / (I + J J). For p >= 1 every
     product with J is a product with the generator span V: I^p and
     J I^(p-1) are two sided ideals, so J I^p = V I^p, I^p J = I^p V and
-    J I^(p-1) J = (J I^(p-1)) V (see _times_generators)."""
-    I = ideal_from_relations(pres)
-    d_need = _tor_degree_cap(pres, q, lambda: certified_maxdeg(pres, I))
+    J I^(p-1) J = (J I^(p-1)) V (see _times_generators).
+
+    I is read one degree at a time (see _Closure), as far as the zero window
+    that certifies maxdeg(A) and up to d_need, where every product is cut;
+    an input with no zero window is read up to the truncation and refused."""
+    closure = _relation_closure(pres)
+    d_need = _tor_degree_cap(pres, q, lambda: _window_maxdeg(pres, closure.dim))
 
     p = q // 2
-    relations = _relation_vectors(pres, _context(pres))
-    powers = {1: I}
+    powers = {1: _ideal(pres, closure.upto(d_need))}
     for j in range(2, p + q % 2 + 1):
-        powers[j] = _next_power(powers[j - 1], relations, d_need)
+        powers[j] = _next_power(powers[j - 1], closure.seeds, d_need)
 
     def times_j(e, left):
         """J I^e (left) or I^e J, truncated at d_need."""
@@ -759,13 +767,16 @@ def configuration_presentation(
     n: int,
     k: int,
     h: int,
-    preset: str = "orthogonal",
-    truncation: int = 0,
+    preset: str,
+    truncation: int,
     field_spec: FieldSpec = RATIONALS_SPEC,
 ) -> TensorPresentation:
     """Tensor presentation matching build_configuration_algebra: loop
     generators t_i of degree k, arrows a_ij of degree h, relations
-    t_i^(n+1), arrow times loop words, and the preset's arrow compositions."""
+    t_i^(n+1), arrow times loop words, and the arrow compositions of the
+    preset, "orthogonal" or "zigzag"."""
+    if preset not in ("orthogonal", "zigzag"):
+        raise InputValidationError(f"unknown preset {preset!r}")
     f = field_spec.field()
     m = len(graph.vertices)
     vidx = {v: i + 1 for i, v in enumerate(graph.vertices)}

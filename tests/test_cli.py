@@ -93,6 +93,12 @@ def test_scan_command(algebra_file):
     assert result["table"] == [{"q": 3, "dim": 0}, {"q": 4, "dim": 0}, {"q": 5, "dim": 0}]
 
 
+@pytest.mark.parametrize("qmax", ["2", "0"])
+def test_scan_below_the_first_obstruction_degree_exits_2(algebra_file, capsys, qmax):
+    assert run(["scan", "--algebra", algebra_file, "--qmax", qmax]) == (2, "")
+    assert "q_max must be >= 3" in capsys.readouterr().err
+
+
 def test_malformed_json_exits_2(tmp_path):
     path = tmp_path / "junk.json"
     path.write_text("{ not json")

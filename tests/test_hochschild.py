@@ -404,6 +404,13 @@ def test_scan_truncated_poly_all_zero():
     assert kadeishvili_scan(truncated_poly(2, 2), 5) == {3: 0, 4: 0, 5: 0}
 
 
+@pytest.mark.parametrize("q_max", [2, 0, -1])
+def test_scan_refuses_a_range_with_no_obstruction_degree(q_max):
+    # an empty table would read as vanishing over nothing
+    with pytest.raises(InputValidationError, match="q_max must be >= 3"):
+        kadeishvili_scan(truncated_poly(2, 2), q_max)
+
+
 def test_scan_via_resolution_oracle():
     A = truncated_poly(1, 4)
     spec = periodic_spec_truncated_poly(1, 4, 6)

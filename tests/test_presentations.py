@@ -14,19 +14,19 @@ from formalitykit.graded import build_configuration_algebra, truncated_poly
 from formalitykit import linalg, presentations
 from formalitykit.linalg import rank_rows, row_space_basis
 from formalitykit.presentations import (
-    _closure,
+    _Closure,
     _context,
     _next_power,
     _products,
     _quotient_dims,
+    _relation_closure,
     _relation_vectors,
     _times_generators,
+    _window_maxdeg,
     Generator,
     HomogeneousIdeal,
     TensorPresentation,
-    algebra_dims,
     augmentation_ideal,
-    certified_maxdeg,
     configuration_presentation,
     ideal_from_relations,
     ideal_meet,
@@ -397,12 +397,12 @@ def test_shifted_blocks_equal_their_re_elimination(field):
         cap = pres.truncation
         R = _relation_vectors(pres, _context(pres))
         both = (True, False)
-        assert _closure(pres, R, cap, both) == _eliminating_closure(pres, R, cap, both)
+        assert _Closure(pres, R, both).upto(cap) == _eliminating_closure(pres, R, cap, both)
         I = ideal_from_relations(pres)
         seeds = _products(pres, I.blocks, R.items(), cap)
         for sides in ((False,), (True,)):
             want = _eliminating_closure(pres, seeds, cap, sides)
-            assert _closure(pres, seeds, cap, sides) == want
+            assert _Closure(pres, seeds, sides).upto(cap) == want
         I2 = _next_power(I, R, cap)
         for X in (I, I2, augmentation_ideal(pres)):
             vx, xv = (_times_generators(X, cap, left) for left in (True, False))
@@ -471,10 +471,11 @@ TOR_CASES = list(_tor_cases())
 def test_every_ideal_tor_term_builds_equals_the_eliminating_route(monkeypatch, pres, q):
     """Each closure, product with generators and sum inside the Butler-King
     route returns the blocks the eliminating route returns on the same
-    input. The route is called directly, since tor_term sends monomial
-    presentations to the Anick route, which builds no ideal."""
-    routes = {"_closure": _eliminating_closure,
-              "_times_generators": _eliminating_times_generators,
+    input: the two sided closure of I and the one sided closure of each
+    power I^j, j >= 2, at the degree each was read to. The route is called
+    directly, since tor_term sends monomial presentations to the Anick
+    route, which builds no ideal."""
+    routes = {"_times_generators": _eliminating_times_generators,
               "ideal_sum": _eliminating_sum}
     calls = []
     for name in routes:
@@ -483,10 +484,15 @@ def test_every_ideal_tor_term_builds_equals_the_eliminating_route(monkeypatch, p
             calls.append((name, args, kwargs, out))
             return out
         monkeypatch.setattr(presentations, name, record)
+    closures = _recorded_instances(monkeypatch, "_Closure")
     presentations._butler_king_tor(pres, q)
     assert {call[0] for call in calls} == set(routes)
     for name, args, kwargs, out in calls:
         assert out == routes[name](*args, **kwargs), name
+    assert [c.sides for c in closures] == [(True, False)] + [(False,)] * (q // 2 + q % 2 - 1)
+    for c in closures:
+        assert c.reached > 0
+        assert c.blocks == _eliminating_closure(c.pres, c.seeds, c.reached, c.sides)
 
 
 # -- Tor terms ----------------------------------------------------------------
@@ -638,11 +644,11 @@ def test_tor_refuses_insufficient_truncation():
         tor_term(pres, 4)  # needs degrees up to 4 * maxdeg = 16
 
 
-def test_certified_maxdeg():
+def test_window_certifies_maxdeg_on_the_relation_closure():
     pres = single_generator_presentation(2, 3, truncation=24)
-    assert certified_maxdeg(pres, ideal_from_relations(pres)) == 6
-    with pytest.raises(TypeError):
-        certified_maxdeg(pres)  # the ideal is passed, never recomputed
+    reader = _relation_closure(pres)
+    assert _window_maxdeg(pres, reader.dim) == 6
+    assert reader.reached == 9  # the zero window of width |t| = 3 after degree 6
     # k<x, y>/(x^2) is infinite dimensional: no zero window can ever appear
     free_ish = TensorPresentation(
         1,
@@ -651,14 +657,15 @@ def test_certified_maxdeg():
         8,
     )
     with pytest.raises(TruncationError):
-        certified_maxdeg(free_ish, ideal_from_relations(free_ish))
+        _window_maxdeg(free_ish, _relation_closure(free_ish).dim)
     with pytest.raises(TruncationError):
         tor_term(free_ish, 2)
 
 
-def test_algebra_dims_match_quotient():
+def test_relation_closure_dims_match_the_algebra():
     pres = a2_pres(n=2, k=2, h=2, truncation=10)
-    dims = algebra_dims(pres, ideal_from_relations(pres))
+    reader = _relation_closure(pres)
+    dims = {d: reader.dim(d) for d in range(pres.truncation + 1)}
     A = build_configuration_algebra(ConfigGraph.make([1, 2], [(1, 2)]), 2, 2, 2, "orthogonal")
     assert {d: n for d, n in dims.items() if n} == A.poincare()
 
@@ -848,16 +855,16 @@ def _minimal_truncation(make, q):
             pass
 
 
-def _recorded_normal_words(monkeypatch):
-    """The _NormalWords the Anick route builds, from now on."""
+def _recorded_instances(monkeypatch, name):
+    """The instances of the class presentations.<name> built from now on."""
     built = []
 
-    class Recorded(presentations._NormalWords):
+    class Recorded(getattr(presentations, name)):
         def __init__(self, *args):
             super().__init__(*args)
             built.append(self)
 
-    monkeypatch.setattr(presentations, "_NormalWords", Recorded)
+    monkeypatch.setattr(presentations, name, Recorded)
     return built
 
 
@@ -875,13 +882,52 @@ def test_anick_route_materializes_as_many_words_at_any_truncation(monkeypatch, m
     certifies maxdeg, so a larger truncation adds no word (it builds the
     normal words' prefixes, see _NormalWords)."""
     minimal = _minimal_truncation(make, q)
-    built = _recorded_normal_words(monkeypatch)
+    built = _recorded_instances(monkeypatch, "_NormalWords")
     counts, dims = [], []
     for truncation in (minimal, minimal + 8):
         built.clear()
         dims.append(tor_term(make(truncation), q).dims())
         counts.append(_prefixes_built(built))
     assert dims[0] == dims[1] and counts[0] == counts[1] > 0
+
+
+def _words_materialized(pres):
+    return sum(len(words) for words in _context(pres)._by_degree.values())
+
+
+# the zigzag presentations of the tor-config-q pool, and the Baseline rows of
+# the (1, 2, 1) zigzag Tor_3 at truncation 14, the minimal truncation 6 + 8
+ZIGZAG_CASES = [(graph, (n, k, h), q, None)
+                for graph, n, k, h, preset, q in TOR_POOL if preset == "zigzag"]
+ZIGZAG_CASES += [("triangle", (1, 2, 1), 3, {3: 12}), ("cycle4", (1, 2, 1), 3, {3: 16})]
+
+
+@pytest.mark.parametrize("graph,nkh,q,expected", ZIGZAG_CASES,
+                         ids=["-".join(map(str, (g, *nkh, q))) for g, nkh, q, _ in ZIGZAG_CASES])
+def test_butler_king_route_materializes_as_many_words_at_any_truncation(monkeypatch, graph, nkh,
+                                                                        q, expected):
+    """The Butler-King route reads T(V)/I no further than the zero window
+    that certifies maxdeg and d_need = q maxdeg, so a larger truncation
+    changes neither Tor_q, nor the blocks of I up to d_need, nor the number
+    of words materialized (each run starts from a cold word cache)."""
+    graph = {"A2": A2, "triangle": TRIANGLE, "cycle4": CYCLE4}[graph]
+    d_need = q * max(build_configuration_algebra(graph, *nkh, "zigzag").poincare())
+    minimal = _minimal_truncation(
+        lambda t: configuration_presentation(graph, *nkh, "zigzag", t), q)
+    closures = _recorded_instances(monkeypatch, "_Closure")
+    runs = []
+    for truncation in (minimal, minimal + 8):
+        _context.cache_clear()
+        closures.clear()
+        pres = configuration_presentation(graph, *nkh, "zigzag", truncation)
+        dims = tor_term(pres, q).dims()
+        ideal = closures[0]
+        assert ideal.sides == (True, False) and ideal.reached >= d_need
+        blocks = {key: rows for key, rows in ideal.blocks.items() if key[0] <= d_need}
+        runs.append((dims, blocks, _words_materialized(pres)))
+    assert runs[0] == runs[1] and runs[0][1] and runs[0][2] > 0
+    if expected is not None:
+        assert (minimal + 8, runs[0][0]) == (14, expected)
 
 
 def test_anick_route_refuses_an_infinite_algebra_by_prefixes_not_words(monkeypatch):
@@ -891,7 +937,7 @@ def test_anick_route_refuses_an_infinite_algebra_by_prefixes_not_words(monkeypat
     degree."""
     pres = TensorPresentation(1, (Generator("x", 1, 1, 1), Generator("y", 1, 1, 1)),
                               (((("x", "x"), ONE),),), 512)
-    built = _recorded_normal_words(monkeypatch)
+    built = _recorded_instances(monkeypatch, "_NormalWords")
     with pytest.raises(TruncationError, match="no nilpotence window"):
         tor_term(pres, 2)
     assert _prefixes_built(built) == 2 * 512
@@ -934,6 +980,23 @@ def test_mindeg_bound_respected_by_concrete_tor():
             assert mindeg(space) >= mindeg_bound(mu, nu, q)
 
 
+def test_configuration_presentation_refuses_an_unknown_preset():
+    with pytest.raises(InputValidationError, match="unknown preset"):
+        build_configuration_algebra(TRIANGLE, 1, 2, 1, "zigzg")
+    with pytest.raises(InputValidationError, match="unknown preset 'zigzg'"):
+        configuration_presentation(TRIANGLE, 1, 2, 1, "zigzg", 6)
+
+
+def test_configuration_presentation_needs_a_preset_and_a_truncation():
+    # every configuration has relations of positive degree, so no default
+    # truncation could work
+    with pytest.raises(TypeError):
+        configuration_presentation(A2, 2, 2, 2)
+    with pytest.raises(TypeError):
+        configuration_presentation(A2, 2, 2, 2, "orthogonal")
+    assert configuration_presentation(A2, 2, 2, 2, "orthogonal", 6).truncation == 6
+
+
 # -- JSON ---------------------------------------------------------------------
 
 
@@ -961,6 +1024,6 @@ def test_presentation_json_bad_integer(bad):
 
 def test_presentation_without_generators_is_the_base():
     pres = TensorPresentation(2, (), (), 8)
-    assert certified_maxdeg(pres, ideal_from_relations(pres)) == 0
+    assert _window_maxdeg(pres, _relation_closure(pres).dim) == 0
     assert tor_term(pres, 0).dims() == {0: 2}
     assert [tor_term(pres, q).is_zero() for q in (1, 2, 3)] == [True, True, True]
