@@ -57,9 +57,21 @@ def _load_json(path: str):
 MAX_SWEEP_POINTS = 10_000
 
 
+def _int(text: str) -> int:
+    """The type of every integer option: refuses |x| >= 2^63 (exit 2, with
+    argparse naming the option). JSON inputs stay unbounded."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if abs(value) >= 2 ** 63:
+        raise argparse.ArgumentTypeError("out of range: |value| must be below 2^63")
+    return value
+
+
 def _parse_int_list(text: str, option: str) -> List[int]:
-    """Integers of a list like 1..4,7; refuses (exit 3) more than
-    MAX_SWEEP_POINTS of them before building any range."""
+    """Integers of a list like 1..4,7, each read by _int; refuses (exit 3)
+    more than MAX_SWEEP_POINTS of them before building any range."""
     text = text.strip()
     if not text:
         return []
@@ -71,11 +83,13 @@ def _parse_int_list(text: str, option: str) -> List[int]:
             continue
         try:
             if ".." in chunk:
-                lo, hi = (int(x) for x in chunk.split("..", 1))
+                lo, hi = (_int(x) for x in chunk.split("..", 1))
             else:
-                lo = hi = int(chunk)
-        except ValueError:
-            raise InputValidationError(f"bad integer list {text!r} (use 1..4 or 2,3)") from None
+                lo = hi = _int(chunk)
+        except argparse.ArgumentTypeError as exc:
+            raise InputValidationError(
+                f"argument {option}: bad integer list ({exc}; use 1..4 or 2,3)"
+            ) from None
         total += max(0, hi - lo + 1)
         if total > MAX_SWEEP_POINTS:
             raise ResourceCapError(
@@ -86,10 +100,7 @@ def _parse_int_list(text: str, option: str) -> List[int]:
 
 
 def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    value = _int(text)
     if value <= 0:
         raise argparse.ArgumentTypeError(f"resource caps must be positive, got {value}")
     return value
@@ -161,8 +172,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add_parser(sub, "hh", help="one Hochschild cohomology dimension")
     p.add_argument("--algebra", required=True)
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
+    p.add_argument("--p", type=_int, required=True)
+    p.add_argument("--q", type=_int, required=True)
     p.add_argument("--mode", default="relative", choices=tuple(MODE_NAMES))
     p.add_argument("--cocycles", action="store_true")
     p.add_argument("--max-words", type=_positive_int, default=DEFAULT_MAX_WORDS,
@@ -170,43 +181,43 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add_parser(sub, "scan", help="Kadeishvili diagonal scan up to qmax")
     p.add_argument("--algebra", required=True)
-    p.add_argument("--qmax", type=int, required=True)
+    p.add_argument("--qmax", type=_int, required=True)
     p.add_argument("--mode", default="relative", choices=tuple(MODE_NAMES))
     p.add_argument("--max-words", type=_positive_int, default=DEFAULT_MAX_WORDS,
                    help="cochain slice cap")
 
     p = add_parser(sub, "tor", help="graded dimensions of one Tor term")
     p.add_argument("--pres", required=True)
-    p.add_argument("--q", type=int, required=True)
+    p.add_argument("--q", type=_int, required=True)
     p.add_argument("--max-truncation", type=_positive_int, default=512)
 
     p = sub.add_parser("certify", help="emit a formality certificate")
     csub = p.add_subparsers(dest="family", required=True)
     c = add_parser(csub, "single")
-    c.add_argument("--n", type=int, required=True)
-    c.add_argument("--k", type=int, required=True)
+    c.add_argument("--n", type=_int, required=True)
+    c.add_argument("--k", type=_int, required=True)
     c = add_parser(csub, "pn-config")
-    c.add_argument("--n", type=int, required=True)
-    c.add_argument("--k", type=int, required=True)
-    c.add_argument("--h", type=int, required=True)
+    c.add_argument("--n", type=_int, required=True)
+    c.add_argument("--k", type=_int, required=True)
+    c.add_argument("--h", type=_int, required=True)
     c = add_parser(csub, "spherical")
-    c.add_argument("--k", type=int, required=True)
-    c.add_argument("--hmin", type=int, required=True)
-    c.add_argument("--hmax", type=int, required=True)
+    c.add_argument("--k", type=_int, required=True)
+    c.add_argument("--hmin", type=_int, required=True)
+    c.add_argument("--hmax", type=_int, required=True)
 
     p = add_parser(sub, "recheck", help="replay a certificate's evidence")
     p.add_argument("--cert", required=True)
 
     p = add_parser(sub, "normalize", help="shift normalization of a configuration graph")
     p.add_argument("--graph", required=True)
-    p.add_argument("--nk", type=int, required=True)
+    p.add_argument("--nk", type=_int, required=True)
 
     p = add_parser(sub, "signs", help="parity sign assignment on a graph")
     p.add_argument("--graph", required=True)
 
     p = add_parser(sub, "kunneth", help="graded symmetric/exterior power of hom data")
     p.add_argument("--poincare", required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int, required=True)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--same", action="store_true")
     group.add_argument("--different", action="store_true")
@@ -214,9 +225,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add_parser(sub, "build-config", help="build a configuration algebra as JSON")
     p.add_argument("--graph", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--h", type=int, required=True)
+    p.add_argument("--n", type=_int, required=True)
+    p.add_argument("--k", type=_int, required=True)
+    p.add_argument("--h", type=_int, required=True)
     p.add_argument("--preset", default="orthogonal", choices=("orthogonal", "zigzag"))
     p.add_argument("--field", default="rationals", help="rationals or fp:P")
 
@@ -226,7 +237,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s = add_parser(ssub, "pn", table)
     s.add_argument("--n", required=True, help="list like 1..4 or 2,3")
     s.add_argument("--k", required=True)
-    s.add_argument("--h", type=int, default=None, help="fixed arrow degree; default nk/2")
+    s.add_argument("--h", type=_int, default=None, help="fixed arrow degree; default nk/2")
     s = add_parser(ssub, "spherical", table)
     s.add_argument("--k", required=True)
 

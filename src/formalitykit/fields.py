@@ -3,6 +3,11 @@
 Every computation in this package runs over one of these fields; there is
 no floating point anywhere. A field object bundles the arithmetic so that
 the linear algebra code stays generic.
+
+One scalar convention holds from the moment a value enters: over Q an
+integral rational is an int and only a non-integral one a Fraction; over F_p
+a scalar is an int in [0, p). Matrices for `linalg` are assembled from such
+scalars with plain + and *, and `linalg` alone drops and reduces entries.
 """
 
 from __future__ import annotations
@@ -45,22 +50,24 @@ def _check_scalar(x) -> None:
 
 
 class Rationals:
-    """Field operations on fractions.Fraction values."""
+    """Field operations on rationals: ints, and Fractions that are not
+    integral."""
 
     characteristic = 0
     name = "rationals"
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
     @staticmethod
-    def from_int(n: int) -> Fraction:
-        return Fraction(n)
+    def from_int(n: int) -> int:
+        return n
 
     @staticmethod
-    def scalar(x) -> Fraction:
-        """x as a field element; refuses anything but an int or a Fraction."""
+    def scalar(x):
+        """x as a field element, an int wherever x is integral; refuses
+        anything but an int or a Fraction."""
         _check_scalar(x)
-        return Fraction(x)
+        return x.numerator if x.denominator == 1 else x
 
     @staticmethod
     def add(a, b):
@@ -96,13 +103,13 @@ class Rationals:
         if "e" in s or "E" in s:
             raise InputValidationError(f"bad rational scalar {s!r}: exponent notation")
         try:
-            return Fraction(s.strip())
+            return Rationals.scalar(Fraction(s.strip()))
         except (ValueError, ZeroDivisionError) as exc:
             raise InputValidationError(f"bad rational scalar {s!r}: {exc}") from None
 
     @staticmethod
     def to_str(a) -> str:
-        return str(Fraction(a))
+        return str(a)
 
 
 class PrimeField:

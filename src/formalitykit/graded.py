@@ -67,8 +67,9 @@ class GradedAlgebra:
     in the private per-instance memo. Every label (of the basis, mult, unit
     and idempotents) must be a str and every basis degree an int,
     and every coefficient is mapped into the field on the way in (see the
-    fields' scalar): over F_p a Fraction a/b becomes a * b^-1 mod p, and a
-    value that is not an int or a Fraction is refused.
+    fields' scalar): over Q an integral Fraction becomes an int, over F_p a
+    Fraction a/b becomes a * b^-1 mod p, and a value that is not an int or
+    a Fraction is refused.
     """
 
     field_spec: FieldSpec
@@ -210,7 +211,8 @@ def _validation_report(A: GradedAlgebra) -> ValidationReport:
 
 def _associativity_violations(A: GradedAlgebra, labels: List[str]) -> List[str]:
     """One violation per basis triple (x, y, z), in label order, with
-    (xy)z != x(yz), both sides read term by term off the table.
+    (xy)z != x(yz), both sides read term by term off the table in plain
+    arithmetic and their difference tested for zero in the field.
 
     (xy)z and x(yz) both vanish unless (x,y) or (y,z) is a key of A.mult,
     so only those triples are tried."""
@@ -229,11 +231,11 @@ def _associativity_violations(A: GradedAlgebra, labels: List[str]) -> List[str]:
                 if xy:
                     for w, c in xy.items():
                         for lab, v in mult.get((w, z), {}).items():
-                            diff[lab] = f.add(diff.get(lab, f.zero), f.mul(c, v))
+                            diff[lab] = diff.get(lab, 0) + c * v
                 if yz:
                     for w, c in yz.items():
                         for lab, v in mult.get((x, w), {}).items():
-                            diff[lab] = f.sub(diff.get(lab, f.zero), f.mul(c, v))
+                            diff[lab] = diff.get(lab, 0) - c * v
                 if not all(f.is_zero(v) for v in diff.values()):
                     out.append(f"associativity fails on ({x},{y},{z})")
     return out

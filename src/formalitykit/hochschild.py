@@ -32,7 +32,6 @@ q can differ from graded HH: HH^{0,1} of k[t]/t^3 with |t| = 1 comes out
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .errors import (
@@ -66,12 +65,11 @@ class _Tables:
     Basis label i lies in block (src[i], tgt[i]); letters are the labels
     tensor words are made of. A coefficient index is a basis index, and
     both actions on the coefficients are mult: mult[(i, j)] maps k to the
-    structure constant of e_k in e_i e_j. Over Q an integral constant is
-    stored as an int and only a non-integral one as a Fraction, so the
-    differentials of an algebra with integral constants are assembled in
-    int arithmetic, with the signs as the ints +-1; over F_p the constants
-    are ints mod p, and the field's mul and add reduce the signed products
-    mod p."""
+    structure constant of e_k in e_i e_j, the algebra's own scalar (see
+    `fields`: an int wherever it is integral). Differentials are assembled
+    from these constants with plain + and * and the signs +-1, so their rows
+    follow `linalg`'s input contract: they may hold explicit zeros and, over
+    F_p, unreduced ints, which `linalg` drops and reduces."""
 
     field: object
     n: int
@@ -123,11 +121,10 @@ def _build_tables(A: GradedAlgebra, mode: str) -> _Tables:
     else:
         src = tgt = (0,) * len(labels)
         letters = tuple(range(len(labels)))
-    mult = {}
-    for (x, y), combo in A.mult.items():
-        mult[(idx[x], idx[y])] = {
-            idx[lab]: (v.numerator if v.denominator == 1 else v) for lab, v in combo.items()
-        }
+    mult = {
+        (idx[x], idx[y]): {idx[lab]: v for lab, v in combo.items()}
+        for (x, y), combo in A.mult.items()
+    }
     return _Tables(A.field_spec.field(), len(labels), degs, src, tgt, mult, labels, letters)
 
 
@@ -227,24 +224,22 @@ def _cochain_basis(tb: _Tables, p: int, q: int, mode: str, max_words: int):
     return groups, col
 
 
-def _accumulate(row: Dict[int, object], c: int, v, f) -> None:
-    """row[c] += v in a dict row, dropping the entry when the sum is zero."""
-    x = row.get(c)
-    if x is None:
-        row[c] = v
-        return
-    x = f.add(x, v)
-    if f.is_zero(x):
-        del row[c]
-    else:
-        row[c] = x
+def _contractions(tb: _Tables, w):
+    """The interior contraction terms of the word w, (-1)^i times w with
+    its letters i and i+1 multiplied, for 1 <= i < len(w): one (word,
+    coefficient) pair per term of each product."""
+    for i in range(1, len(w)):
+        prod = tb.mult.get((w[i - 1], w[i]))
+        if prod:
+            head, tail = w[: i - 1], w[i + 1 :]
+            for z, cz in prod.items():
+                yield head + (z,) + tail, (cz if i % 2 == 0 else -cz)
 
 
 def _delta_rows(tb: _Tables, p: int, groups_p, groups_p1):
     """Matrix of the Hochschild cochain differential C^p -> C^(p+1) as dict
     rows, one per column of groups_p1 in column order, indexed by the
-    columns of groups_p."""
-    f = tb.field
+    columns of groups_p, in `linalg`'s input contract (see _Tables)."""
     rows: List[Dict[int, object]] = []
     row_of: Dict[Tuple[object, int], Dict[int, object]] = {}
     for w, pairs in groups_p1.items():
@@ -261,27 +256,20 @@ def _delta_rows(tb: _Tables, p: int, groups_p, groups_p1):
             for m1, v in tb.mult.get((first, m0), {}).items():
                 row = row_of.get((w1, m1))
                 if row is not None:
-                    _accumulate(row, c0, v, f)
+                    row[c0] = row.get(c0, 0) + v
         # contraction terms: (-1)^i f(... a_i a_(i+1) ...)
-        for i in range(1, p + 1):
-            prod = tb.mult.get((w1[i - 1], w1[i]))
-            if not prod:
-                continue
-            sgn = 1 if i % 2 == 0 else -1
-            for z, cz in prod.items():
-                contracted = w1[: i - 1] + (z,) + w1[i + 1 :]
-                coeff = f.mul(sgn, cz)
-                for c0, m0 in groups_p.get(contracted, ()):
-                    row = row_of.get((w1, m0))
-                    if row is not None:
-                        _accumulate(row, c0, coeff, f)
+        for contracted, coeff in _contractions(tb, w1):
+            for c0, m0 in groups_p.get(contracted, ()):
+                row = row_of.get((w1, m0))
+                if row is not None:
+                    row[c0] = row.get(c0, 0) + coeff
         # right action term: (-1)^(p+1) f(a_1 ... a_p) . a_(p+1)
         head = w1[:-1] if p >= 1 else ("v", tb.tgt[last])
         for c0, m0 in groups_p.get(head, ()):
             for m1, v in tb.mult.get((m0, last), {}).items():
                 row = row_of.get((w1, m1))
                 if row is not None:
-                    _accumulate(row, c0, f.mul(sign_last, v), f)
+                    row[c0] = row.get(c0, 0) + sign_last * v
     return rows
 
 
@@ -380,6 +368,8 @@ def nonempty_internal_degrees(
     A: GradedAlgebra, p: int, *, mode: str = "relative_normalized"
 ) -> List[int]:
     """Internal degrees q with a nonzero (p, q) cochain slice."""
+    if p < 0:
+        raise InputValidationError("p must be >= 0")
     tb = _tables(A, mode)
     slots = _module_slots(tb)
     if p == 0:
@@ -423,12 +413,15 @@ def bar_chain_slice(A: GradedAlgebra, p: int, q: int):
     Returns (words_p, words_(p-1), matrix): the alternating sum of the
     interior contractions maps length p words of internal degree q to
     length p-1 words of the same degree, as one dict row per word of
-    length p-1, indexed by the words of length p. The words listed for
-    length p are exactly a basis of the degree q part of the p-fold tensor
-    power of the positive part over the base.
+    length p-1, indexed by the words of length p. The rows follow
+    `linalg`'s input contract: they may hold explicit zeros and, over F_p,
+    unreduced ints. The words listed for length p (p >= 1) are exactly a
+    basis of the degree q part of the p-fold tensor power of the positive
+    part over the base.
     """
+    if p < 1:
+        raise InputValidationError("p must be >= 1")
     tb = _tables(A, "relative_normalized")
-    f = tb.field
     stage = f"the internal degree q = {q} chains (relative_normalized mode)"
     words_p = _enumerate_words(tb, p, {q}, DEFAULT_MAX_WORDS, stage)
     # the degree q > 0 part of the base (p - 1 = 0) is zero
@@ -436,16 +429,10 @@ def bar_chain_slice(A: GradedAlgebra, p: int, q: int):
     idx_prev = {w: i for i, w in enumerate(words_prev)}
     rows: List[Dict[int, object]] = [{} for _ in words_prev]
     for c, w in enumerate(words_p):
-        for i in range(1, p):
-            prod = tb.mult.get((w[i - 1], w[i]))
-            if not prod:
-                continue
-            sgn = 1 if i % 2 == 0 else -1
-            for z, cz in prod.items():
-                contracted = w[: i - 1] + (z,) + w[i + 1 :]
-                r = idx_prev.get(contracted)
-                if r is not None:
-                    _accumulate(rows[r], c, f.mul(sgn, cz), f)
+        for contracted, coeff in _contractions(tb, w):
+            r = idx_prev.get(contracted)
+            if r is not None:
+                rows[r][c] = rows[r].get(c, 0) + coeff
     labels_p = [tuple(tb.labels[i] for i in w) for w in words_p]
     labels_prev = [tuple(tb.labels[i] for i in w) for w in words_prev]
     return labels_p, labels_prev, rows
@@ -486,37 +473,23 @@ def periodic_spec_truncated_poly(n: int, k: int, length: int) -> PeriodicResolut
     for qq in range(length + 1):
         i = qq // 2
         shifts.append(-(i * (n + 1)) * k if qq % 2 == 0 else -(i * (n + 1) + 1) * k)
-    one = Fraction(1)
-    u = (("t", "1", one), ("1", "t", -one))
-    v = tuple((lab(n - j), lab(j), one) for j in range(n + 1))
+    u = (("t", "1", 1), ("1", "t", -1))
+    v = tuple((lab(n - j), lab(j), 1) for j in range(n + 1))
     multipliers = tuple(u if step % 2 == 1 else v for step in range(1, length + 1))
     return PeriodicResolutionSpec(tuple(shifts), multipliers)
 
 
 def _env_mul(A: GradedAlgebra, m1, m2):
-    """Product in the enveloping algebra: (x, y)(x', y') = (x x', y' y)."""
+    """Product in the enveloping algebra: (x, y)(x', y') = (x x', y' y), as
+    a dict from label pairs to their non-zero coefficients."""
     f = A.field_spec.field()
     out: Dict[Tuple[str, str], object] = {}
     for (x, y, c1) in m1:
         for (x2, y2, c2) in m2:
-            lefts = A.product_labels(x, x2)
-            if not lefts:
-                continue
-            rights = A.product_labels(y2, y)
-            if not rights:
-                continue
-            for lx, cx in lefts.items():
-                for ly, cy in rights.items():
-                    c = f.mul(f.mul(c1, c2), f.mul(cx, cy))
-                    if f.is_zero(c):
-                        continue
-                    key = (lx, ly)
-                    s = f.add(out.get(key, f.zero), c)
-                    if f.is_zero(s):
-                        out.pop(key, None)
-                    else:
-                        out[key] = s
-    return out
+            for lx, cx in A.mult.get((x, x2), {}).items():
+                for ly, cy in A.mult.get((y2, y), {}).items():
+                    out[(lx, ly)] = out.get((lx, ly), 0) + c1 * c2 * cx * cy
+    return {key: c for key, c in out.items() if not f.is_zero(c)}
 
 
 def _multiplier_degree(A: GradedAlgebra, mu) -> int:
@@ -541,9 +514,9 @@ def validate_periodic_spec(A: GradedAlgebra, spec: PeriodicResolutionSpec) -> Pe
     in the algebra's memo, keyed by the spec object (specs compare by
     identity; neither the algebra nor the spec can change). Nothing is
     stored when a check raises, so an invalid spec is refused on every
-    call. The standard specs carry Fraction coefficients whatever the
-    field; over F_p a/b becomes a * b^-1 mod p, so the matrices built from
-    the returned spec hold ints.
+    call. The returned coefficients follow the `fields` convention: over Q
+    an int wherever integral, over F_p an int mod p (a/b becomes
+    a * b^-1 mod p).
     """
     key = ("periodic_spec", spec)
     checked = A._memo.get(key)
@@ -587,8 +560,9 @@ def _check_periodic_spec(A: GradedAlgebra, spec: PeriodicResolutionSpec) -> Peri
         aidx = {lab: i for i, lab in enumerate(a_labs)}
         aug_rows: List[Dict[int, object]] = [{} for _ in a_labs]
         for c, (x, y) in enumerate(dom0):
-            for lab, v in A.product_labels(x, y).items():
-                _accumulate(aug_rows[aidx[lab]], c, v, f)
+            for lab, v in A.mult.get((x, y), {}).items():
+                row = aug_rows[aidx[lab]]
+                row[c] = row.get(c, 0) + v
         rank_aug = rank_rows(aug_rows, f)
         if rank_aug != len(a_labs):
             raise NonExactResolutionError(
@@ -603,10 +577,13 @@ def _check_periodic_spec(A: GradedAlgebra, spec: PeriodicResolutionSpec) -> Peri
             cidx = {pr: i for i, pr in enumerate(cod)}
             rows: List[Dict[int, object]] = [{} for _ in cod]
             for c, (a, b) in enumerate(dom):
-                for (lx, ly), v in _env_mul(A, ((a, b, f.one),), spec.multipliers[j - 1]).items():
-                    rr = cidx.get((lx, ly))
-                    if rr is not None:
-                        _accumulate(rows[rr], c, v, f)
+                # (a, b)(x, y) = (a x, y b) in the enveloping algebra
+                for x, y, coeff in spec.multipliers[j - 1]:
+                    for lx, cx in A.mult.get((a, x), {}).items():
+                        for ly, cy in A.mult.get((y, b), {}).items():
+                            rr = cidx.get((lx, ly))
+                            if rr is not None:
+                                rows[rr][c] = rows[rr].get(c, 0) + coeff * cx * cy
             matrices.append(rows)
             ranks.append(rank_rows(rows, f))
 
@@ -657,13 +634,12 @@ def hh_resolution(A: GradedAlgebra, spec: PeriodicResolutionSpec, p: int, q: int
         mu = spec.multipliers[j]
         rows: List[Dict[int, object]] = [{} for _ in cod]
         for c, a in enumerate(dom):
-            acc: Dict[str, object] = {}
             for (x, y, coeff) in mu:
-                acc = A.combo_add(acc, A.combo_mul(A.combo_mul({x: coeff}, {a: f.one}), {y: f.one}))
-            for lab, v in acc.items():
-                rr = cidx.get(lab)
-                if rr is not None:
-                    rows[rr][c] = v
+                for xa, c1 in A.mult.get((x, a), {}).items():
+                    for lab, c2 in A.mult.get((xa, y), {}).items():
+                        rr = cidx.get(lab)
+                        if rr is not None:
+                            rows[rr][c] = rows[rr].get(c, 0) + coeff * c1 * c2
         return rows, len(dom)
 
     d_here, n_here = delta(p)

@@ -77,9 +77,9 @@ def _sparse(row: SparseRow, field) -> SparseRow:
     """A fresh copy of a dict row in kernel scalars, zeros dropped. Over Q
     an integral entry becomes an int; over F_p an int is reduced mod p and
     a Fraction entry of a caller's row is mapped to num * den^-1 mod p.
-    The matrices of this package already hold field scalars: algebras,
-    presentations and resolution specs map their coefficients into the
-    field when they are built or checked."""
+    The matrices of this package are assembled from field scalars with
+    plain + and *, so this (with _primitive over Q) is the one place where
+    their zeros are dropped and, over F_p, their entries reduced."""
     p = field.characteristic
     if p:
         return {c: y for c, x in row.items() if (y := _mod(x, p))}

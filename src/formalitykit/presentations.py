@@ -346,9 +346,10 @@ def _products(pres: TensorPresentation, blocks_a, blocks_b, cap: int) -> Blocks:
     """Pairwise products x y of the rows of two sequences of (key, rows),
     by target block, up to degree cap. A word splits at a given degree in
     one way only (generators have positive degree), so each pair of words
-    gives its own word and no two terms of one product share a column."""
+    gives its own word and no two terms of one product share a column. The
+    scalars are plain products, unreduced over F_p, for `linalg` to
+    normalize."""
     ctx = _context(pres)
-    f = pres.field_spec.field()
     out: Blocks = {}
     for (da, sa, ta), rows_a in blocks_a:
         for (db, sb, tb), rows_b in blocks_b:
@@ -363,7 +364,7 @@ def _products(pres: TensorPresentation, blocks_a, blocks_b, cap: int) -> Blocks:
             for ra in rows_a:
                 terms = [(words_a[i], x) for i, x in ra.items()]
                 for rb in rows_b:
-                    dest.append({idx[wa + words_b[j]]: f.mul(x, y)
+                    dest.append({idx[wa + words_b[j]]: x * y
                                  for wa, x in terms for j, y in rb.items()})
     return out
 
@@ -388,7 +389,9 @@ def augmentation_ideal(pres: TensorPresentation, up_to: Optional[int] = None) ->
 
 
 def _relation_vectors(pres: TensorPresentation, ctx: _WordContext) -> Blocks:
-    f = pres.field_spec.field()
+    """Each relation as a row over its block's word basis, equal words
+    summed with plain +: a row may hold explicit zeros and, over F_p,
+    unreduced ints, which `linalg` drops and reduces."""
     gen = ctx.gen
     out: Blocks = {}
     for rel in pres.relations:
@@ -397,8 +400,8 @@ def _relation_vectors(pres: TensorPresentation, ctx: _WordContext) -> Blocks:
         idx = ctx.block_index(*key)
         row: SparseRow = {}
         for word, coeff in rel:
-            row[idx[word]] = f.add(row.get(idx[word], f.zero), coeff)
-        out.setdefault(key, []).append({c: x for c, x in row.items() if not f.is_zero(x)})
+            row[idx[word]] = row.get(idx[word], 0) + coeff
+        out.setdefault(key, []).append(row)
     return out
 
 
@@ -755,8 +758,7 @@ def single_generator_presentation(
     n: int, k: int, truncation: int, field_spec: FieldSpec = RATIONALS_SPEC
 ) -> TensorPresentation:
     """k<t>/(t^(n+1)) with deg t = k, truncated."""
-    f = field_spec.field()
-    rel = (((("t",) * (n + 1)), f.one),)
+    rel = (((("t",) * (n + 1)), 1),)
     return TensorPresentation(
         1, (Generator("t", 1, 1, k),), (rel,), truncation, field_spec
     )
@@ -777,7 +779,6 @@ def configuration_presentation(
     preset, "orthogonal" or "zigzag"."""
     if preset not in ("orthogonal", "zigzag"):
         raise InputValidationError(f"unknown preset {preset!r}")
-    f = field_spec.field()
     m = len(graph.vertices)
     vidx = {v: i + 1 for i, v in enumerate(graph.vertices)}
 
@@ -796,15 +797,13 @@ def configuration_presentation(
     for (i, j) in sorted(arrows):
         gens.append(Generator(a(i, j), i, j, h))
 
-    one = f.one
-    minus = f.neg(one)
     rels: List[Tuple[Tuple[Word, object], ...]] = []
     for i in range(1, m + 1):
-        rels.append((((t(i),) * (n + 1), one),))
+        rels.append((((t(i),) * (n + 1), 1),))
     for (i, j) in sorted(arrows):
         # a_ij t_i and t_j a_ij vanish (arrow times loop convention)
-        rels.append((((a(i, j), t(i)), one),))
-        rels.append((((t(j), a(i, j)), one),))
+        rels.append((((a(i, j), t(i)), 1),))
+        rels.append((((t(j), a(i, j)), 1),))
     pairs = set()
     for (i, j) in sorted(arrows):
         for (j2, l) in sorted(arrows):
@@ -818,9 +817,9 @@ def configuration_presentation(
                 if (2 * h) % k != 0 or not (1 <= (2 * h) // k <= n):
                     raise InputValidationError("zigzag preset infeasible for (n, k, h)")
                 power = (2 * h) // k
-                rels.append(((word, one), ((t(i),) * power, minus)))
+                rels.append(((word, 1), ((t(i),) * power, -1)))
             else:
-                rels.append(((word, one),))
+                rels.append(((word, 1),))
     return TensorPresentation(m, tuple(gens), tuple(rels), truncation, field_spec)
 
 

@@ -482,6 +482,41 @@ def test_sweep_grid_over_the_cap_exits_3_before_building_it(capsys, argv, messag
     assert message in capsys.readouterr().err
 
 
+NINES = "9" * 4000  # a product of two passes the 4300-digit limit of int-to-str
+
+
+@pytest.mark.parametrize("argv,option", [
+    (["certify", "single", "--n", NINES, "--k", NINES], "--n"),
+    (["certify", "pn-config", "--n", "2", "--k", "2", "--h", NINES], "--h"),
+    (["certify", "spherical", "--k", "4", "--hmin", "-" + NINES, "--hmax", "4"], "--hmin"),
+    (["sweep", "pn", "--n", "1..2", "--k", NINES], "--k"),
+    (["sweep", "pn", "--n", f"{2 ** 63}..{2 ** 63}", "--k", "2"], "--n"),
+    (["sweep", "pn", "--n", "2", "--k", "2", "--h", str(2 ** 63)], "--h"),
+    (["sweep", "spherical", "--k", "4," + NINES], "--k"),
+    (["hh", "--algebra", "a.json", "--p", str(-2 ** 63), "--q", "0"], "--p"),
+    (["hh", "--algebra", "a.json", "--p", "1", "--q", "0", "--max-words", NINES],
+     "--max-words"),
+    (["scan", "--algebra", "a.json", "--qmax", NINES], "--qmax"),
+    (["tor", "--pres", "p.json", "--q", NINES], "--q"),
+    (["tor", "--pres", "p.json", "--q", "1", "--max-truncation", str(2 ** 63)],
+     "--max-truncation"),
+    (["normalize", "--graph", "g.json", "--nk", NINES], "--nk"),
+    (["kunneth", "--poincare", "p.json", "--n", NINES, "--same"], "--n"),
+    (["build-config", "--graph", "g.json", "--n", "1", "--k", "1", "--h", NINES], "--h"),
+])
+def test_integer_option_at_or_past_2_63_exits_2_naming_it(capsys, argv, option):
+    assert run(argv) == (2, "")
+    err = capsys.readouterr().err
+    assert f"argument {option}" in err and "2^63" in err and "Traceback" not in err
+
+
+def test_integer_options_up_to_2_63_are_read():
+    parser = _build_parser()
+    args = parser.parse_args(["certify", "single", "--n", str(2 ** 63 - 1), "--k",
+                              str(1 - 2 ** 63)])
+    assert (args.n, args.k) == (2 ** 63 - 1, 1 - 2 ** 63)
+
+
 def test_huge_modulus_exits_2_at_once(tmp_path, capsys):
     path = write_json(tmp_path, "p.json", {"components": [{"degree": 2, "dim": 1}]})
     run_reports_input_error(["kunneth", "--poincare", path, "--n", "2", "--same",

@@ -3,7 +3,15 @@ from fractions import Fraction
 import pytest
 
 from formalitykit.errors import InputValidationError
-from formalitykit.fields import RATIONALS, FieldSpec, PrimeField
+from formalitykit.fields import RATIONALS, RATIONALS_SPEC, FieldSpec, PrimeField
+from formalitykit.graded import GradedAlgebra, algebra_from_json_dict, truncated_poly
+from formalitykit.hochschild import (
+    PeriodicResolutionSpec,
+    _tables,
+    periodic_spec_truncated_poly,
+    validate_periodic_spec,
+)
+from formalitykit.presentations import Generator, TensorPresentation
 
 
 def test_field_is_built_once_per_modulus():
@@ -60,8 +68,12 @@ def test_scalar_maps_ints_and_fractions_into_the_field():
     assert PrimeField(7).scalar(Fraction(9, 2)) == 1
     assert PrimeField(7).scalar(-1) == 6
     assert PrimeField(7).scalar(Fraction(14, 3)) == 0
-    assert RATIONALS.scalar(3) == Fraction(3) and type(RATIONALS.scalar(3)) is Fraction
+    # over Q an integral rational is an int, a non-integral one a Fraction
+    assert RATIONALS.scalar(3) == 3 and type(RATIONALS.scalar(3)) is int
+    assert type(RATIONALS.scalar(Fraction(6, 2))) is int
     assert RATIONALS.scalar(Fraction(9, 2)) == Fraction(9, 2)
+    assert type(RATIONALS.parse("6/2")) is int and RATIONALS.parse("-3/6") == Fraction(-1, 2)
+    assert type(RATIONALS.zero) is int and type(RATIONALS.one) is int
 
 
 @pytest.mark.parametrize("value", [Fraction(1, 7), Fraction(3, 14), 0.5, True, "1", None])
@@ -74,3 +86,43 @@ def test_scalar_refuses_what_has_no_value_in_f7(value):
 def test_scalar_refuses_non_rational_values_over_q(value):
     with pytest.raises(InputValidationError):
         RATIONALS.scalar(value)
+
+
+def _kinds(values):
+    """The types of the integral and the non-integral values."""
+    values = list(values)
+    return ({type(v) for v in values if v == int(v)},
+            {type(v) for v in values if v != int(v)})
+
+
+def test_every_entry_point_keeps_integral_rationals_as_ints():
+    half, two = Fraction(1, 2), Fraction(4, 2)
+    want = ({int}, {Fraction})
+    data = {"field": "rationals", "basis": [{"label": "1", "degree": 0}, {"label": "t", "degree": 2}],
+            "mult": [{"left": "1", "right": "1", "result": [{"label": "1", "coeff": "2/2"}]},
+                     {"left": "1", "right": "t", "result": [{"label": "t", "coeff": 1}]},
+                     {"left": "t", "right": "1", "result": [{"label": "t", "coeff": "1"}]}],
+            "unit": [{"label": "1", "coeff": "3/3"}]}
+    A = algebra_from_json_dict(data)
+    assert _kinds(v for c in (*A.mult.values(), A.unit) for v in c.values()) == ({int}, set())
+
+    # k[t]/t^3 on the basis 1, t, s = 2 t^2
+    basis = (("1", 0), ("t", 1), ("s", 2))
+    mult = {("1", "1"): {"1": Fraction(1)}, ("1", "t"): {"t": Fraction(2, 2)}, ("t", "1"): {"t": 1},
+            ("1", "s"): {"s": 1}, ("s", "1"): {"s": 1}, ("t", "t"): {"s": half}}
+    B = GradedAlgebra(RATIONALS_SPEC, basis, mult, {"1": Fraction(2, 2)}, ("1",))
+    assert _kinds(v for c in (*B.mult.values(), B.unit) for v in c.values()) == want
+    tb = _tables(B, "relative_normalized")
+    assert _kinds(v for c in tb.mult.values() for v in c.values()) == want
+
+    pres = TensorPresentation(1, (Generator("t", 1, 1, 1),),
+                              (((("t", "t"), two), (("t", "t"), half)),), 4)
+    assert _kinds(c for rel in pres.relations for _, c in rel) == want
+
+    T = truncated_poly(1, 2)
+    spec = periodic_spec_truncated_poly(1, 2, 4)
+    scaled = PeriodicResolutionSpec(spec.shifts, tuple(
+        tuple((x, y, c * (half if j == 0 else Fraction(1))) for x, y, c in mu)
+        for j, mu in enumerate(spec.multipliers)))
+    checked = validate_periodic_spec(T, scaled)
+    assert _kinds(c for mu in checked.multipliers for _, _, c in mu) == want

@@ -368,17 +368,15 @@ def test_truncated_poly_6_1_slice_over_q():
 
 @pytest.mark.parametrize("q, dim", [(-9, 1), (-8, 0)])
 def test_truncated_poly_6_1_slices_over_f32003_match_resolution(q, dim):
-    # the resolution is validated over F_32003 too, although its
-    # multipliers carry Fraction coefficients
+    # the resolution is validated over F_32003 too
     A = truncated_poly(6, 1, FieldSpec(kind="fp", p=32003))
     assert hh_bar(A, 4, q).dim == dim
     assert hh_resolution(A, periodic_spec_truncated_poly(6, 1, 6), 4, q) == dim
 
 
 def test_resolution_over_f7_assembles_int_matrices(monkeypatch):
-    # periodic_spec_truncated_poly writes Fraction coefficients whatever the
-    # field; validate_periodic_spec maps them into F_7 once and hh_resolution
-    # builds on the spec it returns, so no matrix holds Fractions
+    # validate_periodic_spec maps the spec's coefficients into F_7 once and
+    # hh_resolution builds on the spec it returns, so every matrix holds ints
     A = truncated_poly(2, 1, FieldSpec(kind="fp", p=7))
     spec = periodic_spec_truncated_poly(2, 1, 6)
     slices = [(2, -3), (3, -4), (1, 0)]
@@ -613,6 +611,38 @@ def test_fraction_coefficients_over_fp_match_their_integer_twin():
             for mode in hochschild.MODES:
                 assert (hh_bar(A, p, q, mode=mode).dim
                         == hh_bar(twin, p, q, mode=mode).dim), (p, q, mode)
+
+
+@pytest.mark.parametrize("field_spec", [RATIONALS_SPEC, FieldSpec(kind="fp", p=7)],
+                         ids=["Q", "F7"])
+def test_half_table_matches_the_zigzag_algebra_in_every_slice(field_spec):
+    # a12 a21 = t2^2 / 2 and a21 a12 = t1^2 / 2 is the A2 zigzag algebra
+    # (2, 2, 2) after a12 -> 2 a12, so both give the same slices; over Q its
+    # tables hold Fractions, so the differentials are assembled from them
+    graph = ConfigGraph.make([1, 2], [(1, 2)])
+    half = Fraction(1, 2)
+    table = {("a12", "a21"): {"t2^2": half}, ("a21", "a12"): {"t1^2": half}}
+    A = build_configuration_algebra(graph, 2, 2, 2, table, field_spec)
+    zigzag = build_configuration_algebra(graph, 2, 2, 2, "zigzag", field_spec)
+    for mode in hochschild.MODES:
+        held = {v for combo in _tables(A, mode).mult.values() for v in combo.values()}
+        assert (half in held) == (field_spec is RATIONALS_SPEC)
+        for p in range(5):
+            for q in range(-4, 5):
+                got, want = hh_bar(A, p, q, mode=mode), hh_bar(zigzag, p, q, mode=mode)
+                assert (got.dim, got.slice_dims) == (want.dim, want.slice_dims), (mode, p, q)
+
+
+def test_nonempty_internal_degrees_refuses_negative_p():
+    # unchecked, p = -1 runs no dynamic programming step and reads as p = 1
+    with pytest.raises(InputValidationError):
+        nonempty_internal_degrees(truncated_poly(2, 2), -1)
+
+
+def test_bar_chain_slice_refuses_p_below_one():
+    # unchecked, p = 0 lists the empty word, which has degree 0, in degree 4
+    with pytest.raises(InputValidationError):
+        bar_chain_slice(truncated_poly(2, 2), 0, 4)
 
 
 def test_scan_builds_tables_once_and_calls_hh_bar_per_q(monkeypatch):
