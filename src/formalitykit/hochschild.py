@@ -561,8 +561,11 @@ def _check_periodic_spec(A: GradedAlgebra, spec: PeriodicResolutionSpec) -> Peri
         aug_rows: List[Dict[int, object]] = [{} for _ in a_labs]
         for c, (x, y) in enumerate(dom0):
             for lab, v in A.mult.get((x, y), {}).items():
-                row = aug_rows[aidx[lab]]
-                row[c] = row.get(c, 0) + v
+                # a table term of another degree has coefficient 0 (the
+                # grading check skips zero terms), and is skipped here too
+                if lab in aidx:
+                    row = aug_rows[aidx[lab]]
+                    row[c] = row.get(c, 0) + v
         rank_aug = rank_rows(aug_rows, f)
         if rank_aug != len(a_labs):
             raise NonExactResolutionError(

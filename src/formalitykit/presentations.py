@@ -1,40 +1,49 @@
 """Truncated tensor algebras over a split separable base, and Tor over
-them by one of two routes.
+them from a Groebner basis.
 
 A presentation is a quiver-like datum: m base idempotents, degree
 labeled generators with source and target, homogeneous relations, and a
-truncation bound D. All ideal arithmetic is exact and degreewise, and
-the tool refuses (rather than silently truncates) whenever an answer
-could receive contributions above D. D is only that bound: both Tor
-routes read T(V)/I one degree at a time, no further than the zero window
-that certifies maxdeg(A) and the top degree of Tor_q, so a larger D gives
-the same answer for the same work.
+truncation bound D. All arithmetic is exact and degreewise, and the tool
+refuses (rather than silently truncates) whenever an answer could
+receive contributions above D. D is only that bound: Tor reads T(V)/I
+one degree at a time, no further than the zero window that certifies
+maxdeg(A) and the top degree of Tor_q, so a larger D gives the same
+answer for the same work.
 
-tor_term chooses its route from the relations. A presentation is
-monomial when every relation, after summing equal words, has exactly one
-non-zero term, a word of length >= 2 (a tip). Its Tor_q has one basis
-vector per Anick (q-1)-chain (Anick, Trans. AMS 296 (1986);
-Green-Happel-Zacharia, Illinois J. Math. 29 (1985)): the 0-chains are
+tor_term has one route, which the groebner module implements. A
+degree-by-degree Buchberger step computes the reduced Groebner basis of
+the ideal I of the relations, in a term order where a shorter word of a
+degree is larger, so that a generator the relations express by others
+(t_i in a_ji a_ij = t_i) is a one-letter tip and drops out. The words that contain no tip, counted by degree, give
+dim T(V)/I for the zero window without materializing T(V). Algebraic
+discrete Morse theory reduces the normalized bar complex to the Anick
+chains on the tips (Anick, Trans. AMS 296 (1986); Skoeldberg, Trans. AMS
+358 (2006); Joellenbeck-Welker, Mem. AMS 197 (2009)): the 0-chains are
 the generators, and an n-chain is an (n-1)-chain with tail s followed by
 a path t such that s t contains exactly one tip, which starts inside s
-and ends at the end of t. That route counts chains and does no linear
-algebra. Every other presentation takes the Butler-King description of
-Tor by ideal arithmetic (Butler-King, J. Algebra 212 (1999)), which the
-tests keep as the reference for the chain count.
+and ends at the end of t. Tor_q is the homology of the chains under the
+Morse differential, whose scalars come from normal forms. A monomial
+presentation (every relation, after summing equal words, one word of
+length >= 2) is its own Groebner basis and its differential is 0, so
+there Tor_q is the chain count, with no linear algebra
+(Green-Happel-Zacharia, Illinois J. Math. 29 (1985)).
+
+The Butler-King description of Tor by ideal arithmetic (Butler-King, J.
+Algebra 212 (1999)) and the ideal engine under it stay here as the
+reference the tests compare tor_term with; tor_term does not reach them.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .configurations import ConfigGraph, PoincarePolynomial
 from .errors import InputValidationError, TruncationError
 from .fields import FieldSpec, RATIONALS_SPEC
+from .groebner import Word, _anick_tor, _monomial_tips, _morse_tor, _tor_degree_cap, _window_maxdeg
 from .linalg import SparseRow, row_space_basis, rref_extend, subspace_meet
-
-Word = Tuple[str, ...]
 BlockKey = Tuple[int, int, int]  # (degree, src, tgt)
 Blocks = Dict[BlockKey, List[SparseRow]]
 
@@ -469,23 +478,6 @@ def is_closed_under_generators(pres: TensorPresentation, I: HomogeneousIdeal) ->
     return True
 
 
-def _window_maxdeg(pres: TensorPresentation, dim: Callable[[int], int]) -> int:
-    """Exact maxdeg of T(V)/I from dim(d), its dimension in degree d,
-    certified by a zero window of width equal to the maximal generator
-    degree (after such a window the quotient stays zero, since every longer
-    word has a prefix inside the window). dim is asked for no degree past
-    the end of the first zero window."""
-    # with no generators every positive degree is zero; any width certifies
-    width = max((g.deg for g in pres.generators), default=1)
-    for start in range(1, pres.truncation - width + 2):
-        if all(dim(start + j) == 0 for j in range(width)):
-            return max(d for d in range(start) if dim(d) > 0)
-    raise TruncationError(
-        "cannot certify finite dimensionality within the truncation; "
-        "increase truncation (no nilpotence window found)"
-    )
-
-
 # -- Tor terms -------------------------------------------------------------
 
 
@@ -539,22 +531,20 @@ def tor_term(pres: TensorPresentation, q: int) -> PoincarePolynomial:
     """Graded dimensions of Tor_q over the presented algebra, with the
     internal grading induced by the tensor algebra.
 
-    q = 0 gives the base. For q >= 1 the route depends on the relations.
-    A presentation is monomial when every relation, after summing equal
-    words, has exactly one non-zero term, and that word has length >= 2
-    (a tip). Its Tor_q has one basis vector per Anick (q-1)-chain, in the
-    chain's degree (Anick, Trans. AMS 296 (1986); Green-Happel-Zacharia,
-    Illinois J. Math. 29 (1985)). The 0-chains are the generators, and an
-    n-chain is an (n-1)-chain with tail s followed by a path t, its new
-    tail, such that s t contains exactly one tip, which starts inside s and
-    ends at the end of t (see _anick_tor). Every other presentation (a
-    relation with two words left, one that cancels to zero, or a one-letter
-    word) takes the Butler-King quotients of ideals (see _butler_king_tor).
+    q = 0 gives the base. For q >= 1, Tor_q is the homology in degree q of
+    the Anick chains on the tips of the reduced Groebner basis of I under
+    the Morse differential (see groebner._morse_tor): Tor_q(d) = |C_q(d)|
+    - rank d_q(d) - rank d_(q+1)(d), C_q(d) the (q-1)-chains of degree d. On a
+    monomial presentation (every relation, after summing equal words, has
+    exactly one non-zero term, a word of length >= 2) the relations'
+    minimal words are the basis and the differential is 0, so Tor_q is
+    counted from them directly, with no elimination (see
+    groebner._anick_tor).
 
-    Tor_1 is a quotient of J / J J = V, so it lives in generator degrees;
-    Tor_q for q >= 2 lives in degrees up to q maxdeg(A). Both routes refuse
-    when that degree exceeds the truncation, and both certify maxdeg(A) by
-    the same zero window, so they refuse in the same cases.
+    Tor_1 lives in generator degrees; Tor_q for q >= 2 lives in degrees up
+    to q maxdeg(A), which is certified by a zero window of the normal
+    words. Tor_q is refused when that degree exceeds the truncation, and
+    when no window is found within it.
     """
     if q < 0:
         raise InputValidationError("q must be >= 0")
@@ -562,24 +552,8 @@ def tor_term(pres: TensorPresentation, q: int) -> PoincarePolynomial:
         return PoincarePolynomial.make({0: pres.num_vertices})
     tips = _monomial_tips(pres)
     if tips is None:
-        return _butler_king_tor(pres, q)
+        return _morse_tor(pres, q)
     return _anick_tor(pres, tips, q)
-
-
-def _tor_degree_cap(pres: TensorPresentation, q: int, maxdeg: Callable[[], int]) -> int:
-    """The top degree of Tor_q (q >= 1): the largest generator degree for
-    q = 1, and q maxdeg(A) for q >= 2, with maxdeg() asked only then.
-    Refused past the truncation."""
-    if q > 1:
-        d_need = q * maxdeg()
-    else:
-        d_need = max((g.deg for g in pres.generators), default=0)
-    if d_need > pres.truncation:
-        raise TruncationError(
-            f"Tor_{q} may receive contributions up to degree {d_need}; "
-            f"increase truncation (currently {pres.truncation})"
-        )
-    return d_need
 
 
 def _butler_king_tor(pres: TensorPresentation, q: int) -> PoincarePolynomial:
@@ -593,7 +567,10 @@ def _butler_king_tor(pres: TensorPresentation, q: int) -> PoincarePolynomial:
 
     I is read one degree at a time (see _Closure), as far as the zero window
     that certifies maxdeg(A) and up to d_need, where every product is cut;
-    an input with no zero window is read up to the truncation and refused."""
+    an input with no zero window is read up to the truncation and refused.
+    tor_term does not call this route; the tests keep it as the reference
+    for tor_term, and perfbench/spans.py traces the ideal functions by
+    name."""
     closure = _relation_closure(pres)
     d_need = _tor_degree_cap(pres, q, lambda: _window_maxdeg(pres, closure.dim))
 
@@ -617,115 +594,6 @@ def _butler_king_tor(pres: TensorPresentation, q: int) -> PoincarePolynomial:
         num = ideal_meet(ji, times_j(p, False))
         den = ideal_sum(powers[p + 1], _times_generators(ji, d_need, left=False))
     return PoincarePolynomial.make(_quotient_dims(pres, num, den, d_need))
-
-
-# -- Tor of monomial presentations: Anick chains ------------------------------
-
-
-def _monomial_tips(pres: TensorPresentation) -> Optional[FrozenSet[Word]]:
-    """The minimal tips of a monomial presentation, or None when it is not
-    monomial (see tor_term). Each relation's equal words are summed in the
-    field; a word that contains another tip is dropped, since it lies in
-    the ideal that tip generates."""
-    f = pres.field_spec.field()
-    words = set()
-    for rel in pres.relations:
-        summed: Dict[Word, object] = {}
-        for word, c in rel:
-            summed[word] = f.add(summed.get(word, f.zero), c)
-        left = [word for word, c in summed.items() if not f.is_zero(c)]
-        if len(left) != 1 or len(left[0]) < 2:
-            return None
-        words.add(left[0])
-    return frozenset(w for w in words if not any(u in words for u in _subwords(w) if u != w))
-
-
-def _subwords(word: Word):
-    """Each occurrence of a subword of length >= 2 in word (tips have length
-    >= 2)."""
-    return (word[i:j] for i in range(len(word)) for j in range(i + 2, len(word) + 1))
-
-
-class _NormalWords:
-    """The composable words that contain no tip, counted by degree: for a
-    monomial ideal they are a basis of T(V)/I. A word is normal iff the word
-    after its first letter is and no tip is a prefix of it. Whether a tip
-    is a prefix of g w depends on g and the first (longest tip - 1) letters
-    of w only, so degree d is built from lower degrees, on demand and once,
-    as counts per such prefix: the work is bounded by the prefixes, not by
-    the words, even where T(V)/I is infinite dimensional."""
-
-    def __init__(self, pres: TensorPresentation, tips: FrozenSet[Word]):
-        self.pres = pres
-        self.tips = tips
-        self.lengths = sorted({len(tip) for tip in tips})
-        self.keep = max([1] + [n - 1 for n in self.lengths])
-        self.gen = {g.label: g for g in pres.generators}
-        self.by_degree: Dict[int, Dict[Word, int]] = {}
-
-    def prefixes(self, d: int) -> Dict[Word, int]:
-        """The normal words of degree d, counted by their first keep letters."""
-        if d not in self.by_degree:
-            out: Dict[Word, int] = {}
-            for g in self.pres.generators:
-                if g.deg == d:
-                    out[(g.label,)] = 1
-                elif g.deg < d:
-                    for prefix, count in self.prefixes(d - g.deg).items():
-                        word = (g.label,) + prefix
-                        if self.gen[prefix[0]].tgt == g.src and not any(
-                                word[:n] in self.tips for n in self.lengths):
-                            key = word[:self.keep]
-                            out[key] = out.get(key, 0) + count
-            self.by_degree[d] = out
-        return self.by_degree[d]
-
-    def dim(self, d: int) -> int:
-        return self.pres.num_vertices if d == 0 else sum(self.prefixes(d).values())
-
-
-def _chain_extensions(tips: FrozenSet[Word], tail: Word,
-                      deg: Mapping[str, int]) -> List[Tuple[Word, int]]:
-    """(t, degree of t) for each non-empty path t that extends a chain with
-    this tail: tail t contains exactly one tip, which starts inside the tail
-    and ends at the end of t. So t is what a tip has left after a prefix
-    that is a suffix of the tail."""
-    out = []
-    for tip in tips:
-        for k in range(1, min(len(tail), len(tip) - 1) + 1):
-            if tail[-k:] == tip[:k] and sum(u in tips for u in _subwords(tail + tip[k:])) == 1:
-                out.append((tip[k:], sum(deg[lab] for lab in tip[k:])))
-    return out
-
-
-def _anick_tor(pres: TensorPresentation, tips: FrozenSet[Word], q: int) -> PoincarePolynomial:
-    """Tor_q for q >= 1 of a monomial presentation with these minimal tips,
-    as the number of Anick (q-1)-chains by degree (see tor_term). Whether a
-    chain extends, and by which t (see _chain_extensions), depends only on
-    its tail, so chains are counted per (tail, degree), never listed.
-
-    maxdeg(A) is certified on the normal words (see _NormalWords), read no
-    further than the first zero window, so the work does not grow with the
-    truncation. It is needed only for the refusal: the count is dim Tor_q,
-    a subquotient of the bar term (A+)^(tensor q), so no chain lies above
-    q maxdeg(A)."""
-    normal = _NormalWords(pres, tips)
-    _tor_degree_cap(pres, q, lambda: _window_maxdeg(pres, normal.dim))
-    deg = {g.label: g.deg for g in pres.generators}
-    chains: Dict[Tuple[Word, int], int] = {((g.label,), g.deg): 1 for g in pres.generators}
-    extensions: Dict[Word, List[Tuple[Word, int]]] = {}
-    for _ in range(q - 1):
-        longer: Dict[Tuple[Word, int], int] = {}
-        for (tail, d), count in chains.items():
-            if tail not in extensions:
-                extensions[tail] = _chain_extensions(tips, tail, deg)
-            for t, dt in extensions[tail]:
-                longer[(t, d + dt)] = longer.get((t, d + dt), 0) + count
-        chains = longer
-    dims: Dict[int, int] = {}
-    for (_, d), count in chains.items():
-        dims[d] = dims.get(d, 0) + count
-    return PoincarePolynomial.make(dims)
 
 
 # -- symbolic mindeg calculus ----------------------------------------------
@@ -773,12 +641,22 @@ def configuration_presentation(
     truncation: int,
     field_spec: FieldSpec = RATIONALS_SPEC,
 ) -> TensorPresentation:
-    """Tensor presentation matching build_configuration_algebra: loop
-    generators t_i of degree k, arrows a_ij of degree h, relations
-    t_i^(n+1), arrow times loop words, and the arrow compositions of the
-    preset, "orthogonal" or "zigzag"."""
+    """Tensor presentation of the algebra build_configuration_algebra
+    tabulates: loop generators t_i of degree k, arrows a_ij of degree h,
+    relations t_i^(n+1), arrow times loop words, and the arrow compositions
+    of the preset, "orthogonal" or "zigzag".
+
+    The zigzag preset needs k | 2h and 2h/k = n: its relations give
+    t_i^(2h/k + 1) = (a_ji a_ij) t_i = a_ji (a_ij t_i) = 0. With 2h/k < n
+    they would present a smaller algebra than the table, which keeps
+    t_i^(2h/k + 1) non-zero and so is not associative; both builders
+    refuse such input."""
     if preset not in ("orthogonal", "zigzag"):
         raise InputValidationError(f"unknown preset {preset!r}")
+    if preset == "zigzag" and ((2 * h) % k != 0 or (2 * h) // k != n):
+        raise InputValidationError(
+            f"zigzag preset needs k | 2h and 2h/k = n (n={n}, k={k}, h={h})"
+        )
     m = len(graph.vertices)
     vidx = {v: i + 1 for i, v in enumerate(graph.vertices)}
 
@@ -814,10 +692,7 @@ def configuration_presentation(
                 continue
             pairs.add(word)
             if preset == "zigzag" and l == i:
-                if (2 * h) % k != 0 or not (1 <= (2 * h) // k <= n):
-                    raise InputValidationError("zigzag preset infeasible for (n, k, h)")
-                power = (2 * h) // k
-                rels.append(((word, 1), ((t(i),) * power, -1)))
+                rels.append(((word, 1), ((t(i),) * n, -1)))
             else:
                 rels.append(((word, 1),))
     return TensorPresentation(m, tuple(gens), tuple(rels), truncation, field_spec)

@@ -395,6 +395,22 @@ def test_resolution_over_f7_assembles_int_matrices(monkeypatch):
     assert dims == [hh_bar(A, p, q).dim for p, q in slices] == [1, 0, 1]
 
 
+def test_spec_check_skips_a_zero_table_term_of_another_degree():
+    """Over F_7, t t = 7 1 is a table term of degree 0 in a product of
+    degree 4 with coefficient 0: the algebra is k[t]/t^2 with |t| = 2, and
+    the grading check skips the term. The spec check skips it too, and the
+    resolution agrees with the bar complex."""
+    F7 = FieldSpec(kind="fp", p=7)
+    mult = {("1", "1"): {"1": 1}, ("1", "t"): {"t": 1}, ("t", "1"): {"t": 1},
+            ("t", "t"): {"1": 7}}
+    A = GradedAlgebra(F7, (("1", 0), ("t", 2)), mult, {"1": 1})
+    assert hh_bar(A, 1, 0).dim == 1
+    spec = validate_periodic_spec(A, periodic_spec_truncated_poly(1, 2, 4))
+    for p in range(4):
+        for q in range(-2 * (p + 1) * 2, 1):
+            assert hh_resolution(A, spec, p, q) == hh_bar(A, p, q).dim, (p, q)
+
+
 # -- scans ------------------------------------------------------------------------
 
 

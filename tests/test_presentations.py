@@ -11,7 +11,8 @@ from formalitykit.fields import RATIONALS, FieldSpec
 from formalitykit.graded import mindeg
 from formalitykit.hochschild import bar_chain_slice
 from formalitykit.graded import build_configuration_algebra, truncated_poly
-from formalitykit import linalg, presentations
+from formalitykit import groebner, linalg, presentations
+from formalitykit.groebner import _window_maxdeg
 from formalitykit.linalg import rank_rows, row_space_basis
 from formalitykit.presentations import (
     _Closure,
@@ -22,7 +23,6 @@ from formalitykit.presentations import (
     _relation_closure,
     _relation_vectors,
     _times_generators,
-    _window_maxdeg,
     Generator,
     HomogeneousIdeal,
     TensorPresentation,
@@ -484,7 +484,7 @@ def test_every_ideal_tor_term_builds_equals_the_eliminating_route(monkeypatch, p
             calls.append((name, args, kwargs, out))
             return out
         monkeypatch.setattr(presentations, name, record)
-    closures = _recorded_instances(monkeypatch, "_Closure")
+    closures = _recorded_instances(monkeypatch, presentations, "_Closure")
     presentations._butler_king_tor(pres, q)
     assert {call[0] for call in calls} == set(routes)
     for name, args, kwargs, out in calls:
@@ -499,13 +499,16 @@ def test_every_ideal_tor_term_builds_equals_the_eliminating_route(monkeypatch, p
 
 
 def _anick_route(pres, q):
-    tips = presentations._monomial_tips(pres)
+    tips = groebner._monomial_tips(pres)
     assert tips is not None, "not a monomial presentation"
-    return presentations._anick_tor(pres, tips, q)
+    return groebner._anick_tor(pres, tips, q)
 
 
-# the two routes of tor_term for q >= 1, called directly
-TOR_ROUTES = {"anick": _anick_route, "butler-king": presentations._butler_king_tor}
+# tor_term's route for q >= 1 called directly, without its shortcut for
+# monomial input (morse), the shortcut itself (anick), and the ideal engine
+# the tests keep as the reference (butler-king)
+TOR_ROUTES = {"anick": _anick_route, "butler-king": presentations._butler_king_tor,
+              "morse": groebner._morse_tor}
 
 
 @pytest.fixture(params=sorted(TOR_ROUTES))
@@ -687,14 +690,38 @@ def _with_spec(pres, spec):
 
 
 MONOMIAL_TOR_CASES = [case for case in TOR_CASES
-                      if presentations._monomial_tips(case[1]) is not None]
+                      if groebner._monomial_tips(case[1]) is not None]
 
 
-def test_tor_cases_split_between_the_routes():
-    # the orthogonal pool entries and the two extra cases are monomial; every
-    # zigzag preset relates a_ji a_ij to a power of t_i
-    assert len(MONOMIAL_TOR_CASES) == 12
-    assert all("zigzag" not in case[0] for case in MONOMIAL_TOR_CASES)
+def _groebner_basis(pres, cap):
+    basis = groebner._GroebnerBasis(pres)
+    basis.upto(cap)
+    return basis.tails
+
+
+@pytest.mark.parametrize("name,pres", [case[:2] for case in TOR_CASES],
+                         ids=[case[0] for case in TOR_CASES])
+def test_tor_cases_split_by_their_groebner_basis(name, pres):
+    """tor_term has one route, and its shortcut for monomial input is the
+    same route: there the Groebner basis is the minimal tips, with no tail.
+    The orthogonal pool entries and the two extra cases are monomial. Every
+    zigzag preset relates a_ji a_ij to a power of t_i, so its basis has a
+    tail, except for the (1, 2, 1) zigzag on A2, where t_i = a_ji a_ij is a
+    one-letter tip and what is left is monomial over the arrows."""
+    tips = groebner._monomial_tips(pres)
+    basis = _groebner_basis(pres, pres.truncation)
+    assert (tips is None) == ("zigzag" in name)
+    if tips is not None:
+        assert basis == {tip: {} for tip in tips}
+    elif name.startswith("A2-1-2-1-zigzag"):
+        assert {tip for tip in basis if len(tip) == 1} == {("t1",), ("t2",)}
+        assert not any(basis[tip] for tip in basis if len(tip) > 1)
+    else:
+        assert any(basis.values())
+
+
+def test_tor_cases_count():
+    assert (len(TOR_CASES), len(MONOMIAL_TOR_CASES)) == (21, 12)
 
 
 @pytest.mark.parametrize("pres,q", [case[1:] for case in MONOMIAL_TOR_CASES],
@@ -720,7 +747,7 @@ def test_anick_route_equals_butler_king_on_random_monomial_presentations(rng):
     compared = 0
     while compared < 12:
         pres, _ = _random_monomial_presentation(rng)
-        if presentations._monomial_tips(pres) is None:
+        if groebner._monomial_tips(pres) is None:
             continue
         compared += 1
         cap = tuple(((w, ONE),) for w in word_basis(pres, 4) + word_basis(pres, 5))
@@ -729,6 +756,137 @@ def test_anick_route_equals_butler_king_on_random_monomial_presentations(rng):
             assert _outcome(_anick_route, pres, q) == _outcome(presentations._butler_king_tor,
                                                                pres, q)
             assert _anick_route(capped, q).dims() == presentations._butler_king_tor(capped, q).dims()
+
+
+@pytest.mark.parametrize("pres,q", [case[1:] for case in TOR_CASES],
+                         ids=[case[0] for case in TOR_CASES])
+@pytest.mark.parametrize("field", ["rationals", "fp:32003"])
+@pytest.mark.parametrize("reverse", [False, True], ids=["given", "reversed"])
+def test_morse_route_equals_butler_king_on_the_tor_cases(pres, q, field, reverse):
+    pres = _with_spec(pres, FieldSpec.parse(field))
+    if reverse:
+        pres = _generators_reversed(pres)
+    for j in range(1, q + 1):
+        assert groebner._morse_tor(pres, j).dims() == \
+            presentations._butler_king_tor(pres, j).dims()
+
+
+def _random_binomial_presentation(rng, spec):
+    """A draw like _random_monomial_presentation, where each relation is a
+    word minus a multiple of another word of its degree and block, when
+    there is one: y of degree 2 against x x makes one-letter tips."""
+    field = spec.field()
+    pres0, chosen = _random_monomial_presentation(rng)
+    gen = {g.label: g for g in pres0.generators}
+
+    def block(word):
+        return gen[word[-1]].src, gen[word[0]].tgt, sum(gen[lab].deg for lab in word)
+
+    rels = []
+    for word in chosen:
+        deg = block(word)[2]
+        others = [w for w in word_basis(pres0, deg) if w != word and block(w) == block(word)]
+        coeff = field.scalar(rng.choice([1, -1, 2, Fraction(1, 2)]))
+        rels.append(((word, field.one),) + (((rng.choice(others), coeff),) if others else ()))
+    return TensorPresentation(pres0.num_vertices, pres0.generators, tuple(rels),
+                              pres0.truncation, spec)
+
+
+@pytest.mark.parametrize("field", ["rationals", "fp:32003"])
+def test_morse_route_equals_butler_king_on_random_binomial_presentations(rng, field):
+    """12 draws whose Groebner basis has a tail, each also capped as in
+    test_anick_route_equals_butler_king_on_random_monomial_presentations,
+    with generators given and reversed: the dims, or the same refusal."""
+    spec = FieldSpec.parse(field)
+    compared = 0
+    while compared < 12:
+        pres = _random_binomial_presentation(rng, spec)
+        if not any(_groebner_basis(pres, pres.truncation).values()):
+            continue
+        compared += 1
+        one = spec.field().one
+        cap = tuple(((w, one),) for w in word_basis(pres, 4) + word_basis(pres, 5))
+        capped = TensorPresentation(pres.num_vertices, pres.generators, pres.relations + cap, 12,
+                                    spec)
+        for case in (pres, capped, _generators_reversed(capped)):
+            for q in range(1, 5):
+                assert _outcome(groebner._morse_tor, case, q) == \
+                    _outcome(presentations._butler_king_tor, case, q)
+
+
+@pytest.mark.parametrize("graph,nkh,q,expected", [
+    (TRIANGLE, (1, 2, 1), 6, {6: 21}),
+    (A2, (2, 2, 2), 7, {14: 16}),
+    (CYCLE4, (1, 2, 1), 5, {5: 24}),
+], ids=["triangle-1-2-1-q6", "A2-2-2-2-q7", "cycle4-1-2-1-q5"])
+def test_morse_route_reaches_the_baseline_zigzag_tor_terms(graph, nkh, q, expected):
+    """The Baseline zigzag values, which the ideal engine computes in 8.5,
+    3.7 and 2.0 s on a 2-core x86-64 host, at the minimal truncation
+    q maxdeg(A)."""
+    top = max(build_configuration_algebra(graph, *nkh, "zigzag").poincare())
+    pres = configuration_presentation(graph, *nkh, "zigzag", q * top)
+    assert tor_term(pres, q).dims() == expected
+
+
+def _matrix_hilbert_series(A, m, cap):
+    """H_A(t) up to degree cap, as {d: m x m integer matrix}, the (i, j)
+    entry counting the basis elements x of degree d with e_i x e_j = x."""
+    es = A.idempotents
+    series = {d: [[0] * m for _ in range(m)] for d in range(cap + 1)}
+    for label, d in A.basis:
+        if d <= cap:
+            i = next(i for i, e in enumerate(es) if A.mult.get((e, label)) == {label: 1})
+            j = next(j for j, e in enumerate(es) if A.mult.get((label, e)) == {label: 1})
+            series[d][i][j] += 1
+    return series
+
+
+def _inverse_series_sums(series, m, cap):
+    """The entry sum of each coefficient of H(t)^-1 up to degree cap, for
+    H_0 the identity: G_0 = 1 and G_d = -sum_(e >= 1) H_e G_(d-e)."""
+    inverse = {0: [[int(i == j) for j in range(m)] for i in range(m)]}
+    for d in range(1, cap + 1):
+        inverse[d] = [[-sum(series[e][i][k] * inverse[d - e][k][j]
+                            for e in range(1, d + 1) for k in range(m))
+                       for j in range(m)] for i in range(m)]
+    return {d: sum(map(sum, g)) for d, g in inverse.items()}
+
+
+EULER_CONFIGS = sorted({term[:-1] for term in TOR_POOL}) + [("cycle4", 1, 2, 1, "zigzag")]
+
+
+@pytest.mark.parametrize("config", EULER_CONFIGS, ids=lambda config: "-".join(map(str, config)))
+def test_tor_euler_characteristic_is_the_inverse_hilbert_series(config):
+    """sum_q (-1)^q dim Tor_q(d) is the entry sum of the degree d
+    coefficient of H_A(t)^-1, the Euler characteristic of the minimal
+    resolutions of the vertex modules, for q <= 8. Tor_q lives in degrees
+    >= q g, g the least generator degree, so the sum is complete for
+    d <= 8 g. H_A is read from the table, not from the presentation."""
+    graph, n, k, h, preset = config
+    graph = {"A2": A2, "triangle": TRIANGLE, "cycle4": CYCLE4}[graph]
+    A = build_configuration_algebra(graph, n, k, h, preset)
+    m = len(graph.vertices)
+    top = max(A.poincare())
+    pres = configuration_presentation(graph, n, k, h, preset, 8 * top + max(k, h))
+    cap = 8 * min(g.deg for g in pres.generators)
+    euler = {}
+    for q in range(9):
+        for d, dim in tor_term(pres, q).dims().items():
+            euler[d] = euler.get(d, 0) + (-1) ** q * dim
+    want = _inverse_series_sums(_matrix_hilbert_series(A, m, cap), m, cap)
+    assert {d: euler.get(d, 0) for d in range(cap + 1)} == want
+
+
+@pytest.mark.parametrize("pres,q", [case[1:] for case in TOR_CASES],
+                         ids=[case[0] for case in TOR_CASES])
+def test_normal_words_count_the_relation_closure(pres, q):
+    """dim T(V)/I from the Groebner basis's normal words equals the
+    dimension of the ideal engine's quotient in every degree up to the
+    truncation."""
+    basis = groebner._GroebnerBasis(pres)
+    closure = _relation_closure(pres)
+    assert [basis.dim(d) for d in range(pres.truncation + 1)] == \
+        [closure.dim(d) for d in range(pres.truncation + 1)]
 
 
 @pytest.mark.parametrize("graph,nkh,q,truncation,expected", [
@@ -742,28 +900,37 @@ def test_anick_route_reaches_the_baseline_tor_terms(monkeypatch, graph, nkh, q, 
     and a chain extends per (tail, degree) state, never one by one."""
     pres = configuration_presentation(graph, *nkh, "orthogonal", truncation)
     tails = []
-    real = presentations._chain_extensions
+    real = groebner._chain_extensions
 
     def record(tips, tail, deg):
         tails.append(tail)
         return real(tips, tail, deg)
 
-    monkeypatch.setattr(presentations, "_chain_extensions", record)
+    monkeypatch.setattr(groebner, "_chain_extensions", record)
     assert tor_term(pres, q).dims() == expected
     # the tails are the generators and the proper suffixes of the tips
-    tips = presentations._monomial_tips(pres)
+    tips = groebner._monomial_tips(pres)
     assert len(tails) == len(set(tails)) <= len(pres.generators) + sum(len(w) - 1 for w in tips)
 
 
-def test_anick_route_builds_no_ideal_and_calls_no_linalg(monkeypatch):
+@pytest.mark.parametrize("pres,q", [case[1:] for case in MONOMIAL_TOR_CASES],
+                         ids=[case[0] for case in MONOMIAL_TOR_CASES])
+def test_monomial_input_builds_no_ideal_and_calls_no_linalg(monkeypatch, pres, q):
+    """On monomial input every S-polynomial and every scalar of the Morse
+    differential is 0, so tor_term eliminates nothing: it counts chains."""
+    want = [presentations._butler_king_tor(pres, j).dims() for j in range(1, q + 1)]
+
     def refuse(*args, **kwargs):
-        raise AssertionError("the Anick route reached the ideal engine")
+        raise AssertionError("monomial input reached an elimination")
 
     for name in ("ideal_from_relations", "ideal_meet", "ideal_product", "ideal_sum",
-                 "row_space_basis", "rref_extend", "subspace_meet", "_butler_king_tor"):
+                 "row_space_basis", "rref_extend", "subspace_meet", "_butler_king_tor",
+                 "_morse_tor"):
         monkeypatch.setattr(presentations, name, refuse)
+    for name in ("rref_rows", "rank_rows", "_GroebnerBasis"):
+        monkeypatch.setattr(groebner, name, refuse)
     monkeypatch.setattr(linalg, "_eliminate", refuse)
-    assert tor_term(a2_pres(truncation=12), 3).dims() == {6: 10, 8: 6}
+    assert [tor_term(pres, j).dims() for j in range(1, q + 1)] == want
 
 
 @pytest.mark.parametrize("graph,nkh", [(A2, (2, 2, 2)), (A2, (1, 2, 1)),
@@ -807,19 +974,21 @@ PARITY_CASES = [
 @pytest.mark.parametrize("pres,tips", [case[1:3] for case in PARITY_CASES],
                          ids=[case[0] for case in PARITY_CASES])
 def test_routes_select_and_refuse_alike(pres, tips):
-    """Each case picks its route, and the Anick route gives the Butler-King
-    result or refusal on the tips of its ideal. Where a relation cancels to
+    """Each case takes the monomial shortcut or not, and tor_term, the
+    route without the shortcut and the chain count on the tips of the ideal
+    all give the Butler-King result or refusal. Where a relation cancels to
     zero the ideal is 0, with no tips; a one-letter relation kills a
-    generator, which no chain count sees, so there only the selection is
-    checked."""
-    assert presentations._monomial_tips(pres) == (None if tips is None else frozenset(tips))
+    generator, which a chain count on the given generators does not see, so
+    there the count is not compared."""
+    assert groebner._monomial_tips(pres) == (None if tips is None else frozenset(tips))
     zero_ideal = tips is None and ideal_from_relations(pres).is_zero()
     for q in range(1, 5):
         want = _outcome(presentations._butler_king_tor, pres, q)
         assert _outcome(tor_term, pres, q) == want
+        assert _outcome(groebner._morse_tor, pres, q) == want
         if tips is not None or zero_ideal:
             def anick(p, j):
-                return presentations._anick_tor(p, frozenset(tips or ()), j)
+                return groebner._anick_tor(p, frozenset(tips or ()), j)
             assert _outcome(anick, pres, q) == want
 
 
@@ -827,7 +996,8 @@ def test_routes_select_and_refuse_alike(pres, tips):
                          ids=[case[0] for case in PARITY_CASES])
 def test_tor_command_is_the_same_on_either_route(monkeypatch, tmp_path, capsys, pres, codes):
     """The tor command's exit code, stdout and stderr, with a presentation
-    on its own route and forced onto the Butler-King route."""
+    on its own route and with the monomial shortcut turned off, so that
+    every presentation goes through the Groebner basis."""
     path = tmp_path / "pres.json"
     path.write_text(json.dumps(presentation_to_json_dict(pres)))
 
@@ -855,16 +1025,16 @@ def _minimal_truncation(make, q):
             pass
 
 
-def _recorded_instances(monkeypatch, name):
-    """The instances of the class presentations.<name> built from now on."""
+def _recorded_instances(monkeypatch, module, name):
+    """The instances of the class module.<name> built from now on."""
     built = []
 
-    class Recorded(getattr(presentations, name)):
+    class Recorded(getattr(module, name)):
         def __init__(self, *args):
             super().__init__(*args)
             built.append(self)
 
-    monkeypatch.setattr(presentations, name, Recorded)
+    monkeypatch.setattr(module, name, Recorded)
     return built
 
 
@@ -882,7 +1052,7 @@ def test_anick_route_materializes_as_many_words_at_any_truncation(monkeypatch, m
     certifies maxdeg, so a larger truncation adds no word (it builds the
     normal words' prefixes, see _NormalWords)."""
     minimal = _minimal_truncation(make, q)
-    built = _recorded_instances(monkeypatch, "_NormalWords")
+    built = _recorded_instances(monkeypatch, groebner, "_NormalWords")
     counts, dims = [], []
     for truncation in (minimal, minimal + 8):
         built.clear()
@@ -906,21 +1076,22 @@ ZIGZAG_CASES += [("triangle", (1, 2, 1), 3, {3: 12}), ("cycle4", (1, 2, 1), 3, {
                          ids=["-".join(map(str, (g, *nkh, q))) for g, nkh, q, _ in ZIGZAG_CASES])
 def test_butler_king_route_materializes_as_many_words_at_any_truncation(monkeypatch, graph, nkh,
                                                                         q, expected):
-    """The Butler-King route reads T(V)/I no further than the zero window
-    that certifies maxdeg and d_need = q maxdeg, so a larger truncation
-    changes neither Tor_q, nor the blocks of I up to d_need, nor the number
-    of words materialized (each run starts from a cold word cache)."""
+    """The Butler-King route, the tests' reference, reads T(V)/I no further
+    than the zero window that certifies maxdeg and d_need = q maxdeg, so a
+    larger truncation changes neither Tor_q, nor the blocks of I up to
+    d_need, nor the number of words materialized (each run starts from a
+    cold word cache)."""
     graph = {"A2": A2, "triangle": TRIANGLE, "cycle4": CYCLE4}[graph]
     d_need = q * max(build_configuration_algebra(graph, *nkh, "zigzag").poincare())
     minimal = _minimal_truncation(
         lambda t: configuration_presentation(graph, *nkh, "zigzag", t), q)
-    closures = _recorded_instances(monkeypatch, "_Closure")
+    closures = _recorded_instances(monkeypatch, presentations, "_Closure")
     runs = []
     for truncation in (minimal, minimal + 8):
         _context.cache_clear()
         closures.clear()
         pres = configuration_presentation(graph, *nkh, "zigzag", truncation)
-        dims = tor_term(pres, q).dims()
+        dims = presentations._butler_king_tor(pres, q).dims()
         ideal = closures[0]
         assert ideal.sides == (True, False) and ideal.reached >= d_need
         blocks = {key: rows for key, rows in ideal.blocks.items() if key[0] <= d_need}
@@ -937,10 +1108,43 @@ def test_anick_route_refuses_an_infinite_algebra_by_prefixes_not_words(monkeypat
     degree."""
     pres = TensorPresentation(1, (Generator("x", 1, 1, 1), Generator("y", 1, 1, 1)),
                               (((("x", "x"), ONE),),), 512)
-    built = _recorded_instances(monkeypatch, "_NormalWords")
+    built = _recorded_instances(monkeypatch, groebner, "_NormalWords")
     with pytest.raises(TruncationError, match="no nilpotence window"):
         tor_term(pres, 2)
     assert _prefixes_built(built) == 2 * 512
+
+
+def test_tor_command_refuses_a_non_monomial_input_without_a_window_from_normal_words(
+        monkeypatch, tmp_path, capsys):
+    """k<x, y>/(x x - y y) is infinite dimensional. Its Groebner basis is
+    {x x, x y y}, so it has about two normal words per degree, and the
+    refusal at truncation 40 counts them without materializing T(V)_d,
+    which has 2^d words."""
+    pres = TensorPresentation(1, (Generator("x", 1, 1, 1), Generator("y", 1, 1, 1)),
+                              (((("x", "x"), ONE), (("y", "y"), -ONE)),), 40)
+    assert _groebner_basis(pres, 40) == {("x", "x"): {("y", "y"): 1},
+                                         ("x", "y", "y"): {("y", "y", "x"): 1}}
+    path = tmp_path / "pres.json"
+    path.write_text(json.dumps(presentation_to_json_dict(pres)))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a word space was materialized")
+
+    monkeypatch.setattr(presentations, "_WordContext", refuse)
+    code = dispatch(["tor", "--pres", str(path), "--q", "2"])
+    assert code == 2
+    assert "no nilpotence window" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("nkh", [(2, 2, 1), (3, 2, 2)], ids=["2-2-1", "3-2-2"])
+def test_zigzag_needs_two_h_over_k_equal_to_n_on_both_builders(nkh):
+    """With 2h/k < n, (a_ji a_ij) t_i = t_i^(2h/k + 1) is not 0 in the table
+    but a_ji (a_ij t_i) = 0: the table is not associative, and the
+    relations would present a smaller algebra."""
+    with pytest.raises(InputValidationError, match="associativity"):
+        build_configuration_algebra(A2, *nkh, "zigzag")
+    with pytest.raises(InputValidationError, match="2h/k = n"):
+        configuration_presentation(A2, *nkh, "zigzag", 12)
 
 
 # -- symbolic mindeg bounds ---------------------------------------------------
