@@ -159,12 +159,30 @@ def validate(A: GradedAlgebra) -> ValidationReport:
     Failures are collected into the report rather than raised, one entry
     per violated pair or triple. The report is computed once per algebra
     and kept in its memo; the algebra cannot change after construction.
+
+    Every check reads table entries in plain arithmetic and tests the
+    result for zero in the field; nothing goes through combo_mul. Grading
+    costs one step per table term; the unit laws one lookup per basis
+    label and unit term; the idempotent checks one lookup per pair of
+    idempotents; associativity one step per term product of the triples
+    it tries, which are only those where (xy)z or x(yz) can be non-zero
+    (see _associativity_violations). No check costs the cube of the basis.
     """
     report = A._memo.get("validation")
     if report is None:
         report = _validation_report(A)
         A._memo["validation"] = report
     return report
+
+
+def _differs(f, combo: Combo, want: Combo) -> bool:
+    """Whether two label -> scalar dicts differ in the field f."""
+    return any(not f.is_zero(combo.get(lab, 0) - want.get(lab, 0)) for lab in {*combo, *want})
+
+
+def _is_basis_vector(f, combo: Optional[Combo], lab: str) -> bool:
+    """Whether combo (a table entry, None when absent) is 1 lab in f."""
+    return bool(combo) and not _differs(f, combo, {lab: f.one})
 
 
 def _validation_report(A: GradedAlgebra) -> ValidationReport:
@@ -174,6 +192,7 @@ def _validation_report(A: GradedAlgebra) -> ValidationReport:
         violations.append("duplicate basis labels")
         return ValidationReport(False, tuple(violations))
     degs = A.degree_map()
+    f = A.field_spec.field()
 
     for (x, y), combo in A.mult.items():
         if x not in degs or y not in degs:
@@ -183,7 +202,7 @@ def _validation_report(A: GradedAlgebra) -> ValidationReport:
         for lab, coeff in combo.items():
             if lab not in degs:
                 violations.append(f"mult({x},{y}) hits unknown label {lab}")
-            elif degs[lab] != want and not A.field_spec.field().is_zero(coeff):
+            elif degs[lab] != want and not f.is_zero(coeff):
                 violations.append(
                     f"grading: mult({x},{y}) has degree {degs[lab]} term {lab}, expected {want}"
                 )
@@ -195,10 +214,17 @@ def _validation_report(A: GradedAlgebra) -> ValidationReport:
             violations.append(f"unit has a degree {degs[lab]} term {lab}")
 
     for b in labels:
-        e = {b: A.field_spec.field().one}
-        if not A.combo_eq(A.combo_mul(A.unit, e), e):
+        # 1 b and b 1, summed over the unit's terms
+        left: Combo = {}
+        right: Combo = {}
+        for u, c in A.unit.items():
+            for lab, v in A.mult.get((u, b), {}).items():
+                left[lab] = left.get(lab, 0) + c * v
+            for lab, v in A.mult.get((b, u), {}).items():
+                right[lab] = right.get(lab, 0) + c * v
+        if _differs(f, left, {b: f.one}):
             violations.append(f"unit law fails on the left of {b}")
-        if not A.combo_eq(A.combo_mul(e, A.unit), e):
+        if _differs(f, right, {b: f.one}):
             violations.append(f"unit law fails on the right of {b}")
 
     violations.extend(_associativity_violations(A, labels))
@@ -214,30 +240,39 @@ def _associativity_violations(A: GradedAlgebra, labels: List[str]) -> List[str]:
     (xy)z != x(yz), both sides read term by term off the table in plain
     arithmetic and their difference tested for zero in the field.
 
-    (xy)z and x(yz) both vanish unless (x,y) or (y,z) is a key of A.mult,
-    so only those triples are tried."""
+    (xy)z can be non-zero only when (x,y) is a key of A.mult and (w,z) is
+    a key for a term w of xy; x(yz) only when (y,z) is a key and (x,w) is
+    a key for a term w of yz. Only those triples are tried, so the cost
+    follows the table's non-zero products, not the cube of the basis."""
     f = A.field_spec.field()
     mult = A.mult
-    # (z, y·z) for every z, and for the z with (y,z) a key of the table
-    row_of = {y: [(z, mult.get((y, z))) for z in labels] for y in labels}
-    keyed_row_of = {y: [(z, yz) for z, yz in row if yz is not None] for y, row in row_of.items()}
+    pos = {lab: i for i, lab in enumerate(labels)}
+    keyed = [(pos[x], pos[y], xy) for (x, y), xy in mult.items() if x in pos and y in pos]
+    # per label w, the positions z with (w,z) a key and x with (x,w) a key
+    right_of: Dict[str, List[int]] = {}
+    left_of: Dict[str, List[int]] = {}
+    for ix, iy, _ in keyed:
+        right_of.setdefault(labels[ix], []).append(iy)
+        left_of.setdefault(labels[iy], []).append(ix)
+    tries = set()
+    for ix, iy, xy in keyed:
+        for w in xy:
+            # w is a term of xy: (x,y,z) for (w,z) a key, (v,x,y) for (v,w) a key
+            tries.update((ix, iy, iz) for iz in right_of.get(w, ()))
+            tries.update((iv, ix, iy) for iv in left_of.get(w, ()))
     out: List[str] = []
-    for x in labels:
-        for y in labels:
-            xy = mult.get((x, y))
-            for z, yz in keyed_row_of[y] if xy is None else row_of[y]:
-                # (xy)z - x(yz), label by label
-                diff: Combo = {}
-                if xy:
-                    for w, c in xy.items():
-                        for lab, v in mult.get((w, z), {}).items():
-                            diff[lab] = diff.get(lab, 0) + c * v
-                if yz:
-                    for w, c in yz.items():
-                        for lab, v in mult.get((x, w), {}).items():
-                            diff[lab] = diff.get(lab, 0) - c * v
-                if not all(f.is_zero(v) for v in diff.values()):
-                    out.append(f"associativity fails on ({x},{y},{z})")
+    for ix, iy, iz in sorted(tries):
+        x, y, z = labels[ix], labels[iy], labels[iz]
+        # (xy)z - x(yz), label by label
+        diff: Combo = {}
+        for w, c in mult.get((x, y), {}).items():
+            for lab, v in mult.get((w, z), {}).items():
+                diff[lab] = diff.get(lab, 0) + c * v
+        for w, c in mult.get((y, z), {}).items():
+            for lab, v in mult.get((x, w), {}).items():
+                diff[lab] = diff.get(lab, 0) - c * v
+        if not all(f.is_zero(v) for v in diff.values()):
+            out.append(f"associativity fails on ({x},{y},{z})")
     return out
 
 
@@ -245,7 +280,7 @@ def _idempotent_violations(A: GradedAlgebra, idempotents: Sequence[str]) -> List
     """Why the given labels are not mutually orthogonal idempotents of
     degree zero that sum to the unit and span degree zero; empty if they are."""
     violations: List[str] = []
-    one = A.field_spec.field().one
+    f = A.field_spec.field()
     degs = A.degree_map()
     for e in idempotents:
         if e not in degs:
@@ -255,19 +290,16 @@ def _idempotent_violations(A: GradedAlgebra, idempotents: Sequence[str]) -> List
             violations.append(f"idempotent {e} has degree {degs[e]}")
     known = [e for e in idempotents if e in degs]
     for e in known:
-        ce = {e: one}
-        if not A.combo_eq(A.combo_mul(ce, ce), ce):
+        if not _is_basis_vector(f, A.mult.get((e, e)), e):
             violations.append(f"{e} is not idempotent")
     for e1 in known:
         for e2 in known:
-            if e1 != e2:
-                prod = A.combo_mul({e1: one}, {e2: one})
-                if prod:
-                    violations.append(f"idempotents {e1},{e2} not orthogonal")
+            if e1 != e2 and any(not f.is_zero(v) for v in A.mult.get((e1, e2), {}).values()):
+                violations.append(f"idempotents {e1},{e2} not orthogonal")
     total: Combo = {}
     for e in known:
-        total = A.combo_add(total, {e: one})
-    if not A.combo_eq(total, A.unit):
+        total[e] = total.get(e, 0) + f.one
+    if _differs(f, total, A.unit):
         violations.append("idempotents do not sum to the unit")
     deg0 = {lab for lab, d in A.basis if d == 0}
     if set(known) != deg0:
@@ -287,24 +319,25 @@ def detect_idempotents(A: GradedAlgebra) -> Optional[Tuple[str, ...]]:
 def block_structure(A: GradedAlgebra) -> Dict[str, Tuple[int, int]]:
     """Map each basis label to its (source, target) idempotent indices.
 
-    Label b is in block (i, j) when e_j * b = b and b * e_i = b. Requires
-    idempotents; raises when the basis is not block pure.
+    Label b is in block (i, j) when e_j * b = b and b * e_i = b, read off
+    the table entries (e_j, b) and (b, e_i): two lookups per label and
+    idempotent. Requires idempotents; raises when the basis is not block
+    pure.
     """
     if A.idempotents is None:
         raise InputValidationError("algebra has no idempotent decomposition")
     f = A.field_spec.field()
-    one = f.one
+    mult = A.mult
     out: Dict[str, Tuple[int, int]] = {}
     for lab, _ in A.basis:
-        cb = {lab: one}
         tgt = None
         src = None
         for i, e in enumerate(A.idempotents):
-            if A.combo_eq(A.combo_mul({e: one}, cb), cb):
+            if _is_basis_vector(f, mult.get((e, lab)), lab):
                 if tgt is not None:
                     raise InputValidationError(f"label {lab} has two targets")
                 tgt = i
-            if A.combo_eq(A.combo_mul(cb, {e: one}), cb):
+            if _is_basis_vector(f, mult.get((lab, e)), lab):
                 if src is not None:
                     raise InputValidationError(f"label {lab} has two sources")
                 src = i

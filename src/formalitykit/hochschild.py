@@ -69,7 +69,13 @@ class _Tables:
     `fields`: an int wherever it is integral). Differentials are assembled
     from these constants with plain + and * and the signs +-1, so their rows
     follow `linalg`'s input contract: they may hold explicit zeros and, over
-    F_p, unreduced ints, which `linalg` drops and reduces."""
+    F_p, unreduced ints, which `linalg` drops and reduces.
+
+    Two views are built once with the table, so that the word walk of a
+    slice costs in proportion to the composable prefixes it visits, not to
+    those prefixes times all letters: succ[i] lists, in letter order, the
+    letters j composable after label i (tgt[j] == src[i]), and slots maps
+    each (degree, src, tgt) to its coefficient indices in basis order."""
 
     field: object
     n: int
@@ -79,6 +85,8 @@ class _Tables:
     mult: Dict[Tuple[int, int], Dict[int, object]]
     labels: Tuple[str, ...]
     letters: Tuple[int, ...]
+    succ: Tuple[Tuple[int, ...], ...]
+    slots: Dict[Tuple[int, int, int], Tuple[int, ...]]
 
 
 def _require_valid(A: GradedAlgebra):
@@ -125,74 +133,82 @@ def _build_tables(A: GradedAlgebra, mode: str) -> _Tables:
         (idx[x], idx[y]): {idx[lab]: v for lab, v in combo.items()}
         for (x, y), combo in A.mult.items()
     }
-    return _Tables(A.field_spec.field(), len(labels), degs, src, tgt, mult, labels, letters)
+    # the letters after i depend only on src[i]: one shared tuple per block
+    after = {b: tuple(j for j in letters if tgt[j] == b) for b in set(src)}
+    slots: Dict[Tuple[int, int, int], Tuple[int, ...]] = {}
+    for i, key in enumerate(zip(degs, src, tgt)):
+        slots[key] = slots.get(key, ()) + (i,)
+    return _Tables(
+        A.field_spec.field(), len(labels), degs, src, tgt, mult, labels, letters,
+        tuple(after[b] for b in src), slots,
+    )
 
 
 def _enumerate_words(tb: _Tables, p: int, targets, max_words: int, stage: str):
-    """Composable letter tuples of length p with total degree in targets.
+    """(word, degree) pairs: the composable letter tuples of length p with
+    total degree in targets, each with that degree.
 
-    Depth first and deterministic; partial words are pruned as soon as no
-    target degree stays reachable. Raises when the cap is exceeded, naming
-    the stage (which slice of which complex, in which mode) and the cap."""
+    Depth first and deterministic along the successor lists, so the words
+    come in lexicographic order of their letter indices; a partial word is
+    dropped as soon as no target degree stays reachable, and the last
+    letter is tested in place. Raises once more than max_words words are
+    found, naming the stage (which slice of which complex, in which mode)
+    and the cap."""
     if p == 0:
-        return [()]
+        return [((), 0)]
     letters = tb.letters
     if not letters or not targets:
         return []
-    degs = tb.degs
+    degs, succ = tb.degs, tb.succ
     min_d = min(degs[i] for i in letters)
     max_d = max(degs[i] for i in letters)
     tmin, tmax = min(targets), max(targets)
-    out: List[Tuple[int, ...]] = []
+    out: List[Tuple[Tuple[int, ...], int]] = []
 
-    def extend(word, total):
-        if len(out) > max_words:
-            raise ResourceCapError(
-                f"word cap {max_words} exceeded by the length p = {p} words of {stage}; "
-                "raise max_words"
-            )
-        rem = p - len(word)
-        if rem == 0:
-            if total in targets:
-                out.append(word)
+    def extend(word, total, rem, nexts):
+        # rem >= 1 letters, the first from nexts, still follow word
+        if rem == 1:
+            for j in nexts:
+                d = total + degs[j]
+                if d in targets:
+                    out.append((word + (j,), d))
+            if len(out) > max_words:
+                raise ResourceCapError(
+                    f"word cap {max_words} exceeded by the length p = {p} words of {stage}; "
+                    "raise max_words"
+                )
             return
-        if total + rem * min_d > tmax or total + rem * max_d < tmin:
-            return
-        src_last = tb.src[word[-1]]
-        for i in letters:
-            if src_last == tb.tgt[i]:
-                extend(word + (i,), total + degs[i])
+        rem -= 1
+        for j in nexts:
+            t = total + degs[j]
+            if t + rem * min_d <= tmax and t + rem * max_d >= tmin:
+                extend(word + (j,), t, rem, succ[j])
 
-    for i in letters:
-        extend((i,), degs[i])
+    extend((), 0, p, letters)
     return out
 
 
 def _word_degree_states(tb: _Tables, p: int) -> Dict[Tuple[int, int, int], int]:
     """Count length p words per (degree, src of word, tgt of word) by
-    transfer-style dynamic programming; used only to locate feasible
-    internal degrees cheaply."""
+    transfer-style dynamic programming along the successor lists; used
+    only to locate feasible internal degrees cheaply."""
+    # words counted per (degree, last letter, tgt of the first letter)
     states: Dict[Tuple[int, int, int], int] = {}
     for i in tb.letters:
-        key = (tb.degs[i], tb.src[i], tb.tgt[i])
+        key = (tb.degs[i], i, tb.tgt[i])
         states[key] = states.get(key, 0) + 1
     for _ in range(p - 1):
         nxt: Dict[Tuple[int, int, int], int] = {}
-        for (d, src_last, tgt_first), cnt in states.items():
-            for i in tb.letters:
-                if src_last == tb.tgt[i]:
-                    key = (d + tb.degs[i], tb.src[i], tgt_first)
-                    nxt[key] = nxt.get(key, 0) + cnt
+        for (d, last, tgt_first), cnt in states.items():
+            for j in tb.succ[last]:
+                key = (d + tb.degs[j], j, tgt_first)
+                nxt[key] = nxt.get(key, 0) + cnt
         states = nxt
-    return states
-
-
-def _module_slots(tb: _Tables):
-    """Coefficient indices grouped by (degree, src, tgt)."""
-    slots: Dict[Tuple[int, int, int], List[int]] = {}
-    for i in range(tb.n):
-        slots.setdefault((tb.degs[i], tb.src[i], tb.tgt[i]), []).append(i)
-    return slots
+    out: Dict[Tuple[int, int, int], int] = {}
+    for (d, last, tgt_first), cnt in states.items():
+        key = (d, tb.src[last], tgt_first)
+        out[key] = out.get(key, 0) + cnt
+    return out
 
 
 def _cochain_basis(tb: _Tables, p: int, q: int, mode: str, max_words: int):
@@ -211,16 +227,16 @@ def _cochain_basis(tb: _Tables, p: int, q: int, mode: str, max_words: int):
                 groups.setdefault(("v", tb.src[i]), []).append((col, i))
                 col += 1
         return groups, col
-    slots = _module_slots(tb)
+    slots, src, tgt = tb.slots, tb.src, tb.tgt
     targets = {d - q for d in set(tb.degs)}
     words = _enumerate_words(
         tb, p, targets, max_words, f"the internal degree q = {q} cochains ({mode} mode)"
     )
-    for w in words:
-        total = sum(tb.degs[i] for i in w)
-        for m in slots.get((total + q, tb.src[w[-1]], tb.tgt[w[0]]), ()):
-            groups.setdefault(w, []).append((col, m))
-            col += 1
+    for w, total in words:
+        ms = slots.get((total + q, src[w[-1]], tgt[w[0]]))
+        if ms:
+            groups[w] = [(col + k, m) for k, m in enumerate(ms)]
+            col += len(ms)
     return groups, col
 
 
@@ -371,7 +387,7 @@ def nonempty_internal_degrees(
     if p < 0:
         raise InputValidationError("p must be >= 0")
     tb = _tables(A, mode)
-    slots = _module_slots(tb)
+    slots = tb.slots
     if p == 0:
         return sorted({d for (d, s, t) in slots if s == t})
     out = set()
@@ -423,9 +439,12 @@ def bar_chain_slice(A: GradedAlgebra, p: int, q: int):
         raise InputValidationError("p must be >= 1")
     tb = _tables(A, "relative_normalized")
     stage = f"the internal degree q = {q} chains (relative_normalized mode)"
-    words_p = _enumerate_words(tb, p, {q}, DEFAULT_MAX_WORDS, stage)
+    words_p = [w for w, _ in _enumerate_words(tb, p, {q}, DEFAULT_MAX_WORDS, stage)]
     # the degree q > 0 part of the base (p - 1 = 0) is zero
-    words_prev = _enumerate_words(tb, p - 1, {q}, DEFAULT_MAX_WORDS, stage) if p >= 2 else []
+    words_prev = (
+        [w for w, _ in _enumerate_words(tb, p - 1, {q}, DEFAULT_MAX_WORDS, stage)]
+        if p >= 2 else []
+    )
     idx_prev = {w: i for i, w in enumerate(words_prev)}
     rows: List[Dict[int, object]] = [{} for _ in words_prev]
     for c, w in enumerate(words_p):

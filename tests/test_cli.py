@@ -158,6 +158,20 @@ def test_word_cap_exits_3(tmp_path, capsys):
     )
 
 
+def test_word_cap_boundary_is_the_word_count(tmp_path, capsys):
+    # C^3 of HH^{2,-9}(k[t]/t^5) has 20 words, the slice's largest list
+    apath = write_json(tmp_path, "tp4.json", algebra_to_json_dict(truncated_poly(4, 1)))
+    argv = ["hh", "--algebra", apath, "--p", "2", "--q", "-9", "--max-words"]
+    code, text = run(argv + ["20"])
+    assert code == 0 and json.loads(text)["result"]["slice_dims"] == [0, 0, 20]
+    capsys.readouterr()
+    assert run(argv + ["19"]) == (3, "")
+    assert capsys.readouterr().err == (
+        "resource cap: word cap 19 exceeded by the length p = 3 words of the internal "
+        "degree q = -9 cochains (relative_normalized mode); raise max_words\n"
+    )
+
+
 def test_truncation_cap_exits_3(tmp_path):
     pres = {
         "vertices": 1,

@@ -324,6 +324,224 @@ def test_validate_associativity_matches_brute_force_over_f7(products, fails):
     assert associativity_violations(A) == want
 
 
+# -- the table-reading checks against the combo-based reference ----------------
+
+
+def reference_idempotent_violations(A, idempotents):
+    """The idempotent checks through combo_mul and combo_eq, label by label."""
+    violations = []
+    one = A.field_spec.field().one
+    degs = A.degree_map()
+    for e in idempotents:
+        if e not in degs:
+            violations.append(f"idempotent {e} is not a basis label")
+            continue
+        if degs[e] != 0:
+            violations.append(f"idempotent {e} has degree {degs[e]}")
+    known = [e for e in idempotents if e in degs]
+    for e in known:
+        ce = {e: one}
+        if not A.combo_eq(A.combo_mul(ce, ce), ce):
+            violations.append(f"{e} is not idempotent")
+    for e1 in known:
+        for e2 in known:
+            if e1 != e2 and A.combo_mul({e1: one}, {e2: one}):
+                violations.append(f"idempotents {e1},{e2} not orthogonal")
+    total = {}
+    for e in known:
+        total = A.combo_add(total, {e: one})
+    if not A.combo_eq(total, A.unit):
+        violations.append("idempotents do not sum to the unit")
+    if set(known) != {lab for lab, d in A.basis if d == 0}:
+        violations.append("idempotents do not span degree zero")
+    return violations
+
+
+def reference_violations(A):
+    """validate's violations from the dense triple loop and combo-based
+    unit and idempotent checks, in validate's order."""
+    f = A.field_spec.field()
+    labels = A.labels()
+    if len(set(labels)) != len(labels):
+        return ("duplicate basis labels",)
+    degs = A.degree_map()
+    out = []
+    for (x, y), combo in A.mult.items():
+        if x not in degs or y not in degs:
+            out.append(f"mult table uses unknown labels ({x},{y})")
+            continue
+        for lab, coeff in combo.items():
+            if lab not in degs:
+                out.append(f"mult({x},{y}) hits unknown label {lab}")
+            elif degs[lab] != degs[x] + degs[y] and not f.is_zero(coeff):
+                out.append(f"grading: mult({x},{y}) has degree {degs[lab]} term {lab}, "
+                           f"expected {degs[x] + degs[y]}")
+    for lab in A.unit:
+        if lab not in degs:
+            out.append(f"unit uses unknown label {lab}")
+        elif degs[lab] != 0:
+            out.append(f"unit has a degree {degs[lab]} term {lab}")
+    for b in labels:
+        e = {b: f.one}
+        if not A.combo_eq(A.combo_mul(A.unit, e), e):
+            out.append(f"unit law fails on the left of {b}")
+        if not A.combo_eq(A.combo_mul(e, A.unit), e):
+            out.append(f"unit law fails on the right of {b}")
+    out += brute_force_associativity(A)
+    if A.idempotents is not None:
+        out += reference_idempotent_violations(A, A.idempotents)
+    return tuple(out)
+
+
+def reference_block_structure(A):
+    """block_structure through combo_mul and combo_eq, label by idempotent."""
+    if A.idempotents is None:
+        raise InputValidationError("algebra has no idempotent decomposition")
+    one = A.field_spec.field().one
+    out = {}
+    for lab, _ in A.basis:
+        cb = {lab: one}
+        tgt = src = None
+        for i, e in enumerate(A.idempotents):
+            if A.combo_eq(A.combo_mul({e: one}, cb), cb):
+                if tgt is not None:
+                    raise InputValidationError(f"label {lab} has two targets")
+                tgt = i
+            if A.combo_eq(A.combo_mul(cb, {e: one}), cb):
+                if src is not None:
+                    raise InputValidationError(f"label {lab} has two sources")
+                src = i
+        if src is None or tgt is None:
+            raise InputValidationError(f"label {lab} is not block pure")
+        out[lab] = (src, tgt)
+    return out
+
+
+def outcome(fn, *args):
+    """fn's return value, or the text of the input error it raised."""
+    try:
+        return fn(*args)
+    except InputValidationError as exc:
+        return str(exc)
+
+
+FAULTS = ("product", "unknown", "zero", "unit", "idempotents", "block")
+
+
+def inject(rng, f, A, fault, mult, unit, idempotents):
+    """Spoil the copied table of A (mult, unit, idempotents) by one fault."""
+    labels = A.labels()
+    degs = A.degree_map()
+    es = [lab for lab in labels if degs[lab] == 0]
+    pos = [lab for lab in labels if degs[lab] > 0]
+
+    def scalar():
+        return rng.choice([2, -1, 3, Fraction(1, 2) if f.characteristic == 0 else 5])
+
+    if fault == "product":
+        x, y = rng.choice(labels), rng.choice(labels)
+        same = [z for z in labels if degs[z] == degs[x] + degs[y]]
+        key = rng.choice(list(mult))
+        rng.choice([
+            lambda: mult.__setitem__((x, y), {rng.choice(same or labels): scalar()}),
+            lambda: mult.__setitem__(key, {lab: scalar() * c for lab, c in mult[key].items()}),
+            lambda: mult.pop(key),
+        ])()
+    elif fault == "unknown":
+        x = rng.choice(labels)
+        key = rng.choice(list(mult))
+        rng.choice([
+            lambda: mult.__setitem__((x, "zz"), {x: 1}),
+            lambda: mult.__setitem__(("zz", x), {}),
+            lambda: mult[key].__setitem__("zz", 1),
+            lambda: unit.__setitem__("zz", 1),
+            lambda: idempotents.append("zz"),
+        ])()
+    elif fault == "zero":
+        key = rng.choice(list(mult))
+        lab = rng.choice(labels)
+        zero = rng.choice([0, f.characteristic])
+        rng.choice([
+            lambda: mult[key].__setitem__(lab, zero),
+            lambda: mult.__setitem__(key, {z: zero for z in mult[key]}),
+            lambda: mult.__setitem__((rng.choice(labels), rng.choice(labels)), {lab: zero}),
+            lambda: unit.__setitem__(lab, zero),
+        ])()
+    elif fault == "unit":
+        e = rng.choice(es)
+        rng.choice([
+            lambda: unit.__setitem__(e, scalar()),
+            lambda: unit.pop(e),
+            lambda: unit.__setitem__(rng.choice(pos), 1),
+        ])()
+    elif fault == "idempotents":
+        e1, e2 = rng.choice(es), rng.choice(es)
+        rng.choice([
+            lambda: mult.__setitem__((e1, e2), {rng.choice([e1, e2]): rng.choice([1, scalar()])}),
+            lambda: idempotents.remove(e1) if e1 in idempotents else None,
+            lambda: idempotents.append(rng.choice(pos)),
+        ])()
+    elif fault == "block":
+        a = rng.choice(pos)
+        e = rng.choice(es)
+        rng.choice([
+            lambda: mult.__setitem__((e, a), {a: 1}),
+            lambda: mult.__setitem__((a, e), {a: 1}),
+            lambda: [mult.pop((x, a), None) for x in es],
+            lambda: [mult.pop((a, x), None) for x in es],
+            lambda: mult.__setitem__((e, a), {a: 1, rng.choice(pos): scalar()}),
+        ])()
+
+
+def random_faulty_algebra(rng, field_spec):
+    f = field_spec.field()
+    tri = ConfigGraph.make(["1", "2", "3"], [("1", "2"), ("2", "3"), ("3", "1")])
+    A = rng.choice([
+        lambda: truncated_poly(2, 1, field_spec),
+        lambda: build_configuration_algebra(a2_graph(), 1, 2, 1, "zigzag", field_spec),
+        lambda: build_configuration_algebra(a2_graph(), 2, 1, 1, "orthogonal", field_spec),
+        lambda: build_configuration_algebra(tri, 1, 2, 1, "zigzag", field_spec),
+    ])()
+    mult = {key: dict(c) for key, c in A.mult.items()}
+    unit = dict(A.unit)
+    idempotents = list(A.idempotents)
+    for fault in rng.sample(FAULTS, rng.randint(1, 3)):
+        inject(rng, f, A, fault, mult, unit, idempotents)
+    return GradedAlgebra(field_spec, A.basis, mult, unit, tuple(idempotents))
+
+
+@pytest.mark.parametrize("field_spec", [QQ, FieldSpec(kind="fp", p=7)], ids=["Q", "F7"])
+def test_validation_and_blocks_match_the_combo_reference_on_faulty_tables(rng, field_spec):
+    met = []
+    for _ in range(150):
+        A = random_faulty_algebra(rng, field_spec)
+        want = reference_violations(A)
+        blocks = outcome(reference_block_structure, A)
+        assert validate(A).violations == want
+        assert outcome(block_structure, A) == blocks
+        assert (graded._idempotent_violations(A, A.idempotents)
+                == reference_idempotent_violations(A, A.idempotents))
+        met += [*want, "blocks" if isinstance(blocks, dict) else blocks]
+    for kind in ("mult table uses unknown labels", "hits unknown label", "grading:",
+                 "unit uses unknown label", "unit has a degree", "unit law fails on the left",
+                 "unit law fails on the right", "associativity fails", "is not a basis label",
+                 "has degree", "is not idempotent", "not orthogonal", "do not sum to the unit",
+                 "do not span degree zero", "has two targets", "has two sources",
+                 "is not block pure", "blocks"):
+        assert any(kind in m for m in met), kind
+
+
+def test_a2_zigzag_221_refusal_text():
+    # 2h/k = 1 < n = 2: t1 (a21 a12) = t1 t1 = t1^2 but (t1 a21) a12 = 0
+    with pytest.raises(InputValidationError) as err:
+        build_configuration_algebra(a2_graph(), 2, 2, 1, "zigzag")
+    assert str(err.value) == (
+        "configuration algebra failed validation: associativity fails on (t1,a21,a12); "
+        "associativity fails on (t2,a12,a21); associativity fails on (a12,a21,t2); "
+        "associativity fails on (a21,a12,t1)"
+    )
+
+
 # -- validation once per algebra -----------------------------------------------
 
 

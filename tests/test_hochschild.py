@@ -1,4 +1,5 @@
 import ast
+import itertools
 import os
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from formalitykit.errors import (
 from formalitykit.fields import FieldSpec, RATIONALS, RATIONALS_SPEC
 from formalitykit.graded import (
     GradedAlgebra,
+    block_structure,
     build_configuration_algebra,
     truncated_poly,
     validate,
@@ -22,7 +24,9 @@ from formalitykit.hochschild import (
     PeriodicResolutionSpec,
     _cochain_basis,
     _delta_rows,
+    _enumerate_words,
     _tables,
+    _word_degree_states,
     bar_chain_slice,
     cochain_dim,
     hh_bar,
@@ -680,17 +684,21 @@ def test_scan_builds_tables_once_and_calls_hh_bar_per_q(monkeypatch):
     assert (len(builds), len(slices)) == (1, 8)
 
 
-def benchmark_cocycle_slices():
-    """The (n, p, q) slices of truncated_poly(n, 1) that the hh-slices-q
-    benchmark workload runs with --cocycles, read from the literal
-    HH_COCYCLES in perfbench/workloads.py."""
+def workload_literal(name):
+    """The literal assigned to name in perfbench/workloads.py."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     with open(os.path.join(root, "perfbench", "workloads.py"), encoding="utf-8") as fh:
         tree = ast.parse(fh.read())
     for node in tree.body:
-        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["HH_COCYCLES"]:
-            return sorted(ast.literal_eval(node.value))
-    raise AssertionError("perfbench/workloads.py defines no HH_COCYCLES")
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == [name]:
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"perfbench/workloads.py defines no {name}")
+
+
+def benchmark_cocycle_slices():
+    """The (n, p, q) slices of truncated_poly(n, 1) that the hh-slices-q
+    benchmark workload runs with --cocycles."""
+    return sorted(workload_literal("HH_COCYCLES"))
 
 
 F7 = FieldSpec(kind="fp", p=7)
@@ -722,3 +730,136 @@ def test_cocycles_eliminate_each_differential_once(monkeypatch, A, p, q):
     res = hh_bar(A, p, q, want_cocycles=True)
     assert res.dim == len(res.cocycles) == dim
     assert len(calls) <= 2 + dim
+
+
+# -- the word walk against brute force ------------------------------------------
+
+
+SCAN_QMAX = 6  # the --qmax of every scan-config-fp command
+
+
+def pool_algebras():
+    """(id, algebra, HH^{p,q} slices) for every algebra of the scan-config-fp
+    and hh-slices-q benchmark pools, with the slices its commands ask for."""
+    graphs = workload_literal("GRAPHS")
+    fp = FieldSpec(kind="fp", p=32003)
+    out = []
+    for graph, n, k, h, preset in workload_literal("SCAN_CONFIGS"):
+        vertices, edges = graphs[graph]
+        A = build_configuration_algebra(ConfigGraph.make(vertices, edges), n, k, h, preset, fp)
+        out.append((f"{graph}-{n}{k}{h}-{preset}", A,
+                    [(q, 2 - q) for q in range(3, SCAN_QMAX + 1)]))
+    slices = {}
+    for n, p, q in workload_literal("HH_SLICES"):
+        slices.setdefault(n, []).append((p, q))
+    out += [(f"tp{n}", truncated_poly(n, 1), pqs) for n, pqs in sorted(slices.items())]
+    return out
+
+
+POOL_ALGEBRAS = pool_algebras()
+POOL = [pytest.param(A, pqs, id=name) for name, A, pqs in POOL_ALGEBRAS]
+# absolute mode lists every word of every label; past this many letter
+# tuples (the scan algebras from length 4 or 5 on) the oracle is skipped
+ABSOLUTE_TUPLES = 50_000
+
+
+def brute_force_words(A, mode, length, degrees):
+    """(word, degree) for every composable tuple of length letters with
+    total degree in degrees, in lexicographic order of the letter indices.
+
+    The letters, their blocks and their degrees are read off the basis and
+    block_structure, not off the prepared tables. Words grow by
+    itertools.product of the words one letter shorter with the letters,
+    kept where the new letter composes after the last one, which is the
+    product of length copies of the letters filtered for composability."""
+    degs = [d for _, d in A.basis]
+    if mode == "absolute":
+        letters = range(len(degs))
+        src = tgt = [0] * len(degs)
+    else:
+        blocks = block_structure(A)
+        letters = [i for i, d in enumerate(degs) if d > 0]
+        src = [blocks[lab][0] for lab in A.labels()]
+        tgt = [blocks[lab][1] for lab in A.labels()]
+    words = [()]
+    for _ in range(length):
+        words = [w + (j,) for w, j in itertools.product(words, letters)
+                 if not w or src[w[-1]] == tgt[j]]
+    totals = [sum(degs[i] for i in w) for w in words]
+    return [(w, d) for w, d in zip(words, totals) if d in degrees]
+
+
+@pytest.mark.parametrize("A, slices", POOL)
+def test_word_walk_matches_brute_force_on_the_pool_algebras(A, slices):
+    checked = 0
+    for mode in hochschild.MODES:
+        tb = _tables(A, mode)
+        for p, q in slices:
+            # the targets of a cochain slice, as _cochain_basis asks for them
+            targets = {d - q for d in set(tb.degs)}
+            for length in (p - 1, p, p + 1):
+                if mode == "absolute" and len(tb.letters) ** length > ABSOLUTE_TUPLES:
+                    continue
+                want = brute_force_words(A, mode, length, targets)
+                assert _enumerate_words(tb, length, targets, 10**7, "") == want, (mode, length)
+                checked += 1
+                if mode == "absolute":
+                    continue
+                for t in sorted(targets):
+                    words = [tuple(tb.labels[i] for i in w) for w, d in want if d == t]
+                    assert bar_chain_slice(A, length, t)[0] == words, (length, t)
+    assert checked > 3 * len(slices)  # every relative slice and some absolute ones
+
+
+def reference_word_degree_states(tb, p):
+    """Length p word counts per (degree, src, tgt), each step trying every
+    letter after the source block of the word so far."""
+    states = {}
+    for i in tb.letters:
+        key = (tb.degs[i], tb.src[i], tb.tgt[i])
+        states[key] = states.get(key, 0) + 1
+    for _ in range(p - 1):
+        nxt = {}
+        for (d, src_last, tgt_first), cnt in states.items():
+            for i in tb.letters:
+                if src_last == tb.tgt[i]:
+                    key = (d + tb.degs[i], tb.src[i], tgt_first)
+                    nxt[key] = nxt.get(key, 0) + cnt
+        states = nxt
+    return states
+
+
+@pytest.mark.parametrize("A", FIXTURES + [A for _, A, _ in POOL_ALGEBRAS])
+def test_word_degree_states_follow_the_successor_lists_unchanged(A):
+    for mode in hochschild.MODES:
+        tb = _tables(A, mode)
+        for p in range(1, 8):
+            assert _word_degree_states(tb, p) == reference_word_degree_states(tb, p), (mode, p)
+
+
+# -- the word cap admits exactly max_words words --------------------------------
+
+
+def test_word_cap_admits_exactly_max_words_on_small_slices():
+    # the largest of the three word lists of a slice is what the cap meets;
+    # a cap of one word less once passed where only the last list was full,
+    # as in HH^{2,-9}(k[t]/t^5), whose C^2 is empty and C^3 has 20 words
+    met = 0
+    for n in range(1, 5):
+        A = truncated_poly(n, 1)
+        tb = _tables(A, "relative_normalized")
+        for p in range(0, 5):
+            qs = {q for pp in (p - 1, p, p + 1) if pp >= 0
+                  for q in nonempty_internal_degrees(A, pp)}
+            for q in sorted(qs):
+                targets = {d - q for d in set(tb.degs)}
+                count = max(len(brute_force_words(A, "relative_normalized", length, targets))
+                            for length in (p - 1, p, p + 1) if length >= 1)
+                if count == 0:
+                    continue
+                want = hh_bar(A, p, q).slice_dims
+                assert hh_bar(A, p, q, max_words=count).slice_dims == want
+                with pytest.raises(ResourceCapError, match=f"^word cap {count - 1} exceeded"):
+                    hh_bar(A, p, q, max_words=count - 1)
+                met += 1
+    assert met > 38
