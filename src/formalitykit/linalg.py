@@ -258,8 +258,9 @@ def rank_rows(rows, field) -> int:
 
 def kernel_rows(rows, field, ncols: int):
     """Basis of the right kernel {v : M v = 0} of a matrix with ncols
-    columns: one row per free column fc, with 1 at fc and minus the RREF's
-    fc entries at the pivot columns."""
+    columns: one row per free column fc, in increasing fc, with 1 at fc and
+    minus the RREF's fc entries at the pivot columns. fc is each row's
+    first key, so callers read the free columns off the rows."""
     p = field.characteristic
     basis = _eliminate(rows, field, True)
     pivots = {c for c, _ in basis}
@@ -333,9 +334,9 @@ def rref_extend(basis, rows, field):
 
 def in_span(v, rows, field) -> bool:
     """Whether v lies in the span of rows. No module of the package calls
-    it (the cocycle search merges with `rref_extend`); it stays because
-    `perfbench/spans.py` wraps it by name and raises RuntimeError when it
-    is missing."""
+    it (the cocycle search reads the new classes off one RREF of the image,
+    see `hochschild.hh_bar`); it stays because `perfbench/spans.py` wraps it
+    by name and raises RuntimeError when it is missing."""
     return not _reduce(v, dict(_eliminate(rows, field, True)), field)
 
 
