@@ -32,9 +32,11 @@ the columns S deleted, and
     dim HH^{p,q} = n_p - |S| - rank(d_p without the columns S).
 
 The deleted columns never enter the elimination, and the remaining matrix
-is eliminated on its shorter side (rows or columns). Where either
-differential is empty there is nothing to cut and the slice takes the two
-ranks n_p - rank d_p - rank d_(p-1). Representatives of the classes come
+is eliminated as its transpose, one row per kept column of C^p, which on
+the deep slices are far fewer than the rows of d_p, one per column of
+C^(p+1). Where C^(p+1) = 0, d_p is empty and only |S| = rank d_(p-1)
+counts, so d_(p-1) is ranked in the cheaper rank mode instead of being
+brought to RREF. Representatives of the classes come
 from the kernel basis of d_p, one vector v_fc per free column fc of d_p's
 RREF: v_fc is 1 at fc, 0 at the other free columns F, and determined by its
 entries at F, so restricting to F maps ker d_p isomorphically onto k^F and
@@ -362,8 +364,8 @@ def hh_bar(
 
     Both answers rest on d_p d_(p-1) = 0 (derived in the module docstring).
     The dimension is n_p - |S| - rank(d_p without the columns S), with S the
-    pivot columns of the RREF of im d_(p-1), or n_p - rank d_p -
-    rank d_(p-1) where either differential is empty. The representatives
+    pivot columns of the RREF of im d_(p-1), or n_p - rank d_(p-1) where
+    C^(p+1) = 0. The representatives
     are the kernel vectors of d_p, one per free column of d_p's RREF, except
     those whose free column is the last non-zero free column of some image
     vector (the image's trailing profile: the pivot columns of one RREF of
@@ -384,8 +386,8 @@ def hh_bar(
     d_here = _delta_rows(tb, p, g_here, g_next)
     d_prev = _delta_rows(tb, p - 1, g_prev, g_here) if p >= 1 and n_prev else []
 
-    if not want_cocycles and not (d_here and d_prev):
-        dim = n_here - rank_rows(d_here, f) - rank_rows(d_prev, f)
+    if not want_cocycles and not d_here:
+        dim = n_here - rank_rows(d_prev, f)
         return HHResult(p, q, dim, mode, (n_prev, n_here, n_next))
 
     # the image of d_prev, the row space of its transpose, on which d_here
@@ -393,23 +395,20 @@ def hh_bar(
     image = _transpose(d_prev, n_prev)
     if not want_cocycles:
         cut = set(rref_rows(image, f)[0])
-        if len(d_here) > n_here - len(cut):
-            rest = _transpose(d_here, n_here, cut)
-        else:
-            rest = [{c: x for c, x in row.items() if c not in cut} for row in d_here]
-        dim = n_here - len(cut) - rank_rows(rest, f)
+        dim = n_here - len(cut) - rank_rows(_transpose(d_here, n_here, cut), f)
         return HHResult(p, q, dim, mode, (n_prev, n_here, n_next))
 
     # the kernel vector of free column fc is a new class unless fc is the
-    # last non-zero free column of an image vector
-    ker = kernel_rows(d_here, f, n_here)
-    free = [next(iter(v)) for v in ker]
+    # last non-zero free column of an image vector; fc is the vector's
+    # largest column, as an RREF row is 0 left of its pivot
+    ker = {max(v): v for v in kernel_rows(d_here, f, n_here)}
+    free = sorted(ker)
     flip = {fc: len(free) - 1 - i for i, fc in enumerate(free)}
     trailing = rref_rows(
         [{flip[c]: x for c, x in row.items() if c in flip} for row in image], f
     )[0]
     last = {free[-1 - k] for k in trailing}
-    reps = [v for fc, v in zip(free, ker) if fc not in last]
+    reps = [ker[fc] for fc in free if fc not in last]
     where = {c0: (w, m) for w, pairs in g_here.items() for c0, m in pairs}
     out = []
     for rep in reps:

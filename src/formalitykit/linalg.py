@@ -260,7 +260,8 @@ def kernel_rows(rows, field, ncols: int):
     """Basis of the right kernel {v : M v = 0} of a matrix with ncols
     columns: one row per free column fc, in increasing fc, with 1 at fc and
     minus the RREF's fc entries at the pivot columns. fc is each row's
-    first key, so callers read the free columns off the rows."""
+    largest column: a pivot column c holds an entry of the row of fc only
+    where the RREF row of c does at fc, and that row is 0 left of c."""
     p = field.characteristic
     basis = _eliminate(rows, field, True)
     pivots = {c for c, _ in basis}
