@@ -380,6 +380,18 @@ def _config_labels(m: int):
     return e, t, a
 
 
+def _check_zigzag(n: int, k: int, h: int) -> None:
+    """The zigzag preset needs k | 2h and 2h/k = n: its relations give
+    t_i^(2h/k + 1) = (a_ji a_ij) t_i = a_ji (a_ij t_i) = 0. With 2h/k < n
+    they would present a smaller algebra than the table, which keeps
+    t_i^(2h/k + 1) non-zero and so is not associative; with 2h/k > n the
+    table has no t_i^(2h/k). Both builders refuse such input by this rule."""
+    if (2 * h) % k != 0 or (2 * h) // k != n:
+        raise InputValidationError(
+            f"zigzag preset needs k | 2h and 2h/k = n (n={n}, k={k}, h={h})"
+        )
+
+
 def build_configuration_algebra(
     graph: ConfigGraph,
     n: int,
@@ -394,8 +406,9 @@ def build_configuration_algebra(
     per power, and arrows a_ij of degree h for both directions of every
     edge. Arrow times loop products vanish in both presets. The preset
     fixes arrow compositions; 'orthogonal' kills them all, 'zigzag' sets
-    a_ji a_ij = t_i^(2h/k) and kills paths through distinct vertices. An
-    explicit mapping {(x_label, y_label): combo} may be given instead.
+    a_ji a_ij = t_i^(2h/k) and kills paths through distinct vertices, and
+    needs 2h/k = n (see _check_zigzag). An explicit mapping
+    {(x_label, y_label): combo} may be given instead.
     The result is machine validated before it is returned.
     """
     if n < 1 or k < 1 or h < 1:
@@ -442,14 +455,10 @@ def build_configuration_algebra(
         # loop compositions with arrows vanish in both presets
 
     if preset == "zigzag":
-        if (2 * h) % k != 0 or (2 * h) // k > n or (2 * h) // k < 1:
-            raise InputValidationError(
-                f"zigzag preset infeasible: need k | 2h and 1 <= 2h/k <= n (k={k}, h={h}, n={n})"
-            )
-        power = (2 * h) // k
+        _check_zigzag(n, k, h)
         for (i, j) in arrow_pairs:
-            # a_ji a_ij : P_i -> P_j -> P_i closes the zigzag on vertex i
-            put(a(j, i), a(i, j), {t(i, power): one})
+            # a_ji a_ij : P_i -> P_j -> P_i closes the zigzag on vertex i, t_i^(2h/k) = t_i^n
+            put(a(j, i), a(i, j), {t(i, n): one})
     elif preset == "orthogonal":
         pass
     elif isinstance(preset, Mapping):

@@ -5,9 +5,9 @@ is built one degree at a time (`_GroebnerBasis`); the words that contain
 no tip, counted by degree (`_NormalWords`), give dim T(V)/I and the zero
 window that certifies maxdeg(A); and Tor_q is the homology of the Anick
 chains on the tips under the Morse differential (`_morse_tor`). On a
-monomial presentation the basis is the relations' minimal words and the
-differential is 0, so Tor_q is a chain count (`_anick_tor`).
-`presentations.tor_term` is the entry point.
+monomial presentation the basis is the relations' minimal words, with no
+tails: no S-polynomial is formed, the differential is 0, and Tor_q is a
+chain count. `presentations.tor_term` is the entry point.
 """
 
 from __future__ import annotations
@@ -65,48 +65,24 @@ def _tor_degree_cap(pres: TensorPresentation, q: int, maxdeg: Callable[[], int])
 # -- Groebner bases, normal words and Anick chains -----------------------------
 
 
-def _monomial_tips(pres: TensorPresentation) -> Optional[FrozenSet[Word]]:
-    """The minimal tips of a monomial presentation, or None when it is not
-    monomial (see presentations.tor_term). Each relation's equal words are
-    summed in the field; a word that contains another tip is dropped, since
-    it lies in the ideal that tip generates."""
-    f = pres.field_spec.field()
-    words = set()
-    for rel in pres.relations:
-        summed: Dict[Word, object] = {}
-        for word, c in rel:
-            summed[word] = f.add(summed.get(word, f.zero), c)
-        left = [word for word, c in summed.items() if not f.is_zero(c)]
-        if len(left) != 1 or len(left[0]) < 2:
-            return None
-        words.add(left[0])
-    return frozenset(w for w in words if not any(u in words for u in _subwords(w) if u != w))
-
-
-def _subwords(word: Word):
-    """Each occurrence of a subword of length >= 2 in word (monomial tips
-    have length >= 2)."""
-    return (word[i:j] for i in range(len(word)) for j in range(i + 2, len(word) + 1))
-
-
 class _NormalWords:
     """The composable words that contain no tip, counted by degree: they are
-    a basis of T(V)/I when the tips are those of a Groebner basis of I
-    (for a monomial ideal, its minimal words). A word is normal iff the
-    word after its first letter is and no tip is a prefix of it. Whether a
-    tip is a prefix of g w depends on g and the first (longest tip - 1)
-    letters of w only, so degree d is built from lower degrees, on demand
-    and once, as counts per such prefix: the work is bounded by the
+    a basis of T(V)/I when the tips are those of a Groebner basis of I,
+    which `_GroebnerBasis` adds one degree at a time. A word is normal iff
+    the word after its first letter is and no tip is a prefix of it.
+    Whether a tip is a prefix of g w depends on g and the first (longest
+    tip - 1) letters of w only, so degree d is built from lower degrees, on
+    demand and once, as counts per such prefix: the work is bounded by the
     prefixes, not by the words, even where T(V)/I is infinite dimensional.
     A one-letter tip removes its generator."""
 
-    def __init__(self, pres: TensorPresentation, tips):
+    def __init__(self, pres: TensorPresentation):
         self.pres = pres
         self.gen = {g.label: g for g in pres.generators}
         self.tips = set()
+        self.lengths: List[int] = []
         self.keep = 1
         self.by_degree: Dict[int, Dict[Word, int]] = {}
-        self.add(tips)
 
     def add(self, tips) -> None:
         """Take in more tips, each of a degree above every degree counted so
@@ -190,7 +166,7 @@ class _GroebnerBasis:
             for word, c in rel:
                 poly[word] = poly.get(word, 0) + c
             self.pending.setdefault(self.deg(rel[0][0]), []).append(poly)
-        self.normal = _NormalWords(pres, ())
+        self.normal = _NormalWords(pres)
         self.reached = 0
         self._nf: Dict[Word, Dict[Word, object]] = {}
 
@@ -228,11 +204,15 @@ class _GroebnerBasis:
     def _add(self, tip: Word, tail: Dict[Word, object]) -> None:
         """Record a basis element, and queue the S-polynomial of each overlap
         of its tip with a tip recorded so far (itself included) up to the
-        truncation."""
+        truncation. Two words (tips with no tail) have only zero
+        S-polynomials, so their pair is skipped; on monomial input nothing
+        is queued."""
         self.tails[tip] = tail
         if len(tip) not in self.lengths:
             self.lengths = sorted(self.lengths + [len(tip)])
-        for other in self.tails:
+        for other, other_tail in self.tails.items():
+            if not tail and not other_tail:
+                continue
             for a, b in ((tip, other), (other, tip)) if other != tip else ((tip, tip),):
                 last = a[-1]
                 for k in range(1, min(len(a), len(b))):
@@ -352,21 +332,6 @@ def _chain_counts(generators: Sequence[Generator], tips: FrozenSet[Word],
     for (_, d), count in chains.items():
         dims[d] = dims.get(d, 0) + count
     return dims
-
-
-def _anick_tor(pres: TensorPresentation, tips: FrozenSet[Word], q: int) -> PoincarePolynomial:
-    """Tor_q for q >= 1 of a monomial presentation with these minimal tips:
-    they are its Groebner basis, and the Morse differential vanishes (see
-    _morse_tor), so Tor_q is the number of Anick (q-1)-chains by degree.
-
-    maxdeg(A) is certified on the normal words (see _NormalWords), read no
-    further than the first zero window, so the work does not grow with the
-    truncation. It is needed only for the refusal: the count is dim Tor_q,
-    a subquotient of the bar term (A+)^(tensor q), so no chain lies above
-    q maxdeg(A)."""
-    normal = _NormalWords(pres, tips)
-    _tor_degree_cap(pres, q, lambda: _window_maxdeg(pres, normal.dim))
-    return PoincarePolynomial.make(_chain_counts(pres.generators, tips, q))
 
 
 Cell = Tuple[Word, ...]
@@ -514,9 +479,11 @@ def _morse_tor(pres: TensorPresentation, q: int) -> PoincarePolynomial:
     are not tips and the tips of length >= 2, and the Morse differential
     (see _MorseComplex),
         Tor_q(d) = |C_q(d)| - rank d_q(d) - rank d_(q+1)(d),
-    where d_1 = 0. A basis of words only (a monomial one) has every normal
-    form of a product inside a chain 0, so then the differential vanishes
-    and Tor_q is the chain count.
+    where d_1 = 0. A basis of words only, as on monomial input, has every
+    normal form of a product inside a chain 0, so then the differential
+    vanishes and Tor_q is the chain count, with no elimination past the
+    interreduction of the relation words (Anick, Trans. AMS 296 (1986);
+    Green-Happel-Zacharia, Illinois J. Math. 29 (1985)).
 
     maxdeg(A) is certified by the zero window of the normal words (which
     completes the basis); Tor_1 needs the basis up to the generator degrees

@@ -14,8 +14,9 @@ tor_term has one route, which the groebner module implements. A
 degree-by-degree Buchberger step computes the reduced Groebner basis of
 the ideal I of the relations, in a term order where a shorter word of a
 degree is larger, so that a generator the relations express by others
-(t_i in a_ji a_ij = t_i) is a one-letter tip and drops out. The words that contain no tip, counted by degree, give
-dim T(V)/I for the zero window without materializing T(V). Algebraic
+(t_i in a_ji a_ij = t_i) is a one-letter tip and drops out. The words
+that contain no tip, counted by degree, give dim T(V)/I for the zero
+window without materializing T(V). Algebraic
 discrete Morse theory reduces the normalized bar complex to the Anick
 chains on the tips (Anick, Trans. AMS 296 (1986); Skoeldberg, Trans. AMS
 358 (2006); Joellenbeck-Welker, Mem. AMS 197 (2009)): the 0-chains are
@@ -24,9 +25,10 @@ a path t such that s t contains exactly one tip, which starts inside s
 and ends at the end of t. Tor_q is the homology of the chains under the
 Morse differential, whose scalars come from normal forms. A monomial
 presentation (every relation, after summing equal words, one word of
-length >= 2) is its own Groebner basis and its differential is 0, so
-there Tor_q is the chain count, with no linear algebra
-(Green-Happel-Zacharia, Illinois J. Math. 29 (1985)).
+length >= 2) has its minimal words as its Groebner basis, with no
+tails, so no S-polynomial is formed and the differential is 0: there
+Tor_q is the chain count (Green-Happel-Zacharia, Illinois J. Math. 29
+(1985)).
 
 The Butler-King description of Tor by ideal arithmetic (Butler-King, J.
 Algebra 212 (1999)) and the ideal engine under it stay here as the
@@ -42,7 +44,8 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from .configurations import ConfigGraph, PoincarePolynomial
 from .errors import InputValidationError, TruncationError
 from .fields import FieldSpec, RATIONALS_SPEC
-from .groebner import Word, _anick_tor, _monomial_tips, _morse_tor, _tor_degree_cap, _window_maxdeg
+from .graded import _check_zigzag
+from .groebner import Word, _morse_tor, _tor_degree_cap, _window_maxdeg
 from .linalg import SparseRow, row_space_basis, rref_extend, subspace_meet
 BlockKey = Tuple[int, int, int]  # (degree, src, tgt)
 Blocks = Dict[BlockKey, List[SparseRow]]
@@ -537,9 +540,8 @@ def tor_term(pres: TensorPresentation, q: int) -> PoincarePolynomial:
     - rank d_q(d) - rank d_(q+1)(d), C_q(d) the (q-1)-chains of degree d. On a
     monomial presentation (every relation, after summing equal words, has
     exactly one non-zero term, a word of length >= 2) the relations'
-    minimal words are the basis and the differential is 0, so Tor_q is
-    counted from them directly, with no elimination (see
-    groebner._anick_tor).
+    minimal words are the basis, with no tails, so no S-polynomial is
+    formed, the differential is 0 and Tor_q is the chain count.
 
     Tor_1 lives in generator degrees; Tor_q for q >= 2 lives in degrees up
     to q maxdeg(A), which is certified by a zero window of the normal
@@ -550,10 +552,7 @@ def tor_term(pres: TensorPresentation, q: int) -> PoincarePolynomial:
         raise InputValidationError("q must be >= 0")
     if q == 0:
         return PoincarePolynomial.make({0: pres.num_vertices})
-    tips = _monomial_tips(pres)
-    if tips is None:
-        return _morse_tor(pres, q)
-    return _anick_tor(pres, tips, q)
+    return _morse_tor(pres, q)
 
 
 def _butler_king_tor(pres: TensorPresentation, q: int) -> PoincarePolynomial:
@@ -646,17 +645,12 @@ def configuration_presentation(
     relations t_i^(n+1), arrow times loop words, and the arrow compositions
     of the preset, "orthogonal" or "zigzag".
 
-    The zigzag preset needs k | 2h and 2h/k = n: its relations give
-    t_i^(2h/k + 1) = (a_ji a_ij) t_i = a_ji (a_ij t_i) = 0. With 2h/k < n
-    they would present a smaller algebra than the table, which keeps
-    t_i^(2h/k + 1) non-zero and so is not associative; both builders
-    refuse such input."""
+    The zigzag preset needs k | 2h and 2h/k = n, as in the table builder
+    (see graded._check_zigzag)."""
     if preset not in ("orthogonal", "zigzag"):
         raise InputValidationError(f"unknown preset {preset!r}")
-    if preset == "zigzag" and ((2 * h) % k != 0 or (2 * h) // k != n):
-        raise InputValidationError(
-            f"zigzag preset needs k | 2h and 2h/k = n (n={n}, k={k}, h={h})"
-        )
+    if preset == "zigzag":
+        _check_zigzag(n, k, h)
     m = len(graph.vertices)
     vidx = {v: i + 1 for i, v in enumerate(graph.vertices)}
 

@@ -231,6 +231,11 @@ def associativity_violations(A):
     return [v for v in validate(A).violations if v.startswith("associativity")]
 
 
+# the A2 (n, k, h) = (2, 2, 1) zigzag products a_ji a_ij = t_i^(2h/k) = t_i, as
+# an explicit table: the zigzag preset refuses 2h/k != n before it tabulates
+A2_ZIGZAG_221_PRODUCTS = {("a21", "a12"): {"t1": ONE}, ("a12", "a21"): {"t2": ONE}}
+
+
 def a2_zigzag_221(monkeypatch):
     """The A2 (n, k, h) = (2, 2, 1) zigzag table, not associative since
     (a21 a12) t1 = t1^2 while a21 (a12 t1) = 0;
@@ -240,7 +245,7 @@ def a2_zigzag_221(monkeypatch):
     real = graded.validate
     monkeypatch.setattr(graded, "validate", lambda A: seen.append(A) or real(A))
     with pytest.raises(InputValidationError, match="associativity"):
-        build_configuration_algebra(a2_graph(), 2, 2, 1, "zigzag")
+        build_configuration_algebra(a2_graph(), 2, 2, 1, A2_ZIGZAG_221_PRODUCTS)
     return seen[0]
 
 
@@ -532,9 +537,14 @@ def test_validation_and_blocks_match_the_combo_reference_on_faulty_tables(rng, f
 
 
 def test_a2_zigzag_221_refusal_text():
-    # 2h/k = 1 < n = 2: t1 (a21 a12) = t1 t1 = t1^2 but (t1 a21) a12 = 0
+    # 2h/k = 1 < n = 2: the preset is refused by its rule, and the same
+    # products as a table fail associativity, since
+    # t1 (a21 a12) = t1 t1 = t1^2 but (t1 a21) a12 = 0
     with pytest.raises(InputValidationError) as err:
         build_configuration_algebra(a2_graph(), 2, 2, 1, "zigzag")
+    assert str(err.value) == "zigzag preset needs k | 2h and 2h/k = n (n=2, k=2, h=1)"
+    with pytest.raises(InputValidationError) as err:
+        build_configuration_algebra(a2_graph(), 2, 2, 1, A2_ZIGZAG_221_PRODUCTS)
     assert str(err.value) == (
         "configuration algebra failed validation: associativity fails on (t1,a21,a12); "
         "associativity fails on (t2,a12,a21); associativity fails on (a12,a21,t2); "

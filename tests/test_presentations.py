@@ -473,8 +473,7 @@ def test_every_ideal_tor_term_builds_equals_the_eliminating_route(monkeypatch, p
     route returns the blocks the eliminating route returns on the same
     input: the two sided closure of I and the one sided closure of each
     power I^j, j >= 2, at the degree each was read to. The route is called
-    directly, since tor_term sends monomial presentations to the Anick
-    route, which builds no ideal."""
+    directly, since tor_term builds no ideal."""
     routes = {"_times_generators": _eliminating_times_generators,
               "ideal_sum": _eliminating_sum}
     calls = []
@@ -498,17 +497,9 @@ def test_every_ideal_tor_term_builds_equals_the_eliminating_route(monkeypatch, p
 # -- Tor terms ----------------------------------------------------------------
 
 
-def _anick_route(pres, q):
-    tips = groebner._monomial_tips(pres)
-    assert tips is not None, "not a monomial presentation"
-    return groebner._anick_tor(pres, tips, q)
-
-
-# tor_term's route for q >= 1 called directly, without its shortcut for
-# monomial input (morse), the shortcut itself (anick), and the ideal engine
+# tor_term's route for q >= 1 called directly (morse), and the ideal engine
 # the tests keep as the reference (butler-king)
-TOR_ROUTES = {"anick": _anick_route, "butler-king": presentations._butler_king_tor,
-              "morse": groebner._morse_tor}
+TOR_ROUTES = {"butler-king": presentations._butler_king_tor, "morse": groebner._morse_tor}
 
 
 @pytest.fixture(params=sorted(TOR_ROUTES))
@@ -673,7 +664,7 @@ def test_relation_closure_dims_match_the_algebra():
     assert {d: n for d, n in dims.items() if n} == A.poincare()
 
 
-# -- the Anick route against the Butler-King route -----------------------------
+# -- the Groebner route against the Butler-King route --------------------------
 
 
 def _outcome(route, pres, q):
@@ -689,35 +680,39 @@ def _with_spec(pres, spec):
     return TensorPresentation(pres.num_vertices, pres.generators, rels, pres.truncation, spec)
 
 
-MONOMIAL_TOR_CASES = [case for case in TOR_CASES
-                      if groebner._monomial_tips(case[1]) is not None]
-
-
 def _groebner_basis(pres, cap):
     basis = groebner._GroebnerBasis(pres)
     basis.upto(cap)
     return basis.tails
 
 
+# the cases whose reduced Groebner basis has no tail: the monomial ones
+MONOMIAL_TOR_CASES = [case for case in TOR_CASES
+                      if not any(_groebner_basis(case[1], case[1].truncation).values())]
+
+
+def _minimal_words(words):
+    """The words that contain no other of these words."""
+    def inside(u, w):
+        return any(w[i:i + len(u)] == u for i in range(len(w) - len(u) + 1))
+    return {w for w in words if not any(u != w and inside(u, w) for u in words)}
+
+
 @pytest.mark.parametrize("name,pres", [case[:2] for case in TOR_CASES],
                          ids=[case[0] for case in TOR_CASES])
 def test_tor_cases_split_by_their_groebner_basis(name, pres):
-    """tor_term has one route, and its shortcut for monomial input is the
-    same route: there the Groebner basis is the minimal tips, with no tail.
-    The orthogonal pool entries and the two extra cases are monomial. Every
+    """The orthogonal pool entries and the two extra cases are monomial:
+    their Groebner basis is the minimal relation words, with no tail. Every
     zigzag preset relates a_ji a_ij to a power of t_i, so its basis has a
-    tail, except for the (1, 2, 1) zigzag on A2, where t_i = a_ji a_ij is a
-    one-letter tip and what is left is monomial over the arrows."""
-    tips = groebner._monomial_tips(pres)
+    tail; for the (1, 2, 1) zigzag on A2 only the one-letter tips t_i =
+    a_ji a_ij have one, and what is left is monomial over the arrows."""
     basis = _groebner_basis(pres, pres.truncation)
-    assert (tips is None) == ("zigzag" in name)
-    if tips is not None:
-        assert basis == {tip: {} for tip in tips}
+    assert any(basis.values()) == ("zigzag" in name)
+    if "zigzag" not in name:
+        assert basis == {tip: {} for tip in _minimal_words({rel[0][0] for rel in pres.relations})}
     elif name.startswith("A2-1-2-1-zigzag"):
         assert {tip for tip in basis if len(tip) == 1} == {("t1",), ("t2",)}
         assert not any(basis[tip] for tip in basis if len(tip) > 1)
-    else:
-        assert any(basis.values())
 
 
 def test_tor_cases_count():
@@ -728,34 +723,46 @@ def test_tor_cases_count():
                          ids=[case[0] for case in MONOMIAL_TOR_CASES])
 @pytest.mark.parametrize("field", ["rationals", "fp:32003"])
 @pytest.mark.parametrize("reverse", [False, True], ids=["given", "reversed"])
-def test_anick_route_equals_butler_king_on_the_tor_cases(pres, q, field, reverse):
+def test_monomial_input_forms_no_s_polynomial_and_no_morse_complex(monkeypatch, pres, q, field,
+                                                                   reverse):
+    """On monomial input the Groebner basis is the minimal relation words,
+    with no tails: every pair of its tips is skipped before its overlaps
+    are listed, so no S-polynomial is formed, and the Morse differential is
+    0, so no Morse complex is built. _morse_tor and tor_term count chains,
+    and reach no ideal engine, yet equal the Butler-King route."""
     pres = _with_spec(pres, FieldSpec.parse(field))
     if reverse:
         pres = _generators_reversed(pres)
-    for j in range(1, q + 1):
-        assert _anick_route(pres, j).dims() == presentations._butler_king_tor(pres, j).dims()
+    want = [presentations._butler_king_tor(pres, j).dims() for j in range(1, q + 1)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("monomial input formed an S-polynomial or an elimination")
+
+    for name in ("ideal_from_relations", "ideal_meet", "ideal_product", "ideal_sum", "_Closure",
+                 "row_space_basis", "rref_extend", "subspace_meet", "_butler_king_tor"):
+        monkeypatch.setattr(presentations, name, refuse)
+    for name in ("_MorseComplex", "rank_rows"):
+        monkeypatch.setattr(groebner, name, refuse)
+    monkeypatch.setattr(groebner._GroebnerBasis, "_s_polynomial", refuse)
+    for route in (groebner._morse_tor, tor_term):
+        assert [route(pres, j).dims() for j in range(1, q + 1)] == want
 
 
 def test_anick_route_equals_butler_king_on_random_monomial_presentations(rng):
-    """12 draws that take the Anick route; a draw with a one-letter word
-    (y of degree 2) takes the Butler-King route and is skipped. The draws
-    are infinite dimensional, so past Tor_1 they are refused, by the same
-    text on both routes. Each draw is also capped, with every word of
-    degree 4 or 5 as a further relation (many contain a drawn tip). Every
-    longer word has a prefix of degree 4 or 5 (generators have degree <= 2),
-    so maxdeg <= 3 and Tor_q fits in truncation 12 for q <= 4."""
-    compared = 0
-    while compared < 12:
+    """tor_term on 12 monomial draws, some with a one-letter word (y of
+    degree 2). The draws are infinite dimensional, so past Tor_1 they are
+    refused, by the same text on both routes. Each draw is also capped,
+    with every word of degree 4 or 5 as a further relation (many contain a
+    drawn tip). Every longer word has a prefix of degree 4 or 5 (generators
+    have degree <= 2), so maxdeg <= 3 and Tor_q fits in truncation 12 for
+    q <= 4."""
+    for _ in range(12):
         pres, _ = _random_monomial_presentation(rng)
-        if groebner._monomial_tips(pres) is None:
-            continue
-        compared += 1
         cap = tuple(((w, ONE),) for w in word_basis(pres, 4) + word_basis(pres, 5))
         capped = TensorPresentation(pres.num_vertices, pres.generators, pres.relations + cap, 12)
         for q in range(1, 5):
-            assert _outcome(_anick_route, pres, q) == _outcome(presentations._butler_king_tor,
-                                                               pres, q)
-            assert _anick_route(capped, q).dims() == presentations._butler_king_tor(capped, q).dims()
+            assert _outcome(tor_term, pres, q) == _outcome(presentations._butler_king_tor, pres, q)
+            assert tor_term(capped, q).dims() == presentations._butler_king_tor(capped, q).dims()
 
 
 @pytest.mark.parametrize("pres,q", [case[1:] for case in TOR_CASES],
@@ -852,7 +859,8 @@ def _inverse_series_sums(series, m, cap):
     return {d: sum(map(sum, g)) for d, g in inverse.items()}
 
 
-EULER_CONFIGS = sorted({term[:-1] for term in TOR_POOL}) + [("cycle4", 1, 2, 1, "zigzag")]
+EULER_CONFIGS = sorted({term[:-1] for term in TOR_POOL}) + [("cycle4", 1, 2, 1, "orthogonal"),
+                                                            ("cycle4", 1, 2, 1, "zigzag")]
 
 
 @pytest.mark.parametrize("config", EULER_CONFIGS, ids=lambda config: "-".join(map(str, config)))
@@ -892,12 +900,16 @@ def test_normal_words_count_the_relation_closure(pres, q):
 @pytest.mark.parametrize("graph,nkh,q,truncation,expected", [
     (A2, (2, 2, 2), 8, 34, {16: 110, 18: 218, 20: 146, 22: 36, 24: 2}),
     (TRIANGLE, (1, 2, 1), 6, 14, {6: 192, 7: 576, 8: 720, 9: 480, 10: 180, 11: 36, 12: 3}),
-], ids=["A2-2-2-2-q8", "triangle-1-2-1-q6"])
+    (CYCLE4, (1, 2, 1), 8, 18,
+     {8: 1024, 9: 4096, 10: 7168, 11: 7168, 12: 4480, 13: 1792, 14: 448, 15: 64, 16: 4}),
+], ids=["A2-2-2-2-q8", "triangle-1-2-1-q6", "cycle4-1-2-1-q8"])
 def test_anick_route_reaches_the_baseline_tor_terms(monkeypatch, graph, nkh, q, truncation,
                                                     expected):
-    """The Baseline values, out of reach of the ideal engine in a test (17.9
-    and 15.5 s on a 2-core x86-64 host). The cost is counted: each tail's extensions are found once,
-    and a chain extends per (tail, degree) state, never one by one."""
+    """The Baseline values of the orthogonal presets: the first two are out
+    of reach of the ideal engine in a test (17.9 and 15.5 s on a 2-core
+    x86-64 host), the third is the README's 26244 chains (the sum of its
+    dims). The cost is counted: each tail's extensions are found once, and
+    a chain extends per (tail, degree) state, never one by one."""
     pres = configuration_presentation(graph, *nkh, "orthogonal", truncation)
     tails = []
     real = groebner._chain_extensions
@@ -909,28 +921,8 @@ def test_anick_route_reaches_the_baseline_tor_terms(monkeypatch, graph, nkh, q, 
     monkeypatch.setattr(groebner, "_chain_extensions", record)
     assert tor_term(pres, q).dims() == expected
     # the tails are the generators and the proper suffixes of the tips
-    tips = groebner._monomial_tips(pres)
+    tips = _groebner_basis(pres, truncation)
     assert len(tails) == len(set(tails)) <= len(pres.generators) + sum(len(w) - 1 for w in tips)
-
-
-@pytest.mark.parametrize("pres,q", [case[1:] for case in MONOMIAL_TOR_CASES],
-                         ids=[case[0] for case in MONOMIAL_TOR_CASES])
-def test_monomial_input_builds_no_ideal_and_calls_no_linalg(monkeypatch, pres, q):
-    """On monomial input every S-polynomial and every scalar of the Morse
-    differential is 0, so tor_term eliminates nothing: it counts chains."""
-    want = [presentations._butler_king_tor(pres, j).dims() for j in range(1, q + 1)]
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("monomial input reached an elimination")
-
-    for name in ("ideal_from_relations", "ideal_meet", "ideal_product", "ideal_sum",
-                 "row_space_basis", "rref_extend", "subspace_meet", "_butler_king_tor",
-                 "_morse_tor"):
-        monkeypatch.setattr(presentations, name, refuse)
-    for name in ("rref_rows", "rank_rows", "_GroebnerBasis"):
-        monkeypatch.setattr(groebner, name, refuse)
-    monkeypatch.setattr(linalg, "_eliminate", refuse)
-    assert [tor_term(pres, j).dims() for j in range(1, q + 1)] == want
 
 
 @pytest.mark.parametrize("graph,nkh", [(A2, (2, 2, 2)), (A2, (1, 2, 1)),
@@ -951,18 +943,19 @@ def _one_generator(relations, truncation=12, deg=1):
     return TensorPresentation(1, (Generator("t", 1, 1, deg),), rels, truncation)
 
 
-# (id, presentation, its minimal tips or None for the Butler-King route,
+# (id, presentation, the tips of its Groebner basis, all with an empty tail,
 # the tor command's exit codes for q = 1..4)
 PARITY_CASES = [
     ("2w-w", _one_generator([((3, 2), (3, -1))]), {("t",) * 3}, [0, 0, 0, 0]),
-    ("w-w", _one_generator([((3, 1), (3, -1))]), None, [0, 2, 2, 2]),  # k[t]: no window
+    ("w-w", _one_generator([((3, 1), (3, -1))]), set(), [0, 2, 2, 2]),  # k[t]: no window
     ("duplicated-tip", _one_generator([((3, 1),), ((3, 1),)]), {("t",) * 3}, [0, 0, 0, 0]),
     ("tip-inside-a-tip", _one_generator([((4, 1),), ((3, 1),)]), {("t",) * 3}, [0, 0, 0, 0]),
     ("no-relations", _one_generator([]), set(), [0, 2, 2, 2]),
     ("truncation-60", _one_generator([((3, 1),)], truncation=60), {("t",) * 3}, [0, 0, 0, 0]),
     ("one-letter-relation",
      TensorPresentation(1, (Generator("x", 1, 1, 1), Generator("y", 1, 1, 2)),
-                        (((("y",), ONE),), ((("x", "x", "x"), ONE),)), 12), None, [0, 0, 0, 0]),
+                        (((("y",), ONE),), ((("x", "x", "x"), ONE),)), 12),
+     {("y",), ("x", "x", "x")}, [0, 0, 0, 0]),
     ("past-the-truncation", single_generator_presentation(2, 2, truncation=10), {("t",) * 3},
      [0, 0, 2, 2]),  # Tor_3 needs degree 3 * 4 = 12
     ("generator-above-the-truncation",
@@ -973,45 +966,34 @@ PARITY_CASES = [
 
 @pytest.mark.parametrize("pres,tips", [case[1:3] for case in PARITY_CASES],
                          ids=[case[0] for case in PARITY_CASES])
-def test_routes_select_and_refuse_alike(pres, tips):
-    """Each case takes the monomial shortcut or not, and tor_term, the
-    route without the shortcut and the chain count on the tips of the ideal
-    all give the Butler-King result or refusal. Where a relation cancels to
-    zero the ideal is 0, with no tips; a one-letter relation kills a
-    generator, which a chain count on the given generators does not see, so
-    there the count is not compared."""
-    assert groebner._monomial_tips(pres) == (None if tips is None else frozenset(tips))
-    zero_ideal = tips is None and ideal_from_relations(pres).is_zero()
+def test_parity_cases_have_word_bases_and_refuse_alike(pres, tips):
+    """Each case's Groebner basis is a set of words: equal words are summed
+    (2w - w is w, w - w is 0), a duplicated tip is one tip, a word that
+    contains a tip reduces to 0, and a one-letter relation is a one-letter
+    tip that removes its generator. tor_term gives the Butler-King result
+    or refusal."""
+    assert _groebner_basis(pres, pres.truncation) == {tip: {} for tip in tips}
     for q in range(1, 5):
-        want = _outcome(presentations._butler_king_tor, pres, q)
-        assert _outcome(tor_term, pres, q) == want
-        assert _outcome(groebner._morse_tor, pres, q) == want
-        if tips is not None or zero_ideal:
-            def anick(p, j):
-                return groebner._anick_tor(p, frozenset(tips or ()), j)
-            assert _outcome(anick, pres, q) == want
+        assert _outcome(tor_term, pres, q) == _outcome(presentations._butler_king_tor, pres, q)
 
 
 @pytest.mark.parametrize("pres,codes", [case[1::2] for case in PARITY_CASES],
                          ids=[case[0] for case in PARITY_CASES])
-def test_tor_command_is_the_same_on_either_route(monkeypatch, tmp_path, capsys, pres, codes):
-    """The tor command's exit code, stdout and stderr, with a presentation
-    on its own route and with the monomial shortcut turned off, so that
-    every presentation goes through the Groebner basis."""
+def test_tor_command_pins_exit_codes_and_output(tmp_path, capsys, pres, codes):
+    """The tor command's exit code for q = 1..4, and its output: on exit 0
+    the Butler-King dims on stdout and nothing on stderr, on exit 2 nothing
+    on stdout and the Butler-King refusal on stderr."""
     path = tmp_path / "pres.json"
     path.write_text(json.dumps(presentation_to_json_dict(pres)))
-
-    def run():
-        runs = []
-        for q in range(1, 5):
-            code = dispatch(["tor", "--pres", str(path), "--q", str(q)])
-            runs.append((code, *capsys.readouterr()))
-        return runs
-
-    own = run()
-    monkeypatch.setattr(presentations, "_monomial_tips", lambda pres: None)
-    assert run() == own
-    assert [code for code, _, _ in own] == codes
+    for q, code in enumerate(codes, 1):
+        assert dispatch(["tor", "--pres", str(path), "--q", str(q)]) == code
+        out, err = capsys.readouterr()
+        want = _outcome(presentations._butler_king_tor, pres, q)
+        if code == 0:
+            assert err == "" and json.loads(out)["result"]["dims"] == [
+                {"degree": d, "dim": n} for d, n in sorted(want.items())]
+        else:
+            assert out == "" and err == f"input error: {want[len('refused: '):]}\n"
 
 
 def _minimal_truncation(make, q):
@@ -1138,13 +1120,15 @@ def test_tor_command_refuses_a_non_monomial_input_without_a_window_from_normal_w
 
 @pytest.mark.parametrize("nkh", [(2, 2, 1), (3, 2, 2)], ids=["2-2-1", "3-2-2"])
 def test_zigzag_needs_two_h_over_k_equal_to_n_on_both_builders(nkh):
-    """With 2h/k < n, (a_ji a_ij) t_i = t_i^(2h/k + 1) is not 0 in the table
-    but a_ji (a_ij t_i) = 0: the table is not associative, and the
-    relations would present a smaller algebra."""
-    with pytest.raises(InputValidationError, match="associativity"):
+    """With 2h/k < n, (a_ji a_ij) t_i = t_i^(2h/k + 1) would not be 0 in the
+    table but a_ji (a_ij t_i) = 0: the table would not be associative, and
+    the relations would present a smaller algebra. Both builders refuse by
+    the same rule, with the same text."""
+    with pytest.raises(InputValidationError) as table:
         build_configuration_algebra(A2, *nkh, "zigzag")
-    with pytest.raises(InputValidationError, match="2h/k = n"):
+    with pytest.raises(InputValidationError) as relations:
         configuration_presentation(A2, *nkh, "zigzag", 12)
+    assert "2h/k = n" in str(table.value) and str(table.value) == str(relations.value)
 
 
 # -- symbolic mindeg bounds ---------------------------------------------------
