@@ -715,6 +715,34 @@ def test_tor_cases_split_by_their_groebner_basis(name, pres):
         assert not any(basis[tip] for tip in basis if len(tip) > 1)
 
 
+@pytest.mark.parametrize("pres", [case[1] for case in TOR_CASES],
+                         ids=[case[0] for case in TOR_CASES])
+def test_groebner_basis_is_reduced_and_closes_every_overlap(pres):
+    """The basis _add builds while it skips pairs of word tips is the
+    reduced Groebner basis of I up to the truncation: every relation and
+    the S-polynomial of every overlap of two tips (the skipped pairs and
+    the pairs of a tip with itself included) reduce to 0 modulo it, no tip
+    contains another, and every tail is normal."""
+    basis = groebner._GroebnerBasis(pres)
+    basis.upto(pres.truncation)
+    tips = basis.tails
+    for rel in pres.relations:
+        if basis.deg(rel[0][0]) <= pres.truncation:
+            poly = {}
+            for word, c in rel:
+                poly[word] = poly.get(word, 0) + c
+            assert basis._reduce(poly) == {}
+    overlaps = 0
+    for a, b in itertools.product(tips, repeat=2):
+        for k in range(1, min(len(a), len(b))):
+            if a[-k:] == b[:k] and basis.deg(a) + basis.deg(b[k:]) <= pres.truncation:
+                overlaps += 1
+                assert basis._reduce(basis._s_polynomial(a, b, k)) == {}
+    assert overlaps
+    assert _minimal_words(set(tips)) == set(tips)
+    assert all(basis._rewrite(word) is None for tail in tips.values() for word in tail)
+
+
 def test_tor_cases_count():
     assert (len(TOR_CASES), len(MONOMIAL_TOR_CASES)) == (21, 12)
 
