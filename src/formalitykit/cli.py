@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import sys
 from typing import List
 
@@ -47,6 +48,8 @@ def _load_json(path: str):
             return json.load(fh)
     except FileNotFoundError:
         raise InputValidationError(f"{path}: no such file")
+    except OSError as exc:  # a directory, a file without read permission
+        raise InputValidationError(f"{path}: cannot read: {exc.strerror or exc}")
     except (ValueError, RecursionError) as exc:
         # besides syntax errors: an integer literal past Python's digit
         # limit, and nesting past the recursion limit
@@ -127,7 +130,77 @@ def _emit(report: dict, output_format: str) -> str:
         return buf.getvalue()
     if output_format == "human":
         return _human(report)
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    return _json_text(report) + "\n"
+
+
+def _json_text(value) -> str:
+    """json.dumps(value, sort_keys=True, indent=2), byte for byte, with
+    the same errors: an indent makes json use its pure-Python encoder, and
+    this one pass is two to three times faster on the reports here."""
+    out: List[str] = []
+    _write_json(value, "\n", out.append)
+    return "".join(out)
+
+
+def _write_json(x, pad: str, put) -> None:
+    """Put the JSON text of x, whose lines start with pad, piece by piece.
+    It takes one frame per level of nesting, fewer than json.load needs to
+    read that nesting, and it is a module function, not a closure that
+    refers to itself: such a cycle would keep every piece alive until the
+    garbage collector ran."""
+    if isinstance(x, str):
+        put(_quote(x))
+    elif x is None or isinstance(x, (int, float)):
+        put(_scalar_text(x))
+    elif isinstance(x, dict):
+        if not x:
+            put("{}")
+            return
+        inner = sep = pad + "  "
+        put("{")
+        for key, item in sorted(x.items()):
+            put(sep + _quote(_key_text(key)) + ": ")
+            _write_json(item, inner, put)
+            sep = "," + inner
+        put(pad + "}")
+    elif isinstance(x, (list, tuple)):
+        if not x:
+            put("[]")
+            return
+        inner = sep = pad + "  "
+        put("[")
+        for item in x:
+            put(sep)
+            _write_json(item, inner, put)
+            sep = "," + inner
+        put(pad + "]")
+    else:
+        raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+
+
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _scalar_text(x) -> str:
+    """None, a bool, an int or a float as json writes it, as a value or a
+    key: floats by repr, with json's NaN and Infinity spellings."""
+    if x is None or x is True or x is False:
+        return {None: "null", True: "true", False: "false"}[x]
+    if isinstance(x, int):
+        return int.__repr__(x)
+    if x != x:
+        return "NaN"
+    if x in (math.inf, -math.inf):
+        return "Infinity" if x > 0 else "-Infinity"
+    return float.__repr__(x)
+
+
+def _key_text(key) -> str:
+    if isinstance(key, str):
+        return key
+    if key is None or isinstance(key, (int, float)):
+        return _scalar_text(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
 def _csv_cell(value) -> str:

@@ -380,13 +380,16 @@ def _config_labels(m: int):
     return e, t, a
 
 
-def _check_zigzag(n: int, k: int, h: int) -> None:
-    """The zigzag preset needs k | 2h and 2h/k = n: its relations give
+def _check_configuration(n: int, k: int, h: int, preset) -> None:
+    """The parameters both configuration builders refuse: n, k, h >= 1,
+    and for the zigzag preset k | 2h and 2h/k = n. Its relations give
     t_i^(2h/k + 1) = (a_ji a_ij) t_i = a_ji (a_ij t_i) = 0. With 2h/k < n
     they would present a smaller algebra than the table, which keeps
     t_i^(2h/k + 1) non-zero and so is not associative; with 2h/k > n the
-    table has no t_i^(2h/k). Both builders refuse such input by this rule."""
-    if (2 * h) % k != 0 or (2 * h) // k != n:
+    table has no t_i^(2h/k)."""
+    if n < 1 or k < 1 or h < 1:
+        raise InputValidationError("configuration algebra needs n, k, h >= 1")
+    if preset == "zigzag" and ((2 * h) % k != 0 or (2 * h) // k != n):
         raise InputValidationError(
             f"zigzag preset needs k | 2h and 2h/k = n (n={n}, k={k}, h={h})"
         )
@@ -407,12 +410,11 @@ def build_configuration_algebra(
     edge. Arrow times loop products vanish in both presets. The preset
     fixes arrow compositions; 'orthogonal' kills them all, 'zigzag' sets
     a_ji a_ij = t_i^(2h/k) and kills paths through distinct vertices, and
-    needs 2h/k = n (see _check_zigzag). An explicit mapping
+    needs 2h/k = n (see _check_configuration). An explicit mapping
     {(x_label, y_label): combo} may be given instead.
     The result is machine validated before it is returned.
     """
-    if n < 1 or k < 1 or h < 1:
-        raise InputValidationError("configuration algebra needs n, k, h >= 1")
+    _check_configuration(n, k, h, preset)
     m = len(graph.vertices)
     vidx = {v: i for i, v in enumerate(graph.vertices)}
     e, t, a = _config_labels(m)
@@ -455,7 +457,6 @@ def build_configuration_algebra(
         # loop compositions with arrows vanish in both presets
 
     if preset == "zigzag":
-        _check_zigzag(n, k, h)
         for (i, j) in arrow_pairs:
             # a_ji a_ij : P_i -> P_j -> P_i closes the zigzag on vertex i, t_i^(2h/k) = t_i^n
             put(a(j, i), a(i, j), {t(i, n): one})

@@ -36,18 +36,43 @@ is eliminated as its transpose, one row per kept column of C^p, which on
 the deep slices are far fewer than the rows of d_p, one per column of
 C^(p+1). Where C^(p+1) = 0, d_p is empty and only |S| = rank d_(p-1)
 counts, so d_(p-1) is ranked in the cheaper rank mode instead of being
-brought to RREF. Representatives of the classes come
-from the kernel basis of d_p, one vector v_fc per free column fc of d_p's
-RREF: v_fc is 1 at fc, 0 at the other free columns F, and determined by its
-entries at F, so restricting to F maps ker d_p isomorphically onto k^F and
-takes v_fc to e_fc. The image lies in the kernel. Taking the v_fc in
-increasing fc and keeping each one outside the span of the image and of
-the earlier ones keeps v_fc exactly when e_fc is not in I_F + span{e_g :
-g < fc}, with I_F the image restricted to F, that is, when no vector of
-I_F has its last non-zero entry at fc. Those last entries form the
-trailing profile of I_F: the pivot columns of its RREF with the column
-order of F reversed. One elimination of I_F thus gives the same
-representatives as merging the kernel vectors into the image one by one.
+brought to RREF.
+
+Representatives of the classes are the kernel basis of d_p that reduced
+elimination gives, one vector v_fc per free column fc of d_p's RREF: v_fc
+is 1 at fc, 0 at the other free columns F, and determined by its entries at
+F, so restricting to F maps ker d_p isomorphically onto k^F and takes v_fc
+to e_fc. The image lies in the kernel. Taking the v_fc in increasing fc
+and keeping each one outside the span of the image and of the earlier ones
+keeps v_fc exactly when e_fc is not in I_F + span{e_g : g < fc}, with I_F
+the image restricted to F, that is, when no vector of I_F has its last
+non-zero entry at fc. The last non-zero entry of a kernel vector lies in
+F: the vector is the combination of the v_g given by its entries at F, and
+v_g is 0 right of g, since an RREF row of d_p holds g only right of its
+pivot. So the columns not kept form the trailing profile T of I, the last
+non-zero columns of its vectors, which are the pivot columns of its RREF
+with the column order reversed.
+
+The v_fc are found without eliminating d_p. Each v_fc is 1 at its last
+non-zero column fc and 0 at the other columns F, so the v_fc are the RREF
+of ker d_p in reversed column order, which is unique. By the direct sum
+above, and since d_p is 0 on I,
+
+    ker d_p = I + K',  K' = ker d_p ∩ span{e_c : c not in S},
+
+again a direct sum. K' is the kernel of d_p on the kept columns, read off
+the same cut transpose as the rank: the row of kept column c is tagged by
+1 at its own tag column past the columns of d_p, and the rows of its RREF
+that lead with a tag are 0 on d_p, so on the tags they lie in K'. They
+are independent, and the tags make all n_p - |S| rows independent, so
+there are n_p - |S| - rank(d_p without the columns S) = dim K' of them: a
+basis of K'. Let B be the RREF of I in reversed column order; its pivots
+are T. Merging K' into B (`linalg.rref_extend`) gives the RREF of ker d_p
+in reversed column order, the v_fc, with B's pivots among them; its rows
+that lead outside T are the representatives, the same vectors that merging
+the v_fc into the image one by one keeps, and listed in increasing fc once
+the column order is restored. So d_p is eliminated only as its cut
+transpose, with n_p - |S| rows, never as its n_(p+1) rows.
 
 Sign convention: the ungraded alternating sum, (-1)^i on the i-th
 multiplication and (-1)^(p+1) on the outer right action; d compose d is
@@ -75,9 +100,9 @@ from .graded import (
     validate,
 )
 from .linalg import (
-    kernel_rows,
     mul_rows,
     rank_rows,
+    rref_extend,
     rref_rows,
 )
 
@@ -328,6 +353,21 @@ def _transpose(rows, ncols: int, drop=frozenset()):
     return out
 
 
+def _cut_kernel(d_here, cut, ncols: int, field):
+    """A basis of K', the kernel of d_here on the columns outside cut, from
+    one RREF of the cut transpose: kept column c becomes the row of its
+    d_here entries, tagged by 1 at len(d_here) + c. The RREF rows that lead
+    with a tag are 0 on d_here, so read on the tags they lie in K', and
+    there are as many as the rows minus the rank of the cut d_here."""
+    off = len(d_here)
+    cols = _transpose(d_here, ncols, cut)
+    kept = [c for c in range(ncols) if c not in cut]
+    for c in kept:
+        cols[c][off + c] = 1
+    pivots, rows = rref_rows([cols[c] for c in kept], field)
+    return [{t - off: x for t, x in row.items()} for lead, row in zip(pivots, rows) if lead >= off]
+
+
 @dataclass(frozen=True)
 class HHResult:
     p: int
@@ -365,13 +405,18 @@ def hh_bar(
     Both answers rest on d_p d_(p-1) = 0 (derived in the module docstring).
     The dimension is n_p - |S| - rank(d_p without the columns S), with S the
     pivot columns of the RREF of im d_(p-1), or n_p - rank d_(p-1) where
-    C^(p+1) = 0. The representatives
-    are the kernel vectors of d_p, one per free column of d_p's RREF, except
-    those whose free column is the last non-zero free column of some image
-    vector (the image's trailing profile: the pivot columns of one RREF of
-    the image restricted to the free columns, in reversed column order);
-    they are the vectors that merging the kernel basis into the image in
-    order would keep. Each path eliminates twice."""
+    C^(p+1) = 0. The representatives are the kernel vectors of d_p, one
+    per free column of d_p's RREF, except those whose free column is the
+    last non-zero column of some image vector (the image's trailing
+    profile T): the vectors that merging the kernel basis into the image in
+    order would keep. They are read without eliminating d_p:
+    ker d_p = im d_(p-1) + K', with K' the kernel of d_p on the columns
+    outside S, read off one RREF of the cut transpose with a tag per
+    column. Merging K' into the RREF of the image in reversed column order
+    gives the RREF of ker d_p in that order, which is the kernel basis, and
+    its rows that lead outside T are the representatives, in reversed
+    order. The dimension path eliminates twice; the cocycle path eliminates
+    three times, and merges once more when there is a class."""
     if p < 0:
         raise InputValidationError("p must be >= 0")
     tb = _tables(A, mode)
@@ -391,24 +436,21 @@ def hh_bar(
         return HHResult(p, q, dim, mode, (n_prev, n_here, n_next))
 
     # the image of d_prev, the row space of its transpose, on which d_here
-    # vanishes (see the module docstring for both uses)
+    # vanishes; S is its RREF's pivot columns (see the module docstring)
     image = _transpose(d_prev, n_prev)
+    cut = set(rref_rows(image, f)[0])
     if not want_cocycles:
-        cut = set(rref_rows(image, f)[0])
         dim = n_here - len(cut) - rank_rows(_transpose(d_here, n_here, cut), f)
         return HHResult(p, q, dim, mode, (n_prev, n_here, n_next))
 
-    # the kernel vector of free column fc is a new class unless fc is the
-    # last non-zero free column of an image vector; fc is the vector's
-    # largest column, as an RREF row is 0 left of its pivot
-    ker = {max(v): v for v in kernel_rows(d_here, f, n_here)}
-    free = sorted(ker)
-    flip = {fc: len(free) - 1 - i for i, fc in enumerate(free)}
-    trailing = rref_rows(
-        [{flip[c]: x for c, x in row.items() if c in flip} for row in image], f
-    )[0]
-    last = {free[-1 - k] for k in trailing}
-    reps = [ker[fc] for fc in free if fc not in last]
+    # the RREF of ker d_here = im d_prev + K' in reversed column order; its
+    # rows that lead where no image row does are the representatives
+    flip = n_here - 1
+    k_cut = [{flip - c: x for c, x in v.items()} for v in _cut_kernel(d_here, cut, n_here, f)]
+    trailing, basis = rref_rows([{flip - c: x for c, x in row.items()} for row in image], f)
+    trailing = set(trailing)
+    reps = [{flip - k: x for k, x in row.items()}
+            for row in reversed(rref_extend(basis, k_cut, f)) if min(row) not in trailing]
     where = {c0: (w, m) for w, pairs in g_here.items() for c0, m in pairs}
     out = []
     for rep in reps:

@@ -261,7 +261,11 @@ def kernel_rows(rows, field, ncols: int):
     columns: one row per free column fc, in increasing fc, with 1 at fc and
     minus the RREF's fc entries at the pivot columns. fc is each row's
     largest column: a pivot column c holds an entry of the row of fc only
-    where the RREF row of c does at fc, and that row is 0 left of c."""
+    where the RREF row of c does at fc, and that row is 0 left of c.
+    No module of the package calls it (the cocycle search reads the same
+    basis off the cut transpose of d_p, see `hochschild.hh_bar`); it stays
+    because `perfbench/spans.py` binds it by name and raises RuntimeError
+    when it is missing."""
     p = field.characteristic
     basis = _eliminate(rows, field, True)
     pivots = {c for c, _ in basis}
@@ -335,9 +339,10 @@ def rref_extend(basis, rows, field):
 
 def in_span(v, rows, field) -> bool:
     """Whether v lies in the span of rows. No module of the package calls
-    it (the cocycle search reads the new classes off one RREF of the image,
-    see `hochschild.hh_bar`); it stays because `perfbench/spans.py` wraps it
-    by name and raises RuntimeError when it is missing."""
+    it (the cocycle search merges the new classes into one RREF of the
+    image with `rref_extend`, see `hochschild.hh_bar`); it stays because
+    `perfbench/spans.py` wraps it by name and raises RuntimeError when it
+    is missing."""
     return not _reduce(v, dict(_eliminate(rows, field, True)), field)
 
 

@@ -44,7 +44,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from .configurations import ConfigGraph, PoincarePolynomial
 from .errors import InputValidationError, TruncationError
 from .fields import FieldSpec, RATIONALS_SPEC
-from .graded import _check_zigzag
+from .graded import _check_configuration
 from .groebner import Word, _morse_tor, _tor_degree_cap, _window_maxdeg
 from .linalg import SparseRow, row_space_basis, rref_extend, subspace_meet
 BlockKey = Tuple[int, int, int]  # (degree, src, tgt)
@@ -645,12 +645,12 @@ def configuration_presentation(
     relations t_i^(n+1), arrow times loop words, and the arrow compositions
     of the preset, "orthogonal" or "zigzag".
 
-    The zigzag preset needs k | 2h and 2h/k = n, as in the table builder
-    (see graded._check_zigzag)."""
+    It refuses the parameters the table builder refuses: n, k, h >= 1, and
+    for the zigzag preset k | 2h and 2h/k = n (see
+    graded._check_configuration)."""
     if preset not in ("orthogonal", "zigzag"):
         raise InputValidationError(f"unknown preset {preset!r}")
-    if preset == "zigzag":
-        _check_zigzag(n, k, h)
+    _check_configuration(n, k, h, preset)
     m = len(graph.vertices)
     vidx = {v: i + 1 for i, v in enumerate(graph.vertices)}
 

@@ -1,12 +1,17 @@
 import argparse
 import copy
+import importlib.util
 import io
 import json
+import os
+import sys
+from fractions import Fraction
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from formalitykit import cli
 from formalitykit.cli import _build_parser, dispatch
 from formalitykit.fields import FieldSpec
 from formalitykit.formality import certify_config_pn, certify_config_spherical, certify_single
@@ -587,6 +592,18 @@ def test_unreadable_json_exits_2(tmp_path, capsys, command, text):
                             capsys)
 
 
+@pytest.mark.parametrize("command", sorted(JSON_COMMANDS))
+def test_unreadable_input_path_exits_2(tmp_path, capsys, command):
+    argv = JSON_COMMANDS[command]
+    code, text = run([str(tmp_path) if a is None else a for a in argv])
+    assert (code, text) == (2, "")
+    assert capsys.readouterr().err == f"input error: {tmp_path}: cannot read: Is a directory\n"
+    missing = str(tmp_path / "missing.json")
+    code, text = run([missing if a is None else a for a in argv])
+    assert (code, text) == (2, "")
+    assert capsys.readouterr().err == f"input error: {missing}: no such file\n"
+
+
 @pytest.mark.parametrize("coeff", ["1e10000000", "2E-3", "1.5e2", 1e-07])
 def test_exponent_coefficients_exit_2(tmp_path, capsys, coeff):
     algebra = algebra_to_json_dict(truncated_poly(2, 2))
@@ -689,3 +706,110 @@ def test_non_string_labels_and_string_words_exit_2(tmp_path_factory, case):
     path = tmp_path_factory.mktemp("fuzz") / "input.json"
     path.write_text(json.dumps(doc))
     assert run([str(path) if a is None else a for a in argv]) == (2, "")
+
+
+# -- the report writer against json.dumps ---------------------------------------
+
+
+def dumps(value):
+    return json.dumps(value, sort_keys=True, indent=2)
+
+
+SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(min_value=2 ** 64) | st.integers(
+        max_value=-(2 ** 64)), st.floats(), st.text(),
+    st.text(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\xe9\u2028\U0001f600')),
+)
+KEYS = [st.text(), st.integers(), st.floats(), st.booleans(), st.none()]
+JSON_VALUES = st.recursive(
+    SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+        *(st.dictionaries(key, inner, max_size=4) for key in KEYS),
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300)
+@given(value=JSON_VALUES)
+def test_report_writer_equals_json_dumps(value):
+    assert cli._json_text(value) == dumps(value)
+
+
+@pytest.mark.parametrize("value", [
+    {(1,): 0}, {1: 0, "1": 1}, [1, {2j: 0}], Fraction(1, 2), {"a": {1, 2}}, b"x",
+    [10 ** 5000], {"a": [object()]},
+], ids=["tuple-key", "mixed-keys", "complex-key", "fraction", "set", "bytes",
+        "int-past-the-digit-limit", "object"])
+def test_report_writer_raises_where_json_dumps_does(value):
+    with pytest.raises(Exception) as expected:
+        dumps(value)
+    with pytest.raises(type(expected.value)):
+        cli._json_text(value)
+
+
+def benchmark_pool(directory):
+    """(op id, argv) of every command of the benchmark pools in
+    perfbench/workloads.py, with their input files written to directory."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spec = importlib.util.spec_from_file_location(
+        "benchmark_workloads", os.path.join(root, "perfbench", "workloads.py"))
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    out = []
+    for name, workload in module.WORKLOADS.items():
+        sub = directory / name
+        sub.mkdir()
+        out += sorted(module.materialize(workload, str(sub)).items())
+    return out
+
+
+def test_every_pool_report_is_written_as_json_dumps_writes_it(tmp_path, monkeypatch):
+    reports = []
+    real = cli._report
+    monkeypatch.setattr(cli, "_report", lambda *a: reports.append(real(*a)) or reports[-1])
+    written = 0
+    for op_id, argv in benchmark_pool(tmp_path):
+        reports.clear()
+        code, text = run(list(argv))
+        if code == 0 and "--format" not in argv:
+            assert text == dumps(reports[0]) + "\n", op_id
+            written += 1
+    assert written >= 75
+
+
+def test_recheck_echoes_notes_as_deep_as_the_loader_reads(tmp_path, capsys):
+    """The loader refuses nesting past the recursion limit (exit 2); every
+    certificate it reads is echoed whole, down to its deepest note."""
+    text = json.dumps({**certify_single(2, 2).to_json_dict(), "notes": "@"})
+    path = tmp_path / "cert.json"
+
+    def recheck(depth):
+        path.write_text(text.replace('"@"', "[" * depth + "]" * depth))
+        code, out = run(["recheck", "--cert", str(path)])
+        err = capsys.readouterr().err
+        if code == 2:
+            assert out == "" and "malformed JSON" in err, depth
+            return False
+        assert (code, err) == (0, ""), depth
+        # the notes sit at level 3 of the report: report, input, cert
+        levels = range(3, 3 + depth - 1)
+        notes = ("".join("[\n" + "  " * (i + 1) for i in levels) + "[]"
+                 + "".join("\n" + "  " * i + "]" for i in reversed(levels)))
+        assert '\n      "notes": ' + notes + ",\n" in out, depth
+        return True
+
+    assert recheck(1) and not recheck(5000)
+    lo, hi = 1, 5000
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if recheck(mid):
+            lo = mid
+        else:
+            hi = mid
+    assert lo > 900 and recheck(lo)

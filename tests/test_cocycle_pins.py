@@ -16,6 +16,7 @@ from formalitykit.graded import build_configuration_algebra, truncated_poly
 from formalitykit.hochschild import hh_bar
 
 F7 = FieldSpec(kind="fp", p=7)
+F32003 = FieldSpec(kind="fp", p=32003)
 
 
 def digest(cocycles) -> str:
@@ -44,6 +45,26 @@ def test_truncated_poly_cocycles_are_pinned(npq):
     res = hh_bar(truncated_poly(n, 1), p, q, want_cocycles=True)
     assert res.dim == len(res.cocycles) == 1
     assert digest(res.cocycles) == TRUNCATED_POLY[npq]
+
+
+# (field, p, q) -> (slice dims, digest) of k[t]/t^7 = truncated_poly(6, 1):
+# dimension-1 slices whose d_p has several times more rows (one per cochain
+# of C^(p+1)) than columns, so the class is read off the cut transpose
+DEEP_TRUNCATED_POLY = {
+    ("Q", 4, -13): ((56, 791, 4641),
+                    "a04691dc0557bcef3f1cd3f3ccc6cd3e0209fd702c9f3afbe2408e0011cfd457"),
+    ("F32003", 4, -12): ((81, 860, 4211),
+                         "e2df20bdf2fbf70552a033723d0a1b6022fa4c36682abea04ab87477fea50493"),
+}
+
+
+@pytest.mark.parametrize("slice_", sorted(DEEP_TRUNCATED_POLY))
+def test_deep_truncated_poly_cocycles_are_pinned(slice_):
+    field, p, q = slice_
+    A = truncated_poly(6, 1) if field == "Q" else truncated_poly(6, 1, F32003)
+    res = hh_bar(A, p, q, want_cocycles=True)
+    assert res.dim == len(res.cocycles) == 1
+    assert (res.slice_dims, digest(res.cocycles)) == DEEP_TRUNCATED_POLY[slice_]
 
 
 def test_a2_zigzag_cocycle_over_f7_is_pinned():

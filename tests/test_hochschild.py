@@ -703,22 +703,42 @@ COCYCLE_CASES += [
 
 @pytest.mark.parametrize("A, p, q", COCYCLE_CASES)
 def test_cocycles_eliminate_each_differential_once(monkeypatch, A, p, q):
-    """The cocycle path eliminates d_p once for its kernel and the image of
-    d_(p-1), restricted to the free columns, once for its trailing profile,
-    and nothing per representative; it never asks for a rank, and finds as
-    many representatives as the rank path's dim."""
-    dim = hh_bar(A, p, q).dim
+    """The cocycle path never eliminates the rows of d_p, one per cochain of
+    C^(p+1): it eliminates the image of d_(p-1) twice, once in each column
+    order, and the transpose of d_p with the image's pivot columns cut once,
+    one row per kept column, then merges the kernel on the kept columns
+    into the image in one more elimination when there is a class. It never
+    asks for a rank, and finds as many representatives as the rank path's
+    dim."""
+    res = hh_bar(A, p, q)
+    dim, (n_prev, n_here, n_next) = res.dim, res.slice_dims
+    deltas = {}
+    real_delta = hochschild._delta_rows
+
+    def delta(tb, p_, *groups):
+        deltas[p_] = real_delta(tb, p_, *groups)
+        return deltas[p_]
+
+    monkeypatch.setattr(hochschild, "_delta_rows", delta)
     calls = []
     real = linalg._eliminate
-    monkeypatch.setattr(linalg, "_eliminate", lambda *a: calls.append(a) or real(*a))
+    monkeypatch.setattr(linalg, "_eliminate", lambda *a: calls.append(list(a[0])) or real(*a))
 
     def refuse(*args):
         raise AssertionError("the cocycle path asked for a rank")
 
     monkeypatch.setattr(hochschild, "rank_rows", refuse)
     res = hh_bar(A, p, q, want_cocycles=True)
+    monkeypatch.setattr(linalg, "_eliminate", real)
     assert res.dim == len(res.cocycles) == dim
-    assert len(calls) == 2
+    d_here = deltas[p]
+    assert len(d_here) == n_next
+    cut = rank_rows(deltas.get(p - 1, []), A.field_spec.field())
+    assert sorted(map(len, calls[:3])) == sorted([n_prev, n_prev, n_here - cut])
+    assert [len(rows) for rows in calls[3:]] == ([dim] if dim else [])
+    for rows in calls:
+        assert len(rows) <= n_here
+        assert not any(row is d_row for row in rows for d_row in d_here)
 
 
 # -- the rank and cocycle paths against the two-rank and greedy references ------

@@ -1203,6 +1203,20 @@ def test_configuration_presentation_refuses_an_unknown_preset():
         configuration_presentation(TRIANGLE, 1, 2, 1, "zigzg", 6)
 
 
+@pytest.mark.parametrize("preset", ["orthogonal", "zigzag"])
+@pytest.mark.parametrize("nkh", [(0, 2, 1), (2, 0, 1), (2, 2, 0), (-1, 2, 1), (1, -2, -1)])
+@pytest.mark.parametrize("builder", ["table", "presentation"])
+def test_configuration_builders_need_positive_n_k_h(builder, nkh, preset):
+    # (2, 0, 1) zigzag divided by k = 0, and (0, 2, 1) orthogonal presented
+    # the relations t_i^1 before the presentation builder checked them
+    with pytest.raises(InputValidationError) as err:
+        if builder == "table":
+            build_configuration_algebra(A2, *nkh, preset)
+        else:
+            configuration_presentation(A2, *nkh, preset, 6)
+    assert str(err.value) == "configuration algebra needs n, k, h >= 1"
+
+
 def test_configuration_presentation_needs_a_preset_and_a_truncation():
     # every configuration has relations of positive degree, so no default
     # truncation could work
