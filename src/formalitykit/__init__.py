@@ -1,6 +1,6 @@
 """Exact computational homological algebra for graded algebras:
-Hochschild cohomology, minimal resolution Tor terms, and replayable
-intrinsic formality certificates."""
+Hochschild cohomology, Tor terms from a Gröbner basis and its Anick
+chains, and replayable intrinsic formality certificates."""
 
 __version__ = "0.1.0"
 
@@ -12,7 +12,6 @@ from .errors import (
     ZeroGradedObjectError,
 )
 from .fields import FieldSpec, PrimeField, Rationals, RATIONALS, RATIONALS_SPEC
-from .linalg import quotient_dim, subspace_meet
 from .configurations import (
     ConfigGraph,
     EdgeData,
@@ -50,12 +49,8 @@ from .hochschild import (
 )
 from .presentations import (
     Generator,
-    HomogeneousIdeal,
     TensorPresentation,
     configuration_presentation,
-    ideal_from_relations,
-    ideal_meet,
-    ideal_sum,
     mindeg_bound,
     presentation_from_json_dict,
     presentation_to_json_dict,

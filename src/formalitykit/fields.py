@@ -1,13 +1,15 @@
 """Exact scalars: arbitrary precision rationals and prime fields F_p.
 
 Every computation in this package runs over one of these fields; there is
-no floating point anywhere. A field object bundles the arithmetic so that
-the linear algebra code stays generic.
+no floating point anywhere. A field object names the field and maps values
+into it; it does no arithmetic of its own.
 
 One scalar convention holds from the moment a value enters: over Q an
 integral rational is an int and only a non-integral one a Fraction; over F_p
-a scalar is an int in [0, p). Matrices for `linalg` are assembled from such
-scalars with plain + and *, and `linalg` alone drops and reduces entries.
+a scalar is an int in [0, p). `scalar` puts any int or Fraction into that
+form. Everything else computes with plain + and * on such scalars and
+canonicalises through `scalar`; `linalg` alone drops and reduces the
+entries of the matrices it is given.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ def _check_scalar(x) -> None:
 
 
 class Rationals:
-    """Field operations on rationals: ints, and Fractions that are not
+    """The rationals: scalars are ints, and Fractions that are not
     integral."""
 
     characteristic = 0
@@ -59,39 +61,11 @@ class Rationals:
     one = 1
 
     @staticmethod
-    def from_int(n: int) -> int:
-        return n
-
-    @staticmethod
     def scalar(x):
         """x as a field element, an int wherever x is integral; refuses
         anything but an int or a Fraction."""
         _check_scalar(x)
         return x.numerator if x.denominator == 1 else x
-
-    @staticmethod
-    def add(a, b):
-        return a + b
-
-    @staticmethod
-    def sub(a, b):
-        return a - b
-
-    @staticmethod
-    def mul(a, b):
-        return a * b
-
-    @staticmethod
-    def neg(a):
-        return -a
-
-    @staticmethod
-    def inv(a):
-        return Fraction(1) / a
-
-    @staticmethod
-    def div(a, b):
-        return Fraction(a) / b
 
     @staticmethod
     def is_zero(a) -> bool:
@@ -113,7 +87,7 @@ class Rationals:
 
 
 class PrimeField:
-    """Field operations on integers reduced modulo a prime p."""
+    """The prime field F_p: scalars are ints reduced modulo p."""
 
     name = "fp"
 
@@ -124,9 +98,6 @@ class PrimeField:
         self.zero = 0
         self.one = 1 % p
 
-    def from_int(self, n: int) -> int:
-        return n % self.p
-
     def scalar(self, x) -> int:
         """x as a field element: an int mod p, a Fraction a/b as a * b^-1
         mod p. Refuses anything but an int or a Fraction, and a Fraction
@@ -136,28 +107,7 @@ class PrimeField:
             return x % self.p
         if x.denominator % self.p == 0:
             raise InputValidationError(f"scalar {x} has no value in F_{self.p}")
-        return self.div(x.numerator, x.denominator)
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
-
-    def inv(self, a):
-        a %= self.p
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero in F_p")
-        return pow(a, self.p - 2, self.p)
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
+        return x.numerator * pow(x.denominator, -1, self.p) % self.p
 
     def is_zero(self, a) -> bool:
         return a % self.p == 0
@@ -165,8 +115,11 @@ class PrimeField:
     def parse(self, s: str):
         num, slash, den = s.strip().partition("/")
         try:
-            return self.div(int(num), int(den)) if slash else int(num) % self.p
-        except (ValueError, ZeroDivisionError):
+            if slash:
+                # pow raises ValueError where p divides the denominator
+                return int(num) * pow(int(den), -1, self.p) % self.p
+            return int(num) % self.p
+        except ValueError:
             raise InputValidationError(f"bad F_{self.p} scalar {s!r}") from None
 
     def to_str(self, a) -> str:

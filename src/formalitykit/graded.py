@@ -121,11 +121,11 @@ class GradedAlgebra:
         f = self.field_spec.field()
         out = dict(c1)
         for lab, v in c2.items():
-            s = f.add(out.get(lab, f.zero), v)
-            if f.is_zero(s):
-                out.pop(lab, None)
-            else:
+            s = f.scalar(out.get(lab, 0) + v)
+            if s:
                 out[lab] = s
+            else:
+                out.pop(lab, None)
         return out
 
     def combo_mul(self, c1: Combo, c2: Combo) -> Combo:
@@ -133,21 +133,21 @@ class GradedAlgebra:
         out: Combo = {}
         for x, vx in c1.items():
             for y, vy in c2.items():
-                coeff = f.mul(vx, vy)
-                if f.is_zero(coeff):
+                coeff = f.scalar(vx * vy)
+                if not coeff:
                     continue
                 for lab, v in self.product_labels(x, y).items():
-                    s = f.add(out.get(lab, f.zero), f.mul(coeff, v))
-                    if f.is_zero(s):
-                        out.pop(lab, None)
-                    else:
+                    s = f.scalar(out.get(lab, 0) + coeff * v)
+                    if s:
                         out[lab] = s
+                    else:
+                        out.pop(lab, None)
         return out
 
     def combo_eq(self, c1: Combo, c2: Combo) -> bool:
         f = self.field_spec.field()
         labels = set(c1) | set(c2)
-        return all(f.is_zero(f.sub(c1.get(l, f.zero), c2.get(l, f.zero))) for l in labels)
+        return all(not f.scalar(c1.get(l, 0) - c2.get(l, 0)) for l in labels)
 
     def is_nonneg_graded(self) -> bool:
         return all(d >= 0 for _, d in self.basis)

@@ -18,40 +18,44 @@ Every differential is assembled straight into sparse dict rows (column to
 non-zero scalar), the one matrix format of `linalg`, so memory follows the
 number of non-zero entries and not rows times columns: the large
 differentials are far below 1 % non-zero (d_5 of HH^{5,-17}(k[t]/t^7)
-holds 0.08 % of its 113 M slots).
+holds 0.08 % of its 113 M slots). d_p: C^p -> C^(p+1) is assembled as its
+coboundaries d(e_c), one row per basis cochain e_c of C^p, keyed by the
+basis of C^(p+1): the form in which every elimination below takes it. So a
+slice builds no dict per cochain of C^(p+1), the largest of its three
+spaces.
 
 A slice HH^{p,q} = ker d_p / im d_(p-1) is read off with d_p d_(p-1) = 0,
-which holds under any sign convention that makes C a complex. Let S be the
-pivot columns of the RREF of the image I of d_(p-1) (the row space of its
-transpose) in C^p. The RREF rows are 1 at their own pivot and 0 at the
-others, so I and the unit vectors e_c, c not in S, together span C^p and
-meet only in 0: C^p = I + span{e_c : c not in S}, a direct sum. d_p is 0
-on I, so rank d_p is the rank of d_p on the e_c alone, that is of d_p with
-the columns S deleted, and
+which holds under any sign convention that makes C a complex. The
+coboundaries of C^(p-1) span the image I of d_(p-1) in C^p; let S be the
+pivot columns of their RREF. The RREF rows are 1 at their own pivot and 0
+at the others, so I and the unit vectors e_c, c not in S, together span C^p
+and meet only in 0: C^p = I + span{e_c : c not in S}, a direct sum. d_p is
+0 on I, so rank d_p is the rank of the kept coboundaries d(e_c), c not in
+S, and
 
-    dim HH^{p,q} = n_p - |S| - rank(d_p without the columns S).
+    dim HH^{p,q} = n_p - |S| - rank{d(e_c) : c not in S}.
 
-The deleted columns never enter the elimination, and the remaining matrix
-is eliminated as its transpose, one row per kept column of C^p, which on
-the deep slices are far fewer than the rows of d_p, one per column of
-C^(p+1). Where C^(p+1) = 0, d_p is empty and only |S| = rank d_(p-1)
-counts, so d_(p-1) is ranked in the cheaper rank mode instead of being
-brought to RREF.
+The coboundaries of the cochains in S never enter an elimination, and the
+n_p - |S| kept ones are on the deep slices far fewer than the n_(p+1)
+rows of the matrix of d_p. Where C^(p+1) = 0 every coboundary is 0 and
+only |S| = rank d_(p-1) counts, so the image is ranked in the cheaper rank
+mode instead of being brought to RREF.
 
 Representatives of the classes are the kernel basis of d_p that reduced
-elimination gives, one vector v_fc per free column fc of d_p's RREF: v_fc
-is 1 at fc, 0 at the other free columns F, and determined by its entries at
-F, so restricting to F maps ker d_p isomorphically onto k^F and takes v_fc
-to e_fc. The image lies in the kernel. Taking the v_fc in increasing fc
-and keeping each one outside the span of the image and of the earlier ones
-keeps v_fc exactly when e_fc is not in I_F + span{e_g : g < fc}, with I_F
-the image restricted to F, that is, when no vector of I_F has its last
-non-zero entry at fc. The last non-zero entry of a kernel vector lies in
-F: the vector is the combination of the v_g given by its entries at F, and
-v_g is 0 right of g, since an RREF row of d_p holds g only right of its
-pivot. So the columns not kept form the trailing profile T of I, the last
-non-zero columns of its vectors, which are the pivot columns of its RREF
-with the column order reversed.
+elimination gives, one vector v_fc per free column fc of the RREF of the
+matrix of d_p: v_fc is 1 at fc, 0 at the other free columns F, and
+determined by its entries at F, so restricting to F maps ker d_p
+isomorphically onto k^F and takes v_fc to e_fc. The image lies in the
+kernel. Taking the v_fc in increasing fc and keeping each one outside the
+span of the image and of the earlier ones keeps v_fc exactly when e_fc is
+not in I_F + span{e_g : g < fc}, with I_F the image restricted to F, that
+is, when no vector of I_F has its last non-zero entry at fc. The last
+non-zero entry of a kernel vector lies in F: the vector is the combination
+of the v_g given by its entries at F, and v_g is 0 right of g, since an
+RREF row of d_p holds g only right of its pivot. So the columns not kept
+form the trailing profile T of I, the last non-zero columns of its
+vectors, which are the pivot columns of its RREF with the column order
+reversed.
 
 The v_fc are found without eliminating d_p. Each v_fc is 1 at its last
 non-zero column fc and 0 at the other columns F, so the v_fc are the RREF
@@ -60,19 +64,18 @@ above, and since d_p is 0 on I,
 
     ker d_p = I + K',  K' = ker d_p ∩ span{e_c : c not in S},
 
-again a direct sum. K' is the kernel of d_p on the kept columns, read off
-the same cut transpose as the rank: the row of kept column c is tagged by
-1 at its own tag column past the columns of d_p, and the rows of its RREF
-that lead with a tag are 0 on d_p, so on the tags they lie in K'. They
-are independent, and the tags make all n_p - |S| rows independent, so
-there are n_p - |S| - rank(d_p without the columns S) = dim K' of them: a
-basis of K'. Let B be the RREF of I in reversed column order; its pivots
-are T. Merging K' into B (`linalg.rref_extend`) gives the RREF of ker d_p
-in reversed column order, the v_fc, with B's pivots among them; its rows
-that lead outside T are the representatives, the same vectors that merging
-the v_fc into the image one by one keeps, and listed in increasing fc once
-the column order is restored. So d_p is eliminated only as its cut
-transpose, with n_p - |S| rows, never as its n_(p+1) rows.
+again a direct sum. K' is read off the same kept coboundaries as the rank:
+d(e_c) is tagged by 1 at its own tag column c past the columns of
+C^(p+1), and the rows of the RREF that lead with a tag are 0 on C^(p+1),
+so on the tags they lie in K'. The tags make all n_p - |S| rows
+independent, so there are n_p - |S| - rank{d(e_c) : c not in S} = dim K'
+of them: a basis of K'. Let B be the RREF of I in reversed column order;
+its pivots are T. Merging K' into B (`linalg.rref_extend`) gives the RREF
+of ker d_p in reversed column order, the v_fc, with B's pivots among them;
+its rows that lead outside T are the representatives, the same vectors
+that merging the v_fc into the image one by one keeps, and listed in
+increasing fc once the column order is restored. So d_p enters an
+elimination only as its n_p - |S| kept coboundaries.
 
 Sign convention: the ungraded alternating sum, (-1)^i on the i-th
 multiplication and (-1)^(p+1) on the outer right action; d compose d is
@@ -203,8 +206,12 @@ def _enumerate_words(tb: _Tables, p: int, targets, max_words: int, stage: str):
 
     Depth first and deterministic along the successor lists, so the words
     come in lexicographic order of their letter indices; a partial word is
-    dropped as soon as no target degree stays reachable, and the last
-    letter is tested in place. Raises once more than max_words words are
+    dropped as soon as no target degree stays reachable, and the last two
+    letters are tried in place. The walk keeps its own stack, one iterator
+    of untried letters per position with the degree before it, and one
+    prefix list that grows and shrinks in place, so the word length is not
+    bounded by the interpreter's recursion limit; a word's tuple is built
+    only at its last letters. Raises once more than max_words words are
     found, naming the stage (which slice of which complex, in which mode)
     and the cap."""
     if p == 0:
@@ -217,27 +224,51 @@ def _enumerate_words(tb: _Tables, p: int, targets, max_words: int, stage: str):
     max_d = max(degs[i] for i in letters)
     tmin, tmax = min(targets), max(targets)
     out: List[Tuple[Tuple[int, ...], int]] = []
-
-    def extend(word, total, rem, nexts):
-        # rem >= 1 letters, the first from nexts, still follow word
-        if rem == 1:
+    prefix: List[int] = []
+    # stack[i]: the untried letters at position i and the degree of the
+    # letters before them; len(stack) == len(prefix) + 1
+    stack = [(iter(letters), 0)]
+    while stack:
+        depth = len(stack)
+        rem = p - depth  # the letters after position depth - 1
+        if rem > 1:
+            nexts, total = stack[-1]
+            low, high = tmin - rem * max_d, tmax - rem * min_d
+            for j in nexts:
+                t = total + degs[j]
+                if low <= t <= high:
+                    prefix.append(j)
+                    stack.append((iter(succ[j]), t))
+                    break
+            else:
+                stack.pop()
+                if prefix:
+                    prefix.pop()
+            continue
+        nexts, total = stack.pop()
+        word = tuple(prefix)
+        if rem == 0:  # p == 1
             for j in nexts:
                 d = total + degs[j]
                 if d in targets:
                     out.append((word + (j,), d))
-            if len(out) > max_words:
-                raise ResourceCapError(
-                    f"word cap {max_words} exceeded by the length p = {p} words of {stage}; "
-                    "raise max_words"
-                )
-            return
-        rem -= 1
-        for j in nexts:
-            t = total + degs[j]
-            if t + rem * min_d <= tmax and t + rem * max_d >= tmin:
-                extend(word + (j,), t, rem, succ[j])
-
-    extend((), 0, p, letters)
+        else:
+            low, high = tmin - max_d, tmax - min_d
+            for j in nexts:
+                t = total + degs[j]
+                if low <= t <= high:
+                    head = word + (j,)
+                    for k in succ[j]:
+                        d = t + degs[k]
+                        if d in targets:
+                            out.append((head + (k,), d))
+        if len(out) > max_words:
+            raise ResourceCapError(
+                f"word cap {max_words} exceeded by the length p = {p} words of {stage}; "
+                "raise max_words"
+            )
+        if prefix:
+            prefix.pop()
     return out
 
 
@@ -305,16 +336,13 @@ def _contractions(tb: _Tables, w):
                 yield head + (z,) + tail, (cz if i % 2 == 0 else -cz)
 
 
-def _delta_rows(tb: _Tables, p: int, groups_p, groups_p1):
-    """Matrix of the Hochschild cochain differential C^p -> C^(p+1) as dict
-    rows, one per column of groups_p1 in column order, indexed by the
-    columns of groups_p, in `linalg`'s input contract (see _Tables)."""
-    rows: List[Dict[int, object]] = []
-    row_of: Dict[Tuple[object, int], Dict[int, object]] = {}
-    for w, pairs in groups_p1.items():
-        for _, m in pairs:
-            row_of[(w, m)] = row = {}
-            rows.append(row)
+def _delta_rows(tb: _Tables, p: int, groups_p, groups_p1, n_p: int):
+    """The coboundaries d(e_c) of the n_p basis cochains of C^p, as dict
+    rows: one per column of groups_p in column order, keyed by the columns
+    of groups_p1, in `linalg`'s input contract (see _Tables): row c is
+    column c of the matrix of d_p: C^p -> C^(p+1)."""
+    cols: List[Dict[int, object]] = [{} for _ in range(n_p)]
+    row_of = {(w, m): r for w, pairs in groups_p1.items() for r, m in pairs}
     sign_last = 1 if (p + 1) % 2 == 0 else -1
     for w1 in groups_p1:
         first = w1[0]
@@ -322,49 +350,42 @@ def _delta_rows(tb: _Tables, p: int, groups_p, groups_p1):
         # left action term: a_1 . f(a_2 ... a_(p+1))
         tail = w1[1:] if p >= 1 else ("v", tb.src[first])
         for c0, m0 in groups_p.get(tail, ()):
+            col = cols[c0]
             for m1, v in tb.mult.get((first, m0), {}).items():
-                row = row_of.get((w1, m1))
-                if row is not None:
-                    row[c0] = row.get(c0, 0) + v
+                r = row_of.get((w1, m1))
+                if r is not None:
+                    col[r] = col.get(r, 0) + v
         # contraction terms: (-1)^i f(... a_i a_(i+1) ...)
         for contracted, coeff in _contractions(tb, w1):
             for c0, m0 in groups_p.get(contracted, ()):
-                row = row_of.get((w1, m0))
-                if row is not None:
-                    row[c0] = row.get(c0, 0) + coeff
+                r = row_of.get((w1, m0))
+                if r is not None:
+                    col = cols[c0]
+                    col[r] = col.get(r, 0) + coeff
         # right action term: (-1)^(p+1) f(a_1 ... a_p) . a_(p+1)
         head = w1[:-1] if p >= 1 else ("v", tb.tgt[last])
         for c0, m0 in groups_p.get(head, ()):
+            col = cols[c0]
             for m1, v in tb.mult.get((m0, last), {}).items():
-                row = row_of.get((w1, m1))
-                if row is not None:
-                    row[c0] = row.get(c0, 0) + sign_last * v
-    return rows
+                r = row_of.get((w1, m1))
+                if r is not None:
+                    col[r] = col.get(r, 0) + sign_last * v
+    return cols
 
 
-def _transpose(rows, ncols: int, drop=frozenset()):
-    """The transpose of dict rows with ncols columns, one row per column;
-    the rows of the columns in drop are left empty."""
-    out: List[Dict[int, object]] = [{} for _ in range(ncols)]
-    for r, row in enumerate(rows):
-        for c, x in row.items():
-            if c not in drop:
-                out[c][r] = x
-    return out
-
-
-def _cut_kernel(d_here, cut, ncols: int, field):
-    """A basis of K', the kernel of d_here on the columns outside cut, from
-    one RREF of the cut transpose: kept column c becomes the row of its
-    d_here entries, tagged by 1 at len(d_here) + c. The RREF rows that lead
-    with a tag are 0 on d_here, so read on the tags they lie in K', and
-    there are as many as the rows minus the rank of the cut d_here."""
-    off = len(d_here)
-    cols = _transpose(d_here, ncols, cut)
-    kept = [c for c in range(ncols) if c not in cut]
-    for c in kept:
-        cols[c][off + c] = 1
-    pivots, rows = rref_rows([cols[c] for c in kept], field)
+def _cut_kernel(cobounds, cut, off: int, field):
+    """A basis of K', the kernel of d_p on the cochains outside cut, from
+    one RREF of their coboundaries: the coboundary of kept cochain c, keyed
+    by the off columns of C^(p+1), is tagged in place by 1 at off + c. The
+    RREF rows that lead with a tag are 0 on C^(p+1), so read on the tags
+    they lie in K', and there are as many as the kept cochains minus the
+    rank of their coboundaries."""
+    kept = []
+    for c, col in enumerate(cobounds):
+        if c not in cut:
+            col[off + c] = 1
+            kept.append(col)
+    pivots, rows = rref_rows(kept, field)
     return [{t - off: x for t, x in row.items()} for lead, row in zip(pivots, rows) if lead >= off]
 
 
@@ -402,21 +423,12 @@ def hh_bar(
     """dim HH^{p,q}(A, A) from the bar complex, with representatives on
     request. The two modes agree; the relative one is the fast default.
 
-    Both answers rest on d_p d_(p-1) = 0 (derived in the module docstring).
-    The dimension is n_p - |S| - rank(d_p without the columns S), with S the
-    pivot columns of the RREF of im d_(p-1), or n_p - rank d_(p-1) where
-    C^(p+1) = 0. The representatives are the kernel vectors of d_p, one
-    per free column of d_p's RREF, except those whose free column is the
-    last non-zero column of some image vector (the image's trailing
-    profile T): the vectors that merging the kernel basis into the image in
-    order would keep. They are read without eliminating d_p:
-    ker d_p = im d_(p-1) + K', with K' the kernel of d_p on the columns
-    outside S, read off one RREF of the cut transpose with a tag per
-    column. Merging K' into the RREF of the image in reversed column order
-    gives the RREF of ker d_p in that order, which is the kernel basis, and
-    its rows that lead outside T are the representatives, in reversed
-    order. The dimension path eliminates twice; the cocycle path eliminates
-    three times, and merges once more when there is a class."""
+    Both read the slice off the coboundaries of C^(p-1) and C^p, as the
+    module docstring derives: the dimension is n_p - |S| - the rank of the
+    coboundaries of the cochains outside S, S the pivot columns of the
+    image's RREF, or n_p - rank d_(p-1) where C^(p+1) = 0. The dimension
+    path eliminates twice; the cocycle path eliminates three times, and
+    merges once more when there is a class."""
     if p < 0:
         raise InputValidationError("p must be >= 0")
     tb = _tables(A, mode)
@@ -428,25 +440,23 @@ def hh_bar(
         return HHResult(p, q, 0, mode, (n_prev, 0, n_next))
 
     f = tb.field
-    d_here = _delta_rows(tb, p, g_here, g_next)
-    d_prev = _delta_rows(tb, p - 1, g_prev, g_here) if p >= 1 and n_prev else []
-
-    if not want_cocycles and not d_here:
-        dim = n_here - rank_rows(d_prev, f)
+    # the coboundaries of C^(p-1) span the image, on which d_p vanishes
+    image = _delta_rows(tb, p - 1, g_prev, g_here, n_prev) if n_prev else []
+    if not want_cocycles and not n_next:
+        dim = n_here - rank_rows(image, f)
         return HHResult(p, q, dim, mode, (n_prev, n_here, n_next))
 
-    # the image of d_prev, the row space of its transpose, on which d_here
-    # vanishes; S is its RREF's pivot columns (see the module docstring)
-    image = _transpose(d_prev, n_prev)
-    cut = set(rref_rows(image, f)[0])
+    cut = set(rref_rows(image, f)[0])  # S: the pivot columns of the image's RREF
+    d_here = _delta_rows(tb, p, g_here, g_next, n_here)
     if not want_cocycles:
-        dim = n_here - len(cut) - rank_rows(_transpose(d_here, n_here, cut), f)
+        kept = [col for c, col in enumerate(d_here) if c not in cut]
+        dim = n_here - len(cut) - rank_rows(kept, f)
         return HHResult(p, q, dim, mode, (n_prev, n_here, n_next))
 
-    # the RREF of ker d_here = im d_prev + K' in reversed column order; its
-    # rows that lead where no image row does are the representatives
+    # the RREF of ker d_p = image + K' in reversed column order; its rows
+    # that lead where no image row does are the representatives
     flip = n_here - 1
-    k_cut = [{flip - c: x for c, x in v.items()} for v in _cut_kernel(d_here, cut, n_here, f)]
+    k_cut = [{flip - c: x for c, x in v.items()} for v in _cut_kernel(d_here, cut, n_next, f)]
     trailing, basis = rref_rows([{flip - c: x for c, x in row.items()} for row in image], f)
     trailing = set(trailing)
     reps = [{flip - k: x for k, x in row.items()}

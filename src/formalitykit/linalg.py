@@ -263,7 +263,7 @@ def kernel_rows(rows, field, ncols: int):
     largest column: a pivot column c holds an entry of the row of fc only
     where the RREF row of c does at fc, and that row is 0 left of c.
     No module of the package calls it (the cocycle search reads the same
-    basis off the cut transpose of d_p, see `hochschild.hh_bar`); it stays
+    basis off the kept coboundaries of C^p, see `hochschild`); it stays
     because `perfbench/spans.py` binds it by name and raises RuntimeError
     when it is missing."""
     p = field.characteristic

@@ -280,9 +280,9 @@ def test_criterion_9_structural_property_suites():
                 g1, n1 = _cochain_basis(tb, p + 1, q, "relative_normalized", 10**6)
                 g2, n2 = _cochain_basis(tb, p + 2, q, "relative_normalized", 10**6)
                 if n0 and n2:
-                    d0 = _delta_rows(tb, p, g0, g1)
-                    d1 = _delta_rows(tb, p + 1, g1, g2)
-                    if any(mul_rows(d1, d0, RATIONALS)):
+                    d0 = _delta_rows(tb, p, g0, g1, n0)
+                    d1 = _delta_rows(tb, p + 1, g1, g2, n1)
+                    if any(mul_rows(d0, d1, RATIONALS)):
                         failures.append(f"d^2 != 0 at p={p} q={q}")
 
     # exact linear algebra invariants on seeded instances

@@ -177,6 +177,16 @@ def test_word_cap_boundary_is_the_word_count(tmp_path, capsys):
     )
 
 
+def test_words_longer_than_the_recursion_limit_exit_0(tmp_path):
+    # the walk over words of 1199 to 1201 letters keeps its own stack; dim 1
+    # holds at even p with or without a Koszul sign on the left action
+    apath = write_json(tmp_path, "tp1.json", algebra_to_json_dict(truncated_poly(1, 1)))
+    code, text = run(["hh", "--algebra", apath, "--p", "1200", "--q", "-1200"])
+    assert code == 0
+    result = json.loads(text)["result"]
+    assert (result["dim"], result["slice_dims"]) == (1, [0, 1, 1])
+
+
 def test_truncation_cap_exits_3(tmp_path):
     pres = {
         "vertices": 1,

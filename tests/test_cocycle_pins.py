@@ -49,7 +49,8 @@ def test_truncated_poly_cocycles_are_pinned(npq):
 
 # (field, p, q) -> (slice dims, digest) of k[t]/t^7 = truncated_poly(6, 1):
 # dimension-1 slices whose d_p has several times more rows (one per cochain
-# of C^(p+1)) than columns, so the class is read off the cut transpose
+# of C^(p+1)) than columns, so the class is read off the kept coboundaries of
+# C^p
 DEEP_TRUNCATED_POLY = {
     ("Q", 4, -13): ((56, 791, 4641),
                     "a04691dc0557bcef3f1cd3f3ccc6cd3e0209fd702c9f3afbe2408e0011cfd457"),

@@ -109,15 +109,15 @@ def _derivations_minus_inner(A: GradedAlgebra, q: int) -> int:
                 row = [f.zero] * len(slots)
                 for z, c in prod.items():
                     if (z, out) in sidx:
-                        row[sidx[(z, out)]] = f.add(row[sidx[(z, out)]], c)
+                        row[sidx[(z, out)]] = f.scalar(row[sidx[(z, out)]] + c)
                 for tx in by_deg.get(degs[x] + q, []):
                     c = A.product_labels(tx, y).get(out)
                     if c is not None and (x, tx) in sidx:
-                        row[sidx[(x, tx)]] = f.sub(row[sidx[(x, tx)]], c)
+                        row[sidx[(x, tx)]] = f.scalar(row[sidx[(x, tx)]] - c)
                 for ty in by_deg.get(degs[y] + q, []):
                     c = A.product_labels(x, ty).get(out)
                     if c is not None and (y, ty) in sidx:
-                        row[sidx[(y, ty)]] = f.sub(row[sidx[(y, ty)]], c)
+                        row[sidx[(y, ty)]] = f.scalar(row[sidx[(y, ty)]] - c)
                 if any(not f.is_zero(v) for v in row):
                     rows.append(row)
     n_der = len(slots) - rank_rows(sparse(rows), f)
@@ -129,7 +129,7 @@ def _derivations_minus_inner(A: GradedAlgebra, q: int) -> int:
             ax = A.product_labels(a, x)
             xa = A.product_labels(x, a)
             for tgt in by_deg.get(degs[x] + q, []):
-                c = f.sub(ax.get(tgt, f.zero), xa.get(tgt, f.zero))
+                c = f.scalar(ax.get(tgt, f.zero) - xa.get(tgt, f.zero))
                 if not f.is_zero(c) and (x, tgt) in sidx:
                     row[sidx[(x, tgt)]] = c
         inner_rows.append(row)
@@ -160,10 +160,8 @@ def _center_dim(A: GradedAlgebra, q: int) -> int:
         for out in targets:
             row = [f.zero] * len(labels)
             for lab in labels:
-                c = f.sub(
-                    A.product_labels(lab, x).get(out, f.zero),
-                    A.product_labels(x, lab).get(out, f.zero),
-                )
+                c = f.scalar(A.product_labels(lab, x).get(out, f.zero)
+                             - A.product_labels(x, lab).get(out, f.zero))
                 row[slots[lab]] = c
             if any(not f.is_zero(v) for v in row):
                 rows.append(row)
@@ -505,8 +503,8 @@ def serre_dual_triangle(signs, field_spec=RATIONALS_SPEC):
             # a_xy acts P_x -> P_y, so e_y a_xy = a_xy = a_xy e_x
             mult[(e(y), a(x, y))] = {a(x, y): one}
             mult[(a(x, y), e(x))] = {a(x, y): one}
-        mult[(a(j, i), a(i, j))] = {t(i): f.from_int(s_i)}
-        mult[(a(i, j), a(j, i))] = {t(j): f.from_int(s_j)}
+        mult[(a(j, i), a(i, j))] = {t(i): f.scalar(s_i)}
+        mult[(a(i, j), a(j, i))] = {t(j): f.scalar(s_j)}
     unit = {e(i): one for i in range(3)}
     return GradedAlgebra(field_spec, tuple(basis), mult, unit, tuple(e(i) for i in range(3)))
 
@@ -692,37 +690,48 @@ def benchmark_cocycle_slices():
 F7 = FieldSpec(kind="fp", p=7)
 COCYCLE_CASES = [pytest.param(truncated_poly(n, 1), p, q, id=f"tp{n}-p{p}-q{q}")
                  for n, p, q in benchmark_cocycle_slices()]
-# slices of dimension 4, 12 and 14, so that the bound counts merges too
+# slices of dimension 4, 12 and 14, so that the bound counts merges too, and
+# one where C^(p+1) = 0
 COCYCLE_CASES += [
     pytest.param(a2_algebra(), 3, -6, id="a2-222-p3-q-6"),
     pytest.param(a2_algebra(), 4, -6, id="a2-222-p4-q-6"),
     pytest.param(build_configuration_algebra(ConfigGraph.make([1, 2], [(1, 2)]), 1, 2, 1,
                                              "orthogonal", F7), 4, -4, id="a2-121-F7-p4-q-4"),
+    pytest.param(truncated_poly(1, 1), 3, -2, id="tp1-p3-q-2"),
 ]
 
 
 @pytest.mark.parametrize("A, p, q", COCYCLE_CASES)
 def test_cocycles_eliminate_each_differential_once(monkeypatch, A, p, q):
-    """The cocycle path never eliminates the rows of d_p, one per cochain of
-    C^(p+1): it eliminates the image of d_(p-1) twice, once in each column
-    order, and the transpose of d_p with the image's pivot columns cut once,
-    one row per kept column, then merges the kernel on the kept columns
+    """Both paths assemble d_(p-1) and d_p as the coboundaries of their
+    domains, one row per cochain of C^(p-1) and of C^p, never one per
+    cochain of C^(p+1), and give no matrix with more than n_p rows to
+    `linalg`. The dimension path eliminates the image of d_(p-1) once and,
+    where C^(p+1) is not 0, the coboundaries of the cochains outside the
+    image's pivot columns once; where it is 0 it assembles no d_p. The
+    cocycle path eliminates the image twice, once in each column order, and
+    the kept coboundaries once, then merges the kernel on the kept cochains
     into the image in one more elimination when there is a class. It never
     asks for a rank, and finds as many representatives as the rank path's
     dim."""
-    res = hh_bar(A, p, q)
-    dim, (n_prev, n_here, n_next) = res.dim, res.slice_dims
-    deltas = {}
-    real_delta = hochschild._delta_rows
+    deltas, calls = {}, []
+    real_delta, real = hochschild._delta_rows, linalg._eliminate
 
-    def delta(tb, p_, *groups):
-        deltas[p_] = real_delta(tb, p_, *groups)
+    def delta(tb, p_, *args):
+        deltas[p_] = real_delta(tb, p_, *args)
         return deltas[p_]
 
+    def record(*args):
+        calls.append(len(args[0]))
+        return real(*args)
+
     monkeypatch.setattr(hochschild, "_delta_rows", delta)
-    calls = []
-    real = linalg._eliminate
-    monkeypatch.setattr(linalg, "_eliminate", lambda *a: calls.append(list(a[0])) or real(*a))
+    monkeypatch.setattr(linalg, "_eliminate", record)
+    res = hh_bar(A, p, q)
+    dim, (n_prev, n_here, n_next) = res.dim, res.slice_dims
+    dim_shapes, dim_calls = {k: len(v) for k, v in deltas.items()}, calls[:]
+    deltas.clear()
+    calls.clear()
 
     def refuse(*args):
         raise AssertionError("the cocycle path asked for a rank")
@@ -731,14 +740,14 @@ def test_cocycles_eliminate_each_differential_once(monkeypatch, A, p, q):
     res = hh_bar(A, p, q, want_cocycles=True)
     monkeypatch.setattr(linalg, "_eliminate", real)
     assert res.dim == len(res.cocycles) == dim
-    d_here = deltas[p]
-    assert len(d_here) == n_next
+    image = {p - 1: n_prev} if n_prev else {}
+    assert {k: len(v) for k, v in deltas.items()} == {**image, p: n_here}
+    assert dim_shapes == ({**image, p: n_here} if n_next else image)
     cut = rank_rows(deltas.get(p - 1, []), A.field_spec.field())
-    assert sorted(map(len, calls[:3])) == sorted([n_prev, n_prev, n_here - cut])
-    assert [len(rows) for rows in calls[3:]] == ([dim] if dim else [])
-    for rows in calls:
-        assert len(rows) <= n_here
-        assert not any(row is d_row for row in rows for d_row in d_here)
+    assert dim_calls == ([n_prev, n_here - cut] if n_next else [n_prev])
+    assert sorted(calls[:3]) == sorted([n_prev, n_prev, n_here - cut])
+    assert calls[3:] == ([dim] if dim else [])
+    assert max(dim_calls + calls) <= n_here
 
 
 # -- the rank and cocycle paths against the two-rank and greedy references ------
@@ -757,13 +766,13 @@ def reference_slice(A, p, q, mode):
     g2, n2 = _cochain_basis(tb, p + 1, q, mode, 10**6)
     if n1 == 0:
         return (n0, n1, n2), 0, ()
-    d_here = _delta_rows(tb, p, g1, g2)
-    d_prev = _delta_rows(tb, p - 1, g0, g1) if p and n0 else []
-    dim = n1 - rank_rows(d_here, f) - rank_rows(d_prev, f)
-    image = [{} for _ in range(n0)]
-    for r, row in enumerate(d_prev):
-        for c, x in row.items():
-            image[c][r] = x
+    # d_p as a matrix, one row per cochain of C^(p+1)
+    d_here = [{} for _ in range(n2)]
+    for c, col in enumerate(_delta_rows(tb, p, g1, g2, n1)):
+        for r, x in col.items():
+            d_here[r][c] = x
+    image = _delta_rows(tb, p - 1, g0, g1, n0) if p and n0 else []
+    dim = n1 - rank_rows(d_here, f) - rank_rows(image, f)
     span = rref_rows(image, f)[1]
     reps = []
     for v in kernel_rows(d_here, f, n1):
@@ -957,9 +966,10 @@ def test_cochain_delta_squares_to_zero(A, mode, p_max, qs):
             g2, n2 = _cochain_basis(tb, p + 2, q, mode, 10**6)
             if n0 == 0 or n2 == 0:
                 continue
-            d0 = _delta_rows(tb, p, g0, g1)
-            d1 = _delta_rows(tb, p + 1, g1, g2)
-            assert not any(mul_rows(d1, d0, tb.field)), (p, q)
+            d0 = _delta_rows(tb, p, g0, g1, n0)
+            d1 = _delta_rows(tb, p + 1, g1, g2, n1)
+            # row c is d_(p+1) applied to the coboundary d(e_c)
+            assert not any(mul_rows(d0, d1, tb.field)), (p, q)
 
 
 # -- the word cap admits exactly max_words words --------------------------------

@@ -198,7 +198,7 @@ def test_prime_field_rank_drops_exactly_when_p_divides_the_minors_gcd(rows, p):
     assert rank_rows(sparse(rows), RATIONALS) == r
     d_r = gcd(*(int(x) for x in minors(rows, r)))
     fp = PrimeField(p)
-    rank_p = rank_rows(sparse([[fp.from_int(int(x)) for x in row] for row in rows]), fp)
+    rank_p = rank_rows(sparse([[fp.scalar(int(x)) for x in row] for row in rows]), fp)
     assert rank_p <= r
     assert (rank_p == r) == (d_r % p != 0)
 
@@ -206,7 +206,7 @@ def test_prime_field_rank_drops_exactly_when_p_divides_the_minors_gcd(rows, p):
 def test_prime_field_rank_can_drop():
     fp = PrimeField(5)
     # 5 is an explicit zero of F_5, which the kernel drops
-    rows = [{0: fp.from_int(5)}]
+    rows = [{0: fp.scalar(5)}]
     assert rank_rows(rows, fp) == 0
     assert rank_rows([{0: Fraction(5)}], RATIONALS) == 1
 
@@ -226,12 +226,12 @@ def dense_rref(rows, field):
         if pr is None:
             continue
         m[r], m[pr] = m[pr], m[r]
-        inv = field.inv(m[r][c])
-        m[r] = [field.mul(inv, x) for x in m[r]]
+        inv = field.scalar(Fraction(1, m[r][c]))
+        m[r] = [field.scalar(inv * x) for x in m[r]]
         for i in range(len(m)):
             if i != r and not field.is_zero(m[i][c]):
                 fac = m[i][c]
-                m[i] = [field.sub(x, field.mul(fac, y)) for x, y in zip(m[i], m[r])]
+                m[i] = [field.scalar(x - fac * y) for x, y in zip(m[i], m[r])]
         pivots.append(c)
     return pivots, m[: len(pivots)]
 
@@ -248,7 +248,7 @@ def kernel_case(draw):
     if field is RATIONALS:
         entry = st.builds(Fraction, small_entries, st.sampled_from([1, 1, 1, 2, 3]))
     else:
-        entry = small_entries.map(field.from_int)
+        entry = small_entries.map(field.scalar)
     rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), max_size=6))
     rows += [[field.zero] * ncols] * draw(st.integers(0, 2))
     if rows:
@@ -286,7 +286,7 @@ def test_kernel_rows_reads_off_the_reference_rref(case):
         v = [field.zero] * ncols
         v[fc] = field.one
         for r, pc in enumerate(pivots):
-            v[pc] = field.neg(red[r][fc])
+            v[pc] = field.scalar(-red[r][fc])
         want.append(v)
     ker = kernel_rows(sparse(rows), field, ncols)
     assert [dense(v, ncols, field) for v in ker] == want
@@ -297,7 +297,7 @@ def test_kernel_rows_reads_off_the_reference_rref(case):
 def test_prime_field_kernel_maps_fraction_entries_into_the_field():
     fp = PrimeField(7)
     # 1/2 is 4 in F_7, so the first row is 4 times the second
-    rows = [{0: Fraction(1, 2), 1: Fraction(1)}, {0: fp.from_int(1), 1: fp.from_int(2)}]
+    rows = [{0: Fraction(1, 2), 1: Fraction(1)}, {0: fp.scalar(1), 1: fp.scalar(2)}]
     assert rank_rows(rows, fp) == 1
     assert rref_rows(rows, fp) == ([0], [{0: 1, 1: 2}])
 
@@ -312,7 +312,7 @@ def extend_case(draw):
     if field is RATIONALS:
         entry = st.builds(Fraction, small_entries, st.sampled_from([1, 1, 1, 2, 3]))
     else:
-        entry = small_entries.map(field.from_int)
+        entry = small_entries.map(field.scalar)
     row = st.lists(entry, min_size=ncols, max_size=ncols)
     basis = draw(st.lists(row, max_size=4))
     rows = draw(st.lists(row, max_size=4))
@@ -324,8 +324,7 @@ def extend_case(draw):
     for _ in range(draw(st.integers(0, 3)) if basis else 0):
         i, j = (draw(st.integers(0, len(basis) - 1)) for _ in range(2))
         x, y = draw(entry), draw(st.sampled_from([field.zero, field.one]))
-        rows.append([field.add(field.mul(x, a), field.mul(y, b))
-                     for a, b in zip(basis[i], basis[j])])
+        rows.append([field.scalar(x * a + y * b) for a, b in zip(basis[i], basis[j])])
     return field, basis, draw(st.permutations(rows)) if rows else rows, ncols
 
 
@@ -348,9 +347,9 @@ def test_rref_extend_edge_cases(field):
     basis = row_space_basis([{0: one, 2: one}, {1: one}], field)
     assert rref_extend([], [], field) == []
     assert rref_extend(basis, [], field) == basis
-    assert rref_extend([], [{3: field.add(one, one)}, {}], field) == [{3: 1}]
+    assert rref_extend([], [{3: field.scalar(one + one)}, {}], field) == [{3: 1}]
     # rows in the span, the unit row of a unit pivot row among them, change nothing
-    assert rref_extend(basis, [{1: field.add(one, one)}, {0: one, 1: one, 2: one}], field) == basis
+    assert rref_extend(basis, [{1: field.scalar(one + one)}, {0: one, 1: one, 2: one}], field) == basis
     # a new pivot that is cleared from a basis row, and one left of every basis pivot
     assert rref_extend(basis, [{2: one}], field) == [{0: 1}, {1: 1}, {2: 1}]
     assert rref_extend([{1: 1}], [{0: one, 1: one}], field) == [{0: 1}, {1: 1}]
@@ -448,7 +447,7 @@ def dense_mul(a, b, ncols, field):
         for c in range(ncols):
             acc = field.zero
             for k, x in enumerate(row):
-                acc = field.add(acc, field.mul(x, b[k][c]))
+                acc = field.scalar(acc + x * b[k][c])
             new.append(acc)
         out.append(new)
     return out
@@ -464,7 +463,7 @@ def product_case(draw):
     if field is RATIONALS:
         nonzero = st.builds(Fraction, small_entries, st.sampled_from([1, 1, 2, 3]))
     else:
-        nonzero = small_entries.map(field.from_int)
+        nonzero = small_entries.map(field.scalar)
     entry = st.one_of(st.just(field.zero), st.just(field.zero), nonzero)
 
     def mat(nrows, ncols):
@@ -486,6 +485,6 @@ def test_mul_rows_equals_dense_triple_loop(case):
 def test_mul_rows_drops_products_that_cancel(field):
     one = field.one
     a = [{0: one, 1: one}, {}]
-    b = [{0: one, 2: one}, {0: field.neg(one), 1: one}]
+    b = [{0: one, 2: one}, {0: field.scalar(-one), 1: one}]
     assert mul_rows(a, b, field) == [{1: 1, 2: 1}, {}]
-    assert mul_rows(a, [{0: one}, {0: field.neg(one)}], field) == [{}, {}]
+    assert mul_rows(a, [{0: one}, {0: field.scalar(-one)}], field) == [{}, {}]
