@@ -8,38 +8,39 @@ realizing the equivariant Kunneth formula.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import InputValidationError
 from .fields import FieldSpec
+from .record import Record
 
 
-@dataclass(frozen=True)
-class EdgeData:
+class EdgeData(Record):
     u: object
     v: object
-    a_uv: Optional[int] = None  # hom degree read u -> v
-    a_vu: Optional[int] = None  # hom degree read v -> u
-    d: Optional[int] = None  # plain hom degree label for sign lifting
+    a_uv: Optional[int]  # hom degree read u -> v
+    a_vu: Optional[int]  # hom degree read v -> u
+    d: Optional[int]  # plain hom degree label for sign lifting
+
+    def __init__(self, u, v, a_uv=None, a_vu=None, d=None):
+        vars(self).update(u=u, v=v, a_uv=a_uv, a_vu=a_vu, d=d)
 
 
-@dataclass(frozen=True)
-class ConfigGraph:
+class ConfigGraph(Record):
     """Simple graph: at most one edge per vertex pair, no self loops."""
 
     vertices: Tuple[object, ...]
     edges: Tuple[EdgeData, ...]
 
-    def __post_init__(self):
+    def __init__(self, vertices, edges):
         try:
-            seen = set(self.vertices)
+            seen = set(vertices)
         except TypeError:
             raise InputValidationError("vertices must be scalars") from None
-        if len(seen) != len(self.vertices):
+        if len(seen) != len(vertices):
             raise InputValidationError("duplicate vertices")
         pairs = set()
-        for e in self.edges:
+        for e in edges:
             try:
                 known = e.u in seen and e.v in seen
             except TypeError:
@@ -54,6 +55,7 @@ class ConfigGraph:
             if key in pairs:
                 raise InputValidationError(f"duplicate edge ({e.u},{e.v})")
             pairs.add(key)
+        vars(self).update(vertices=vertices, edges=edges)
 
     @classmethod
     def make(cls, vertices: Sequence, edges: Sequence) -> "ConfigGraph":
@@ -130,11 +132,13 @@ class ConfigGraph:
         return cls.make(data["vertices"], data["edges"])
 
 
-@dataclass(frozen=True)
-class PoincarePolynomial:
+class PoincarePolynomial(Record):
     """Finite support degree -> dimension table."""
 
     coeffs: Tuple[Tuple[int, int], ...]
+
+    def __init__(self, coeffs):
+        vars(self).update(coeffs=coeffs)
 
     @classmethod
     def make(cls, dims: Mapping[int, int]) -> "PoincarePolynomial":
@@ -191,13 +195,16 @@ class PoincarePolynomial:
 # -- shift normalization --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ShiftNormalization:
+class ShiftNormalization(Record):
     feasible: bool
     h: int
-    shifts: Optional[Dict[object, int]] = None
-    witness_cycle: Optional[List[object]] = None
-    uses_cycle_extension: bool = False
+    shifts: Optional[Dict[object, int]]
+    witness_cycle: Optional[List[object]]
+    uses_cycle_extension: bool
+
+    def __init__(self, feasible, h, shifts=None, witness_cycle=None, uses_cycle_extension=False):
+        vars(self).update(feasible=feasible, h=h, shifts=shifts, witness_cycle=witness_cycle,
+                          uses_cycle_extension=uses_cycle_extension)
 
 
 def _tree_path(parents: Dict[object, Tuple[object, EdgeData]], x, y) -> List[object]:
@@ -287,12 +294,15 @@ def normalized_edge_degrees(graph: ConfigGraph, shifts: Mapping[object, int]) ->
 # -- sign assignment -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SignAssignment:
+class SignAssignment(Record):
     feasible: bool
-    signs: Optional[Dict[object, int]] = None
-    witness_cycle: Optional[List[object]] = None
-    uses_cycle_extension: bool = False
+    signs: Optional[Dict[object, int]]
+    witness_cycle: Optional[List[object]]
+    uses_cycle_extension: bool
+
+    def __init__(self, feasible, signs=None, witness_cycle=None, uses_cycle_extension=False):
+        vars(self).update(feasible=feasible, signs=signs, witness_cycle=witness_cycle,
+                          uses_cycle_extension=uses_cycle_extension)
 
 
 def sign_assignment(graph: ConfigGraph) -> SignAssignment:

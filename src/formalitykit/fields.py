@@ -14,12 +14,12 @@ entries of the matrices it is given.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
 from .errors import InputValidationError
+from .record import Record
 
 
 def is_prime(n: int) -> bool:
@@ -144,21 +144,21 @@ def _prime_field(p: int) -> PrimeField:
     return PrimeField(p)
 
 
-@dataclass(frozen=True)
-class FieldSpec:
+class FieldSpec(Record):
     """Serializable choice of ground field: the rationals or F_p."""
 
-    kind: str = "rationals"
-    p: Optional[int] = None
+    kind: str
+    p: Optional[int]
 
-    def __post_init__(self):
-        if self.kind == "rationals":
-            if self.p is not None:
+    def __init__(self, kind="rationals", p=None):
+        if kind == "rationals":
+            if p is not None:
                 raise InputValidationError("rationals take no modulus")
-        elif self.kind == "fp":
-            _check_modulus(self.p)
+        elif kind == "fp":
+            _check_modulus(p)
         else:
-            raise InputValidationError(f"unknown field kind {self.kind!r}")
+            raise InputValidationError(f"unknown field kind {kind!r}")
+        vars(self).update(kind=kind, p=p)
 
     def field(self):
         if self.kind == "rationals":

@@ -17,10 +17,10 @@ negative claim.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .errors import InputValidationError
+from .record import Record
 
 CERT_FORMAT = "formalitykit-certificate/1"
 
@@ -29,13 +29,16 @@ INAPPLICABLE = "CriterionInapplicable"
 INCONCLUSIVE = "Inconclusive"
 
 
-@dataclass(frozen=True)
-class FormalityCertificate:
+class FormalityCertificate(Record):
     subject: dict
     verdict: str
     hypotheses: Tuple[dict, ...]
     evidence: Tuple[dict, ...]
-    notes: Tuple[str, ...] = ()
+    notes: Tuple[str, ...]
+
+    def __init__(self, subject, verdict, hypotheses, evidence, notes=()):
+        vars(self).update(subject=subject, verdict=verdict, hypotheses=hypotheses,
+                          evidence=evidence, notes=notes)
 
     def failed_hypotheses(self) -> List[str]:
         return [h["name"] for h in self.hypotheses if not h["ok"]]
@@ -383,11 +386,13 @@ def cy_normalize(n: int, k: int) -> Dict[str, object]:
 # -- independent re-checker ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RecheckReport:
+class RecheckReport(Record):
     ok: bool
     item_results: Tuple[Tuple[int, bool, str], ...]
     messages: Tuple[str, ...]
+
+    def __init__(self, ok, item_results, messages):
+        vars(self).update(ok=ok, item_results=item_results, messages=messages)
 
     def to_json_dict(self) -> dict:
         return {

@@ -2,18 +2,21 @@
 
 An algebra is a labeled homogeneous basis together with an exact
 multiplication table, a unit, and (optionally) a list of orthogonal
-idempotent basis labels spanning the degree zero part. Values are
-immutable after construction and all operations are pure.
+idempotent basis labels spanning the degree zero part. All operations
+are pure. An algebra is immutable after construction: as a
+`record.Record` it refuses attribute assignment, and it holds copies of
+the tables it was given, which no operation changes. Derived data lives
+in a private memo that equality, hashing and repr ignore.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .configurations import ConfigGraph
 from .errors import InputValidationError, ZeroGradedObjectError
 from .fields import FieldSpec, RATIONALS_SPEC
+from .record import Record
 
 Combo = Dict[str, object]  # label -> scalar, absent means zero
 
@@ -44,17 +47,18 @@ def mindeg(x) -> int:
     return min(support)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(Record):
     ok: bool
     violations: Tuple[str, ...]
+
+    def __init__(self, ok, violations):
+        vars(self).update(ok=ok, violations=violations)
 
     def __bool__(self):
         return self.ok
 
 
-@dataclass(frozen=True)
-class GradedAlgebra:
+class GradedAlgebra(Record):
     """Graded algebra by structure constants over an exact field.
 
     mult maps (left label, right label) to a combo dict; missing pairs
@@ -76,24 +80,23 @@ class GradedAlgebra:
     basis: Tuple[Tuple[str, int], ...]
     mult: Mapping[Tuple[str, str], Combo]
     unit: Combo
-    idempotents: Optional[Tuple[str, ...]] = None
-    _memo: Dict[object, object] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    idempotents: Optional[Tuple[str, ...]]
 
-    def __post_init__(self):
-        labels = [lab for lab, _ in self.basis] + [lab for key in self.mult for lab in key]
-        labels += [lab for c in self.mult.values() for lab in c]
-        for lab in labels + [*self.unit, *(self.idempotents or ())]:
+    def __init__(self, field_spec, basis, mult, unit, idempotents=None):
+        labels = [lab for lab, _ in basis] + [lab for key in mult for lab in key]
+        labels += [lab for c in mult.values() for lab in c]
+        for lab in labels + [*unit, *(idempotents or ())]:
             if type(lab) is not str:
                 raise InputValidationError(f"labels must be strings, got {lab!r}")
-        for lab, d in self.basis:
+        for lab, d in basis:
             if type(d) is not int:
                 raise InputValidationError(f"basis entry {lab!r} needs an integer degree, got {d!r}")
-        scalar = self.field_spec.field().scalar
-        mult = {key: {lab: scalar(v) for lab, v in c.items()} for key, c in self.mult.items()}
-        object.__setattr__(self, "mult", mult)
-        object.__setattr__(self, "unit", {lab: scalar(v) for lab, v in self.unit.items()})
+        scalar = field_spec.field().scalar
+        mult = {key: {lab: scalar(v) for lab, v in c.items()} for key, c in mult.items()}
+        unit = {lab: scalar(v) for lab, v in unit.items()}
+        # _memo is no field: equality, hashing and repr ignore it
+        vars(self).update(field_spec=field_spec, basis=basis, mult=mult, unit=unit,
+                          idempotents=idempotents, _memo={})
 
     # -- basic accessors ------------------------------------------------
 

@@ -88,7 +88,6 @@ q can differ from graded HH: HH^{0,1} of k[t]/t^3 with |t| = 1 comes out
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .errors import (
@@ -108,14 +107,14 @@ from .linalg import (
     rref_extend,
     rref_rows,
 )
+from .record import Record
 
 DEFAULT_MAX_WORDS = 2_000_000
 
 MODES = ("relative_normalized", "absolute")
 
 
-@dataclass(frozen=True, eq=False)
-class _Tables:
+class _Tables(Record, eq=False):
     """Integer indexed view of an algebra in one bar complex mode.
 
     Basis label i lies in block (src[i], tgt[i]); letters are the labels
@@ -143,6 +142,10 @@ class _Tables:
     letters: Tuple[int, ...]
     succ: Tuple[Tuple[int, ...], ...]
     slots: Dict[Tuple[int, int, int], Tuple[int, ...]]
+
+    def __init__(self, field, n, degs, src, tgt, mult, labels, letters, succ, slots):
+        vars(self).update(field=field, n=n, degs=degs, src=src, tgt=tgt, mult=mult,
+                          labels=labels, letters=letters, succ=succ, slots=slots)
 
 
 def _require_valid(A: GradedAlgebra):
@@ -389,14 +392,16 @@ def _cut_kernel(cobounds, cut, off: int, field):
     return [{t - off: x for t, x in row.items()} for lead, row in zip(pivots, rows) if lead >= off]
 
 
-@dataclass(frozen=True)
-class HHResult:
+class HHResult(Record):
     p: int
     q: int
     dim: int
     mode: str
     slice_dims: Tuple[int, int, int]  # dims of C^(p-1), C^p, C^(p+1)
-    cocycles: Optional[tuple] = None
+    cocycles: Optional[tuple]
+
+    def __init__(self, p, q, dim, mode, slice_dims, cocycles=None):
+        vars(self).update(p=p, q=q, dim=dim, mode=mode, slice_dims=slice_dims, cocycles=cocycles)
 
 
 def _tables(A: GradedAlgebra, mode: str) -> _Tables:
@@ -568,8 +573,7 @@ def bar_chain_slice(A: GradedAlgebra, p: int, q: int):
 # -- periodic resolutions -----------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class PeriodicResolutionSpec:
+class PeriodicResolutionSpec(Record, eq=False):
     """Free resolution data: term shifts s_0..s_L and multipliers mu_1..mu_L.
 
     Term j is the free rank one module over the enveloping algebra shifted
@@ -580,9 +584,10 @@ class PeriodicResolutionSpec:
     shifts: Tuple[int, ...]
     multipliers: Tuple[Tuple[Tuple[str, str, object], ...], ...]
 
-    def __post_init__(self):
-        if len(self.multipliers) != len(self.shifts) - 1:
+    def __init__(self, shifts, multipliers):
+        if len(multipliers) != len(shifts) - 1:
             raise InputValidationError("need one multiplier per consecutive shift pair")
+        vars(self).update(shifts=shifts, multipliers=multipliers)
 
     def length(self) -> int:
         return len(self.multipliers)

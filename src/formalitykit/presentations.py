@@ -38,7 +38,6 @@ reference the tests compare tor_term with; tor_term does not reach them.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .configurations import ConfigGraph, PoincarePolynomial
@@ -47,20 +46,22 @@ from .fields import FieldSpec, RATIONALS_SPEC
 from .graded import _check_configuration
 from .groebner import Word, _morse_tor, _tor_degree_cap, _window_maxdeg
 from .linalg import SparseRow, row_space_basis, rref_extend, subspace_meet
+from .record import Record
 BlockKey = Tuple[int, int, int]  # (degree, src, tgt)
 Blocks = Dict[BlockKey, List[SparseRow]]
 
 
-@dataclass(frozen=True)
-class Generator:
+class Generator(Record):
     label: str
     src: int  # 1 based vertex index
     tgt: int
     deg: int
 
+    def __init__(self, label, src, tgt, deg):
+        vars(self).update(label=label, src=src, tgt=tgt, deg=deg)
 
-@dataclass(frozen=True)
-class TensorPresentation:
+
+class TensorPresentation(Record):
     """T(V)/I data: generators on a quiver, relations, truncation bound.
 
     Words are tuples of generator labels in composition order: (x, y)
@@ -77,21 +78,22 @@ class TensorPresentation:
     generators: Tuple[Generator, ...]
     relations: Tuple[Tuple[Tuple[Word, object], ...], ...]
     truncation: int
-    field_spec: FieldSpec = RATIONALS_SPEC
+    field_spec: FieldSpec
 
-    def __post_init__(self):
-        ints = [("vertices", self.num_vertices), ("truncation", self.truncation)]
-        for g in self.generators:
+    def __init__(self, num_vertices, generators, relations, truncation, field_spec=RATIONALS_SPEC):
+        ints = [("vertices", num_vertices), ("truncation", truncation)]
+        for g in generators:
             if type(g.label) is not str:
                 raise InputValidationError(f"generator label must be a string, got {g.label!r}")
             ints += [(f"generator {g.label} {key}", getattr(g, key)) for key in ("src", "tgt", "deg")]
         for name, value in ints:
             if type(value) is not int:
                 raise InputValidationError(f"{name} must be an integer, got {value!r}")
-        scalar = self.field_spec.field().scalar
+        scalar = field_spec.field().scalar
         relations = tuple(tuple((_label_word(word), scalar(c)) for word, c in rel)
-                          for rel in self.relations)
-        object.__setattr__(self, "relations", relations)
+                          for rel in relations)
+        vars(self).update(num_vertices=num_vertices, generators=generators, relations=relations,
+                          truncation=truncation, field_spec=field_spec)
         if self.num_vertices < 1:
             raise InputValidationError("need at least one vertex")
         labels = [g.label for g in self.generators]
@@ -229,8 +231,7 @@ def word_basis(pres: TensorPresentation, d: int):
     return list(_context(pres).words(d))
 
 
-@dataclass(frozen=True)
-class HomogeneousIdeal:
+class HomogeneousIdeal(Record):
     """Degreewise, blockwise exact subspaces of the truncated word spaces.
 
     Each block holds its subspace as sparse rows over the block's word
@@ -242,6 +243,9 @@ class HomogeneousIdeal:
 
     pres: TensorPresentation
     blocks: Tuple[Tuple[BlockKey, Tuple[SparseRow, ...]], ...]
+
+    def __init__(self, pres, blocks):
+        vars(self).update(pres=pres, blocks=blocks)
 
     @classmethod
     def from_block_dict(cls, pres, block_dict: Mapping[BlockKey, Sequence[SparseRow]]):

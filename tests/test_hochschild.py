@@ -307,6 +307,12 @@ def test_resolution_slices_check_their_spec_once(monkeypatch):
     # the memo is per algebra: an equal algebra checks the spec again
     hh_resolution(truncated_poly(2, 1), spec, 1, 0)
     assert runs == [spec, spec]
+    # and per spec object, since specs compare by identity: so does an equal spec
+    twin = periodic_spec_truncated_poly(2, 1, 6)
+    assert twin != spec
+    hh_resolution(A, twin, 1, 0)
+    hh_resolution(A, twin, 2, 0)
+    assert runs == [spec, spec, twin] and runs[2] is twin
 
 
 def test_non_exact_spec_is_refused_on_every_call(monkeypatch):

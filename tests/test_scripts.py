@@ -1,6 +1,7 @@
-import dataclasses
 import importlib.util
 import os
+
+from formalitykit import RecheckReport
 
 SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts")
 
@@ -57,7 +58,7 @@ def test_certificate_tables_exit_one_when_a_replay_fails(monkeypatch, capsys):
     def fail_spherical(cert):
         report = real(cert)
         spherical = cert.subject["family"] == "spherical_config"
-        return dataclasses.replace(report, ok=False) if spherical else report
+        return RecheckReport(False, report.item_results, report.messages) if spherical else report
 
     monkeypatch.setattr(tables, "verify_certificate", fail_spherical)
     monkeypatch.setattr("sys.argv", ["certificate_tables.py", "--nmax", "1", "--kmax", "2"])
