@@ -6,6 +6,12 @@ problems, 3 for resource cap refusals. Reports echo the tool version and
 the full input for reproducibility; identical inputs produce byte
 identical output (keys sorted, canonical rational strings, no
 timestamps).
+
+The computational modules are bound as the package root's lazy modules
+and called through them (`hochschild.hh_bar(...)`), so importing this
+module and building the parser execute only the root, this module and
+`errors`, and each command executes only the modules it calls: `certify`
+runs `formality`, `tor` the Gröbner route, and a usage error none.
 """
 
 from __future__ import annotations
@@ -17,27 +23,8 @@ import math
 import sys
 from typing import List
 
-from . import __version__
-from .configurations import (
-    ConfigGraph,
-    PoincarePolynomial,
-    kunneth_hom,
-    normalize_shifts,
-    sign_assignment,
-)
-from .errors import InputValidationError, ResourceCapError
-from .fields import FieldSpec
-from .formality import (
-    FormalityCertificate,
-    certify_config_pn,
-    certify_config_spherical,
-    certify_single,
-    cy_normalize,
-    verify_certificate,
-)
-from .graded import algebra_from_json_dict, algebra_to_json_dict, build_configuration_algebra
-from .hochschild import DEFAULT_MAX_WORDS, hh_bar, kadeishvili_scan
-from .presentations import presentation_from_json_dict, tor_term
+from . import __version__, configurations, fields, formality, graded, hochschild, presentations
+from .errors import DEFAULT_MAX_WORDS, InputValidationError, ResourceCapError
 
 MODE_NAMES = {"relative": "relative_normalized", "absolute": "absolute"}
 
@@ -319,9 +306,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_hh(args):
     data = _load_json(args.algebra)
-    A = algebra_from_json_dict(data)
+    A = graded.algebra_from_json_dict(data)
     mode = MODE_NAMES[args.mode]
-    res = hh_bar(
+    res = hochschild.hh_bar(
         A, args.p, args.q, mode=mode, want_cocycles=args.cocycles,
         max_words=args.max_words,
     )
@@ -344,8 +331,10 @@ def _cmd_hh(args):
 
 def _cmd_scan(args):
     data = _load_json(args.algebra)
-    A = algebra_from_json_dict(data)
-    table = kadeishvili_scan(A, args.qmax, mode=MODE_NAMES[args.mode], max_words=args.max_words)
+    A = graded.algebra_from_json_dict(data)
+    table = hochschild.kadeishvili_scan(
+        A, args.qmax, mode=MODE_NAMES[args.mode], max_words=args.max_words
+    )
     result = {
         "qmax": args.qmax,
         "table": [{"q": q, "dim": table[q]} for q in sorted(table)],
@@ -358,12 +347,12 @@ def _cmd_scan(args):
 
 def _cmd_tor(args):
     data = _load_json(args.pres)
-    pres = presentation_from_json_dict(data)
+    pres = presentations.presentation_from_json_dict(data)
     if pres.truncation > args.max_truncation:
         raise ResourceCapError(
             f"presentation truncation {pres.truncation} exceeds the cap {args.max_truncation}"
         )
-    space = tor_term(pres, args.q)
+    space = presentations.tor_term(pres, args.q)
     result = {
         "q": args.q,
         "dims": [{"degree": d, "dim": n} for d, n in sorted(space.dims().items())],
@@ -375,13 +364,13 @@ def _cmd_tor(args):
 
 def _cmd_certify(args):
     if args.family == "single":
-        cert = certify_single(args.n, args.k)
+        cert = formality.certify_single(args.n, args.k)
         echo = {"family": "single", "n": args.n, "k": args.k}
     elif args.family == "pn-config":
-        cert = certify_config_pn(args.n, args.k, args.h)
+        cert = formality.certify_config_pn(args.n, args.k, args.h)
         echo = {"family": "pn-config", "n": args.n, "k": args.k, "h": args.h}
     else:
-        cert = certify_config_spherical(args.k, args.hmin, args.hmax)
+        cert = formality.certify_config_spherical(args.k, args.hmin, args.hmax)
         echo = {"family": "spherical", "k": args.k, "hmin": args.hmin, "hmax": args.hmax}
     return _report("certify", echo, cert.to_json_dict())
 
@@ -390,15 +379,15 @@ def _cmd_recheck(args):
     data = _load_json(args.cert)
     if isinstance(data, dict) and "result" in data and "format" not in data:
         data = data["result"]  # accept a whole certify report
-    cert = FormalityCertificate.from_json_dict(data)
-    report = verify_certificate(cert)
+    cert = formality.FormalityCertificate.from_json_dict(data)
+    report = formality.verify_certificate(cert)
     return _report("recheck", {"cert": data}, report.to_json_dict())
 
 
 def _cmd_normalize(args):
     gdata = _load_json(args.graph)
-    graph = ConfigGraph.from_json_dict(gdata)
-    res = normalize_shifts(graph, args.nk)
+    graph = configurations.ConfigGraph.from_json_dict(gdata)
+    res = configurations.normalize_shifts(graph, args.nk)
     result = {"feasible": res.feasible, "h": res.h}
     if res.feasible:
         result["shifts"] = {str(v): s for v, s in sorted(res.shifts.items(), key=lambda kv: str(kv[0]))}
@@ -411,8 +400,8 @@ def _cmd_normalize(args):
 
 def _cmd_signs(args):
     gdata = _load_json(args.graph)
-    graph = ConfigGraph.from_json_dict(gdata)
-    res = sign_assignment(graph)
+    graph = configurations.ConfigGraph.from_json_dict(gdata)
+    res = configurations.sign_assignment(graph)
     result = {"feasible": res.feasible}
     if res.feasible:
         result["signs"] = {str(v): s for v, s in sorted(res.signs.items(), key=lambda kv: str(kv[0]))}
@@ -424,10 +413,12 @@ def _cmd_signs(args):
 
 
 def _cmd_kunneth(args):
-    field_spec = FieldSpec.parse(args.field)
+    field_spec = fields.FieldSpec.parse(args.field)
     pdata = _load_json(args.poincare)
-    poly = PoincarePolynomial.from_json_dict(pdata)
-    out = kunneth_hom(poly, args.n, same_linearization=args.same, field_spec=field_spec)
+    poly = configurations.PoincarePolynomial.from_json_dict(pdata)
+    out = configurations.kunneth_hom(
+        poly, args.n, same_linearization=args.same, field_spec=field_spec
+    )
     result = {
         "n": args.n,
         "same_linearization": bool(args.same),
@@ -439,13 +430,13 @@ def _cmd_kunneth(args):
 
 
 def _cmd_build_config(args):
-    field_spec = FieldSpec.parse(args.field)
+    field_spec = fields.FieldSpec.parse(args.field)
     gdata = _load_json(args.graph)
-    graph = ConfigGraph.from_json_dict(gdata)
-    A = build_configuration_algebra(graph, args.n, args.k, args.h, args.preset, field_spec)
+    graph = configurations.ConfigGraph.from_json_dict(gdata)
+    A = graded.build_configuration_algebra(graph, args.n, args.k, args.h, args.preset, field_spec)
     echo = {"graph": gdata, "n": args.n, "k": args.k, "h": args.h, "preset": args.preset,
             "field": field_spec.tag()}
-    return _report("build-config", echo, {"algebra": algebra_to_json_dict(A)})
+    return _report("build-config", echo, {"algebra": graded.algebra_to_json_dict(A)})
 
 
 def _cmd_sweep(args):
@@ -465,7 +456,7 @@ def _cmd_sweep(args):
                     row["h"] = h
                     row["gcd_ok"] = None
                 elif (n * k) % 2 == 0:
-                    norm = cy_normalize(n, k)
+                    norm = formality.cy_normalize(n, k)
                     h = norm["h"]
                     row["h"] = h
                     row["gcd_ok"] = norm["gcd_ok"]
@@ -476,14 +467,14 @@ def _cmd_sweep(args):
                     )
                     rows.append(row)
                     continue
-                cert = certify_config_pn(n, k, h)
+                cert = formality.certify_config_pn(n, k, h)
                 row["verdict"] = cert.verdict
                 row["failed_hypotheses"] = cert.failed_hypotheses()
                 rows.append(row)
         echo = {"grid": "pn", "n": args.n, "k": args.k, "h": args.h}
     else:
         for k in sorted(_parse_int_list(args.k, "--k")):
-            cert = certify_config_spherical(k, k // 2, k)
+            cert = formality.certify_config_spherical(k, k // 2, k)
             rows.append(
                 {
                     "k": k,

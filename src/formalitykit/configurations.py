@@ -132,6 +132,21 @@ class ConfigGraph(Record):
         return cls.make(data["vertices"], data["edges"])
 
 
+def _check_configuration(n: int, k: int, h: int, preset) -> None:
+    """The parameters both configuration builders refuse: n, k, h >= 1,
+    and for the zigzag preset k | 2h and 2h/k = n. Its relations give
+    t_i^(2h/k + 1) = (a_ji a_ij) t_i = a_ji (a_ij t_i) = 0. With 2h/k < n
+    they would present a smaller algebra than the table, which keeps
+    t_i^(2h/k + 1) non-zero and so is not associative; with 2h/k > n the
+    table has no t_i^(2h/k)."""
+    if n < 1 or k < 1 or h < 1:
+        raise InputValidationError("configuration algebra needs n, k, h >= 1")
+    if preset == "zigzag" and ((2 * h) % k != 0 or (2 * h) // k != n):
+        raise InputValidationError(
+            f"zigzag preset needs k | 2h and 2h/k = n (n={n}, k={k}, h={h})"
+        )
+
+
 class PoincarePolynomial(Record):
     """Finite support degree -> dimension table."""
 

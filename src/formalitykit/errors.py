@@ -1,4 +1,5 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the default of the one
+resource cap the command line parser needs before any computation runs."""
 
 
 class InputValidationError(ValueError):
@@ -7,6 +8,10 @@ class InputValidationError(ValueError):
 
 class ResourceCapError(RuntimeError):
     """A computation would exceed a configured resource cap."""
+
+
+# words of one cochain slice that hochschild enumerates before it refuses
+DEFAULT_MAX_WORDS = 2_000_000
 
 
 class TruncationError(InputValidationError):

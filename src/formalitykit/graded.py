@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .configurations import ConfigGraph
+from .configurations import ConfigGraph, _check_configuration
 from .errors import InputValidationError, ZeroGradedObjectError
 from .fields import FieldSpec, RATIONALS_SPEC
 from .record import Record
@@ -383,21 +383,6 @@ def _config_labels(m: int):
     return e, t, a
 
 
-def _check_configuration(n: int, k: int, h: int, preset) -> None:
-    """The parameters both configuration builders refuse: n, k, h >= 1,
-    and for the zigzag preset k | 2h and 2h/k = n. Its relations give
-    t_i^(2h/k + 1) = (a_ji a_ij) t_i = a_ji (a_ij t_i) = 0. With 2h/k < n
-    they would present a smaller algebra than the table, which keeps
-    t_i^(2h/k + 1) non-zero and so is not associative; with 2h/k > n the
-    table has no t_i^(2h/k)."""
-    if n < 1 or k < 1 or h < 1:
-        raise InputValidationError("configuration algebra needs n, k, h >= 1")
-    if preset == "zigzag" and ((2 * h) % k != 0 or (2 * h) // k != n):
-        raise InputValidationError(
-            f"zigzag preset needs k | 2h and 2h/k = n (n={n}, k={k}, h={h})"
-        )
-
-
 def build_configuration_algebra(
     graph: ConfigGraph,
     n: int,
@@ -413,7 +398,7 @@ def build_configuration_algebra(
     edge. Arrow times loop products vanish in both presets. The preset
     fixes arrow compositions; 'orthogonal' kills them all, 'zigzag' sets
     a_ji a_ij = t_i^(2h/k) and kills paths through distinct vertices, and
-    needs 2h/k = n (see _check_configuration). An explicit mapping
+    needs 2h/k = n (see configurations._check_configuration). An explicit mapping
     {(x_label, y_label): combo} may be given instead.
     The result is machine validated before it is returned.
     """

@@ -91,6 +91,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from .errors import (
+    DEFAULT_MAX_WORDS,
     InputValidationError,
     NonExactResolutionError,
     ResourceCapError,
@@ -108,8 +109,6 @@ from .linalg import (
     rref_rows,
 )
 from .record import Record
-
-DEFAULT_MAX_WORDS = 2_000_000
 
 MODES = ("relative_normalized", "absolute")
 

@@ -40,10 +40,9 @@ from __future__ import annotations
 import functools
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .configurations import ConfigGraph, PoincarePolynomial
+from .configurations import ConfigGraph, PoincarePolynomial, _check_configuration
 from .errors import InputValidationError, TruncationError
 from .fields import FieldSpec, RATIONALS_SPEC
-from .graded import _check_configuration
 from .groebner import Word, _morse_tor, _tor_degree_cap, _window_maxdeg
 from .linalg import SparseRow, row_space_basis, rref_extend, subspace_meet
 from .record import Record
@@ -651,7 +650,7 @@ def configuration_presentation(
 
     It refuses the parameters the table builder refuses: n, k, h >= 1, and
     for the zigzag preset k | 2h and 2h/k = n (see
-    graded._check_configuration)."""
+    configurations._check_configuration)."""
     if preset not in ("orthogonal", "zigzag"):
         raise InputValidationError(f"unknown preset {preset!r}")
     _check_configuration(n, k, h, preset)
