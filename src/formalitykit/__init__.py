@@ -28,22 +28,21 @@ _EXPORTS = {
     name: module
     for module, names in (
         ("errors", ("DEFAULT_MAX_WORDS", "InputValidationError", "NonExactResolutionError",
-                    "ResourceCapError", "TruncationError", "ZeroGradedObjectError")),
+                    "ResourceCapError", "TruncationError")),
         ("fields", ("FieldSpec", "PrimeField", "Rationals", "RATIONALS", "RATIONALS_SPEC")),
         ("configurations", ("ConfigGraph", "EdgeData", "PoincarePolynomial", "graded_power",
                             "kunneth_hom", "normalize_shifts", "normalized_edge_degrees",
                             "sign_assignment")),
         ("graded", ("GradedAlgebra", "algebra_from_json_dict", "algebra_to_json_dict",
                     "block_structure", "build_configuration_algebra", "detect_idempotents",
-                    "maxdeg", "mindeg", "truncated_poly", "validate")),
+                    "truncated_poly", "validate")),
         ("hochschild", ("HHResult", "PeriodicResolutionSpec", "bar_chain_slice", "cochain_dim",
                         "hh_bar", "hh_resolution", "kadeishvili_scan",
                         "nonempty_internal_degrees", "periodic_spec_truncated_poly",
                         "validate_periodic_spec")),
         ("presentations", ("Generator", "TensorPresentation", "configuration_presentation",
-                           "mindeg_bound", "presentation_from_json_dict",
-                           "presentation_to_json_dict", "single_generator_presentation",
-                           "tor_term")),
+                           "presentation_from_json_dict", "presentation_to_json_dict",
+                           "single_generator_presentation", "tor_term")),
         ("formality", ("FormalityCertificate", "RecheckReport", "certify_config_pn",
                        "certify_config_spherical", "certify_single", "cy_normalize",
                        "verify_certificate")),

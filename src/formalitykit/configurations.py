@@ -8,9 +8,10 @@ realizing the equivariant Kunneth formula.
 
 from __future__ import annotations
 
+from math import comb
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .errors import InputValidationError
+from .errors import InputValidationError, ResourceCapError
 from .fields import FieldSpec
 from .record import Record
 
@@ -39,6 +40,13 @@ class ConfigGraph(Record):
             raise InputValidationError("vertices must be scalars") from None
         if len(seen) != len(vertices):
             raise InputValidationError("duplicate vertices")
+        # reports key vertices by their text, so two that print alike
+        # would share one entry
+        printed = {}
+        for v in vertices:
+            twin = printed.setdefault(str(v), v)
+            if twin is not v:
+                raise InputValidationError(f"vertices {twin!r} and {v!r} print alike")
         pairs = set()
         for e in edges:
             try:
@@ -185,9 +193,6 @@ class PoincarePolynomial(Record):
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def degree_support(self):
-        return self.degrees()
 
     def to_json_dict(self) -> dict:
         return {"components": [{"degree": d, "dim": n} for d, n in self.coeffs]}
@@ -338,6 +343,10 @@ def sign_assignment(graph: ConfigGraph) -> SignAssignment:
 # -- Koszul signed powers ---------------------------------------------------
 
 
+# the largest power index graded_power computes; its z-series has n + 1 terms
+MAX_POWER = 1000
+
+
 def _zpoly_mul(a: List[Dict[int, int]], b: List[Dict[int, int]], n: int) -> List[Dict[int, int]]:
     """Multiply polynomials in z (listed by z degree, truncated at n) whose
     coefficients are degree -> dimension tables."""
@@ -365,9 +374,13 @@ def graded_power(
 
     Under the symmetric power, even degree generators multiply freely and
     odd degree generators square to zero; the exterior power swaps the two
-    behaviours. Computed by extracting the z^n coefficient of the product
-    of per generator series. S^0 and Lambda^0 are one dimension in degree
-    zero.
+    behaviours. The power is the z^n coefficient of the product of one
+    series per degree m of P, in closed form for its multiplicity r: the
+    free generators give sum_j C(r + j - 1, j) z^j t^(mj), the square-zero
+    ones sum_j C(r, j) z^j t^(mj), the product of r copies of 1/(1 - z t^m)
+    or of 1 + z t^m. So the cost follows the number of degrees of P, not
+    the multiplicities. S^0 and Lambda^0 are one dimension in degree zero.
+    An index above MAX_POWER is refused before anything is allocated.
     """
     if n < 0:
         raise InputValidationError("power index must be >= 0")
@@ -377,16 +390,16 @@ def graded_power(
         raise InputValidationError(
             f"graded powers need characteristic 0 or p > n (got p = {field_spec.p}, n = {n})"
         )
+    if n > MAX_POWER:
+        raise ResourceCapError(f"power index n = {n} exceeds the cap of {MAX_POWER}")
     acc: List[Dict[int, int]] = [dict() for _ in range(n + 1)]
     acc[0] = {0: 1}
     for m, mult in P.dims().items():
         free = (m % 2 == 0) if kind == "symmetric" else (m % 2 == 1)
-        if free:
-            single = [{m * j: 1} for j in range(n + 1)]
-        else:
-            single = [{0: 1}, {m: 1}] + [dict() for _ in range(n - 1)]
-        for _ in range(mult):
-            acc = _zpoly_mul(acc, single, n)
+        top = n if free else min(n, mult)
+        series = [{m * j: comb(mult + j - 1, j) if free else comb(mult, j)}
+                  for j in range(top + 1)]
+        acc = _zpoly_mul(acc, series, n)
     return PoincarePolynomial.make(acc[n])
 
 

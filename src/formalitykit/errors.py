@@ -18,10 +18,6 @@ class TruncationError(InputValidationError):
     """A truncated computation cannot answer exactly; increase truncation."""
 
 
-class ZeroGradedObjectError(InputValidationError):
-    """An extreme degree of the zero object was requested."""
-
-
 class NonExactResolutionError(InputValidationError):
     """A supplied resolution failed its exactness check."""
 

@@ -89,6 +89,22 @@ def _affine_at(a: dict, p: int) -> int:
     return a["slope"] * p + a["intercept"]
 
 
+def _tor_mindeg_bound(parity: str, mu: int, nu: int) -> dict:
+    """The rhs of a DegreeBound item: a lower bound on mindeg Tor_q(R,R),
+    affine in p, from mindeg(I) >= mu and mindeg(J) >= nu, where I is the
+    ideal of the relations and J = T(V)+. It is p mu for q = 2p ("even")
+    and p mu + nu for q = 2p + 1 ("odd"), and it needs mu >= 2 nu >= 2.
+
+    By Butler-King (J. Algebra 212 (1999)), Tor_(2p) is a subquotient of
+    I^p meet J I^(p-1) J and Tor_(2p+1) one of J I^p meet I^p J. So
+    mindeg Tor_(2p+1) >= p mu + nu, and mindeg Tor_(2p) >= max(p mu,
+    2 nu + (p-1) mu), where mu >= 2 nu gives 2 nu + (p-1) mu <= mu +
+    (p-1) mu = p mu: the even bound is p mu. Both certificate families
+    check the precondition among their hypotheses before they call this.
+    verify_certificate keeps its own copy of the two affines."""
+    return _affine(mu, nu if parity == "odd" else 0)
+
+
 def _degree_bound_item(parity, p_min, lhs, rhs, chain_exprs, chain_values, relations):
     lhs_at = _affine_at(lhs, p_min)
     rhs_at = _affine_at(rhs, p_min)
@@ -263,7 +279,7 @@ def certify_config_pn(n: int, k: int, h: int) -> FormalityCertificate:
         "even",
         2,
         _affine(2, band - 2),
-        _affine(h + k, 0),
+        _tor_mindeg_bound("even", h + k, k),
         ["maxdeg(A)+q-2", "2h+2p-2", "ph+2p", "p(h+k)"],
         [band + 2 * p - 2, 2 * h + 2 * p - 2, p * h + 2 * p, p * (h + k)],
         ["<=", "<", "<="],
@@ -272,7 +288,7 @@ def certify_config_pn(n: int, k: int, h: int) -> FormalityCertificate:
         "odd",
         2,
         _affine(2, band - 1),
-        _affine(h + k, k),
+        _tor_mindeg_bound("odd", h + k, k),
         ["maxdeg(A)+q-2", "2h+2p-1", "ph+2p", "p(h+k)+k"],
         [band + 2 * p - 1, 2 * h + 2 * p - 1, p * h + 2 * p, p * (h + k) + k],
         ["<=", "<", "<"],
@@ -332,7 +348,7 @@ def certify_config_spherical(k: int, h_min: int, h_max: int) -> FormalityCertifi
         "even",
         2,
         _affine(2, k - 2),
-        _affine(2 * h, 0),
+        _tor_mindeg_bound("even", 2 * h, h),
         ["maxdeg(A)+q-2", "2h+2p-1", "2h+2p", "2ph"],
         [k + 2 * p - 2, 2 * h + 2 * p - 1, 2 * h + 2 * p, 2 * p * h],
         ["<=", "<", "<="],
@@ -342,7 +358,7 @@ def certify_config_spherical(k: int, h_min: int, h_max: int) -> FormalityCertifi
         "odd",
         1,
         _affine(2, k - 1),
-        _affine(2 * h, h),
+        _tor_mindeg_bound("odd", 2 * h, h),
         ["maxdeg(A)+q-2", "2h+2p", "2ph+h"],
         [k + 2 * p - 1, 2 * h + 2 * p, 2 * p * h + h],
         ["<=", "<"],
@@ -354,7 +370,7 @@ def certify_config_spherical(k: int, h_min: int, h_max: int) -> FormalityCertifi
             "odd",
             2,
             _affine(2, k - 1),
-            _affine(2 * h, h),
+            _tor_mindeg_bound("odd", 2 * h, h),
             ["maxdeg(A)+q-2", "2h+2p", "2ph+h"],
             [k + 2 * p - 1, 2 * h + 2 * p, 2 * p * h + h],
             ["<=", "<"],

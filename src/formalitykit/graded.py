@@ -14,37 +14,11 @@ from __future__ import annotations
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .configurations import ConfigGraph, _check_configuration
-from .errors import InputValidationError, ZeroGradedObjectError
+from .errors import InputValidationError
 from .fields import FieldSpec, RATIONALS_SPEC
 from .record import Record
 
 Combo = Dict[str, object]  # label -> scalar, absent means zero
-
-
-def _degree_support(x) -> List[int]:
-    if isinstance(x, GradedAlgebra):
-        return sorted({d for _, d in x.basis})
-    if isinstance(x, Mapping):
-        return sorted(d for d, n in x.items() if n)
-    if hasattr(x, "degree_support"):
-        return sorted(x.degree_support())
-    raise InputValidationError(f"no graded support for {type(x).__name__}")
-
-
-def maxdeg(x) -> int:
-    """Largest degree carrying a nonzero homogeneous element."""
-    support = _degree_support(x)
-    if not support:
-        raise ZeroGradedObjectError("maxdeg of the zero object")
-    return max(support)
-
-
-def mindeg(x) -> int:
-    """Smallest degree carrying a nonzero homogeneous element."""
-    support = _degree_support(x)
-    if not support:
-        raise ZeroGradedObjectError("mindeg of the zero object")
-    return min(support)
 
 
 class ValidationReport(Record):
@@ -56,6 +30,14 @@ class ValidationReport(Record):
 
     def __bool__(self):
         return self.ok
+
+    def raise_if_invalid(self, what: str = "algebra") -> None:
+        """The one refusal of an algebra that failed validation, at every
+        boundary that takes one: it names the first eight violations."""
+        if not self.ok:
+            raise InputValidationError(
+                f"{what} failed validation: " + "; ".join(self.violations[:8])
+            )
 
 
 class GradedAlgebra(Record):
@@ -115,43 +97,6 @@ class GradedAlgebra(Record):
             out[d] = out.get(d, 0) + 1
         return out
 
-    # -- arithmetic on combos -------------------------------------------
-
-    def product_labels(self, x: str, y: str) -> Combo:
-        return dict(self.mult.get((x, y), {}))
-
-    def combo_add(self, c1: Combo, c2: Combo) -> Combo:
-        f = self.field_spec.field()
-        out = dict(c1)
-        for lab, v in c2.items():
-            s = f.scalar(out.get(lab, 0) + v)
-            if s:
-                out[lab] = s
-            else:
-                out.pop(lab, None)
-        return out
-
-    def combo_mul(self, c1: Combo, c2: Combo) -> Combo:
-        f = self.field_spec.field()
-        out: Combo = {}
-        for x, vx in c1.items():
-            for y, vy in c2.items():
-                coeff = f.scalar(vx * vy)
-                if not coeff:
-                    continue
-                for lab, v in self.product_labels(x, y).items():
-                    s = f.scalar(out.get(lab, 0) + coeff * v)
-                    if s:
-                        out[lab] = s
-                    else:
-                        out.pop(lab, None)
-        return out
-
-    def combo_eq(self, c1: Combo, c2: Combo) -> bool:
-        f = self.field_spec.field()
-        labels = set(c1) | set(c2)
-        return all(not f.scalar(c1.get(l, 0) - c2.get(l, 0)) for l in labels)
-
     def is_nonneg_graded(self) -> bool:
         return all(d >= 0 for _, d in self.basis)
 
@@ -164,12 +109,12 @@ def validate(A: GradedAlgebra) -> ValidationReport:
     and kept in its memo; the algebra cannot change after construction.
 
     Every check reads table entries in plain arithmetic and tests the
-    result for zero in the field; nothing goes through combo_mul. Grading
-    costs one step per table term; the unit laws one lookup per basis
-    label and unit term; the idempotent checks one lookup per pair of
-    idempotents; associativity one step per term product of the triples
-    it tries, which are only those where (xy)z or x(yz) can be non-zero
-    (see _associativity_violations). No check costs the cube of the basis.
+    result for zero in the field. Grading costs one step per table term;
+    the unit laws one lookup per basis label and unit term; the idempotent
+    checks one lookup per pair of idempotents; associativity one step per
+    term product of the triples it tries, which are only those where (xy)z
+    or x(yz) can be non-zero (see _associativity_violations). No check
+    costs the cube of the basis.
     """
     report = A._memo.get("validation")
     if report is None:
@@ -461,11 +406,7 @@ def build_configuration_algebra(
 
     unit = {e(i): one for i in range(m)}
     A = GradedAlgebra(field_spec, tuple(basis), mult, unit, tuple(e(i) for i in range(m)))
-    report = validate(A)
-    if not report.ok:
-        raise InputValidationError(
-            "configuration algebra failed validation: " + "; ".join(report.violations[:8])
-        )
+    validate(A).raise_if_invalid("configuration algebra")
     return A
 
 
@@ -532,7 +473,5 @@ def algebra_from_json_dict(data: dict) -> GradedAlgebra:
         raise InputValidationError(f"bad unit entry: {exc}") from None
     idempotents = tuple(data["idempotents"]) if "idempotents" in data else None
     A = GradedAlgebra(field_spec, basis, mult, unit, idempotents)
-    report = validate(A)
-    if not report.ok:
-        raise InputValidationError("algebra failed validation: " + "; ".join(report.violations[:8]))
+    validate(A).raise_if_invalid()
     return A

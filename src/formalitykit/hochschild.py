@@ -147,20 +147,12 @@ class _Tables(Record, eq=False):
                           labels=labels, letters=letters, succ=succ, slots=slots)
 
 
-def _require_valid(A: GradedAlgebra):
-    report = validate(A)
-    if not report.ok:
-        raise InputValidationError(
-            "algebra failed validation: " + "; ".join(report.violations[:6])
-        )
-
-
 def _prepare(A: GradedAlgebra, mode: str) -> GradedAlgebra:
     """A validated; in relative mode with its idempotents detected when
     none were given, and checked to be non-negatively graded."""
     if mode not in MODES:
         raise InputValidationError(f"unknown mode {mode!r}")
-    _require_valid(A)
+    validate(A).raise_if_invalid()
     if mode == "relative_normalized":
         if A.idempotents is None:
             detected = detect_idempotents(A)
@@ -657,7 +649,7 @@ def validate_periodic_spec(A: GradedAlgebra, spec: PeriodicResolutionSpec) -> Pe
 
 
 def _check_periodic_spec(A: GradedAlgebra, spec: PeriodicResolutionSpec) -> PeriodicResolutionSpec:
-    _require_valid(A)
+    validate(A).raise_if_invalid()
     f = A.field_spec.field()
     spec = PeriodicResolutionSpec(
         spec.shifts,

@@ -293,7 +293,9 @@ def mul_rows(a, b, field):
 
 def row_space_basis(rows, field):
     """Canonical (RREF) basis of the span of the rows, sorted by pivot
-    column."""
+    column. Only `presentations.ideal_product`, which no command calls,
+    and the tests call it; it stays because `perfbench/spans.py` binds it
+    by name and raises RuntimeError when it is missing."""
     return rref_rows(rows, field)[1]
 
 
@@ -354,6 +356,10 @@ def subspace_meet(U, W, field):
     with a pivot in the right copy; those right halves are already the
     meet's RREF. The right copy starts at 1 + the largest column present:
     any offset past every column of U and W works.
+
+    Only `presentations.ideal_meet`, which no command calls, and the tests
+    call it; it stays because `perfbench/spans.py` binds it by name and
+    raises RuntimeError when it is missing.
     """
     if not U or not W:
         return []
@@ -364,7 +370,9 @@ def subspace_meet(U, W, field):
 
 
 def quotient_dim(U, W, field) -> int:
-    """dim(span(U)/span(W)); requires span(W) ⊆ span(U)."""
+    """dim(span(U)/span(W)); requires span(W) ⊆ span(U). No module of the
+    package calls it; it stays because `perfbench/spans.py` binds it by
+    name and raises RuntimeError when it is missing."""
     basis = dict(_eliminate(U, field, True))
     if any(_reduce(w, basis, field) for w in W):
         raise InputValidationError("W is not contained in U")

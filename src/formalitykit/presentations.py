@@ -30,9 +30,12 @@ tails, so no S-polynomial is formed and the differential is 0: there
 Tor_q is the chain count (Green-Happel-Zacharia, Illinois J. Math. 29
 (1985)).
 
-The Butler-King description of Tor by ideal arithmetic (Butler-King, J.
-Algebra 212 (1999)) and the ideal engine under it stay here as the
-reference the tests compare tor_term with; tor_term does not reach them.
+The ideal engine below (HomogeneousIdeal, the closure of the relations,
+ideal_from_relations, ideal_product and ideal_meet) is not on tor_term's
+route. It stays because the benchmark's tracer (perfbench/spans.py) binds
+those three functions by name and refuses to run when one is missing,
+and the tests build their Butler-King reference for Tor (Butler-King, J.
+Algebra 212 (1999); tests/butler_king.py) on it.
 """
 
 from __future__ import annotations
@@ -41,9 +44,9 @@ import functools
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .configurations import ConfigGraph, PoincarePolynomial, _check_configuration
-from .errors import InputValidationError, TruncationError
+from .errors import InputValidationError
 from .fields import FieldSpec, RATIONALS_SPEC
-from .groebner import Word, _morse_tor, _tor_degree_cap, _window_maxdeg
+from .groebner import Word, _morse_tor
 from .linalg import SparseRow, row_space_basis, rref_extend, subspace_meet
 from .record import Record
 BlockKey = Tuple[int, int, int]  # (degree, src, tgt)
@@ -218,18 +221,6 @@ def _context(pres: TensorPresentation) -> _WordContext:
     return _WordContext(pres)
 
 
-def word_basis(pres: TensorPresentation, d: int):
-    """Composable generator words of total degree d; degree 0 gives the
-    base idempotent labels."""
-    if d < 0:
-        raise InputValidationError("degree must be >= 0")
-    if d > pres.truncation:
-        raise TruncationError(f"degree {d} exceeds the truncation {pres.truncation}")
-    if d == 0:
-        return [f"e{i}" for i in range(1, pres.num_vertices + 1)]
-    return list(_context(pres).words(d))
-
-
 class HomogeneousIdeal(Record):
     """Degreewise, blockwise exact subspaces of the truncated word spaces.
 
@@ -254,15 +245,6 @@ class HomogeneousIdeal(Record):
 
     def block_dict(self) -> Dict[BlockKey, Tuple[SparseRow, ...]]:
         return dict(self.blocks)
-
-    def dims_by_degree(self) -> Dict[int, int]:
-        out: Dict[int, int] = {}
-        for (d, _, _), vecs in self.blocks:
-            out[d] = out.get(d, 0) + len(vecs)
-        return out
-
-    def is_zero(self) -> bool:
-        return not self.blocks
 
 
 def _ideal(pres: TensorPresentation, reduced: Mapping[BlockKey, Sequence[SparseRow]]):
@@ -311,8 +293,7 @@ class _Closure:
     """The span of seed rows closed under multiplication by generators on
     the given sides (True for left), as reduced blocks, built one degree at
     a time and only as far as a caller reads: upto(cap) gives the blocks up
-    to degree cap, and dim(d) the dimension of T(V) modulo the closure in
-    degree d, which for the relations' two sided closure is that of T(V)/I.
+    to degree cap.
 
     Degree d is block_d = seeds_d + sum_g shifts of the blocks of degree
     d - |g|: a word u s w peels one generator at a time. The shifts on the
@@ -349,13 +330,6 @@ class _Closure:
             self.reached = d
         return {key: rows for key, rows in self.blocks.items() if key[0] <= cap}
 
-    def dim(self, d: int) -> int:
-        if d == 0:
-            return self.pres.num_vertices
-        self.upto(d)
-        closed = sum(len(self.blocks[key]) for key in self.by_degree.get(d, ()))
-        return len(_context(self.pres).words(d)) - closed
-
 
 def _products(pres: TensorPresentation, blocks_a, blocks_b, cap: int) -> Blocks:
     """Pairwise products x y of the rows of two sequences of (key, rows),
@@ -384,25 +358,6 @@ def _products(pres: TensorPresentation, blocks_a, blocks_b, cap: int) -> Blocks:
     return out
 
 
-def _contains(basis, rows, f) -> bool:
-    """Whether the span of a canonical RREF block contains the rows: it
-    does iff extending the block by them adds no row."""
-    return len(rref_extend(basis, rows, f)) == len(basis)
-
-
-def augmentation_ideal(pres: TensorPresentation, up_to: Optional[int] = None) -> HomogeneousIdeal:
-    """J = T(V)+: the full word space in every positive degree."""
-    ctx = _context(pres)
-    cap = pres.truncation if up_to is None else min(up_to, pres.truncation)
-    blocks: Blocks = {}
-    vertices = range(1, pres.num_vertices + 1)
-    for d in range(1, cap + 1):
-        for src in vertices:
-            for tgt in vertices:
-                blocks[(d, src, tgt)] = [{i: 1} for i in range(len(ctx.block(d, src, tgt)))]
-    return _ideal(pres, blocks)
-
-
 def _relation_vectors(pres: TensorPresentation, ctx: _WordContext) -> Blocks:
     """Each relation as a row over its block's word basis, equal words
     summed with plain +: a row may hold explicit zeros and, over F_p,
@@ -429,7 +384,9 @@ def _relation_closure(pres: TensorPresentation) -> _Closure:
 
 def ideal_from_relations(pres: TensorPresentation) -> HomogeneousIdeal:
     """Two sided ideal generated by the relations, closed degree by degree
-    up to the truncation (see _relation_closure)."""
+    up to the truncation (see _relation_closure). No command calls it: it
+    stays for the benchmark's tracer, which binds it by name, and for the
+    tests' Butler-King reference."""
     return _ideal(pres, _relation_closure(pres).upto(pres.truncation))
 
 
@@ -438,17 +395,10 @@ def _check_same_pres(I1: HomogeneousIdeal, I2: HomogeneousIdeal) -> None:
         raise InputValidationError("ideal operands come from different presentations")
 
 
-def ideal_sum(I1: HomogeneousIdeal, I2: HomogeneousIdeal) -> HomogeneousIdeal:
-    """Blockwise sum; I2's rows are merged into I1's canonical blocks."""
-    _check_same_pres(I1, I2)
-    f = I1.pres.field_spec.field()
-    merged = I1.block_dict()
-    for key, rows in I2.blocks:
-        merged[key] = rref_extend(merged[key], rows, f) if key in merged else rows
-    return _ideal(I1.pres, merged)
-
-
 def ideal_meet(I1: HomogeneousIdeal, I2: HomogeneousIdeal) -> HomogeneousIdeal:
+    """Blockwise intersection. No command calls it: it stays for the
+    benchmark's tracer, which binds it by name, and for the tests'
+    Butler-King reference."""
     _check_same_pres(I1, I2)
     f = I1.pres.field_spec.field()
     d1 = I1.block_dict()
@@ -459,78 +409,16 @@ def ideal_meet(I1: HomogeneousIdeal, I2: HomogeneousIdeal) -> HomogeneousIdeal:
 def ideal_product(
     I1: HomogeneousIdeal, I2: HomogeneousIdeal, up_to: Optional[int] = None
 ) -> HomogeneousIdeal:
-    """Degreewise span of pairwise products, truncated at up_to."""
+    """Degreewise span of pairwise products, truncated at up_to. No command
+    calls it: it stays for the benchmark's tracer, which binds it by name,
+    and for the tests' Butler-King reference."""
     _check_same_pres(I1, I2)
     pres = I1.pres
     cap = pres.truncation if up_to is None else min(up_to, pres.truncation)
     return HomogeneousIdeal.from_block_dict(pres, _products(pres, I1.blocks, I2.blocks, cap))
 
 
-def is_closed_under_generators(pres: TensorPresentation, I: HomogeneousIdeal) -> bool:
-    """Two sided closure check within the truncation."""
-    ctx = _context(pres)
-    f = pres.field_spec.field()
-    blocks = I.block_dict()
-    for key, rows in I.blocks:
-        for g in pres.generators:
-            if key[0] + g.deg > pres.truncation:
-                continue
-            for left in (True, False):
-                shifted = _shift(ctx, key, rows, g, left)
-                if shifted is None:
-                    continue
-                if not _contains(blocks.get(shifted[0], ()), shifted[1], f):
-                    return False
-    return True
-
-
 # -- Tor terms -------------------------------------------------------------
-
-
-def _quotient_dims(pres, num: HomogeneousIdeal, den: HomogeneousIdeal, d_cap: int) -> Dict[int, int]:
-    """dim(num/den) by degree up to d_cap. Both sides are in RREF: each
-    denominator block is checked to lie inside the numerator's block, and
-    then a block's quotient has dimension len(num) - len(den)."""
-    f = pres.field_spec.field()
-    nblocks = num.block_dict()
-    dblocks = den.block_dict()
-    for key, vecs in den.blocks:
-        if key[0] <= d_cap and not _contains(nblocks.get(key, ()), vecs, f):
-            raise InputValidationError("denominator is not inside the numerator")
-    out: Dict[int, int] = {}
-    for key, vecs in num.blocks:
-        diff = len(vecs) - len(dblocks.get(key, ()))
-        if key[0] <= d_cap and diff:
-            out[key[0]] = out.get(key[0], 0) + diff
-    return out
-
-
-def _times_generators(X: HomogeneousIdeal, cap: int, left: bool) -> HomogeneousIdeal:
-    """V X (left) or X V (right), truncated at cap.
-
-    For a left ideal X, J X = V X: a word of positive length is g w with w
-    a word or an idempotent, so (g w) x = g (w x) with w x in X. Mirrored,
-    X J = X V for a right ideal X. The shifts of X's blocks are already
-    canonical once sorted by pivot (see _shift), so nothing is eliminated."""
-    ctx = _context(X.pres)
-    out: Blocks = {}
-    for key, rows in X.blocks:
-        for g in X.pres.generators:
-            if key[0] + g.deg <= cap:
-                shifted = _shift(ctx, key, rows, g, left)
-                if shifted:
-                    out.setdefault(shifted[0], []).extend(shifted[1])
-    return _ideal(X.pres, {key: _by_pivot(rows) for key, rows in out.items()})
-
-
-def _next_power(P: HomogeneousIdeal, relations: Blocks, cap: int) -> HomogeneousIdeal:
-    """I^(p+1) = P I from P = I^p, truncated at cap, as the closure of P R
-    (R the relation vectors) under right multiplication by generators.
-
-    I = T R T, and P T = P because P is a right ideal, so P I = P R T."""
-    pres = P.pres
-    seeds = _products(pres, P.blocks, relations.items(), cap)
-    return _ideal(pres, _Closure(pres, seeds, (False,)).upto(cap))
 
 
 def tor_term(pres: TensorPresentation, q: int) -> PoincarePolynomial:
@@ -556,69 +444,6 @@ def tor_term(pres: TensorPresentation, q: int) -> PoincarePolynomial:
     if q == 0:
         return PoincarePolynomial.make({0: pres.num_vertices})
     return _morse_tor(pres, q)
-
-
-def _butler_king_tor(pres: TensorPresentation, q: int) -> PoincarePolynomial:
-    """Tor_q for q >= 1 from the Butler-King quotients
-        Tor_(2p)   = (I^p meet J I^(p-1) J) / (J I^p + I^p J)
-        Tor_(2p+1) = (J I^p meet I^p J) / (I^(p+1) + J I^p J),
-    with I^0 J = J I^0 = J, so that Tor_1 = J / (I + J J). For p >= 1 every
-    product with J is a product with the generator span V: I^p and
-    J I^(p-1) are two sided ideals, so J I^p = V I^p, I^p J = I^p V and
-    J I^(p-1) J = (J I^(p-1)) V (see _times_generators).
-
-    I is read one degree at a time (see _Closure), as far as the zero window
-    that certifies maxdeg(A) and up to d_need, where every product is cut;
-    an input with no zero window is read up to the truncation and refused.
-    tor_term does not call this route; the tests keep it as the reference
-    for tor_term, and perfbench/spans.py traces the ideal functions by
-    name."""
-    closure = _relation_closure(pres)
-    d_need = _tor_degree_cap(pres, q, lambda: _window_maxdeg(pres, closure.dim))
-
-    p = q // 2
-    powers = {1: _ideal(pres, closure.upto(d_need))}
-    for j in range(2, p + q % 2 + 1):
-        powers[j] = _next_power(powers[j - 1], closure.seeds, d_need)
-
-    def times_j(e, left):
-        """J I^e (left) or I^e J, truncated at d_need."""
-        if e == 0:
-            return augmentation_ideal(pres, up_to=d_need)
-        return _times_generators(powers[e], d_need, left)
-
-    if q % 2 == 0:
-        mid = _times_generators(times_j(p - 1, True), d_need, left=False)
-        num = ideal_meet(powers[p], mid)
-        den = ideal_sum(times_j(p, True), times_j(p, False))
-    else:
-        ji = times_j(p, True)
-        num = ideal_meet(ji, times_j(p, False))
-        den = ideal_sum(powers[p + 1], _times_generators(ji, d_need, left=False))
-    return PoincarePolynomial.make(_quotient_dims(pres, num, den, d_need))
-
-
-# -- symbolic mindeg calculus ----------------------------------------------
-
-
-def _check_mindeg_inputs(mu: int, nu: int):
-    if not (mu >= 2 * nu >= 2):
-        raise InputValidationError(
-            f"mindeg data must satisfy mindeg(I) >= 2 mindeg(J) >= 2, got mu={mu}, nu={nu}"
-        )
-
-
-def mindeg_bound(mu: int, nu: int, q: int) -> int:
-    """Lower bound for mindeg Tor_q from mindeg(I) = mu, mindeg(J) = nu,
-    with p = q // 2: p mu for even q, p mu + nu for odd q.
-
-    The even bound is max(p mu, 2 nu + (p-1) mu), but mu >= 2 nu gives
-    2 nu + (p-1) mu <= mu + (p-1) mu = p mu, so it is p mu."""
-    if q < 0:
-        raise InputValidationError("q must be >= 0")
-    _check_mindeg_inputs(mu, nu)
-    p = q // 2
-    return p * mu if q % 2 == 0 else p * mu + nu
 
 
 # -- convenience constructors ----------------------------------------------

@@ -248,6 +248,35 @@ def test_kunneth_command(tmp_path):
     assert json.loads(text)["result"]["power"]["components"] == [{"degree": 6, "dim": 1}]
 
 
+def test_kunneth_of_a_huge_multiplicity_answers_at_once(tmp_path):
+    r = 10 ** 12
+    path = write_json(tmp_path, "p.json", {"components": [{"degree": 1, "dim": r}]})
+    code, text = run(["kunneth", "--poincare", path, "--n", "3", "--different"])
+    assert code == 0
+    assert json.loads(text)["result"]["power"]["components"] == [
+        {"degree": 3, "dim": (r + 2) * (r + 1) * r // 6}]
+
+
+@pytest.mark.parametrize("n", ["1001", "1000000000"])
+def test_kunneth_index_above_the_cap_exits_3(tmp_path, capsys, n):
+    path = write_json(tmp_path, "p.json", {"components": [{"degree": 2, "dim": 1}]})
+    code, text = run(["kunneth", "--poincare", path, "--n", n, "--same"])
+    assert (code, text) == (3, "")
+    assert capsys.readouterr().err == \
+        f"resource cap: power index n = {n} exceeds the cap of 1000\n"
+
+
+@pytest.mark.parametrize("command", [["signs"], ["normalize", "--nk", "4"]])
+def test_vertices_that_print_alike_exit_2(tmp_path, capsys, command):
+    """signs and normalize key their reports by the vertex's text: with
+    vertices 1 and "1" one entry would stand for two vertices."""
+    g = {"vertices": [1, "1"], "edges": [{"u": 1, "v": "1", "a_uv": 2, "a_vu": 2, "d": 2}]}
+    path = write_json(tmp_path, "g.json", g)
+    code, text = run([command[0], "--graph", path, *command[1:]])
+    assert (code, text) == (2, "")
+    assert capsys.readouterr().err == "input error: vertices 1 and '1' print alike\n"
+
+
 def test_build_config_roundtrips_through_validation(tmp_path):
     g = {"vertices": [1, 2, 3], "edges": [{"u": 1, "v": 2}, {"u": 2, "v": 3}]}
     path = write_json(tmp_path, "g.json", g)

@@ -6,6 +6,7 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from formalitykit.configurations import (
+    MAX_POWER,
     ConfigGraph,
     PoincarePolynomial,
     graded_power,
@@ -14,7 +15,7 @@ from formalitykit.configurations import (
     normalized_edge_degrees,
     sign_assignment,
 )
-from formalitykit.errors import InputValidationError
+from formalitykit.errors import InputValidationError, ResourceCapError
 from formalitykit.fields import FieldSpec, RATIONALS
 from formalitykit.linalg import rank_rows
 from test_linalg import sparse
@@ -152,6 +153,49 @@ def test_kunneth_first_power_is_identity():
 def test_poincare_table_needs_integer_degrees_and_dimensions(dims):
     with pytest.raises(InputValidationError):
         PoincarePolynomial.make(dims)
+
+
+def _power_per_unit(P, n, kind):
+    """The z^n coefficient of the product of one series per unit of
+    multiplicity: 1/(1 - z t^m) for a free generator of degree m, 1 + z t^m
+    for one that squares to zero."""
+    acc = [{0: 1}] + [{} for _ in range(n)]
+    for m, mult in P.dims().items():
+        free = (m % 2 == 0) == (kind == "symmetric")
+        for _ in range(mult):
+            out = [{} for _ in range(n + 1)]
+            for i, ca in enumerate(acc):
+                for j in range(n - i + 1 if free else min(1, n - i) + 1):
+                    for d, v in ca.items():
+                        out[i + j][d + m * j] = out[i + j].get(d + m * j, 0) + v
+            acc = out
+    return {d: v for d, v in acc[n].items() if v}
+
+
+def test_graded_power_matches_one_series_per_unit_of_multiplicity(rng):
+    for _ in range(200):
+        P = PoincarePolynomial.make({rng.randint(-3, 6): rng.randint(1, 5)
+                                     for _ in range(rng.randint(0, 4))})
+        n, kind = rng.randint(0, 6), rng.choice(["symmetric", "exterior"])
+        assert graded_power(P, n, kind).dims() == _power_per_unit(P, n, kind)
+
+
+def test_graded_power_of_a_huge_multiplicity_is_a_binomial():
+    # 10^12 generators: the cost follows the degrees of P, not the multiplicity
+    r = 10 ** 12
+    assert graded_power(PoincarePolynomial.make({2: r}), 3, "symmetric").dims() == \
+        {6: (r + 2) * (r + 1) * r // 6}
+    assert graded_power(PoincarePolynomial.make({1: r}), 3, "symmetric").dims() == \
+        {3: r * (r - 1) * (r - 2) // 6}
+    assert graded_power(PoincarePolynomial.make({1: 2}), 3, "symmetric").is_zero()
+
+
+def test_graded_power_refuses_an_index_above_the_cap():
+    assert graded_power(PoincarePolynomial.line(2), MAX_POWER).dims() == {2 * MAX_POWER: 1}
+    for n in (MAX_POWER + 1, 10 ** 9, 10 ** 18):
+        with pytest.raises(ResourceCapError) as err:
+            graded_power(PoincarePolynomial.line(2), n)
+        assert str(err.value) == f"power index n = {n} exceeds the cap of {MAX_POWER}"
 
 
 def test_characteristic_guard():
@@ -341,6 +385,15 @@ def test_graph_validation():
         ConfigGraph.make([1, 2], [(1, 2), (2, 1)])
     with pytest.raises(InputValidationError):
         ConfigGraph.make([1, 1], [])
+
+
+@pytest.mark.parametrize("vertices", [[1, "1"], ["x", 2, "2"], [True, "True"], [None, "None"],
+                                      [1.5, "1.5"]])
+def test_vertices_that_print_alike_are_refused(vertices):
+    """Reports key vertices by their text, so two vertices that print alike
+    would share one entry."""
+    with pytest.raises(InputValidationError, match="print alike"):
+        ConfigGraph.make(vertices, [])
 
 
 @pytest.mark.parametrize("edge", [{"u": [1], "v": 2}, {"u": 1, "v": 2, "d": "x"},

@@ -37,6 +37,7 @@ from formalitykit.hochschild import (
     validate_periodic_spec,
 )
 from formalitykit.linalg import kernel_rows, mul_rows, rank_rows, rref_extend, rref_rows
+from combos import product_labels
 from test_linalg import sparse
 
 ONE = Fraction(1)
@@ -102,7 +103,7 @@ def _derivations_minus_inner(A: GradedAlgebra, q: int) -> int:
     f = A.field_spec.field()
     for x in labels:
         for y in labels:
-            prod = A.product_labels(x, y)
+            prod = product_labels(A, x, y)
             # Leibniz: D(xy) = D(x) y + x D(y), one scalar equation per
             # basis component of degree deg(x) + deg(y) + q
             for out in by_deg.get(degs[x] + degs[y] + q, []):
@@ -111,11 +112,11 @@ def _derivations_minus_inner(A: GradedAlgebra, q: int) -> int:
                     if (z, out) in sidx:
                         row[sidx[(z, out)]] = f.scalar(row[sidx[(z, out)]] + c)
                 for tx in by_deg.get(degs[x] + q, []):
-                    c = A.product_labels(tx, y).get(out)
+                    c = product_labels(A, tx, y).get(out)
                     if c is not None and (x, tx) in sidx:
                         row[sidx[(x, tx)]] = f.scalar(row[sidx[(x, tx)]] - c)
                 for ty in by_deg.get(degs[y] + q, []):
-                    c = A.product_labels(x, ty).get(out)
+                    c = product_labels(A, x, ty).get(out)
                     if c is not None and (y, ty) in sidx:
                         row[sidx[(y, ty)]] = f.scalar(row[sidx[(y, ty)]] - c)
                 if any(not f.is_zero(v) for v in row):
@@ -126,8 +127,8 @@ def _derivations_minus_inner(A: GradedAlgebra, q: int) -> int:
     for a in by_deg.get(q, []):
         row = [f.zero] * len(slots)
         for x in labels:
-            ax = A.product_labels(a, x)
-            xa = A.product_labels(x, a)
+            ax = product_labels(A, a, x)
+            xa = product_labels(A, x, a)
             for tgt in by_deg.get(degs[x] + q, []):
                 c = f.scalar(ax.get(tgt, f.zero) - xa.get(tgt, f.zero))
                 if not f.is_zero(c) and (x, tgt) in sidx:
@@ -155,13 +156,13 @@ def _center_dim(A: GradedAlgebra, q: int) -> int:
     all_labels = A.labels()
     slots = {lab: i for i, lab in enumerate(labels)}
     for x in all_labels:
-        targets = sorted({z for lab in labels for z in A.product_labels(lab, x)}
-                         | {z for lab in labels for z in A.product_labels(x, lab)})
+        targets = sorted({z for lab in labels for z in product_labels(A, lab, x)}
+                         | {z for lab in labels for z in product_labels(A, x, lab)})
         for out in targets:
             row = [f.zero] * len(labels)
             for lab in labels:
-                c = f.scalar(A.product_labels(lab, x).get(out, f.zero)
-                             - A.product_labels(x, lab).get(out, f.zero))
+                c = f.scalar(product_labels(A, lab, x).get(out, f.zero)
+                             - product_labels(A, x, lab).get(out, f.zero))
                 row[slots[lab]] = c
             if any(not f.is_zero(v) for v in row):
                 rows.append(row)

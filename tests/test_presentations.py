@@ -8,36 +8,47 @@ from formalitykit.cli import dispatch
 from formalitykit.configurations import ConfigGraph
 from formalitykit.errors import InputValidationError, TruncationError
 from formalitykit.fields import RATIONALS, FieldSpec
-from formalitykit.graded import mindeg
 from formalitykit.hochschild import bar_chain_slice
 from formalitykit.graded import build_configuration_algebra, truncated_poly
 from formalitykit import groebner, linalg, presentations
+from formalitykit.formality import (
+    _affine_at,
+    _tor_mindeg_bound,
+    certify_config_pn,
+    certify_config_spherical,
+)
 from formalitykit.groebner import _window_maxdeg
 from formalitykit.linalg import rank_rows, row_space_basis
 from formalitykit.presentations import (
     _Closure,
     _context,
-    _next_power,
     _products,
-    _quotient_dims,
     _relation_closure,
     _relation_vectors,
-    _times_generators,
     Generator,
     HomogeneousIdeal,
     TensorPresentation,
-    augmentation_ideal,
     configuration_presentation,
     ideal_from_relations,
     ideal_meet,
     ideal_product,
-    ideal_sum,
-    is_closed_under_generators,
-    mindeg_bound,
     presentation_from_json_dict,
     presentation_to_json_dict,
     single_generator_presentation,
     tor_term,
+)
+import butler_king
+from butler_king import (
+    augmentation_ideal,
+    butler_king_tor,
+    closure_dim,
+    dims_by_degree,
+    ideal_sum,
+    is_closed_under_generators,
+    is_zero,
+    next_power,
+    quotient_dims,
+    times_generators,
     word_basis,
 )
 
@@ -138,7 +149,7 @@ def test_fraction_relation_coefficient_over_f7_matches_its_integer_twin():
 
 def test_ideal_from_relations_closes_up_to_the_truncation():
     pres = single_generator_presentation(1, 2, truncation=8)
-    assert ideal_from_relations(pres).dims_by_degree() == {4: 1, 6: 1, 8: 1}
+    assert dims_by_degree(ideal_from_relations(pres)) == {4: 1, 6: 1, 8: 1}
     with pytest.raises(TypeError):
         ideal_from_relations(pres, 6)  # the degree cap is the truncation
 
@@ -147,8 +158,8 @@ def test_augmentation_square_single_generator():
     pres = single_generator_presentation(3, 2, truncation=10)
     J = augmentation_ideal(pres)
     JJ = ideal_product(J, J)
-    assert JJ.dims_by_degree() == {4: 1, 6: 1, 8: 1, 10: 1}
-    assert mindeg(JJ.dims_by_degree()) == 4
+    assert dims_by_degree(JJ) == {4: 1, 6: 1, 8: 1, 10: 1}
+    assert min(dims_by_degree(JJ)) == 4
 
 
 def test_monomial_ideal_square():
@@ -156,7 +167,7 @@ def test_monomial_ideal_square():
     pres = single_generator_presentation(n, k, truncation=10)
     I = ideal_from_relations(pres)
     II = ideal_product(I, I)
-    assert min(II.dims_by_degree()) == 2 * (n + 1)
+    assert min(dims_by_degree(II)) == 2 * (n + 1)
 
 
 def test_monomial_meet():
@@ -169,7 +180,7 @@ def test_monomial_meet():
     # generators and the truncation
     I2 = type(I2).from_block_dict(pres3, I2.block_dict())
     met = ideal_meet(I3, I2)
-    assert met.dims_by_degree() == I3.dims_by_degree()
+    assert dims_by_degree(met) == dims_by_degree(I3)
 
 
 def test_ideal_is_two_sided_closed():
@@ -190,9 +201,9 @@ def test_bare_relation_span_is_not_closed_under_generators():
 def test_quotient_dims_refuses_a_denominator_outside_the_numerator():
     pres = a2_pres()
     I, J = ideal_from_relations(pres), augmentation_ideal(pres)
-    assert _quotient_dims(pres, J, I, 6) == {2: 4, 4: 2}  # the positive part of A
+    assert quotient_dims(pres, J, I, 6) == {2: 4, 4: 2}  # the positive part of A
     with pytest.raises(InputValidationError):
-        _quotient_dims(pres, I, J, 6)
+        quotient_dims(pres, I, J, 6)
 
 
 def _random_monomial_presentation(rng):
@@ -242,7 +253,7 @@ def test_monomial_ideals_against_brute_force(rng):
     for _ in range(12):
         pres, words = _random_monomial_presentation(rng)
         I = ideal_from_relations(pres)
-        assert I.dims_by_degree() == _brute_force_monomial_ideal(pres, words)
+        assert dims_by_degree(I) == _brute_force_monomial_ideal(pres, words)
 
 
 def test_mindeg_calculus_on_random_monomial_ideals(rng):
@@ -261,17 +272,17 @@ def test_mindeg_calculus_on_random_monomial_ideals(rng):
         )
         I2 = ideal_from_relations(pres2)
         I2 = type(I1).from_block_dict(pres, I2.block_dict())
-        if I1.is_zero() or I2.is_zero():
+        if is_zero(I1) or is_zero(I2):
             continue
-        m1, m2 = mindeg(I1.dims_by_degree()), mindeg(I2.dims_by_degree())
+        m1, m2 = min(dims_by_degree(I1)), min(dims_by_degree(I2))
         s = ideal_sum(I1, I2)
-        assert mindeg(s.dims_by_degree()) == min(m1, m2)
+        assert min(dims_by_degree(s)) == min(m1, m2)
         prod = ideal_product(I1, I2)
-        if not prod.is_zero():
-            assert mindeg(prod.dims_by_degree()) >= m1 + m2
+        if not is_zero(prod):
+            assert min(dims_by_degree(prod)) >= m1 + m2
         met = ideal_meet(I1, I2)
-        if not met.is_zero():
-            assert mindeg(met.dims_by_degree()) >= max(m1, m2)
+        if not is_zero(met):
+            assert min(dims_by_degree(met)) >= max(m1, m2)
 
 
 def _product_identity_cases(rng, spec):
@@ -304,11 +315,11 @@ def test_generator_products_equal_the_pairwise_products(rng, field):
         power = I
         for p in (1, 2):
             ji = ideal_product(J, power)
-            assert _times_generators(power, cap, left=True).blocks == ji.blocks
-            assert _times_generators(power, cap, left=False).blocks == ideal_product(power, J).blocks
+            assert times_generators(power, cap, left=True).blocks == ji.blocks
+            assert times_generators(power, cap, left=False).blocks == ideal_product(power, J).blocks
             following = ideal_product(power, I)
-            assert _next_power(power, R, cap).blocks == following.blocks
-            nontrivial += not ji.is_zero() and not following.is_zero()
+            assert next_power(power, R, cap).blocks == following.blocks
+            nontrivial += not is_zero(ji) and not is_zero(following)
             power = following
     assert nontrivial >= 8
 
@@ -403,14 +414,14 @@ def test_shifted_blocks_equal_their_re_elimination(field):
         for sides in ((False,), (True,)):
             want = _eliminating_closure(pres, seeds, cap, sides)
             assert _Closure(pres, seeds, sides).upto(cap) == want
-        I2 = _next_power(I, R, cap)
+        I2 = next_power(I, R, cap)
         for X in (I, I2, augmentation_ideal(pres)):
-            vx, xv = (_times_generators(X, cap, left) for left in (True, False))
+            vx, xv = (times_generators(X, cap, left) for left in (True, False))
             assert vx.blocks == _eliminating_times_generators(X, cap, True).blocks
             assert xv.blocks == _eliminating_times_generators(X, cap, False).blocks
             assert ideal_sum(vx, xv).blocks == _eliminating_sum(vx, xv).blocks
             assert ideal_sum(I, vx).blocks == _eliminating_sum(I, vx).blocks
-            nontrivial += not vx.is_zero() and not xv.is_zero()
+            nontrivial += not is_zero(vx) and not is_zero(xv)
     assert nontrivial >= 16
 
 
@@ -419,14 +430,14 @@ def test_times_generators_eliminates_nothing(monkeypatch):
     I = ideal_from_relations(pres)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("_times_generators eliminated")
+        raise AssertionError("times_generators eliminated")
 
     for name in ("row_space_basis", "rref_extend", "subspace_meet"):
         monkeypatch.setattr(presentations, name, refuse)
     monkeypatch.setattr(linalg, "_eliminate", refuse)
     for X in (I, augmentation_ideal(pres)):
-        assert not _times_generators(X, 10, left=True).is_zero()
-        assert not _times_generators(X, 10, left=False).is_zero()
+        assert not is_zero(times_generators(X, 10, left=True))
+        assert not is_zero(times_generators(X, 10, left=False))
 
 
 # (graph, n, k, h, preset, q): the tor-config-q benchmark pool, and the
@@ -474,17 +485,17 @@ def test_every_ideal_tor_term_builds_equals_the_eliminating_route(monkeypatch, p
     input: the two sided closure of I and the one sided closure of each
     power I^j, j >= 2, at the degree each was read to. The route is called
     directly, since tor_term builds no ideal."""
-    routes = {"_times_generators": _eliminating_times_generators,
+    routes = {"times_generators": _eliminating_times_generators,
               "ideal_sum": _eliminating_sum}
     calls = []
     for name in routes:
-        def record(*args, real=getattr(presentations, name), name=name, **kwargs):
+        def record(*args, real=getattr(butler_king, name), name=name, **kwargs):
             out = real(*args, **kwargs)
             calls.append((name, args, kwargs, out))
             return out
-        monkeypatch.setattr(presentations, name, record)
+        monkeypatch.setattr(butler_king, name, record)
     closures = _recorded_instances(monkeypatch, presentations, "_Closure")
-    presentations._butler_king_tor(pres, q)
+    butler_king_tor(pres, q)
     assert {call[0] for call in calls} == set(routes)
     for name, args, kwargs, out in calls:
         assert out == routes[name](*args, **kwargs), name
@@ -499,7 +510,7 @@ def test_every_ideal_tor_term_builds_equals_the_eliminating_route(monkeypatch, p
 
 # tor_term's route for q >= 1 called directly (morse), and the ideal engine
 # the tests keep as the reference (butler-king)
-TOR_ROUTES = {"butler-king": presentations._butler_king_tor, "morse": groebner._morse_tor}
+TOR_ROUTES = {"butler-king": butler_king_tor, "morse": groebner._morse_tor}
 
 
 @pytest.fixture(params=sorted(TOR_ROUTES))
@@ -556,11 +567,17 @@ def test_tor_single_generator_gradings(tor_route):
                     assert dims == {(p * (n + 1) + 1) * k: 1}
 
 
+def tor_bound(mu, nu, q):
+    """The certificates' lower bound on mindeg Tor_q (formality's
+    _tor_mindeg_bound) at q, from mindeg(I) >= mu and mindeg(J) >= nu."""
+    return _affine_at(_tor_mindeg_bound("odd" if q % 2 else "even", mu, nu), q // 2)
+
+
 def test_tor_orthogonal_a2_mindeg_bound():
     pres = a2_pres(n=2, k=2, h=2, truncation=10)
     t2 = tor_term(pres, 2)
-    assert mindeg(t2) >= mindeg_bound(2 + 2, 2, 2)
-    assert mindeg(t2) == 4
+    assert min(t2.degrees()) >= tor_bound(2 + 2, 2, 2)
+    assert min(t2.degrees()) == 4
 
 
 def chain_h(A, p, q):
@@ -641,7 +658,7 @@ def test_tor_refuses_insufficient_truncation():
 def test_window_certifies_maxdeg_on_the_relation_closure():
     pres = single_generator_presentation(2, 3, truncation=24)
     reader = _relation_closure(pres)
-    assert _window_maxdeg(pres, reader.dim) == 6
+    assert _window_maxdeg(pres, lambda d: closure_dim(reader, d)) == 6
     assert reader.reached == 9  # the zero window of width |t| = 3 after degree 6
     # k<x, y>/(x^2) is infinite dimensional: no zero window can ever appear
     free_ish = TensorPresentation(
@@ -651,7 +668,7 @@ def test_window_certifies_maxdeg_on_the_relation_closure():
         8,
     )
     with pytest.raises(TruncationError):
-        _window_maxdeg(free_ish, _relation_closure(free_ish).dim)
+        _window_maxdeg(free_ish, lambda d: closure_dim(_relation_closure(free_ish), d))
     with pytest.raises(TruncationError):
         tor_term(free_ish, 2)
 
@@ -659,7 +676,7 @@ def test_window_certifies_maxdeg_on_the_relation_closure():
 def test_relation_closure_dims_match_the_algebra():
     pres = a2_pres(n=2, k=2, h=2, truncation=10)
     reader = _relation_closure(pres)
-    dims = {d: reader.dim(d) for d in range(pres.truncation + 1)}
+    dims = {d: closure_dim(reader, d) for d in range(pres.truncation + 1)}
     A = build_configuration_algebra(ConfigGraph.make([1, 2], [(1, 2)]), 2, 2, 2, "orthogonal")
     assert {d: n for d, n in dims.items() if n} == A.poincare()
 
@@ -761,14 +778,16 @@ def test_monomial_input_forms_no_s_polynomial_and_no_morse_complex(monkeypatch, 
     pres = _with_spec(pres, FieldSpec.parse(field))
     if reverse:
         pres = _generators_reversed(pres)
-    want = [presentations._butler_king_tor(pres, j).dims() for j in range(1, q + 1)]
+    want = [butler_king_tor(pres, j).dims() for j in range(1, q + 1)]
 
     def refuse(*args, **kwargs):
         raise AssertionError("monomial input formed an S-polynomial or an elimination")
 
-    for name in ("ideal_from_relations", "ideal_meet", "ideal_product", "ideal_sum", "_Closure",
-                 "row_space_basis", "rref_extend", "subspace_meet", "_butler_king_tor"):
+    for name in ("ideal_from_relations", "ideal_meet", "ideal_product", "_Closure",
+                 "row_space_basis", "rref_extend", "subspace_meet"):
         monkeypatch.setattr(presentations, name, refuse)
+    for name in ("ideal_sum", "butler_king_tor"):
+        monkeypatch.setattr(butler_king, name, refuse)
     for name in ("_MorseComplex", "rank_rows"):
         monkeypatch.setattr(groebner, name, refuse)
     monkeypatch.setattr(groebner._GroebnerBasis, "_s_polynomial", refuse)
@@ -789,8 +808,8 @@ def test_anick_route_equals_butler_king_on_random_monomial_presentations(rng):
         cap = tuple(((w, ONE),) for w in word_basis(pres, 4) + word_basis(pres, 5))
         capped = TensorPresentation(pres.num_vertices, pres.generators, pres.relations + cap, 12)
         for q in range(1, 5):
-            assert _outcome(tor_term, pres, q) == _outcome(presentations._butler_king_tor, pres, q)
-            assert tor_term(capped, q).dims() == presentations._butler_king_tor(capped, q).dims()
+            assert _outcome(tor_term, pres, q) == _outcome(butler_king_tor, pres, q)
+            assert tor_term(capped, q).dims() == butler_king_tor(capped, q).dims()
 
 
 @pytest.mark.parametrize("pres,q", [case[1:] for case in TOR_CASES],
@@ -803,7 +822,7 @@ def test_morse_route_equals_butler_king_on_the_tor_cases(pres, q, field, reverse
         pres = _generators_reversed(pres)
     for j in range(1, q + 1):
         assert groebner._morse_tor(pres, j).dims() == \
-            presentations._butler_king_tor(pres, j).dims()
+            butler_king_tor(pres, j).dims()
 
 
 def _random_binomial_presentation(rng, spec):
@@ -846,7 +865,7 @@ def test_morse_route_equals_butler_king_on_random_binomial_presentations(rng, fi
         for case in (pres, capped, _generators_reversed(capped)):
             for q in range(1, 5):
                 assert _outcome(groebner._morse_tor, case, q) == \
-                    _outcome(presentations._butler_king_tor, case, q)
+                    _outcome(butler_king_tor, case, q)
 
 
 @pytest.mark.parametrize("graph,nkh,q,expected", [
@@ -922,7 +941,7 @@ def test_normal_words_count_the_relation_closure(pres, q):
     basis = groebner._GroebnerBasis(pres)
     closure = _relation_closure(pres)
     assert [basis.dim(d) for d in range(pres.truncation + 1)] == \
-        [closure.dim(d) for d in range(pres.truncation + 1)]
+        [closure_dim(closure, d) for d in range(pres.truncation + 1)]
 
 
 @pytest.mark.parametrize("graph,nkh,q,truncation,expected", [
@@ -963,7 +982,7 @@ def test_mindeg_bound_respected_up_to_tor_eight(graph, nkh):
     mu = min(sum(gen[lab] for lab in rel[0][0]) for rel in pres.relations)
     nu = min(gen.values())
     for q in range(1, 9):
-        assert mindeg(tor_term(pres, q)) >= mindeg_bound(mu, nu, q)
+        assert min(tor_term(pres, q).degrees()) >= tor_bound(mu, nu, q)
 
 
 def _one_generator(relations, truncation=12, deg=1):
@@ -1002,7 +1021,7 @@ def test_parity_cases_have_word_bases_and_refuse_alike(pres, tips):
     or refusal."""
     assert _groebner_basis(pres, pres.truncation) == {tip: {} for tip in tips}
     for q in range(1, 5):
-        assert _outcome(tor_term, pres, q) == _outcome(presentations._butler_king_tor, pres, q)
+        assert _outcome(tor_term, pres, q) == _outcome(butler_king_tor, pres, q)
 
 
 @pytest.mark.parametrize("pres,codes", [case[1::2] for case in PARITY_CASES],
@@ -1016,7 +1035,7 @@ def test_tor_command_pins_exit_codes_and_output(tmp_path, capsys, pres, codes):
     for q, code in enumerate(codes, 1):
         assert dispatch(["tor", "--pres", str(path), "--q", str(q)]) == code
         out, err = capsys.readouterr()
-        want = _outcome(presentations._butler_king_tor, pres, q)
+        want = _outcome(butler_king_tor, pres, q)
         if code == 0:
             assert err == "" and json.loads(out)["result"]["dims"] == [
                 {"degree": d, "dim": n} for d, n in sorted(want.items())]
@@ -1101,7 +1120,7 @@ def test_butler_king_route_materializes_as_many_words_at_any_truncation(monkeypa
         _context.cache_clear()
         closures.clear()
         pres = configuration_presentation(graph, *nkh, "zigzag", truncation)
-        dims = presentations._butler_king_tor(pres, q).dims()
+        dims = butler_king_tor(pres, q).dims()
         ideal = closures[0]
         assert ideal.sides == (True, False) and ideal.reached >= d_need
         blocks = {key: rows for key, rows in ideal.blocks.items() if key[0] <= d_need}
@@ -1159,16 +1178,18 @@ def test_zigzag_needs_two_h_over_k_equal_to_n_on_both_builders(nkh):
     assert "2h/k = n" in str(table.value) and str(table.value) == str(relations.value)
 
 
-# -- symbolic mindeg bounds ---------------------------------------------------
+# -- the certificates' bound on mindeg Tor ------------------------------------
 
 
 def test_mindeg_bound_values():
     # even bound p * mu, with mu = h + k
     h, k = 2, 2
-    assert mindeg_bound(h + k, k, 4) == 2 * (h + k)
+    assert tor_bound(h + k, k, 4) == 2 * (h + k)
     # spherelike shape mu = 2h, nu = h
-    assert mindeg_bound(4, 2, 4) == 8
-    assert mindeg_bound(2, 1, 3) == 3
+    assert tor_bound(4, 2, 4) == 8
+    assert tor_bound(2, 1, 3) == 3
+    assert _tor_mindeg_bound("even", 4, 2) == {"slope": 4, "intercept": 0}
+    assert _tor_mindeg_bound("odd", 4, 2) == {"slope": 4, "intercept": 2}
 
 
 def test_mindeg_affine_branches():
@@ -1176,24 +1197,63 @@ def test_mindeg_affine_branches():
     for nu in range(1, 6):
         for mu in range(2 * nu, 13):
             for p in range(11):
-                assert 2 * nu + (p - 1) * mu <= mindeg_bound(mu, nu, 2 * p)
-
-
-def test_mindeg_bound_precondition():
-    with pytest.raises(InputValidationError):
-        mindeg_bound(3, 2, 4)  # mu < 2 nu
+                assert 2 * nu + (p - 1) * mu <= tor_bound(mu, nu, 2 * p)
 
 
 def test_mindeg_bound_respected_by_concrete_tor():
     pres = a2_pres(n=2, k=2, h=2, truncation=12)
     I = ideal_from_relations(pres)
     J = augmentation_ideal(pres)
-    mu = mindeg(I.dims_by_degree())
-    nu = mindeg(J.dims_by_degree())
+    mu = min(dims_by_degree(I))
+    nu = min(dims_by_degree(J))
     for q in (2, 3):
         space = tor_term(pres, q)
         if not space.is_zero():
-            assert mindeg(space) >= mindeg_bound(mu, nu, q)
+            assert min(space.degrees()) >= tor_bound(mu, nu, q)
+
+
+# (family, graph, (n, k, h), preset, the certificate): instances that satisfy
+# the certificate's hypotheses; a spherical instance has n = 1 and an arrow
+# degree h in [h_min, h_max]
+CERTIFIED_INSTANCES = [
+    ("pn", A2, (2, 2, 2), "orthogonal", certify_config_pn(2, 2, 2)),
+    ("pn", A2, (2, 2, 2), "zigzag", certify_config_pn(2, 2, 2)),
+    ("pn", A2, (2, 2, 4), "orthogonal", certify_config_pn(2, 2, 4)),
+    ("pn", TRIANGLE, (2, 2, 2), "orthogonal", certify_config_pn(2, 2, 2)),
+    ("spherical", A2, (1, 4, 2), "orthogonal", certify_config_spherical(4, 2, 4)),
+    ("spherical", A2, (1, 4, 3), "orthogonal", certify_config_spherical(4, 2, 4)),
+    ("spherical", A2, (1, 4, 2), "zigzag", certify_config_spherical(4, 2, 2)),
+    ("spherical", TRIANGLE, (1, 4, 4), "orthogonal", certify_config_spherical(4, 4, 4)),
+]
+
+
+@pytest.mark.parametrize("graph,nkh,preset,cert", [case[1:] for case in CERTIFIED_INSTANCES],
+                         ids=["-".join(map(str, (c[0], len(c[1].vertices), *c[2], c[3])))
+                              for c in CERTIFIED_INSTANCES])
+def test_certificate_degree_bounds_are_below_computed_tor(graph, nkh, preset, cert):
+    """The rhs of every DegreeBound item a certificate emits, at each
+    q <= 8 of its parity, is at most the least degree of the computed
+    Tor_q, and it is the bound formality's helper gives for the subject's
+    mindeg data."""
+    assert cert.verdict == "CertifiedFormal" and not cert.failed_hypotheses()
+    subject = cert.subject
+    mu = subject["mindeg_I_bound"]
+    nu = subject.get("mindeg_J", subject.get("mindeg_J_bound"))
+    n, k, h = nkh
+    pres = configuration_presentation(graph, n, k, h, preset, 8 * max(n * k, h) + max(k, h))
+    items = [item for item in cert.evidence if item["method"] == "DegreeBound"]
+    assert {item["covers"]["parity"] for item in items} == {"even", "odd"}
+    checked = 0
+    for q in range(1, 9):
+        space = tor_term(pres, q)
+        for item in items:
+            parity = item["covers"]["parity"]
+            if parity != ("odd" if q % 2 else "even"):
+                continue
+            assert item["rhs"] == _tor_mindeg_bound(parity, mu, nu)
+            assert _affine_at(item["rhs"], q // 2) <= min(space.degrees())
+            checked += 1
+    assert checked >= 8
 
 
 def test_configuration_presentation_refuses_an_unknown_preset():
@@ -1254,6 +1314,6 @@ def test_presentation_json_bad_integer(bad):
 
 def test_presentation_without_generators_is_the_base():
     pres = TensorPresentation(2, (), (), 8)
-    assert _window_maxdeg(pres, _relation_closure(pres).dim) == 0
+    assert _window_maxdeg(pres, lambda d: closure_dim(_relation_closure(pres), d)) == 0
     assert tor_term(pres, 0).dims() == {0: 2}
     assert [tor_term(pres, q).is_zero() for q in (1, 2, 3)] == [True, True, True]
