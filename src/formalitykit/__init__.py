@@ -36,10 +36,9 @@ _EXPORTS = {
         ("graded", ("GradedAlgebra", "algebra_from_json_dict", "algebra_to_json_dict",
                     "block_structure", "build_configuration_algebra", "detect_idempotents",
                     "truncated_poly", "validate")),
-        ("hochschild", ("HHResult", "PeriodicResolutionSpec", "bar_chain_slice", "cochain_dim",
-                        "hh_bar", "hh_resolution", "kadeishvili_scan",
-                        "nonempty_internal_degrees", "periodic_spec_truncated_poly",
-                        "validate_periodic_spec")),
+        ("hochschild", ("HHResult", "PeriodicResolutionSpec", "bar_chain_slice", "hh_bar",
+                        "hh_resolution", "kadeishvili_scan", "nonempty_internal_degrees",
+                        "periodic_spec_truncated_poly", "validate_periodic_spec")),
         ("presentations", ("Generator", "TensorPresentation", "configuration_presentation",
                            "presentation_from_json_dict", "presentation_to_json_dict",
                            "single_generator_presentation", "tor_term")),

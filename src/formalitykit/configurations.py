@@ -140,9 +140,14 @@ class ConfigGraph(Record):
         return cls.make(data["vertices"], data["edges"])
 
 
-def _check_configuration(n: int, k: int, h: int, preset) -> None:
-    """The parameters both configuration builders refuse: n, k, h >= 1,
-    and for the zigzag preset k | 2h and 2h/k = n. Its relations give
+def _check_configuration(graph: ConfigGraph, n: int, k: int, h: int,
+                         preset) -> Tuple[int, List[Tuple[int, int]]]:
+    """The quiver both configuration builders (graded's table, the
+    presentation) read: the vertex count m and the arrows (i, j), 1-based
+    in graph order and sorted, both directions of every edge.
+
+    It refuses the parameters both builders refuse: n, k, h >= 1, and for
+    the zigzag preset k | 2h and 2h/k = n. Its relations give
     t_i^(2h/k + 1) = (a_ji a_ij) t_i = a_ji (a_ij t_i) = 0. With 2h/k < n
     they would present a smaller algebra than the table, which keeps
     t_i^(2h/k + 1) non-zero and so is not associative; with 2h/k > n the
@@ -153,6 +158,20 @@ def _check_configuration(n: int, k: int, h: int, preset) -> None:
         raise InputValidationError(
             f"zigzag preset needs k | 2h and 2h/k = n (n={n}, k={k}, h={h})"
         )
+    index = {v: i for i, v in enumerate(graph.vertices, start=1)}
+    arrows = {(index[e.u], index[e.v]) for e in graph.edges}
+    return len(index), sorted(arrows | {(j, i) for i, j in arrows})
+
+
+def _arrow_label(m: int, i: int, j: int) -> str:
+    """The label of the arrow a_ij of an m-vertex quiver: a{i}{j}, and
+    a{i}_{j} once an index can have two digits."""
+    return f"a{i}{j}" if m <= 9 else f"a{i}_{j}"
+
+
+def _loop_label(i: int, l: int = 1) -> str:
+    """The label of t_i^l, the l-th power of the loop at vertex i."""
+    return f"t{i}" if l == 1 else f"t{i}^{l}"
 
 
 class PoincarePolynomial(Record):
@@ -181,9 +200,6 @@ class PoincarePolynomial(Record):
 
     def dims(self) -> Dict[int, int]:
         return dict(self.coeffs)
-
-    def dim(self, d: int) -> int:
-        return dict(self.coeffs).get(d, 0)
 
     def degrees(self) -> List[int]:
         return [d for d, _ in self.coeffs]

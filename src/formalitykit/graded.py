@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .configurations import ConfigGraph, _check_configuration
+from .configurations import ConfigGraph, _arrow_label, _check_configuration, _loop_label
 from .errors import InputValidationError
 from .fields import FieldSpec, RATIONALS_SPEC
 from .record import Record
@@ -295,15 +295,17 @@ def block_structure(A: GradedAlgebra) -> Dict[str, Tuple[int, int]]:
     return out
 
 
+def _power_label(j: int) -> str:
+    """The label of t^j in k[t]/t^(n+1): 1, t, t^2, ..."""
+    return "1" if j == 0 else ("t" if j == 1 else f"t^{j}")
+
+
 def truncated_poly(n: int, k: int, field_spec: FieldSpec = RATIONALS_SPEC) -> GradedAlgebra:
     """k[t]/t^(n+1) with deg(t) = k: basis 1, t, ..., t^n, maxdeg n*k."""
     if n < 1 or k < 1:
         raise InputValidationError("truncated_poly needs n >= 1 and k >= 1")
     f = field_spec.field()
-
-    def lab(j: int) -> str:
-        return "1" if j == 0 else ("t" if j == 1 else f"t^{j}")
-
+    lab = _power_label
     basis = tuple((lab(j), j * k) for j in range(n + 1))
     mult: Dict[Tuple[str, str], Combo] = {}
     for i in range(n + 1):
@@ -311,21 +313,6 @@ def truncated_poly(n: int, k: int, field_spec: FieldSpec = RATIONALS_SPEC) -> Gr
             if i + j <= n:
                 mult[(lab(i), lab(j))] = {lab(i + j): f.one}
     return GradedAlgebra(field_spec, basis, mult, {lab(0): f.one}, (lab(0),))
-
-
-def _config_labels(m: int):
-    def e(i):
-        return f"e{i + 1}"
-
-    def t(i, l):
-        return f"t{i + 1}" if l == 1 else f"t{i + 1}^{l}"
-
-    def a(i, j):
-        if m <= 9:
-            return f"a{i + 1}{j + 1}"
-        return f"a{i + 1}_{j + 1}"
-
-    return e, t, a
 
 
 def build_configuration_algebra(
@@ -340,33 +327,28 @@ def build_configuration_algebra(
 
     Basis: idempotents e_i, loop generators t_i, ..., t_i^n of degree k
     per power, and arrows a_ij of degree h for both directions of every
-    edge. Arrow times loop products vanish in both presets. The preset
-    fixes arrow compositions; 'orthogonal' kills them all, 'zigzag' sets
-    a_ji a_ij = t_i^(2h/k) and kills paths through distinct vertices, and
-    needs 2h/k = n (see configurations._check_configuration). An explicit mapping
+    edge, labeled and ordered as configurations._check_configuration and
+    its label functions give them. Arrow times loop products vanish in
+    both presets. The preset fixes arrow compositions; 'orthogonal' kills
+    them all, 'zigzag' sets a_ji a_ij = t_i^(2h/k) and kills paths through
+    distinct vertices, and needs 2h/k = n. An explicit mapping
     {(x_label, y_label): combo} may be given instead.
     The result is machine validated before it is returned.
     """
-    _check_configuration(n, k, h, preset)
-    m = len(graph.vertices)
-    vidx = {v: i for i, v in enumerate(graph.vertices)}
-    e, t, a = _config_labels(m)
-    f = field_spec.field()
-    one = f.one
+    m, arrows = _check_configuration(graph, n, k, h, preset)
+    vertices = range(1, m + 1)
+    t = _loop_label
+    one = field_spec.field().one
 
-    adjacency = set()
-    for edge in graph.edges:
-        i, j = vidx[edge.u], vidx[edge.v]
-        adjacency.add((i, j))
-        adjacency.add((j, i))
+    def e(i):
+        return f"e{i}"
 
-    basis: List[Tuple[str, int]] = [(e(i), 0) for i in range(m)]
-    for i in range(m):
-        for l in range(1, n + 1):
-            basis.append((t(i, l), l * k))
-    arrow_pairs = sorted(adjacency)
-    for (i, j) in arrow_pairs:
-        basis.append((a(i, j), h))
+    def a(i, j):
+        return _arrow_label(m, i, j)
+
+    basis: List[Tuple[str, int]] = [(e(i), 0) for i in vertices]
+    basis += [(t(i, l), l * k) for i in vertices for l in range(1, n + 1)]
+    basis += [(a(i, j), h) for i, j in arrows]
 
     mult: Dict[Tuple[str, str], Combo] = {}
 
@@ -374,7 +356,7 @@ def build_configuration_algebra(
         if combo:
             mult[(x, y)] = combo
 
-    for i in range(m):
+    for i in vertices:
         put(e(i), e(i), {e(i): one})
         for l in range(1, n + 1):
             put(e(i), t(i, l), {t(i, l): one})
@@ -383,14 +365,14 @@ def build_configuration_algebra(
             for l2 in range(1, n + 1):
                 if l1 + l2 <= n:
                     put(t(i, l1), t(i, l2), {t(i, l1 + l2): one})
-    for (i, j) in arrow_pairs:
+    for (i, j) in arrows:
         # a_ij acts P_i -> P_j, so e_j a_ij = a_ij = a_ij e_i
         put(e(j), a(i, j), {a(i, j): one})
         put(a(i, j), e(i), {a(i, j): one})
         # loop compositions with arrows vanish in both presets
 
     if preset == "zigzag":
-        for (i, j) in arrow_pairs:
+        for (i, j) in arrows:
             # a_ji a_ij : P_i -> P_j -> P_i closes the zigzag on vertex i, t_i^(2h/k) = t_i^n
             put(a(j, i), a(i, j), {t(i, n): one})
     elif preset == "orthogonal":
@@ -404,8 +386,8 @@ def build_configuration_algebra(
     else:
         raise InputValidationError(f"unknown preset {preset!r}")
 
-    unit = {e(i): one for i in range(m)}
-    A = GradedAlgebra(field_spec, tuple(basis), mult, unit, tuple(e(i) for i in range(m)))
+    unit = {e(i): one for i in vertices}
+    A = GradedAlgebra(field_spec, tuple(basis), mult, unit, tuple(e(i) for i in vertices))
     validate(A).raise_if_invalid("configuration algebra")
     return A
 

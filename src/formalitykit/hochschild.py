@@ -98,6 +98,7 @@ from .errors import (
 )
 from .graded import (
     GradedAlgebra,
+    _power_label,
     block_structure,
     detect_idempotents,
     validate,
@@ -469,21 +470,6 @@ def hh_bar(
     return HHResult(p, q, len(reps), mode, (n_prev, n_here, n_next), tuple(out))
 
 
-def cochain_dim(
-    A: GradedAlgebra,
-    p: int,
-    q: int,
-    *,
-    mode: str = "relative_normalized",
-    max_words: int = DEFAULT_MAX_WORDS,
-) -> int:
-    """dim C^{p,q}: the number of degree q cochains on length p words."""
-    if p < 0:
-        raise InputValidationError("p must be >= 0")
-    _, n = _cochain_basis(_tables(A, mode), p, q, mode, max_words)
-    return n
-
-
 def nonempty_internal_degrees(
     A: GradedAlgebra, p: int, *, mode: str = "relative_normalized"
 ) -> List[int]:
@@ -587,16 +573,13 @@ class PeriodicResolutionSpec(Record, eq=False):
 def periodic_spec_truncated_poly(n: int, k: int, length: int) -> PeriodicResolutionSpec:
     """The 2-periodic resolution of k[t]/t^(n+1) with deg t = k: shifts
     -i(n+1)k and -(i(n+1)+1)k, multipliers t x 1 - 1 x t and
-    sum_j t^(n-j) x t^j, alternating."""
-
-    def lab(j):
-        return "1" if j == 0 else ("t" if j == 1 else f"t^{j}")
-
+    sum_j t^(n-j) x t^j, alternating, in truncated_poly's labels."""
+    lab = _power_label
     shifts = []
     for qq in range(length + 1):
         i = qq // 2
         shifts.append(-(i * (n + 1)) * k if qq % 2 == 0 else -(i * (n + 1) + 1) * k)
-    u = (("t", "1", 1), ("1", "t", -1))
+    u = ((lab(1), lab(0), 1), (lab(0), lab(1), -1))
     v = tuple((lab(n - j), lab(j), 1) for j in range(n + 1))
     multipliers = tuple(u if step % 2 == 1 else v for step in range(1, length + 1))
     return PeriodicResolutionSpec(tuple(shifts), multipliers)
@@ -703,13 +686,8 @@ def _check_periodic_spec(A: GradedAlgebra, spec: PeriodicResolutionSpec) -> Peri
             cidx = {pr: i for i, pr in enumerate(cod)}
             rows: List[Dict[int, object]] = [{} for _ in cod]
             for c, (a, b) in enumerate(dom):
-                # (a, b)(x, y) = (a x, y b) in the enveloping algebra
-                for x, y, coeff in spec.multipliers[j - 1]:
-                    for lx, cx in A.mult.get((a, x), {}).items():
-                        for ly, cy in A.mult.get((y, b), {}).items():
-                            rr = cidx.get((lx, ly))
-                            if rr is not None:
-                                rows[rr][c] = rows[rr].get(c, 0) + coeff * cx * cy
+                for pr, v in _env_mul(A, ((a, b, 1),), spec.multipliers[j - 1]).items():
+                    rows[cidx[pr]][c] = v
             matrices.append(rows)
             ranks.append(rank_rows(rows, f))
 

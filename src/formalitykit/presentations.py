@@ -43,7 +43,8 @@ from __future__ import annotations
 import functools
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .configurations import ConfigGraph, PoincarePolynomial, _check_configuration
+from .configurations import (ConfigGraph, PoincarePolynomial, _arrow_label, _check_configuration,
+                             _loop_label)
 from .errors import InputValidationError
 from .fields import FieldSpec, RATIONALS_SPEC
 from .groebner import Word, _morse_tor
@@ -473,46 +474,31 @@ def configuration_presentation(
     relations t_i^(n+1), arrow times loop words, and the arrow compositions
     of the preset, "orthogonal" or "zigzag".
 
-    It refuses the parameters the table builder refuses: n, k, h >= 1, and
-    for the zigzag preset k | 2h and 2h/k = n (see
-    configurations._check_configuration)."""
+    It reads the quiver and labels the table builder reads, and refuses
+    the parameters it refuses (see configurations._check_configuration)."""
     if preset not in ("orthogonal", "zigzag"):
         raise InputValidationError(f"unknown preset {preset!r}")
-    _check_configuration(n, k, h, preset)
-    m = len(graph.vertices)
-    vidx = {v: i + 1 for i, v in enumerate(graph.vertices)}
-
-    def t(i):
-        return f"t{i}"
+    m, arrows = _check_configuration(graph, n, k, h, preset)
+    t = _loop_label
 
     def a(i, j):
-        return f"a{i}{j}" if m <= 9 else f"a{i}_{j}"
+        return _arrow_label(m, i, j)
 
-    gens: List[Generator] = [Generator(t(i), i, i, k) for i in range(1, m + 1)]
-    arrows = set()
-    for e in graph.edges:
-        i, j = vidx[e.u], vidx[e.v]
-        arrows.add((i, j))
-        arrows.add((j, i))
-    for (i, j) in sorted(arrows):
-        gens.append(Generator(a(i, j), i, j, h))
+    gens = [Generator(t(i), i, i, k) for i in range(1, m + 1)]
+    gens += [Generator(a(i, j), i, j, h) for i, j in arrows]
 
     rels: List[Tuple[Tuple[Word, object], ...]] = []
     for i in range(1, m + 1):
         rels.append((((t(i),) * (n + 1), 1),))
-    for (i, j) in sorted(arrows):
+    for (i, j) in arrows:
         # a_ij t_i and t_j a_ij vanish (arrow times loop convention)
         rels.append((((a(i, j), t(i)), 1),))
         rels.append((((t(j), a(i, j)), 1),))
-    pairs = set()
-    for (i, j) in sorted(arrows):
-        for (j2, l) in sorted(arrows):
+    for (i, j) in arrows:
+        for (j2, l) in arrows:
             if j2 != j:
                 continue
             word = (a(j, l), a(i, j))  # composite P_i -> P_j -> P_l
-            if word in pairs:
-                continue
-            pairs.add(word)
             if preset == "zigzag" and l == i:
                 rels.append(((word, 1), ((t(i),) * n, -1)))
             else:

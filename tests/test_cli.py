@@ -508,6 +508,47 @@ def test_presentation_with_a_non_string_label_or_a_string_word_exits_2(tmp_path,
     run_reports_input_error(["tor", "--pres", path, "--q", "1"], capsys)
 
 
+# k<t>/(t^3), |t| = 2, truncated at 8, with one key replaced
+@pytest.mark.parametrize("key,value,message", [
+    ("vertices", 0, "need at least one vertex"),
+    ("generators", [{"label": "t", "src": 1, "tgt": 1, "deg": 0}],
+     "generator t must have positive degree"),
+    ("generators", [{"label": "t", "src": 1, "tgt": 2, "deg": 2}],
+     "generator t has out of range vertices"),
+    ("truncation", -1, "truncation must be >= 0"),
+    ("relations", [[]], "empty relation"),
+    ("relations", [[{"word": [], "coeff": "1"}]], "relations may not contain the empty word"),
+    ("relations", [[{"word": ["t", "s", "t"], "coeff": "1"}]],
+     "relation uses unknown generator s"),
+    ("relations", [[{"word": ["t", "t", "t"], "coeff": "1"}, {"word": ["t", "t"], "coeff": "1"}]],
+     "relation terms must share degree and (source, target) block"),
+], ids=["no-vertex", "degree-0", "vertex-out-of-range", "negative-truncation",
+        "empty-relation", "empty-word", "unknown-generator", "mixed-blocks"])
+def test_presentation_refusal_exits_2_with_its_message(tmp_path, capsys, key, value, message):
+    data = presentation_to_json_dict(single_generator_presentation(2, 2, 8))
+    data[key] = value
+    path = write_json(tmp_path, "bad_pres.json", data)
+    assert run(["tor", "--pres", path, "--q", "1"]) == (2, "")
+    assert capsys.readouterr().err == f"input error: {message}\n"
+
+
+# a kind other than the two and a modulus on Q cannot come from a tag: the
+# constructor refuses them (tests/test_fields.py)
+@pytest.mark.parametrize("tag,message", [
+    ("fp:x", "bad field tag 'fp:x'"),
+    ("reals", "bad field tag 'reals' (use rationals or fp:P)"),
+])
+def test_field_tag_refusal_exits_2_with_its_message(tmp_path, capsys, tag, message):
+    poincare = write_json(tmp_path, "p.json", {"components": [{"degree": 0, "dim": 1}]})
+    assert run(["kunneth", "--poincare", poincare, "--n", "2", "--same",
+                "--field", tag]) == (2, "")
+    assert capsys.readouterr().err == f"input error: {message}\n"
+    data = presentation_to_json_dict(single_generator_presentation(2, 2, 8))
+    data["field"] = tag
+    assert run(["tor", "--pres", write_json(tmp_path, "pres.json", data), "--q", "1"]) == (2, "")
+    assert capsys.readouterr().err == f"input error: {message}\n"
+
+
 def _relabel(data, old, new):
     """An algebra's JSON data with the label old replaced by new wherever
     it stands: basis, mult, unit and idempotents."""

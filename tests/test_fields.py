@@ -45,6 +45,14 @@ def test_composite_modulus_still_rejected():
         PrimeField(9)
 
 
+def test_field_spec_refuses_an_unknown_kind_and_a_modulus_on_the_rationals():
+    # no tag parses to either, so the command line cannot reach them
+    with pytest.raises(InputValidationError, match="^unknown field kind 'reals'$"):
+        FieldSpec(kind="reals")
+    with pytest.raises(InputValidationError, match="^rationals take no modulus$"):
+        FieldSpec(p=7)
+
+
 def test_modulus_is_bounded_before_the_primality_test():
     # 2^61 - 1 is prime, but trial division up to its square root would
     # take minutes; the bound refuses it first

@@ -242,6 +242,72 @@ def test_recheck_detects_dropped_coverage():
     assert not verify_certificate(FormalityCertificate.from_json_dict(cert)).ok
 
 
+CERTS = {
+    "single": lambda: certify_single(2, 2),  # PeriodicResolution, even item first
+    "pn": lambda: certify_config_pn(2, 2, 2),  # DegreeBound even, odd; GcdDivisibility q = 3
+    "spherical": lambda: certify_config_spherical(4, 2, 4),  # DegreeBound even, odd
+}
+STALE_VERDICT = f"verdict {CERTIFIED!r} inconsistent; expected {INCONCLUSIVE!r}"
+# (family, {path into the certificate: tampered value}, index of the failing
+# item or None, the item's message or the report's messages)
+TAMPERED = [
+    ("single", {("evidence", 0, "target_degree", "slope"): 5}, 0, "target degree affine mismatch"),
+    ("single", {("evidence", 0, "band_max"): 5}, 0, "band mismatch"),
+    ("single", {("evidence", 0, "covers", "i_min"): 3}, 0, "base index mismatch"),
+    ("single", {("evidence", 0, "value_at_base"): 11}, 0, "base value does not replay"),
+    ("single", {("evidence", 0, "holds"): False}, 0, "holds flag wrong"),
+    ("pn", {("evidence", 2, "gcd_of"): [2, 4]}, 2, "gcd arguments mismatch"),
+    ("pn", {("evidence", 2, "gcd"): 4}, 2, "gcd does not replay: 4 vs 2"),
+    ("pn", {("evidence", 2, "holds"): False}, 2, "holds flag wrong"),
+    # the even tail starts at q = 6, and nothing covers q = 4
+    ("pn", {("evidence", 0, "covers", "p_min"): 3, ("evidence", 0, "lhs_at_base"): 8,
+            ("evidence", 0, "rhs_at_base"): 12}, None, (STALE_VERDICT,)),
+    # the odd tail starts at q = 5, and nothing covers q = 3
+    ("pn", {("evidence", 2, "covers", "q"): 5}, None, (STALE_VERDICT,)),
+] + [
+    (family, {("evidence", 0, *path): value}, 0, message)
+    for family in ("pn", "spherical")
+    for path, value, message in [
+        (("covers", "parity"), "both", "malformed coverage"),
+        (("lhs", "intercept"), 3, "lhs affine mismatch: {'slope': 2, 'intercept': 3} vs (2, 2)"),
+        (("rhs", "slope"), 5, "rhs affine mismatch: {'slope': 5, 'intercept': 0} vs (4, 0)"),
+        (("lhs_at_base",), 7, "base point values do not replay"),
+        (("slope_gap",), 3, "slope gap does not replay"),
+        (("holds",), False, "holds flag wrong: recomputed True"),
+    ]
+] + [
+    (family, change, where, message)
+    for family in CERTS
+    for change, where, message in [
+        ({("evidence", 1, "method"): "Guess"}, 1, "unknown evidence method 'Guess'"),
+        ({("hypotheses", 0, "name"): "k >= 0"}, None,
+         ("unknown hypothesis 'k >= 0'", f"verdict {CERTIFIED!r} inconsistent; "
+                                          f"expected {INAPPLICABLE!r}")),
+    ]
+]
+
+
+@pytest.mark.parametrize("family,change,where,message", TAMPERED,
+                         ids=[f"{c[0]}-{'.'.join(map(str, next(iter(c[1]))))}" for c in TAMPERED])
+def test_recheck_refuses_each_tampered_field(family, change, where, message):
+    """One field per failure return of the re-checker: the report fails,
+    and names the item and why, or why the certificate as a whole fails.
+    The other items still replay."""
+    cert = CERTS[family]().to_json_dict()
+    for (*path, key), value in change.items():
+        node = cert
+        for step in path:
+            node = node[step]
+        node[key] = value
+    report = verify_certificate(FormalityCertificate.from_json_dict(cert))
+    assert not report.ok
+    if where is None:
+        assert report.messages == message
+    else:
+        assert report.item_results[where] == (where, False, message)
+    assert all(ok for i, ok, _ in report.item_results if i != where)
+
+
 def test_certificate_json_round_trip():
     cert = certify_config_spherical(6, 3, 6)
     data = json.loads(json.dumps(cert.to_json_dict()))

@@ -28,7 +28,6 @@ from formalitykit.hochschild import (
     _tables,
     _word_degree_states,
     bar_chain_slice,
-    cochain_dim,
     hh_bar,
     hh_resolution,
     kadeishvili_scan,
@@ -585,25 +584,12 @@ def test_invalid_algebra_rejected():
             hh_bar(A, 0, 0)
 
 
-def test_cochain_dim_counts_slice():
-    A = truncated_poly(3, 2)
-    # words (t,t,t,t) in degree 8 against targets in degree 6
-    assert cochain_dim(A, 4, -2) == 1
-
-
-def test_cochain_dim_refuses_negative_p():
-    # unchecked, p = -1 lists no words and counts an empty slice
-    with pytest.raises(InputValidationError, match="^p must be >= 0$"):
-        cochain_dim(truncated_poly(3, 1), -1, 0)
-
-
 def test_old_positional_bimodule_call_shape_is_a_type_error():
     A = truncated_poly(1, 2)
     spec = periodic_spec_truncated_poly(1, 2, 4)
     for stale in (
         lambda: hh_bar(A, None, 0, 0),
         lambda: hh_resolution(A, spec, None, 0, 0),
-        lambda: cochain_dim(A, None, 0, 0),
         lambda: nonempty_internal_degrees(A, None, 0),
         lambda: kadeishvili_scan(A, 3, "absolute"),
     ):

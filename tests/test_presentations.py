@@ -9,7 +9,7 @@ from formalitykit.configurations import ConfigGraph
 from formalitykit.errors import InputValidationError, TruncationError
 from formalitykit.fields import RATIONALS, FieldSpec
 from formalitykit.hochschild import bar_chain_slice
-from formalitykit.graded import build_configuration_algebra, truncated_poly
+from formalitykit.graded import block_structure, build_configuration_algebra, truncated_poly
 from formalitykit import groebner, linalg, presentations
 from formalitykit.formality import (
     _affine_at,
@@ -1285,6 +1285,27 @@ def test_configuration_presentation_needs_a_preset_and_a_truncation():
     with pytest.raises(TypeError):
         configuration_presentation(A2, 2, 2, 2, "orthogonal")
     assert configuration_presentation(A2, 2, 2, 2, "orthogonal", 6).truncation == 6
+
+
+# a 10-cycle, listed out of order: its arrow labels need the a{i}_{j} form
+CYCLE10 = ConfigGraph.make([3, 1, 2, 4, 5, 6, 7, 8, 9, 10],
+                           [(i, i % 10 + 1) for i in range(1, 11)])
+
+
+@pytest.mark.parametrize("preset", ["orthogonal", "zigzag"])
+def test_table_and_presentation_read_one_quiver_on_ten_vertices(preset):
+    """The table's loops t_i and arrows, in basis order and with their
+    blocks, are the presentation's generators, in order."""
+    A = build_configuration_algebra(CYCLE10, 1, 2, 1, preset)
+    pres = configuration_presentation(CYCLE10, 1, 2, 1, preset, 6)
+    blocks = block_structure(A)
+    table = [(lab, src + 1, tgt + 1, d) for lab, d in A.basis if d > 0
+             for src, tgt in [blocks[lab]]]
+    assert table == [(g.label, g.src, g.tgt, g.deg) for g in pres.generators]
+    arrows = [g.label for g in pres.generators if g.src != g.tgt]
+    # indices follow the listing: vertex 3 is index 1 and vertex 1 index 2
+    assert len(arrows) == 20 and arrows[:3] == ["a1_3", "a1_4", "a2_3"]
+    assert "a2_10" in arrows and "a1_2" not in arrows
 
 
 # -- JSON ---------------------------------------------------------------------
