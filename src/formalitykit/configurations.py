@@ -100,24 +100,6 @@ class ConfigGraph(Record):
             adj[e.v].append((e.u, e))
         return adj
 
-    def has_cycles(self) -> bool:
-        comps = 0
-        seen = set()
-        adj = self.adjacency()
-        for root in self.vertices:
-            if root in seen:
-                continue
-            comps += 1
-            stack = [root]
-            seen.add(root)
-            while stack:
-                x = stack.pop()
-                for y, _ in adj[x]:
-                    if y not in seen:
-                        seen.add(y)
-                        stack.append(y)
-        return len(self.edges) > len(self.vertices) - comps
-
     def to_json_dict(self) -> dict:
         edges = []
         for e in self.edges:
@@ -266,9 +248,10 @@ def _propagate(graph: ConfigGraph, root_value, step):
     component at its first vertex in graph order with root_value.
 
     step(x, e, value at x) is the value edge e forces on x's neighbour.
-    Returns (values, None) when every edge agrees, else (None, cycle):
-    the first disagreeing edge closes a cycle through the forest, listed
-    with its first vertex repeated at the end."""
+    Returns (values, None, cyclic) when every edge agrees, where cyclic
+    says whether the graph has an edge outside the forest, else (None,
+    cycle, True): the first disagreeing edge closes a cycle through the
+    forest, listed with its first vertex repeated at the end."""
     adj = graph.adjacency()
     values: Dict[object, object] = {}
     parents: Dict[object, Tuple[object, EdgeData]] = {}
@@ -287,8 +270,8 @@ def _propagate(graph: ConfigGraph, root_value, step):
                     queue.append(y)
                 elif values[y] != want:
                     cycle = _tree_path(parents, y, x)
-                    return None, cycle + [cycle[0]]
-    return values, None
+                    return None, cycle + [cycle[0]], True
+    return values, None, len(graph.edges) > len(parents)
 
 
 def normalize_shifts(graph: ConfigGraph, nk: int) -> ShiftNormalization:
@@ -311,12 +294,10 @@ def normalize_shifts(graph: ConfigGraph, nk: int) -> ShiftNormalization:
                 f"edge ({e.u},{e.v}) violates duality: {e.a_uv} + {e.a_vu} != {nk}"
             )
 
-    shifts, cycle = _propagate(
+    shifts, cycle, cyclic = _propagate(
         graph, 0, lambda x, e, s: s + (e.a_uv if e.u == x else e.a_vu) - h
     )
-    if cycle is not None:
-        return ShiftNormalization(False, h, witness_cycle=cycle, uses_cycle_extension=True)
-    return ShiftNormalization(True, h, shifts=shifts, uses_cycle_extension=graph.has_cycles())
+    return ShiftNormalization(cycle is None, h, shifts, cycle, cyclic)
 
 
 def normalized_edge_degrees(graph: ConfigGraph, shifts: Mapping[object, int]) -> Dict[Tuple[object, object], int]:
@@ -350,10 +331,8 @@ def sign_assignment(graph: ConfigGraph) -> SignAssignment:
     for e in graph.edges:
         if e.d is None:
             raise InputValidationError(f"edge ({e.u},{e.v}) is missing the degree label d")
-    signs, cycle = _propagate(graph, 1, lambda x, e, s: s * (-1) ** (e.d % 2))
-    if cycle is not None:
-        return SignAssignment(False, witness_cycle=cycle, uses_cycle_extension=True)
-    return SignAssignment(True, signs=signs, uses_cycle_extension=graph.has_cycles())
+    signs, cycle, cyclic = _propagate(graph, 1, lambda x, e, s: s * (-1) ** (e.d % 2))
+    return SignAssignment(cycle is None, signs, cycle, cyclic)
 
 
 # -- Koszul signed powers ---------------------------------------------------

@@ -11,13 +11,19 @@ Three verdicts are possible. CertifiedFormal means the evidence covers
 every q > 2. CriterionInapplicable means a hypothesis of the method
 fails; this never claims non-formality. Inconclusive means the
 hypotheses hold but some piece of evidence is not strict, again with no
-negative claim.
+negative claim. Every builder returns through one verdict rule,
+_certificate, and builds each degree comparison from its degree data
+with _degree_bound_item.
+
+verify_certificate shares no code with the builders. It reads each
+family's parameters, hypotheses, derived subject fields and replay data
+from one table of its own, _FAMILIES.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .errors import InputValidationError
 from .record import Record
@@ -105,18 +111,24 @@ def _tor_mindeg_bound(parity: str, mu: int, nu: int) -> dict:
     return _affine(mu, nu if parity == "odd" else 0)
 
 
-def _degree_bound_item(parity, p_min, lhs, rhs, chain_exprs, chain_values, relations):
-    lhs_at = _affine_at(lhs, p_min)
-    rhs_at = _affine_at(rhs, p_min)
+def _degree_bound_item(parity, p_min, maxdeg, mu, nu, chain) -> dict:
+    """The DegreeBound item for q = 2p ("even") or q = 2p + 1 ("odd"),
+    p >= p_min: the lhs maxdeg(A) + q - 2, which is 2p + maxdeg - 2 or
+    2p + maxdeg - 1, against the rhs _tor_mindeg_bound(parity, mu, nu).
+    chain(parity, p) gives the exprs, values and relations that the
+    display chains after maxdeg(A)+q-2 at the base point p = p_min."""
+    odd = parity == "odd"
+    lhs = _affine(2, maxdeg - 2 + odd)
+    rhs = _tor_mindeg_bound(parity, mu, nu)
+    lhs_at, rhs_at = _affine_at(lhs, p_min), _affine_at(rhs, p_min)
     gap = rhs["slope"] - lhs["slope"]
     holds = gap > 0 and lhs_at < rhs_at
-    q_at_base = 2 * p_min + (0 if parity == "even" else 1)
+    exprs, values, relations = chain(parity, p_min)
+    exprs, values = ["maxdeg(A)+q-2"] + exprs, [lhs_at] + values
     display = (
-        f"q = {'2p' if parity == 'even' else '2p+1'}, p >= {p_min}: "
-        f"maxdeg(A)+q-2 < mindeg Tor_q(R,R); at p={p_min} (q={q_at_base}): "
-        + " ".join(
-            f"{v} {r}" for v, r in zip(chain_values, relations + [""])
-        ).strip()
+        f"q = {'2p+1' if odd else '2p'}, p >= {p_min}: "
+        f"maxdeg(A)+q-2 < mindeg Tor_q(R,R); at p={p_min} (q={2 * p_min + odd}): "
+        + " ".join(f"{v} {r}" for v, r in zip(values, relations + [""])).strip()
         + f"; slopes {lhs['slope']} vs {rhs['slope']}"
     )
     return {
@@ -128,7 +140,7 @@ def _degree_bound_item(parity, p_min, lhs, rhs, chain_exprs, chain_values, relat
         "lhs_at_base": int(lhs_at),
         "rhs_at_base": int(rhs_at),
         "slope_gap": int(gap),
-        "chain": {"exprs": chain_exprs, "values": chain_values, "relations": relations},
+        "chain": {"exprs": exprs, "values": values, "relations": relations},
         "holds": bool(holds),
         "display": display,
     }
@@ -186,6 +198,21 @@ def _coverage_complete(evidence) -> bool:
     return True
 
 
+def _certificate(subject, hyps, notes, evidence) -> FormalityCertificate:
+    """The one verdict rule. CriterionInapplicable, with no evidence
+    built, when a hypothesis fails; otherwise CertifiedFormal when every
+    item of evidence() holds and together they cover every q > 2, and
+    Inconclusive when not. evidence() may append to the list notes, which
+    is read after it."""
+    if not all(x["ok"] for x in hyps):
+        return FormalityCertificate(subject, INAPPLICABLE, hyps, (), tuple(notes))
+    items = tuple(evidence())
+    ok = all(e["holds"] for e in items) and _coverage_complete(items)
+    return FormalityCertificate(
+        subject, CERTIFIED if ok else INCONCLUSIVE, hyps, items, tuple(notes)
+    )
+
+
 # -- single object -----------------------------------------------------------
 
 
@@ -221,17 +248,14 @@ def certify_single(n: int, k: int) -> FormalityCertificate:
             ),
         }
 
-    evidence = (item("even", 2, 2), item("odd", 1, 1 + k))
-    all_hold = all(e["holds"] for e in evidence) and _coverage_complete(evidence)
-    verdict = CERTIFIED if all_hold else INCONCLUSIVE
-    return FormalityCertificate(
+    return _certificate(
         {"family": "single", "n": int(n), "k": int(k), "maxdeg": int(band)},
-        verdict,
         (
             {"name": "n >= 1", "ok": n >= 1, "actual": int(n)},
             {"name": "k >= 1", "ok": k >= 1, "actual": int(k)},
         ),
-        evidence,
+        (),
+        lambda: (item("even", 2, 2), item("odd", 1, 1 + k)),
     )
 
 
@@ -250,9 +274,9 @@ def certify_config_pn(n: int, k: int, h: int) -> FormalityCertificate:
     objects: loops of degree k with n+1 vanishing power, arrows of degree
     h, under n, k >= 2, nk/2 <= h <= nk, gcd(k, h) > 1.
 
-    Evidence: affine degree comparisons with mindeg(I) >= h + k and
-    mindeg(J) = k for q >= 4 (base point p = 2 for both parities), and a
-    divisibility argument at q = 3.
+    Evidence: degree comparisons from maxdeg(A) = nk, mindeg(I) >= h + k
+    and mindeg(J) = k for q >= 4 (base point p = 2 for both parities),
+    and a divisibility argument at q = 3.
     """
     hyps = (
         {"name": "n >= 2", "ok": n >= 2, "actual": int(n)},
@@ -270,35 +294,21 @@ def certify_config_pn(n: int, k: int, h: int) -> FormalityCertificate:
         "mindeg_I_bound": int(h + k),
         "mindeg_J": int(k),
     }
-    if not all(x["ok"] for x in hyps):
-        return FormalityCertificate(subject, INAPPLICABLE, hyps, (), (_PRESET_NOTE,))
 
-    band = n * k
-    p = 2
-    even = _degree_bound_item(
-        "even",
-        2,
-        _affine(2, band - 2),
-        _tor_mindeg_bound("even", h + k, k),
-        ["maxdeg(A)+q-2", "2h+2p-2", "ph+2p", "p(h+k)"],
-        [band + 2 * p - 2, 2 * h + 2 * p - 2, p * h + 2 * p, p * (h + k)],
-        ["<=", "<", "<="],
-    )
-    odd = _degree_bound_item(
-        "odd",
-        2,
-        _affine(2, band - 1),
-        _tor_mindeg_bound("odd", h + k, k),
-        ["maxdeg(A)+q-2", "2h+2p-1", "ph+2p", "p(h+k)+k"],
-        [band + 2 * p - 1, 2 * h + 2 * p - 1, p * h + 2 * p, p * (h + k) + k],
-        ["<=", "<", "<"],
-    )
-    gcd_item = _gcd_item(k, h)
-    evidence = (even, odd, gcd_item)
-    ok = all(e["holds"] for e in evidence) and _coverage_complete(evidence)
-    return FormalityCertificate(
-        subject, CERTIFIED if ok else INCONCLUSIVE, hyps, evidence, (_PRESET_NOTE,)
-    )
+    def chain(parity, p):
+        odd = parity == "odd"
+        return (
+            ["2h+2p-1" if odd else "2h+2p-2", "ph+2p", "p(h+k)+k" if odd else "p(h+k)"],
+            [2 * h + 2 * p - 2 + odd, p * h + 2 * p, p * (h + k) + k * odd],
+            ["<=", "<", "<" if odd else "<="],
+        )
+
+    def evidence():
+        even, odd = (_degree_bound_item(parity, 2, n * k, h + k, k, chain)
+                     for parity in ("even", "odd"))
+        return even, odd, _gcd_item(k, h)
+
+    return _certificate(subject, hyps, (_PRESET_NOTE,), evidence)
 
 
 def certify_config_spherical(k: int, h_min: int, h_max: int) -> FormalityCertificate:
@@ -306,7 +316,7 @@ def certify_config_spherical(k: int, h_min: int, h_max: int) -> FormalityCertifi
     (loop degree k, squares vanish) with arrow degrees in [h_min, h_max],
     under k >= 4 and floor(k/2) <= h_min <= h_max <= k.
 
-    Evidence: affine degree comparisons with the worst case h = h_min,
+    Evidence: degree comparisons from the worst case h = h_min,
     mindeg(I) >= 2h and mindeg(J) >= h, maxdeg(A) = k. The odd family is
     anchored at p = 1 so that q = 3 is covered; when the q = 3 comparison
     is not strict (this happens exactly at k = 5 with h_min = 2), the
@@ -316,10 +326,9 @@ def certify_config_spherical(k: int, h_min: int, h_max: int) -> FormalityCertifi
     the cycle, degree k - h arrows back and a_ji a_ij = t_i has the degree
     data of the family and HH^{3,-1} = 1.
     """
-    floor_half = k // 2
     hyps = (
         {"name": "k >= 4", "ok": k >= 4, "actual": int(k)},
-        {"name": "floor(k/2) <= h_min", "ok": floor_half <= h_min, "actual": int(h_min)},
+        {"name": "floor(k/2) <= h_min", "ok": k // 2 <= h_min, "actual": int(h_min)},
         {"name": "h_min <= h_max", "ok": h_min <= h_max, "actual": int(h_max)},
         {"name": "h_max <= k", "ok": h_max <= k, "actual": int(h_max)},
     )
@@ -340,42 +349,18 @@ def certify_config_spherical(k: int, h_min: int, h_max: int) -> FormalityCertifi
             "k in {2, 3} lies outside this certificate method; "
             "no claim of non-formality is made"
         )
-    if not all(x["ok"] for x in hyps):
-        return FormalityCertificate(subject, INAPPLICABLE, hyps, (), tuple(notes))
 
-    p = 2
-    even = _degree_bound_item(
-        "even",
-        2,
-        _affine(2, k - 2),
-        _tor_mindeg_bound("even", 2 * h, h),
-        ["maxdeg(A)+q-2", "2h+2p-1", "2h+2p", "2ph"],
-        [k + 2 * p - 2, 2 * h + 2 * p - 1, 2 * h + 2 * p, 2 * p * h],
-        ["<=", "<", "<="],
-    )
-    p = 1
-    odd = _degree_bound_item(
-        "odd",
-        1,
-        _affine(2, k - 1),
-        _tor_mindeg_bound("odd", 2 * h, h),
-        ["maxdeg(A)+q-2", "2h+2p", "2ph+h"],
-        [k + 2 * p - 1, 2 * h + 2 * p, 2 * p * h + h],
-        ["<=", "<"],
-    )
-    evidence: List[dict] = [even, odd]
-    if not odd["holds"]:
-        p = 2
-        odd_tail = _degree_bound_item(
-            "odd",
-            2,
-            _affine(2, k - 1),
-            _tor_mindeg_bound("odd", 2 * h, h),
-            ["maxdeg(A)+q-2", "2h+2p", "2ph+h"],
-            [k + 2 * p - 1, 2 * h + 2 * p, 2 * p * h + h],
-            ["<=", "<"],
-        )
-        evidence.append(odd_tail)
+    def chain(parity, p):
+        if parity == "even":
+            return (["2h+2p-1", "2h+2p", "2ph"], [2 * h + 2 * p - 1, 2 * h + 2 * p, 2 * p * h],
+                    ["<=", "<", "<="])
+        return ["2h+2p", "2ph+h"], [2 * h + 2 * p, 2 * p * h + h], ["<=", "<"]
+
+    def evidence():
+        even, odd, odd_tail = (_degree_bound_item(parity, p_min, k, 2 * h, h, chain)
+                               for parity, p_min in (("even", 2), ("odd", 1), ("odd", 2)))
+        if odd["holds"]:
+            return even, odd
         notes.append(
             f"the q = 3 degree comparison {odd['lhs_at_base']} < {odd['rhs_at_base']} "
             "is not strict for these parameters; the q = 3 obstruction group is "
@@ -384,10 +369,9 @@ def certify_config_spherical(k: int, h_min: int, h_max: int) -> FormalityCertifi
             f"degree {k - h} arrows back and a_ji a_ij = t_i has HH^{{3,-1}} = 1), "
             "so no vanishing certificate can exist at this boundary"
         )
-    ok = all(e["holds"] for e in evidence) and _coverage_complete(evidence)
-    return FormalityCertificate(
-        subject, CERTIFIED if ok else INCONCLUSIVE, hyps, tuple(evidence), tuple(notes)
-    )
+        return even, odd, odd_tail
+
+    return _certificate(subject, hyps, notes, evidence)
 
 
 def cy_normalize(n: int, k: int) -> Dict[str, object]:
@@ -420,38 +404,38 @@ class RecheckReport(Record):
         }
 
 
-_SUBJECT_PARAMS = {
-    "single": ("n", "k"),
-    "pn_config": ("n", "k", "h"),
-    "spherical_config": ("k", "h_min", "h_max", "worst_case_h"),
+# Each family: its integer parameters, and from them its hypotheses by
+# name, the subject's derived fields and, per evidence method, the data
+# that method's items replay. The spherical family's worst case arrow
+# degree is h_min.
+_FAMILIES = {
+    "single": (("n", "k"), lambda n, k: (
+        {"n >= 1": n >= 1, "k >= 1": k >= 1},
+        {"maxdeg": n * k},
+        {"PeriodicResolution": (n * k, n * k + k - 2, {"even": (2, 2), "odd": (1 + k, 1)})},
+    )),
+    "pn_config": (("n", "k", "h"), lambda n, k, h: (
+        {
+            "n >= 2": n >= 2,
+            "k >= 2": k >= 2,
+            "nk/2 <= h": 2 * h >= n * k,
+            "h <= nk": h <= n * k,
+            "gcd(k, h) > 1": math.gcd(k, h) > 1,
+        },
+        {"maxdeg": n * k, "mindeg_I_bound": h + k, "mindeg_J": k},
+        {"DegreeBound": (n * k, h + k, k), "GcdDivisibility": (k, h)},
+    )),
+    "spherical_config": (("k", "h_min", "h_max"), lambda k, h_min, h_max: (
+        {
+            "k >= 4": k >= 4,
+            "floor(k/2) <= h_min": k // 2 <= h_min,
+            "h_min <= h_max": h_min <= h_max,
+            "h_max <= k": h_max <= k,
+        },
+        {"worst_case_h": h_min, "maxdeg": k, "mindeg_I_bound": 2 * h_min, "mindeg_J_bound": h_min},
+        {"DegreeBound": (k, 2 * h_min, h_min)},
+    )),
 }
-
-
-def _expected_affines(subject: dict):
-    """Recompute the certified affine data from the subject parameters."""
-    family = subject["family"]
-    if any(type(subject.get(key)) is not int for key in _SUBJECT_PARAMS.get(family, ())):
-        raise InputValidationError(f"{family} subject needs integer {_SUBJECT_PARAMS[family]}")
-    if family == "single":
-        n, k = subject["n"], subject["k"]
-        slope = n * k + k - 2
-        return {
-            "band": n * k,
-            ("even",): (slope, 2, 2),
-            ("odd",): (slope, 1 + k, 1),
-        }
-    if family == "pn_config":
-        n, k, h = subject["n"], subject["k"], subject["h"]
-        return {
-            "maxdeg": n * k,
-            "mu": h + k,
-            "nu": k,
-            "gcd_of": (k, h),
-        }
-    if family == "spherical_config":
-        k, h = subject["k"], subject["worst_case_h"]
-        return {"maxdeg": k, "mu": 2 * h, "nu": h}
-    raise InputValidationError(f"unknown certificate family {family!r}")
 
 
 def _recheck_degree_bound(item: dict, maxdeg: int, mu: int, nu: int) -> Tuple[bool, str]:
@@ -489,19 +473,21 @@ def _recheck_gcd(item: dict, k: int, h: int) -> Tuple[bool, str]:
         return False, "gcd arguments mismatch"
     if item.get("gcd") != g:
         return False, f"gcd does not replay: {item.get('gcd')} vs {g}"
-    holds = g > 1 and (-1) % g != 0
+    holds = g > 1
     if bool(item["holds"]) != holds:
         return False, "holds flag wrong"
     return True, f"replayed gcd = {g}"
 
 
-def _recheck_periodic(item: dict, band: int, slope: int, intercept: int, i_min: int):
+def _recheck_periodic(item: dict, band: int, slope: int, bases: dict) -> Tuple[bool, str]:
+    """bases maps a parity to the intercept and base index of its tail."""
+    cov = item.get("covers", {})
+    intercept, i_min = bases[cov.get("parity")]
     td = item["target_degree"]
     if (td["slope"], td["intercept"]) != (slope, intercept):
         return False, "target degree affine mismatch"
     if item.get("band_max") != band:
         return False, "band mismatch"
-    cov = item.get("covers", {})
     if cov.get("i_min") != i_min:
         return False, "base index mismatch"
     val = intercept + slope * i_min
@@ -516,10 +502,14 @@ def _recheck_periodic(item: dict, band: int, slope: int, intercept: int, i_min: 
 def verify_certificate(cert) -> RecheckReport:
     """Replay every piece of evidence from the subject parameters alone.
 
-    This function is deliberately independent of the construction code:
-    it recomputes the affine data, base values, gcds and coverage from
-    scratch and compares them with what the certificate claims, then
-    checks that the verdict is consistent with the surviving evidence.
+    This function is deliberately independent of the construction code.
+    From the parameters, through _FAMILIES, it recomputes the family's
+    hypotheses, which the list must hold each exactly once, and the
+    subject's derived fields, which must equal what the subject states
+    (so the spherical worst case arrow degree is h_min, whatever the
+    subject says); then the affine data, base values, gcds and coverage
+    of the evidence. Finally it checks the verdict against the recomputed
+    hypotheses and the claimed evidence.
     """
     if isinstance(cert, FormalityCertificate):
         cert = cert.to_json_dict()
@@ -527,39 +517,40 @@ def verify_certificate(cert) -> RecheckReport:
     results: List[Tuple[int, bool, str]] = []
     try:
         subject = cert["subject"]
-        family = subject["family"]
-        verdict = cert["verdict"]
-        evidence = cert["evidence"]
-        hypotheses = cert["hypotheses"]
-        params = _expected_affines(subject)
-    except (KeyError, TypeError, InputValidationError):
+        verdict, evidence, hypotheses = cert["verdict"], cert["evidence"], cert["hypotheses"]
+        params, facts = _FAMILIES[subject["family"]]
+        values = [subject.get(key) for key in params]
+        if any(type(v) is not int for v in values):
+            raise TypeError("subject parameters must be integers")
+        holds, derived, replay = facts(*values)
+    except (KeyError, TypeError):
         return RecheckReport(False, (), ("malformed certificate document",))
 
+    for key, want in derived.items():
+        if type(subject.get(key)) is not int or subject[key] != want:
+            messages.append(f"subject {key!r} does not follow from its parameters: "
+                            f"{subject.get(key)!r} vs {want}")
+    listed = set()
     for hyp in hypotheses:
         name, claimed = hyp["name"], bool(hyp["ok"])
-        actual = _evaluate_hypothesis(family, subject, name)
-        if actual is None:
+        if name not in holds:
             messages.append(f"unknown hypothesis {name!r}")
-        elif actual != claimed:
+        elif name in listed:
+            messages.append(f"hypothesis {name!r} listed twice")
+        elif holds[name] != claimed:
             messages.append(f"hypothesis {name!r} does not replay")
-    hyp_all = all(
-        _evaluate_hypothesis(family, subject, h["name"]) is True for h in hypotheses
-    )
+        listed.add(name)
+    messages += [f"hypothesis {name!r} missing" for name in holds if name not in listed]
 
     for idx, item in enumerate(evidence):
         method = item.get("method")
         try:
             if method == "DegreeBound":
-                ok, msg = _recheck_degree_bound(
-                    item, params["maxdeg"], params["mu"], params["nu"]
-                )
+                ok, msg = _recheck_degree_bound(item, *replay[method])
             elif method == "GcdDivisibility":
-                k, h = params["gcd_of"]
-                ok, msg = _recheck_gcd(item, k, h)
+                ok, msg = _recheck_gcd(item, *replay[method])
             elif method == "PeriodicResolution":
-                parity = item.get("covers", {}).get("parity")
-                slope, intercept, i_min = params[(parity,)]
-                ok, msg = _recheck_periodic(item, params["band"], slope, intercept, i_min)
+                ok, msg = _recheck_periodic(item, *replay[method])
             else:
                 ok, msg = False, f"unknown evidence method {method!r}"
         except (KeyError, TypeError):
@@ -573,36 +564,10 @@ def verify_certificate(cert) -> RecheckReport:
         coverage = False  # a covers entry that is not an integer; its item fails above
     expected_verdict = (
         INAPPLICABLE
-        if not hyp_all
+        if not all(holds.values())
         else (CERTIFIED if coverage and all(e.get("holds") for e in evidence) else INCONCLUSIVE)
     )
-    verdict_ok = verdict == expected_verdict
-    if not verdict_ok:
+    if verdict != expected_verdict:
         messages.append(f"verdict {verdict!r} inconsistent; expected {expected_verdict!r}")
-    ok = items_ok and verdict_ok and not any(
-        m.startswith("hypothesis") or m.startswith("unknown hypothesis") for m in messages
-    )
-    return RecheckReport(ok, tuple(results), tuple(messages))
+    return RecheckReport(items_ok and not messages, tuple(results), tuple(messages))
 
-
-def _evaluate_hypothesis(family: str, subject: dict, name: str) -> Optional[bool]:
-    n = subject.get("n")
-    k = subject.get("k")
-    h = subject.get("h")
-    h_min = subject.get("h_min")
-    h_max = subject.get("h_max")
-    table = {
-        ("single", "n >= 1"): lambda: n >= 1,
-        ("single", "k >= 1"): lambda: k >= 1,
-        ("pn_config", "n >= 2"): lambda: n >= 2,
-        ("pn_config", "k >= 2"): lambda: k >= 2,
-        ("pn_config", "nk/2 <= h"): lambda: 2 * h >= n * k,
-        ("pn_config", "h <= nk"): lambda: h <= n * k,
-        ("pn_config", "gcd(k, h) > 1"): lambda: math.gcd(k, h) > 1,
-        ("spherical_config", "k >= 4"): lambda: k >= 4,
-        ("spherical_config", "floor(k/2) <= h_min"): lambda: k // 2 <= h_min,
-        ("spherical_config", "h_min <= h_max"): lambda: h_min <= h_max,
-        ("spherical_config", "h_max <= k"): lambda: h_max <= k,
-    }
-    fn = table.get((family, name))
-    return None if fn is None else bool(fn())

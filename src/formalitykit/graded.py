@@ -336,6 +336,8 @@ def build_configuration_algebra(
     The result is machine validated before it is returned.
     """
     m, arrows = _check_configuration(graph, n, k, h, preset)
+    if preset not in ("orthogonal", "zigzag") and not isinstance(preset, Mapping):
+        raise InputValidationError(f"unknown preset {preset!r}")
     vertices = range(1, m + 1)
     t = _loop_label
     one = field_spec.field().one
@@ -375,16 +377,12 @@ def build_configuration_algebra(
         for (i, j) in arrows:
             # a_ji a_ij : P_i -> P_j -> P_i closes the zigzag on vertex i, t_i^(2h/k) = t_i^n
             put(a(j, i), a(i, j), {t(i, n): one})
-    elif preset == "orthogonal":
-        pass
     elif isinstance(preset, Mapping):
         degmap = {lab: d for lab, d in basis}
         for (x, y), combo in preset.items():
             if x not in degmap or y not in degmap:
                 raise InputValidationError(f"explicit table uses unknown labels ({x},{y})")
             put(x, y, dict(combo))
-    else:
-        raise InputValidationError(f"unknown preset {preset!r}")
 
     unit = {e(i): one for i in vertices}
     A = GradedAlgebra(field_spec, tuple(basis), mult, unit, tuple(e(i) for i in vertices))

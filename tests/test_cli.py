@@ -893,3 +893,114 @@ def test_recheck_echoes_notes_as_deep_as_the_loader_reads(tmp_path, capsys):
         else:
             hi = mid
     assert lo > 900 and recheck(lo)
+
+
+# -- branches pinned through dispatch ----------------------------------------------
+
+
+def test_recheck_refuses_forged_spherical_certificates(tmp_path):
+    """Both forgeries exit 0 with "ok": false: evidence for h_min = 3 under
+    a k = 5, h_min = 2 subject whose worst_case_h says 3, and evidence for
+    h_max = 4 under an h_max = 9 subject whose list drops h_max <= k."""
+    def certificate(k, hmin, hmax):
+        return json.loads(run(["certify", "spherical", "--k", str(k), "--hmin", str(hmin),
+                               "--hmax", str(hmax)])[1])["result"]
+
+    forged, honest = certificate(5, 2, 5), certificate(5, 3, 5)
+    forged["subject"]["worst_case_h"] = 3
+    forged.update({key: honest[key] for key in ("evidence", "verdict", "notes")})
+    dropped, honest = certificate(4, 2, 9), certificate(4, 2, 4)
+    dropped["hypotheses"] = [h for h in dropped["hypotheses"] if h["name"] != "h_max <= k"]
+    dropped.update({key: honest[key] for key in ("evidence", "verdict")})
+    for name, doc in (("forged", forged), ("dropped", dropped)):
+        assert doc["verdict"] == "CertifiedFormal"
+        code, text = run(["recheck", "--cert", write_json(tmp_path, f"{name}.json", doc)])
+        assert code == 0 and json.loads(text)["result"]["ok"] is False, name
+
+
+def test_recheck_reads_a_whole_certify_report_as_its_result(tmp_path):
+    code, text = run(["certify", "single", "--n", "2", "--k", "2"])
+    whole = write_json(tmp_path, "report.json", json.loads(text))
+    bare = write_json(tmp_path, "cert.json", json.loads(text)["result"])
+    assert run(["recheck", "--cert", whole]) == run(["recheck", "--cert", bare])
+    assert json.loads(run(["recheck", "--cert", whole])[1])["result"]["ok"] is True
+
+
+def test_human_format_of_a_result_without_a_verdict(tmp_path):
+    code, text = run(["certify", "single", "--n", "2", "--k", "2"])
+    cert = write_json(tmp_path, "cert.json", json.loads(text)["result"])
+    assert run(["recheck", "--cert", cert, "--format", "human"]) == (0, (
+        f"formalitykit {cli.__version__} :: recheck\n"
+        'items: [{"index": 0, "message": "replayed: 10 > 4 with slope 4 >= 0", "ok": true}, '
+        '{"index": 1, "message": "replayed: 7 > 4 with slope 4 >= 0", "ok": true}]\n'
+        "messages: []\n"
+        "ok: true\n"
+    ))
+
+
+def test_sweep_pn_with_a_fixed_arrow_degree():
+    code, text = run(["sweep", "pn", "--n", "1..3", "--k", "2", "--h", "3"])
+    assert code == 0
+    assert json.loads(text)["result"]["rows"] == [
+        {"n": n, "k": 2, "h": 3, "gcd_ok": None, "verdict": "CriterionInapplicable",
+         "failed_hypotheses": failed}
+        for n, failed in [(1, ["n >= 2", "h <= nk", "gcd(k, h) > 1"]),
+                          (2, ["gcd(k, h) > 1"]), (3, ["gcd(k, h) > 1"])]
+    ]
+
+
+def test_sweep_pn_with_odd_nk_fails_nk_even():
+    assert run(["sweep", "pn", "--n", "1,3", "--k", "1,3", "--format", "csv"]) == (0, (
+        "n,k,h,gcd_ok,verdict,failed_hypotheses\n"
+        "1,1,,,CriterionInapplicable,nk even\n"
+        "1,3,,,CriterionInapplicable,nk even\n"
+        "3,1,,,CriterionInapplicable,nk even\n"
+        "3,3,,,CriterionInapplicable,nk even\n"
+    ))
+
+
+def test_algebra_unit_defaults_to_its_idempotents(tmp_path, capsys):
+    data = algebra_to_json_dict(truncated_poly(2, 2))
+    full = write_json(tmp_path, "full.json", data)
+    del data["unit"]
+    idempotents = write_json(tmp_path, "idempotents.json", data)
+    code, text = run(["hh", "--algebra", idempotents, "--p", "2", "--q", "0"])
+    assert code == 0
+    assert (json.loads(text)["result"]
+            == json.loads(run(["hh", "--algebra", full, "--p", "2", "--q", "0"])[1])["result"])
+    del data["idempotents"]
+    neither = write_json(tmp_path, "neither.json", data)
+    assert run(["hh", "--algebra", neither, "--p", "2", "--q", "0"]) == (2, "")
+    assert capsys.readouterr().err == "input error: algebra JSON needs a unit or idempotents\n"
+
+
+@pytest.mark.parametrize("degrees,idempotents,message", [
+    # k[x]/x^3 with |x| = 0: its degree 0 part is not a product of copies of k
+    ([0, 0, 0], None, "relative mode needs an idempotent decomposition of degree zero"),
+    ([0, -1, -2], ["1"], "relative mode needs a non-negatively graded algebra"),
+])
+def test_hh_relative_mode_refusal_exits_2(tmp_path, capsys, degrees, idempotents, message):
+    data = algebra_to_json_dict(truncated_poly(2, 1))
+    for entry, degree in zip(data["basis"], degrees):
+        entry["degree"] = degree
+    data.pop("idempotents")
+    if idempotents is not None:
+        data["idempotents"] = idempotents
+    path = write_json(tmp_path, "algebra.json", data)
+    assert run(["hh", "--algebra", path, "--p", "2", "--q", "0"]) == (2, "")
+    assert capsys.readouterr().err == f"input error: {message}\n"
+
+
+@pytest.mark.parametrize("argv,graph,message", [
+    (["signs"], {"vertices": [1, 2], "edges": [{"u": 1, "v": 2}]},
+     "edge (1,2) is missing the degree label d"),
+    (["kunneth", "--n", "-1", "--same"], None, "power index must be >= 0"),
+])
+def test_missing_sign_label_and_negative_power_exit_2(tmp_path, capsys, argv, graph, message):
+    if graph is None:
+        argv = argv + ["--poincare", write_json(tmp_path, "p.json", {
+            "components": [{"degree": 0, "dim": 1}, {"degree": 2, "dim": 2}]})]
+    else:
+        argv = argv + ["--graph", write_json(tmp_path, "g.json", graph)]
+    assert run(argv) == (2, "")
+    assert capsys.readouterr().err == f"input error: {message}\n"

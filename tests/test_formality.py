@@ -277,12 +277,27 @@ TAMPERED = [
     ]
 ] + [
     (family, change, where, message)
-    for family in CERTS
+    for family, first in [("single", "n >= 1"), ("pn", "n >= 2"), ("spherical", "k >= 4")]
     for change, where, message in [
         ({("evidence", 1, "method"): "Guess"}, 1, "unknown evidence method 'Guess'"),
+        # the verdict stays the one the subject's own hypotheses give
         ({("hypotheses", 0, "name"): "k >= 0"}, None,
-         ("unknown hypothesis 'k >= 0'", f"verdict {CERTIFIED!r} inconsistent; "
-                                          f"expected {INAPPLICABLE!r}")),
+         ("unknown hypothesis 'k >= 0'", f"hypothesis {first!r} missing")),
+    ]
+] + [
+    # a derived subject field that its parameters do not give; the evidence
+    # replays from the parameters, so every item still passes
+    (family, {("subject", key): value}, None,
+     (f"subject {key!r} does not follow from its parameters: {value!r} vs {want}",))
+    for family, key, value, want in [
+        ("single", "maxdeg", 5, 4),
+        ("pn", "maxdeg", 5, 4),
+        ("pn", "mindeg_I_bound", 3, 4),
+        ("pn", "mindeg_J", True, 2),
+        ("spherical", "worst_case_h", 3, 2),
+        ("spherical", "maxdeg", "4", 4),
+        ("spherical", "mindeg_I_bound", 5, 4),
+        ("spherical", "mindeg_J_bound", None, 2),
     ]
 ]
 
@@ -306,6 +321,51 @@ def test_recheck_refuses_each_tampered_field(family, change, where, message):
     else:
         assert report.item_results[where] == (where, False, message)
     assert all(ok for i, ok, _ in report.item_results if i != where)
+
+
+@pytest.mark.parametrize("edit,messages", [
+    (lambda hyps: hyps[:-1], ("hypothesis 'h_max <= k' missing",)),
+    (lambda hyps: hyps + hyps[1:2], ("hypothesis 'floor(k/2) <= h_min' listed twice",)),
+    (lambda hyps: hyps[::-1], ()),
+], ids=["missing", "listed-twice", "reordered"])
+def test_recheck_requires_each_family_hypothesis_once(edit, messages):
+    """The hypothesis list holds each of the family's hypotheses exactly
+    once, in any order."""
+    cert = certify_config_spherical(4, 2, 4).to_json_dict()
+    cert["hypotheses"] = edit(cert["hypotheses"])
+    report = verify_certificate(FormalityCertificate.from_json_dict(cert))
+    assert report.ok == (not messages) and report.messages == messages
+    assert all(ok for _, ok, _ in report.item_results)
+
+
+def test_recheck_refuses_the_two_forged_spherical_certificates():
+    """Evidence that holds for other parameters, passed off under a
+    subject whose derived field or hypothesis list was edited to match."""
+    # h_min = 2 at k = 5 is the Serre-dual boundary (HH^{3,-1} = 1), not h_min = 3
+    forged = certify_config_spherical(5, 2, 5).to_json_dict()
+    honest = certify_config_spherical(5, 3, 5).to_json_dict()
+    forged["subject"]["worst_case_h"] = 3
+    forged.update({key: honest[key] for key in ("evidence", "verdict", "notes")})
+    report = verify_certificate(FormalityCertificate.from_json_dict(forged))
+    assert not report.ok
+    assert report.messages == (
+        "subject 'worst_case_h' does not follow from its parameters: 3 vs 2",
+    )
+    assert [msg for _, ok, msg in report.item_results if not ok] == [
+        "rhs affine mismatch: {'slope': 6, 'intercept': 0} vs (4, 0)",
+        "rhs affine mismatch: {'slope': 6, 'intercept': 3} vs (4, 2)",
+    ]
+    # degree 9 arrows make maxdeg(A) = 9, not the k = 4 the evidence uses
+    forged = certify_config_spherical(4, 2, 9).to_json_dict()
+    honest = certify_config_spherical(4, 2, 4).to_json_dict()
+    forged["hypotheses"] = [h for h in forged["hypotheses"] if h["name"] != "h_max <= k"]
+    forged.update({key: honest[key] for key in ("evidence", "verdict")})
+    report = verify_certificate(FormalityCertificate.from_json_dict(forged))
+    assert not report.ok
+    assert report.messages == (
+        "hypothesis 'h_max <= k' missing",
+        f"verdict {CERTIFIED!r} inconsistent; expected {INAPPLICABLE!r}",
+    )
 
 
 def test_certificate_json_round_trip():

@@ -159,6 +159,22 @@ def test_explicit_table_preset_accepted_with_fractions():
     assert product_labels(A, "a12", "a21") == {"t2^2": Fraction(1, 2)}
 
 
+@pytest.mark.parametrize("preset", ["zigzg", 5, ["zigzag"]])
+def test_unknown_preset_is_refused_before_any_label_is_built(monkeypatch, preset):
+    """The refusal comes right after the parameter checks: no loop or
+    arrow label, and so no basis or product, is built for it."""
+    def built(*args):
+        raise AssertionError("a label was built")
+
+    monkeypatch.setattr(graded, "_loop_label", built)
+    monkeypatch.setattr(graded, "_arrow_label", built)
+    with pytest.raises(InputValidationError) as err:
+        build_configuration_algebra(a2_graph(), 400, 2, 2, preset)
+    assert str(err.value) == f"unknown preset {preset!r}"
+    with pytest.raises(InputValidationError, match="needs n, k, h >= 1"):
+        build_configuration_algebra(a2_graph(), 0, 2, 2, preset)
+
+
 def test_json_round_trip():
     A = build_configuration_algebra(a2_graph(), 2, 2, 2, "orthogonal")
     data = algebra_to_json_dict(A)
