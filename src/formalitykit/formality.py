@@ -23,7 +23,7 @@ from one table of its own, _FAMILIES.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .errors import InputValidationError
 from .record import Record
@@ -71,12 +71,7 @@ class FormalityCertificate(Record):
         if not (
             isinstance(subject, dict)
             and isinstance(verdict, str)
-            and isinstance(hypotheses, list)
-            and all(isinstance(h, dict) and isinstance(h.get("name"), str) and "ok" in h
-                    for h in hypotheses)
-            and isinstance(evidence, list)
-            and all(isinstance(e, dict) and isinstance(e.get("covers", {}), dict)
-                    for e in evidence)
+            and _malformed_entry(hypotheses, evidence) is None
             and isinstance(notes, list)
         ):
             raise InputValidationError(
@@ -85,6 +80,22 @@ class FormalityCertificate(Record):
                 "covers are objects, and a list of notes"
             )
         return cls(subject, verdict, tuple(hypotheses), tuple(evidence), tuple(notes))
+
+
+def _malformed_entry(hypotheses, evidence) -> Optional[str]:
+    """The first hypothesis or evidence entry without the shape the checks
+    read, named, or None: both are lists, each hypothesis an object with a
+    string name and an ok, and each evidence item an object whose covers,
+    if given, is an object."""
+    if not (isinstance(hypotheses, (list, tuple)) and isinstance(evidence, (list, tuple))):
+        return "malformed certificate document: hypotheses and evidence must be lists"
+    for i, h in enumerate(hypotheses):
+        if not (isinstance(h, dict) and isinstance(h.get("name"), str) and "ok" in h):
+            return f"malformed hypothesis {i}: not an object with a string name and an ok"
+    for i, e in enumerate(evidence):
+        if not (isinstance(e, dict) and isinstance(e.get("covers", {}), dict)):
+            return f"malformed evidence item {i}: not an object whose covers is an object"
+    return None
 
 
 def _affine(slope: int, intercept: int) -> dict:
@@ -509,7 +520,9 @@ def verify_certificate(cert) -> RecheckReport:
     (so the spherical worst case arrow degree is h_min, whatever the
     subject says); then the affine data, base values, gcds and coverage
     of the evidence. Finally it checks the verdict against the recomputed
-    hypotheses and the claimed evidence.
+    hypotheses and the claimed evidence. A plain dict is read as the loader
+    reads it: a hypothesis or evidence entry of the wrong shape gives a
+    failing report that names it, and nothing raises.
     """
     if isinstance(cert, FormalityCertificate):
         cert = cert.to_json_dict()
@@ -525,6 +538,9 @@ def verify_certificate(cert) -> RecheckReport:
         holds, derived, replay = facts(*values)
     except (KeyError, TypeError):
         return RecheckReport(False, (), ("malformed certificate document",))
+    malformed = _malformed_entry(hypotheses, evidence)
+    if malformed:
+        return RecheckReport(False, (), (malformed,))
 
     for key, want in derived.items():
         if type(subject.get(key)) is not int or subject[key] != want:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .configurations import ConfigGraph, _arrow_label, _check_configuration, _loop_label
-from .errors import InputValidationError
+from .errors import InputValidationError, ResourceCapError
 from .fields import FieldSpec, RATIONALS_SPEC
 from .record import Record
 
@@ -105,7 +105,9 @@ def validate(A: GradedAlgebra) -> ValidationReport:
     """Check grading, associativity, unit laws and idempotent structure.
 
     Failures are collected into the report rather than raised, one entry
-    per violated pair or triple. The report is computed once per algebra
+    per violated pair or triple; only a table with more candidate
+    associativity triples than the cap raises ResourceCapError, before any
+    triple is built. The report is computed once per algebra
     and kept in its memo; the algebra cannot change after construction.
 
     Every check reads table entries in plain arithmetic and tests the
@@ -183,6 +185,12 @@ def _validation_report(A: GradedAlgebra) -> ValidationReport:
     return ValidationReport(not violations, tuple(violations))
 
 
+# candidate triples, counted with repeats, that the associativity check
+# tries at most: each costs about 3 us and 60 bytes of the set it builds
+# (x86-64, Python 3.11), so the cap holds it near 6 s and 150 MB
+_MAX_TRIPLES = 2_000_000
+
+
 def _associativity_violations(A: GradedAlgebra, labels: List[str]) -> List[str]:
     """One violation per basis triple (x, y, z), in label order, with
     (xy)z != x(yz), both sides read term by term off the table in plain
@@ -191,7 +199,9 @@ def _associativity_violations(A: GradedAlgebra, labels: List[str]) -> List[str]:
     (xy)z can be non-zero only when (x,y) is a key of A.mult and (w,z) is
     a key for a term w of xy; x(yz) only when (y,z) is a key and (x,w) is
     a key for a term w of yz. Only those triples are tried, so the cost
-    follows the table's non-zero products, not the cube of the basis."""
+    follows the table's non-zero products, not the cube of the basis. They
+    are counted, with repeats, before any is built, and more than
+    _MAX_TRIPLES of them are refused with ResourceCapError."""
     f = A.field_spec.field()
     mult = A.mult
     pos = {lab: i for i, lab in enumerate(labels)}
@@ -202,6 +212,12 @@ def _associativity_violations(A: GradedAlgebra, labels: List[str]) -> List[str]:
     for ix, iy, _ in keyed:
         right_of.setdefault(labels[ix], []).append(iy)
         left_of.setdefault(labels[iy], []).append(ix)
+    count = sum(len(right_of.get(w, ())) + len(left_of.get(w, ())) for *_, xy in keyed for w in xy)
+    if count > _MAX_TRIPLES:
+        raise ResourceCapError(
+            f"validation: the associativity check would try {count} triples (counted with "
+            f"repeats), over the cap of {_MAX_TRIPLES}"
+        )
     tries = set()
     for ix, iy, xy in keyed:
         for w in xy:

@@ -4,7 +4,9 @@ The reduced Groebner basis of the ideal I of a presentation's relations
 is built one degree at a time (`_GroebnerBasis`); the words that contain
 no tip, counted by degree (`_NormalWords`), give dim T(V)/I and the zero
 window that certifies maxdeg(A); and Tor_q is the homology of the Anick
-chains on the tips under the Morse differential (`_morse_tor`). On a
+chains on the tips under the Morse differential (`_morse_tor`). Every
+search for a tip in a word (rewriting, counting normal words, matching
+cells, extending chains) asks one index of the tips (`_TipIndex`). On a
 monomial presentation the basis is the relations' minimal words, with no
 tails: no S-polynomial is formed, the differential is 0, and Tor_q is a
 chain count. `presentations.tor_term` is the entry point.
@@ -13,8 +15,7 @@ chain count. `presentations.tor_term` is the entry point.
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from typing import (TYPE_CHECKING, Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence,
-                    Tuple)
+from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .configurations import PoincarePolynomial
 from .errors import TruncationError
@@ -65,56 +66,93 @@ def _tor_degree_cap(pres: TensorPresentation, q: int, maxdeg: Callable[[], int])
 # -- Groebner bases, normal words and Anick chains -----------------------------
 
 
+class _TipIndex:
+    """The tips of a reduced Groebner basis, which every tip search in a word
+    asks: a trie of their reversed letters, with an int (the tip length)
+    at each leaf, and the set of their proper prefixes, the empty word
+    included. No tip contains another, so no tip is a suffix of another:
+    at most one tip ends at any place of a word, the walk back through the
+    trie from that place reaches at most one leaf, and the leftmost tip of
+    a word is the one that ends first."""
+
+    def __init__(self):
+        self.trie: Dict[str, object] = {}
+        self.prefixes = {()}
+        self.tips: List[Word] = []
+        self.steps: Dict[Tuple[Word, str], Optional[Word]] = {}
+
+    def add(self, tip: Word) -> None:
+        node = self.trie
+        for lab in reversed(tip[1:]):
+            node = node.setdefault(lab, {})
+        node[tip[0]] = len(tip)
+        self.prefixes.update(tip[:i] for i in range(len(tip)))
+        self.tips.append(tip)
+        self.steps.clear()
+
+    def first(self, word: Word, after: int = 0) -> Optional[Tuple[int, int]]:
+        """(start, end) of the first tip of word that ends past word[:after],
+        or None: the walk back from each end in turn."""
+        for end in range(after + 1, len(word) + 1):
+            start = end - 1
+            node = self.trie.get(word[start])
+            while node.__class__ is dict and start:
+                start -= 1
+                node = node.get(word[start])
+            if node.__class__ is int:
+                return start, end
+        return None
+
+    def step(self, state: Word, lab: str) -> Optional[Word]:
+        """For state the longest suffix of a normal word w that is a proper
+        tip prefix, that of w lab, or None when a tip ends there: an
+        automaton on the tips (Aho-Corasick, CACM 18 (1975)), its moves kept
+        until a tip arrives."""
+        if (state, lab) not in self.steps:
+            word = state + (lab,)
+            self.steps[state, lab] = None if self.first(word, len(word) - 1) else next(
+                word[i:] for i in range(len(word) + 1) if word[i:] in self.prefixes)
+        return self.steps[state, lab]
+
+
 class _NormalWords:
     """The composable words that contain no tip, counted by degree: they are
     a basis of T(V)/I when the tips are those of a Groebner basis of I,
-    which `_GroebnerBasis` adds one degree at a time. A word is normal iff
-    the word after its first letter is and no tip is a prefix of it.
-    Whether a tip is a prefix of g w depends on g and the first (longest
-    tip - 1) letters of w only, so degree d is built from lower degrees, on
-    demand and once, as counts per such prefix: the work is bounded by the
-    prefixes, not by the words, even where T(V)/I is infinite dimensional.
-    A one-letter tip removes its generator."""
+    which `_GroebnerBasis` adds to the tip index one degree at a time. A
+    word grows one letter at a time on the right, and whether w g is
+    normal, for w normal, depends on the state of w only: its last letter,
+    with which g must compose, and its longest suffix that is a proper tip
+    prefix (see _TipIndex.step). So degree d is counted from lower degrees,
+    once, per state: at most (proper tip prefixes) x (generators) of them,
+    however many words there are, even where T(V)/I is infinite
+    dimensional (Ufnarovskij, Encycl. Math. Sci. 57 (1995)). A new tip
+    changes the states, so `_GroebnerBasis` drops the counts when one
+    arrives, and they are counted again from degree 1 when next asked. A
+    one-letter tip removes its generator."""
 
-    def __init__(self, pres: TensorPresentation):
+    def __init__(self, pres: TensorPresentation, index: _TipIndex):
         self.pres = pres
         self.gen = {g.label: g for g in pres.generators}
-        self.tips = set()
-        self.lengths: List[int] = []
-        self.keep = 1
-        self.by_degree: Dict[int, Dict[Word, int]] = {}
+        self.index = index
+        self.by_degree: Dict[int, Dict[Tuple[str, Word], int]] = {}
 
-    def add(self, tips) -> None:
-        """Take in more tips, each of a degree above every degree counted so
-        far, so the counts stay valid; they are dropped only when a tip is
-        longer than the kept prefixes can test."""
-        self.tips.update(tips)
-        self.lengths = sorted({len(tip) for tip in self.tips})
-        keep = max([1] + [n - 1 for n in self.lengths])
-        if keep > self.keep:
-            self.keep = keep
-            self.by_degree.clear()
-
-    def prefixes(self, d: int) -> Dict[Word, int]:
-        """The normal words of degree d, counted by their first keep letters."""
-        if d not in self.by_degree:
-            out: Dict[Word, int] = {}
+    def states(self, d: int) -> Dict[Tuple[str, Word], int]:
+        """The normal words of degree d, counted by state."""
+        for e in range(len(self.by_degree) + 1, d + 1):
+            out: Dict[Tuple[str, Word], int] = {}
             for g in self.pres.generators:
-                if g.deg == d:
-                    if (g.label,) not in self.tips:
-                        out[(g.label,)] = 1
-                elif g.deg < d:
-                    for prefix, count in self.prefixes(d - g.deg).items():
-                        word = (g.label,) + prefix
-                        if self.gen[prefix[0]].tgt == g.src and not any(
-                                word[:n] in self.tips for n in self.lengths):
-                            key = word[:self.keep]
-                            out[key] = out.get(key, 0) + count
-            self.by_degree[d] = out
+                # g alone follows the empty word, with no last letter to compose on
+                words = {(None, ()): 1} if g.deg == e else self.by_degree.get(e - g.deg, {})
+                for (last, state), count in words.items():
+                    if last is None or self.gen[last].src == g.tgt:
+                        after = self.index.step(state, g.label)
+                        if after is not None:
+                            out[g.label, after] = out.get((g.label, after), 0) + count
+            self.by_degree[e] = out
         return self.by_degree[d]
 
     def dim(self, d: int) -> int:
-        return self.pres.num_vertices if d == 0 else sum(self.prefixes(d).values())
+        return self.pres.num_vertices if d == 0 else sum(self.states(d).values())
 
 
 class _GroebnerBasis:
@@ -143,6 +181,8 @@ class _GroebnerBasis:
     basis stays reduced; every overlap of two elements of degree below d
     has degree at least d, and those of degree d are all reduced here, so
     the basis up to degree d is that of I (Bergman's diamond lemma).
+    Each new tip goes into the tip index, where rewriting finds the
+    leftmost tip of a word, and makes the normal words recount.
 
     Once the normal words vanish in a window of degrees as wide as the
     largest generator degree, every word past the window has a proper
@@ -159,14 +199,14 @@ class _GroebnerBasis:
         self.gen = {g.label: g for g in pres.generators}
         self.position = {g.label: i for i, g in enumerate(pres.generators)}
         self.tails: Dict[Word, Dict[Word, object]] = {}  # tip -> its normal form
-        self.lengths: List[int] = []
+        self.index = _TipIndex()
         self.pending: Dict[int, List[Dict[Word, object]]] = {}  # degree -> to reduce
         for rel in pres.relations:
             poly: Dict[Word, object] = {}
             for word, c in rel:
                 poly[word] = poly.get(word, 0) + c
             self.pending.setdefault(self.deg(rel[0][0]), []).append(poly)
-        self.normal = _NormalWords(pres)
+        self.normal = _NormalWords(pres, self.index)
         self.reached = 0
         self._nf: Dict[Word, Dict[Word, object]] = {}
 
@@ -186,7 +226,6 @@ class _GroebnerBasis:
                     word = next(iter(reduced))
                     key = (self.gen[word[-1]].src, self.gen[word[0]].tgt)
                     blocks.setdefault(key, []).append(reduced)
-            new = []
             for key in sorted(blocks):
                 polys = blocks[key]
                 words = sorted({w for poly in polys for w in poly}, key=self._key)
@@ -197,8 +236,6 @@ class _GroebnerBasis:
                     tail = {words[j]: (-x % self.p if self.p else -x)
                             for j, x in row.items() if j != c}
                     self._add(words[c], tail)
-                    new.append(words[c])
-            self.normal.add(new)
             self.reached = d
 
     def _add(self, tip: Word, tail: Dict[Word, object]) -> None:
@@ -208,8 +245,8 @@ class _GroebnerBasis:
         S-polynomials, so their pair is skipped; on monomial input nothing
         is queued."""
         self.tails[tip] = tail
-        if len(tip) not in self.lengths:
-            self.lengths = sorted(self.lengths + [len(tip)])
+        self.index.add(tip)
+        self.normal.by_degree.clear()  # the states change with the tip prefixes
         for other, other_tail in self.tails.items():
             if not tail and not other_tail:
                 continue
@@ -234,15 +271,13 @@ class _GroebnerBasis:
         return poly
 
     def _rewrite(self, word: Word) -> Optional[Dict[Word, object]]:
-        """u nf(T) v for the leftmost, then shortest, tip occurrence u T v in
-        word, or None when word is normal."""
-        for i in range(len(word)):
-            for n in self.lengths:
-                tip = word[i:i + n]
-                if len(tip) == n and tip in self.tails:
-                    head, rest = word[:i], word[i + n:]
-                    return {head + s + rest: c for s, c in self.tails[tip].items()}
-        return None
+        """u nf(T) v for the leftmost tip occurrence u T v in word, the one
+        that ends first, or None when word is normal."""
+        found = self.index.first(word)
+        if found is None:
+            return None
+        start, end = found
+        return {word[:start] + s + word[end:]: c for s, c in self.tails[word[start:end]].items()}
 
     def _reduce(self, poly: Dict[Word, object]) -> Dict[Word, object]:
         """The normal form of a homogeneous polynomial modulo the tips
@@ -282,12 +317,11 @@ class _GroebnerBasis:
 
     def dim(self, d: int) -> int:
         """dim of T(V)/I in degree d, from the normal words."""
-        if d:
-            self.upto(d)
+        self.upto(d)
         return self.normal.dim(d)
 
 
-def _chain_extensions(tips: FrozenSet[Word], tail: Word,
+def _chain_extensions(index: _TipIndex, tail: Word,
                       deg: Mapping[str, int]) -> List[Tuple[Word, int]]:
     """(t, degree of t) for each non-empty path t that extends a chain with
     this tail: tail t contains exactly one tip, which starts inside the tail
@@ -296,25 +330,23 @@ def _chain_extensions(tips: FrozenSet[Word], tail: Word,
 
     No tip contains another, and a tail (a generator, or a t) contains no
     tip, nor does t, a proper part of a tip. So the only other tips tail t
-    could contain cross into t and end before its end; those are looked
-    for."""
+    could contain cross into t and end before its end, and tail t
+    qualifies iff the first tip that ends past the tail ends at its end."""
     out = []
-    lengths = {len(tip) for tip in tips}
-    for tip in tips:
+    for tip in index.tips:
         for k in range(1, min(len(tail), len(tip) - 1) + 1):
             if tail[-k:] != tip[:k]:
                 continue
             word = tail + tip[k:]
-            if not any(word[end - n:end] in tips for end in range(len(tail) + 1, len(word))
-                       for n in lengths if n <= end):
+            if index.first(word, len(tail))[1] == len(word):
                 out.append((tip[k:], sum(deg[lab] for lab in tip[k:])))
     return out
 
 
-def _chain_counts(generators: Sequence[Generator], tips: FrozenSet[Word],
-                  q: int) -> Dict[int, int]:
+def _chain_counts(generators: Sequence[Generator], index: _TipIndex, q: int) -> Dict[int, int]:
     """The number of Anick (q-1)-chains by degree on these generators and
-    tips (of length >= 2). Whether a chain extends, and by which t (see
+    the tips in the index (a one-letter tip extends no chain, so only
+    those of length >= 2 count). Whether a chain extends, and by which t (see
     _chain_extensions), depends only on its tail, so chains are counted per
     (tail, degree), never listed."""
     deg = {g.label: g.deg for g in generators}
@@ -324,7 +356,7 @@ def _chain_counts(generators: Sequence[Generator], tips: FrozenSet[Word],
         longer: Dict[Tuple[Word, int], int] = {}
         for (tail, d), count in chains.items():
             if tail not in extensions:
-                extensions[tail] = _chain_extensions(tips, tail, deg)
+                extensions[tail] = _chain_extensions(index, tail, deg)
             for t, dt in extensions[tail]:
                 longer[(t, d + dt)] = longer.get((t, d + dt), 0) + count
         chains = longer
@@ -366,24 +398,11 @@ class _MorseComplex:
     F(d c) on a chain c. The matching is acyclic, so the recursion ends; it
     is followed with an explicit stack and its results are kept."""
 
-    def __init__(self, basis: _GroebnerBasis, tips: FrozenSet[Word]):
+    def __init__(self, basis: _GroebnerBasis):
         self.basis = basis
-        self.tips = tips
-        self.lengths = sorted({len(tip) for tip in tips})
         p = basis.p
         self.norm = (lambda x: x % p) if p else (lambda x: x)
         self.flows: Dict[Cell, Dict[Cell, object]] = {}
-
-    def _first_tip_end(self, prev: Word, cur: Word) -> Optional[int]:
-        """The least i with a tip inside prev cur[:i], or None; the tip starts
-        inside prev, as prev and cur are normal."""
-        word = prev + cur
-        for i in range(1, len(cur) + 1):
-            end = len(prev) + i
-            for n in self.lengths:
-                if 0 <= end - n < len(prev) and word[end - n:end] in self.tips:
-                    return i
-        return None
 
     def _partner(self, cell: Cell):
         """None for a chain, () for a cell matched with one below it, and
@@ -391,9 +410,12 @@ class _MorseComplex:
         if len(cell[0]) > 1:
             return (cell[0][:1], cell[0][1:]) + cell[1:]
         for j in range(1, len(cell)):
-            i = self._first_tip_end(cell[j - 1], cell[j])
-            if i is None:
+            # the first tip of w_(j-1) w_j, if any, ends i letters into w_j;
+            # it starts inside w_(j-1), since both are normal
+            found = self.basis.index.first(cell[j - 1] + cell[j], len(cell[j - 1]))
+            if found is None:
                 return ()
+            i = found[1] - len(cell[j - 1])
             if i < len(cell[j]):
                 return cell[:j] + (cell[j][:i], cell[j][i:]) + cell[j + 1:]
         return None
@@ -452,7 +474,7 @@ class _MorseComplex:
         return rank_rows(rows, self.basis.field) if columns else 0
 
 
-def _chain_cells(generators: Sequence[Generator], tips: FrozenSet[Word], n: int,
+def _chain_cells(generators: Sequence[Generator], index: _TipIndex, n: int,
                  cap: int) -> Dict[int, List[Cell]]:
     """The Anick (n-1)-chains of degree <= cap by degree, each as the cell
     of its pieces (see _chain_extensions)."""
@@ -464,7 +486,7 @@ def _chain_cells(generators: Sequence[Generator], tips: FrozenSet[Word], n: int,
         for cell, d in cells:
             tail = cell[-1]
             if tail not in extensions:
-                extensions[tail] = _chain_extensions(tips, tail, deg)
+                extensions[tail] = _chain_extensions(index, tail, deg)
             longer.extend((cell + (t,), d + dt) for t, dt in extensions[tail] if d + dt <= cap)
         cells = longer
     out: Dict[int, List[Cell]] = {}
@@ -492,13 +514,12 @@ def _morse_tor(pres: TensorPresentation, q: int) -> PoincarePolynomial:
     d_need = _tor_degree_cap(pres, q, lambda: _window_maxdeg(pres, basis.dim))
     if q == 1:
         basis.upto(d_need)
-    tips = frozenset(tip for tip in basis.tails if len(tip) > 1)
     gens = [g for g in pres.generators if (g.label,) not in basis.tails]
     if not any(basis.tails.values()):
-        return PoincarePolynomial.make(_chain_counts(gens, tips, q))
-    morse = _MorseComplex(basis, tips)
-    here = _chain_cells(gens, tips, q, d_need)
-    above = _chain_cells(gens, tips, q + 1, d_need)
+        return PoincarePolynomial.make(_chain_counts(gens, basis.index, q))
+    morse = _MorseComplex(basis)
+    here = _chain_cells(gens, basis.index, q, d_need)
+    above = _chain_cells(gens, basis.index, q + 1, d_need)
     dims: Dict[int, int] = {}
     for d, chains in here.items():
         dims[d] = (len(chains) - (morse.rank(chains) if q > 1 else 0)

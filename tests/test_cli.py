@@ -177,6 +177,33 @@ def test_word_cap_boundary_is_the_word_count(tmp_path, capsys):
     )
 
 
+def test_associativity_triple_cap_exits_3_before_building_the_triples(tmp_path, capsys):
+    """The A2 table with n = 500 has 1004 labels; validation counts its
+    candidate triples, 84,337,016 with repeats, and refuses before it builds
+    any."""
+    gpath = write_json(tmp_path, "a2.json", {"vertices": [1, 2], "edges": [[1, 2]]})
+    argv = ["build-config", "--graph", gpath, "--n", "500", "--k", "1", "--h", "1"]
+    assert run(argv) == (3, "")
+    assert capsys.readouterr().err == (
+        "resource cap: validation: the associativity check would try 84337016 triples "
+        "(counted with repeats), over the cap of 2000000\n"
+    )
+
+
+def test_associativity_triple_cap_boundary_is_the_triple_count(tmp_path, capsys, monkeypatch):
+    # the A2 table with n = 20 has 7096 candidate triples
+    from formalitykit import graded
+
+    gpath = write_json(tmp_path, "a2.json", {"vertices": [1, 2], "edges": [[1, 2]]})
+    argv = ["build-config", "--graph", gpath, "--n", "20", "--k", "1", "--h", "1"]
+    monkeypatch.setattr(graded, "_MAX_TRIPLES", 7096)
+    assert run(argv)[0] == 0
+    monkeypatch.setattr(graded, "_MAX_TRIPLES", 7095)
+    capsys.readouterr()
+    assert run(argv) == (3, "")
+    assert "would try 7096 triples" in capsys.readouterr().err
+
+
 def test_words_longer_than_the_recursion_limit_exit_0(tmp_path):
     # the walk over words of 1199 to 1201 letters keeps its own stack; dim 1
     # holds at even p with or without a Koszul sign on the left action

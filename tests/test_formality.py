@@ -396,3 +396,42 @@ def test_recheck_reports_malformed_content_without_raising():
     cert["evidence"][0]["covers"]["p_min"] = "x"
     report = verify_certificate(FormalityCertificate.from_json_dict(cert))
     assert not report.ok and not report.item_results[0][1]
+
+
+def test_recheck_of_a_plain_dict_names_a_malformed_entry_instead_of_raising():
+    """verify_certificate is public and takes a plain dict as well: an entry
+    without the shape the checks read gives a failing report that names
+    it, as the loader would refuse it."""
+    cert = certify_config_pn(2, 2, 2).to_json_dict()
+    cert["hypotheses"][1] = 5
+    report = verify_certificate(cert)
+    assert not report.ok and report.messages == (
+        "malformed hypothesis 1: not an object with a string name and an ok",)
+    cert = certify_config_pn(2, 2, 2).to_json_dict()
+    cert["evidence"][0]["covers"] = [0]
+    report = verify_certificate(cert)
+    assert not report.ok and report.messages == (
+        "malformed evidence item 0: not an object whose covers is an object",)
+
+
+def _json_paths(obj, path=()):
+    yield path
+    children = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(
+        obj, list) else ()
+    for key, value in children:
+        yield from _json_paths(value, path + (key,))
+
+
+@pytest.mark.parametrize("junk", [5, "x", None, [], {}, [1], True, 2.5],
+                         ids=lambda junk: repr(junk))
+def test_recheck_of_a_plain_dict_never_raises(junk):
+    """Each entry of a plain certificate dict, at any depth, replaced by a
+    value of another shape: verify_certificate returns a report."""
+    base = certify_config_pn(2, 2, 2).to_json_dict()
+    for path in list(_json_paths(base))[1:]:
+        cert = json.loads(json.dumps(base))
+        parent = cert
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = junk
+        assert isinstance(verify_certificate(cert).ok, bool), path

@@ -935,13 +935,52 @@ def test_tor_euler_characteristic_is_the_inverse_hilbert_series(config):
 @pytest.mark.parametrize("pres,q", [case[1:] for case in TOR_CASES],
                          ids=[case[0] for case in TOR_CASES])
 def test_normal_words_count_the_relation_closure(pres, q):
-    """dim T(V)/I from the Groebner basis's normal words equals the
-    dimension of the ideal engine's quotient in every degree up to the
-    truncation."""
+    """dim T(V)/I from the Groebner basis's normal words, counted by state,
+    equals in every degree up to the truncation the dimension of the ideal
+    engine's quotient, and the number of composable words that contain no
+    tip of the basis, each word listed and searched."""
     basis = groebner._GroebnerBasis(pres)
     closure = _relation_closure(pres)
-    assert [basis.dim(d) for d in range(pres.truncation + 1)] == \
-        [closure_dim(closure, d) for d in range(pres.truncation + 1)]
+    dims = [basis.dim(d) for d in range(pres.truncation + 1)]
+    assert dims == [closure_dim(closure, d) for d in range(pres.truncation + 1)]
+    tips = set(basis.tails)
+
+    def normal(word):
+        return not any(word[i:j] in tips for i in range(len(word))
+                       for j in range(i + 1, len(word) + 1))
+
+    assert dims[1:] == [sum(map(normal, word_basis(pres, d)))
+                        for d in range(1, pres.truncation + 1)]
+
+
+def _braid_presentation(truncation):
+    """k<x, y>/(x y x - y x y): its Groebner basis is infinite, the tips
+    x y x and x y^n x y for n >= 2, so T(V)/I is infinite dimensional."""
+    return TensorPresentation(1, (Generator("x", 1, 1, 1), Generator("y", 1, 1, 1)),
+                              (((("x", "y", "x"), ONE), (("y", "x", "y"), -ONE)),), truncation)
+
+
+@pytest.mark.parametrize("truncation", [16, 24, 64])
+def test_braid_refusal_keeps_its_text_and_at_most_one_state_per_tip_prefix(
+        monkeypatch, tmp_path, capsys, truncation):
+    """The tips grow with the degree, so the normal words' first letters
+    would have to be whole words; counted by state, no degree keeps more
+    than (proper tip prefixes + 1) x (generators) counts."""
+    pres = _braid_presentation(truncation)
+    path = tmp_path / "pres.json"
+    path.write_text(json.dumps(presentation_to_json_dict(pres)))
+    built = _recorded_instances(monkeypatch, groebner, "_NormalWords")
+    assert dispatch(["tor", "--pres", str(path), "--q", "2"]) == 2
+    assert capsys.readouterr() == ("", "input error: cannot certify finite dimensionality "
+                                   "within the truncation; increase truncation (no nilpotence "
+                                   "window found)\n")
+    (normal,) = built
+    tips = normal.index.tips
+    assert sorted(tips, key=len) == [("x", "y", "x")] + [
+        ("x",) + ("y",) * n + ("x", "y") for n in range(2, truncation - 2)]
+    prefixes = {tip[:i] for tip in tips for i in range(1, len(tip))}
+    assert sorted(normal.by_degree) == list(range(1, truncation + 1))
+    assert max(map(len, normal.by_degree.values())) <= (len(prefixes) + 1) * 2
 
 
 @pytest.mark.parametrize("graph,nkh,q,truncation,expected", [
@@ -1067,8 +1106,8 @@ def _recorded_instances(monkeypatch, module, name):
     return built
 
 
-def _prefixes_built(built):
-    return sum(len(prefixes) for nw in built for prefixes in nw.by_degree.values())
+def _states_built(built):
+    return sum(len(states) for nw in built for states in nw.by_degree.values())
 
 
 @pytest.mark.parametrize("make,q", [
@@ -1078,15 +1117,15 @@ def _prefixes_built(built):
 ], ids=["A2-2-2-2-q3", "triangle-1-2-1-q2", "single-2-2-q4"])
 def test_anick_route_materializes_as_many_words_at_any_truncation(monkeypatch, make, q):
     """The Anick route reads T(V)/I no further than the zero window that
-    certifies maxdeg, so a larger truncation adds no word (it builds the
-    normal words' prefixes, see _NormalWords)."""
+    certifies maxdeg, so a larger truncation adds no word (it counts the
+    normal words by state, see _NormalWords)."""
     minimal = _minimal_truncation(make, q)
     built = _recorded_instances(monkeypatch, groebner, "_NormalWords")
     counts, dims = [], []
     for truncation in (minimal, minimal + 8):
         built.clear()
         dims.append(tor_term(make(truncation), q).dims())
-        counts.append(_prefixes_built(built))
+        counts.append(_states_built(built))
     assert dims[0] == dims[1] and counts[0] == counts[1] > 0
 
 
@@ -1133,14 +1172,16 @@ def test_butler_king_route_materializes_as_many_words_at_any_truncation(monkeypa
 def test_anick_route_refuses_an_infinite_algebra_by_prefixes_not_words(monkeypatch):
     """k<x, y>/(x x) has a Fibonacci number of normal words in each degree,
     about 10^106 in degree 512, the tor command's default truncation cap.
-    Counted by their first letter, the refusal builds two prefixes per
-    degree."""
+    Counted by state, (last letter, longest suffix that is a proper prefix
+    of the tip x x), the refusal keeps two per degree: (x, (x,)) and
+    (y, ())."""
     pres = TensorPresentation(1, (Generator("x", 1, 1, 1), Generator("y", 1, 1, 1)),
                               (((("x", "x"), ONE),),), 512)
     built = _recorded_instances(monkeypatch, groebner, "_NormalWords")
     with pytest.raises(TruncationError, match="no nilpotence window"):
         tor_term(pres, 2)
-    assert _prefixes_built(built) == 2 * 512
+    assert _states_built(built) == 2 * 512
+    assert set(built[-1].by_degree[512]) == {("x", ("x",)), ("y", ())}
 
 
 def test_tor_command_refuses_a_non_monomial_input_without_a_window_from_normal_words(
