@@ -11,7 +11,7 @@ in a private memo that equality, hashing and repr ignore.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .configurations import ConfigGraph, _arrow_label, _check_configuration, _loop_label
 from .errors import InputValidationError, ResourceCapError
@@ -316,19 +316,21 @@ def _power_label(j: int) -> str:
     return "1" if j == 0 else ("t" if j == 1 else f"t^{j}")
 
 
+def _power_table(n: int, label: Callable[[int], str], one) -> Dict[Tuple[str, str], Combo]:
+    """The products of k[t]/t^(n+1), the Ext algebra of a P^n-object:
+    t^a t^b = t^(a+b) for a + b <= n, with label(j) the label of t^j."""
+    return {(label(a), label(b)): {label(a + b): one}
+            for a in range(n + 1) for b in range(n + 1 - a)}
+
+
 def truncated_poly(n: int, k: int, field_spec: FieldSpec = RATIONALS_SPEC) -> GradedAlgebra:
     """k[t]/t^(n+1) with deg(t) = k: basis 1, t, ..., t^n, maxdeg n*k."""
     if n < 1 or k < 1:
         raise InputValidationError("truncated_poly needs n >= 1 and k >= 1")
-    f = field_spec.field()
+    one = field_spec.field().one
     lab = _power_label
     basis = tuple((lab(j), j * k) for j in range(n + 1))
-    mult: Dict[Tuple[str, str], Combo] = {}
-    for i in range(n + 1):
-        for j in range(n + 1):
-            if i + j <= n:
-                mult[(lab(i), lab(j))] = {lab(i + j): f.one}
-    return GradedAlgebra(field_spec, basis, mult, {lab(0): f.one}, (lab(0),))
+    return GradedAlgebra(field_spec, basis, _power_table(n, lab, one), {lab(0): one}, (lab(0),))
 
 
 def build_configuration_algebra(
@@ -349,11 +351,20 @@ def build_configuration_algebra(
     them all, 'zigzag' sets a_ji a_ij = t_i^(2h/k) and kills paths through
     distinct vertices, and needs 2h/k = n. An explicit mapping
     {(x_label, y_label): combo} may be given instead.
-    The result is machine validated before it is returned.
+    The result is machine validated before it is returned; a table with
+    more products than validation would try triples is refused first.
     """
     m, arrows = _check_configuration(graph, n, k, h, preset)
     if preset not in ("orthogonal", "zigzag") and not isinstance(preset, Mapping):
         raise InputValidationError(f"unknown preset {preset!r}")
+    # every product has a term w with (w, e_i) a key, so validation would try
+    # at least one triple per product: a table past the cap is refused unbuilt
+    products = m * (n + 1) * (n + 2) // 2 + len(arrows) * (3 if preset == "zigzag" else 2)
+    if products > _MAX_TRIPLES:
+        raise ResourceCapError(
+            f"configuration table: its {products} products would give the associativity "
+            f"check at least as many triples, over the cap of {_MAX_TRIPLES}"
+        )
     vertices = range(1, m + 1)
     t = _loop_label
     one = field_spec.field().one
@@ -375,14 +386,8 @@ def build_configuration_algebra(
             mult[(x, y)] = combo
 
     for i in vertices:
-        put(e(i), e(i), {e(i): one})
-        for l in range(1, n + 1):
-            put(e(i), t(i, l), {t(i, l): one})
-            put(t(i, l), e(i), {t(i, l): one})
-        for l1 in range(1, n + 1):
-            for l2 in range(1, n + 1):
-                if l1 + l2 <= n:
-                    put(t(i, l1), t(i, l2), {t(i, l1 + l2): one})
+        # e_i is t_i^0: the vertex's loops with it span k[t]/t^(n+1)
+        mult.update(_power_table(n, lambda l: t(i, l) if l else e(i), one))
     for (i, j) in arrows:
         # a_ij acts P_i -> P_j, so e_j a_ij = a_ij = a_ij e_i
         put(e(j), a(i, j), {a(i, j): one})

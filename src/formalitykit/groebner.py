@@ -2,20 +2,23 @@
 
 The reduced Groebner basis of the ideal I of a presentation's relations
 is built one degree at a time (`_GroebnerBasis`); the words that contain
-no tip, counted by degree (`_NormalWords`), give dim T(V)/I and the zero
-window that certifies maxdeg(A); and Tor_q is the homology of the Anick
-chains on the tips under the Morse differential (`_morse_tor`). Every
-search for a tip in a word (rewriting, counting normal words, matching
-cells, extending chains) asks one index of the tips (`_TipIndex`). On a
-monomial presentation the basis is the relations' minimal words, with no
-tails: no S-polynomial is formed, the differential is 0, and Tor_q is a
-chain count. `presentations.tor_term` is the entry point.
+no tip, counted by degree, give dim T(V)/I and the zero window that
+certifies maxdeg(A); and Tor_q is the homology of the Anick chains on the
+tips under the Morse differential (`_morse_tor`). One index of the tips
+(`_TipIndex`) owns all that the tips decide: it keeps each tip with its
+tail, answers every search for a tip in a word (rewriting, counting
+normal words, matching cells, extending chains), and keeps the
+normal-word counts and the edges of the graph of chain tails until a new
+tip arrives. On a monomial presentation the basis is the relations'
+minimal words, with no tails: no S-polynomial is formed, the
+differential is 0, and Tor_q is a chain count. `presentations.tor_term`
+is the entry point.
 """
 
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .configurations import PoincarePolynomial
 from .errors import TruncationError
@@ -67,28 +70,41 @@ def _tor_degree_cap(pres: TensorPresentation, q: int, maxdeg: Callable[[], int])
 
 
 class _TipIndex:
-    """The tips of a reduced Groebner basis, which every tip search in a word
-    asks: a trie of their reversed letters, with an int (the tip length)
+    """All that the tips of a reduced Groebner basis decide, in one owner,
+    which `_GroebnerBasis` fills one degree at a time: the tips with their
+    tails; a trie of their reversed letters, with an int (the tip length)
     at each leaf, and the set of their proper prefixes, the empty word
-    included. No tip contains another, so no tip is a suffix of another:
-    at most one tip ends at any place of a word, the walk back through the
-    trie from that place reaches at most one leaf, and the leftmost tip of
-    a word is the one that ends first."""
+    included, which every search for a tip in a word asks; the automaton
+    moves on those prefixes; the normal words counted by state; and the
+    chain extensions of each tail. No tip contains another, so no tip is a
+    suffix of another: at most one tip ends at any place of a word, the
+    walk back through the trie from that place reaches at most one leaf,
+    and the leftmost tip of a word is the one that ends first. A new tip
+    changes the moves, the states and the extensions, so `add` drops them,
+    and each is found again when next asked."""
 
-    def __init__(self):
+    def __init__(self, generators: Sequence[Generator]):
+        self.generators = generators
+        self.gen = {g.label: g for g in generators}
+        self.tails: Dict[Word, Dict[Word, object]] = {}  # tip -> its normal form
         self.trie: Dict[str, object] = {}
         self.prefixes = {()}
-        self.tips: List[Word] = []
         self.steps: Dict[Tuple[Word, str], Optional[Word]] = {}
+        self.counts: Dict[int, Dict[Tuple[str, Word], int]] = {}  # degree -> states
+        self.chains: Dict[Word, List[Tuple[Word, int]]] = {}  # tail -> its extensions
 
-    def add(self, tip: Word) -> None:
+    def add(self, tip: Word, tail: Dict[Word, object]) -> None:
         node = self.trie
         for lab in reversed(tip[1:]):
             node = node.setdefault(lab, {})
         node[tip[0]] = len(tip)
         self.prefixes.update(tip[:i] for i in range(len(tip)))
-        self.tips.append(tip)
-        self.steps.clear()
+        self.tails[tip] = tail
+        for cache in (self.steps, self.counts, self.chains):
+            cache.clear()
+
+    def deg(self, word: Word) -> int:
+        return sum(self.gen[lab].deg for lab in word)
 
     def first(self, word: Word, after: int = 0) -> Optional[Tuple[int, int]]:
         """(start, end) of the first tip of word that ends past word[:after],
@@ -106,53 +122,57 @@ class _TipIndex:
     def step(self, state: Word, lab: str) -> Optional[Word]:
         """For state the longest suffix of a normal word w that is a proper
         tip prefix, that of w lab, or None when a tip ends there: an
-        automaton on the tips (Aho-Corasick, CACM 18 (1975)), its moves kept
-        until a tip arrives."""
+        automaton on the tips (Aho-Corasick, CACM 18 (1975))."""
         if (state, lab) not in self.steps:
             word = state + (lab,)
             self.steps[state, lab] = None if self.first(word, len(word) - 1) else next(
                 word[i:] for i in range(len(word) + 1) if word[i:] in self.prefixes)
         return self.steps[state, lab]
 
-
-class _NormalWords:
-    """The composable words that contain no tip, counted by degree: they are
-    a basis of T(V)/I when the tips are those of a Groebner basis of I,
-    which `_GroebnerBasis` adds to the tip index one degree at a time. A
-    word grows one letter at a time on the right, and whether w g is
-    normal, for w normal, depends on the state of w only: its last letter,
-    with which g must compose, and its longest suffix that is a proper tip
-    prefix (see _TipIndex.step). So degree d is counted from lower degrees,
-    once, per state: at most (proper tip prefixes) x (generators) of them,
-    however many words there are, even where T(V)/I is infinite
-    dimensional (Ufnarovskij, Encycl. Math. Sci. 57 (1995)). A new tip
-    changes the states, so `_GroebnerBasis` drops the counts when one
-    arrives, and they are counted again from degree 1 when next asked. A
-    one-letter tip removes its generator."""
-
-    def __init__(self, pres: TensorPresentation, index: _TipIndex):
-        self.pres = pres
-        self.gen = {g.label: g for g in pres.generators}
-        self.index = index
-        self.by_degree: Dict[int, Dict[Tuple[str, Word], int]] = {}
-
     def states(self, d: int) -> Dict[Tuple[str, Word], int]:
-        """The normal words of degree d, counted by state."""
-        for e in range(len(self.by_degree) + 1, d + 1):
+        """The composable words of degree d that contain no tip, counted by
+        state: a basis of T(V)/I in degree d once the tips are those of a
+        Groebner basis of I. A word grows one letter at a time on the
+        right, and whether w g is normal, for w normal, depends on the
+        state of w only: its last letter, with which g must compose, and
+        its longest suffix that is a proper tip prefix (see step). So
+        degree d is counted from lower degrees, once, per state: at most
+        (proper tip prefixes) x (generators) of them, however many words
+        there are, even where T(V)/I is infinite dimensional (Ufnarovskij,
+        Encycl. Math. Sci. 57 (1995)). A one-letter tip removes its
+        generator."""
+        for e in range(len(self.counts) + 1, d + 1):
             out: Dict[Tuple[str, Word], int] = {}
-            for g in self.pres.generators:
+            for g in self.generators:
                 # g alone follows the empty word, with no last letter to compose on
-                words = {(None, ()): 1} if g.deg == e else self.by_degree.get(e - g.deg, {})
+                words = {(None, ()): 1} if g.deg == e else self.counts.get(e - g.deg, {})
                 for (last, state), count in words.items():
                     if last is None or self.gen[last].src == g.tgt:
-                        after = self.index.step(state, g.label)
+                        after = self.step(state, g.label)
                         if after is not None:
                             out[g.label, after] = out.get((g.label, after), 0) + count
-            self.by_degree[e] = out
-        return self.by_degree[d]
+            self.counts[e] = out
+        return self.counts[d]
 
-    def dim(self, d: int) -> int:
-        return self.pres.num_vertices if d == 0 else sum(self.states(d).values())
+    def extensions(self, tail: Word) -> List[Tuple[Word, int]]:
+        """(t, degree of t) for each non-empty path t that extends a chain
+        with this tail: tail t contains exactly one tip, which starts inside
+        the tail and ends at the end of t. So t is what a tip has left after
+        a prefix that is a suffix of the tail, and the tails with these
+        edges form the graph the Anick chains walk.
+
+        No tip contains another, and a tail (a generator, or a t) contains
+        no tip, nor does t, a proper part of a tip. So the only other tips
+        tail t could contain cross into t and end before its end, and tail
+        t qualifies iff the first tip that ends past the tail ends at its
+        end."""
+        if tail not in self.chains:
+            self.chains[tail] = [
+                (tip[k:], self.deg(tip[k:])) for tip in self.tails
+                for k in range(1, min(len(tail), len(tip) - 1) + 1)
+                if tail[-k:] == tip[:k]
+                and self.first(word := tail + tip[k:], len(tail))[1] == len(word)]
+        return self.chains[tail]
 
 
 class _GroebnerBasis:
@@ -181,8 +201,8 @@ class _GroebnerBasis:
     basis stays reduced; every overlap of two elements of degree below d
     has degree at least d, and those of degree d are all reduced here, so
     the basis up to degree d is that of I (Bergman's diamond lemma).
-    Each new tip goes into the tip index, where rewriting finds the
-    leftmost tip of a word, and makes the normal words recount.
+    Each element goes into the tip index, which keeps the tips with their
+    tails and finds the leftmost tip of a word for rewriting.
 
     Once the normal words vanish in a window of degrees as wide as the
     largest generator degree, every word past the window has a proper
@@ -196,35 +216,31 @@ class _GroebnerBasis:
         self.pres = pres
         self.field = pres.field_spec.field()
         self.p = self.field.characteristic
-        self.gen = {g.label: g for g in pres.generators}
         self.position = {g.label: i for i, g in enumerate(pres.generators)}
-        self.tails: Dict[Word, Dict[Word, object]] = {}  # tip -> its normal form
-        self.index = _TipIndex()
+        self.index = _TipIndex(pres.generators)
+        self.deg, self.tails = self.index.deg, self.index.tails  # the index owns both
         self.pending: Dict[int, List[Dict[Word, object]]] = {}  # degree -> to reduce
         for rel in pres.relations:
             poly: Dict[Word, object] = {}
             for word, c in rel:
                 poly[word] = poly.get(word, 0) + c
             self.pending.setdefault(self.deg(rel[0][0]), []).append(poly)
-        self.normal = _NormalWords(pres, self.index)
         self.reached = 0
         self._nf: Dict[Word, Dict[Word, object]] = {}
-
-    def deg(self, word: Word) -> int:
-        return sum(self.gen[lab].deg for lab in word)
 
     def _key(self, word: Word):
         """Sorts a degree's words in descending term order."""
         return len(word), [self.position[lab] for lab in word]
 
     def upto(self, cap: int) -> None:
+        gen = self.index.gen
         for d in range(self.reached + 1, cap + 1):
             blocks: Dict[Tuple[int, int], List[Dict[Word, object]]] = {}
             for poly in self.pending.pop(d, ()):
                 reduced = self._reduce(poly)
                 if reduced:
                     word = next(iter(reduced))
-                    key = (self.gen[word[-1]].src, self.gen[word[0]].tgt)
+                    key = (gen[word[-1]].src, gen[word[0]].tgt)
                     blocks.setdefault(key, []).append(reduced)
             for key in sorted(blocks):
                 polys = blocks[key]
@@ -244,9 +260,7 @@ class _GroebnerBasis:
         truncation. Two words (tips with no tail) have only zero
         S-polynomials, so their pair is skipped; on monomial input nothing
         is queued."""
-        self.tails[tip] = tail
-        self.index.add(tip)
-        self.normal.by_degree.clear()  # the states change with the tip prefixes
+        self.index.add(tip, tail)
         for other, other_tail in self.tails.items():
             if not tail and not other_tail:
                 continue
@@ -318,47 +332,21 @@ class _GroebnerBasis:
     def dim(self, d: int) -> int:
         """dim of T(V)/I in degree d, from the normal words."""
         self.upto(d)
-        return self.normal.dim(d)
-
-
-def _chain_extensions(index: _TipIndex, tail: Word,
-                      deg: Mapping[str, int]) -> List[Tuple[Word, int]]:
-    """(t, degree of t) for each non-empty path t that extends a chain with
-    this tail: tail t contains exactly one tip, which starts inside the tail
-    and ends at the end of t. So t is what a tip has left after a prefix
-    that is a suffix of the tail.
-
-    No tip contains another, and a tail (a generator, or a t) contains no
-    tip, nor does t, a proper part of a tip. So the only other tips tail t
-    could contain cross into t and end before its end, and tail t
-    qualifies iff the first tip that ends past the tail ends at its end."""
-    out = []
-    for tip in index.tips:
-        for k in range(1, min(len(tail), len(tip) - 1) + 1):
-            if tail[-k:] != tip[:k]:
-                continue
-            word = tail + tip[k:]
-            if index.first(word, len(tail))[1] == len(word):
-                out.append((tip[k:], sum(deg[lab] for lab in tip[k:])))
-    return out
+        return self.pres.num_vertices if d == 0 else sum(self.index.states(d).values())
 
 
 def _chain_counts(generators: Sequence[Generator], index: _TipIndex, q: int) -> Dict[int, int]:
     """The number of Anick (q-1)-chains by degree on these generators and
     the tips in the index (a one-letter tip extends no chain, so only
     those of length >= 2 count). Whether a chain extends, and by which t (see
-    _chain_extensions), depends only on its tail, so chains are counted per
-    (tail, degree), never listed."""
-    deg = {g.label: g.deg for g in generators}
+    _TipIndex.extensions), depends only on its tail, so chains are counted
+    per (tail, degree), never listed."""
     chains: Dict[Tuple[Word, int], int] = {((g.label,), g.deg): 1 for g in generators}
-    extensions: Dict[Word, List[Tuple[Word, int]]] = {}
     for _ in range(q - 1):
         longer: Dict[Tuple[Word, int], int] = {}
         for (tail, d), count in chains.items():
-            if tail not in extensions:
-                extensions[tail] = _chain_extensions(index, tail, deg)
-            for t, dt in extensions[tail]:
-                longer[(t, d + dt)] = longer.get((t, d + dt), 0) + count
+            for t, dt in index.extensions(tail):
+                longer[t, d + dt] = longer.get((t, d + dt), 0) + count
         chains = longer
     dims: Dict[int, int] = {}
     for (_, d), count in chains.items():
@@ -474,25 +462,13 @@ class _MorseComplex:
         return rank_rows(rows, self.basis.field) if columns else 0
 
 
-def _chain_cells(generators: Sequence[Generator], index: _TipIndex, n: int,
-                 cap: int) -> Dict[int, List[Cell]]:
-    """The Anick (n-1)-chains of degree <= cap by degree, each as the cell
-    of its pieces (see _chain_extensions)."""
-    deg = {g.label: g.deg for g in generators}
-    cells = [(((g.label,),), g.deg) for g in generators if g.deg <= cap]
-    extensions: Dict[Word, List[Tuple[Word, int]]] = {}
-    for _ in range(n - 1):
-        longer = []
-        for cell, d in cells:
-            tail = cell[-1]
-            if tail not in extensions:
-                extensions[tail] = _chain_extensions(index, tail, deg)
-            longer.extend((cell + (t,), d + dt) for t, dt in extensions[tail] if d + dt <= cap)
-        cells = longer
-    out: Dict[int, List[Cell]] = {}
-    for cell, d in cells:
-        out.setdefault(d, []).append(cell)
-    return out
+def _chain_cells(index: _TipIndex, cells: List[Tuple[Cell, int]],
+                 cap: int) -> List[Tuple[Cell, int]]:
+    """The Anick chains one piece longer than these, each (cell of its
+    pieces, degree), of degree <= cap: each cell extended by each extension
+    of its tail (see _TipIndex.extensions), in order."""
+    return [(cell + (t,), d + dt) for cell, d in cells
+            for t, dt in index.extensions(cell[-1]) if d + dt <= cap]
 
 
 def _morse_tor(pres: TensorPresentation, q: int) -> PoincarePolynomial:
@@ -518,8 +494,15 @@ def _morse_tor(pres: TensorPresentation, q: int) -> PoincarePolynomial:
     if not any(basis.tails.values()):
         return PoincarePolynomial.make(_chain_counts(gens, basis.index, q))
     morse = _MorseComplex(basis)
-    here = _chain_cells(gens, basis.index, q, d_need)
-    above = _chain_cells(gens, basis.index, q + 1, d_need)
+    cells = [(((g.label,),), g.deg) for g in gens if g.deg <= d_need]
+    for _ in range(q - 1):
+        cells = _chain_cells(basis.index, cells, d_need)
+    here: Dict[int, List[Cell]] = {}
+    above: Dict[int, List[Cell]] = {}
+    # the (q+1)-chains are the q-chains extended by one edge
+    for by_degree, level in ((here, cells), (above, _chain_cells(basis.index, cells, d_need))):
+        for cell, d in level:
+            by_degree.setdefault(d, []).append(cell)
     dims: Dict[int, int] = {}
     for d, chains in here.items():
         dims[d] = (len(chains) - (morse.rank(chains) if q > 1 else 0)

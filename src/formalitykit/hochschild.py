@@ -270,24 +270,22 @@ def _enumerate_words(tb: _Tables, p: int, targets, max_words: int, stage: str):
 def _word_degree_states(tb: _Tables, p: int) -> Dict[Tuple[int, int, int], int]:
     """Count length p words per (degree, src of word, tgt of word) by
     transfer-style dynamic programming along the successor lists; used
-    only to locate feasible internal degrees cheaply."""
-    # words counted per (degree, last letter, tgt of the first letter)
+    only to locate feasible internal degrees cheaply. The letters after a
+    word are those after the source block of its last letter (the src of
+    the word), so that key is the whole state."""
+    after = dict(zip(tb.src, tb.succ))  # block -> the letters after it
     states: Dict[Tuple[int, int, int], int] = {}
     for i in tb.letters:
-        key = (tb.degs[i], i, tb.tgt[i])
+        key = (tb.degs[i], tb.src[i], tb.tgt[i])
         states[key] = states.get(key, 0) + 1
     for _ in range(p - 1):
         nxt: Dict[Tuple[int, int, int], int] = {}
-        for (d, last, tgt_first), cnt in states.items():
-            for j in tb.succ[last]:
-                key = (d + tb.degs[j], j, tgt_first)
+        for (d, src, tgt), cnt in states.items():
+            for j in after[src]:
+                key = (d + tb.degs[j], tb.src[j], tgt)
                 nxt[key] = nxt.get(key, 0) + cnt
         states = nxt
-    out: Dict[Tuple[int, int, int], int] = {}
-    for (d, last, tgt_first), cnt in states.items():
-        key = (d, tb.src[last], tgt_first)
-        out[key] = out.get(key, 0) + cnt
-    return out
+    return states
 
 
 def _cochain_basis(tb: _Tables, p: int, q: int, mode: str, max_words: int):

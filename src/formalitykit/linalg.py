@@ -96,8 +96,9 @@ def _primitive(row: SparseRow) -> SparseRow:
     """A fresh primitive integer multiple of a rational dict row, zeros
     dropped: the row times the lcm of its denominators, divided by the gcd
     of the result. A row of ints costs one C-level gcd beyond the copy, and
-    nothing more when that gcd is 1; a one-entry row, most rows of a Tor
-    ideal, becomes the unit row there at once."""
+    nothing more when that gcd is 1; a one-entry row, as a monomial
+    relation gives in a Groebner interreduction, becomes the unit row there
+    at once."""
     if len(row) == 1:
         [(c, x)] = row.items()
         return {c: 1} if x else {}
@@ -227,14 +228,7 @@ def _reduce(v: SparseRow, pivots: Dict[int, SparseRow], field) -> SparseRow:
     as they are, and one subtraction per pivot column of v suffices. Over Q
     the reduction starts from v's primitive integer multiple, so against
     integral rows it does no Fraction arithmetic; callers only test the
-    remainder for zero or eliminate it further. A one-entry row at a pivot
-    column whose row is the unit vector there reduces to zero at once:
-    ideal blocks are mostly monomial, so most rows merged into them are
-    such rows."""
-    if len(v) == 1:
-        prow = pivots.get(next(iter(v)))
-        if prow is not None and len(prow) == 1:
-            return {}
+    remainder for zero or eliminate it further."""
     p = field.characteristic
     row = _sparse(v, field) if p else _primitive(v)
     for c in [c for c in row if c in pivots]:

@@ -190,6 +190,28 @@ def test_associativity_triple_cap_exits_3_before_building_the_triples(tmp_path, 
     )
 
 
+def test_configuration_table_past_the_triple_cap_exits_3_before_any_label_is_built(
+        tmp_path, capsys, monkeypatch):
+    """The A2 table with n = 2000 would hold 2 x 2001 x 2002 / 2 loop and
+    idempotent products and 4 arrow products, each giving validation one
+    triple or more; it is refused from that count, before the basis or any
+    product is built."""
+    from formalitykit import graded
+
+    def built(*args):
+        raise AssertionError("a label was built")
+
+    monkeypatch.setattr(graded, "_loop_label", built)
+    monkeypatch.setattr(graded, "_arrow_label", built)
+    gpath = write_json(tmp_path, "a2.json", {"vertices": [1, 2], "edges": [[1, 2]]})
+    argv = ["build-config", "--graph", gpath, "--n", "2000", "--k", "1", "--h", "1"]
+    assert run(argv) == (3, "")
+    assert capsys.readouterr().err == (
+        "resource cap: configuration table: its 4006006 products would give the "
+        "associativity check at least as many triples, over the cap of 2000000\n"
+    )
+
+
 def test_associativity_triple_cap_boundary_is_the_triple_count(tmp_path, capsys, monkeypatch):
     # the A2 table with n = 20 has 7096 candidate triples
     from formalitykit import graded

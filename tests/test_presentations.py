@@ -760,6 +760,70 @@ def test_groebner_basis_is_reduced_and_closes_every_overlap(pres):
     assert all(basis._rewrite(word) is None for tail in tips.values() for word in tail)
 
 
+def _tip_index(pres, field):
+    """The tip index of pres over field, built to the truncation, and the
+    generators that are not tips."""
+    basis = groebner._GroebnerBasis(_with_spec(pres, FieldSpec.parse(field)))
+    basis.upto(pres.truncation)
+    index = basis.index
+    return index, [g for g in pres.generators if (g.label,) not in index.tails]
+
+
+@pytest.mark.parametrize("pres", [case[1] for case in TOR_CASES],
+                         ids=[case[0] for case in TOR_CASES])
+@pytest.mark.parametrize("field", ["rationals", "fp:7"])
+def test_tail_graph_edges_are_the_anick_extensions_by_definition(pres, field):
+    """For every tail reachable from a generator, the index's extensions
+    are, each once, the composable tip-free paths t no longer than the
+    longest tip such that s t contains exactly one tip, which starts inside
+    s and ends at the end, listed and searched one by one."""
+    index, gens = _tip_index(pres, field)
+    tips = set(index.tails)
+    gen = {g.label: g for g in pres.generators}
+    # every composable tip-free path up to the longest tip, grown on the right
+    longest = max(map(len, tips))
+    paths, level = [], [(g.label,) for g in pres.generators if (g.label,) not in tips]
+    while level:
+        paths += level
+        level = [w + (g.label,) for w in level if len(w) < longest
+                 for g in pres.generators if gen[w[-1]].src == g.tgt
+                 and not any((w + (g.label,))[i:] in tips for i in range(len(w) + 1))]
+
+    def tips_in(word):
+        return [(i, j) for i in range(len(word)) for j in range(i + 1, len(word) + 1)
+                if word[i:j] in tips]
+
+    seen, todo = set(), [(g.label,) for g in gens]
+    while todo:
+        s = todo.pop()
+        if s in seen:
+            continue
+        seen.add(s)
+        found = index.extensions(s)
+        want = {(t, index.deg(t)) for t in paths if gen[s[-1]].src == gen[t[0]].tgt
+                and [(i < len(s), j) for i, j in tips_in(s + t)] == [(True, len(s + t))]}
+        assert len(found) == len(set(found)) and set(found) == want, s
+        todo += [t for t, _ in found]
+    assert seen
+
+
+@pytest.mark.parametrize("pres", [case[1] for case in TOR_CASES],
+                         ids=[case[0] for case in TOR_CASES])
+@pytest.mark.parametrize("field", ["rationals", "fp:7"])
+def test_chain_counts_are_the_lengths_of_the_listed_chains(pres, field):
+    """_chain_counts, which counts chains per (tail, degree), equals the
+    number of chains _chain_cells lists in each degree, for q <= 5."""
+    index, gens = _tip_index(pres, field)
+    cells = [(((g.label,),), g.deg) for g in gens]
+    for q in range(1, 6):
+        if q > 1:
+            cells = groebner._chain_cells(index, cells, 10 ** 9)
+        lengths = {}
+        for _, d in cells:
+            lengths[d] = lengths.get(d, 0) + 1
+        assert groebner._chain_counts(gens, index, q) == lengths, q
+
+
 def test_tor_cases_count():
     assert (len(TOR_CASES), len(MONOMIAL_TOR_CASES)) == (21, 12)
 
@@ -969,18 +1033,18 @@ def test_braid_refusal_keeps_its_text_and_at_most_one_state_per_tip_prefix(
     pres = _braid_presentation(truncation)
     path = tmp_path / "pres.json"
     path.write_text(json.dumps(presentation_to_json_dict(pres)))
-    built = _recorded_instances(monkeypatch, groebner, "_NormalWords")
+    built = _recorded_instances(monkeypatch, groebner, "_TipIndex")
     assert dispatch(["tor", "--pres", str(path), "--q", "2"]) == 2
     assert capsys.readouterr() == ("", "input error: cannot certify finite dimensionality "
                                    "within the truncation; increase truncation (no nilpotence "
                                    "window found)\n")
-    (normal,) = built
-    tips = normal.index.tips
+    (index,) = built
+    tips = list(index.tails)
     assert sorted(tips, key=len) == [("x", "y", "x")] + [
         ("x",) + ("y",) * n + ("x", "y") for n in range(2, truncation - 2)]
     prefixes = {tip[:i] for tip in tips for i in range(1, len(tip))}
-    assert sorted(normal.by_degree) == list(range(1, truncation + 1))
-    assert max(map(len, normal.by_degree.values())) <= (len(prefixes) + 1) * 2
+    assert sorted(index.counts) == list(range(1, truncation + 1))
+    assert max(map(len, index.counts.values())) <= (len(prefixes) + 1) * 2
 
 
 @pytest.mark.parametrize("graph,nkh,q,truncation,expected", [
@@ -998,13 +1062,14 @@ def test_anick_route_reaches_the_baseline_tor_terms(monkeypatch, graph, nkh, q, 
     a chain extends per (tail, degree) state, never one by one."""
     pres = configuration_presentation(graph, *nkh, "orthogonal", truncation)
     tails = []
-    real = groebner._chain_extensions
+    real = groebner._TipIndex.extensions
 
-    def record(tips, tail, deg):
-        tails.append(tail)
-        return real(tips, tail, deg)
+    def record(index, tail):
+        if tail not in index.chains:  # found here, not read from the index's memo
+            tails.append(tail)
+        return real(index, tail)
 
-    monkeypatch.setattr(groebner, "_chain_extensions", record)
+    monkeypatch.setattr(groebner._TipIndex, "extensions", record)
     assert tor_term(pres, q).dims() == expected
     # the tails are the generators and the proper suffixes of the tips
     tips = _groebner_basis(pres, truncation)
@@ -1107,7 +1172,7 @@ def _recorded_instances(monkeypatch, module, name):
 
 
 def _states_built(built):
-    return sum(len(states) for nw in built for states in nw.by_degree.values())
+    return sum(len(states) for index in built for states in index.counts.values())
 
 
 @pytest.mark.parametrize("make,q", [
@@ -1118,9 +1183,9 @@ def _states_built(built):
 def test_anick_route_materializes_as_many_words_at_any_truncation(monkeypatch, make, q):
     """The Anick route reads T(V)/I no further than the zero window that
     certifies maxdeg, so a larger truncation adds no word (it counts the
-    normal words by state, see _NormalWords)."""
+    normal words by state, see _TipIndex.states)."""
     minimal = _minimal_truncation(make, q)
-    built = _recorded_instances(monkeypatch, groebner, "_NormalWords")
+    built = _recorded_instances(monkeypatch, groebner, "_TipIndex")
     counts, dims = [], []
     for truncation in (minimal, minimal + 8):
         built.clear()
@@ -1177,11 +1242,11 @@ def test_anick_route_refuses_an_infinite_algebra_by_prefixes_not_words(monkeypat
     (y, ())."""
     pres = TensorPresentation(1, (Generator("x", 1, 1, 1), Generator("y", 1, 1, 1)),
                               (((("x", "x"), ONE),),), 512)
-    built = _recorded_instances(monkeypatch, groebner, "_NormalWords")
+    built = _recorded_instances(monkeypatch, groebner, "_TipIndex")
     with pytest.raises(TruncationError, match="no nilpotence window"):
         tor_term(pres, 2)
     assert _states_built(built) == 2 * 512
-    assert set(built[-1].by_degree[512]) == {("x", ("x",)), ("y", ())}
+    assert set(built[-1].counts[512]) == {("x", ("x",)), ("y", ())}
 
 
 def test_tor_command_refuses_a_non_monomial_input_without_a_window_from_normal_words(
