@@ -15,9 +15,14 @@ negative claim. Every builder returns through one verdict rule,
 _certificate, and builds each degree comparison from its degree data
 with _degree_bound_item.
 
-verify_certificate shares no code with the builders. It reads each
-family's parameters, hypotheses, derived subject fields and replay data
-from one table of its own, _FAMILIES.
+verify_certificate shares no code with the builders. From the subject's
+integer parameters and a table of its own, _FAMILIES, it recomputes the
+whole subject, each hypothesis with its actual value, and each evidence
+item from its method and covers, through one replay function per method
+(_REPLAYS). A stated entry passes only if it equals the recomputed one
+key for key, with the same types, but for the prose keys in _PROSE. A
+DegreeBound chain is checked, not recomputed: it must run from the
+item's lhs to its rhs at the base point by steps < or <= that hold.
 """
 
 from __future__ import annotations
@@ -365,7 +370,7 @@ def certify_config_spherical(k: int, h_min: int, h_max: int) -> FormalityCertifi
         if parity == "even":
             return (["2h+2p-1", "2h+2p", "2ph"], [2 * h + 2 * p - 1, 2 * h + 2 * p, 2 * p * h],
                     ["<=", "<", "<="])
-        return ["2h+2p", "2ph+h"], [2 * h + 2 * p, 2 * p * h + h], ["<=", "<"]
+        return ["2h+2p", "2ph+h"], [2 * h + 2 * p, 2 * p * h + h], ["<=", "<="]
 
     def evidence():
         even, odd, odd_tail = (_degree_bound_item(parity, p_min, k, 2 * h, h, chain)
@@ -416,174 +421,197 @@ class RecheckReport(Record):
 
 
 # Each family: its integer parameters, and from them its hypotheses by
-# name, the subject's derived fields and, per evidence method, the data
-# that method's items replay. The spherical family's worst case arrow
-# degree is h_min.
+# name with their ok and actual values, the subject's derived fields and,
+# per evidence method, the data that method's replay reads. The spherical
+# family's worst case arrow degree is h_min.
 _FAMILIES = {
     "single": (("n", "k"), lambda n, k: (
-        {"n >= 1": n >= 1, "k >= 1": k >= 1},
+        {"n >= 1": (n >= 1, n), "k >= 1": (k >= 1, k)},
         {"maxdeg": n * k},
         {"PeriodicResolution": (n * k, n * k + k - 2, {"even": (2, 2), "odd": (1 + k, 1)})},
     )),
     "pn_config": (("n", "k", "h"), lambda n, k, h: (
-        {
-            "n >= 2": n >= 2,
-            "k >= 2": k >= 2,
-            "nk/2 <= h": 2 * h >= n * k,
-            "h <= nk": h <= n * k,
-            "gcd(k, h) > 1": math.gcd(k, h) > 1,
-        },
+        {"n >= 2": (n >= 2, n), "k >= 2": (k >= 2, k), "nk/2 <= h": (2 * h >= n * k, h),
+         "h <= nk": (h <= n * k, h), "gcd(k, h) > 1": (math.gcd(k, h) > 1, math.gcd(k, h))},
         {"maxdeg": n * k, "mindeg_I_bound": h + k, "mindeg_J": k},
         {"DegreeBound": (n * k, h + k, k), "GcdDivisibility": (k, h)},
     )),
     "spherical_config": (("k", "h_min", "h_max"), lambda k, h_min, h_max: (
-        {
-            "k >= 4": k >= 4,
-            "floor(k/2) <= h_min": k // 2 <= h_min,
-            "h_min <= h_max": h_min <= h_max,
-            "h_max <= k": h_max <= k,
-        },
+        {"k >= 4": (k >= 4, k), "floor(k/2) <= h_min": (k // 2 <= h_min, h_min),
+         "h_min <= h_max": (h_min <= h_max, h_max), "h_max <= k": (h_max <= k, h_max)},
         {"worst_case_h": h_min, "maxdeg": k, "mindeg_I_bound": 2 * h_min, "mindeg_J_bound": h_min},
         {"DegreeBound": (k, 2 * h_min, h_min)},
     )),
 }
 
-
-def _recheck_degree_bound(item: dict, maxdeg: int, mu: int, nu: int) -> Tuple[bool, str]:
-    cov = item.get("covers", {})
-    parity = cov.get("parity")
-    p_min = cov.get("p_min")
-    if parity not in ("even", "odd") or p_min is None:
-        return False, "malformed coverage"
-    lhs = item["lhs"]
-    rhs = item["rhs"]
-    want_lhs = (2, maxdeg - 2) if parity == "even" else (2, maxdeg - 1)
-    want_rhs = (mu, 0) if parity == "even" else (mu, nu)
-    if (lhs["slope"], lhs["intercept"]) != want_lhs:
-        return False, f"lhs affine mismatch: {lhs} vs {want_lhs}"
-    if (rhs["slope"], rhs["intercept"]) != want_rhs:
-        return False, f"rhs affine mismatch: {rhs} vs {want_rhs}"
-    la = _affine_at(lhs, p_min)
-    ra = _affine_at(rhs, p_min)
-    if item["lhs_at_base"] != la or item["rhs_at_base"] != ra:
-        return False, "base point values do not replay"
-    gap = rhs["slope"] - lhs["slope"]
-    if item["slope_gap"] != gap:
-        return False, "slope gap does not replay"
-    holds = gap > 0 and la < ra
-    if bool(item["holds"]) != holds:
-        return False, f"holds flag wrong: recomputed {holds}"
-    if holds:
-        return True, f"replayed: {la} < {ra} and slope gap {gap} > 0"
-    return True, f"replayed failing comparison {la} < {ra}"
+# The keys whose values are prose, which recheck does not replay: an item's
+# display, a DegreeBound chain's exprs, and the certificate's notes.
+_PROSE = ("display", "exprs", "notes")
 
 
-def _recheck_gcd(item: dict, k: int, h: int) -> Tuple[bool, str]:
+def _difference(stated: dict, want: dict) -> Optional[Tuple[object, object, object]]:
+    """The first key whose stated value is not the replayed one, with both
+    values (None for a missing key), or None. The keys of want come first,
+    in order, then any other key of stated that is not prose. Values are
+    equal only with equal types at every depth: True is not 1, and 6.0 is
+    not 6."""
+    for key, wanted in want.items():
+        got = stated.get(key)
+        if got is not wanted and not _same(got, wanted):
+            return key, got, wanted
+    if len(stated) > len(want):
+        for key in stated:
+            if key not in want and key not in _PROSE:
+                return key, stated[key], None
+    return None
+
+
+def _same(a, b) -> bool:
+    if type(a) is not type(b):
+        return False
+    if type(b) is dict:
+        return _difference(a, b) is None
+    if type(b) is list:
+        return len(a) == len(b) and all(map(_same, a, b))
+    return a == b
+
+
+def _chain_holds(chain: dict, first: int, last: int) -> bool:
+    """Does a DegreeBound chain, with one expr per value, run from first to
+    last by steps < or <= that hold between integers? Its exprs and
+    interior values are the builder's to choose."""
+    values, relations = chain["values"], chain["relations"]
+    return (len(chain["exprs"]) == len(values) == len(relations) + 1
+            and all(type(v) is int for v in values) and values[0] == first and values[-1] == last
+            and all(a < b if r == "<" else r == "<=" and a <= b
+                    for a, r, b in zip(values, relations, values[1:])))
+
+
+# One replay per evidence method: from the item's covers and the family's
+# replay data, the whole item but its method and prose, with the message
+# of a replay that passes. A DegreeBound chain replays as itself if it
+# holds, since only its ends follow from the covers.
+
+
+def _replay_degree_bound(item: dict, maxdeg: int, mu: int, nu: int):
+    parity, p = item["covers"]["parity"], item["covers"]["p_min"]
+    odd = {"even": 0, "odd": 1}[parity]
+    if type(p) is not int:
+        raise TypeError("p_min must be an integer")
+    lhs_at, rhs_at, chain = 2 * p + maxdeg - 2 + odd, mu * p + nu * odd, item["chain"]
+    holds = mu > 2 and lhs_at < rhs_at
+    return {
+        "covers": {"parity": parity, "p_min": p},
+        "lhs": {"slope": 2, "intercept": maxdeg - 2 + odd},
+        "rhs": {"slope": mu, "intercept": nu * odd},
+        "base_p": p, "lhs_at_base": lhs_at, "rhs_at_base": rhs_at, "slope_gap": mu - 2,
+        "chain": {"values": chain["values"], "relations": chain["relations"]}
+        if _chain_holds(chain, lhs_at, rhs_at) else f"a chain of < and <= from {lhs_at} to {rhs_at}",
+        "holds": holds,
+    }, (f"replayed: {lhs_at} < {rhs_at} and slope gap {mu - 2} > 0" if holds
+        else f"replayed failing comparison {lhs_at} < {rhs_at}")
+
+
+def _replay_gcd(item: dict, k: int, h: int):
     g = math.gcd(k, h)
-    if list(item.get("gcd_of", [])) != [k, h]:
-        return False, "gcd arguments mismatch"
-    if item.get("gcd") != g:
-        return False, f"gcd does not replay: {item.get('gcd')} vs {g}"
-    holds = g > 1
-    if bool(item["holds"]) != holds:
-        return False, "holds flag wrong"
-    return True, f"replayed gcd = {g}"
+    return {"covers": {"q": 3}, "gcd_of": [k, h], "gcd": g, "internal_shift": -1,
+            "holds": g > 1}, f"replayed gcd = {g}"
 
 
-def _recheck_periodic(item: dict, band: int, slope: int, bases: dict) -> Tuple[bool, str]:
+def _replay_periodic(item: dict, band: int, slope: int, bases: dict):
     """bases maps a parity to the intercept and base index of its tail."""
-    cov = item.get("covers", {})
-    intercept, i_min = bases[cov.get("parity")]
-    td = item["target_degree"]
-    if (td["slope"], td["intercept"]) != (slope, intercept):
-        return False, "target degree affine mismatch"
-    if item.get("band_max") != band:
-        return False, "band mismatch"
-    if cov.get("i_min") != i_min:
-        return False, "base index mismatch"
-    val = intercept + slope * i_min
-    if item.get("value_at_base") != val:
-        return False, "base value does not replay"
-    holds = slope >= 0 and val > band
-    if bool(item["holds"]) != holds:
-        return False, "holds flag wrong"
-    return True, f"replayed: {val} > {band} with slope {slope} >= 0"
+    parity = item["covers"]["parity"]
+    intercept, i_min = bases[parity]
+    value = intercept + slope * i_min
+    return {"covers": {"parity": parity, "i_min": i_min},
+            "target_degree": {"slope": slope, "intercept": intercept}, "band_max": band,
+            "value_at_base": value, "holds": slope >= 0 and value > band,
+            }, f"replayed: {value} > {band} with slope {slope} >= 0"
+
+
+_REPLAYS = {"DegreeBound": _replay_degree_bound, "GcdDivisibility": _replay_gcd,
+            "PeriodicResolution": _replay_periodic}
+_DOES_NOT_REPLAY = "{!r} does not replay: {!r} vs {!r}"
 
 
 def verify_certificate(cert) -> RecheckReport:
-    """Replay every piece of evidence from the subject parameters alone.
+    """Replay a certificate's subject, hypotheses and evidence from the
+    subject's integer parameters alone.
 
     This function is deliberately independent of the construction code.
-    From the parameters, through _FAMILIES, it recomputes the family's
-    hypotheses, which the list must hold each exactly once, and the
-    subject's derived fields, which must equal what the subject states
-    (so the spherical worst case arrow degree is h_min, whatever the
-    subject says); then the affine data, base values, gcds and coverage
-    of the evidence. Finally it checks the verdict against the recomputed
-    hypotheses and the claimed evidence. A plain dict is read as the loader
-    reads it: a hypothesis or evidence entry of the wrong shape gives a
-    failing report that names it, and nothing raises.
+    From the parameters, through _FAMILIES, it recomputes the whole
+    subject, each of the family's hypotheses with its ok and actual
+    values, and, through its method's replay in _REPLAYS, each evidence
+    item from its covers. A stated entry passes only if it equals the
+    recomputed one key for key, with the same types, but for the prose
+    keys in _PROSE; a DegreeBound chain passes if it holds (_chain_holds).
+    The hypothesis list must hold each of the family's hypotheses exactly
+    once, in any order, and the verdict must be the one that the
+    recomputed hypotheses and the claimed evidence give. A plain dict is
+    read as the loader reads it: a hypothesis or evidence entry of the
+    wrong shape gives a failing report that names it, and nothing raises.
     """
     if isinstance(cert, FormalityCertificate):
         cert = cert.to_json_dict()
-    messages: List[str] = []
-    results: List[Tuple[int, bool, str]] = []
     try:
         subject = cert["subject"]
         verdict, evidence, hypotheses = cert["verdict"], cert["evidence"], cert["hypotheses"]
-        params, facts = _FAMILIES[subject["family"]]
+        family = subject["family"]
+        params, facts = _FAMILIES[family]
         values = [subject.get(key) for key in params]
         if any(type(v) is not int for v in values):
             raise TypeError("subject parameters must be integers")
-        holds, derived, replay = facts(*values)
+        hyps, derived, replay = facts(*values)
     except (KeyError, TypeError):
         return RecheckReport(False, (), ("malformed certificate document",))
     malformed = _malformed_entry(hypotheses, evidence)
     if malformed:
         return RecheckReport(False, (), (malformed,))
 
-    for key, want in derived.items():
-        if type(subject.get(key)) is not int or subject[key] != want:
-            messages.append(f"subject {key!r} does not follow from its parameters: "
-                            f"{subject.get(key)!r} vs {want}")
+    messages: List[str] = []
+    difference = _difference(subject, {"family": family, **dict(zip(params, values)), **derived})
+    if difference:
+        messages.append("subject {!r} does not follow from its parameters: {!r} vs {!r}"
+                        .format(*difference))
     listed = set()
     for hyp in hypotheses:
-        name, claimed = hyp["name"], bool(hyp["ok"])
-        if name not in holds:
+        name = hyp["name"]
+        if name not in hyps:
             messages.append(f"unknown hypothesis {name!r}")
         elif name in listed:
             messages.append(f"hypothesis {name!r} listed twice")
-        elif holds[name] != claimed:
-            messages.append(f"hypothesis {name!r} does not replay")
+        else:
+            ok, actual = hyps[name]
+            difference = _difference(hyp, {"name": name, "ok": ok, "actual": actual})
+            if difference:
+                messages.append(f"hypothesis {name!r}: " + _DOES_NOT_REPLAY.format(*difference))
         listed.add(name)
-    messages += [f"hypothesis {name!r} missing" for name in holds if name not in listed]
+    messages += [f"hypothesis {name!r} missing" for name in hyps if name not in listed]
 
+    results: List[Tuple[int, bool, str]] = []
     for idx, item in enumerate(evidence):
         method = item.get("method")
         try:
-            if method == "DegreeBound":
-                ok, msg = _recheck_degree_bound(item, *replay[method])
-            elif method == "GcdDivisibility":
-                ok, msg = _recheck_gcd(item, *replay[method])
-            elif method == "PeriodicResolution":
-                ok, msg = _recheck_periodic(item, *replay[method])
-            else:
+            if method not in _REPLAYS:
                 ok, msg = False, f"unknown evidence method {method!r}"
+            else:
+                want, msg = _REPLAYS[method](item, *replay[method])
+                difference = _difference(item, {"method": method, **want})
+                ok, msg = not difference, _DOES_NOT_REPLAY.format(*difference) if difference else msg
         except (KeyError, TypeError):
             ok, msg = False, "malformed evidence item"
-        results.append((idx, bool(ok), msg))
+        results.append((idx, ok, msg))
 
-    items_ok = all(ok for _, ok, _ in results)
     try:
         coverage = _coverage_complete(evidence)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         coverage = False  # a covers entry that is not an integer; its item fails above
     expected_verdict = (
         INAPPLICABLE
-        if not all(holds.values())
+        if not all(ok for ok, _ in hyps.values())
         else (CERTIFIED if coverage and all(e.get("holds") for e in evidence) else INCONCLUSIVE)
     )
     if verdict != expected_verdict:
         messages.append(f"verdict {verdict!r} inconsistent; expected {expected_verdict!r}")
-    return RecheckReport(items_ok and not messages, tuple(results), tuple(messages))
-
+    return RecheckReport(all(ok for _, ok, _ in results) and not messages, tuple(results),
+                         tuple(messages))

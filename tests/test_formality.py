@@ -248,32 +248,70 @@ CERTS = {
     "spherical": lambda: certify_config_spherical(4, 2, 4),  # DegreeBound even, odd
 }
 STALE_VERDICT = f"verdict {CERTIFIED!r} inconsistent; expected {INCONCLUSIVE!r}"
+ODD_CHAIN = {"exprs": ["maxdeg(A)+q-2", "2h+2p", "2ph+h"], "values": [5, 6, 6],
+             "relations": ["<=", "<="]}  # the spherical family's odd item at k = 4, h = 2
 # (family, {path into the certificate: tampered value}, index of the failing
 # item or None, the item's message or the report's messages)
 TAMPERED = [
-    ("single", {("evidence", 0, "target_degree", "slope"): 5}, 0, "target degree affine mismatch"),
-    ("single", {("evidence", 0, "band_max"): 5}, 0, "band mismatch"),
-    ("single", {("evidence", 0, "covers", "i_min"): 3}, 0, "base index mismatch"),
-    ("single", {("evidence", 0, "value_at_base"): 11}, 0, "base value does not replay"),
-    ("single", {("evidence", 0, "holds"): False}, 0, "holds flag wrong"),
-    ("pn", {("evidence", 2, "gcd_of"): [2, 4]}, 2, "gcd arguments mismatch"),
-    ("pn", {("evidence", 2, "gcd"): 4}, 2, "gcd does not replay: 4 vs 2"),
-    ("pn", {("evidence", 2, "holds"): False}, 2, "holds flag wrong"),
-    # the even tail starts at q = 6, and nothing covers q = 4
-    ("pn", {("evidence", 0, "covers", "p_min"): 3, ("evidence", 0, "lhs_at_base"): 8,
-            ("evidence", 0, "rhs_at_base"): 12}, None, (STALE_VERDICT,)),
-    # the odd tail starts at q = 5, and nothing covers q = 3
-    ("pn", {("evidence", 2, "covers", "q"): 5}, None, (STALE_VERDICT,)),
+    ("single", {("evidence", 0, "target_degree", "slope"): 5}, 0,
+     "'target_degree' does not replay: {'slope': 5, 'intercept': 2} vs {'slope': 4, 'intercept': 2}"),
+    ("single", {("evidence", 0, "band_max"): 5}, 0, "'band_max' does not replay: 5 vs 4"),
+    ("single", {("evidence", 0, "covers", "i_min"): 3}, 0,
+     "'covers' does not replay: {'parity': 'even', 'i_min': 3} vs {'parity': 'even', 'i_min': 2}"),
+    ("single", {("evidence", 0, "value_at_base"): 11}, 0, "'value_at_base' does not replay: 11 vs 10"),
+    ("single", {("evidence", 0, "holds"): False}, 0, "'holds' does not replay: False vs True"),
+    ("pn", {("evidence", 2, "gcd_of"): [2, 4]}, 2, "'gcd_of' does not replay: [2, 4] vs [2, 2]"),
+    ("pn", {("evidence", 2, "gcd"): 4}, 2, "'gcd' does not replay: 4 vs 2"),
+    ("pn", {("evidence", 2, "holds"): False}, 2, "'holds' does not replay: False vs True"),
+    # the even tail, restated at p = 3 with its chain, starts at q = 6, and
+    # nothing covers q = 4
+    ("pn", {("evidence", 0, "covers", "p_min"): 3, ("evidence", 0, "base_p"): 3,
+            ("evidence", 0, "lhs_at_base"): 8, ("evidence", 0, "rhs_at_base"): 12,
+            ("evidence", 0, "chain", "values"): [8, 8, 12, 12]}, None, (STALE_VERDICT,)),
+    # the gcd argument covers q = 3 only
+    ("pn", {("evidence", 2, "covers", "q"): 5}, 2, "'covers' does not replay: {'q': 5} vs {'q': 3}"),
+    ("pn", {("evidence", 0, "base_p"): 7}, 0, "'base_p' does not replay: 7 vs 2"),
+    ("pn", {("evidence", 2, "internal_shift"): 0}, 2, "'internal_shift' does not replay: 0 vs -1"),
+    ("pn", {("evidence", 2, "extra"): 1}, 2, "'extra' does not replay: 1 vs None"),
+    ("pn", {("evidence", 1, "lhs_at_base"): 7.0}, 1, "'lhs_at_base' does not replay: 7.0 vs 7"),
+    ("pn", {("hypotheses", 4, "actual"): 1}, None,
+     ("hypothesis 'gcd(k, h) > 1': 'actual' does not replay: 1 vs 2",)),
+    ("pn", {("hypotheses", 0, "ok"): 1}, None,
+     ("hypothesis 'n >= 2': 'ok' does not replay: 1 vs True",)),
+    ("single", {("subject", "extra"): 1}, None,
+     ("subject 'extra' does not follow from its parameters: 1 vs None",)),
+] + [
+    # the odd chain 5 <= 6 <= 6 must run from lhs_at_base to rhs_at_base by
+    # steps that hold, with one expr per value
+    ("spherical", {("evidence", 1, "chain", *path): value}, 1,
+     f"'chain' does not replay: {dict(ODD_CHAIN, **{path[0]: stated})!r} "
+     "vs 'a chain of < and <= from 5 to 6'")
+    for path, value, stated in [
+        (("values", 0), 4, [4, 6, 6]),
+        (("values", 2), 7, [5, 6, 7]),
+        (("values", 1), 6.0, [5, 6.0, 6]),
+        # the false step 6 < 6 that the builder once printed
+        (("relations", 1), "<", ["<=", "<"]),
+        (("relations", 0), "==", ["==", "<="]),
+        (("relations",), ["<="], ["<="]),
+        (("exprs",), ["maxdeg(A)+q-2"], ["maxdeg(A)+q-2"]),
+    ]
+] + [
+    ("spherical", {("evidence", 1, "chain", "extra"): 1}, 1,
+     f"'chain' does not replay: {dict(ODD_CHAIN, extra=1)!r} "
+     "vs {'values': [5, 6, 6], 'relations': ['<=', '<=']}"),
 ] + [
     (family, {("evidence", 0, *path): value}, 0, message)
     for family in ("pn", "spherical")
     for path, value, message in [
-        (("covers", "parity"), "both", "malformed coverage"),
-        (("lhs", "intercept"), 3, "lhs affine mismatch: {'slope': 2, 'intercept': 3} vs (2, 2)"),
-        (("rhs", "slope"), 5, "rhs affine mismatch: {'slope': 5, 'intercept': 0} vs (4, 0)"),
-        (("lhs_at_base",), 7, "base point values do not replay"),
-        (("slope_gap",), 3, "slope gap does not replay"),
-        (("holds",), False, "holds flag wrong: recomputed True"),
+        (("covers", "parity"), "both", "malformed evidence item"),
+        (("lhs", "intercept"), 3,
+         "'lhs' does not replay: {'slope': 2, 'intercept': 3} vs {'slope': 2, 'intercept': 2}"),
+        (("rhs", "slope"), 5,
+         "'rhs' does not replay: {'slope': 5, 'intercept': 0} vs {'slope': 4, 'intercept': 0}"),
+        (("lhs_at_base",), 7, "'lhs_at_base' does not replay: 7 vs 6"),
+        (("slope_gap",), 3, "'slope_gap' does not replay: 3 vs 2"),
+        (("holds",), False, "'holds' does not replay: False vs True"),
     ]
 ] + [
     (family, change, where, message)
@@ -305,9 +343,9 @@ TAMPERED = [
 @pytest.mark.parametrize("family,change,where,message", TAMPERED,
                          ids=[f"{c[0]}-{'.'.join(map(str, next(iter(c[1]))))}" for c in TAMPERED])
 def test_recheck_refuses_each_tampered_field(family, change, where, message):
-    """One field per failure return of the re-checker: the report fails,
-    and names the item and why, or why the certificate as a whole fails.
-    The other items still replay."""
+    """One replayed field at a time: the report fails, and names the item
+    and its first key that does not replay, with both values, or why the
+    certificate as a whole fails. The other items still replay."""
     cert = CERTS[family]().to_json_dict()
     for (*path, key), value in change.items():
         node = cert
@@ -352,8 +390,8 @@ def test_recheck_refuses_the_two_forged_spherical_certificates():
         "subject 'worst_case_h' does not follow from its parameters: 3 vs 2",
     )
     assert [msg for _, ok, msg in report.item_results if not ok] == [
-        "rhs affine mismatch: {'slope': 6, 'intercept': 0} vs (4, 0)",
-        "rhs affine mismatch: {'slope': 6, 'intercept': 3} vs (4, 2)",
+        "'rhs' does not replay: {'slope': 6, 'intercept': 0} vs {'slope': 4, 'intercept': 0}",
+        "'rhs' does not replay: {'slope': 6, 'intercept': 3} vs {'slope': 4, 'intercept': 2}",
     ]
     # degree 9 arrows make maxdeg(A) = 9, not the k = 4 the evidence uses
     forged = certify_config_spherical(4, 2, 9).to_json_dict()
@@ -412,6 +450,81 @@ def test_recheck_of_a_plain_dict_names_a_malformed_entry_instead_of_raising():
     report = verify_certificate(cert)
     assert not report.ok and report.messages == (
         "malformed evidence item 0: not an object whose covers is an object",)
+
+
+LEAF_CERTS = {
+    "single-2-2": lambda: certify_single(2, 2),
+    "pn-2-2-2": lambda: certify_config_pn(2, 2, 2),
+    "pn-3-2-3": lambda: certify_config_pn(3, 2, 3),
+    "spherical-4-2-4": lambda: certify_config_spherical(4, 2, 4),
+    "spherical-5-2-5": lambda: certify_config_spherical(5, 2, 5),
+    "spherical-6-3-6": lambda: certify_config_spherical(6, 3, 6),
+}
+
+
+def _leaf_edits(value):
+    if isinstance(value, bool):
+        return [not value]
+    if isinstance(value, int):
+        return [value + 1, value - 1]
+    return [value + " ", "x"]
+
+
+def _may_pass(doc, path):
+    """Is a leaf edit at path one that recheck does not refuse: prose, or an
+    interior chain value whose relations still hold?"""
+    if {"display", "notes", "exprs"} & set(path):
+        return True
+    if "values" not in path:
+        return False
+    chain = doc["evidence"][path[1]]["chain"]
+    values, relations = chain["values"], chain["relations"]
+    return 0 < path[-1] < len(values) - 1 and all(
+        a < b if r == "<" else a <= b for a, r, b in zip(values, relations, values[1:]))
+
+
+@pytest.mark.parametrize("name", LEAF_CERTS)
+def test_recheck_refuses_every_leaf_edit_but_prose(name):
+    """Every leaf of the certificate, edited (a bool flipped, an int moved
+    by 1, a string extended by a space or replaced by "x") and loaded
+    through the loader: recheck fails, but for prose and interior chain
+    values whose relations still hold, which pass."""
+    base = LEAF_CERTS[name]().to_json_dict()
+    for path in _json_paths(base):
+        doc = json.loads(json.dumps(base))
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        if not path or isinstance(node[path[-1]], (dict, list)):
+            continue
+        for edit in _leaf_edits(node[path[-1]]):
+            node[path[-1]] = edit
+            try:
+                ok = verify_certificate(FormalityCertificate.from_json_dict(doc)).ok
+            except InputValidationError:
+                ok = False  # an edited format string: not a certificate document
+            assert ok == _may_pass(doc, path), (path, edit)
+
+
+def test_every_degree_bound_chain_holds():
+    """Every DegreeBound chain the builders print runs from lhs_at_base to
+    rhs_at_base by steps that hold, with one expr per value, including the
+    odd spherical chain at h = 2, p = 1, where 2h + 2p = 2ph + h."""
+    certs = [certify_config_pn(n, k, h) for n in range(2, 5) for k in range(2, 5)
+             for h in range(1, 2 * n * k)]
+    certs += [certify_config_spherical(k, a, b) for k in range(4, 10)
+              for a in range(k // 2, k + 1) for b in range(a, k + 1)]
+    items = [e for c in certs for e in c.evidence if e["method"] == "DegreeBound"]
+    assert items
+    for e in items:
+        values, relations = e["chain"]["values"], e["chain"]["relations"]
+        assert len(e["chain"]["exprs"]) == len(values) == len(relations) + 1
+        assert (values[0], values[-1]) == (e["lhs_at_base"], e["rhs_at_base"])
+        assert all(a < b if r == "<" else r == "<=" and a <= b
+                   for a, r, b in zip(values, relations, values[1:])), e["display"]
+    odd = certify_config_spherical(4, 2, 4).evidence[1]
+    assert odd["chain"] == ODD_CHAIN
+    assert odd["display"].endswith("at p=1 (q=3): 5 <= 6 <= 6; slopes 2 vs 4")
 
 
 def _json_paths(obj, path=()):
