@@ -207,9 +207,11 @@ def _human(report: dict) -> str:
             mark = "ok" if hyp["ok"] else "FAILED"
             lines.append(f"  hypothesis {hyp['name']}: {mark} (actual {hyp.get('actual')})")
         for item in result.get("evidence", []):
-            lines.append(f"  [{item['method']}] {item.get('display', '')}")
-        for note in result.get("notes", []):
-            lines.append(f"  note: {note}")
+            fields = {key: value for key, value in item.items()
+                      if key != "method" and not isinstance(value, (dict, list))}
+            pairs = sorted({**fields, **item.get("covers", {})}.items())
+            lines.append(f"  [{item['method']}] "
+                         + " ".join(f"{key}={json.dumps(value)}" for key, value in pairs))
     else:
         for key in sorted(result):
             lines.append(f"{key}: {json.dumps(result[key], sort_keys=True)}")
@@ -379,8 +381,8 @@ def _cmd_recheck(args):
     data = _load_json(args.cert)
     if isinstance(data, dict) and "result" in data and "format" not in data:
         data = data["result"]  # accept a whole certify report
-    cert = formality.FormalityCertificate.from_json_dict(data)
-    report = formality.verify_certificate(cert)
+    formality.FormalityCertificate.from_json_dict(data)  # a malformed shape exits 2
+    report = formality.verify_certificate(data)  # the dict: its extra keys fail
     return _report("recheck", {"cert": data}, report.to_json_dict())
 
 

@@ -20,9 +20,9 @@ integer parameters and a table of its own, _FAMILIES, it recomputes the
 whole subject, each hypothesis with its actual value, and each evidence
 item from its method and covers, through one replay function per method
 (_REPLAYS). A stated entry passes only if it equals the recomputed one
-key for key, with the same types, but for the prose keys in _PROSE. A
-DegreeBound chain is checked, not recomputed: it must run from the
-item's lhs to its rhs at the base point by steps < or <= that hold.
+key for key, with the same types, and a document with a top-level key
+other than the five it reads fails on that key. A certificate holds no
+prose: every byte of it is replayed.
 """
 
 from __future__ import annotations
@@ -45,11 +45,10 @@ class FormalityCertificate(Record):
     verdict: str
     hypotheses: Tuple[dict, ...]
     evidence: Tuple[dict, ...]
-    notes: Tuple[str, ...]
 
-    def __init__(self, subject, verdict, hypotheses, evidence, notes=()):
+    def __init__(self, subject, verdict, hypotheses, evidence):
         vars(self).update(subject=subject, verdict=verdict, hypotheses=hypotheses,
-                          evidence=evidence, notes=notes)
+                          evidence=evidence)
 
     def failed_hypotheses(self) -> List[str]:
         return [h["name"] for h in self.hypotheses if not h["ok"]]
@@ -61,30 +60,28 @@ class FormalityCertificate(Record):
             "verdict": self.verdict,
             "hypotheses": list(self.hypotheses),
             "evidence": list(self.evidence),
-            "notes": list(self.notes),
         }
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "FormalityCertificate":
         """Load a certificate document, checking its shape only: whether
-        its content replays is for verify_certificate to say."""
+        its content replays, and whether it has other keys, is for
+        verify_certificate to say."""
         if not isinstance(data, dict) or data.get("format") != CERT_FORMAT:
             raise InputValidationError("not a certificate document")
         subject, verdict = data.get("subject"), data.get("verdict")
         hypotheses, evidence = data.get("hypotheses"), data.get("evidence")
-        notes = data.get("notes", [])
         if not (
             isinstance(subject, dict)
             and isinstance(verdict, str)
             and _malformed_entry(hypotheses, evidence) is None
-            and isinstance(notes, list)
         ):
             raise InputValidationError(
                 "a certificate needs a subject object, a verdict string, a list of "
-                "hypotheses with a name and ok, a list of evidence objects whose "
-                "covers are objects, and a list of notes"
+                "hypotheses with a name and ok, and a list of evidence objects whose "
+                "covers are objects"
             )
-        return cls(subject, verdict, tuple(hypotheses), tuple(evidence), tuple(notes))
+        return cls(subject, verdict, tuple(hypotheses), tuple(evidence))
 
 
 def _malformed_entry(hypotheses, evidence) -> Optional[str]:
@@ -127,26 +124,16 @@ def _tor_mindeg_bound(parity: str, mu: int, nu: int) -> dict:
     return _affine(mu, nu if parity == "odd" else 0)
 
 
-def _degree_bound_item(parity, p_min, maxdeg, mu, nu, chain) -> dict:
+def _degree_bound_item(parity, p_min, maxdeg, mu, nu) -> dict:
     """The DegreeBound item for q = 2p ("even") or q = 2p + 1 ("odd"),
     p >= p_min: the lhs maxdeg(A) + q - 2, which is 2p + maxdeg - 2 or
-    2p + maxdeg - 1, against the rhs _tor_mindeg_bound(parity, mu, nu).
-    chain(parity, p) gives the exprs, values and relations that the
-    display chains after maxdeg(A)+q-2 at the base point p = p_min."""
-    odd = parity == "odd"
-    lhs = _affine(2, maxdeg - 2 + odd)
+    2p + maxdeg - 1, against the rhs _tor_mindeg_bound(parity, mu, nu),
+    both affine in p, compared at the base point p = p_min and by slope."""
+    lhs = _affine(2, maxdeg - 2 + (parity == "odd"))
     rhs = _tor_mindeg_bound(parity, mu, nu)
     lhs_at, rhs_at = _affine_at(lhs, p_min), _affine_at(rhs, p_min)
     gap = rhs["slope"] - lhs["slope"]
     holds = gap > 0 and lhs_at < rhs_at
-    exprs, values, relations = chain(parity, p_min)
-    exprs, values = ["maxdeg(A)+q-2"] + exprs, [lhs_at] + values
-    display = (
-        f"q = {'2p+1' if odd else '2p'}, p >= {p_min}: "
-        f"maxdeg(A)+q-2 < mindeg Tor_q(R,R); at p={p_min} (q={2 * p_min + odd}): "
-        + " ".join(f"{v} {r}" for v, r in zip(values, relations + [""])).strip()
-        + f"; slopes {lhs['slope']} vs {rhs['slope']}"
-    )
     return {
         "method": "DegreeBound",
         "covers": {"parity": parity, "p_min": int(p_min)},
@@ -156,26 +143,21 @@ def _degree_bound_item(parity, p_min, maxdeg, mu, nu, chain) -> dict:
         "lhs_at_base": int(lhs_at),
         "rhs_at_base": int(rhs_at),
         "slope_gap": int(gap),
-        "chain": {"exprs": exprs, "values": values, "relations": relations},
         "holds": bool(holds),
-        "display": display,
     }
 
 
 def _gcd_item(k: int, h: int) -> dict:
+    """The q = 3 item: every degree of A is divisible by g = gcd(k, h), so
+    for g > 1 no nonzero degree 0 map lands in A shifted by -1."""
     g = math.gcd(k, h)
-    holds = g > 1
     return {
         "method": "GcdDivisibility",
         "covers": {"q": 3},
         "gcd_of": [int(k), int(h)],
         "gcd": int(g),
         "internal_shift": -1,
-        "holds": bool(holds),
-        "display": (
-            f"q = 3: every degree of A is divisible by gcd(k, h) = {g} > 1, "
-            "so no nonzero degree 0 map can land in A shifted by -1"
-        ),
+        "holds": bool(g > 1),
     }
 
 
@@ -214,19 +196,16 @@ def _coverage_complete(evidence) -> bool:
     return True
 
 
-def _certificate(subject, hyps, notes, evidence) -> FormalityCertificate:
+def _certificate(subject, hyps, evidence) -> FormalityCertificate:
     """The one verdict rule. CriterionInapplicable, with no evidence
     built, when a hypothesis fails; otherwise CertifiedFormal when every
     item of evidence() holds and together they cover every q > 2, and
-    Inconclusive when not. evidence() may append to the list notes, which
-    is read after it."""
+    Inconclusive when not."""
     if not all(x["ok"] for x in hyps):
-        return FormalityCertificate(subject, INAPPLICABLE, hyps, (), tuple(notes))
+        return FormalityCertificate(subject, INAPPLICABLE, hyps, ())
     items = tuple(evidence())
     ok = all(e["holds"] for e in items) and _coverage_complete(items)
-    return FormalityCertificate(
-        subject, CERTIFIED if ok else INCONCLUSIVE, hyps, items, tuple(notes)
-    )
+    return FormalityCertificate(subject, CERTIFIED if ok else INCONCLUSIVE, hyps, items)
 
 
 # -- single object -----------------------------------------------------------
@@ -257,11 +236,6 @@ def certify_single(n: int, k: int) -> FormalityCertificate:
             "band_max": int(band),
             "value_at_base": int(val),
             "holds": bool(holds),
-            "display": (
-                f"q = {'2i' if parity == 'even' else '2i+1'}, i >= {i_min}: "
-                f"hom target degree {intercept} + {slope} i = {val} at i={i_min}, "
-                f"> maxdeg(A) = {band}, and the slope {slope} is >= 0"
-            ),
         }
 
     return _certificate(
@@ -270,19 +244,11 @@ def certify_single(n: int, k: int) -> FormalityCertificate:
             {"name": "n >= 1", "ok": n >= 1, "actual": int(n)},
             {"name": "k >= 1", "ok": k >= 1, "actual": int(k)},
         ),
-        (),
         lambda: (item("even", 2, 2), item("odd", 1, 1 + k)),
     )
 
 
 # -- configurations of projective-space type objects -------------------------
-
-
-_PRESET_NOTE = (
-    "configuration presets set arrow times loop products to zero; the degree "
-    "evidence quantifies over every algebra with the stated degree data and "
-    "does not depend on that choice"
-)
 
 
 def certify_config_pn(n: int, k: int, h: int) -> FormalityCertificate:
@@ -311,20 +277,12 @@ def certify_config_pn(n: int, k: int, h: int) -> FormalityCertificate:
         "mindeg_J": int(k),
     }
 
-    def chain(parity, p):
-        odd = parity == "odd"
-        return (
-            ["2h+2p-1" if odd else "2h+2p-2", "ph+2p", "p(h+k)+k" if odd else "p(h+k)"],
-            [2 * h + 2 * p - 2 + odd, p * h + 2 * p, p * (h + k) + k * odd],
-            ["<=", "<", "<" if odd else "<="],
-        )
-
     def evidence():
-        even, odd = (_degree_bound_item(parity, 2, n * k, h + k, k, chain)
+        even, odd = (_degree_bound_item(parity, 2, n * k, h + k, k)
                      for parity in ("even", "odd"))
         return even, odd, _gcd_item(k, h)
 
-    return _certificate(subject, hyps, (_PRESET_NOTE,), evidence)
+    return _certificate(subject, hyps, evidence)
 
 
 def certify_config_spherical(k: int, h_min: int, h_max: int) -> FormalityCertificate:
@@ -359,35 +317,13 @@ def certify_config_spherical(k: int, h_min: int, h_max: int) -> FormalityCertifi
         "mindeg_I_bound": int(2 * h),
         "mindeg_J_bound": int(h),
     }
-    notes = [_PRESET_NOTE]
-    if k in (2, 3):
-        notes.append(
-            "k in {2, 3} lies outside this certificate method; "
-            "no claim of non-formality is made"
-        )
-
-    def chain(parity, p):
-        if parity == "even":
-            return (["2h+2p-1", "2h+2p", "2ph"], [2 * h + 2 * p - 1, 2 * h + 2 * p, 2 * p * h],
-                    ["<=", "<", "<="])
-        return ["2h+2p", "2ph+h"], [2 * h + 2 * p, 2 * p * h + h], ["<=", "<="]
 
     def evidence():
-        even, odd, odd_tail = (_degree_bound_item(parity, p_min, k, 2 * h, h, chain)
+        even, odd, odd_tail = (_degree_bound_item(parity, p_min, k, 2 * h, h)
                                for parity, p_min in (("even", 2), ("odd", 1), ("odd", 2)))
-        if odd["holds"]:
-            return even, odd
-        notes.append(
-            f"the q = 3 degree comparison {odd['lhs_at_base']} < {odd['rhs_at_base']} "
-            "is not strict for these parameters; the q = 3 obstruction group is "
-            "nonzero for some graphs with this degree data (the Serre-dual triangle "
-            f"with degree {k} loops, degree {h} arrows one way round the cycle, "
-            f"degree {k - h} arrows back and a_ji a_ij = t_i has HH^{{3,-1}} = 1), "
-            "so no vanishing certificate can exist at this boundary"
-        )
-        return even, odd, odd_tail
+        return (even, odd) if odd["holds"] else (even, odd, odd_tail)
 
-    return _certificate(subject, hyps, notes, evidence)
+    return _certificate(subject, hyps, evidence)
 
 
 def cy_normalize(n: int, k: int) -> Dict[str, object]:
@@ -444,24 +380,22 @@ _FAMILIES = {
     )),
 }
 
-# The keys whose values are prose, which recheck does not replay: an item's
-# display, a DegreeBound chain's exprs, and the certificate's notes.
-_PROSE = ("display", "exprs", "notes")
+# The top-level keys of a certificate document, each of which recheck reads.
+_KEYS = ("format", "subject", "verdict", "hypotheses", "evidence")
 
 
 def _difference(stated: dict, want: dict) -> Optional[Tuple[object, object, object]]:
     """The first key whose stated value is not the replayed one, with both
     values (None for a missing key), or None. The keys of want come first,
-    in order, then any other key of stated that is not prose. Values are
-    equal only with equal types at every depth: True is not 1, and 6.0 is
-    not 6."""
+    in order, then any other key of stated. Values are equal only with
+    equal types at every depth: True is not 1, and 6.0 is not 6."""
     for key, wanted in want.items():
         got = stated.get(key)
         if got is not wanted and not _same(got, wanted):
             return key, got, wanted
     if len(stated) > len(want):
         for key in stated:
-            if key not in want and key not in _PROSE:
+            if key not in want:
                 return key, stated[key], None
     return None
 
@@ -476,21 +410,28 @@ def _same(a, b) -> bool:
     return a == b
 
 
-def _chain_holds(chain: dict, first: int, last: int) -> bool:
-    """Does a DegreeBound chain, with one expr per value, run from first to
-    last by steps < or <= that hold between integers? Its exprs and
-    interior values are the builder's to choose."""
-    values, relations = chain["values"], chain["relations"]
-    return (len(chain["exprs"]) == len(values) == len(relations) + 1
-            and all(type(v) is int for v in values) and values[0] == first and values[-1] == last
-            and all(a < b if r == "<" else r == "<=" and a <= b
-                    for a, r, b in zip(values, relations, values[1:])))
+def _shown(value) -> str:
+    """repr(value), but an int too long for repr, at any depth of a dict or
+    a list, is shown by its bit length, so that no message raises."""
+    try:
+        return repr(value)
+    except ValueError:
+        if type(value) is dict:
+            return "{" + ", ".join(f"{_shown(k)}: {_shown(v)}" for k, v in value.items()) + "}"
+        if type(value) is list:
+            return "[" + ", ".join(map(_shown, value)) + "]"
+        if isinstance(value, int):
+            return f"<int of {value.bit_length()} bits>"
+        return f"<{type(value).__name__}>"
+
+
+def _does_not_replay(key, got, wanted) -> str:
+    return f"{_shown(key)} does not replay: {_shown(got)} vs {_shown(wanted)}"
 
 
 # One replay per evidence method: from the item's covers and the family's
-# replay data, the whole item but its method and prose, with the message
-# of a replay that passes. A DegreeBound chain replays as itself if it
-# holds, since only its ends follow from the covers.
+# replay data, the whole item but its method, with the message of a
+# replay that passes.
 
 
 def _replay_degree_bound(item: dict, maxdeg: int, mu: int, nu: int):
@@ -498,24 +439,22 @@ def _replay_degree_bound(item: dict, maxdeg: int, mu: int, nu: int):
     odd = {"even": 0, "odd": 1}[parity]
     if type(p) is not int:
         raise TypeError("p_min must be an integer")
-    lhs_at, rhs_at, chain = 2 * p + maxdeg - 2 + odd, mu * p + nu * odd, item["chain"]
+    lhs_at, rhs_at = 2 * p + maxdeg - 2 + odd, mu * p + nu * odd
     holds = mu > 2 and lhs_at < rhs_at
     return {
         "covers": {"parity": parity, "p_min": p},
         "lhs": {"slope": 2, "intercept": maxdeg - 2 + odd},
         "rhs": {"slope": mu, "intercept": nu * odd},
         "base_p": p, "lhs_at_base": lhs_at, "rhs_at_base": rhs_at, "slope_gap": mu - 2,
-        "chain": {"values": chain["values"], "relations": chain["relations"]}
-        if _chain_holds(chain, lhs_at, rhs_at) else f"a chain of < and <= from {lhs_at} to {rhs_at}",
         "holds": holds,
-    }, (f"replayed: {lhs_at} < {rhs_at} and slope gap {mu - 2} > 0" if holds
-        else f"replayed failing comparison {lhs_at} < {rhs_at}")
+    }, (f"replayed: {_shown(lhs_at)} < {_shown(rhs_at)} and slope gap {_shown(mu - 2)} > 0"
+        if holds else f"replayed failing comparison {_shown(lhs_at)} < {_shown(rhs_at)}")
 
 
 def _replay_gcd(item: dict, k: int, h: int):
     g = math.gcd(k, h)
     return {"covers": {"q": 3}, "gcd_of": [k, h], "gcd": g, "internal_shift": -1,
-            "holds": g > 1}, f"replayed gcd = {g}"
+            "holds": g > 1}, f"replayed gcd = {_shown(g)}"
 
 
 def _replay_periodic(item: dict, band: int, slope: int, bases: dict):
@@ -526,12 +465,11 @@ def _replay_periodic(item: dict, band: int, slope: int, bases: dict):
     return {"covers": {"parity": parity, "i_min": i_min},
             "target_degree": {"slope": slope, "intercept": intercept}, "band_max": band,
             "value_at_base": value, "holds": slope >= 0 and value > band,
-            }, f"replayed: {value} > {band} with slope {slope} >= 0"
+            }, f"replayed: {_shown(value)} > {_shown(band)} with slope {_shown(slope)} >= 0"
 
 
 _REPLAYS = {"DegreeBound": _replay_degree_bound, "GcdDivisibility": _replay_gcd,
             "PeriodicResolution": _replay_periodic}
-_DOES_NOT_REPLAY = "{!r} does not replay: {!r} vs {!r}"
 
 
 def verify_certificate(cert) -> RecheckReport:
@@ -543,17 +481,20 @@ def verify_certificate(cert) -> RecheckReport:
     subject, each of the family's hypotheses with its ok and actual
     values, and, through its method's replay in _REPLAYS, each evidence
     item from its covers. A stated entry passes only if it equals the
-    recomputed one key for key, with the same types, but for the prose
-    keys in _PROSE; a DegreeBound chain passes if it holds (_chain_holds).
-    The hypothesis list must hold each of the family's hypotheses exactly
-    once, in any order, and the verdict must be the one that the
-    recomputed hypotheses and the claimed evidence give. A plain dict is
-    read as the loader reads it: a hypothesis or evidence entry of the
-    wrong shape gives a failing report that names it, and nothing raises.
+    recomputed one key for key, with the same types. The document's
+    top-level keys must be among the five in _KEYS, and the first other
+    one is named. The hypothesis list must hold each of the family's
+    hypotheses exactly once, in any order, and the verdict must be the one
+    that the recomputed hypotheses and the claimed evidence give. A plain
+    dict is read as the loader reads it: a hypothesis or evidence entry of
+    the wrong shape gives a failing report that names it, and nothing
+    raises, since every value a message shows goes through _shown.
     """
     if isinstance(cert, FormalityCertificate):
         cert = cert.to_json_dict()
     try:
+        if cert["format"] != CERT_FORMAT:
+            raise TypeError("not a certificate document")
         subject = cert["subject"]
         verdict, evidence, hypotheses = cert["verdict"], cert["evidence"], cert["hypotheses"]
         family = subject["family"]
@@ -568,11 +509,12 @@ def verify_certificate(cert) -> RecheckReport:
     if malformed:
         return RecheckReport(False, (), (malformed,))
 
-    messages: List[str] = []
+    extra = [key for key in cert if key not in _KEYS]
+    messages = [f"unknown certificate key {_shown(extra[0])}"] if extra else []
     difference = _difference(subject, {"family": family, **dict(zip(params, values)), **derived})
     if difference:
-        messages.append("subject {!r} does not follow from its parameters: {!r} vs {!r}"
-                        .format(*difference))
+        key, got, wanted = map(_shown, difference)
+        messages.append(f"subject {key} does not follow from its parameters: {got} vs {wanted}")
     listed = set()
     for hyp in hypotheses:
         name = hyp["name"]
@@ -584,7 +526,7 @@ def verify_certificate(cert) -> RecheckReport:
             ok, actual = hyps[name]
             difference = _difference(hyp, {"name": name, "ok": ok, "actual": actual})
             if difference:
-                messages.append(f"hypothesis {name!r}: " + _DOES_NOT_REPLAY.format(*difference))
+                messages.append(f"hypothesis {name!r}: " + _does_not_replay(*difference))
         listed.add(name)
     messages += [f"hypothesis {name!r} missing" for name in hyps if name not in listed]
 
@@ -593,11 +535,11 @@ def verify_certificate(cert) -> RecheckReport:
         method = item.get("method")
         try:
             if method not in _REPLAYS:
-                ok, msg = False, f"unknown evidence method {method!r}"
+                ok, msg = False, f"unknown evidence method {_shown(method)}"
             else:
                 want, msg = _REPLAYS[method](item, *replay[method])
                 difference = _difference(item, {"method": method, **want})
-                ok, msg = not difference, _DOES_NOT_REPLAY.format(*difference) if difference else msg
+                ok, msg = not difference, _does_not_replay(*difference) if difference else msg
         except (KeyError, TypeError):
             ok, msg = False, "malformed evidence item"
         results.append((idx, ok, msg))
@@ -612,6 +554,6 @@ def verify_certificate(cert) -> RecheckReport:
         else (CERTIFIED if coverage and all(e.get("holds") for e in evidence) else INCONCLUSIVE)
     )
     if verdict != expected_verdict:
-        messages.append(f"verdict {verdict!r} inconsistent; expected {expected_verdict!r}")
+        messages.append(f"verdict {_shown(verdict)} inconsistent; expected {expected_verdict!r}")
     return RecheckReport(all(ok for _, ok, _ in results) and not messages, tuple(results),
                          tuple(messages))

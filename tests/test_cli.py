@@ -374,12 +374,27 @@ def test_sweep_csv_format():
     assert lines[1].startswith("4,2,4,CertifiedFormal")
 
 
-def test_human_format_renders_chain():
+def test_human_format_renders_each_item_from_its_fields():
+    """Each evidence item prints as its method, then its scalar fields and
+    its covers as sorted key=value pairs: nothing that recheck does not
+    replay."""
     code, text = run(["certify", "pn-config", "--n", "2", "--k", "2", "--h", "2",
                       "--format", "human"])
     assert code == 0
-    assert "verdict: CertifiedFormal" in text
-    assert "maxdeg(A)+q-2 < mindeg Tor_q(R,R)" in text
+    assert text.splitlines()[1:2] + text.splitlines()[-3:] == [
+        "verdict: CertifiedFormal",
+        '  [DegreeBound] base_p=2 holds=true lhs_at_base=6 p_min=2 parity="even" '
+        "rhs_at_base=8 slope_gap=2",
+        '  [DegreeBound] base_p=2 holds=true lhs_at_base=7 p_min=2 parity="odd" '
+        "rhs_at_base=10 slope_gap=2",
+        "  [GcdDivisibility] gcd=2 holds=true internal_shift=-1 q=3",
+    ]
+    # the failing q = 3 comparison at the k = 5 boundary, as the README shows it
+    code, text = run(["certify", "spherical", "--k", "5", "--hmin", "2", "--hmax", "5",
+                      "--format", "human"])
+    assert code == 0 and (
+        '  [DegreeBound] base_p=1 holds=false lhs_at_base=6 p_min=1 parity="odd" '
+        "rhs_at_base=6 slope_gap=2\n") in text
 
 
 def test_field_option_flows_through(tmp_path):
@@ -957,7 +972,7 @@ def test_recheck_refuses_forged_spherical_certificates(tmp_path):
 
     forged, honest = certificate(5, 2, 5), certificate(5, 3, 5)
     forged["subject"]["worst_case_h"] = 3
-    forged.update({key: honest[key] for key in ("evidence", "verdict", "notes")})
+    forged.update({key: honest[key] for key in ("evidence", "verdict")})
     dropped, honest = certificate(4, 2, 9), certificate(4, 2, 4)
     dropped["hypotheses"] = [h for h in dropped["hypotheses"] if h["name"] != "h_max <= k"]
     dropped.update({key: honest[key] for key in ("evidence", "verdict")})
@@ -965,6 +980,23 @@ def test_recheck_refuses_forged_spherical_certificates(tmp_path):
         assert doc["verdict"] == "CertifiedFormal"
         code, text = run(["recheck", "--cert", write_json(tmp_path, f"{name}.json", doc)])
         assert code == 0 and json.loads(text)["result"]["ok"] is False, name
+
+
+def test_recheck_names_a_key_that_it_does_not_read(tmp_path):
+    """A certificate with a top-level key other than the five recheck reads
+    exits 0 with "ok": false, and the key is named: a junk key, and the
+    notes of the older format, whose items also carried a display."""
+    code, text = run(["certify", "single", "--n", "2", "--k", "2"])
+    cert = json.loads(text)["result"]
+    older = {**cert, "evidence": [{**item, "display": "prose"} for item in cert["evidence"]],
+             "notes": []}
+    for doc, key in (({**cert, "junk": {}}, "junk"), (older, "notes")):
+        code, text = run(["recheck", "--cert", write_json(tmp_path, "cert.json", doc)])
+        result = json.loads(text)["result"]
+        assert code == 0 and result["ok"] is False
+        assert result["messages"] == [f"unknown certificate key {key!r}"]
+    assert [item["message"] for item in result["items"]] == [
+        "'display' does not replay: 'prose' vs None"] * 2
 
 
 def test_recheck_reads_a_whole_certify_report_as_its_result(tmp_path):

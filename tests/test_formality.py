@@ -55,7 +55,7 @@ def test_single_certificate_matches_direct_scan():
 # -- pn configuration family ------------------------------------------------------
 
 
-def test_pn_222_certifies_with_chain_values():
+def test_pn_222_certifies_with_base_values():
     cert = certify_config_pn(2, 2, 2)
     assert cert.verdict == CERTIFIED
     even = next(
@@ -64,10 +64,9 @@ def test_pn_222_certifies_with_chain_values():
     odd = next(
         e for e in cert.evidence if e["method"] == "DegreeBound" and e["covers"]["parity"] == "odd"
     )
-    assert even["chain"]["values"] == [6, 6, 8, 8]
-    assert odd["chain"]["values"] == [7, 7, 8, 10]
-    assert even["lhs_at_base"] < even["rhs_at_base"]
-    assert odd["lhs_at_base"] < odd["rhs_at_base"]
+    # maxdeg(A)+q-2 against p(h+k) at q = 4, and against p(h+k)+k at q = 5
+    assert (even["lhs_at_base"], even["rhs_at_base"]) == (6, 8)
+    assert (odd["lhs_at_base"], odd["rhs_at_base"]) == (7, 10)
     gcd_item = next(e for e in cert.evidence if e["method"] == "GcdDivisibility")
     assert gcd_item["gcd"] == 2 and gcd_item["holds"]
     assert verify_certificate(cert).ok
@@ -129,11 +128,11 @@ def test_spherical_certifies_from_four_up_except_boundary(k):
     assert verify_certificate(cert).ok
 
 
-def test_spherical_small_k_inapplicable_with_remark():
+def test_spherical_small_k_inapplicable():
     cert = certify_config_spherical(3, 1, 3)
     assert cert.verdict == INAPPLICABLE
     assert cert.failed_hypotheses() == ["k >= 4"]
-    assert any("k in {2, 3}" in note for note in cert.notes)
+    assert cert.evidence == ()
     assert verify_certificate(cert).ok
 
 
@@ -152,12 +151,6 @@ def test_spherical_k5_boundary_is_inconclusive_with_recorded_failure():
     tails = [e for e in cert.evidence if e["holds"] and e["covers"].get("parity") == "odd"]
     assert tails and tails[0]["covers"]["p_min"] == 2
     assert verify_certificate(cert).ok
-    # the note names the Serre-dual witness and its degree data
-    note = cert.notes[-1]
-    assert "Serre-dual triangle" in note
-    assert "degree 5 loops" in note
-    assert "degree 2 arrows one way" in note and "degree 3 arrows back" in note
-    assert "HH^{3,-1} = 1" in note
 
 
 def test_spherical_k5_with_larger_arrows_certifies():
@@ -169,8 +162,7 @@ def test_spherical_k5_with_larger_arrows_certifies():
 def test_spherical_instantiation_k6():
     cert = certify_config_spherical(6, 3, 6)
     odd = next(e for e in cert.evidence if e["covers"].get("parity") == "odd")
-    # q = 3 at p = 1 with h = 3: maxdeg(A)+1 = 7 <= 2h+2 = 8 < 2h+h = 9
-    assert odd["chain"]["values"] == [7, 8, 9]
+    # q = 3 at p = 1 with h = 3: maxdeg(A)+1 = 7 < 2h+h = 9
     assert odd["lhs_at_base"] == 7 and odd["rhs_at_base"] == 9
 
 
@@ -248,8 +240,10 @@ CERTS = {
     "spherical": lambda: certify_config_spherical(4, 2, 4),  # DegreeBound even, odd
 }
 STALE_VERDICT = f"verdict {CERTIFIED!r} inconsistent; expected {INCONCLUSIVE!r}"
+# the odd item's chain at k = 4, h = 2 in the older format, which also
+# gave each item a display and the certificate notes
 ODD_CHAIN = {"exprs": ["maxdeg(A)+q-2", "2h+2p", "2ph+h"], "values": [5, 6, 6],
-             "relations": ["<=", "<="]}  # the spherical family's odd item at k = 4, h = 2
+             "relations": ["<=", "<="]}
 # (family, {path into the certificate: tampered value}, index of the failing
 # item or None, the item's message or the report's messages)
 TAMPERED = [
@@ -263,11 +257,11 @@ TAMPERED = [
     ("pn", {("evidence", 2, "gcd_of"): [2, 4]}, 2, "'gcd_of' does not replay: [2, 4] vs [2, 2]"),
     ("pn", {("evidence", 2, "gcd"): 4}, 2, "'gcd' does not replay: 4 vs 2"),
     ("pn", {("evidence", 2, "holds"): False}, 2, "'holds' does not replay: False vs True"),
-    # the even tail, restated at p = 3 with its chain, starts at q = 6, and
-    # nothing covers q = 4
+    # the even tail, restated at p = 3, starts at q = 6, and nothing covers
+    # q = 4
     ("pn", {("evidence", 0, "covers", "p_min"): 3, ("evidence", 0, "base_p"): 3,
-            ("evidence", 0, "lhs_at_base"): 8, ("evidence", 0, "rhs_at_base"): 12,
-            ("evidence", 0, "chain", "values"): [8, 8, 12, 12]}, None, (STALE_VERDICT,)),
+            ("evidence", 0, "lhs_at_base"): 8, ("evidence", 0, "rhs_at_base"): 12}, None,
+     (STALE_VERDICT,)),
     # the gcd argument covers q = 3 only
     ("pn", {("evidence", 2, "covers", "q"): 5}, 2, "'covers' does not replay: {'q': 5} vs {'q': 3}"),
     ("pn", {("evidence", 0, "base_p"): 7}, 0, "'base_p' does not replay: 7 vs 2"),
@@ -280,26 +274,11 @@ TAMPERED = [
      ("hypothesis 'n >= 2': 'ok' does not replay: 1 vs True",)),
     ("single", {("subject", "extra"): 1}, None,
      ("subject 'extra' does not follow from its parameters: 1 vs None",)),
-] + [
-    # the odd chain 5 <= 6 <= 6 must run from lhs_at_base to rhs_at_base by
-    # steps that hold, with one expr per value
-    ("spherical", {("evidence", 1, "chain", *path): value}, 1,
-     f"'chain' does not replay: {dict(ODD_CHAIN, **{path[0]: stated})!r} "
-     "vs 'a chain of < and <= from 5 to 6'")
-    for path, value, stated in [
-        (("values", 0), 4, [4, 6, 6]),
-        (("values", 2), 7, [5, 6, 7]),
-        (("values", 1), 6.0, [5, 6.0, 6]),
-        # the false step 6 < 6 that the builder once printed
-        (("relations", 1), "<", ["<=", "<"]),
-        (("relations", 0), "==", ["==", "<="]),
-        (("relations",), ["<="], ["<="]),
-        (("exprs",), ["maxdeg(A)+q-2"], ["maxdeg(A)+q-2"]),
-    ]
-] + [
-    ("spherical", {("evidence", 1, "chain", "extra"): 1}, 1,
-     f"'chain' does not replay: {dict(ODD_CHAIN, extra=1)!r} "
-     "vs {'values': [5, 6, 6], 'relations': ['<=', '<=']}"),
+    # the older format's chain is a key that does not replay
+    ("spherical", {("evidence", 1, "chain"): ODD_CHAIN}, 1,
+     f"'chain' does not replay: {ODD_CHAIN!r} vs None"),
+    ("single", {("format",): "formalitykit-certificate/0"}, None,
+     ("malformed certificate document",)),
 ] + [
     (family, {("evidence", 0, *path): value}, 0, message)
     for family in ("pn", "spherical")
@@ -352,7 +331,7 @@ def test_recheck_refuses_each_tampered_field(family, change, where, message):
         for step in path:
             node = node[step]
         node[key] = value
-    report = verify_certificate(FormalityCertificate.from_json_dict(cert))
+    report = verify_certificate(cert)
     assert not report.ok
     if where is None:
         assert report.messages == message
@@ -383,7 +362,7 @@ def test_recheck_refuses_the_two_forged_spherical_certificates():
     forged = certify_config_spherical(5, 2, 5).to_json_dict()
     honest = certify_config_spherical(5, 3, 5).to_json_dict()
     forged["subject"]["worst_case_h"] = 3
-    forged.update({key: honest[key] for key in ("evidence", "verdict", "notes")})
+    forged.update({key: honest[key] for key in ("evidence", "verdict")})
     report = verify_certificate(FormalityCertificate.from_json_dict(forged))
     assert not report.ok
     assert report.messages == (
@@ -416,7 +395,8 @@ def test_certificate_json_round_trip():
 
 @pytest.mark.parametrize("change", [
     {"subject": None}, {"verdict": 3}, {"hypotheses": 1}, {"hypotheses": [{"ok": True}]},
-    {"hypotheses": ["x"]}, {"evidence": [5]}, {"evidence": [{"covers": []}]}, {"notes": True},
+    {"hypotheses": ["x"]}, {"evidence": [5]}, {"evidence": [{"covers": []}]},
+    {"format": "formalitykit-certificate/0"},
 ])
 def test_certificate_loader_rejects_a_malformed_shape(change):
     data = certify_single(2, 2).to_json_dict()
@@ -470,26 +450,26 @@ def _leaf_edits(value):
     return [value + " ", "x"]
 
 
-def _may_pass(doc, path):
-    """Is a leaf edit at path one that recheck does not refuse: prose, or an
-    interior chain value whose relations still hold?"""
-    if {"display", "notes", "exprs"} & set(path):
-        return True
-    if "values" not in path:
-        return False
-    chain = doc["evidence"][path[1]]["chain"]
-    values, relations = chain["values"], chain["relations"]
-    return 0 < path[-1] < len(values) - 1 and all(
-        a < b if r == "<" else a <= b for a, r, b in zip(values, relations, values[1:]))
+def _recheck(doc):
+    """Recheck a document as the CLI does: the loader's shape check, then
+    the loaded dict, whose extra keys fail. Returns whether it passes and
+    every failing message."""
+    try:
+        FormalityCertificate.from_json_dict(doc)
+    except InputValidationError:
+        return False, ("not a certificate document",)
+    report = verify_certificate(doc)
+    return report.ok, report.messages + tuple(msg for _, ok, msg in report.item_results
+                                              if not ok)
 
 
 @pytest.mark.parametrize("name", LEAF_CERTS)
-def test_recheck_refuses_every_leaf_edit_but_prose(name):
+def test_recheck_refuses_every_leaf_edit(name):
     """Every leaf of the certificate, edited (a bool flipped, an int moved
-    by 1, a string extended by a space or replaced by "x") and loaded
-    through the loader: recheck fails, but for prose and interior chain
-    values whose relations still hold, which pass."""
+    by 1, a string extended by a space or replaced by "x"): recheck fails.
+    A certificate holds no prose, so no byte of it goes unreplayed."""
     base = LEAF_CERTS[name]().to_json_dict()
+    edits = 0
     for path in _json_paths(base):
         doc = json.loads(json.dumps(base))
         node = doc
@@ -499,17 +479,60 @@ def test_recheck_refuses_every_leaf_edit_but_prose(name):
             continue
         for edit in _leaf_edits(node[path[-1]]):
             node[path[-1]] = edit
-            try:
-                ok = verify_certificate(FormalityCertificate.from_json_dict(doc)).ok
-            except InputValidationError:
-                ok = False  # an edited format string: not a certificate document
-            assert ok == _may_pass(doc, path), (path, edit)
+            assert not _recheck(doc)[0], (path, edit)
+            edits += 1
+    assert edits >= 40
 
 
-def test_every_degree_bound_chain_holds():
-    """Every DegreeBound chain the builders print runs from lhs_at_base to
-    rhs_at_base by steps that hold, with one expr per value, including the
-    odd spherical chain at h = 2, p = 1, where 2h + 2p = 2ph + h."""
+@pytest.mark.parametrize("name", LEAF_CERTS)
+def test_recheck_refuses_and_names_every_added_key(name):
+    """One extra key at each object of the certificate, the top level
+    included: recheck fails, and a failing message names the key."""
+    base = LEAF_CERTS[name]().to_json_dict()
+    objects = 0
+    for path in _json_paths(base):
+        doc = json.loads(json.dumps(base))
+        node = doc
+        for key in path:
+            node = node[key]
+        if not isinstance(node, dict):
+            continue
+        node["junk"] = {}
+        ok, messages = _recheck(doc)
+        assert not ok and any("'junk'" in msg for msg in messages), (path, messages)
+        objects += 1
+    assert objects >= 6
+
+
+@pytest.mark.parametrize("name", LEAF_CERTS)
+def test_recheck_of_a_plain_dict_with_an_int_too_long_for_repr_never_raises(name):
+    """An int of 5001 digits, past what repr writes, as a subject field, a
+    hypothesis's actual value or a covers entry: the report fails and
+    nothing raises. A message that shows the int gives its bit length."""
+    huge = 10 ** 5000
+    base = LEAF_CERTS[name]().to_json_dict()
+    sites = ([("subject", key) for key in base["subject"]]
+             + [("hypotheses", i, "actual") for i in range(len(base["hypotheses"]))]
+             + [("evidence", i, "covers", key)
+                for i, item in enumerate(base["evidence"]) for key in item["covers"]])
+    shown = 0
+    for *path, key in sites:
+        cert = json.loads(json.dumps(base))
+        node = cert
+        for step in path:
+            node = node[step]
+        node[key] = huge
+        report = verify_certificate(cert)
+        assert not report.ok, (path, key)
+        messages = report.messages + tuple(msg for _, _, msg in report.item_results)
+        shown += any(f"<int of {huge.bit_length()} bits>" in msg for msg in messages)
+    assert shown
+
+
+def test_every_degree_bound_item_is_its_affines_at_the_base():
+    """Every DegreeBound item the builders emit states lhs and rhs at its
+    base point, their slope gap, and holds exactly when both comparisons
+    are strict; at k = 4, h = 2 the odd item compares 5 < 6 at q = 3."""
     certs = [certify_config_pn(n, k, h) for n in range(2, 5) for k in range(2, 5)
              for h in range(1, 2 * n * k)]
     certs += [certify_config_spherical(k, a, b) for k in range(4, 10)
@@ -517,14 +540,15 @@ def test_every_degree_bound_chain_holds():
     items = [e for c in certs for e in c.evidence if e["method"] == "DegreeBound"]
     assert items
     for e in items:
-        values, relations = e["chain"]["values"], e["chain"]["relations"]
-        assert len(e["chain"]["exprs"]) == len(values) == len(relations) + 1
-        assert (values[0], values[-1]) == (e["lhs_at_base"], e["rhs_at_base"])
-        assert all(a < b if r == "<" else r == "<=" and a <= b
-                   for a, r, b in zip(values, relations, values[1:])), e["display"]
+        p = e["covers"]["p_min"]
+        assert e["base_p"] == p
+        assert e["lhs_at_base"] == e["lhs"]["slope"] * p + e["lhs"]["intercept"]
+        assert e["rhs_at_base"] == e["rhs"]["slope"] * p + e["rhs"]["intercept"]
+        assert e["slope_gap"] == e["rhs"]["slope"] - e["lhs"]["slope"]
+        assert e["holds"] == (e["slope_gap"] > 0 and e["lhs_at_base"] < e["rhs_at_base"])
     odd = certify_config_spherical(4, 2, 4).evidence[1]
-    assert odd["chain"] == ODD_CHAIN
-    assert odd["display"].endswith("at p=1 (q=3): 5 <= 6 <= 6; slopes 2 vs 4")
+    assert (odd["covers"], odd["lhs_at_base"], odd["rhs_at_base"], odd["holds"]) == (
+        {"parity": "odd", "p_min": 1}, 5, 6, True)
 
 
 def _json_paths(obj, path=()):
