@@ -12,11 +12,17 @@ and called through them (`hochschild.hh_bar(...)`), so importing this
 module and building the parser execute only the root, this module and
 `errors`, and each command executes only the modules it calls: `certify`
 runs `formality`, `tor` the Gröbner route, and a usage error none.
+
+`hh` without `--cocycles` asks `hochschild.hh_truncated_poly` first, which
+answers for k[t]/t^(n+1) as `truncated_poly` writes it, off its periodic
+resolution, with the bytes `hh_bar` would give; for any other algebra, and
+where a word list might pass `--max-words`, it declines and `hh_bar` runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import io
 import json
 import math
@@ -310,10 +316,14 @@ def _cmd_hh(args):
     data = _load_json(args.algebra)
     A = graded.algebra_from_json_dict(data)
     mode = MODE_NAMES[args.mode]
-    res = hochschild.hh_bar(
-        A, args.p, args.q, mode=mode, want_cocycles=args.cocycles,
-        max_words=args.max_words,
+    res = None if args.cocycles else hochschild.hh_truncated_poly(
+        A, args.p, args.q, mode=mode, max_words=args.max_words
     )
+    if res is None:
+        res = hochschild.hh_bar(
+            A, args.p, args.q, mode=mode, want_cocycles=args.cocycles,
+            max_words=args.max_words,
+        )
     result = {
         "p": res.p,
         "q": res.q,
@@ -508,7 +518,8 @@ def dispatch(argv: List[str], stdout=None) -> int:
     """Parse argv, run the command, print the report; returns the exit code."""
     stdout = stdout if stdout is not None else sys.stdout
     try:
-        args = _build_parser().parse_args(argv)
+        with contextlib.redirect_stdout(stdout):  # where --help prints
+            args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -8,6 +8,12 @@ The absolute bar complex over the ground field is retained as a slow
 reference engine, and explicitly supplied periodic resolutions give a
 third route for cross validation.
 
+One algebra has its resolution built in: for k[t]/t^(n+1) exactly as
+`truncated_poly` writes it, `hh_truncated_poly` answers a slice without
+cocycles, with the dimension off the 2-periodic resolution and the slice
+dimensions counted on the bar complex's words, none listed. `hh_bar` never
+takes that route, so the tests still compare the two as independent ones.
+
 The two bar engines share one code path; the mode lives in the prepared
 table. A relative table takes the blocks of A from its idempotents and
 uses the positive basis labels as letters. An absolute table puts every
@@ -101,6 +107,7 @@ from .graded import (
     _power_label,
     block_structure,
     detect_idempotents,
+    truncated_poly,
     validate,
 )
 from .linalg import (
@@ -267,22 +274,47 @@ def _enumerate_words(tb: _Tables, p: int, targets, max_words: int, stage: str):
     return out
 
 
-def _word_degree_states(tb: _Tables, p: int) -> Dict[Tuple[int, int, int], int]:
+def _word_degree_states(tb: _Tables, p: int, targets=None, max_words: Optional[int] = None):
     """Count length p words per (degree, src of word, tgt of word) by
-    transfer-style dynamic programming along the successor lists; used
-    only to locate feasible internal degrees cheaply. The letters after a
-    word are those after the source block of its last letter (the src of
-    the word), so that key is the whole state."""
+    transfer-style dynamic programming along the successor lists. The
+    letters after a word are those after the source block of its last
+    letter (the src of the word), so that key is the whole state.
+
+    With targets, only the words `_enumerate_words` lists are counted,
+    those of total degree in targets: a partial word is dropped by the
+    walk's degree interval, so the states never outnumber its live
+    prefixes. Returns None as soon as the prefixes of one length that the
+    interval keeps pass max_words. Where each of them completes to a word,
+    as in k[t]/t^(n+1) for q a multiple of deg t, they are at most as many
+    as the words, so the walk would refuse too."""
+    if not tb.letters:
+        return {}
     after = dict(zip(tb.src, tb.succ))  # block -> the letters after it
+    degs = tb.degs
+    if targets is not None:
+        min_d = min(degs[i] for i in tb.letters)
+        max_d = max(degs[i] for i in tb.letters)
+        tmin, tmax = min(targets), max(targets)
     states: Dict[Tuple[int, int, int], int] = {}
     for i in tb.letters:
-        key = (tb.degs[i], tb.src[i], tb.tgt[i])
+        key = (degs[i], tb.src[i], tb.tgt[i])
         states[key] = states.get(key, 0) + 1
-    for _ in range(p - 1):
+    for length in range(1, p + 1):
+        if targets is not None:
+            rem = p - length
+            if rem:
+                low, high = tmin - rem * max_d, tmax - rem * min_d
+                states = {key: c for key, c in states.items() if low <= key[0] <= high}
+            else:
+                states = {key: c for key, c in states.items() if key[0] in targets}
+            if max_words is not None and sum(states.values()) > max_words:
+                return None
+        if length == p:
+            break
         nxt: Dict[Tuple[int, int, int], int] = {}
         for (d, src, tgt), cnt in states.items():
             for j in after[src]:
-                key = (d + tb.degs[j], tb.src[j], tgt)
+                key = (d + degs[j], tb.src[j], tgt)
                 nxt[key] = nxt.get(key, 0) + cnt
         states = nxt
     return states
@@ -315,6 +347,19 @@ def _cochain_basis(tb: _Tables, p: int, q: int, mode: str, max_words: int):
             groups[w] = [(col + k, m) for k, m in enumerate(ms)]
             col += len(ms)
     return groups, col
+
+
+def _cochain_count(tb: _Tables, p: int, q: int, max_words: int) -> Optional[int]:
+    """The total size _cochain_basis gives, counted per word state with no
+    word listed, or None where the count stops past max_words (see
+    _word_degree_states). The words it counts are those the walk lists, so
+    a None comes before any count the walk would refuse."""
+    if p == 0:
+        return sum(1 for i in range(tb.n) if tb.degs[i] == q and tb.src[i] == tb.tgt[i])
+    states = _word_degree_states(tb, p, {d - q for d in set(tb.degs)}, max_words)
+    if states is None:
+        return None
+    return sum(c * len(tb.slots.get((d + q, s, t), ())) for (d, s, t), c in states.items())
 
 
 def _contractions(tb: _Tables, w):
@@ -722,7 +767,12 @@ def hh_resolution(A: GradedAlgebra, spec: PeriodicResolutionSpec, p: int, q: int
         raise InputValidationError(
             f"resolution of length {spec.length()} is too short for p = {p}"
         )
-    spec = validate_periodic_spec(A, spec)
+    return _resolution_dim(A, validate_periodic_spec(A, spec), p, q)
+
+
+def _resolution_dim(A: GradedAlgebra, spec: PeriodicResolutionSpec, p: int, q: int) -> int:
+    """hh_resolution's dimension for a spec taken as exact, of length at
+    least p + 1, whose coefficients the field's arithmetic accepts."""
     f = A.field_spec.field()
 
     def cochain_labels(j):
@@ -752,3 +802,41 @@ def hh_resolution(A: GradedAlgebra, spec: PeriodicResolutionSpec, p: int, q: int
         return ker
     d_prev, _ = delta(p - 1)
     return ker - rank_rows(d_prev, f)
+
+
+def hh_truncated_poly(
+    A: GradedAlgebra,
+    p: int,
+    q: int,
+    *,
+    mode: str = "relative_normalized",
+    max_words: int = DEFAULT_MAX_WORDS,
+) -> Optional[HHResult]:
+    """hh_bar(A, p, q, mode=mode, max_words=max_words) without cocycles,
+    for A exactly as truncated_poly(n, k, A.field_spec) builds it, with n =
+    dim A - 1 and k the degree of the second basis label; None for any
+    other algebra, for p < 0, and where a word list of hh_bar's slice
+    might pass max_words, so that hh_bar answers, raises or refuses there.
+
+    slice_dims are counted on the bar complex's words (_cochain_count), and
+    the dimension is read off the 2-periodic resolution
+    periodic_spec_truncated_poly(n, k, p + 1), which is exact over every
+    field and so not checked here; the tests check it against both bar
+    engines. No word is listed and no bar differential built, so the cost
+    follows the degree states of the words, not their number."""
+    if p < 0 or len(A.basis) < 2:
+        return None
+    n, k = len(A.basis) - 1, A.basis[1][1]
+    if k < 1 or A.basis != tuple((_power_label(j), j * k) for j in range(n + 1)):
+        return None  # refused before truncated_poly builds its n^2 / 2 products
+    if A != truncated_poly(n, k, A.field_spec):
+        return None
+    tb = _tables(A, mode)
+    dims = []
+    for length in (p - 1, p, p + 1):
+        count = _cochain_count(tb, length, q, max_words) if length >= 0 else 0
+        if count is None:
+            return None
+        dims.append(count)
+    dim = _resolution_dim(A, periodic_spec_truncated_poly(n, k, p + 1), p, q) if dims[1] else 0
+    return HHResult(p, q, dim, mode, tuple(dims))

@@ -5,6 +5,7 @@ import io
 import json
 import os
 import sys
+import time
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -177,6 +178,79 @@ def test_word_cap_boundary_is_the_word_count(tmp_path, capsys):
     )
 
 
+def bar_calls(monkeypatch):
+    """The list of hh_bar calls the CLI makes from now on."""
+    from formalitykit import hochschild
+
+    calls = []
+    real = hochschild.hh_bar
+
+    def spy(*args, **kwargs):
+        calls.append(args[1:3])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(hochschild, "hh_bar", spy)
+    return calls
+
+
+def test_hh_of_truncated_poly_skips_the_bar_route_unless_cocycles_are_asked(
+        algebra_file, tmp_path, monkeypatch):
+    calls = bar_calls(monkeypatch)
+    argv = ["hh", "--algebra", algebra_file, "--p", "1", "--q", "0"]
+    code, text = run(argv)
+    assert code == 0 and json.loads(text)["result"]["dim"] == 1
+    assert calls == []
+    assert run(argv + ["--cocycles"])[0] == 0
+    assert calls == [(1, 0)]
+    # the same table without its idempotents key takes the bar route, and
+    # gives the same result
+    data = algebra_to_json_dict(truncated_poly(2, 2))
+    del data["idempotents"]
+    apath = write_json(tmp_path, "no-idempotents.json", data)
+    code, other = run(["hh", "--algebra", apath, "--p", "1", "--q", "0"])
+    assert code == 0 and calls == [(1, 0), (1, 0)]
+    assert json.loads(other)["result"] == json.loads(text)["result"]
+
+
+def test_the_route_declines_past_the_word_cap_and_the_walk_refuses(tmp_path, capsys,
+                                                                   monkeypatch):
+    # C^3 of HH^{2,-9}(k[t]/t^5) has 20 words: at 20 the route answers, at 19
+    # it declines and hh_bar refuses with its own message
+    calls = bar_calls(monkeypatch)
+    apath = write_json(tmp_path, "tp4.json", algebra_to_json_dict(truncated_poly(4, 1)))
+    argv = ["hh", "--algebra", apath, "--p", "2", "--q", "-9", "--max-words"]
+    assert run(argv + ["20"])[0] == 0 and calls == []
+    capsys.readouterr()
+    assert run(argv + ["19"]) == (3, "") and calls == [(2, -9)]
+    assert capsys.readouterr().err.startswith("resource cap: word cap 19 exceeded")
+
+
+@pytest.mark.parametrize("n, k, field, p, q, dim, slice_dims, seconds", [
+    (3, 1, "rationals", 3000, -9003, 0, [0, 0, 1], 0.5),
+    (6, 1, "fp:32003", 6, -16, 1, [4641, 25214, 86801], 0.1),
+], ids=["tp3-p3000-q-9003", "tp6-F32003-p6-q-16"])
+def test_deep_truncated_poly_slices_are_counted_not_eliminated(
+        tmp_path, n, k, field, p, q, dim, slice_dims, seconds):
+    # the bar route takes about 2.5 s and 163 MiB on the second slice; the word
+    # count prunes by the walk's degree interval, as the walk does, so the
+    # first slice costs a few steps, not 3000 of them
+    apath = write_json(tmp_path, "tp.json",
+                       algebra_to_json_dict(truncated_poly(n, k, FieldSpec.parse(field))))
+    start = time.perf_counter()
+    code, text = run(["hh", "--algebra", apath, "--p", str(p), "--q", str(q)])
+    elapsed = time.perf_counter() - start
+    result = json.loads(text)["result"]
+    assert (code, result["dim"], result["slice_dims"]) == (0, dim, slice_dims)
+    assert elapsed < seconds
+
+
+def test_help_prints_to_the_stdout_dispatch_is_given(capsys):
+    buf = io.StringIO()
+    assert dispatch(["certify", "--help"], stdout=buf) == 0
+    assert buf.getvalue().startswith("usage: formalitykit certify")
+    assert capsys.readouterr() == ("", "")
+
+
 def test_associativity_triple_cap_exits_3_before_building_the_triples(tmp_path, capsys):
     """The A2 table with n = 500 has 1004 labels; validation counts its
     candidate triples, 84,337,016 with repeats, and refuses before it builds
@@ -230,10 +304,14 @@ def test_words_longer_than_the_recursion_limit_exit_0(tmp_path):
     # the walk over words of 1199 to 1201 letters keeps its own stack; dim 1
     # holds at even p with or without a Koszul sign on the left action
     apath = write_json(tmp_path, "tp1.json", algebra_to_json_dict(truncated_poly(1, 1)))
-    code, text = run(["hh", "--algebra", apath, "--p", "1200", "--q", "-1200"])
-    assert code == 0
-    result = json.loads(text)["result"]
-    assert (result["dim"], result["slice_dims"]) == (1, [0, 1, 1])
+    argv = ["hh", "--algebra", apath, "--p", "1200", "--q", "-1200"]
+    # without --cocycles the slice is read off the periodic resolution; with
+    # them the bar route walks the words
+    for extra in ([], ["--cocycles"]):
+        code, text = run(argv + extra)
+        assert code == 0
+        result = json.loads(text)["result"]
+        assert (result["dim"], result["slice_dims"]) == (1, [0, 1, 1])
 
 
 def test_truncation_cap_exits_3(tmp_path):

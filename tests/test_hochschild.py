@@ -23,6 +23,7 @@ from formalitykit.graded import (
 from formalitykit.hochschild import (
     PeriodicResolutionSpec,
     _cochain_basis,
+    _cochain_count,
     _delta_rows,
     _enumerate_words,
     _tables,
@@ -30,6 +31,7 @@ from formalitykit.hochschild import (
     bar_chain_slice,
     hh_bar,
     hh_resolution,
+    hh_truncated_poly,
     kadeishvili_scan,
     nonempty_internal_degrees,
     periodic_spec_truncated_poly,
@@ -991,3 +993,125 @@ def test_word_cap_admits_exactly_max_words_on_small_slices():
                     hh_bar(A, p, q, max_words=count - 1)
                 met += 1
     assert met > 38
+
+
+# -- the truncated polynomial route ------------------------------------------------
+# hh_truncated_poly counts the bar slice's words and reads the dimension off the
+# 2-periodic resolution. The full agreement grid (Q, F_3, F_7, F_32003; n <= 6,
+# k <= 3; relative p <= 6, absolute p <= 3; every q with a slice) takes minutes;
+# this slice of it runs in seconds and keeps F_3 with n = 2, 5 and F_7 with
+# n = 6, where the characteristic divides n + 1.
+
+ROUTE_FIELDS = {"Q": RATIONALS_SPEC, "F3": FieldSpec(kind="fp", p=3),
+                "F7": FieldSpec(kind="fp", p=7), "F32003": FP32003}
+ROUTE_GRID = [(n, k) for n in range(1, 7) for k in range(1, 4)]
+
+
+def slice_qs(A, p, mode):
+    """Every q where one of C^(p-1), C^p, C^(p+1) is non-empty."""
+    return sorted({q for pp in (p - 1, p, p + 1) if pp >= 0
+                   for q in nonempty_internal_degrees(A, pp, mode=mode)})
+
+
+@pytest.mark.parametrize("field", sorted(ROUTE_FIELDS))
+def test_truncated_poly_route_equals_hh_bar(field):
+    checked = 0
+    for n, k in ROUTE_GRID:
+        A = truncated_poly(n, k, ROUTE_FIELDS[field])
+        for mode, p_max in (("relative_normalized", 4 if n * k <= 6 else 3),
+                            ("absolute", 2 if n * k <= 6 else 1)):
+            for p in range(p_max + 1):
+                for q in slice_qs(A, p, mode):
+                    got = hh_truncated_poly(A, p, q, mode=mode)
+                    assert got == hh_bar(A, p, q, mode=mode), (n, k, mode, p, q)
+                    checked += 1
+    assert checked > 1000
+
+
+@pytest.mark.parametrize("field", sorted(ROUTE_FIELDS))
+def test_every_spec_the_route_builds_validates(field):
+    # a spec of length L checks every position and degree a shorter prefix of
+    # it checks, so the longest the agreement grid uses covers the others
+    for n, k in ROUTE_GRID:
+        A = truncated_poly(n, k, ROUTE_FIELDS[field])
+        validate_periodic_spec(A, periodic_spec_truncated_poly(n, k, 7))
+
+
+def relabelled(A):
+    rename = {"t": "s"}
+    basis = tuple((rename.get(lab, lab), d) for lab, d in A.basis)
+    mult = {(rename.get(x, x), rename.get(y, y)): {rename.get(z, z): c for z, c in combo.items()}
+            for (x, y), combo in A.mult.items()}
+    return GradedAlgebra(A.field_spec, basis, mult, A.unit, A.idempotents)
+
+
+def t_scaled_by_2(A):
+    """The same algebra with t standing for 2t: a product gains 2 for each
+    factor written t and loses 2 where it is written t."""
+    mult = {(x, y): {z: c * 2 ** ((x == "t") + (y == "t") - (z == "t"))
+                     for z, c in combo.items()}
+            for (x, y), combo in A.mult.items()}
+    return GradedAlgebra(A.field_spec, A.basis, mult, A.unit, A.idempotents)
+
+
+def look_alikes():
+    A = truncated_poly(3, 1)
+    F7 = FieldSpec(kind="fp", p=7)
+    # k[t]/t^2 over F_7 with |t| = 2 and t t = 7 1, a zero term the table keeps
+    f7 = GradedAlgebra(F7, (("1", 0), ("t", 2)), {
+        ("1", "1"): {"1": 1}, ("1", "t"): {"t": 1}, ("t", "1"): {"t": 1},
+        ("t", "t"): {"1": 7}}, {"1": 1})
+    return [
+        pytest.param(relabelled(A), 2, -3, id="relabelled-generator"),
+        pytest.param(GradedAlgebra(A.field_spec, A.basis, A.mult, A.unit), 2, -3,
+                     id="no-idempotents"),
+        pytest.param(t_scaled_by_2(A), 2, -3, id="t-scaled-by-2"),
+        pytest.param(f7, 1, 0, id="F7-zero-term"),
+    ]
+
+
+@pytest.mark.parametrize("A, p, q", look_alikes())
+def test_look_alikes_of_truncated_poly_take_the_bar_route(A, p, q):
+    assert A != truncated_poly(len(A.basis) - 1, A.basis[1][1], A.field_spec)
+    assert hh_truncated_poly(A, p, q) is None
+    assert hh_bar(A, p, q).dim == hh_bar(truncated_poly(
+        len(A.basis) - 1, A.basis[1][1], A.field_spec), p, q).dim
+
+
+def test_route_declines_other_algebras_and_negative_p():
+    assert hh_truncated_poly(a2_algebra(), 2, -2) is None
+    assert hh_truncated_poly(truncated_poly(2, 2), -1, 0) is None
+
+
+def test_route_declines_exactly_past_the_word_cap():
+    # the route answers with max_words the largest of the three word lists
+    # and declines with one word less, where hh_bar refuses
+    met = 0
+    for n in range(1, 5):
+        A = truncated_poly(n, 1)
+        for mode in hochschild.MODES:
+            tb = _tables(A, mode)
+            for p in range(0, 4):
+                for q in slice_qs(A, p, mode):
+                    targets = {d - q for d in set(tb.degs)}
+                    count = max(len(_enumerate_words(tb, length, targets, 10**7, ""))
+                                for length in (p - 1, p, p + 1) if length >= 1)
+                    if count == 0:
+                        continue
+                    want = hh_bar(A, p, q, mode=mode, max_words=count)
+                    assert hh_truncated_poly(A, p, q, mode=mode, max_words=count) == want
+                    assert hh_truncated_poly(A, p, q, mode=mode, max_words=count - 1) is None
+                    met += 1
+    assert met > 80
+
+
+@pytest.mark.parametrize("A, slices", POOL)
+def test_cochain_count_is_the_size_of_the_cochain_basis(A, slices):
+    for mode in hochschild.MODES:
+        tb = _tables(A, mode)
+        for p, q in slices:
+            for length in (p - 1, p, p + 1):
+                if mode == "absolute" and len(tb.letters) ** length > ABSOLUTE_TUPLES:
+                    continue
+                want = _cochain_basis(tb, length, q, mode, 10**7)[1]
+                assert _cochain_count(tb, length, q, 10**7) == want, (mode, length, q)
