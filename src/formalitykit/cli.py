@@ -7,6 +7,13 @@ the full input for reproducibility; identical inputs produce byte
 identical output (keys sorted, canonical rational strings, no
 timestamps).
 
+Each `dispatch` builds its own parser from one table, `_COMMANDS`: the
+root lists every command with its help, and only the path that argv names
+by its first words not starting with "-" gets its options (and its leaf
+names). Where argparse takes another word as the command or the leaf, that
+word starts with "-" and names none, so argparse refuses it before any
+sub-parser reads: every argv prints and exits as with the whole tree.
+
 The computational modules are bound as the package root's lazy modules
 and called through them (`hochschild.hh_bar(...)`), so importing this
 module and building the parser execute only the root, this module and
@@ -224,92 +231,85 @@ def _human(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _build_parser() -> argparse.ArgumentParser:
+# the options more than one command reads, each written once
+_MODE = ("--mode", {"default": "relative", "choices": tuple(MODE_NAMES)})
+_MAX_WORDS = ("--max-words", {"type": _positive_int, "default": DEFAULT_MAX_WORDS,
+                              "help": "cochain slice cap"})
+_FIELD = ("--field", {"default": "rationals", "help": "rationals or fp:P"})
+_TEXT = {"required": True}
+_INT = {"type": _int, "required": True}
+_FLAG = {"action": "store_true"}
+_FORMATS = ("json", "human")
+
+# each command: its help, its --format choices, and its options or the dest
+# and options of its leaf commands; a list of options is a required choice
+_COMMANDS = {
+    "hh": ("one Hochschild cohomology dimension", _FORMATS, (
+        ("--algebra", _TEXT), ("--p", _INT), ("--q", _INT), _MODE, ("--cocycles", _FLAG),
+        _MAX_WORDS)),
+    "scan": ("Kadeishvili diagonal scan up to qmax", _FORMATS, (
+        ("--algebra", _TEXT), ("--qmax", _INT), _MODE, _MAX_WORDS)),
+    "tor": ("graded dimensions of one Tor term", _FORMATS, (
+        ("--pres", _TEXT), ("--q", _INT),
+        ("--max-truncation", {"type": _positive_int, "default": 512}))),
+    "certify": ("emit a formality certificate", _FORMATS, "family", {
+        "single": (("--n", _INT), ("--k", _INT)),
+        "pn-config": (("--n", _INT), ("--k", _INT), ("--h", _INT)),
+        "spherical": (("--k", _INT), ("--hmin", _INT), ("--hmax", _INT)),
+    }),
+    "recheck": ("replay a certificate's evidence", _FORMATS, (("--cert", _TEXT),)),
+    "normalize": ("shift normalization of a configuration graph", _FORMATS, (
+        ("--graph", _TEXT), ("--nk", _INT))),
+    "signs": ("parity sign assignment on a graph", _FORMATS, (("--graph", _TEXT),)),
+    "kunneth": ("graded symmetric/exterior power of hom data", _FORMATS, (
+        ("--poincare", _TEXT), ("--n", _INT), [("--same", _FLAG), ("--different", _FLAG)],
+        _FIELD)),
+    "build-config": ("build a configuration algebra as JSON", _FORMATS, (
+        ("--graph", _TEXT), ("--n", _INT), ("--k", _INT), ("--h", _INT),
+        ("--preset", {"default": "orthogonal", "choices": ("orthogonal", "zigzag")}), _FIELD)),
+    "sweep": ("batch certificates over a parameter grid", ("json", "csv", "human"), "grid", {
+        "pn": (("--n", {"required": True, "help": "list like 1..4 or 2,3"}), ("--k", _TEXT),
+               ("--h", {"type": _int, "default": None,
+                        "help": "fixed arrow degree; default nk/2"})),
+        "spherical": (("--k", _TEXT),),
+    }),
+}
+
+
+def _build_parser(argv=None) -> argparse.ArgumentParser:
+    """The parser of _COMMANDS, with the options of the path that argv
+    names (see the module docstring), or of every path if argv is None."""
+    named = None if argv is None else [a for a in argv if not a.startswith("-")][:2]
     parser = argparse.ArgumentParser(
         prog="formalitykit",
         description="exact computations with graded algebras: Hochschild "
         "cohomology, Tor terms, and formality certificates",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_parser(group, name, formats=("json", "human"), **kw):
-        """A leaf command; it takes --format and only the options it reads."""
-        leaf = group.add_parser(name, **kw)
-        leaf.add_argument("--format", default="json", choices=formats)
-        return leaf
-
-    p = add_parser(sub, "hh", help="one Hochschild cohomology dimension")
-    p.add_argument("--algebra", required=True)
-    p.add_argument("--p", type=_int, required=True)
-    p.add_argument("--q", type=_int, required=True)
-    p.add_argument("--mode", default="relative", choices=tuple(MODE_NAMES))
-    p.add_argument("--cocycles", action="store_true")
-    p.add_argument("--max-words", type=_positive_int, default=DEFAULT_MAX_WORDS,
-                   help="cochain slice cap")
-
-    p = add_parser(sub, "scan", help="Kadeishvili diagonal scan up to qmax")
-    p.add_argument("--algebra", required=True)
-    p.add_argument("--qmax", type=_int, required=True)
-    p.add_argument("--mode", default="relative", choices=tuple(MODE_NAMES))
-    p.add_argument("--max-words", type=_positive_int, default=DEFAULT_MAX_WORDS,
-                   help="cochain slice cap")
-
-    p = add_parser(sub, "tor", help="graded dimensions of one Tor term")
-    p.add_argument("--pres", required=True)
-    p.add_argument("--q", type=_int, required=True)
-    p.add_argument("--max-truncation", type=_positive_int, default=512)
-
-    p = sub.add_parser("certify", help="emit a formality certificate")
-    csub = p.add_subparsers(dest="family", required=True)
-    c = add_parser(csub, "single")
-    c.add_argument("--n", type=_int, required=True)
-    c.add_argument("--k", type=_int, required=True)
-    c = add_parser(csub, "pn-config")
-    c.add_argument("--n", type=_int, required=True)
-    c.add_argument("--k", type=_int, required=True)
-    c.add_argument("--h", type=_int, required=True)
-    c = add_parser(csub, "spherical")
-    c.add_argument("--k", type=_int, required=True)
-    c.add_argument("--hmin", type=_int, required=True)
-    c.add_argument("--hmax", type=_int, required=True)
-
-    p = add_parser(sub, "recheck", help="replay a certificate's evidence")
-    p.add_argument("--cert", required=True)
-
-    p = add_parser(sub, "normalize", help="shift normalization of a configuration graph")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--nk", type=_int, required=True)
-
-    p = add_parser(sub, "signs", help="parity sign assignment on a graph")
-    p.add_argument("--graph", required=True)
-
-    p = add_parser(sub, "kunneth", help="graded symmetric/exterior power of hom data")
-    p.add_argument("--poincare", required=True)
-    p.add_argument("--n", type=_int, required=True)
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--same", action="store_true")
-    group.add_argument("--different", action="store_true")
-    p.add_argument("--field", default="rationals", help="rationals or fp:P")
-
-    p = add_parser(sub, "build-config", help="build a configuration algebra as JSON")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--n", type=_int, required=True)
-    p.add_argument("--k", type=_int, required=True)
-    p.add_argument("--h", type=_int, required=True)
-    p.add_argument("--preset", default="orthogonal", choices=("orthogonal", "zigzag"))
-    p.add_argument("--field", default="rationals", help="rationals or fp:P")
-
-    p = sub.add_parser("sweep", help="batch certificates over a parameter grid")
-    ssub = p.add_subparsers(dest="grid", required=True)
-    table = ("json", "csv", "human")
-    s = add_parser(ssub, "pn", table)
-    s.add_argument("--n", required=True, help="list like 1..4 or 2,3")
-    s.add_argument("--k", required=True)
-    s.add_argument("--h", type=_int, default=None, help="fixed arrow degree; default nk/2")
-    s = add_parser(ssub, "spherical", table)
-    s.add_argument("--k", required=True)
-
+    for name, (help_text, formats, *body) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        if named is not None and named[:1] != [name]:
+            continue
+        if len(body) == 1:
+            _add_options(command, formats, body[0])
+            continue
+        group = command.add_subparsers(dest=body[0], required=True)
+        for leaf_name, options in body[1].items():
+            leaf = group.add_parser(leaf_name)
+            if named is None or named[1:] == [leaf_name]:
+                _add_options(leaf, formats, options)
     return parser
+
+
+def _add_options(leaf, formats, options) -> None:
+    leaf.add_argument("--format", default="json", choices=formats)
+    for option in options:
+        if isinstance(option, list):
+            group = leaf.add_mutually_exclusive_group(required=True)
+            for flag, kw in option:
+                group.add_argument(flag, **kw)
+        else:
+            leaf.add_argument(option[0], **option[1])
 
 
 def _cmd_hh(args):
@@ -519,7 +519,7 @@ def dispatch(argv: List[str], stdout=None) -> int:
     stdout = stdout if stdout is not None else sys.stdout
     try:
         with contextlib.redirect_stdout(stdout):  # where --help prints
-            args = _build_parser().parse_args(argv)
+            args = _build_parser(argv).parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

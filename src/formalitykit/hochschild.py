@@ -819,11 +819,13 @@ def hh_truncated_poly(
     might pass max_words, so that hh_bar answers, raises or refuses there.
 
     slice_dims are counted on the bar complex's words (_cochain_count), and
-    the dimension is read off the 2-periodic resolution
-    periodic_spec_truncated_poly(n, k, p + 1), which is exact over every
-    field and so not checked here; the tests check it against both bar
-    engines. No word is listed and no bar differential built, so the cost
-    follows the degree states of the words, not their number."""
+    the dimension is read off the 2-periodic resolution that
+    periodic_spec_truncated_poly writes, which is exact over every field
+    and so not checked here; the tests check it against both bar engines.
+    Its terms p - 1 .. p + 1 are those of a spec of length at most 3,
+    lowered by whole periods, so only that spec is built. No word is listed
+    and no bar differential built, so the cost follows the degree states of
+    the words, not their number."""
     if p < 0 or len(A.basis) < 2:
         return None
     n, k = len(A.basis) - 1, A.basis[1][1]
@@ -838,5 +840,9 @@ def hh_truncated_poly(
         if count is None:
             return None
         dims.append(count)
-    dim = _resolution_dim(A, periodic_spec_truncated_poly(n, k, p + 1), p, q) if dims[1] else 0
+    # term p + j is term p - 2m + j of the short spec with its shift lowered
+    # by m periods of (n + 1) k, so the slice reads at q + m (n + 1) k there
+    m = max(0, (p - 1) // 2)
+    spec = periodic_spec_truncated_poly(n, k, p - 2 * m + 1)
+    dim = _resolution_dim(A, spec, p - 2 * m, q + m * (n + 1) * k) if dims[1] else 0
     return HHResult(p, q, dim, mode, tuple(dims))

@@ -12,6 +12,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+import cli_corpus
 from formalitykit import cli
 from formalitykit.cli import _build_parser, dispatch
 from formalitykit.fields import FieldSpec
@@ -545,6 +546,41 @@ def test_group_parsers_take_no_options():
     assert run(["sweep", "--format", "csv", "spherical", "--k", "4"]) == (2, "")
     code, text = run(["certify", "single", "--n", "2", "--k", "2", "--format", "human"])
     assert code == 0 and text.startswith("formalitykit ")
+
+
+@pytest.mark.parametrize("argv", cli_corpus.corpus(), ids=" ".join)
+def test_dispatch_parses_as_the_whole_tree(argv):
+    # dispatch builds only the path argv names; help and usage errors match
+    assert cli_corpus.through_dispatch(argv) == cli_corpus.whole_tree(argv)
+
+
+def test_corpus_leaves_parse_with_their_options():
+    # so each of the corpus's variants fails by what it changes
+    parser = _build_parser()
+    for path, options in cli_corpus.LEAVES.items():
+        args = parser.parse_args(list(path) + options)
+        leaf = tuple(getattr(args, dest) for dest in ("family", "grid") if hasattr(args, dest))
+        assert (args.command,) + leaf == path
+
+
+def test_certify_single_adds_options_to_its_leaf_only(monkeypatch):
+    owners = []
+    real = argparse.ArgumentParser.add_argument
+
+    def spy(self, *names, **kw):
+        if names[0] not in ("-h", "--help"):
+            owners.append((self.prog, names[0]))
+        return real(self, *names, **kw)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", spy)
+    cli._build_parser(["certify", "single", "--n", "2", "--k", "2"])
+    assert owners == [("formalitykit certify single", "--format"),
+                      ("formalitykit certify single", "--n"),
+                      ("formalitykit certify single", "--k")]
+    owners.clear()
+    cli._build_parser()
+    assert {prog for prog, _ in owners} == {
+        "formalitykit " + " ".join(path) for path in cli_corpus.LEAVES}
 
 
 def test_options_a_command_does_not_read_exit_2(algebra_file, tmp_path):

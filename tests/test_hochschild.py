@@ -1,6 +1,7 @@
 import ast
 import itertools
 import os
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,7 @@ from formalitykit.graded import (
     validate,
 )
 from formalitykit.hochschild import (
+    HHResult,
     PeriodicResolutionSpec,
     _cochain_basis,
     _cochain_count,
@@ -1035,6 +1037,36 @@ def test_every_spec_the_route_builds_validates(field):
     for n, k in ROUTE_GRID:
         A = truncated_poly(n, k, ROUTE_FIELDS[field])
         validate_periodic_spec(A, periodic_spec_truncated_poly(n, k, 7))
+
+
+@pytest.mark.parametrize("field", ["Q", "F7"])
+def test_route_reads_deep_slices_as_the_long_spec_does(field):
+    # the route builds a spec of length at most 3 and lowers it by whole
+    # periods; the spec of length 41 reads every p <= 40 directly
+    met = 0
+    for n, k in [(n, k) for n in range(1, 5) for k in (1, 2)]:
+        A = truncated_poly(n, k, ROUTE_FIELDS[field])
+        spec = periodic_spec_truncated_poly(n, k, 41)
+        for p in range(41):
+            # outside these q the resolution's C^p is 0, and so is the dim
+            for q in range(spec.shifts[p], spec.shifts[p] + n * k + 1, k):
+                got = hh_truncated_poly(A, p, q, max_words=10 ** 30)
+                dim = hh_resolution(A, spec, p, q) if got.slice_dims[1] else 0
+                assert got == HHResult(p, q, dim, "relative_normalized", got.slice_dims)
+                met += dim > 0
+    assert met > 300
+
+
+def test_route_memory_does_not_grow_with_p():
+    A = truncated_poly(1, 1)
+    tracemalloc.start()
+    try:
+        got = hh_truncated_poly(A, 10 ** 5, -10 ** 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (got.dim, got.slice_dims) == (1, (0, 1, 1))
+    assert peak < 2 * 2 ** 20
 
 
 def relabelled(A):
