@@ -231,51 +231,6 @@ def _human(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-# the options more than one command reads, each written once
-_MODE = ("--mode", {"default": "relative", "choices": tuple(MODE_NAMES)})
-_MAX_WORDS = ("--max-words", {"type": _positive_int, "default": DEFAULT_MAX_WORDS,
-                              "help": "cochain slice cap"})
-_FIELD = ("--field", {"default": "rationals", "help": "rationals or fp:P"})
-_TEXT = {"required": True}
-_INT = {"type": _int, "required": True}
-_FLAG = {"action": "store_true"}
-_FORMATS = ("json", "human")
-
-# each command: its help, its --format choices, and its options or the dest
-# and options of its leaf commands; a list of options is a required choice
-_COMMANDS = {
-    "hh": ("one Hochschild cohomology dimension", _FORMATS, (
-        ("--algebra", _TEXT), ("--p", _INT), ("--q", _INT), _MODE, ("--cocycles", _FLAG),
-        _MAX_WORDS)),
-    "scan": ("Kadeishvili diagonal scan up to qmax", _FORMATS, (
-        ("--algebra", _TEXT), ("--qmax", _INT), _MODE, _MAX_WORDS)),
-    "tor": ("graded dimensions of one Tor term", _FORMATS, (
-        ("--pres", _TEXT), ("--q", _INT),
-        ("--max-truncation", {"type": _positive_int, "default": 512}))),
-    "certify": ("emit a formality certificate", _FORMATS, "family", {
-        "single": (("--n", _INT), ("--k", _INT)),
-        "pn-config": (("--n", _INT), ("--k", _INT), ("--h", _INT)),
-        "spherical": (("--k", _INT), ("--hmin", _INT), ("--hmax", _INT)),
-    }),
-    "recheck": ("replay a certificate's evidence", _FORMATS, (("--cert", _TEXT),)),
-    "normalize": ("shift normalization of a configuration graph", _FORMATS, (
-        ("--graph", _TEXT), ("--nk", _INT))),
-    "signs": ("parity sign assignment on a graph", _FORMATS, (("--graph", _TEXT),)),
-    "kunneth": ("graded symmetric/exterior power of hom data", _FORMATS, (
-        ("--poincare", _TEXT), ("--n", _INT), [("--same", _FLAG), ("--different", _FLAG)],
-        _FIELD)),
-    "build-config": ("build a configuration algebra as JSON", _FORMATS, (
-        ("--graph", _TEXT), ("--n", _INT), ("--k", _INT), ("--h", _INT),
-        ("--preset", {"default": "orthogonal", "choices": ("orthogonal", "zigzag")}), _FIELD)),
-    "sweep": ("batch certificates over a parameter grid", ("json", "csv", "human"), "grid", {
-        "pn": (("--n", {"required": True, "help": "list like 1..4 or 2,3"}), ("--k", _TEXT),
-               ("--h", {"type": _int, "default": None,
-                        "help": "fixed arrow degree; default nk/2"})),
-        "spherical": (("--k", _TEXT),),
-    }),
-}
-
-
 def _build_parser(argv=None) -> argparse.ArgumentParser:
     """The parser of _COMMANDS, with the options of the path that argv
     names (see the module docstring), or of every path if argv is None."""
@@ -286,7 +241,7 @@ def _build_parser(argv=None) -> argparse.ArgumentParser:
         "cohomology, Tor terms, and formality certificates",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, formats, *body) in _COMMANDS.items():
+    for name, (_, help_text, formats, *body) in _COMMANDS.items():
         command = sub.add_parser(name, help=help_text)
         if named is not None and named[:1] != [name]:
             continue
@@ -500,17 +455,50 @@ def _cmd_sweep(args):
     return _report("sweep", echo, {"rows": rows})
 
 
-_HANDLERS = {
-    "hh": _cmd_hh,
-    "scan": _cmd_scan,
-    "tor": _cmd_tor,
-    "certify": _cmd_certify,
-    "recheck": _cmd_recheck,
-    "normalize": _cmd_normalize,
-    "signs": _cmd_signs,
-    "kunneth": _cmd_kunneth,
-    "build-config": _cmd_build_config,
-    "sweep": _cmd_sweep,
+# the options more than one command reads, each written once
+_MODE = ("--mode", {"default": "relative", "choices": tuple(MODE_NAMES)})
+_MAX_WORDS = ("--max-words", {"type": _positive_int, "default": DEFAULT_MAX_WORDS,
+                              "help": "cochain slice cap"})
+_FIELD = ("--field", {"default": "rationals", "help": "rationals or fp:P"})
+_TEXT = {"required": True}
+_INT = {"type": _int, "required": True}
+_FLAG = {"action": "store_true"}
+_FORMATS = ("json", "human")
+
+# each command: its handler, its help, its --format choices, and its options
+# or the dest and options of its leaf commands; a list of options is a
+# required choice
+_COMMANDS = {
+    "hh": (_cmd_hh, "one Hochschild cohomology dimension", _FORMATS, (
+        ("--algebra", _TEXT), ("--p", _INT), ("--q", _INT), _MODE, ("--cocycles", _FLAG),
+        _MAX_WORDS)),
+    "scan": (_cmd_scan, "Kadeishvili diagonal scan up to qmax", _FORMATS, (
+        ("--algebra", _TEXT), ("--qmax", _INT), _MODE, _MAX_WORDS)),
+    "tor": (_cmd_tor, "graded dimensions of one Tor term", _FORMATS, (
+        ("--pres", _TEXT), ("--q", _INT),
+        ("--max-truncation", {"type": _positive_int, "default": 512}))),
+    "certify": (_cmd_certify, "emit a formality certificate", _FORMATS, "family", {
+        "single": (("--n", _INT), ("--k", _INT)),
+        "pn-config": (("--n", _INT), ("--k", _INT), ("--h", _INT)),
+        "spherical": (("--k", _INT), ("--hmin", _INT), ("--hmax", _INT)),
+    }),
+    "recheck": (_cmd_recheck, "replay a certificate's evidence", _FORMATS, (("--cert", _TEXT),)),
+    "normalize": (_cmd_normalize, "shift normalization of a configuration graph", _FORMATS, (
+        ("--graph", _TEXT), ("--nk", _INT))),
+    "signs": (_cmd_signs, "parity sign assignment on a graph", _FORMATS, (("--graph", _TEXT),)),
+    "kunneth": (_cmd_kunneth, "graded symmetric/exterior power of hom data", _FORMATS, (
+        ("--poincare", _TEXT), ("--n", _INT), [("--same", _FLAG), ("--different", _FLAG)],
+        _FIELD)),
+    "build-config": (_cmd_build_config, "build a configuration algebra as JSON", _FORMATS, (
+        ("--graph", _TEXT), ("--n", _INT), ("--k", _INT), ("--h", _INT),
+        ("--preset", {"default": "orthogonal", "choices": ("orthogonal", "zigzag")}), _FIELD)),
+    "sweep": (_cmd_sweep, "batch certificates over a parameter grid",
+              ("json", "csv", "human"), "grid", {
+        "pn": (("--n", {"required": True, "help": "list like 1..4 or 2,3"}), ("--k", _TEXT),
+               ("--h", {"type": _int, "default": None,
+                        "help": "fixed arrow degree; default nk/2"})),
+        "spherical": (("--k", _TEXT),),
+    }),
 }
 
 
@@ -523,7 +511,7 @@ def dispatch(argv: List[str], stdout=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        report = _HANDLERS[args.command](args)
+        report = _COMMANDS[args.command][0](args)
         stdout.write(_emit(report, args.format))
         return 0
     except ResourceCapError as exc:

@@ -19,12 +19,9 @@ from .record import Record
 class EdgeData(Record):
     u: object
     v: object
-    a_uv: Optional[int]  # hom degree read u -> v
-    a_vu: Optional[int]  # hom degree read v -> u
-    d: Optional[int]  # plain hom degree label for sign lifting
-
-    def __init__(self, u, v, a_uv=None, a_vu=None, d=None):
-        vars(self).update(u=u, v=v, a_uv=a_uv, a_vu=a_vu, d=d)
+    a_uv: Optional[int] = None  # hom degree read u -> v
+    a_vu: Optional[int] = None  # hom degree read v -> u
+    d: Optional[int] = None  # plain hom degree label for sign lifting
 
 
 class ConfigGraph(Record):
@@ -161,9 +158,6 @@ class PoincarePolynomial(Record):
 
     coeffs: Tuple[Tuple[int, int], ...]
 
-    def __init__(self, coeffs):
-        vars(self).update(coeffs=coeffs)
-
     @classmethod
     def make(cls, dims: Mapping[int, int]) -> "PoincarePolynomial":
         """The table of dims, zero dimensions dropped; every degree and
@@ -216,13 +210,9 @@ class PoincarePolynomial(Record):
 class ShiftNormalization(Record):
     feasible: bool
     h: int
-    shifts: Optional[Dict[object, int]]
-    witness_cycle: Optional[List[object]]
-    uses_cycle_extension: bool
-
-    def __init__(self, feasible, h, shifts=None, witness_cycle=None, uses_cycle_extension=False):
-        vars(self).update(feasible=feasible, h=h, shifts=shifts, witness_cycle=witness_cycle,
-                          uses_cycle_extension=uses_cycle_extension)
+    shifts: Optional[Dict[object, int]] = None
+    witness_cycle: Optional[List[object]] = None
+    uses_cycle_extension: bool = False
 
 
 def _tree_path(parents: Dict[object, Tuple[object, EdgeData]], x, y) -> List[object]:
@@ -313,13 +303,9 @@ def normalized_edge_degrees(graph: ConfigGraph, shifts: Mapping[object, int]) ->
 
 class SignAssignment(Record):
     feasible: bool
-    signs: Optional[Dict[object, int]]
-    witness_cycle: Optional[List[object]]
-    uses_cycle_extension: bool
-
-    def __init__(self, feasible, signs=None, witness_cycle=None, uses_cycle_extension=False):
-        vars(self).update(feasible=feasible, signs=signs, witness_cycle=witness_cycle,
-                          uses_cycle_extension=uses_cycle_extension)
+    signs: Optional[Dict[object, int]] = None
+    witness_cycle: Optional[List[object]] = None
+    uses_cycle_extension: bool = False
 
 
 def sign_assignment(graph: ConfigGraph) -> SignAssignment:

@@ -46,10 +46,6 @@ class FormalityCertificate(Record):
     hypotheses: Tuple[dict, ...]
     evidence: Tuple[dict, ...]
 
-    def __init__(self, subject, verdict, hypotheses, evidence):
-        vars(self).update(subject=subject, verdict=verdict, hypotheses=hypotheses,
-                          evidence=evidence)
-
     def failed_hypotheses(self) -> List[str]:
         return [h["name"] for h in self.hypotheses if not h["ok"]]
 
@@ -342,9 +338,6 @@ class RecheckReport(Record):
     ok: bool
     item_results: Tuple[Tuple[int, bool, str], ...]
     messages: Tuple[str, ...]
-
-    def __init__(self, ok, item_results, messages):
-        vars(self).update(ok=ok, item_results=item_results, messages=messages)
 
     def to_json_dict(self) -> dict:
         return {

@@ -25,9 +25,6 @@ class ValidationReport(Record):
     ok: bool
     violations: Tuple[str, ...]
 
-    def __init__(self, ok, violations):
-        vars(self).update(ok=ok, violations=violations)
-
     def __bool__(self):
         return self.ok
 

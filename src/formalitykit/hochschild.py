@@ -150,10 +150,6 @@ class _Tables(Record, eq=False):
     succ: Tuple[Tuple[int, ...], ...]
     slots: Dict[Tuple[int, int, int], Tuple[int, ...]]
 
-    def __init__(self, field, n, degs, src, tgt, mult, labels, letters, succ, slots):
-        vars(self).update(field=field, n=n, degs=degs, src=src, tgt=tgt, mult=mult,
-                          labels=labels, letters=letters, succ=succ, slots=slots)
-
 
 def _prepare(A: GradedAlgebra, mode: str) -> GradedAlgebra:
     """A validated; in relative mode with its idempotents detected when
@@ -286,7 +282,8 @@ def _word_degree_states(tb: _Tables, p: int, targets=None, max_words: Optional[i
     prefixes. Returns None as soon as the prefixes of one length that the
     interval keeps pass max_words. Where each of them completes to a word,
     as in k[t]/t^(n+1) for q a multiple of deg t, they are at most as many
-    as the words, so the walk would refuse too."""
+    as the words, so the walk would refuse too. The count stops once no
+    state is left, so a slice without words takes a few steps, not p."""
     if not tb.letters:
         return {}
     after = dict(zip(tb.src, tb.succ))  # block -> the letters after it
@@ -309,7 +306,7 @@ def _word_degree_states(tb: _Tables, p: int, targets=None, max_words: Optional[i
                 states = {key: c for key, c in states.items() if key[0] in targets}
             if max_words is not None and sum(states.values()) > max_words:
                 return None
-        if length == p:
+        if length == p or not states:
             break
         nxt: Dict[Tuple[int, int, int], int] = {}
         for (d, src, tgt), cnt in states.items():
@@ -433,10 +430,7 @@ class HHResult(Record):
     dim: int
     mode: str
     slice_dims: Tuple[int, int, int]  # dims of C^(p-1), C^p, C^(p+1)
-    cocycles: Optional[tuple]
-
-    def __init__(self, p, q, dim, mode, slice_dims, cocycles=None):
-        vars(self).update(p=p, q=q, dim=dim, mode=mode, slice_dims=slice_dims, cocycles=cocycles)
+    cocycles: Optional[tuple] = None
 
 
 def _tables(A: GradedAlgebra, mode: str) -> _Tables:
@@ -737,14 +731,8 @@ def _check_periodic_spec(A: GradedAlgebra, spec: PeriodicResolutionSpec) -> Peri
         # exactness at term j needs im(d_(j+1)) inside ker(d_j) with equal
         # dimensions; d_0 is the augmentation
         for j in range(0, spec.length()):
-            if any(mul_rows(matrices[j], matrices[j + 1], f)):
-                raise NonExactResolutionError(
-                    f"resolution not exact at position {j} in internal degree {d}",
-                    degree=d,
-                    position=j,
-                )
-            ker_j = dims[j] - ranks[j]
-            if ker_j != ranks[j + 1]:
+            if (any(mul_rows(matrices[j], matrices[j + 1], f))
+                    or dims[j] - ranks[j] != ranks[j + 1]):
                 raise NonExactResolutionError(
                     f"resolution not exact at position {j} in internal degree {d}",
                     degree=d,

@@ -60,9 +60,6 @@ class Generator(Record):
     tgt: int
     deg: int
 
-    def __init__(self, label, src, tgt, deg):
-        vars(self).update(label=label, src=src, tgt=tgt, deg=deg)
-
 
 class TensorPresentation(Record):
     """T(V)/I data: generators on a quiver, relations, truncation bound.
@@ -234,9 +231,6 @@ class HomogeneousIdeal(Record):
 
     pres: TensorPresentation
     blocks: Tuple[Tuple[BlockKey, Tuple[SparseRow, ...]], ...]
-
-    def __init__(self, pres, blocks):
-        vars(self).update(pres=pres, blocks=blocks)
 
     @classmethod
     def from_block_dict(cls, pres, block_dict: Mapping[BlockKey, Sequence[SparseRow]]):

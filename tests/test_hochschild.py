@@ -1,6 +1,7 @@
 import ast
 import itertools
 import os
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -1067,6 +1068,17 @@ def test_route_memory_does_not_grow_with_p():
         tracemalloc.stop()
     assert (got.dim, got.slice_dims) == (1, (0, 1, 1))
     assert peak < 2 * 2 ** 20
+
+
+def test_route_answers_a_deep_empty_slice_at_once():
+    # every word of length p has degree at least p, so the degree prune
+    # leaves no state after one letter and the count stops there
+    A = truncated_poly(3, 1)
+    start = time.perf_counter()
+    got = hh_truncated_poly(A, 10 ** 7, 0)
+    assert time.perf_counter() - start < 0.1
+    assert got == hh_bar(A, 10 ** 7, 0) == HHResult(10 ** 7, 0, 0, "relative_normalized",
+                                                     (0, 0, 0))
 
 
 def relabelled(A):

@@ -3,6 +3,7 @@ identity as documented, and defined without generated code, so that a
 fresh interpreter imports the CLI without `dataclasses` or `inspect`."""
 
 import os
+import re
 import subprocess
 import sys
 
@@ -12,6 +13,7 @@ from formalitykit.configurations import (
     ConfigGraph,
     EdgeData,
     PoincarePolynomial,
+    ShiftNormalization,
     normalize_shifts,
     sign_assignment,
 )
@@ -19,6 +21,7 @@ from formalitykit.fields import FieldSpec
 from formalitykit.formality import certify_single, verify_certificate
 from formalitykit.graded import truncated_poly, validate
 from formalitykit.hochschild import (
+    HHResult,
     _tables,
     hh_bar,
     periodic_spec_truncated_poly,
@@ -90,6 +93,71 @@ def test_every_value_class_refuses_assignment_and_deletion():
         with pytest.raises(AttributeError, match="cannot delete field"):
             delattr(x, field)
         assert field in vars(x), name
+
+
+CHECKING = ["ConfigGraph", "FieldSpec", "GradedAlgebra", "PeriodicResolutionSpec",
+            "TensorPresentation"]
+
+
+def test_only_the_classes_that_check_their_arguments_write_a_constructor():
+    own = sorted(cls.__name__ for cls in Record.__subclasses__() if "__init__" in vars(cls))
+    assert own == CHECKING
+
+
+def test_the_constructor_binds_positional_and_keyword_arguments_in_field_order():
+    x = Generator("x", 1, 2, 3)
+    for y in (Generator("x", 1, tgt=2, deg=3), Generator(deg=3, tgt=2, src=1, label="x")):
+        assert y == x and hash(y) == hash(x)
+        assert list(vars(y)) == ["label", "src", "tgt", "deg"]
+    assert vars(EdgeData(1, 2, d=5)) == {"u": 1, "v": 2, "a_uv": None, "a_vu": None, "d": 5}
+
+
+def test_class_level_values_are_the_defaults():
+    assert EdgeData(1, 2) == EdgeData(1, 2, None, None, None)
+    assert list(vars(EdgeData(1, 2))) == list(EdgeData._fields)
+    assert ShiftNormalization(True, 2) == ShiftNormalization(True, 2, None, None, False)
+    res = HHResult(1, -1, 0, "absolute", (0, 0, 0))
+    assert res.cocycles is None and "cocycles" in vars(res)
+    assert EdgeData._defaults == {"a_uv": None, "a_vu": None, "d": None}
+    assert Generator._defaults == {}
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: Generator("x", 1, 2), "Generator() missing argument 'deg'"),
+    (lambda: EdgeData(v=2), "EdgeData() missing argument 'u'"),
+    (lambda: Generator("x", 1, 2, 3, weight=0), "Generator() got an unexpected argument 'weight'"),
+    (lambda: EdgeData(1, 2, e=1), "EdgeData() got an unexpected argument 'e'"),
+    (lambda: Generator("x", 1, 2, 3, label="y"),
+     "Generator() got multiple values for argument 'label'"),
+    (lambda: EdgeData(1, 2, 3, a_uv=3), "EdgeData() got multiple values for argument 'a_uv'"),
+    (lambda: Generator("x", 1, 2, 3, 4), "Generator() takes 4 arguments but 5 were given"),
+    (lambda: HHResult(1, -1, 0, "absolute", (0, 0, 0), None, None),
+     "HHResult() takes 6 arguments but 7 were given"),
+], ids=["missing", "missing-keyword", "unknown", "unknown-after-defaults", "duplicated",
+        "duplicated-default", "surplus", "surplus-past-defaults"])
+def test_a_bad_call_raises_type_error_naming_the_class(call, message):
+    with pytest.raises(TypeError, match=re.escape(message)):
+        call()
+
+
+def test_every_value_class_compares_hashes_and_prints_by_its_fields():
+    for name, x in _instances().items():
+        values = tuple(vars(x)[field] for field in x._fields)
+        again, by_name = type(x)(*values), type(x)(**dict(zip(x._fields, values)))
+        inner = ", ".join(f"{field}={value!r}" for field, value in zip(x._fields, values))
+        assert repr(x) == repr(again) == f"{name}({inner})"
+        assert x == x and not x != x
+        if name in ("_Tables", "PeriodicResolutionSpec"):  # eq=False: by identity
+            assert x != again and hash(x) == object.__hash__(x)
+            continue
+        assert again == by_name == x, name
+        try:
+            want = hash(values)
+        except TypeError:  # a dict among the fields
+            with pytest.raises(TypeError):
+                hash(x)
+        else:
+            assert hash(again) == hash(by_name) == hash(x) == want, name
 
 
 @pytest.mark.parametrize("make", [
