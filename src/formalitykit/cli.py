@@ -355,13 +355,8 @@ def _cmd_normalize(args):
     gdata = _load_json(args.graph)
     graph = configurations.ConfigGraph.from_json_dict(gdata)
     res = configurations.normalize_shifts(graph, args.nk)
-    result = {"feasible": res.feasible, "h": res.h}
-    if res.feasible:
-        result["shifts"] = {str(v): s for v, s in sorted(res.shifts.items(), key=lambda kv: str(kv[0]))}
-    else:
-        result["witness_cycle"] = [str(v) for v in res.witness_cycle]
-    if res.uses_cycle_extension:
-        result["extension"] = "cycle holonomy conditions extend the tree case"
+    result = _per_vertex(res, "shifts", "holonomy")
+    result["h"] = res.h
     return _report("normalize", {"graph": gdata, "nk": args.nk}, result)
 
 
@@ -369,14 +364,22 @@ def _cmd_signs(args):
     gdata = _load_json(args.graph)
     graph = configurations.ConfigGraph.from_json_dict(gdata)
     res = configurations.sign_assignment(graph)
+    return _report("signs", {"graph": gdata}, _per_vertex(res, "signs", "parity"))
+
+
+def _per_vertex(res, key: str, conditions: str) -> dict:
+    """The result of a graph solve: its field key, keyed by vertex text,
+    where res is feasible, else the witness cycle; and the note where the
+    cycle conditions extend the tree case."""
     result = {"feasible": res.feasible}
     if res.feasible:
-        result["signs"] = {str(v): s for v, s in sorted(res.signs.items(), key=lambda kv: str(kv[0]))}
+        values = sorted(getattr(res, key).items(), key=lambda kv: str(kv[0]))
+        result[key] = {str(v): x for v, x in values}
     else:
         result["witness_cycle"] = [str(v) for v in res.witness_cycle]
     if res.uses_cycle_extension:
-        result["extension"] = "cycle parity conditions extend the tree case"
-    return _report("signs", {"graph": gdata}, result)
+        result["extension"] = f"cycle {conditions} conditions extend the tree case"
+    return result
 
 
 def _cmd_kunneth(args):
@@ -458,7 +461,8 @@ def _cmd_sweep(args):
 # the options more than one command reads, each written once
 _MODE = ("--mode", {"default": "relative", "choices": tuple(MODE_NAMES)})
 _MAX_WORDS = ("--max-words", {"type": _positive_int, "default": DEFAULT_MAX_WORDS,
-                              "help": "cochain slice cap"})
+                              "help": "cap on the bar words of one length that a slice "
+                              "lists, words that carry no cochain included"})
 _FIELD = ("--field", {"default": "rationals", "help": "rationals or fp:P"})
 _TEXT = {"required": True}
 _INT = {"type": _int, "required": True}

@@ -122,7 +122,8 @@ MODES = ("relative_normalized", "absolute")
 
 
 class _Tables(Record, eq=False):
-    """Integer indexed view of an algebra in one bar complex mode.
+    """Integer indexed view of an algebra in one bar complex mode, the one
+    `mode` records and a word-cap refusal names.
 
     Basis label i lies in block (src[i], tgt[i]); letters are the labels
     tensor words are made of. A coefficient index is a basis index, and
@@ -139,6 +140,7 @@ class _Tables(Record, eq=False):
     letters j composable after label i (tgt[j] == src[i]), and slots maps
     each (degree, src, tgt) to its coefficient indices in basis order."""
 
+    mode: str
     field: object
     n: int
     degs: Tuple[int, ...]
@@ -193,7 +195,7 @@ def _build_tables(A: GradedAlgebra, mode: str) -> _Tables:
     for i, key in enumerate(zip(degs, src, tgt)):
         slots[key] = slots.get(key, ()) + (i,)
     return _Tables(
-        A.field_spec.field(), len(labels), degs, src, tgt, mult, labels, letters,
+        mode, A.field_spec.field(), len(labels), degs, src, tgt, mult, labels, letters,
         tuple(after[b] for b in src), slots,
     )
 
@@ -317,13 +319,12 @@ def _word_degree_states(tb: _Tables, p: int, targets=None, max_words: Optional[i
     return states
 
 
-def _cochain_basis(tb: _Tables, p: int, q: int, mode: str, max_words: int):
+def _cochain_basis(tb: _Tables, p: int, q: int, max_words: int):
     """Basis of degree q cochains on length p words, grouped by word key.
 
     Word keys are letter tuples; for p = 0 the keys are the diagonal
     vertex markers ('v', i). Returns (groups, total size) with groups
-    values [(column, coefficient idx)]. mode only names the stage of a
-    word-cap refusal; the table carries the mode.
+    values [(column, coefficient idx)].
     """
     groups: Dict[object, List[Tuple[int, int]]] = {}
     col = 0
@@ -336,7 +337,7 @@ def _cochain_basis(tb: _Tables, p: int, q: int, mode: str, max_words: int):
     slots, src, tgt = tb.slots, tb.src, tb.tgt
     targets = {d - q for d in set(tb.degs)}
     words = _enumerate_words(
-        tb, p, targets, max_words, f"the internal degree q = {q} cochains ({mode} mode)"
+        tb, p, targets, max_words, f"the internal degree q = {q} cochains ({tb.mode} mode)"
     )
     for w, total in words:
         ms = slots.get((total + q, src[w[-1]], tgt[w[0]]))
@@ -466,9 +467,9 @@ def hh_bar(
     if p < 0:
         raise InputValidationError("p must be >= 0")
     tb = _tables(A, mode)
-    g_prev, n_prev = (_cochain_basis(tb, p - 1, q, mode, max_words) if p >= 1 else ({}, 0))
-    g_here, n_here = _cochain_basis(tb, p, q, mode, max_words)
-    g_next, n_next = _cochain_basis(tb, p + 1, q, mode, max_words)
+    g_prev, n_prev = (_cochain_basis(tb, p - 1, q, max_words) if p >= 1 else ({}, 0))
+    g_here, n_here = _cochain_basis(tb, p, q, max_words)
+    g_next, n_next = _cochain_basis(tb, p + 1, q, max_words)
 
     if n_here == 0:
         return HHResult(p, q, 0, mode, (n_prev, 0, n_next))
@@ -651,7 +652,13 @@ def validate_periodic_spec(A: GradedAlgebra, spec: PeriodicResolutionSpec) -> Pe
     Exactness is verified at the augmentation, at term 0, and at every
     interior term (the last supplied term has no successor to check
     against), for each internal degree d from 0 to 2 maxdeg(A) + max(-s_j).
-    Failures raise NonExactResolutionError naming the degree and position.
+    The containments im d_(j+1) in ker d_j for j >= 1 are checked once for
+    all degrees: d_j d_(j+1) is right multiplication by mu_(j+1) mu_j in
+    the associative A (x) A^op, so they hold exactly when the composites
+    are zero. The containment at term 0 (the augmentation after d_1), the
+    surjectivity of the augmentation, and every dimension count are checked
+    per degree. Failures of these raise NonExactResolutionError naming the
+    degree and position; a nonzero composite raises InputValidationError.
 
     The check runs once per algebra and spec: the field-mapped spec is kept
     in the algebra's memo, keyed by the spec object (specs compare by
@@ -687,57 +694,51 @@ def _check_periodic_spec(A: GradedAlgebra, spec: PeriodicResolutionSpec) -> Peri
         if _env_mul(A, spec.multipliers[j], spec.multipliers[j - 1]):
             raise InputValidationError(f"composite of multipliers {j + 1} and {j} is nonzero")
 
-    labels = A.labels()
+    # one pass groups A's labels, and the basis pairs of A (x) A^op, by degree
+    a_groups: Dict[int, List[str]] = {}
+    env_groups: Dict[int, List[Tuple[str, str]]] = {}
+    for x in A.labels():
+        a_groups.setdefault(degs[x], []).append(x)
+        for y in A.labels():
+            env_groups.setdefault(degs[x] + degs[y], []).append((x, y))
     degree_bound = 2 * max(d for _, d in A.basis) + max(-s for s in spec.shifts)
-    pairs = [(x, y) for x in labels for y in labels]
-    pair_deg = {(x, y): degs[x] + degs[y] for (x, y) in pairs}
-
-    def env_basis(d):
-        return [pr for pr in pairs if pair_deg[pr] == d]
-
     for d in range(0, degree_bound + 1):
-        dims = [len(env_basis(d + s)) for s in spec.shifts]
-        # augmentation piece in internal degree d
-        dom0 = env_basis(d + spec.shifts[0])
-        a_labs = sorted(lab for lab in labels if degs[lab] == d)
-        aidx = {lab: i for i, lab in enumerate(a_labs)}
-        aug_rows: List[Dict[int, object]] = [{} for _ in a_labs]
-        for c, (x, y) in enumerate(dom0):
+        # the augmentation out of term 0, in internal degree d
+        term = env_groups.get(d + spec.shifts[0], [])
+        aidx = {lab: i for i, lab in enumerate(a_groups.get(d, []))}
+        aug_rows: List[Dict[int, object]] = [{} for _ in aidx]
+        for c, (x, y) in enumerate(term):
             for lab, v in A.mult.get((x, y), {}).items():
                 # a table term of another degree has coefficient 0 (the
                 # grading check skips zero terms), and is skipped here too
                 if lab in aidx:
                     row = aug_rows[aidx[lab]]
                     row[c] = row.get(c, 0) + v
-        rank_aug = rank_rows(aug_rows, f)
-        if rank_aug != len(a_labs):
+        rank_j = rank_rows(aug_rows, f)
+        if rank_j != len(aidx):
             raise NonExactResolutionError(
                 f"augmentation not surjective in internal degree {d}", degree=d, position=0
             )
-
-        matrices = [aug_rows]
-        ranks = [rank_aug]
-        for j in range(1, spec.length() + 1):
-            dom = env_basis(d + spec.shifts[j])
-            cod = env_basis(d + spec.shifts[j - 1])
-            cidx = {pr: i for i, pr in enumerate(cod)}
-            rows: List[Dict[int, object]] = [{} for _ in cod]
-            for c, (a, b) in enumerate(dom):
-                for pr, v in _env_mul(A, ((a, b, 1),), spec.multipliers[j - 1]).items():
-                    rows[cidx[pr]][c] = v
-            matrices.append(rows)
-            ranks.append(rank_rows(rows, f))
-
         # exactness at term j needs im(d_(j+1)) inside ker(d_j) with equal
-        # dimensions; d_0 is the augmentation
-        for j in range(0, spec.length()):
-            if (any(mul_rows(matrices[j], matrices[j + 1], f))
-                    or dims[j] - ranks[j] != ranks[j + 1]):
+        # dimensions; d_0 is the augmentation. For j >= 1, d_j d_(j+1) is
+        # right multiplication by mu_(j+1) mu_j (A is associative, so A (x)
+        # A^op is), which the composite check above has found to be zero
+        for j, mu in enumerate(spec.multipliers):
+            next_term = env_groups.get(d + spec.shifts[j + 1], [])
+            cidx = {pr: i for i, pr in enumerate(term)}
+            rows: List[Dict[int, object]] = [{} for _ in term]
+            for c, (a, b) in enumerate(next_term):
+                for pr, v in _env_mul(A, ((a, b, 1),), mu).items():
+                    rows[cidx[pr]][c] = v
+            rank_next = rank_rows(rows, f)
+            if ((j == 0 and any(mul_rows(aug_rows, rows, f)))
+                    or len(term) - rank_j != rank_next):
                 raise NonExactResolutionError(
                     f"resolution not exact at position {j} in internal degree {d}",
                     degree=d,
                     position=j,
                 )
+            term, rank_j = next_term, rank_next
     return spec
 
 

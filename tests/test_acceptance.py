@@ -274,9 +274,9 @@ def test_criterion_9_structural_property_suites():
         tb = _tables(A, "relative_normalized")
         for q in range(-4, 2):
             for p in range(0, 5):
-                g0, n0 = _cochain_basis(tb, p, q, "relative_normalized", 10**6)
-                g1, n1 = _cochain_basis(tb, p + 1, q, "relative_normalized", 10**6)
-                g2, n2 = _cochain_basis(tb, p + 2, q, "relative_normalized", 10**6)
+                g0, n0 = _cochain_basis(tb, p, q, 10**6)
+                g1, n1 = _cochain_basis(tb, p + 1, q, 10**6)
+                g2, n2 = _cochain_basis(tb, p + 2, q, 10**6)
                 if n0 and n2:
                     d0 = _delta_rows(tb, p, g0, g1, n0)
                     d1 = _delta_rows(tb, p + 1, g1, g2, n1)

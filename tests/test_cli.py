@@ -179,6 +179,27 @@ def test_word_cap_boundary_is_the_word_count(tmp_path, capsys):
     )
 
 
+def test_word_cap_counts_words_that_carry_no_cochain(tmp_path, capsys):
+    # HH^{3,-1} of A2 (1,2,1) orthogonal: its six length 2 words carry no
+    # degree -1 cochain, yet the cap counts them
+    g = {"vertices": [1, 2], "edges": [[1, 2]]}
+    gpath = write_json(tmp_path, "a2.json", g)
+    code, text = run(["build-config", "--graph", gpath, "--n", "1", "--k", "2", "--h", "1",
+                      "--field", "fp:32003"])
+    assert code == 0
+    apath = write_json(tmp_path, "a2-121.json", json.loads(text)["result"]["algebra"])
+    argv = ["hh", "--algebra", apath, "--p", "3", "--q", "-1", "--max-words"]
+    capsys.readouterr()
+    assert run(argv + ["5"]) == (3, "")
+    assert capsys.readouterr().err == (
+        "resource cap: word cap 5 exceeded by the length p = 2 words of the internal "
+        "degree q = -1 cochains (relative_normalized mode); raise max_words\n"
+    )
+    code, text = run(argv + ["6"])
+    result = json.loads(text)["result"]
+    assert code == 0 and (result["dim"], result["slice_dims"]) == (0, [0, 0, 0])
+
+
 def bar_calls(monkeypatch):
     """The list of hh_bar calls the CLI makes from now on."""
     from formalitykit import hochschild
