@@ -125,8 +125,9 @@ def _check_configuration(graph: ConfigGraph, n: int, k: int, h: int,
     presentation) read: the vertex count m and the arrows (i, j), 1-based
     in graph order and sorted, both directions of every edge.
 
-    It refuses the parameters both builders refuse: n, k, h >= 1, and for
-    the zigzag preset k | 2h and 2h/k = n. Its relations give
+    It refuses the parameters both builders refuse: n, k, h >= 1, for the
+    zigzag preset k | 2h and 2h/k = n, and a graph with no vertex, whose
+    quiver presents nothing. The zigzag relations give
     t_i^(2h/k + 1) = (a_ji a_ij) t_i = a_ji (a_ij t_i) = 0. With 2h/k < n
     they would present a smaller algebra than the table, which keeps
     t_i^(2h/k + 1) non-zero and so is not associative; with 2h/k > n the
@@ -137,6 +138,8 @@ def _check_configuration(graph: ConfigGraph, n: int, k: int, h: int,
         raise InputValidationError(
             f"zigzag preset needs k | 2h and 2h/k = n (n={n}, k={k}, h={h})"
         )
+    if not graph.vertices:
+        raise InputValidationError("need at least one vertex")
     index = {v: i for i, v in enumerate(graph.vertices, start=1)}
     arrows = {(index[e.u], index[e.v]) for e in graph.edges}
     return len(index), sorted(arrows | {(j, i) for i, j in arrows})

@@ -1,12 +1,13 @@
 """Bigraded Hochschild cohomology of graded algebras.
 
-Two independent engines are provided. The default computes HH^{p,q}(A,A)
-from the base-relative normalized bar complex: cochains are block pure
-maps on tensor words in the positive part of A, and only words whose
-internal degree can hit a nonzero component of A are ever materialized.
-The absolute bar complex over the ground field is retained as a slow
-reference engine, and explicitly supplied periodic resolutions give a
-third route for cross validation.
+One bar engine computes HH^{p,q}(A,A) in two modes. The default reads it
+off the base-relative normalized bar complex: cochains are block pure maps
+on tensor words in the positive part of A, and only words whose internal
+degree can hit a nonzero component of A are ever materialized. The
+absolute mode, the bar complex over the ground field, is a slow reference.
+The two modes share their differential, `_delta_rows`, so they cannot
+catch a sign error in it; explicitly supplied periodic resolutions are the
+independent route for cross validation.
 
 One algebra has its resolution built in: for k[t]/t^(n+1) exactly as
 `truncated_poly` writes it, `hh_truncated_poly` answers a slice without
@@ -14,11 +15,12 @@ cocycles, with the dimension off the 2-periodic resolution and the slice
 dimensions counted on the bar complex's words, none listed. `hh_bar` never
 takes that route, so the tests still compare the two as independent ones.
 
-The two bar engines share one code path; the mode lives in the prepared
-table. A relative table takes the blocks of A from its idempotents and
-uses the positive basis labels as letters. An absolute table puts every
-label in the one block (0, 0) and uses every label as a letter, so every
-composability and block test passes trivially.
+The two modes share one code path; the mode lives in the prepared table.
+A relative table takes the blocks of A from its idempotents and uses the
+positive basis labels as letters. An absolute table puts every label in
+the one block (0, 0) and uses every label as a letter, so every
+composability and block test passes trivially. The empty word is a word
+like any other: C^0 lives on it, and a negative length has no words.
 
 Every differential is assembled straight into sparse dict rows (column to
 non-zero scalar), the one matrix format of `linalg`, so memory follows the
@@ -85,8 +87,8 @@ elimination only as its n_p - |S| kept coboundaries.
 
 Sign convention: the ungraded alternating sum, (-1)^i on the i-th
 multiplication and (-1)^(p+1) on the outer right action; d compose d is
-asserted to vanish on every assembled slice in the test suite. Both bar
-engines use this sum, with no Koszul sign on the left action, until that
+asserted to vanish on every assembled slice in the test suite. Both modes
+use this sum, with no Koszul sign on the left action, until that
 sign lands, so where A has an element of odd degree the dimensions at odd
 q can differ from graded HH: HH^{0,1} of k[t]/t^3 with |t| = 1 comes out
 1, but the graded center is 0 in degree 1.
@@ -213,9 +215,10 @@ def _enumerate_words(tb: _Tables, p: int, targets, max_words: int, stage: str):
     bounded by the interpreter's recursion limit; a word's tuple is built
     only at its last letters. Raises once more than max_words words are
     found, naming the stage (which slice of which complex, in which mode)
-    and the cap."""
-    if p == 0:
-        return [((), 0)]
+    and the cap. The empty word (degree 0) is the one word of length 0,
+    and a negative length has none."""
+    if p <= 0:
+        return [((), 0)] if p == 0 and 0 in targets else []
     letters = tb.letters
     if not letters or not targets:
         return []
@@ -276,7 +279,9 @@ def _word_degree_states(tb: _Tables, p: int, targets=None, max_words: Optional[i
     """Count length p words per (degree, src of word, tgt of word) by
     transfer-style dynamic programming along the successor lists. The
     letters after a word are those after the source block of its last
-    letter (the src of the word), so that key is the whole state.
+    letter (the src of the word), so that key is the whole state. The count
+    starts from the empty word at each block b, state (0, b, b), and a
+    negative length has no words.
 
     With targets, only the words `_enumerate_words` lists are counted,
     those of total degree in targets: a partial word is dropped by the
@@ -286,19 +291,14 @@ def _word_degree_states(tb: _Tables, p: int, targets=None, max_words: Optional[i
     as in k[t]/t^(n+1) for q a multiple of deg t, they are at most as many
     as the words, so the walk would refuse too. The count stops once no
     state is left, so a slice without words takes a few steps, not p."""
-    if not tb.letters:
-        return {}
     after = dict(zip(tb.src, tb.succ))  # block -> the letters after it
     degs = tb.degs
     if targets is not None:
-        min_d = min(degs[i] for i in tb.letters)
-        max_d = max(degs[i] for i in tb.letters)
+        min_d = min((degs[i] for i in tb.letters), default=0)
+        max_d = max((degs[i] for i in tb.letters), default=0)
         tmin, tmax = min(targets), max(targets)
-    states: Dict[Tuple[int, int, int], int] = {}
-    for i in tb.letters:
-        key = (degs[i], tb.src[i], tb.tgt[i])
-        states[key] = states.get(key, 0) + 1
-    for length in range(1, p + 1):
+    states: Dict[Tuple[int, int, int], int] = {(0, b, b): 1 for b in after}
+    for length in range(p + 1):
         if targets is not None:
             rem = p - length
             if rem:
@@ -309,38 +309,36 @@ def _word_degree_states(tb: _Tables, p: int, targets=None, max_words: Optional[i
             if max_words is not None and sum(states.values()) > max_words:
                 return None
         if length == p or not states:
-            break
+            return states
         nxt: Dict[Tuple[int, int, int], int] = {}
         for (d, src, tgt), cnt in states.items():
             for j in after[src]:
                 key = (d + degs[j], tb.src[j], tgt)
                 nxt[key] = nxt.get(key, 0) + cnt
         states = nxt
-    return states
+    return {}  # p < 0
 
 
 def _cochain_basis(tb: _Tables, p: int, q: int, max_words: int):
-    """Basis of degree q cochains on length p words, grouped by word key.
+    """Basis of degree q cochains on length p words, grouped by word.
 
-    Word keys are letter tuples; for p = 0 the keys are the diagonal
-    vertex markers ('v', i). Returns (groups, total size) with groups
-    values [(column, coefficient idx)].
+    Returns (groups, total size): groups maps each word, a letter tuple, to
+    [(column, coefficient idx)], the columns numbered in word order and
+    then in basis order. A word's coefficients lie in its block, from the
+    src of its last letter to the tgt of its first; the empty word lies in
+    every diagonal block, so C^0 is keyed by () and holds the diagonal
+    degree q labels in basis order.
     """
-    groups: Dict[object, List[Tuple[int, int]]] = {}
+    groups: Dict[Tuple[int, ...], List[Tuple[int, int]]] = {}
     col = 0
-    if p == 0:
-        for i in range(tb.n):
-            if tb.degs[i] == q and tb.src[i] == tb.tgt[i]:
-                groups.setdefault(("v", tb.src[i]), []).append((col, i))
-                col += 1
-        return groups, col
-    slots, src, tgt = tb.slots, tb.src, tb.tgt
-    targets = {d - q for d in set(tb.degs)}
+    degs, slots, src, tgt = tb.degs, tb.slots, tb.src, tb.tgt
+    targets = {d - q for d in set(degs)}
     words = _enumerate_words(
         tb, p, targets, max_words, f"the internal degree q = {q} cochains ({tb.mode} mode)"
     )
     for w, total in words:
-        ms = slots.get((total + q, src[w[-1]], tgt[w[0]]))
+        ms = (slots.get((total + q, src[w[-1]], tgt[w[0]])) if w else
+              [i for i in range(tb.n) if degs[i] == q and src[i] == tgt[i]])
         if ms:
             groups[w] = [(col + k, m) for k, m in enumerate(ms)]
             col += len(ms)
@@ -352,8 +350,6 @@ def _cochain_count(tb: _Tables, p: int, q: int, max_words: int) -> Optional[int]
     word listed, or None where the count stops past max_words (see
     _word_degree_states). The words it counts are those the walk lists, so
     a None comes before any count the walk would refuse."""
-    if p == 0:
-        return sum(1 for i in range(tb.n) if tb.degs[i] == q and tb.src[i] == tb.tgt[i])
     states = _word_degree_states(tb, p, {d - q for d in set(tb.degs)}, max_words)
     if states is None:
         return None
@@ -384,8 +380,7 @@ def _delta_rows(tb: _Tables, p: int, groups_p, groups_p1, n_p: int):
         first = w1[0]
         last = w1[-1]
         # left action term: a_1 . f(a_2 ... a_(p+1))
-        tail = w1[1:] if p >= 1 else ("v", tb.src[first])
-        for c0, m0 in groups_p.get(tail, ()):
+        for c0, m0 in groups_p.get(w1[1:], ()):
             col = cols[c0]
             for m1, v in tb.mult.get((first, m0), {}).items():
                 r = row_of.get((w1, m1))
@@ -399,8 +394,7 @@ def _delta_rows(tb: _Tables, p: int, groups_p, groups_p1, n_p: int):
                     col = cols[c0]
                     col[r] = col.get(r, 0) + coeff
         # right action term: (-1)^(p+1) f(a_1 ... a_p) . a_(p+1)
-        head = w1[:-1] if p >= 1 else ("v", tb.tgt[last])
-        for c0, m0 in groups_p.get(head, ()):
+        for c0, m0 in groups_p.get(w1[:-1], ()):
             col = cols[c0]
             for m1, v in tb.mult.get((m0, last), {}).items():
                 r = row_of.get((w1, m1))
@@ -467,7 +461,7 @@ def hh_bar(
     if p < 0:
         raise InputValidationError("p must be >= 0")
     tb = _tables(A, mode)
-    g_prev, n_prev = (_cochain_basis(tb, p - 1, q, max_words) if p >= 1 else ({}, 0))
+    g_prev, n_prev = _cochain_basis(tb, p - 1, q, max_words)
     g_here, n_here = _cochain_basis(tb, p, q, max_words)
     g_next, n_next = _cochain_basis(tb, p + 1, q, max_words)
 
@@ -502,8 +496,7 @@ def hh_bar(
         terms = []
         for c0 in sorted(rep):
             w, m = where[c0]
-            word_labels = tuple(tb.labels[i] for i in w) if p else ()
-            terms.append((word_labels, tb.labels[m], f.to_str(rep[c0])))
+            terms.append((tuple(tb.labels[i] for i in w), tb.labels[m], f.to_str(rep[c0])))
         out.append(tuple(terms))
     return HHResult(p, q, len(reps), mode, (n_prev, n_here, n_next), tuple(out))
 
@@ -516,8 +509,6 @@ def nonempty_internal_degrees(
         raise InputValidationError("p must be >= 0")
     tb = _tables(A, mode)
     slots = tb.slots
-    if p == 0:
-        return sorted({d for (d, s, t) in slots if s == t})
     out = set()
     for (wd, src, tgt) in _word_degree_states(tb, p):
         for (md, ms, mt) in slots:
@@ -810,7 +801,7 @@ def hh_truncated_poly(
     slice_dims are counted on the bar complex's words (_cochain_count), and
     the dimension is read off the 2-periodic resolution that
     periodic_spec_truncated_poly writes, which is exact over every field
-    and so not checked here; the tests check it against both bar engines.
+    and so not checked here; the tests check it against both bar modes.
     Its terms p - 1 .. p + 1 are those of a spec of length at most 3,
     lowered by whole periods, so only that spec is built. No word is listed
     and no bar differential built, so the cost follows the degree states of
@@ -825,7 +816,7 @@ def hh_truncated_poly(
     tb = _tables(A, mode)
     dims = []
     for length in (p - 1, p, p + 1):
-        count = _cochain_count(tb, length, q, max_words) if length >= 0 else 0
+        count = _cochain_count(tb, length, q, max_words)
         if count is None:
             return None
         dims.append(count)

@@ -387,6 +387,17 @@ def test_normalize_command(tmp_path):
     assert result["feasible"] is True and result["shifts"] == {"1": 0, "2": 1}
 
 
+def test_build_config_refuses_a_graph_with_no_vertex(tmp_path, capsys):
+    path = write_json(tmp_path, "empty.json", {"vertices": [], "edges": []})
+    code, text = run(["build-config", "--graph", path, "--n", "2", "--k", "2", "--h", "2"])
+    assert (code, text) == (2, "")
+    assert capsys.readouterr().err == "input error: need at least one vertex\n"
+    # signs and normalize still answer on the empty graph
+    for argv in (["signs", "--graph", path], ["normalize", "--graph", path, "--nk", "4"]):
+        code, text = run(argv)
+        assert code == 0 and json.loads(text)["result"]["feasible"] is True, argv
+
+
 def test_kunneth_command(tmp_path):
     p = {"components": [{"degree": 3, "dim": 1}]}
     path = write_json(tmp_path, "p.json", p)

@@ -11,8 +11,8 @@ import json
 import pytest
 
 from formalitykit.configurations import ConfigGraph
-from formalitykit.fields import FieldSpec
-from formalitykit.graded import build_configuration_algebra, truncated_poly
+from formalitykit.fields import RATIONALS_SPEC, FieldSpec
+from formalitykit.graded import GradedAlgebra, build_configuration_algebra, truncated_poly
 from formalitykit.hochschild import hh_bar
 
 F7 = FieldSpec(kind="fp", p=7)
@@ -100,4 +100,42 @@ def test_a2_cocycles_over_f7_are_pinned(slice_):
     preset, p, q = slice_
     res = hh_bar(a2_121(preset), p, q, want_cocycles=True)
     assert (res.dim, res.slice_dims, digest(res.cocycles)) == A2_F7[slice_]
+    assert len(res.cocycles) == res.dim
+
+
+def interleaved():
+    """Two vertices, with the degree 2 diagonal labels x1, x2, y1 in basis
+    order and x1, y1 at vertex 1, so that C^0 in degree 2, numbered in basis
+    order, interleaves the vertices; a = e2 a e1 and a x1 = x2 a = z."""
+    basis = (("e1", 0), ("e2", 0), ("a", 1), ("x1", 2), ("x2", 2), ("y1", 2), ("z", 3))
+    mult = {("e1", "e1"): {"e1": 1}, ("e2", "e2"): {"e2": 1},
+            ("a", "x1"): {"z": 1}, ("x2", "a"): {"z": 1}}
+    for lab, left, right in (("a", "e2", "e1"), ("x1", "e1", "e1"), ("x2", "e2", "e2"),
+                             ("y1", "e1", "e1"), ("z", "e2", "e1")):
+        mult[(left, lab)] = mult[(lab, right)] = {lab: 1}
+    return GradedAlgebra(RATIONALS_SPEC, basis, mult, {"e1": 1, "e2": 1})
+
+
+# (mode, p, q) -> (slice dims, cocycles) of the interleaved algebra: the
+# classes come in the order of their last column, so numbering C^0 vertex by
+# vertex (x1, y1, x2) would list y1 before x1 + x2
+INTERLEAVED = {
+    ("relative_normalized", 0, 0): ((0, 2, 7), ((((), "e1", "1"), ((), "e2", "1")),)),
+    ("relative_normalized", 0, 2): ((0, 3, 1), ((((), "x1", "1"), ((), "x2", "1")),
+                                                (((), "y1", "1"),))),
+    ("absolute", 0, 2): ((0, 3, 7), ((((), "x1", "1"), ((), "x2", "1")), (((), "y1", "1"),))),
+    ("relative_normalized", 1, 0): ((2, 7, 3), (
+        ((("x1",), "y1", "1"),),
+        ((("a",), "a", "-1"), (("x1",), "x1", "1"), (("x2",), "x2", "1")),
+        ((("y1",), "y1", "1"),),
+    )),
+    ("relative_normalized", 1, 2): ((3, 1, 0), ()),
+}
+
+
+@pytest.mark.parametrize("slice_", sorted(INTERLEAVED))
+def test_interleaved_vertices_keep_the_basis_order_of_c0(slice_):
+    mode, p, q = slice_
+    res = hh_bar(interleaved(), p, q, mode=mode, want_cocycles=True)
+    assert (res.slice_dims, res.cocycles) == INTERLEAVED[slice_]
     assert len(res.cocycles) == res.dim

@@ -17,6 +17,8 @@ from formalitykit.configurations import (
 )
 from formalitykit.errors import InputValidationError, ResourceCapError
 from formalitykit.fields import FieldSpec, RATIONALS
+from formalitykit.graded import build_configuration_algebra
+from formalitykit.presentations import configuration_presentation
 from formalitykit.linalg import rank_rows
 from test_linalg import sparse
 
@@ -220,6 +222,20 @@ def test_normalize_single_vertex():
     g = ConfigGraph.make(["v"], [])
     res = normalize_shifts(g, 6)
     assert res.feasible and res.shifts == {"v": 0}
+
+
+@pytest.mark.parametrize("preset", ["orthogonal", "zigzag"])
+def test_both_builders_refuse_a_graph_with_no_vertex(preset):
+    """The table builder once returned the zero algebra where the
+    presentation refused; both now refuse, with one message."""
+    empty = ConfigGraph.make([], [])
+    with pytest.raises(InputValidationError, match="^need at least one vertex$"):
+        build_configuration_algebra(empty, 2, 2, 2, preset)
+    with pytest.raises(InputValidationError, match="^need at least one vertex$"):
+        configuration_presentation(empty, 2, 2, 2, preset, 8)
+    # the graph itself is valid: its shift and sign problems answer
+    assert normalize_shifts(empty, 4).shifts == {}
+    assert sign_assignment(empty).feasible
 
 
 def test_normalize_rejects_duality_violation():

@@ -676,7 +676,8 @@ def test_half_table_matches_the_zigzag_algebra_in_every_slice(field_spec):
 
 
 def test_nonempty_internal_degrees_refuses_negative_p():
-    # unchecked, p = -1 runs no dynamic programming step and reads as p = 1
+    # a negative length has no words, so unchecked, p = -1 would list no
+    # degree rather than refuse the input
     with pytest.raises(InputValidationError):
         nonempty_internal_degrees(truncated_poly(2, 2), -1)
 
@@ -910,7 +911,8 @@ def brute_force_words(A, mode, length, degrees):
     block_structure, not off the prepared tables. Words grow by
     itertools.product of the words one letter shorter with the letters,
     kept where the new letter composes after the last one, which is the
-    product of length copies of the letters filtered for composability."""
+    product of length copies of the letters filtered for composability.
+    The empty word is the one word of length 0; a negative length has none."""
     degs = [d for _, d in A.basis]
     if mode == "absolute":
         letters = range(len(degs))
@@ -920,7 +922,7 @@ def brute_force_words(A, mode, length, degrees):
         letters = [i for i, d in enumerate(degs) if d > 0]
         src = [blocks[lab][0] for lab in A.labels()]
         tgt = [blocks[lab][1] for lab in A.labels()]
-    words = [()]
+    words = [()] if length >= 0 else []
     for _ in range(length):
         words = [w + (j,) for w, j in itertools.product(words, letters)
                  if not w or src[w[-1]] == tgt[j]]
@@ -936,13 +938,13 @@ def test_word_walk_matches_brute_force_on_the_pool_algebras(A, slices):
         for p, q in slices:
             # the targets of a cochain slice, as _cochain_basis asks for them
             targets = {d - q for d in set(tb.degs)}
-            for length in (p - 1, p, p + 1):
+            for length in sorted({-1, 0, p - 1, p, p + 1}):
                 if mode == "absolute" and len(tb.letters) ** length > ABSOLUTE_TUPLES:
                     continue
                 want = brute_force_words(A, mode, length, targets)
                 assert _enumerate_words(tb, length, targets, 10**7, "") == want, (mode, length)
                 checked += 1
-                if mode == "absolute":
+                if mode == "absolute" or length < 1:  # bar_chain_slice refuses p < 1
                     continue
                 for t in sorted(targets):
                     words = [tuple(tb.labels[i] for i in w) for w, d in want if d == t]
@@ -951,13 +953,11 @@ def test_word_walk_matches_brute_force_on_the_pool_algebras(A, slices):
 
 
 def reference_word_degree_states(tb, p):
-    """Length p word counts per (degree, src, tgt), each step trying every
-    letter after the source block of the word so far."""
-    states = {}
-    for i in tb.letters:
-        key = (tb.degs[i], tb.src[i], tb.tgt[i])
-        states[key] = states.get(key, 0) + 1
-    for _ in range(p - 1):
+    """Length p word counts per (degree, src, tgt), from the empty word at
+    each block b, state (0, b, b), each step trying every letter after the
+    source block of the word so far."""
+    states = {(0, b, b): 1 for b in set(tb.src)}
+    for _ in range(p):
         nxt = {}
         for (d, src_last, tgt_first), cnt in states.items():
             for i in tb.letters:
@@ -972,8 +972,21 @@ def reference_word_degree_states(tb, p):
 def test_word_degree_states_follow_the_successor_lists_unchanged(A):
     for mode in hochschild.MODES:
         tb = _tables(A, mode)
-        for p in range(1, 8):
+        for p in range(0, 8):
             assert _word_degree_states(tb, p) == reference_word_degree_states(tb, p), (mode, p)
+
+
+@pytest.mark.parametrize("A", FIXTURES)
+def test_a_negative_length_has_no_words(A):
+    for mode in hochschild.MODES:
+        tb = _tables(A, mode)
+        assert _word_degree_states(tb, -1) == {}, mode
+        for q in range(-6, 7):
+            targets = {d - q for d in set(tb.degs)}
+            assert _enumerate_words(tb, -1, targets, 10**7, "") == [], (mode, q)
+            assert _word_degree_states(tb, -1, targets, 10**7) == {}, (mode, q)
+            assert _cochain_basis(tb, -1, q, 10**7) == ({}, 0), (mode, q)
+            assert _cochain_count(tb, -1, q, 10**7) == 0, (mode, q)
 
 
 # -- d compose d vanishes ---------------------------------------------------------
@@ -1192,7 +1205,7 @@ def test_cochain_count_is_the_size_of_the_cochain_basis(A, slices):
     for mode in hochschild.MODES:
         tb = _tables(A, mode)
         for p, q in slices:
-            for length in (p - 1, p, p + 1):
+            for length in sorted({-1, 0, p - 1, p, p + 1}):
                 if mode == "absolute" and len(tb.letters) ** length > ABSOLUTE_TUPLES:
                     continue
                 want = _cochain_basis(tb, length, q, 10**7)[1]
